@@ -3,7 +3,7 @@ in simulated social-VR group conversations, plus the scenario harness that
 replays the evaluation protocol against a seeded synthetic gaze agent.
 """
 
-from .audio import DuckEnvelope, Role, SoundSourceState, chime_schedule, duck_gain, sound_source_position
+from .audio import Role, SoundSourceState, chime_schedule, sound_source_position
 from .baselines import SgdState, TextIconState, sgd_state, text_icon_state
 from .config import GuidanceConfig
 from .configio import load_simulation, load_suite, parse_config

@@ -1,8 +1,9 @@
 """Spatial audio cues: chime source placement and speaker ducking.
 
 No waveforms are produced here; the module computes where the chime source
-sits on the user-to-target path and what gain the current speaker's voice
-should have at a given instant.
+sits on the user-to-target path and how deep the current speaker's voice
+is ducked. session.tick applies that duck to listeners inside each chime's
+window.
 """
 
 from __future__ import annotations
@@ -24,21 +25,6 @@ class Role(Enum):
 class SoundSourceState:
     position: Vec3
     chime_active: bool
-
-
-@dataclass(frozen=True)
-class DuckEnvelope:
-    """Attenuation window for the current speaker's voice."""
-
-    start_time: float
-    duration: float = 2.0
-    ducked_gain: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0.0:
-            raise ConfigError(f"duck duration={self.duration} must be > 0")
-        if not 0.0 <= self.ducked_gain < 1.0:
-            raise ConfigError(f"ducked_gain={self.ducked_gain} must lie in [0, 1)")
 
 
 def sound_source_position(
@@ -68,18 +54,6 @@ def sound_source_position(
     return u + (t - u).scaled(s)
 
 
-def duck_gain(now: float, envelope: DuckEnvelope, role: Role) -> float:
-    """Current speaker gain for one listener/speaker at time now.
-
-    Speakers never hear their own voice through the headset, so their
-    gain is always 1; listeners get the ducked gain inside the window.
-    """
-    if role is Role.SPEAKER:
-        return 1.0
-    inside = envelope.start_time <= now < envelope.start_time + envelope.duration
-    return envelope.ducked_gain if inside else 1.0
-
-
 def chime_schedule(
     signal_time: float,
     repeat_interval: float | None = None,
@@ -100,8 +74,8 @@ def chime_schedule(
 def scaled_duck_gain(base_gain: float, subtlety: float) -> float:
     """Duck depth scaled by the configured subtlety weight.
 
-    subtlety 1 keeps the configured gain; smaller values shallow the duck
-    (weight 0 would disable it entirely).
+    subtlety 1 keeps the configured gain; smaller values shallow the duck,
+    and weight 0 disables it (gain 1).
     """
     if not 0.0 <= subtlety <= 1.0:
         raise ConfigError(f"subtlety={subtlety} must lie in [0, 1]")

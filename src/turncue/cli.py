@@ -15,8 +15,8 @@ from pathlib import Path
 from .configio import load_simulation, load_suite, parse_config
 from .config import GuidanceConfig
 from .errors import GuidanceError
-from .geometry import AngularRange, Vec3, normalized_progress
-from .lights import env_light_intensity, point_light_color
+from .geometry import AngularRange, Vec3
+from .lights import env_light_intensity, point_light_color, spot_cone_angle, spot_intensity
 from .audio import sound_source_position
 from .metrics import extract_metrics, metrics_to_csv
 from .scenario import run_scenario, run_suite
@@ -46,11 +46,9 @@ def _eval_rows(channel: str, rng: AngularRange, gamma: float, steps: int, config
             rows.append(f"{_fmt(th)},{_fmt(c.r)},{_fmt(c.g)},{_fmt(c.b)}")
     elif channel == "spot":
         rows = ["theta,intensity,cone_angle"]
-        geo = config.spot_geometry
         for th in thetas:
-            p = normalized_progress(th, rng, gamma)
-            intensity = config.spot_levels.l_min + (config.spot_levels.l_max - config.spot_levels.l_min) * p
-            cone = geo.a_min + (geo.a_max - geo.a_min) * p
+            intensity = spot_intensity(th, rng, config.spot_levels, gamma)
+            cone = spot_cone_angle(th, rng, config.spot_geometry, gamma)
             rows.append(f"{_fmt(th)},{_fmt(intensity)},{_fmt(cone)}")
     else:
         rows = ["theta,x,y,z"]

@@ -50,10 +50,10 @@ _SECTION_KEYS = {
         "eye_height", "desk_anchor", "signal_offset", "turns", "names",
     },
     "agent": {
-        "head_speed", "gaze_speed", "gaze_lead", "latency_in", "latency_out",
+        "head_speed", "gaze_lead", "latency_in", "latency_out",
         "latency_jitter", "seed", *_LATENCY_OVERRIDE_KEYS,
     },
-    "plan": {"participants", "topics", "seat_radius", "eye_height"},
+    "plan": {"participants", "seat_radius", "eye_height"},
 }
 
 
@@ -163,7 +163,7 @@ def agent_from_sections(cp: configparser.ConfigParser) -> GazeAgentModel:
         return GazeAgentModel()
     s = cp["agent"]
     kwargs = {}
-    for k in ("head_speed", "gaze_speed", "gaze_lead", "latency_in", "latency_out", "latency_jitter"):
+    for k in ("head_speed", "gaze_lead", "latency_in", "latency_out", "latency_jitter"):
         if k in s:
             kwargs[k] = _float("agent", k, s[k])
     if "seed" in s:
@@ -248,8 +248,6 @@ def plan_from_sections(cp: configparser.ConfigParser) -> StudyPlan:
     s = cp["plan"]
     kwargs = {}
     kwargs["participants"] = _int("plan", "participants", s["participants"]) if "participants" in s else 1
-    if "topics" in s:
-        kwargs["topic_count"] = _int("plan", "topics", s["topics"])
     if "seat_radius" in s:
         kwargs["seat_radius"] = _float("plan", "seat_radius", s["seat_radius"])
     if "eye_height" in s:

@@ -162,10 +162,15 @@ def deviation_to_target(
 
 def in_viewport(pose: Pose, target: Vec3, half_angle: float) -> bool:
     """True iff the target lies within half_angle of head forward (inclusive)."""
+    dev = angular_deviation(pose.head_forward, direction_to(pose.position, target))
+    return angle_in_viewport(dev, half_angle)
+
+
+def angle_in_viewport(head_theta: float, half_angle: float) -> bool:
+    """in_viewport for an already computed head-to-target angle."""
     if not 0.0 < half_angle < 180.0:
         raise ConfigError(f"viewport half_angle={half_angle} must lie in (0, 180)")
-    dev = angular_deviation(pose.head_forward, direction_to(pose.position, target))
-    return dev <= half_angle + _BOUNDARY_EPS
+    return head_theta <= half_angle + _BOUNDARY_EPS
 
 
 def lateral_side(pose: Pose, target: Vec3) -> Side:

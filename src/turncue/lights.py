@@ -17,6 +17,7 @@ from .geometry import (
     Pose,
     Side,
     Vec3,
+    angle_in_viewport,
     angular_deviation,
     direction_to,
     in_viewport,
@@ -84,12 +85,16 @@ class SpotlightState:
     aim: Vec3
 
 
+def lerp(lo: float, hi: float, p: float) -> float:
+    """Linear interpolation: lo at p = 0, hi at p = 1."""
+    return lo + (hi - lo) * p
+
+
 def env_light_intensity(
     theta: float, rng: AngularRange, levels: LightLevels, gamma: float
 ) -> float:
     """Environment brightness at deviation theta."""
-    p = normalized_progress(theta, rng, gamma)
-    return levels.l_min + (levels.l_max - levels.l_min) * p
+    return lerp(levels.l_min, levels.l_max, normalized_progress(theta, rng, gamma))
 
 
 def env_light_with_fade(
@@ -111,24 +116,21 @@ def env_light_with_fade(
     if t_since_signal < 0.0:
         raise ConfigError(f"t_since_signal={t_since_signal} must be >= 0")
     target = env_light_intensity(theta, rng, levels, gamma)
-    blend = min(t_since_signal / fade_duration, 1.0)
-    return original + (target - original) * blend
+    return lerp(original, target, min(t_since_signal / fade_duration, 1.0))
 
 
 def spot_intensity(
     theta: float, rng: AngularRange, levels: LightLevels, gamma: float
 ) -> float:
     """Spotlight brightness at deviation theta; same form as the env light."""
-    p = normalized_progress(theta, rng, gamma)
-    return levels.l_min + (levels.l_max - levels.l_min) * p
+    return lerp(levels.l_min, levels.l_max, normalized_progress(theta, rng, gamma))
 
 
 def spot_cone_angle(
     theta: float, rng: AngularRange, geometry: SpotlightGeometry, gamma: float
 ) -> float:
     """Spotlight cone width at deviation theta."""
-    p = normalized_progress(theta, rng, gamma)
-    return geometry.a_min + (geometry.a_max - geometry.a_min) * p
+    return lerp(geometry.a_min, geometry.a_max, normalized_progress(theta, rng, gamma))
 
 
 def point_light_color(
@@ -142,13 +144,15 @@ def point_light_color(
     p = normalized_progress(theta, rng, gamma)
 
     def chan(w: float, c: float) -> float:
-        return max(0.0, min(1.0, c + (w - c) * p))
+        return max(0.0, min(1.0, lerp(c, w, p)))
 
     return ColorRGB(chan(warm.r, cold.r), chan(warm.g, cold.g), chan(warm.b, cold.b))
 
 
-def _rotate_horizontal(forward: Vec3, azimuth_deg: float, side: Side) -> Vec3:
-    """Unit direction: horizontal forward rotated azimuth_deg toward side."""
+def point_light_position(pose: Pose, side: Side, azimuth: float, radius: float) -> Vec3:
+    """Head-affixed light position: radius meters from the head, azimuth
+    degrees off the horizontal head forward toward side."""
+    forward = pose.head_forward
     flat = Vec3(forward.x, 0.0, forward.z)
     if flat.norm() <= 1e-12:
         # Head looking straight up/down: no horizontal heading; default +z.
@@ -156,8 +160,32 @@ def _rotate_horizontal(forward: Vec3, azimuth_deg: float, side: Side) -> Vec3:
     ahead = flat.normalized()
     right = Vec3(ahead.z, 0.0, -ahead.x)  # horizontal right of ahead
     lat = right if side is Side.RIGHT else right.scaled(-1.0)
-    a = math.radians(azimuth_deg)
-    return (ahead.scaled(math.cos(a)) + lat.scaled(math.sin(a))).normalized()
+    a = math.radians(azimuth)
+    direction = (ahead.scaled(math.cos(a)) + lat.scaled(math.sin(a))).normalized()
+    return pose.position + direction.scaled(radius)
+
+
+def point_light(
+    pose: Pose,
+    target: Vec3,
+    theta: float,
+    in_view: bool,
+    rng: AngularRange,
+    *,
+    azimuth: float,
+    radius: float,
+    warm: ColorRGB,
+    cold: ColorRGB,
+    gamma: float,
+) -> PointLightState:
+    """Point light for a given head-to-target angle and viewport flag."""
+    side = lateral_side(pose, target)
+    return PointLightState(
+        active=not in_view,
+        side=side,
+        position=point_light_position(pose, side, azimuth, radius),
+        color=point_light_color(theta, rng, warm, cold, gamma),
+    )
 
 
 def point_light_state(
@@ -177,12 +205,34 @@ def point_light_state(
     Placed radius meters from the head at azimuth degrees off head forward,
     on the lateral side of the target; colored by the head-to-target angle.
     """
-    side = lateral_side(pose, target)
-    position = pose.position + _rotate_horizontal(pose.head_forward, azimuth, side).scaled(radius)
     theta = angular_deviation(pose.head_forward, direction_to(pose.position, target))
-    color = point_light_color(theta, rng, warm, cold, gamma)
-    active = not in_viewport(pose, target, half_angle)
-    return PointLightState(active=active, side=side, position=position, color=color)
+    in_view = angle_in_viewport(theta, half_angle)
+    return point_light(
+        pose, target, theta, in_view, rng,
+        azimuth=azimuth, radius=radius, warm=warm, cold=cold, gamma=gamma,
+    )
+
+
+def spotlight(
+    target: Vec3,
+    theta: float,
+    in_view: bool,
+    rng: AngularRange,
+    levels: LightLevels,
+    geometry: SpotlightGeometry,
+    *,
+    gamma: float,
+    deactivate_at_min: bool,
+) -> SpotlightState:
+    """Spotlight for a given gaze-to-target angle and viewport flag."""
+    if not in_view or (deactivate_at_min and theta <= rng.theta_min):
+        return SpotlightState(active=False, intensity=0.0, cone_angle=geometry.a_min, aim=target)
+    return SpotlightState(
+        active=True,
+        intensity=spot_intensity(theta, rng, levels, gamma),
+        cone_angle=spot_cone_angle(theta, rng, geometry, gamma),
+        aim=target,
+    )
 
 
 def spotlight_state(
@@ -203,14 +253,8 @@ def spotlight_state(
     arrived (theta <= theta_min).
     """
     theta = angular_deviation(pose.gaze_forward, direction_to(pose.position, target))
-    active = in_viewport(pose, target, half_angle)
-    if active and deactivate_at_min and theta <= rng.theta_min:
-        active = False
-    if not active:
-        return SpotlightState(active=False, intensity=0.0, cone_angle=geometry.a_min, aim=target)
-    return SpotlightState(
-        active=True,
-        intensity=spot_intensity(theta, rng, levels, gamma),
-        cone_angle=spot_cone_angle(theta, rng, geometry, gamma),
-        aim=target,
+    in_view = in_viewport(pose, target, half_angle)
+    return spotlight(
+        target, theta, in_view, rng, levels, geometry,
+        gamma=gamma, deactivate_at_min=deactivate_at_min,
     )

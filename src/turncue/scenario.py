@@ -24,13 +24,13 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import session as sess
-from .audio import Role, SoundSourceState
+from .audio import Role
 from .baselines import sgd_state, text_icon_state
 from .config import GuidanceConfig
 from .errors import ScriptError
 from .geometry import Pose, Vec3, angular_deviation
 from .metrics import MetricsSummary, extract_metrics
-from .session import CueFrame, SessionState
+from .session import SessionState
 from .trace import Trace, TraceMeta, TraceRecord
 
 
@@ -44,6 +44,7 @@ class Method(Enum):
 METHODS = (Method.LIGHT_AUDIO, Method.LIGHT, Method.SGD, Method.TEXT_ICON)
 
 AGENT_COUNT = 5
+AGENT_IDS = tuple(f"a{i + 1}" for i in range(AGENT_COUNT))
 USER_ID = "user"
 
 # Balanced 4x4 Latin square (Williams design): every method appears in every
@@ -97,7 +98,6 @@ class GazeAgentModel:
     """
 
     head_speed: float = 120.0
-    gaze_speed: float = 240.0
     gaze_lead: float = 0.0
     latency_in: float = 0.35
     latency_out: float = 0.6
@@ -106,8 +106,8 @@ class GazeAgentModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.head_speed <= 0.0 or self.gaze_speed <= 0.0:
-            raise ScriptError("agent rotation speeds must be > 0")
+        if self.head_speed <= 0.0:
+            raise ScriptError("agent head_speed must be > 0")
         if self.latency_in < 0.0 or self.latency_out < 0.0 or self.latency_jitter < 0.0:
             raise ScriptError("agent latencies and jitter must be >= 0")
         if self.gaze_lead < 0.0:
@@ -119,10 +119,6 @@ class GazeAgentModel:
             if m == method.value and v == view:
                 return mean, self.latency_jitter
         return (self.latency_in if in_view else self.latency_out), self.latency_jitter
-
-
-def agent_ids(script: ScenarioScript) -> tuple[str, ...]:
-    return tuple(f"a{i + 1}" for i in range(AGENT_COUNT))
 
 
 def _seat_index_of(script: ScenarioScript, who: str) -> int:
@@ -155,7 +151,7 @@ def validate_script(script: ScenarioScript) -> None:
         raise ScriptError(f"names: expected {AGENT_COUNT}, got {len(script.names)}")
     if not script.turn_order:
         raise ScriptError("turn_order is empty")
-    valid_ids = {USER_ID, *agent_ids(script)}
+    valid_ids = {USER_ID, *AGENT_IDS}
     for turn in script.turn_order:
         if turn.speaker not in valid_ids:
             raise ScriptError(f"turn references unknown speaker id '{turn.speaker}'")
@@ -277,42 +273,6 @@ def default_script(
 # ---------------------------------------------------------------------------
 
 
-def _session_fields(state: SessionState) -> tuple[float | None, bool | None, str | None]:
-    if isinstance(state, sess.Signaled):
-        return None, state.target_in_view_at_signal, state.role.value
-    if isinstance(state, sess.Acknowledged):
-        return state.response_time, state.target_in_view_at_signal, state.role.value
-    if isinstance(state, sess.Missed):
-        return None, state.target_in_view_at_signal, state.role.value
-    return None, None, None
-
-
-def _masked_frame(
-    frame: CueFrame,
-    method: Method,
-    state: SessionState,
-    config: GuidanceConfig,
-    target: Vec3 | None,
-) -> CueFrame:
-    """Restrict the cue frame to the channels the trial's method presents."""
-    if method is Method.LIGHT_AUDIO:
-        return frame
-    rest = target if target is not None else frame.sound.position
-    silent = SoundSourceState(position=rest, chime_active=False)
-    if method is Method.LIGHT:
-        return replace(frame, duck_gain=1.0, sound=silent)
-    # Baseline methods: no light or audio manipulation at all.
-    original = getattr(state, "original_env", config.env_levels.l_max)
-    return replace(
-        frame,
-        env_intensity=original,
-        point=replace(frame.point, active=False),
-        spot=replace(frame.spot, active=False, intensity=0.0, cone_angle=config.spot_geometry.a_min),
-        sound=silent,
-        duck_gain=1.0,
-    )
-
-
 def run_scenario(
     script: ScenarioScript,
     agent: GazeAgentModel,
@@ -375,6 +335,9 @@ def run_scenario(
     head = (idle_focus(0) - user_pos).normalized()
     gaze = head
 
+    # Each method presents only its own channels; the others stay at rest.
+    lit = script.method in (Method.LIGHT_AUDIO, Method.LIGHT)
+    audible = script.method is Method.LIGHT_AUDIO
     records: list[TraceRecord] = []
     max_ticks = int(
         (sum(t.duration for t in turns) + len(turns) * (script.signal_offset + config.miss_timeout + 2.0))
@@ -426,16 +389,11 @@ def run_scenario(
             pending_handoff = True
             perceive_time = math.inf
 
-        frame = _masked_frame(frame, script.method, state, config, target)
-
-        ti = text_icon_state(state, target or desk, display_name(script, target_id) if target_id else "", desk)
-        if script.method is not Method.TEXT_ICON:
-            ti = replace(ti, panel_active=False, icon_active=False, panel_text="")
-        sg = sgd_state(state, pose, target or desk, t, config.ack_threshold)
-        if script.method is not Method.SGD:
-            sg = replace(sg, active=False)
-
-        rt, in_view, role_tag = _session_fields(state)
+        idle = isinstance(state, sess.Idle)
+        aim = target or desk
+        name = display_name(script, target_id) if target_id else ""
+        ti = text_icon_state(state if script.method is Method.TEXT_ICON else sess.IDLE, aim, name, desk)
+        sg = sgd_state(state if script.method is Method.SGD else sess.IDLE, pose, aim, t, config.ack_threshold)
         records.append(
             TraceRecord(
                 tick=k,
@@ -445,21 +403,21 @@ def run_scenario(
                 gaze=gaze.to_tuple(),
                 state=frame.session_state,
                 target=target_id,
-                rt=rt,
-                in_view=in_view,
-                role=role_tag,
-                env=frame.env_intensity,
-                point_active=frame.point.active,
+                rt=sess.response_time(state),
+                in_view=None if idle else state.target_in_view_at_signal,
+                role=None if idle else state.role.value,
+                env=frame.env_intensity if lit or idle else state.original_env,
+                point_active=lit and frame.point.active,
                 point_side=frame.point.side.value,
                 point_pos=frame.point.position.to_tuple(),
                 point_color=frame.point.color.to_tuple(),
-                spot_active=frame.spot.active,
-                spot_intensity=frame.spot.intensity,
-                spot_cone=frame.spot.cone_angle,
+                spot_active=lit and frame.spot.active,
+                spot_intensity=frame.spot.intensity if lit else 0.0,
+                spot_cone=frame.spot.cone_angle if lit else config.spot_geometry.a_min,
                 spot_aim=frame.spot.aim.to_tuple(),
-                sound_pos=frame.sound.position.to_tuple(),
-                chime=frame.sound.chime_active,
-                duck=frame.duck_gain,
+                sound_pos=(frame.sound.position if audible else target or pose.position).to_tuple(),
+                chime=audible and frame.sound.chime_active,
+                duck=frame.duck_gain if audible else 1.0,
                 panel_active=ti.panel_active,
                 panel_anchor=ti.panel_anchor.to_tuple(),
                 panel_text=ti.panel_text,
@@ -509,7 +467,6 @@ class StudyPlan:
     participants: int
     seat_radius: float = DEFAULT_SEAT_RADIUS
     eye_height: float = DEFAULT_EYE_HEIGHT
-    topic_count: int = 8
     trials: tuple[TrialSpec, ...] = field(default=())
 
 
@@ -521,8 +478,6 @@ def randomize_presentation(plan: StudyPlan, seed: int) -> StudyPlan:
     role blocks and the user's seat alternates between the two designated
     seats, giving a 4/4 split; agent names are re-drawn before every topic.
     """
-    if plan.topic_count != 8:
-        raise ScriptError(f"topic_count={plan.topic_count}: the protocol uses 8 topics")
     trials: list[TrialSpec] = []
     for p in range(plan.participants):
         rng = random.Random(stable_seed("plan", seed, p))

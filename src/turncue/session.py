@@ -14,26 +14,26 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import audio
-from .audio import DuckEnvelope, Role, SoundSourceState
+from .audio import Role, SoundSourceState
 from .config import GuidanceConfig
 from .errors import ConcurrentSignalError, ConfigError, TraceOrderError
 from .geometry import (
     AngularRange,
-    DeviationReference,
     Pose,
     Vec3,
+    angle_in_viewport,
     angular_deviation,
-    deviation_to_target,
     direction_to,
-    in_viewport,
     lateral_side,
 )
 from .lights import (
     PointLightState,
     SpotlightState,
     env_light_with_fade,
-    point_light_state,
-    spotlight_state,
+    lerp,
+    point_light,
+    point_light_position,
+    spotlight,
 )
 
 # Minimum captured range width, degrees: keeps the cue formulas well-defined
@@ -53,8 +53,7 @@ IDLE = Idle()
 class Signaled:
     signal_time: float
     signal_gaze: Vec3
-    env_range: AngularRange
-    spot_range: AngularRange
+    gaze_range: AngularRange
     head_range: AngularRange
     original_env: float
     role: Role
@@ -100,16 +99,6 @@ class CueFrame:
     session_state: str
 
 
-def _state_tag(state: SessionState) -> str:
-    if isinstance(state, Signaled):
-        return "signaled"
-    if isinstance(state, Acknowledged):
-        return "acknowledged"
-    if isinstance(state, Missed):
-        return "missed"
-    return "idle"
-
-
 def begin_signal(
     state: SessionState,
     pose: Pose,
@@ -128,11 +117,8 @@ def begin_signal(
         raise ConcurrentSignalError(
             "a guidance session is already active; multi-signal queuing is unsupported"
         )
-    gaze_theta = deviation_to_target(pose, target, DeviationReference.GAZE_TO_TARGET)
-    head_theta = deviation_to_target(pose, target, DeviationReference.HEAD_TO_TARGET)
+    head_theta, gaze_theta = _target_angles(pose, target)
     floor = config.theta_min + MIN_RANGE_WIDTH
-    gaze_range = AngularRange(config.theta_min, max(gaze_theta, floor))
-    head_range = AngularRange(config.theta_min, max(head_theta, floor))
 
     repeats = max(1, round(config.chime_max_repeats * config.subtlety))
     interval = config.chime_repeat_interval if repeats > 1 else None
@@ -141,39 +127,23 @@ def begin_signal(
     return Signaled(
         signal_time=pose.timestamp,
         signal_gaze=pose.gaze_forward,
-        env_range=gaze_range,
-        spot_range=gaze_range,
-        head_range=head_range,
+        gaze_range=AngularRange(config.theta_min, max(gaze_theta, floor)),
+        head_range=AngularRange(config.theta_min, max(head_theta, floor)),
         original_env=config.env_levels.l_max if original_env is None else original_env,
         role=role,
-        target_in_view_at_signal=in_viewport(pose, target, config.viewport_half_angle),
+        target_in_view_at_signal=angle_in_viewport(head_theta, config.viewport_half_angle),
         chimes=chimes,
-        dwell=0.0,
-        alignment_start=None,
         last_timestamp=pose.timestamp,
     )
 
 
-def _inactive_point(pose: Pose, target: Vec3 | None, config: GuidanceConfig) -> PointLightState:
-    if target is None:
-        return PointLightState(
-            active=False,
-            side=lateral_side(pose, pose.position + pose.head_forward),
-            position=pose.position,
-            color=config.cold,
-        )
-    state = point_light_state(
-        pose,
-        target,
-        AngularRange(config.theta_min, config.theta_min + MIN_RANGE_WIDTH),
-        half_angle=config.viewport_half_angle,
-        azimuth=config.point_azimuth,
-        radius=config.point_radius,
-        warm=config.warm,
-        cold=config.cold,
-        gamma=config.gamma_point,
+def _target_angles(pose: Pose, target: Vec3) -> tuple[float, float]:
+    """(head, gaze) angles to the target, sharing one direction_to."""
+    to_target = direction_to(pose.position, target)
+    return (
+        angular_deviation(pose.head_forward, to_target),
+        angular_deviation(pose.gaze_forward, to_target),
     )
-    return replace(state, active=False, color=config.cold)
 
 
 def _quiet_frame(
@@ -183,12 +153,21 @@ def _quiet_frame(
     env: float,
     tag: str,
 ) -> CueFrame:
-    """Frame with every cue off: idle sessions and terminal states."""
-    aim = target if target is not None else pose.position
+    """Frame with every cue off: idle sessions and terminal states.
+
+    The point light keeps only its side and head-affixed position.
+    """
+    if target is None:
+        aim = position = pose.position
+        side = lateral_side(pose, pose.position + pose.head_forward)
+    else:
+        aim = target
+        side = lateral_side(pose, target)
+        position = point_light_position(pose, side, config.point_azimuth, config.point_radius)
     return CueFrame(
         timestamp=pose.timestamp,
         env_intensity=env,
-        point=_inactive_point(pose, target, config),
+        point=PointLightState(active=False, side=side, position=position, color=config.cold),
         spot=SpotlightState(
             active=False, intensity=0.0, cone_angle=config.spot_geometry.a_min, aim=aim
         ),
@@ -199,8 +178,7 @@ def _quiet_frame(
 
 
 def _restored_env(env_at_end: float, original: float, elapsed: float, fade: float) -> float:
-    blend = min(max(elapsed, 0.0) / fade, 1.0)
-    return env_at_end + (original - env_at_end) * blend
+    return lerp(env_at_end, original, min(max(elapsed, 0.0) / fade, 1.0))
 
 
 def tick(
@@ -224,11 +202,12 @@ def tick(
         return state, _quiet_frame(pose, target, config, config.env_levels.l_max, "idle")
 
     if isinstance(state, (Acknowledged, Missed)):
-        end_time = state.ack_time if isinstance(state, Acknowledged) else state.miss_time
+        acked = isinstance(state, Acknowledged)
+        end_time = state.ack_time if acked else state.miss_time
         env = _restored_env(
             state.env_at_end, state.original_env, pose.timestamp - end_time, config.fade_duration
         )
-        return state, _quiet_frame(pose, target, config, env, _state_tag(state))
+        return state, _quiet_frame(pose, target, config, env, "acknowledged" if acked else "missed")
 
     # Signaled
     if target is None:
@@ -245,48 +224,14 @@ def tick(
         elapsed,
         env_theta,
         state.original_env,
-        state.env_range,
+        state.gaze_range,
         config.env_levels,
         config.gamma_env,
         config.fade_duration,
     )
 
-    point = point_light_state(
-        pose,
-        target,
-        state.head_range,
-        half_angle=config.viewport_half_angle,
-        azimuth=config.point_azimuth,
-        radius=config.point_radius,
-        warm=config.warm,
-        cold=config.cold,
-        gamma=config.gamma_point,
-    )
-    spot = spotlight_state(
-        pose,
-        target,
-        state.spot_range,
-        config.spot_levels,
-        config.spot_geometry,
-        half_angle=config.viewport_half_angle,
-        gamma=config.gamma_spot,
-        deactivate_at_min=config.spot_deactivate_at_min,
-    )
-
-    head_theta = angular_deviation(pose.head_forward, direction_to(pose.position, target))
-    sound_pos = audio.sound_source_position(
-        pose.position, target, head_theta, state.head_range, config.sound_easing
-    )
-    chime_active = any(c <= ts < c + config.duck_duration for c in state.chimes)
-
-    effective_gain = audio.scaled_duck_gain(config.duck_gain, config.subtlety)
-    gain = 1.0
-    for c in state.chimes:
-        env_duck = DuckEnvelope(c, config.duck_duration, effective_gain)
-        gain = min(gain, audio.duck_gain(ts, env_duck, state.role))
-
-    gaze_dev = deviation_to_target(pose, target, DeviationReference.GAZE_TO_TARGET)
-    if gaze_dev <= config.ack_threshold:
+    head_theta, gaze_theta = _target_angles(pose, target)
+    if gaze_theta <= config.ack_threshold:
         alignment_start = state.alignment_start if state.alignment_start is not None else ts
         dwell = state.dwell + dt
     else:
@@ -313,6 +258,26 @@ def tick(
             target_in_view_at_signal=state.target_in_view_at_signal,
         )
         return miss, _quiet_frame(pose, target, config, env, "missed")
+
+    in_view = angle_in_viewport(head_theta, config.viewport_half_angle)
+    point = point_light(
+        pose, target, head_theta, in_view, state.head_range,
+        azimuth=config.point_azimuth, radius=config.point_radius,
+        warm=config.warm, cold=config.cold, gamma=config.gamma_point,
+    )
+    spot = spotlight(
+        target, gaze_theta, in_view, state.gaze_range, config.spot_levels, config.spot_geometry,
+        gamma=config.gamma_spot, deactivate_at_min=config.spot_deactivate_at_min,
+    )
+    sound_pos = audio.sound_source_position(
+        pose.position, target, head_theta, state.head_range, config.sound_easing
+    )
+    chime_active = any(c <= ts < c + config.duck_duration for c in state.chimes)
+    # The duck window is the chime window. Speakers never hear their own
+    # voice through the headset, so only listeners are ducked.
+    gain = 1.0
+    if chime_active and state.role is Role.LISTENER:
+        gain = audio.scaled_duck_gain(config.duck_gain, config.subtlety)
 
     new_state = replace(
         state, dwell=dwell, alignment_start=alignment_start, last_timestamp=ts

@@ -3,10 +3,7 @@ import random
 import pytest
 
 from turncue.audio import (
-    DuckEnvelope,
-    Role,
     chime_schedule,
-    duck_gain,
     scaled_duck_gain,
     sound_source_position,
 )
@@ -69,31 +66,6 @@ def test_source_cosine_easing_hits_same_endpoints():
 def test_source_unknown_easing():
     with pytest.raises(ConfigError):
         sound_source_position(U, T, 45.0, R90, "bounce")
-
-
-def test_duck_inside_window():
-    env = DuckEnvelope(start_time=0.0, duration=2.0, ducked_gain=0.5)
-    assert duck_gain(1.0, env, Role.LISTENER) == 0.5
-
-
-def test_duck_after_window():
-    env = DuckEnvelope(start_time=0.0, duration=2.0, ducked_gain=0.5)
-    assert duck_gain(2.5, env, Role.LISTENER) == 1.0
-
-
-def test_speaker_never_ducked():
-    env = DuckEnvelope(start_time=0.0, duration=2.0, ducked_gain=0.5)
-    for now in (0.0, 1.0, 1.999, 2.5):
-        assert duck_gain(now, env, Role.SPEAKER) == 1.0
-
-
-def test_duck_integral_over_containing_interval():
-    env = DuckEnvelope(start_time=1.0, duration=2.0, ducked_gain=0.5)
-    dt = 0.001
-    steps = 5000  # [0, 5)
-    total = sum(duck_gain(i * dt, env, Role.LISTENER) * dt for i in range(steps))
-    expected = 2.0 * 0.5 + 3.0 * 1.0
-    assert total == pytest.approx(expected, abs=2 * dt)
 
 
 def test_chime_single_play():

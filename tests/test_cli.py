@@ -1,8 +1,12 @@
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from turncue.cli import cli
+from turncue.config import GuidanceConfig
+from turncue.geometry import AngularRange
+from turncue.lights import env_light_intensity, point_light_color, spot_cone_angle, spot_intensity
 from turncue.metrics import extract_metrics, metrics_to_csv
 from turncue.trace import read_trace
 
@@ -44,6 +48,25 @@ def test_eval_other_channels(capsys, channel, columns):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 8
     assert all(len(line.split(",")) == columns for line in lines)
+
+
+@pytest.mark.parametrize("channel", ["env", "point", "spot"])
+def test_eval_rows_match_library(capsys, channel):
+    cfg, rng, gamma = GuidanceConfig(), AngularRange(10.0, 130.0), 1.7
+
+    def values(th):
+        if channel == "env":
+            return (env_light_intensity(th, rng, cfg.env_levels, gamma),)
+        if channel == "point":
+            return point_light_color(th, rng, cfg.warm, cfg.cold, gamma).to_tuple()
+        return (spot_intensity(th, rng, cfg.spot_levels, gamma),
+                spot_cone_angle(th, rng, cfg.spot_geometry, gamma))
+
+    assert cli(["eval", "--channel", channel, "--theta-min", "10", "--theta-max", "130",
+                "--gamma", "1.7", "--steps", "12"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    thetas = [10.0 + i * 120.0 / 12 for i in range(13)]
+    assert rows == [",".join(format(v, ".9g") for v in (th, *values(th))) for th in thetas]
 
 
 def test_eval_monotone_spot(capsys):
@@ -126,3 +149,27 @@ def test_suite_participants_flag_overrides(tmp_path, capsys):
         "--dt", "0.05", "--out-dir", str(out_dir),
     ]) == 0
     assert list(out_dir.glob("*.jsonl")) == []
+
+
+def test_suite_with_zero_subtlety_runs(tmp_path, capsys):
+    # subtlety 0 turns the duck off; it must not fail on the first signal
+    plan = tmp_path / "plan.cfg"
+    plan.write_text("[plan]\nparticipants = 1\n\n[audio]\nsubtlety = 0\n")
+    assert cli(["suite", "--plan", str(plan), "--dt", "0.05"]) == 0
+    assert capsys.readouterr().out.startswith("method,view,role,n,")
+
+
+def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
+    # The reference run pinned in ROADMAP.md: any change to trace bytes or
+    # to the summary CSV is a change of behaviour.
+    out_dir = tmp_path / "traces"
+    assert cli([
+        "suite", "--plan", str(REPO / "configs" / "study.cfg"), "--participants", "1",
+        "--seed", "7", "--out-dir", str(out_dir),
+    ]) == 0
+    csv = capsys.readouterr().out
+    traces = b"".join(f.read_bytes() for f in sorted(out_dir.iterdir()))
+    assert hashlib.sha256(traces).hexdigest() == (
+        "731d5079c96aeb6fd106701eb86b6c6eace90b92ca390aaf087f90558bf760f6"
+    )
+    assert hashlib.md5(csv.encode()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"

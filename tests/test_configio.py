@@ -31,6 +31,14 @@ def test_unknown_key_rejected():
         parse_config("[lights]\ngama_env = 1\n")
 
 
+@pytest.mark.parametrize(
+    "text", ["[agent]\ngaze_speed = 240\n", "[plan]\ntopics = 8\n"], ids=["gaze_speed", "topics"]
+)
+def test_removed_keys_rejected(text):
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(text)
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown section \[lighting\]"):
         parse_config("[lighting]\nenv_min = 0.5\n")
@@ -99,7 +107,6 @@ def test_plan_file_parses():
     plan = parse_config((REPO / "configs" / "study.cfg").read_text())
     assert isinstance(plan, StudyPlan)
     assert plan.participants == 1
-    assert plan.topic_count == 8
 
 
 def test_plan_and_scenario_conflict():

@@ -57,7 +57,7 @@ def walk(aligned_from: float | None, until: float, cfg=CFG, aligned_gaps=()):
 def test_begin_signal_captures_head_range():
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
     assert state.head_range.theta_max == pytest.approx(90.0, abs=1e-9)
-    assert state.spot_range.theta_max == pytest.approx(90.0, abs=1e-9)
+    assert state.gaze_range.theta_max == pytest.approx(90.0, abs=1e-9)
     assert not state.target_in_view_at_signal
 
 
@@ -187,6 +187,53 @@ def test_subtlety_shallows_the_duck():
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, cfg)
     state, frame = tick(state, pose(0.5, AHEAD), TARGET, DT, cfg)
     assert frame.duck_gain == pytest.approx(0.75)
+
+
+def test_zero_subtlety_disables_the_duck():
+    cfg = GuidanceConfig(subtlety=0.0)
+    state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, cfg)
+    state, frame = tick(state, pose(0.5, AHEAD), TARGET, DT, cfg)
+    assert frame.sound.chime_active
+    assert frame.duck_gain == 1.0
+
+
+def test_duck_integral_over_containing_interval():
+    # a listener signal at t=1 ducks the speaker to 0.5 over [1, 3) only
+    dt = 0.01
+    state = IDLE
+    total = 0.0
+    for i in range(500):  # [0, 5)
+        if i == 100:
+            state = begin_signal(state, pose(i * dt, AHEAD), TARGET, Role.LISTENER, CFG)
+        state, frame = tick(state, pose(i * dt, AHEAD), TARGET, dt, CFG)
+        total += frame.duck_gain * dt
+    assert isinstance(state, Signaled)
+    assert total == pytest.approx(2.0 * 0.5 + 3.0 * 1.0, abs=2 * dt)
+
+
+def test_signaled_tick_computes_each_target_angle_once(monkeypatch):
+    import turncue.geometry
+    import turncue.lights
+    import turncue.session
+
+    calls = {"direction_to": 0, "angular_deviation": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(turncue.geometry, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (turncue.geometry, turncue.lights, turncue.session):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+
+    state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
+    calls.update(direction_to=0, angular_deviation=0)
+    state, frame = tick(state, pose(0.5, facing_at_angle(30.0)), TARGET, DT, CFG)
+    assert isinstance(state, Signaled)
+    assert frame.spot.active and frame.sound.chime_active
+    # head and gaze to the target share one direction; the third angle is
+    # the environment light's gaze against the gaze at signal time
+    assert calls == {"direction_to": 1, "angular_deviation": 3}
 
 
 def test_tick_rejects_nonpositive_dt():
