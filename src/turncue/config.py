@@ -8,7 +8,8 @@ light 0.5-1.1, spotlight 0.8-1.5 with a 30-60 degree cone, warm yellow
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .lights import ColorRGB, LightLevels, SpotlightGeometry
@@ -42,19 +43,17 @@ class GuidanceConfig:
 
     def __post_init__(self) -> None:
         for name in ("gamma_env", "gamma_point", "gamma_spot"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name}={getattr(self, name)}: gamma must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name}={getattr(self, name)}: gamma must be finite and > 0")
         if not 0.0 < self.viewport_half_angle < 180.0:
             raise ConfigError(
                 f"viewport_half_angle={self.viewport_half_angle} must lie in (0, 180)"
             )
-        if self.point_radius <= 0.0:
-            raise ConfigError(f"point_radius={self.point_radius} must be > 0")
         if not 0.0 <= self.point_azimuth <= 180.0:
             raise ConfigError(f"point_azimuth={self.point_azimuth} must lie in [0, 180]")
-        for name in ("fade_duration", "duck_duration", "ack_threshold", "ack_dwell", "miss_timeout"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name}={getattr(self, name)} must be > 0")
+        for name in ("point_radius", "fade_duration", "duck_duration", "ack_threshold", "ack_dwell", "miss_timeout"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name}={getattr(self, name)} must be finite and > 0")
         if not 0.0 <= self.duck_gain < 1.0:
             raise ConfigError(f"duck_gain={self.duck_gain} must lie in [0, 1)")
         if not 0.0 <= self.theta_min < 180.0:
@@ -63,10 +62,9 @@ class GuidanceConfig:
             raise ConfigError(f"sound_easing='{self.sound_easing}' must be linear or cosine")
         if self.chime_max_repeats < 1:
             raise ConfigError(f"chime_max_repeats={self.chime_max_repeats} must be >= 1")
-        if self.chime_max_repeats > 1 and self.chime_repeat_interval <= 0.0:
+        if not 0.0 <= self.chime_repeat_interval < math.inf:
+            raise ConfigError(f"chime_repeat_interval={self.chime_repeat_interval} must be finite and >= 0")
+        if self.chime_max_repeats > 1 and self.chime_repeat_interval == 0.0:
             raise ConfigError("chime_repeat_interval must be > 0 when repeats > 1")
         if not 0.0 <= self.subtlety <= 1.0:
             raise ConfigError(f"subtlety={self.subtlety} must lie in [0, 1]")
-
-    def with_overrides(self, **kwargs) -> "GuidanceConfig":
-        return replace(self, **kwargs)

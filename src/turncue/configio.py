@@ -3,22 +3,25 @@
 Sections: [lights], [audio], [session] feed GuidanceConfig; [scenario] and
 [agent] define a trial script and the synthetic gaze agent; [plan] defines a
 study plan. Parsing is strict: unknown sections or keys are rejected so a
-typo cannot silently fall back to a default mid-experiment. The full key
-list is documented in the README.
+typo cannot silently fall back to a default mid-experiment, and every number
+must be finite. _SCHEMA is the full key list (documented in the README); each
+key is handed to a constructor argument, so none can be parsed and then
+ignored.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+from dataclasses import astuple, replace
 
 from .audio import Role
 from .config import GuidanceConfig
 from .errors import ConfigError
 from .geometry import Vec3
-from .lights import ColorRGB, LightLevels, SpotlightGeometry
+from .lights import ColorRGB
 from .scenario import (
-    DEFAULT_EYE_HEIGHT,
-    DEFAULT_SEAT_RADIUS,
+    AGENT_COUNT,
     GazeAgentModel,
     Method,
     ScenarioScript,
@@ -29,232 +32,200 @@ from .scenario import (
     validate_script,
 )
 
-_LATENCY_OVERRIDE_KEYS = tuple(
-    f"latency_{m.value}_{v}" for m in Method for v in ("in", "out")
-)
 
-_SECTION_KEYS = {
-    "lights": {
-        "env_min", "env_max", "spot_min", "spot_max", "cone_min", "cone_max",
-        "warm", "cold", "gamma_env", "gamma_point", "gamma_spot",
-        "point_azimuth", "point_radius", "fade_duration",
-        "viewport_half_angle", "spot_deactivate_at_min",
-    },
-    "audio": {
-        "duck_duration", "duck_gain", "sound_easing",
-        "chime_repeat_interval", "chime_max_repeats", "subtlety",
-    },
-    "session": {"ack_threshold", "ack_dwell", "miss_timeout", "theta_min"},
-    "scenario": {
-        "role", "method", "topic", "user_seat", "seats", "seat_radius",
-        "eye_height", "desk_anchor", "signal_offset", "turns", "names",
-    },
-    "agent": {
-        "head_speed", "gaze_lead", "latency_in", "latency_out",
-        "latency_jitter", "seed", *_LATENCY_OVERRIDE_KEYS,
-    },
-    "plan": {"participants", "seat_radius", "eye_height"},
-}
-
-
-def _parse_sections(text: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(interpolation=None, strict=True)
+def _float(where: str, raw: str) -> float:
     try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from exc
-    for section in cp.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key '{key}' in [{section}]")
-    return cp
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: '{raw}' is not a finite number")
+    return value
 
 
-def _float(section, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: '{raw}' is not a number") from exc
-
-
-def _int(section, key: str, raw: str) -> int:
+def _int(where: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: '{raw}' is not an integer") from exc
+        raise ConfigError(f"{where}: '{raw}' is not an integer") from exc
 
 
-def _bool(section, key: str, raw: str) -> bool:
+def _bool(where: str, raw: str) -> bool:
     value = raw.strip().lower()
     if value in ("true", "yes", "on", "1"):
         return True
     if value in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"[{section}] {key}: '{raw}' is not a boolean")
+    raise ConfigError(f"{where}: '{raw}' is not a boolean")
 
 
-def _triple(section, key: str, raw: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in raw.split(",")]
+def _triple(where: str, raw: str) -> tuple[float, float, float]:
+    parts = raw.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"[{section}] {key}: expected three comma-separated numbers")
-    return tuple(_float(section, key, p) for p in parts)  # type: ignore[return-value]
+        raise ConfigError(f"{where}: expected three comma-separated numbers")
+    return tuple(_float(where, p.strip()) for p in parts)  # type: ignore[return-value]
 
 
-def _enum(section, key: str, raw: str, enum_cls):
-    try:
-        return enum_cls(raw.strip().lower())
-    except ValueError as exc:
-        valid = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"[{section}] {key}: '{raw}' is not one of {valid}") from exc
+def _enum(enum_cls):
+    def parse(where: str, raw: str):
+        try:
+            return enum_cls(raw.strip().lower())
+        except ValueError as exc:
+            valid = ", ".join(e.value for e in enum_cls)
+            raise ConfigError(f"{where}: '{raw}' is not one of {valid}") from exc
+
+    return parse
 
 
-def guidance_from_sections(cp: configparser.ConfigParser) -> GuidanceConfig:
-    base = GuidanceConfig()
-    kwargs = {}
-
-    if cp.has_section("lights"):
-        s = cp["lights"]
-        get = lambda k, d: _float("lights", k, s[k]) if k in s else d
-        kwargs["env_levels"] = LightLevels(
-            get("env_min", base.env_levels.l_min), get("env_max", base.env_levels.l_max)
-        )
-        kwargs["spot_levels"] = LightLevels(
-            get("spot_min", base.spot_levels.l_min), get("spot_max", base.spot_levels.l_max)
-        )
-        kwargs["spot_geometry"] = SpotlightGeometry(
-            get("cone_min", base.spot_geometry.a_min), get("cone_max", base.spot_geometry.a_max)
-        )
-        if "warm" in s:
-            kwargs["warm"] = ColorRGB(*_triple("lights", "warm", s["warm"]))
-        if "cold" in s:
-            kwargs["cold"] = ColorRGB(*_triple("lights", "cold", s["cold"]))
-        for k in ("gamma_env", "gamma_point", "gamma_spot", "point_azimuth",
-                  "point_radius", "fade_duration", "viewport_half_angle"):
-            if k in s:
-                kwargs[k] = _float("lights", k, s[k])
-        if "spot_deactivate_at_min" in s:
-            kwargs["spot_deactivate_at_min"] = _bool(
-                "lights", "spot_deactivate_at_min", s["spot_deactivate_at_min"]
-            )
-
-    if cp.has_section("audio"):
-        s = cp["audio"]
-        for k in ("duck_duration", "duck_gain", "chime_repeat_interval", "subtlety"):
-            if k in s:
-                kwargs[k] = _float("audio", k, s[k])
-        if "chime_max_repeats" in s:
-            kwargs["chime_max_repeats"] = _int("audio", "chime_max_repeats", s["chime_max_repeats"])
-        if "sound_easing" in s:
-            kwargs["sound_easing"] = s["sound_easing"].strip().lower()
-
-    if cp.has_section("session"):
-        s = cp["session"]
-        for k in ("ack_threshold", "ack_dwell", "miss_timeout", "theta_min"):
-            if k in s:
-                kwargs[k] = _float("session", k, s[k])
-
-    return GuidanceConfig(**kwargs)
-
-
-def agent_from_sections(cp: configparser.ConfigParser) -> GazeAgentModel:
-    if not cp.has_section("agent"):
-        return GazeAgentModel()
-    s = cp["agent"]
-    kwargs = {}
-    for k in ("head_speed", "gaze_lead", "latency_in", "latency_out", "latency_jitter"):
-        if k in s:
-            kwargs[k] = _float("agent", k, s[k])
-    if "seed" in s:
-        kwargs["seed"] = _int("agent", "seed", s["seed"])
-    overrides = []
-    for m in Method:
-        for v in ("in", "out"):
-            key = f"latency_{m.value}_{v}"
-            if key in s:
-                overrides.append((m.value, v, _float("agent", key, s[key])))
-    if overrides:
-        kwargs["latency_overrides"] = tuple(overrides)
-    return GazeAgentModel(**kwargs)
-
-
-def _parse_turns(raw: str) -> tuple[Turn, ...]:
+def _turns(where: str, raw: str) -> tuple[Turn, ...]:
     turns = []
     for part in raw.split("|"):
         part = part.strip()
         if not part:
             continue
         if ":" not in part:
-            raise ConfigError(f"[scenario] turns: entry '{part}' must be speaker:duration")
+            raise ConfigError(f"{where}: entry '{part}' must be speaker:duration")
         who, dur = part.split(":", 1)
-        turns.append(Turn(who.strip(), _float("scenario", "turns", dur.strip())))
+        turns.append(Turn(who.strip(), _float(where, dur.strip())))
     if not turns:
-        raise ConfigError("[scenario] turns: no entries")
+        raise ConfigError(f"{where}: no entries")
     return tuple(turns)
 
 
-def script_from_sections(cp: configparser.ConfigParser) -> ScenarioScript:
-    if not cp.has_section("scenario"):
+def _vec(where: str, raw: str) -> Vec3:
+    return Vec3(*_triple(where, raw))
+
+
+def _color(where: str, raw: str) -> ColorRGB:
+    return ColorRGB(*_triple(where, raw))
+
+
+def _seats(where: str, raw: str) -> tuple[Vec3, ...]:
+    return tuple(_vec(where, e) for e in raw.split("|") if e.strip())
+
+
+def _names(where: str, raw: str) -> tuple[str, ...]:
+    return tuple(n.strip() for n in raw.split(",") if n.strip())
+
+
+def _lower(where: str, raw: str) -> str:
+    return raw.strip().lower()
+
+
+# [agent] per-method latency keys -> (method, view) of the override.
+_LATENCY_OVERRIDES = {f"latency_{m.value}_{v}": (m.value, v) for m in Method for v in ("in", "out")}
+
+# Section -> key -> parser(where, raw). The *_from_sections builders below
+# pass every parsed key on as a constructor argument (renaming a few), so a
+# key without an argument fails there instead of being ignored.
+_SCHEMA = {
+    "lights": {
+        **dict.fromkeys(
+            ("env_min", "env_max", "spot_min", "spot_max", "cone_min", "cone_max",
+             "gamma_env", "gamma_point", "gamma_spot", "point_azimuth", "point_radius",
+             "fade_duration", "viewport_half_angle"),
+            _float,
+        ),
+        "warm": _color,
+        "cold": _color,
+        "spot_deactivate_at_min": _bool,
+    },
+    "audio": {
+        **dict.fromkeys(("duck_duration", "duck_gain", "chime_repeat_interval", "subtlety"), _float),
+        "chime_max_repeats": _int,
+        "sound_easing": _lower,
+    },
+    "session": dict.fromkeys(("ack_threshold", "ack_dwell", "miss_timeout", "theta_min"), _float),
+    "scenario": {
+        "role": _enum(Role),
+        "method": _enum(Method),
+        "topic": _int,
+        "user_seat": _int,
+        "seats": _seats,
+        "seat_radius": _float,
+        "eye_height": _float,
+        "desk_anchor": _vec,
+        "signal_offset": _float,
+        "turns": _turns,
+        "names": _names,
+    },
+    "agent": {
+        **dict.fromkeys(
+            ("head_speed", "gaze_lead", "latency_in", "latency_out", "latency_jitter", *_LATENCY_OVERRIDES),
+            _float,
+        ),
+        "seed": _int,
+    },
+    "plan": {"participants": _int, "seat_radius": _float, "eye_height": _float},
+}
+
+# GuidanceConfig band fields and the [lights] keys of their two bounds.
+_BANDS = {
+    "env_levels": ("env_min", "env_max"),
+    "spot_levels": ("spot_min", "spot_max"),
+    "spot_geometry": ("cone_min", "cone_max"),
+}
+
+
+def _parse_sections(text: str) -> dict[str, dict[str, object]]:
+    """Section -> key -> typed value, for the sections the text defines."""
+    cp = configparser.ConfigParser(interpolation=None, strict=True)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config syntax error: {exc}") from exc
+    sections = {}
+    for section in cp.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        parsers = _SCHEMA[section]
+        values = sections[section] = {}
+        for key, raw in cp[section].items():
+            if key not in parsers:
+                raise ConfigError(f"unknown key '{key}' in [{section}]")
+            values[key] = parsers[key](f"[{section}] {key}", raw)
+    return sections
+
+
+def guidance_from_sections(sections: dict) -> GuidanceConfig:
+    values = {**sections.get("lights", {}), **sections.get("audio", {}), **sections.get("session", {})}
+    defaults = GuidanceConfig()
+    for field, keys in _BANDS.items():
+        band = getattr(defaults, field)
+        values[field] = type(band)(*(values.pop(k, d) for k, d in zip(keys, astuple(band))))
+    return GuidanceConfig(**values)
+
+
+def agent_from_sections(sections: dict) -> GazeAgentModel:
+    values = dict(sections.get("agent", {}))
+    overrides = tuple((*mv, values.pop(key)) for key, mv in _LATENCY_OVERRIDES.items() if key in values)
+    return GazeAgentModel(**values, latency_overrides=overrides)
+
+
+def script_from_sections(sections: dict) -> ScenarioScript:
+    """The role's default trial template with the [scenario] keys applied."""
+    if "scenario" not in sections:
         raise ConfigError("missing [scenario] section")
-    s = cp["scenario"]
-    role = _enum("scenario", "role", s.get("role", "listener"), Role)
-    method = _enum("scenario", "method", s.get("method", "light_audio"), Method)
-    topic = _int("scenario", "topic", s["topic"]) if "topic" in s else 0
-    user_seat = _int("scenario", "user_seat", s["user_seat"]) if "user_seat" in s else 0
-    radius = _float("scenario", "seat_radius", s["seat_radius"]) if "seat_radius" in s else DEFAULT_SEAT_RADIUS
-    eye = _float("scenario", "eye_height", s["eye_height"]) if "eye_height" in s else DEFAULT_EYE_HEIGHT
-
-    names: tuple[str, ...] = ("Agent1", "Agent2", "Agent3", "Agent4", "Agent5")
-    if "names" in s:
-        names = tuple(n.strip() for n in s["names"].split(",") if n.strip())
-
-    base = default_script(method, role, topic, user_seat, names, radius, eye)
-
-    seats = base.seats
-    if "seats" in s:
-        entries = [e.strip() for e in s["seats"].split("|") if e.strip()]
-        seats = tuple(Vec3(*_triple("scenario", "seats", e)) for e in entries)
-
-    turns = base.turn_order
-    if "turns" in s:
-        turns = _parse_turns(s["turns"])
-
-    if "desk_anchor" in s:
-        desk = Vec3(*_triple("scenario", "desk_anchor", s["desk_anchor"]))
-    else:
-        desk = default_desk_anchor(seats, user_seat) if "seats" in s else base.desk_anchor
-
-    offset = _float("scenario", "signal_offset", s["signal_offset"]) if "signal_offset" in s else base.signal_offset
-
-    script = ScenarioScript(
-        seats=seats,
-        user_seat_index=user_seat,
-        role=role,
-        method=method,
-        turn_order=turns,
-        signal_offset=offset,
-        topic=topic,
-        desk_anchor=desk,
-        names=names,
+    values = dict(sections["scenario"])
+    user_seat = values.pop("user_seat", 0)
+    if not 0 <= user_seat <= AGENT_COUNT:
+        raise ConfigError(f"[scenario] user_seat={user_seat} must lie in [0, {AGENT_COUNT}]")
+    layout = {k: values.pop(k) for k in ("topic", "names", "seat_radius", "eye_height") if k in values}
+    base = default_script(
+        values.pop("method", Method.LIGHT_AUDIO), values.pop("role", Role.LISTENER),
+        user_seat_index=user_seat, **layout,
     )
+    script = replace(base, **{"turn_order" if k == "turns" else k: v for k, v in values.items()})
     validate_script(script)
+    if "seats" in values and "desk_anchor" not in values:
+        script = replace(script, desk_anchor=default_desk_anchor(script.seats, user_seat))
     return script
 
 
-def plan_from_sections(cp: configparser.ConfigParser) -> StudyPlan:
-    if not cp.has_section("plan"):
+def plan_from_sections(sections: dict) -> StudyPlan:
+    if "plan" not in sections:
         raise ConfigError("missing [plan] section")
-    s = cp["plan"]
-    kwargs = {}
-    kwargs["participants"] = _int("plan", "participants", s["participants"]) if "participants" in s else 1
-    if "seat_radius" in s:
-        kwargs["seat_radius"] = _float("plan", "seat_radius", s["seat_radius"])
-    if "eye_height" in s:
-        kwargs["eye_height"] = _float("plan", "eye_height", s["eye_height"])
-    if kwargs["participants"] < 0:
-        raise ConfigError(f"[plan] participants={kwargs['participants']} must be >= 0")
-    return StudyPlan(**kwargs)
+    return StudyPlan(**{"participants": 1, **sections["plan"]})
 
 
 def parse_config(text: str):
@@ -263,23 +234,23 @@ def parse_config(text: str):
     [plan] yields a StudyPlan, [scenario] a ScenarioScript, otherwise a
     GuidanceConfig. An empty file is the all-defaults GuidanceConfig.
     """
-    cp = _parse_sections(text)
-    if cp.has_section("plan") and cp.has_section("scenario"):
+    sections = _parse_sections(text)
+    if "plan" in sections and "scenario" in sections:
         raise ConfigError("a file cannot define both [plan] and [scenario]")
-    if cp.has_section("plan"):
-        return plan_from_sections(cp)
-    if cp.has_section("scenario"):
-        return script_from_sections(cp)
-    return guidance_from_sections(cp)
+    if "plan" in sections:
+        return plan_from_sections(sections)
+    if "scenario" in sections:
+        return script_from_sections(sections)
+    return guidance_from_sections(sections)
 
 
 def load_simulation(text: str) -> tuple[ScenarioScript, GazeAgentModel, GuidanceConfig]:
     """Everything the simulate subcommand needs from one script file."""
-    cp = _parse_sections(text)
-    return script_from_sections(cp), agent_from_sections(cp), guidance_from_sections(cp)
+    sections = _parse_sections(text)
+    return script_from_sections(sections), agent_from_sections(sections), guidance_from_sections(sections)
 
 
 def load_suite(text: str) -> tuple[StudyPlan, GazeAgentModel, GuidanceConfig]:
     """Everything the suite subcommand needs from one plan file."""
-    cp = _parse_sections(text)
-    return plan_from_sections(cp), agent_from_sections(cp), guidance_from_sections(cp)
+    sections = _parse_sections(text)
+    return plan_from_sections(sections), agent_from_sections(sections), guidance_from_sections(sections)

@@ -37,4 +37,4 @@ class TraceOrderError(GuidanceError):
 
 
 class TraceIntegrityError(GuidanceError):
-    """A replayed trace contains an impossible session state sequence."""
+    """A trace line is malformed, or a trace has an impossible session sequence."""

@@ -41,13 +41,6 @@ class Vec3:
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
 
@@ -194,8 +187,8 @@ def normalized_progress(theta: float, rng: AngularRange, gamma: float) -> float:
     exactly 0 at theta_min and 1 at theta_max, monotone non-decreasing in
     theta for any gamma > 0.
     """
-    if gamma <= 0.0:
-        raise ConfigError(f"gamma={gamma} must be > 0")
+    if not 0.0 < gamma < math.inf:
+        raise ConfigError(f"gamma={gamma} must be finite and > 0")
     clamped = min(rng.theta_max, max(theta, rng.theta_min))
     frac = (clamped - rng.theta_min) / (rng.theta_max - rng.theta_min)
     return frac**gamma

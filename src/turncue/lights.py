@@ -34,9 +34,9 @@ class LightLevels:
     l_max: float
 
     def __post_init__(self) -> None:
-        if self.l_min < 0.0 or self.l_min >= self.l_max:
+        if not 0.0 <= self.l_min < self.l_max < math.inf:
             raise ConfigError(
-                f"light levels require 0 <= l_min < l_max, got [{self.l_min}, {self.l_max}]"
+                f"light levels require 0 <= l_min < l_max < inf, got [{self.l_min}, {self.l_max}]"
             )
 
 

@@ -52,7 +52,7 @@ def _scan_trace(trace: Trace) -> list[_SessionOutcome]:
     method = trace.meta.method
     outcomes: list[_SessionOutcome] = []
     prev = "idle"
-    open_session = False
+    open_tick: int | None = None  # the tick that signaled the open session
     for rec in trace.records:
         if rec.state not in _ALLOWED:
             raise TraceIntegrityError(f"tick {rec.tick}: unknown session state '{rec.state}'")
@@ -63,11 +63,11 @@ def _scan_trace(trace: Trace) -> list[_SessionOutcome]:
         entering = rec.state != prev
         if rec.state == "signaled":
             if entering:
-                open_session = True
+                open_tick = rec.tick
             if rec.in_view is None or rec.role is None:
                 raise TraceIntegrityError(f"tick {rec.tick}: signaled frame lacks view/role")
         elif entering and rec.state in ("acknowledged", "missed"):
-            if not open_session:
+            if open_tick is None:
                 raise TraceIntegrityError(
                     f"tick {rec.tick}: terminal state without a preceding signal"
                 )
@@ -82,8 +82,10 @@ def _scan_trace(trace: Trace) -> list[_SessionOutcome]:
                 outcomes.append(_SessionOutcome(key, rec.rt))
             else:
                 outcomes.append(_SessionOutcome(key, None))
-            open_session = False
+            open_tick = None
         prev = rec.state
+    if open_tick is not None:
+        raise TraceIntegrityError(f"tick {open_tick}: session signaled here is still open at end of trace")
     return outcomes
 
 

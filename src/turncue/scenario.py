@@ -106,12 +106,13 @@ class GazeAgentModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.head_speed <= 0.0:
-            raise ScriptError("agent head_speed must be > 0")
-        if self.latency_in < 0.0 or self.latency_out < 0.0 or self.latency_jitter < 0.0:
-            raise ScriptError("agent latencies and jitter must be >= 0")
-        if self.gaze_lead < 0.0:
-            raise ScriptError("gaze_lead must be >= 0")
+        if not 0.0 < self.head_speed < math.inf:
+            raise ScriptError(f"agent head_speed={self.head_speed} must be finite and > 0")
+        latencies = {n: getattr(self, n) for n in ("gaze_lead", "latency_in", "latency_out", "latency_jitter")}
+        latencies.update((f"latency_{m}_{v}", mean) for m, v, mean in self.latency_overrides)
+        for name, value in latencies.items():
+            if not 0.0 <= value < math.inf:
+                raise ScriptError(f"agent {name}={value} must be finite and >= 0")
 
     def latency_for(self, method: Method, in_view: bool) -> tuple[float, float]:
         view = "in" if in_view else "out"
@@ -155,10 +156,10 @@ def validate_script(script: ScenarioScript) -> None:
     for turn in script.turn_order:
         if turn.speaker not in valid_ids:
             raise ScriptError(f"turn references unknown speaker id '{turn.speaker}'")
-        if turn.duration <= 0.0:
-            raise ScriptError(f"turn duration {turn.duration} for '{turn.speaker}' must be > 0")
-    if script.signal_offset <= 0.0:
-        raise ScriptError(f"signal_offset={script.signal_offset} must be > 0")
+        if not 0.0 < turn.duration < math.inf:
+            raise ScriptError(f"turn duration {turn.duration} for '{turn.speaker}' must be finite and > 0")
+    if not 0.0 < script.signal_offset < math.inf:
+        raise ScriptError(f"signal_offset={script.signal_offset} must be finite and > 0")
 
 
 def rotate_toward(current: Vec3, target_dir: Vec3, max_step_deg: float) -> Vec3:
@@ -469,6 +470,10 @@ class StudyPlan:
     eye_height: float = DEFAULT_EYE_HEIGHT
     trials: tuple[TrialSpec, ...] = field(default=())
 
+    def __post_init__(self) -> None:
+        if self.participants < 0:
+            raise ScriptError(f"participants={self.participants} must be >= 0")
+
 
 def randomize_presentation(plan: StudyPlan, seed: int) -> StudyPlan:
     """Assign method orders, topics, seats, and agent names to every trial.
@@ -539,6 +544,8 @@ def run_suite(
     participant, order index), so parallel execution merges in plan order
     without changing any output byte.
     """
+    if jobs < 1:
+        raise ScriptError(f"jobs={jobs} must be >= 1")
     if not plan.trials:
         plan = randomize_presentation(plan, seed)
 

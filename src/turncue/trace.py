@@ -3,13 +3,16 @@
 Every float that enters a trace record is canonically quantized to nine
 significant digits at construction, so the in-memory record, its serialized
 bytes, and a replayed copy are all bit-identical. Field order in the output
-is fixed; identical runs produce identical files.
+is fixed; identical runs produce identical files. The field annotations of
+TraceMeta and TraceRecord are the whole schema: they decide how each field
+is canonicalized, written and read back.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 from .errors import TraceIntegrityError
@@ -27,27 +30,54 @@ def _q_triple(v) -> Triple:
     return (q9(a), q9(b), q9(c))
 
 
-_FLOAT_FIELDS = frozenset(
-    {"t", "rt", "env", "spot_intensity", "spot_cone", "duck"}
-)
-_TRIPLE_FIELDS = frozenset(
-    {
-        "pos",
-        "head",
-        "gaze",
-        "point_pos",
-        "point_color",
-        "spot_aim",
-        "sound_pos",
-        "panel_anchor",
-        "icon_anchor",
-        "sgd_center",
-    }
-)
+# Canonical form per field annotation; None keeps the value as given.
+_CANONICAL = {
+    "int": index,
+    "float": q9,
+    "float | None": lambda v: None if v is None else q9(v),
+    "Triple": _q_triple,
+    "tuple[Triple, ...]": lambda v: tuple(map(_q_triple, v)),
+    "tuple[str, ...]": tuple,
+    "str": None,
+    "str | None": None,
+    "bool": None,
+    "bool | None": None,
+}
+
+
+class _Canonical:
+    """Base of the trace line types: canonicalizes fields on construction.
+
+    The (field, annotation, canonicalizer) plan is built once per subclass
+    from its annotations; an annotation without a canonical form fails at
+    import. Values go straight into the frozen instance's __dict__.
+    """
+
+    _fields: tuple[str, ...]
+    _plan: tuple[tuple[str, str, object], ...]
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        annotations = cls.__dict__["__annotations__"]
+        for name, kind in annotations.items():
+            if kind not in _CANONICAL:
+                raise TypeError(f"{cls.__name__}.{name}: unsupported trace field type {kind!r}")
+        cls._fields = tuple(annotations)
+        cls._plan = tuple(
+            (name, kind, _CANONICAL[kind]) for name, kind in annotations.items() if _CANONICAL[kind]
+        )
+
+    def __post_init__(self) -> None:
+        values = self.__dict__
+        for name, kind, canonical in self._plan:
+            try:
+                values[name] = canonical(values[name])
+            except (TypeError, ValueError):
+                raise TraceIntegrityError(f"{name}={values[name]!r} is not a valid {kind}") from None
 
 
 @dataclass(frozen=True)
-class TraceMeta:
+class TraceMeta(_Canonical):
     """Scenario identity stored as the first line of a trace file."""
 
     method: str
@@ -61,15 +91,9 @@ class TraceMeta:
     desk_anchor: Triple
     names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dt", q9(self.dt))
-        object.__setattr__(self, "seats", tuple(_q_triple(s) for s in self.seats))
-        object.__setattr__(self, "desk_anchor", _q_triple(self.desk_anchor))
-        object.__setattr__(self, "names", tuple(self.names))
-
 
 @dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(_Canonical):
     """One tick of fully expanded cue state."""
 
     tick: int
@@ -104,14 +128,6 @@ class TraceRecord:
     sgd_center: Triple
     speaker: str
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name in _FLOAT_FIELDS and v is not None:
-                object.__setattr__(self, f.name, q9(v))
-            elif f.name in _TRIPLE_FIELDS:
-                object.__setattr__(self, f.name, _q_triple(v))
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -138,11 +154,10 @@ def _emit(value) -> str:
     raise TypeError(f"unserializable value {value!r}")
 
 
-def _emit_obj(kind: str, obj) -> str:
-    parts = [f'"kind":{json.dumps(kind)}']
-    for f in fields(obj):
-        parts.append(f"{json.dumps(f.name)}:{_emit(getattr(obj, f.name))}")
-    return "{" + ",".join(parts) + "}"
+def _emit_obj(kind: str, obj: _Canonical) -> str:
+    values = obj.__dict__
+    fields = ",".join(f'"{name}":{_emit(values[name])}' for name in obj._fields)
+    return f'{{"kind":"{kind}",{fields}}}'
 
 
 def _check_contiguous(records: Iterable[TraceRecord]) -> None:
@@ -162,33 +177,14 @@ def write_trace(records: Iterable[TraceRecord], meta: TraceMeta | None = None) -
     return "".join(line + "\n" for line in lines)
 
 
-def _tripled(v) -> Triple:
-    return (float(v[0]), float(v[1]), float(v[2]))
-
-
-def _meta_from_obj(obj: dict) -> TraceMeta:
-    return TraceMeta(
-        method=obj["method"],
-        role=obj["role"],
-        topic=int(obj["topic"]),
-        participant=int(obj["participant"]),
-        seed=int(obj["seed"]),
-        dt=float(obj["dt"]),
-        user_seat=int(obj["user_seat"]),
-        seats=tuple(_tripled(s) for s in obj["seats"]),
-        desk_anchor=_tripled(obj["desk_anchor"]),
-        names=tuple(obj["names"]),
-    )
-
-
-def _record_from_obj(obj: dict) -> TraceRecord:
-    kwargs = {}
-    for f in fields(TraceRecord):
-        v = obj[f.name]
-        if f.name in _TRIPLE_FIELDS:
-            v = _tripled(v)
-        kwargs[f.name] = v
-    return TraceRecord(**kwargs)
+def _from_obj(cls: type[_Canonical], obj: dict, lineno: int):
+    """One trace line type from its parsed JSON object; defects name the line."""
+    try:
+        return cls(*[obj[name] for name in cls._fields])
+    except KeyError as exc:
+        raise TraceIntegrityError(f"line {lineno}: missing field {exc.args[0]!r}") from None
+    except TraceIntegrityError as exc:
+        raise TraceIntegrityError(f"line {lineno}: {exc}") from None
 
 
 def read_trace(text: str) -> Trace:
@@ -202,13 +198,13 @@ def read_trace(text: str) -> Trace:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        kind = obj.get("kind")
+        kind = obj.get("kind") if isinstance(obj, dict) else None
         if kind == "meta":
             if records or meta is not None:
                 raise TraceIntegrityError(f"line {lineno}: meta must be the first line")
-            meta = _meta_from_obj(obj)
+            meta = _from_obj(TraceMeta, obj, lineno)
         elif kind == "frame":
-            records.append(_record_from_obj(obj))
+            records.append(_from_obj(TraceRecord, obj, lineno))
         else:
             raise TraceIntegrityError(f"line {lineno}: unknown record kind {kind!r}")
     _check_contiguous(records)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -173,3 +174,43 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
         "731d5079c96aeb6fd106701eb86b6c6eace90b92ca390aaf087f90558bf760f6"
     )
     assert hashlib.md5(csv.encode()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
+
+
+@pytest.mark.parametrize(
+    "args,config,named",
+    [
+        (["suite", "--plan", "{cfg}"], "[plan]\n[session]\nack_threshold = nan\n", "ack_threshold"),
+        (["suite", "--plan", "{cfg}"], "[plan]\n[session]\nmiss_timeout = inf\n", "miss_timeout"),
+        (["suite", "--plan", "{cfg}"], "[plan]\n[agent]\nhead_speed = nan\n", "head_speed"),
+        (["simulate", "--script", "{cfg}"], "[scenario]\nuser_seat = 9\n", "user_seat"),
+        (["eval", "--channel", "env", "--theta-max", "90", "--gamma", "nan"], None, "gamma"),
+        (["suite", "--plan", "{cfg}", "--jobs", "0"], "[plan]\n", "jobs"),
+        (["suite", "--plan", "{cfg}", "--participants", "-2"], "[plan]\n", "participants"),
+    ],
+    ids=["ack_threshold-nan", "miss_timeout-inf", "head_speed-nan", "user_seat-range", "gamma-nan",
+         "jobs-0", "participants-negative"],
+)
+def test_invalid_number_exits_one_naming_it(tmp_path, capsys, args, config, named):
+    cfg = tmp_path / "in.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    assert cli([a.replace("{cfg}", str(cfg)) for a in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+@pytest.mark.parametrize(
+    "pattern,repl",
+    [(r'"env":[^,]*,', ""), (r'"t":[^,]*', '"t":"abc"'), (r'"pos":\[[^]]*\]', '"pos":[0,1]')],
+    ids=["missing-field", "non-numeric", "short-triple"],
+)
+def test_metrics_on_malformed_trace_exits_one_naming_the_line(script_file, tmp_path, capsys, pattern, repl):
+    out = tmp_path / "t.jsonl"
+    assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    lines[1] = re.sub(pattern, repl, lines[1], count=1)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli(["metrics", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")

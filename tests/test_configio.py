@@ -1,12 +1,17 @@
+import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from turncue.audio import Role
 from turncue.config import GuidanceConfig
-from turncue.configio import load_simulation, load_suite, parse_config
+from turncue.configio import _SCHEMA, load_simulation, load_suite, parse_config
 from turncue.errors import ConfigError
-from turncue.scenario import Method, ScenarioScript, StudyPlan
+from turncue.geometry import AngularRange, normalized_progress
+from turncue.lights import LightLevels
+from turncue.scenario import GazeAgentModel, Method, ScenarioScript, StudyPlan, default_script, validate_script
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -159,3 +164,86 @@ role = listener
     assert cfg.gamma_env == 2.0
     assert cfg.duck_gain == 0.3
     assert isinstance(script, ScenarioScript)
+
+
+@pytest.mark.parametrize(
+    "build,named",
+    [
+        (lambda: GuidanceConfig(ack_threshold=math.nan), "ack_threshold"),
+        (lambda: GuidanceConfig(miss_timeout=math.inf), "miss_timeout"),
+        (lambda: GuidanceConfig(gamma_spot=math.nan), "gamma_spot"),
+        (lambda: GuidanceConfig(chime_repeat_interval=math.nan), "chime_repeat_interval"),
+        (lambda: LightLevels(math.nan, 1.0), "l_min"),
+        (lambda: GazeAgentModel(head_speed=math.nan), "head_speed"),
+        (lambda: GazeAgentModel(latency_overrides=(("sgd", "in", math.nan),)), "latency_sgd_in"),
+        (lambda: validate_script(replace(default_script(Method.SGD, Role.LISTENER), signal_offset=math.inf)),
+         "signal_offset"),
+        (lambda: normalized_progress(45.0, AngularRange(0.0, 90.0), math.nan), "gamma"),
+        (lambda: StudyPlan(participants=-2), "participants"),
+    ],
+    ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
+         "head_speed", "latency_override", "signal_offset", "progress_gamma", "participants"],
+)
+def test_constructors_reject_non_finite_and_out_of_range(build, named):
+    with pytest.raises(ConfigError, match=named):
+        build()
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_config_number_rejected(raw):
+    with pytest.raises(ConfigError, match=r"\[session\] ack_dwell: .* is not a finite number"):
+        parse_config(f"[session]\nack_dwell = {raw}\n")
+
+
+def test_readme_config_table_lists_exactly_the_parsed_keys():
+    readme = (REPO / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, re.MULTILINE))
+    documented = {section: set(re.findall(r"`([^`]+)`", keys)) for section, keys in rows.items()}
+    assert documented == {section: set(keys) for section, keys in _SCHEMA.items()}
+
+
+# A value differing from the default for every config key; CONTEXT is what a
+# key needs beside it to be valid.
+SAMPLES = {
+    "lights": {
+        "env_min": "0.4", "env_max": "1.2", "spot_min": "0.7", "spot_max": "1.6", "cone_min": "25",
+        "cone_max": "70", "warm": "1, 0.8, 0.2", "cold": "0.9, 0.9, 0.9", "gamma_env": "2",
+        "gamma_point": "2", "gamma_spot": "2", "point_azimuth": "60", "point_radius": "0.7",
+        "fade_duration": "1", "viewport_half_angle": "50", "spot_deactivate_at_min": "false",
+    },
+    "audio": {
+        "duck_duration": "1", "duck_gain": "0.3", "sound_easing": "cosine",
+        "chime_repeat_interval": "0.5", "chime_max_repeats": "2", "subtlety": "0.5",
+    },
+    "session": {"ack_threshold": "5", "ack_dwell": "1", "miss_timeout": "4", "theta_min": "2"},
+    "scenario": {
+        "role": "speaker", "method": "sgd", "topic": "3", "user_seat": "3",
+        "seats": "0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1", "seat_radius": "1.5",
+        "eye_height": "1.0", "desk_anchor": "0.4, 0.8, 0", "signal_offset": "4",
+        "turns": "a1:10 | a2:8", "names": "A, B, C, D, E",
+    },
+    "agent": {
+        "head_speed": "90", "gaze_lead": "2", "latency_in": "0.2", "latency_out": "0.9",
+        "latency_jitter": "0", "seed": "4",
+        **{f"latency_{m.value}_{v}": "0.8" for m in Method for v in ("in", "out")},
+    },
+    "plan": {"participants": "2", "seat_radius": "1.5", "eye_height": "1.0"},
+}
+CONTEXT = {"audio": {"chime_repeat_interval": "0.25"}}
+
+
+def _load(section: str, values: dict) -> tuple:
+    body = f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+    if section == "scenario":
+        return load_simulation(body)
+    return load_suite(body if section == "plan" else "[plan]\n" + body)
+
+
+def test_every_config_key_reaches_the_parsed_objects():
+    ignored = []
+    for section, keys in _SCHEMA.items():
+        base = CONTEXT.get(section, {})
+        for key in keys:
+            if _load(section, {**base, key: SAMPLES[section][key]}) == _load(section, base):
+                ignored.append(f"[{section}] {key}")
+    assert ignored == []

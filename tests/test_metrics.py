@@ -1,8 +1,11 @@
 import pytest
 
 from _rand import make_meta, make_record
+from turncue.audio import Role
+from turncue.config import GuidanceConfig
 from turncue.errors import TraceIntegrityError
 from turncue.metrics import extract_metrics, metrics_to_csv
+from turncue.scenario import GazeAgentModel, Method, default_script, run_scenario
 from turncue.trace import Trace
 
 
@@ -103,3 +106,12 @@ def test_empty_input_empty_summary():
     summary = extract_metrics([])
     assert summary.cells == {}
     assert metrics_to_csv(summary).splitlines() == ["method,view,role,n,mean_rt,min_rt,max_rt,missed"]
+
+
+def test_trace_cut_inside_a_session_names_its_signal_tick():
+    trace = run_scenario(default_script(Method.LIGHT, Role.LISTENER), GazeAgentModel(), GuidanceConfig(),
+                         dt=0.05, seed=1)
+    signal = next(r.tick for r in trace.records if r.state == "signaled")
+    cut = Trace(meta=trace.meta, records=trace.records[: signal + 3])
+    with pytest.raises(TraceIntegrityError, match=f"tick {signal}: .*still open"):
+        extract_metrics([cut])

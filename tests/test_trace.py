@@ -4,7 +4,7 @@ import pytest
 
 from _rand import make_meta, make_record, random_trace
 from turncue.errors import TraceIntegrityError
-from turncue.trace import q9, read_trace, write_trace
+from turncue.trace import _Canonical, q9, read_trace, write_trace
 
 
 def test_q9_idempotent_on_random_values():
@@ -88,3 +88,36 @@ def test_read_rejects_late_meta():
     meta_line = write_trace([], make_meta())
     with pytest.raises(TraceIntegrityError, match="meta"):
         read_trace(frame_line + meta_line)
+
+
+def _trace_lines() -> list[str]:
+    return write_trace([make_record(i, i * 0.1) for i in range(3)], make_meta()).splitlines()
+
+
+@pytest.mark.parametrize(
+    "lineno,old,new",
+    [
+        (3, '"env":1.1,', ""),
+        (2, '"t":0,', '"t":"abc",'),
+        (4, '"pos":[0,1,0]', '"pos":[0,1]'),
+        (1, '"seats":[[0,1,0],', '"seats":[[0,1],'),
+        (1, '"topic":0', '"topic":"x"'),
+    ],
+    ids=["missing-field", "non-numeric", "short-triple", "short-seat", "non-integer"],
+)
+def test_read_rejects_malformed_line_with_its_number(lineno, old, new):
+    lines = _trace_lines()
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    with pytest.raises(TraceIntegrityError, match=f"^line {lineno}: "):
+        read_trace("\n".join(lines) + "\n")
+
+
+def test_read_rejects_non_object_line():
+    with pytest.raises(TraceIntegrityError, match="line 1: unknown record kind"):
+        read_trace("[1, 2]\n")
+
+
+def test_unsupported_field_type_fails_at_class_definition():
+    with pytest.raises(TypeError, match="unsupported trace field type"):
+        type("Bad", (_Canonical,), {"__annotations__": {"x": "list[int]"}})
