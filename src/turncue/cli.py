@@ -66,6 +66,8 @@ def _cmd_eval(args) -> int:
         if not isinstance(parsed, GuidanceConfig):
             raise GuidanceError(f"{args.config} does not define a guidance config")
         config = parsed
+    if args.channel == "sound" and args.gamma is not None:
+        raise GuidanceError("--gamma does not apply to the sound channel")
     gamma = args.gamma if args.gamma is not None else {
         "env": config.gamma_env,
         "point": config.gamma_point,
@@ -142,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--dt", type=float, default=1.0 / 72.0)
     p_suite.add_argument("--out-dir", default=None)
-    p_suite.add_argument("--jobs", type=int, default=1)
+    p_suite.add_argument("--jobs", type=int, default=1, help="accepted (must be >= 1) but unused: trials run in order")
     p_suite.set_defaults(func=_cmd_suite)
 
     p_met = sub.add_parser("metrics", help="summarize trace files; CSV to stdout")

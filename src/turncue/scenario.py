@@ -10,8 +10,8 @@ then rotates head (gaze in tow) toward the new speaker at a fixed angular
 speed.
 
 Everything is fixed-step and seeded; the same inputs produce byte-identical
-traces on every run, which is what makes golden-file comparison and
-parallel suite execution safe.
+traces on every run, which is what makes golden-file comparison safe. A
+suite runs its trials one after another on the calling thread.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -122,16 +121,11 @@ class GazeAgentModel:
         return (self.latency_in if in_view else self.latency_out), self.latency_jitter
 
 
-def _seat_index_of(script: ScenarioScript, who: str) -> int:
-    if who == USER_ID:
-        return script.user_seat_index
-    non_user = [i for i in range(len(script.seats)) if i != script.user_seat_index]
-    idx = int(who[1:]) - 1
-    return non_user[idx]
-
-
 def seat_of(script: ScenarioScript, who: str) -> Vec3:
-    return script.seats[_seat_index_of(script, who)]
+    if who == USER_ID:
+        return script.seats[script.user_seat_index]
+    non_user = [seat for i, seat in enumerate(script.seats) if i != script.user_seat_index]
+    return non_user[int(who[1:]) - 1]
 
 
 def display_name(script: ScenarioScript, who: str) -> str:
@@ -148,6 +142,14 @@ def validate_script(script: ScenarioScript) -> None:
         )
     if not 0 <= script.user_seat_index < len(script.seats):
         raise ScriptError(f"user_seat_index={script.user_seat_index} out of range")
+    user = script.seats[script.user_seat_index]
+    for i, seat in enumerate(script.seats):
+        if not all(map(math.isfinite, seat.to_tuple())):
+            raise ScriptError(f"seats[{i}]={seat.to_tuple()} must be finite")
+        if i != script.user_seat_index and (seat - user).norm() <= 1e-12:
+            raise ScriptError(f"seats[{i}]={seat.to_tuple()} coincides with the user's seat")
+    if script.desk_anchor is not None and not all(map(math.isfinite, script.desk_anchor.to_tuple())):
+        raise ScriptError(f"desk_anchor={script.desk_anchor.to_tuple()} must be finite")
     if len(script.names) != AGENT_COUNT:
         raise ScriptError(f"names: expected {AGENT_COUNT}, got {len(script.names)}")
     if not script.turn_order:
@@ -303,38 +305,32 @@ def run_scenario(
         # first tick at or after the duration; exact when divisible by dt
         return max(1, math.ceil(duration / dt - 1e-9))
 
-    def idle_focus(turn_idx: int) -> Vec3:
-        speaker = turns[turn_idx].speaker
-        if speaker != USER_ID:
-            return seat_of(script, speaker)
-        for j in range(turn_idx - 1, -1, -1):
-            if turns[j].speaker != USER_ID:
-                return seat_of(script, turns[j].speaker)
-        for t in turns:
-            if t.speaker != USER_ID:
-                return seat_of(script, t.speaker)
-        return seat_of(script, "a1")
+    # Resting head direction per turn: the speaking agent; on a user turn the
+    # agent who spoke last, else the first agent to speak, else a1.
+    resting = next((t.speaker for t in turns if t.speaker != USER_ID), "a1")
+    rest_dirs = []
+    for turn in turns:
+        if turn.speaker != USER_ID:
+            resting = turn.speaker
+        rest_dirs.append((seat_of(script, resting) - user_pos).normalized())
 
-    def setup_turn(turn_idx: int, start_tick: int):
-        """Returns (signal_tick, next_speaker, scripted_end_tick, scenario_end_tick)."""
-        if turn_idx + 1 < len(turns):
-            nxt = turns[turn_idx + 1].speaker
-            if nxt == USER_ID:
-                return None, None, start_tick + ticks_of(turns[turn_idx].duration), None
-            return start_tick + ticks_of(script.signal_offset), nxt, None, None
-        return None, None, None, start_tick + ticks_of(turns[turn_idx].duration)
+    def setup_turn(turn_idx: int, start_tick: int) -> tuple[int | None, int | None]:
+        """(signal_tick, end_tick); a turn that hands off to an agent ends when its signal resolves."""
+        if turn_idx + 1 < len(turns) and turns[turn_idx + 1].speaker != USER_ID:
+            return start_tick + ticks_of(script.signal_offset), None
+        return None, start_tick + ticks_of(turns[turn_idx].duration)
 
     turn_idx = 0
-    signal_tick, next_speaker, scripted_end_tick, scenario_end_tick = setup_turn(0, 0)
+    signal_tick, end_tick = setup_turn(0, 0)
 
     state: SessionState = sess.IDLE
     target_id: str | None = None
     target: Vec3 | None = None
+    target_dir: Vec3 | None = None
+    aim, name = desk, ""
     perceive_time = math.inf
-    pending_handoff = False
 
-    head = (idle_focus(0) - user_pos).normalized()
-    gaze = head
+    head = rest_dirs[0]
 
     # Each method presents only its own channels; the others stay at rest.
     lit = script.method in (Method.LIGHT_AUDIO, Method.LIGHT)
@@ -347,36 +343,30 @@ def run_scenario(
 
     k = 0
     while True:
-        t = k * dt
-        if scenario_end_tick is not None and k >= scenario_end_tick:
-            break
+        # Turn handoff at the turn's end tick; the last turn's ends the scenario.
+        if end_tick is not None and k >= end_tick:
+            if turn_idx + 1 == len(turns):
+                break
+            turn_idx += 1
+            signal_tick, end_tick = setup_turn(turn_idx, k)
         if k > max_ticks:
             raise ScriptError("scenario failed to terminate; check turn schedule")
+        t = k * dt
 
-        # Turn handoff: a session resolved last tick, or a scripted end passed.
-        if pending_handoff or (scripted_end_tick is not None and k >= scripted_end_tick):
-            pending_handoff = False
-            turn_idx += 1
-            signal_tick, next_speaker, scripted_end_tick, scenario_end_tick = setup_turn(turn_idx, k)
-
-        # Head motion for this tick: toward the signal target once perceived,
-        # otherwise hold on the current speaker.
-        if isinstance(state, sess.Signaled) and target is not None and t >= perceive_time:
-            attention = target
-        else:
-            attention = idle_focus(turn_idx)
-        attention_dir = (attention - user_pos).normalized()
+        # Head motion for this tick: toward the signal target once perceived
+        # (perceive_time is finite only while signaled), else at rest.
+        attention_dir = target_dir if t >= perceive_time else rest_dirs[turn_idx]
         head = rotate_toward(head, attention_dir, agent.head_speed * dt)
-        if agent.gaze_lead > 0.0 and isinstance(state, sess.Signaled) and target is not None:
-            gaze = rotate_toward(head, (target - user_pos).normalized(), agent.gaze_lead)
-        else:
-            gaze = head
+        lead = agent.gaze_lead > 0.0 and isinstance(state, sess.Signaled)
+        gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
         pose = Pose(position=user_pos, head_forward=head, gaze_forward=gaze, timestamp=t)
 
         # Fire the pending signal: capture the pose as it is right now.
-        if signal_tick is not None and k >= signal_tick and not isinstance(state, sess.Signaled):
-            target_id = next_speaker
-            target = seat_of(script, next_speaker)
+        if signal_tick is not None and k >= signal_tick:
+            target_id = turns[turn_idx + 1].speaker
+            aim = target = seat_of(script, target_id)
+            target_dir = (target - user_pos).normalized()
+            name = display_name(script, target_id)
             role_now = Role.SPEAKER if turns[turn_idx].speaker == USER_ID else Role.LISTENER
             state = sess.begin_signal(state, pose, target, role_now, config)
             mean, jitter = agent.latency_for(script.method, state.target_in_view_at_signal)
@@ -387,12 +377,10 @@ def run_scenario(
         was_signaled = isinstance(state, sess.Signaled)
         state, frame = sess.tick(state, pose, target, dt, config)
         if was_signaled and isinstance(state, (sess.Acknowledged, sess.Missed)):
-            pending_handoff = True
+            end_tick = k + 1  # hand off on the next tick
             perceive_time = math.inf
 
         idle = isinstance(state, sess.Idle)
-        aim = target or desk
-        name = display_name(script, target_id) if target_id else ""
         ti = text_icon_state(state if script.method is Method.TEXT_ICON else sess.IDLE, aim, name, desk)
         sg = sgd_state(state if script.method is Method.SGD else sess.IDLE, pose, aim, t, config.ack_threshold)
         records.append(
@@ -407,7 +395,7 @@ def run_scenario(
                 rt=sess.response_time(state),
                 in_view=None if idle else state.target_in_view_at_signal,
                 role=None if idle else state.role.value,
-                env=frame.env_intensity if lit or idle else state.original_env,
+                env=frame.env_intensity if lit else config.env_levels.l_max,
                 point_active=lit and frame.point.active,
                 point_side=frame.point.side.value,
                 point_pos=frame.point.position.to_tuple(),
@@ -538,25 +526,20 @@ def run_suite(
     seed: int = 0,
     jobs: int = 1,
 ) -> SuiteResult:
-    """Execute every trial of the plan and aggregate the metrics.
+    """Execute every trial of the plan in plan order and aggregate the metrics.
 
-    Trials are independent and each derives its own seed from (seed,
-    participant, order index), so parallel execution merges in plan order
-    without changing any output byte.
+    Each trial derives its own seed from (seed, participant, order index).
+    Trials run one after another on the calling thread: on CPython a thread
+    pool gave no speedup and a two-process pool under 1.5x. `jobs` is
+    accepted (it must be >= 1) but not used.
     """
     if jobs < 1:
         raise ScriptError(f"jobs={jobs} must be >= 1")
     if not plan.trials:
         plan = randomize_presentation(plan, seed)
-
-    def run_one(trial: TrialSpec) -> Trace:
-        script = script_for_trial(plan, trial)
-        trial_seed = stable_seed("trial", seed, trial.participant, trial.order_index)
-        return run_scenario(script, agent, config, dt, trial_seed, participant=trial.participant)
-
-    if jobs > 1 and len(plan.trials) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            traces = tuple(pool.map(run_one, plan.trials))
-    else:
-        traces = tuple(run_one(tr) for tr in plan.trials)
+    traces = tuple(
+        run_scenario(script_for_trial(plan, tr), agent, config, dt,
+                     stable_seed("trial", seed, tr.participant, tr.order_index), participant=tr.participant)
+        for tr in plan.trials
+    )
     return SuiteResult(traces=traces, summary=extract_metrics(traces))

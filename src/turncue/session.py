@@ -90,7 +90,6 @@ SessionState = Idle | Signaled | Acknowledged | Missed
 class CueFrame:
     """Per-tick composite handed to a renderer or trace writer."""
 
-    timestamp: float
     env_intensity: float
     point: PointLightState
     spot: SpotlightState
@@ -165,7 +164,6 @@ def _quiet_frame(
         side = lateral_side(pose, target)
         position = point_light_position(pose, side, config.point_azimuth, config.point_radius)
     return CueFrame(
-        timestamp=pose.timestamp,
         env_intensity=env,
         point=PointLightState(active=False, side=side, position=position, color=config.cold),
         spot=SpotlightState(
@@ -283,7 +281,6 @@ def tick(
         state, dwell=dwell, alignment_start=alignment_start, last_timestamp=ts
     )
     frame = CueFrame(
-        timestamp=ts,
         env_intensity=env,
         point=point,
         spot=spot,

@@ -21,8 +21,10 @@ Triple = tuple[float, float, float]
 
 
 def q9(x: float) -> float:
-    """Nearest double to the 9-significant-digit decimal of x."""
-    return float(format(float(x), ".9g"))
+    """Nearest double to the 9-significant-digit decimal of x; fails on a str or bool."""
+    if x is True or x is False:
+        raise TypeError(x)
+    return float(format(x, ".9g"))
 
 
 def _q_triple(v) -> Triple:
@@ -30,18 +32,34 @@ def _q_triple(v) -> Triple:
     return (q9(a), q9(b), q9(c))
 
 
-# Canonical form per field annotation; None keeps the value as given.
+def _int(x) -> int:
+    if x is True or x is False:
+        raise TypeError(x)
+    return index(x)
+
+
+def _is(*kinds: type):
+    def check(x):
+        if isinstance(x, kinds):
+            return x
+        raise TypeError(x)
+
+    return check
+
+
+# Canonical form per field annotation; each raises TypeError or ValueError
+# on a value that does not have the annotated type.
 _CANONICAL = {
-    "int": index,
+    "int": _int,
     "float": q9,
     "float | None": lambda v: None if v is None else q9(v),
     "Triple": _q_triple,
     "tuple[Triple, ...]": lambda v: tuple(map(_q_triple, v)),
-    "tuple[str, ...]": tuple,
-    "str": None,
-    "str | None": None,
-    "bool": None,
-    "bool | None": None,
+    "tuple[str, ...]": lambda v: tuple(map(_is(str), v)),
+    "str": _is(str),
+    "str | None": _is(str, type(None)),
+    "bool": _is(bool),
+    "bool | None": _is(bool, type(None)),
 }
 
 
@@ -63,9 +81,7 @@ class _Canonical:
             if kind not in _CANONICAL:
                 raise TypeError(f"{cls.__name__}.{name}: unsupported trace field type {kind!r}")
         cls._fields = tuple(annotations)
-        cls._plan = tuple(
-            (name, kind, _CANONICAL[kind]) for name, kind in annotations.items() if _CANONICAL[kind]
-        )
+        cls._plan = tuple((name, kind, _CANONICAL[kind]) for name, kind in annotations.items())
 
     def __post_init__(self) -> None:
         values = self.__dict__

@@ -184,11 +184,12 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
         (["suite", "--plan", "{cfg}"], "[plan]\n[agent]\nhead_speed = nan\n", "head_speed"),
         (["simulate", "--script", "{cfg}"], "[scenario]\nuser_seat = 9\n", "user_seat"),
         (["eval", "--channel", "env", "--theta-max", "90", "--gamma", "nan"], None, "gamma"),
+        (["eval", "--channel", "sound", "--theta-max", "90", "--gamma", "nan"], None, "--gamma"),
         (["suite", "--plan", "{cfg}", "--jobs", "0"], "[plan]\n", "jobs"),
         (["suite", "--plan", "{cfg}", "--participants", "-2"], "[plan]\n", "participants"),
     ],
     ids=["ack_threshold-nan", "miss_timeout-inf", "head_speed-nan", "user_seat-range", "gamma-nan",
-         "jobs-0", "participants-negative"],
+         "gamma-sound", "jobs-0", "participants-negative"],
 )
 def test_invalid_number_exits_one_naming_it(tmp_path, capsys, args, config, named):
     cfg = tmp_path / "in.cfg"

@@ -1,12 +1,19 @@
+import hashlib
+import math
+import threading
 from dataclasses import replace
 
 import pytest
+
+import turncue.scenario
 
 from turncue.audio import Role
 from turncue.config import GuidanceConfig
 from turncue.errors import ScriptError
 from turncue.geometry import Vec3, angular_deviation
 from turncue.scenario import (
+    METHODS,
+    USER_ID,
     GazeAgentModel,
     Method,
     ScenarioScript,
@@ -85,6 +92,23 @@ def test_validate_rejects_wrong_seat_count():
         validate_script(bad)
 
 
+@pytest.mark.parametrize(
+    "change,named",
+    [
+        (lambda seats: {"seats": seats[:2] + (Vec3(math.nan, 1.15, 0.0),) + seats[3:]}, r"seats\[2\]"),
+        (lambda seats: {"seats": (Vec3(0.0, math.inf, 0.0),) + seats[1:]}, r"seats\[0\]"),
+        (lambda seats: {"desk_anchor": Vec3(0.5, math.nan, 0.0)}, "desk_anchor"),
+        (lambda seats: {"seats": seats[:3] + (seats[0],) + seats[4:]}, r"seats\[3\].*user's seat"),
+    ],
+    ids=["nan-agent-seat", "inf-user-seat", "nan-desk-anchor", "agent-on-user-seat"],
+)
+def test_validate_rejects_bad_seat_coordinates_naming_the_field(change, named):
+    script = right_angle_script()
+    bad = replace(script, **change(script.seats))
+    with pytest.raises(ScriptError, match=named):
+        run_scenario(bad, GazeAgentModel(), CFG, dt=FAST_DT)
+
+
 def test_rotate_toward_reaches_and_caps():
     a = Vec3(0.0, 0.0, 1.0)
     b = Vec3(1.0, 0.0, 0.0)
@@ -156,6 +180,23 @@ def test_same_seed_byte_identical():
     a = run_scenario(script, agent, CFG, dt=FAST_DT, seed=7)
     b = run_scenario(script, agent, CFG, dt=FAST_DT, seed=7)
     assert write_trace(a.records, a.meta) == write_trace(b.records, b.meta)
+
+
+def test_user_opening_gaze_lead_traces_match_pinned_digest():
+    # The user speaks first, so the head rests on the first agent to speak
+    # later, and gaze leads the head toward each target: two branches the
+    # study golden test never reaches.
+    turns = (Turn(USER_ID, 3.0), Turn("a2", 4.0), Turn(USER_ID, 3.0), Turn("a4", 2.0))
+    agent = GazeAgentModel(head_speed=60.0, gaze_lead=5.0, seed=5)
+    digest = hashlib.sha256()
+    for method in METHODS:
+        script = ScenarioScript(
+            seats=hexagon_seats(), user_seat_index=0, role=Role.SPEAKER, method=method,
+            turn_order=turns, signal_offset=1.5,
+        )
+        trace = run_scenario(script, agent, CFG, dt=1.0 / 30.0, seed=9)
+        digest.update(write_trace(trace.records, trace.meta).encode())
+    assert digest.hexdigest() == "e7344cbfdade01a5a031081842fb7f48aebbc6785535bb5ffc3d49a3e664c82a"
 
 
 def test_different_seed_changes_latency_draws():
@@ -292,6 +333,20 @@ def test_suite_trial_arithmetic():
     assert sum(c.n for c in result.summary.cells.values()) == 16
     for c in result.summary.cells.values():
         assert (c.mean_rt is None) == (c.n == c.missed)
+
+
+def test_suite_runs_every_trial_on_the_calling_thread(monkeypatch):
+    threads = []
+    run_scenario = turncue.scenario.run_scenario
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return run_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(turncue.scenario, "run_scenario", recording)
+    result = run_suite(StudyPlan(participants=1), GazeAgentModel(), CFG, dt=0.1, seed=4, jobs=2)
+    assert len(result.traces) == 8
+    assert threads == [threading.get_ident()] * 8
 
 
 def test_plan_arithmetic_at_study_scale():

@@ -95,21 +95,26 @@ def _trace_lines() -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "lineno,old,new",
+    "lineno,old,new,message",
     [
-        (3, '"env":1.1,', ""),
-        (2, '"t":0,', '"t":"abc",'),
-        (4, '"pos":[0,1,0]', '"pos":[0,1]'),
-        (1, '"seats":[[0,1,0],', '"seats":[[0,1],'),
-        (1, '"topic":0', '"topic":"x"'),
+        (3, '"env":1.1,', "", "missing field 'env'"),
+        (2, '"t":0,', '"t":"abc",', "t='abc' is not a valid float"),
+        (4, '"pos":[0,1,0]', '"pos":[0,1]', r"pos=\[0, 1\] is not a valid Triple"),
+        (1, '"seats":[[0,1,0],', '"seats":[[0,1],', r"seats=.* is not a valid tuple\[Triple, \.\.\.\]"),
+        (1, '"topic":0', '"topic":"x"', "topic='x' is not a valid int"),
+        (2, '"point_active":false', '"point_active":"yes"', "point_active='yes' is not a valid bool"),
+        (2, '"t":0,', '"t":"0",', "t='0' is not a valid float"),
+        (3, '"panel_text":""', '"panel_text":5', "panel_text=5 is not a valid str"),
+        (4, '"tick":2', '"tick":true', "tick=True is not a valid int"),
     ],
-    ids=["missing-field", "non-numeric", "short-triple", "short-seat", "non-integer"],
+    ids=["missing-field", "non-numeric", "short-triple", "short-seat", "non-integer", "str-bool", "str-float",
+         "int-str", "bool-int"],
 )
-def test_read_rejects_malformed_line_with_its_number(lineno, old, new):
+def test_read_rejects_malformed_line_with_its_number(lineno, old, new, message):
     lines = _trace_lines()
     assert old in lines[lineno - 1]
     lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
-    with pytest.raises(TraceIntegrityError, match=f"^line {lineno}: "):
+    with pytest.raises(TraceIntegrityError, match=f"^line {lineno}: {message}$"):
         read_trace("\n".join(lines) + "\n")
 
 
