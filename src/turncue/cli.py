@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .configio import load_simulation, load_suite, parse_config
 from .config import GuidanceConfig
-from .errors import GuidanceError
+from .errors import GuidanceError, TraceIntegrityError
 from .geometry import AngularRange, Vec3
 from .lights import env_light_intensity, point_light_color, spot_cone_angle, spot_intensity
 from .audio import sound_source_position
@@ -112,7 +112,12 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    traces = [read_trace(Path(p).read_text()) for p in args.traces]
+    traces = []
+    for path in args.traces:
+        try:
+            traces.append(read_trace(Path(path).read_text()))
+        except TraceIntegrityError as exc:
+            raise TraceIntegrityError(f"{path}: {exc}") from None
     sys.stdout.write(metrics_to_csv(extract_metrics(traces)))
     return 0
 

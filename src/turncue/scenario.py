@@ -295,6 +295,8 @@ def run_scenario(
     validate_script(script)
     if not 0.0 < dt <= 0.1:
         raise ScriptError(f"dt={dt} must lie in (0, 0.1]")
+    if participant < 0:
+        raise ScriptError(f"participant={participant} must be >= 0")
 
     rng = random.Random(stable_seed("scenario", seed, agent.seed))
     turns = script.turn_order

@@ -187,9 +187,10 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
         (["eval", "--channel", "sound", "--theta-max", "90", "--gamma", "nan"], None, "--gamma"),
         (["suite", "--plan", "{cfg}", "--jobs", "0"], "[plan]\n", "jobs"),
         (["suite", "--plan", "{cfg}", "--participants", "-2"], "[plan]\n", "participants"),
+        (["simulate", "--script", "{cfg}", "--participant", "-4"], "[scenario]\n", "participant=-4"),
     ],
     ids=["ack_threshold-nan", "miss_timeout-inf", "head_speed-nan", "user_seat-range", "gamma-nan",
-         "gamma-sound", "jobs-0", "participants-negative"],
+         "gamma-sound", "jobs-0", "participants-negative", "participant-negative"],
 )
 def test_invalid_number_exits_one_naming_it(tmp_path, capsys, args, config, named):
     cfg = tmp_path / "in.cfg"
@@ -203,15 +204,22 @@ def test_invalid_number_exits_one_naming_it(tmp_path, capsys, args, config, name
 
 @pytest.mark.parametrize(
     "pattern,repl",
-    [(r'"env":[^,]*,', ""), (r'"t":[^,]*', '"t":"abc"'), (r'"pos":\[[^]]*\]', '"pos":[0,1]')],
-    ids=["missing-field", "non-numeric", "short-triple"],
+    [
+        (r'"env":[^,]*,', ""),
+        (r'"t":[^,]*', '"t":"abc"'),
+        (r'"pos":\[[^]]*\]', '"pos":[0,1]'),
+        (r'"spot_active".*', ""),
+    ],
+    ids=["missing-field", "non-numeric", "short-triple", "truncated"],
 )
 def test_metrics_on_malformed_trace_exits_one_naming_the_line(script_file, tmp_path, capsys, pattern, repl):
-    out = tmp_path / "t.jsonl"
-    assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
+    # The bad file comes second: the message names it as well as the line.
+    good, out = tmp_path / "good.jsonl", tmp_path / "t.jsonl"
+    for path in (good, out):
+        assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(path)]) == 0
     lines = out.read_text().splitlines()
     lines[1] = re.sub(pattern, repl, lines[1], count=1)
     out.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert cli(["metrics", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: line 2: ")
+    assert cli(["metrics", str(good), str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: line 2: ")

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from _rand import make_meta, make_record, random_trace
 from turncue.errors import TraceIntegrityError
-from turncue.trace import _Canonical, q9, read_trace, write_trace
+from turncue.trace import _MEMO_CAP, _Canonical, _emit, _q9_memo, _text_memo, q9, read_trace, write_trace
 
 
 def test_q9_idempotent_on_random_values():
@@ -18,6 +19,47 @@ def test_q9_examples():
     assert q9(1.0416666666666667) == 1.04166667
     assert q9(0.5) == 0.5
     assert q9(0.0) == 0.0
+
+
+def _canonical_hex(x) -> str:
+    """The unmemoized q9 formula, as bits (hex tells -0.0 from 0.0)."""
+    return (float(format(x, ".9g")) + 0.0).hex()
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**1000), 2**1000))
+def test_memoized_q9_and_float_text_equal_the_formula(x):
+    for _ in range(2):  # the second pass is served by the memos
+        assert q9(x).hex() == _canonical_hex(x)
+        assert _emit(q9(x)) == format(q9(x), ".9g")
+    if isinstance(x, int):  # an int shares its memo entry with the equal float
+        assert q9(float(x)).hex() == _canonical_hex(x)
+
+
+def test_q9_rejects_bool_and_str_after_equal_numbers_are_memoized():
+    for x in (1.0, 0.0, 1):
+        q9(x)
+    for bad in (True, False, "1"):
+        with pytest.raises(TypeError):
+            q9(bad)
+
+
+def test_q9_and_float_text_stay_exact_across_the_memo_cap():
+    values = [i / 7 for i in range(_MEMO_CAP + 100)]
+    for v in values:
+        _emit(q9(v))
+    assert len(_q9_memo) <= _MEMO_CAP and len(_text_memo) <= _MEMO_CAP
+    for v in values[:200]:
+        assert q9(v).hex() == _canonical_hex(v)
+        assert _emit(q9(v)) == format(q9(v), ".9g")
+
+
+def test_negative_zero_is_written_and_read_back_as_zero():
+    assert q9(-0.0).hex() == "0x0.0p+0"
+    rec = make_record(0, 0.0, duck=-0.0, head=(-0.0, 0, 1))
+    text = write_trace([rec])
+    assert '"duck":0,' in text and '"head":[0,0,1]' in text
+    back = read_trace(text)
+    assert write_trace(back.records) == text
 
 
 def test_three_records_three_lines():
