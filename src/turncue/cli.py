@@ -112,13 +112,17 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    traces = []
-    for path in args.traces:
-        try:
-            traces.append(read_trace(Path(path).read_text()))
-        except TraceIntegrityError as exc:
-            raise TraceIntegrityError(f"{path}: {exc}") from None
-    sys.stdout.write(metrics_to_csv(extract_metrics(traces)))
+    path = None
+
+    def traces():  # extract_metrics scans each trace before it takes the next
+        nonlocal path
+        for path in args.traces:
+            yield read_trace(Path(path).read_text())
+
+    try:
+        sys.stdout.write(metrics_to_csv(extract_metrics(traces())))
+    except TraceIntegrityError as exc:  # a defect in reading or scanning path
+        raise TraceIntegrityError(f"{path}: {exc}") from None
     return 0
 
 

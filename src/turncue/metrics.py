@@ -90,7 +90,7 @@ def _scan_trace(trace: Trace) -> list[_SessionOutcome]:
 
 
 def extract_metrics(traces: Iterable[Trace]) -> MetricsSummary:
-    """Group session outcomes by (method, view, role)."""
+    """Group session outcomes by (method, view, role), scanning each trace before taking the next."""
     grouped: dict[CellKey, list[float | None]] = {}
     for trace in traces:
         for outcome in _scan_trace(trace):

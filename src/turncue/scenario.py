@@ -24,7 +24,7 @@ from enum import Enum
 
 from . import session as sess
 from .audio import Role
-from .baselines import sgd_state, text_icon_state
+from .baselines import sgd_phase, sgd_state, text_icon_state
 from .config import GuidanceConfig
 from .errors import ScriptError
 from .geometry import Pose, Vec3, angular_deviation
@@ -166,7 +166,7 @@ def validate_script(script: ScenarioScript) -> None:
 
 def rotate_toward(current: Vec3, target_dir: Vec3, max_step_deg: float) -> Vec3:
     """Rotate a unit direction toward another by at most max_step_deg."""
-    if max_step_deg <= 0.0:
+    if current is target_dir or max_step_deg <= 0.0:
         return current
     ang = angular_deviation(current, target_dir)
     if ang <= max_step_deg:
@@ -333,6 +333,9 @@ def run_scenario(
     perceive_time = math.inf
 
     head = rest_dirs[0]
+    # The state, head and turn of the last simulated tick while its session is
+    # settled: until one moves or a signal fires, each tick repeats its record.
+    still = still_head = still_turn = None
 
     # Each method presents only its own channels; the others stay at rest.
     lit = script.method in (Method.LIGHT_AUDIO, Method.LIGHT)
@@ -361,10 +364,15 @@ def run_scenario(
         head = rotate_toward(head, attention_dir, agent.head_speed * dt)
         lead = agent.gaze_lead > 0.0 and isinstance(state, sess.Signaled)
         gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
+        fires = signal_tick is not None and k >= signal_tick
+        if state is still and head is still_head and gaze is head and turn_idx == still_turn and not fires:
+            records.append(records[-1]._repeat(k, t, sgd_phase(t)))
+            k += 1
+            continue
         pose = Pose(position=user_pos, head_forward=head, gaze_forward=gaze, timestamp=t)
 
         # Fire the pending signal: capture the pose as it is right now.
-        if signal_tick is not None and k >= signal_tick:
+        if fires:
             target_id = turns[turn_idx + 1].speaker
             aim = target = seat_of(script, target_id)
             target_dir = (target - user_pos).normalized()
@@ -420,6 +428,8 @@ def run_scenario(
                 speaker=turns[turn_idx].speaker,
             )
         )
+        still = state if sess.settled(state, t, config) else None
+        still_head, still_turn = head, turn_idx
         k += 1
 
     meta = TraceMeta(

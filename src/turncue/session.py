@@ -175,8 +175,17 @@ def _quiet_frame(
     )
 
 
-def _restored_env(env_at_end: float, original: float, elapsed: float, fade: float) -> float:
-    return lerp(env_at_end, original, min(max(elapsed, 0.0) / fade, 1.0))
+def _fade_fraction(state: Acknowledged | Missed, now: float, fade: float) -> float:
+    end_time = state.ack_time if isinstance(state, Acknowledged) else state.miss_time
+    return min(max(now - end_time, 0.0) / fade, 1.0)
+
+
+def settled(state: SessionState, now: float, config: GuidanceConfig) -> bool:
+    """Whether tick at any later time, for the same pose and target, keeps this
+    state and gives the frame it gave at now: while idle, and after the fade."""
+    if isinstance(state, Signaled):
+        return False
+    return isinstance(state, Idle) or _fade_fraction(state, now, config.fade_duration) == 1.0
 
 
 def tick(
@@ -200,12 +209,10 @@ def tick(
         return state, _quiet_frame(pose, target, config, config.env_levels.l_max, "idle")
 
     if isinstance(state, (Acknowledged, Missed)):
-        acked = isinstance(state, Acknowledged)
-        end_time = state.ack_time if acked else state.miss_time
-        env = _restored_env(
-            state.env_at_end, state.original_env, pose.timestamp - end_time, config.fade_duration
-        )
-        return state, _quiet_frame(pose, target, config, env, "acknowledged" if acked else "missed")
+        fraction = _fade_fraction(state, pose.timestamp, config.fade_duration)
+        env = lerp(state.env_at_end, state.original_env, fraction)
+        tag = "acknowledged" if isinstance(state, Acknowledged) else "missed"
+        return state, _quiet_frame(pose, target, config, env, tag)
 
     # Signaled
     if target is None:

@@ -11,8 +11,9 @@ is canonicalized, written and read back.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable
 
 from .errors import TraceIntegrityError
@@ -32,15 +33,19 @@ def q9(x: float) -> float:
     """Nearest double to the 9-significant-digit decimal of x, with -0.0 as 0.0.
 
     Takes an int or a float; anything else, bool and str included, is a
-    TypeError. Equal inputs share one result object.
+    TypeError, a non-finite result a ValueError and an int beyond the float
+    range an OverflowError. Equal inputs share one result object.
     """
     if x.__class__ not in _NUMBER:  # before the lookup: True == 1 == 1.0
         raise TypeError(x)
     q = _q9_memo.get(x)
     if q is None:
+        q = float(format(x, ".9g")) + 0.0
+        if not math.isfinite(q):
+            raise ValueError(x)
         if len(_q9_memo) >= _MEMO_CAP:
             _q9_memo.clear()
-        q = _q9_memo[x] = float(format(x, ".9g")) + 0.0
+        _q9_memo[x] = q
     return q
 
 
@@ -64,8 +69,8 @@ def _is(*kinds: type):
     return check
 
 
-# Canonical form per field annotation; each raises TypeError or ValueError
-# on a value that does not have the annotated type.
+# Canonical form per field annotation; each raises TypeError, ValueError or
+# OverflowError on a value that does not have the annotated type.
 _CANONICAL = {
     "int": _int,
     "float": q9,
@@ -105,7 +110,7 @@ class _Canonical:
         for name, kind, canonical in self._plan:
             try:
                 values[name] = canonical(values[name])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise TraceIntegrityError(f"{name}={values[name]!r} is not a valid {kind}") from None
 
 
@@ -161,6 +166,13 @@ class TraceRecord(_Canonical):
     sgd_center: Triple
     speaker: str
 
+    def _repeat(self, tick: int, t: float, sgd_phase: bool) -> TraceRecord:
+        """This record at another tick: shares every value object but the
+        clock fields', which are the only ones canonicalized again."""
+        rec = object.__new__(TraceRecord)
+        vars(rec).update(self.__dict__, tick=tick, t=q9(t), sgd_phase=sgd_phase)
+        return rec
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -192,10 +204,19 @@ def _emit(value) -> str:
     raise TypeError(f"unserializable value {value!r}")
 
 
-def _emit_obj(kind: str, obj: _Canonical) -> str:
-    values = obj.__dict__
-    fields = ",".join(f'"{name}":{_emit(values[name])}' for name in obj._fields)
-    return f'{{"kind":"{kind}",{fields}}}'
+def _lines(kind: str, cls: type[_Canonical], objs: Iterable[_Canonical]) -> list[str]:
+    """One JSON line per object of cls. A field's '"name":text' fragment is worked out
+    again only when the field holds another object than on the previous line."""
+    values = itemgetter(*cls._fields)
+    texts = heads = [f'"{name}":' for name in cls._fields]
+    last = (object(),) * len(heads)  # no field holds it, unlike None
+    start, lines = f'{{"kind":"{kind}",', []
+    for obj in objs:
+        now = values(obj.__dict__)
+        texts = [text if v is old else head + _emit(v) for v, old, text, head in zip(now, last, texts, heads)]
+        last = now
+        lines.append(start + ",".join(texts) + "}\n")
+    return lines
 
 
 def _check_contiguous(records: Iterable[TraceRecord]) -> None:
@@ -208,11 +229,8 @@ def write_trace(records: Iterable[TraceRecord], meta: TraceMeta | None = None) -
     """Serialize records (with an optional leading meta line) to JSON Lines."""
     records = tuple(records)
     _check_contiguous(records)
-    lines = []
-    if meta is not None:
-        lines.append(_emit_obj("meta", meta))
-    lines.extend(_emit_obj("frame", rec) for rec in records)
-    return "".join(line + "\n" for line in lines)
+    lines = _lines("meta", TraceMeta, () if meta is None else (meta,))
+    return "".join(lines + _lines("frame", TraceRecord, records))
 
 
 def _from_obj(cls: type[_Canonical], obj: dict, lineno: int):
@@ -225,6 +243,13 @@ def _from_obj(cls: type[_Canonical], obj: dict, lineno: int):
         raise TraceIntegrityError(f"line {lineno}: {exc}") from None
 
 
+class _JsonConstant(float):
+    """A JSON NaN or Infinity: q9 takes no float subclass, and no other field a float."""
+
+
+_DECODER = json.JSONDecoder(parse_constant=_JsonConstant)
+
+
 def read_trace(text: str) -> Trace:
     """Parse a JSON Lines trace; inverse of write_trace on its own output."""
     meta: TraceMeta | None = None
@@ -233,7 +258,7 @@ def read_trace(text: str) -> Trace:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
         kind = obj.get("kind") if isinstance(obj, dict) else None

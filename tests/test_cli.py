@@ -209,8 +209,9 @@ def test_invalid_number_exits_one_naming_it(tmp_path, capsys, args, config, name
         (r'"t":[^,]*', '"t":"abc"'),
         (r'"pos":\[[^]]*\]', '"pos":[0,1]'),
         (r'"spot_active".*', ""),
+        (r'"t":[^,]*', '"t":' + "1" * 400),
     ],
-    ids=["missing-field", "non-numeric", "short-triple", "truncated"],
+    ids=["missing-field", "non-numeric", "short-triple", "truncated", "int-overflow"],
 )
 def test_metrics_on_malformed_trace_exits_one_naming_the_line(script_file, tmp_path, capsys, pattern, repl):
     # The bad file comes second: the message names it as well as the line.
@@ -223,3 +224,19 @@ def test_metrics_on_malformed_trace_exits_one_naming_the_line(script_file, tmp_p
     capsys.readouterr()
     assert cli(["metrics", str(good), str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {out}: line 2: ")
+
+
+def test_metrics_on_cut_trace_exits_one_naming_the_file(script_file, tmp_path, capsys):
+    # The defect shows only when the sessions are scanned, after reading.
+    good, cut = tmp_path / "good.jsonl", tmp_path / "cut.jsonl"
+    for path in (good, cut):
+        assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(path)]) == 0
+    lines = cut.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if '"state":"signaled"' in line)
+    cut.write_text("\n".join(lines[:first + 3]) + "\n")
+    signal_tick = first - 1  # line 1 is the meta line
+    capsys.readouterr()
+    assert cli(["metrics", str(good), str(cut)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cut}: tick {signal_tick}: session signaled here is still open at end of trace\n"
+    )

@@ -2,13 +2,16 @@ import hashlib
 import math
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import turncue.scenario
 
+import turncue.session
 from turncue.audio import Role
 from turncue.config import GuidanceConfig
+from turncue.configio import load_suite
 from turncue.errors import ScriptError
 from turncue.geometry import Vec3, angular_deviation
 from turncue.scenario import (
@@ -27,10 +30,11 @@ from turncue.scenario import (
     run_suite,
     validate_script,
 )
-from turncue.trace import write_trace
+from turncue.trace import TraceRecord, write_trace
 
 CFG = GuidanceConfig()
 FAST_DT = 0.05
+REPO = Path(__file__).resolve().parents[1]
 
 
 def right_angle_script(method=Method.LIGHT_AUDIO):
@@ -360,3 +364,78 @@ def test_empty_plan_is_empty_aggregate():
     result = run_suite(StudyPlan(participants=0), GazeAgentModel(), CFG, dt=FAST_DT, seed=4)
     assert result.traces == ()
     assert result.summary.cells == {}
+
+
+def assert_records_are_canonical(trace):
+    """Every record equals a full, canonicalizing construction of its values."""
+    for rec in trace.records:
+        assert TraceRecord(**vars(rec)) == rec
+
+
+@pytest.fixture(scope="module")
+def reference_run():
+    """The reference suite (study plan, 1 participant, seed 7) and how many ticks ran session.tick."""
+    plan, agent, config = load_suite((REPO / "configs" / "study.cfg").read_text())
+    calls = []
+    tick = turncue.session.tick
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return tick(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(turncue.session, "tick", counting)
+        result = run_suite(replace(plan, participants=1, trials=()), agent, config, seed=7)
+    return result, len(calls)
+
+
+def test_reference_suite_records_equal_full_construction(reference_run):
+    result, _ = reference_run
+    for trace in result.traces:
+        assert_records_are_canonical(trace)
+
+
+def test_reference_suite_simulates_a_minority_of_ticks(reference_run):
+    # 87% of the reference ticks are quiet and most repeat a settled tick,
+    # so session.tick runs on about a quarter of them.
+    result, calls = reference_run
+    ticks = sum(len(trace.records) for trace in result.traces)
+    assert ticks == 19320
+    assert calls < 0.35 * ticks
+
+
+def every_tick_simulated(monkeypatch):
+    """Make each tick's head a fresh object, so no tick repeats the one before."""
+    rotate = turncue.scenario.rotate_toward
+    monkeypatch.setattr(turncue.scenario, "rotate_toward", lambda *args: Vec3(*rotate(*args).to_tuple()))
+
+
+SLOW = GazeAgentModel(latency_in=10.0, latency_out=10.0)
+LEADING = GazeAgentModel(head_speed=60.0, gaze_lead=5.0)
+
+
+@pytest.mark.parametrize(
+    "method,role,agent,config",
+    [
+        (Method.LIGHT_AUDIO, Role.LISTENER, GazeAgentModel(), GuidanceConfig(fade_duration=12.0)),
+        (Method.LIGHT, Role.SPEAKER, SLOW, GuidanceConfig(fade_duration=15.0)),
+        (Method.LIGHT_AUDIO, Role.SPEAKER, LEADING, CFG),
+        (Method.SGD, Role.LISTENER, LEADING, CFG),
+        (Method.TEXT_ICON, Role.SPEAKER, SLOW, CFG),
+    ],
+    ids=["long-fade-acknowledged", "long-fade-missed", "gaze-lead-speaker", "gaze-lead-sgd", "missed-text-icon"],
+)
+def test_repeated_ticks_equal_simulated_ticks(monkeypatch, method, role, agent, config):
+    # A fade longer than a turn keeps the session unsettled across the turn
+    # end and into the next signal; after a miss the light fades up from
+    # dim. With gaze leading the head, gaze and head part while signaled.
+    # Each trace must equal the one in which every tick runs the full
+    # simulation step.
+    script = default_script(method, role)
+    trace = run_scenario(script, agent, config, dt=FAST_DT, seed=3)
+    assert_records_are_canonical(trace)
+    with monkeypatch.context() as mp:
+        every_tick_simulated(mp)
+        simulated = run_scenario(script, agent, config, dt=FAST_DT, seed=3)
+    assert trace == simulated
+    assert write_trace(trace.records, trace.meta) == write_trace(simulated.records, simulated.meta)

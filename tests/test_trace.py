@@ -1,11 +1,23 @@
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from _rand import make_meta, make_record, random_trace
 from turncue.errors import TraceIntegrityError
-from turncue.trace import _MEMO_CAP, _Canonical, _emit, _q9_memo, _text_memo, q9, read_trace, write_trace
+from turncue.trace import (
+    _MEMO_CAP,
+    TraceRecord,
+    _Canonical,
+    _emit,
+    _q9_memo,
+    _text_memo,
+    q9,
+    read_trace,
+    write_trace,
+)
 
 
 def test_q9_idempotent_on_random_values():
@@ -51,6 +63,17 @@ def test_q9_and_float_text_stay_exact_across_the_memo_cap():
     for v in values[:200]:
         assert q9(v).hex() == _canonical_hex(v)
         assert _emit(q9(v)) == format(q9(v), ".9g")
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [(math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError), (10**400, OverflowError)],
+    ids=["nan", "inf", "-inf", "big-int"],
+)
+def test_q9_rejects_values_without_a_finite_result(bad, error):
+    with pytest.raises(error):
+        q9(bad)
+    assert q9(1e308) == 1e308  # the largest finite results still pass
 
 
 def test_negative_zero_is_written_and_read_back_as_zero():
@@ -148,9 +171,18 @@ def _trace_lines() -> list[str]:
         (2, '"t":0,', '"t":"0",', "t='0' is not a valid float"),
         (3, '"panel_text":""', '"panel_text":5', "panel_text=5 is not a valid str"),
         (4, '"tick":2', '"tick":true', "tick=True is not a valid int"),
+        (3, '"t":0.1,', '"t":NaN,', "t=nan is not a valid float"),
+        (3, '"t":0.1,', '"t":Infinity,', "t=inf is not a valid float"),
+        (3, '"t":0.1,', '"t":-Infinity,', "t=-inf is not a valid float"),
+        (3, '"t":0.1,', '"t":1e400,', "t=inf is not a valid float"),
+        (3, '"t":0.1,', '"t":' + "9" * 400 + ",", "t=9{400} is not a valid float"),
+        (3, '"pos":[0,1,0]', '"pos":[0,NaN,0]', r"pos=\[0, nan, 0\] is not a valid Triple"),
+        (3, '"rt":null', '"rt":-1e999', r"rt=-inf is not a valid float \| None"),
+        (3, '"panel_text":""', '"panel_text":NaN', "panel_text=nan is not a valid str"),
     ],
     ids=["missing-field", "non-numeric", "short-triple", "short-seat", "non-integer", "str-bool", "str-float",
-         "int-str", "bool-int"],
+         "int-str", "bool-int", "nan", "infinity", "minus-infinity", "float-overflow", "int-overflow",
+         "nan-in-triple", "optional-float", "nan-str"],
 )
 def test_read_rejects_malformed_line_with_its_number(lineno, old, new, message):
     lines = _trace_lines()
@@ -158,6 +190,52 @@ def test_read_rejects_malformed_line_with_its_number(lineno, old, new, message):
     lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
     with pytest.raises(TraceIntegrityError, match=f"^line {lineno}: {message}$"):
         read_trace("\n".join(lines) + "\n")
+
+
+def _fresh(value):
+    """An equal value made of new float and tuple objects."""
+    if isinstance(value, float):
+        return float(repr(value))
+    if isinstance(value, tuple):
+        return tuple(map(_fresh, value))
+    return value
+
+
+def _fresh_copy(rec: TraceRecord) -> TraceRecord:
+    copy = object.__new__(TraceRecord)
+    vars(copy).update((name, _fresh(value)) for name, value in vars(rec).items())
+    return copy
+
+
+def test_frame_text_does_not_depend_on_shared_value_objects():
+    # Records repeated from a settled tick share value objects with it, and
+    # the writer reuses a field's text while its object stays the same.
+    # Their lines must read exactly as if every value were a new object.
+    signaled = dict(state="signaled", target="a2", in_view=False, role="listener")
+    acked = dict(signaled, state="acknowledged", rt=0.5)
+    idle = dict(state="idle", target=None, rt=None, in_view=None, role=None)
+    records = [make_record(0, 0.0)]  # None in the first line's optional fields
+    for fields in (None, signaled, None, acked, "fresh", idle, None, acked, "fresh", "fresh", idle):
+        prev, k = records[-1], len(records)
+        if fields is None:
+            rec = prev._repeat(k, k * 0.1, k % 2 == 0)
+        elif fields == "fresh":  # equal values in new objects
+            rec = _fresh_copy(prev._repeat(k, k * 0.1, k % 2 == 0))
+            assert rec.pos == prev.pos and rec.pos is not prev.pos
+        else:
+            rec = replace(prev, tick=k, t=k * 0.1, **fields)
+        records.append(rec)
+    rng = random.Random(12)
+    for rec in random_trace(rng, 30).records:  # every field moves
+        records.append(replace(rec, tick=len(records)))
+
+    text = write_trace(records)
+    assert text == write_trace([_fresh_copy(rec) for rec in records])
+    assert read_trace(text).records == tuple(records)
+    lines = text.splitlines()
+    assert '"target":null,"rt":null,"in_view":null,"role":null' in lines[0]
+    assert '"state":"acknowledged","target":"a2","rt":0.5,"in_view":false' in lines[4]
+    assert '"target":null,"rt":null,"in_view":null,"role":null' in lines[6]
 
 
 def test_read_rejects_non_object_line():
