@@ -366,7 +366,7 @@ def run_scenario(
         gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
         fires = signal_tick is not None and k >= signal_tick
         if state is still and head is still_head and gaze is head and turn_idx == still_turn and not fires:
-            records.append(records[-1]._repeat(k, t, sgd_phase(t)))
+            records.append(TraceRecord._from(vars(records[-1]), {"tick": k, "t": t, "sgd_phase": sgd_phase(t)}))
             k += 1
             continue
         pose = Pose(position=user_pos, head_forward=head, gaze_forward=gaze, timestamp=t)
@@ -394,7 +394,7 @@ def run_scenario(
         ti = text_icon_state(state if script.method is Method.TEXT_ICON else sess.IDLE, aim, name, desk)
         sg = sgd_state(state if script.method is Method.SGD else sess.IDLE, pose, aim, t, config.ack_threshold)
         records.append(
-            TraceRecord(
+            TraceRecord._from({}, dict(
                 tick=k,
                 t=t,
                 pos=pose.position.to_tuple(),
@@ -426,7 +426,7 @@ def run_scenario(
                 sgd_phase=sg.phase_on,
                 sgd_center=sg.region_center.to_tuple(),
                 speaker=turns[turn_idx].speaker,
-            )
+            ))
         )
         still = state if sess.settled(state, t, config) else None
         still_head, still_turn = head, turn_idx

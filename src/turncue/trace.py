@@ -5,7 +5,8 @@ significant digits at construction, so the in-memory record, its serialized
 bytes, and a replayed copy are all bit-identical. Field order in the output
 is fixed; identical runs produce identical files. The field annotations of
 TraceMeta and TraceRecord are the whole schema: they decide how each field
-is canonicalized, written and read back.
+is canonicalized, written and read back. Frames are deltas: the first frame
+line carries every field, each later one only those that changed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import index, itemgetter
+from itertools import compress
+from operator import index, itemgetter, ne
 from typing import Iterable
 
 from .errors import TraceIntegrityError
@@ -88,13 +90,13 @@ _CANONICAL = {
 class _Canonical:
     """Base of the trace line types: canonicalizes fields on construction.
 
-    The (field, annotation, canonicalizer) plan is built once per subclass
-    from its annotations; an annotation without a canonical form fails at
-    import. Values go straight into the frozen instance's __dict__.
+    The plan, field -> (annotation, canonicalizer) in field order, is built
+    once per subclass from its annotations; an annotation without a
+    canonical form fails at import. _from builds every instance's __dict__,
+    from constructor arguments, a trace line or the previous record.
     """
 
-    _fields: tuple[str, ...]
-    _plan: tuple[tuple[str, str, object], ...]
+    _plan: dict[str, tuple[str, object]]
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -102,16 +104,29 @@ class _Canonical:
         for name, kind in annotations.items():
             if kind not in _CANONICAL:
                 raise TypeError(f"{cls.__name__}.{name}: unsupported trace field type {kind!r}")
-        cls._fields = tuple(annotations)
-        cls._plan = tuple((name, kind, _CANONICAL[kind]) for name, kind in annotations.items())
+        cls._plan = {name: (kind, _CANONICAL[kind]) for name, kind in annotations.items()}
 
     def __post_init__(self) -> None:
-        values = self.__dict__
-        for name, kind, canonical in self._plan:
+        object.__setattr__(self, "__dict__", vars(self._from({}, vars(self))))
+
+    @classmethod
+    def _from(cls, prev: dict, changes: dict):
+        """prev's canonical values with changes canonicalized over them. A field
+        outside the schema, a bad value or a field neither sets is an error."""
+        values, plan = {**prev, **changes}, cls._plan
+        for name in changes:
+            if name not in plan:
+                raise TraceIntegrityError(f"unknown field {name!r}")
+            kind, canonical = plan[name]
             try:
                 values[name] = canonical(values[name])
             except (TypeError, ValueError, OverflowError):
                 raise TraceIntegrityError(f"{name}={values[name]!r} is not a valid {kind}") from None
+        if len(values) < len(plan):
+            raise TraceIntegrityError(f"missing field {next(n for n in plan if n not in values)!r}")
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "__dict__", values)
+        return obj
 
 
 @dataclass(frozen=True)
@@ -166,13 +181,6 @@ class TraceRecord(_Canonical):
     sgd_center: Triple
     speaker: str
 
-    def _repeat(self, tick: int, t: float, sgd_phase: bool) -> TraceRecord:
-        """This record at another tick: shares every value object but the
-        clock fields', which are the only ones canonicalized again."""
-        rec = object.__new__(TraceRecord)
-        vars(rec).update(self.__dict__, tick=tick, t=q9(t), sgd_phase=sgd_phase)
-        return rec
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -205,17 +213,19 @@ def _emit(value) -> str:
 
 
 def _lines(kind: str, cls: type[_Canonical], objs: Iterable[_Canonical]) -> list[str]:
-    """One JSON line per object of cls. A field's '"name":text' fragment is worked out
-    again only when the field holds another object than on the previous line."""
-    values = itemgetter(*cls._fields)
-    texts = heads = [f'"{name}":' for name in cls._fields]
-    last = (object(),) * len(heads)  # no field holds it, unlike None
-    start, lines = f'{{"kind":"{kind}",', []
+    """One JSON line per object of cls: the first carries every field, each later
+    one only the fields whose value differs from the previous line's. Canonical
+    values are equal exactly when their text is."""
+    values = itemgetter(*cls._plan)
+    heads = [f',"{name}":' for name in cls._plan]
+    fields = range(len(heads))
+    last = (object(),) * len(heads)  # equal to no value, unlike None
+    start, lines = f'{{"kind":"{kind}"', []
     for obj in objs:
         now = values(obj.__dict__)
-        texts = [text if v is old else head + _emit(v) for v, old, text, head in zip(now, last, texts, heads)]
+        changed = compress(fields, map(ne, now, last))
+        lines.append("".join([start, *[heads[i] + _emit(now[i]) for i in changed], "}\n"]))
         last = now
-        lines.append(start + ",".join(texts) + "}\n")
     return lines
 
 
@@ -233,16 +243,6 @@ def write_trace(records: Iterable[TraceRecord], meta: TraceMeta | None = None) -
     return "".join(lines + _lines("frame", TraceRecord, records))
 
 
-def _from_obj(cls: type[_Canonical], obj: dict, lineno: int):
-    """One trace line type from its parsed JSON object; defects name the line."""
-    try:
-        return cls(*[obj[name] for name in cls._fields])
-    except KeyError as exc:
-        raise TraceIntegrityError(f"line {lineno}: missing field {exc.args[0]!r}") from None
-    except TraceIntegrityError as exc:
-        raise TraceIntegrityError(f"line {lineno}: {exc}") from None
-
-
 class _JsonConstant(float):
     """A JSON NaN or Infinity: q9 takes no float subclass, and no other field a float."""
 
@@ -251,9 +251,13 @@ _DECODER = json.JSONDecoder(parse_constant=_JsonConstant)
 
 
 def read_trace(text: str) -> Trace:
-    """Parse a JSON Lines trace; inverse of write_trace on its own output."""
+    """Parse a JSON Lines trace; inverse of write_trace on its own output.
+
+    A frame starts from the previous frame's values: a field it lacks is
+    unchanged, and only the fields it holds are canonicalized."""
     meta: TraceMeta | None = None
     records: list[TraceRecord] = []
+    prev: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -261,14 +265,18 @@ def read_trace(text: str) -> Trace:
             obj = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        kind = obj.get("kind") if isinstance(obj, dict) else None
-        if kind == "meta":
-            if records or meta is not None:
-                raise TraceIntegrityError(f"line {lineno}: meta must be the first line")
-            meta = _from_obj(TraceMeta, obj, lineno)
-        elif kind == "frame":
-            records.append(_from_obj(TraceRecord, obj, lineno))
-        else:
-            raise TraceIntegrityError(f"line {lineno}: unknown record kind {kind!r}")
+        kind = obj.pop("kind", None) if isinstance(obj, dict) else None
+        try:
+            if kind == "frame":
+                records.append(TraceRecord._from(prev, obj))
+                prev = vars(records[-1])
+            elif kind != "meta":
+                raise TraceIntegrityError(f"unknown record kind {kind!r}")
+            elif records or meta is not None:
+                raise TraceIntegrityError("meta must be the first line")
+            else:
+                meta = TraceMeta._from({}, obj)
+        except TraceIntegrityError as exc:
+            raise TraceIntegrityError(f"line {lineno}: {exc}") from None
     _check_contiguous(records)
     return Trace(meta=meta, records=tuple(records))

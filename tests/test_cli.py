@@ -9,7 +9,7 @@ from turncue.config import GuidanceConfig
 from turncue.geometry import AngularRange
 from turncue.lights import env_light_intensity, point_light_color, spot_cone_angle, spot_intensity
 from turncue.metrics import extract_metrics, metrics_to_csv
-from turncue.trace import read_trace
+from turncue.trace import TraceRecord, read_trace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -160,18 +160,46 @@ def test_suite_with_zero_subtlety_runs(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("method,view,role,n,")
 
 
+def _record_digest(traces) -> str:
+    """sha256 of the records' behaviour fields, rendered independently of the
+    file format (perfbench's record digest, sgd_phase and the meta's geometry aside)."""
+    def canon(value) -> str:
+        if value is None:
+            return "~"
+        if isinstance(value, bool):
+            return "T" if value else "F"
+        if isinstance(value, float):
+            return format(value, ".9g")
+        if isinstance(value, tuple):
+            return "(" + ",".join(map(canon, value)) + ")"
+        return repr(value)
+
+    meta_fields = ("method", "role", "topic", "participant", "user_seat", "names")
+    fields = [name for name in TraceRecord._plan if name != "sgd_phase"]
+    h = hashlib.sha256()
+    for trace in traces:
+        h.update(("M|" + "|".join(canon(getattr(trace.meta, name)) for name in meta_fields) + "\n").encode())
+        for rec in trace.records:
+            h.update(("|".join(canon(getattr(rec, name)) for name in fields) + "\n").encode())
+    return h.hexdigest()
+
+
 def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
-    # The reference run pinned in ROADMAP.md: any change to trace bytes or
-    # to the summary CSV is a change of behaviour.
+    # The reference run pinned in ROADMAP.md: any change to the read-back
+    # records or to the summary CSV is a change of behaviour; the file bytes
+    # move with the trace format as well.
     out_dir = tmp_path / "traces"
     assert cli([
         "suite", "--plan", str(REPO / "configs" / "study.cfg"), "--participants", "1",
         "--seed", "7", "--out-dir", str(out_dir),
     ]) == 0
     csv = capsys.readouterr().out
-    traces = b"".join(f.read_bytes() for f in sorted(out_dir.iterdir()))
-    assert hashlib.sha256(traces).hexdigest() == (
-        "731d5079c96aeb6fd106701eb86b6c6eace90b92ca390aaf087f90558bf760f6"
+    files = sorted(out_dir.iterdir())
+    assert hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest() == (
+        "613ce29e19532d3d77347a6983149702bd10817c4e5531b79f06fd55e7361aba"
+    )
+    assert _record_digest(read_trace(f.read_text()) for f in files) == (
+        "1cc6046d229a1b9debf701dcbe0ec45edc91e3eec62747395a82b57e6c696578"
     )
     assert hashlib.md5(csv.encode()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
 

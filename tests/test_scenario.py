@@ -200,7 +200,7 @@ def test_user_opening_gaze_lead_traces_match_pinned_digest():
         )
         trace = run_scenario(script, agent, CFG, dt=1.0 / 30.0, seed=9)
         digest.update(write_trace(trace.records, trace.meta).encode())
-    assert digest.hexdigest() == "e7344cbfdade01a5a031081842fb7f48aebbc6785535bb5ffc3d49a3e664c82a"
+    assert digest.hexdigest() == "05bb2da0fa8fa5b71caed82c7df3649d4b208a13882360c02aa12b3b46a2d232"
 
 
 def test_different_seed_changes_latency_draws():

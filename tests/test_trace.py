@@ -156,15 +156,22 @@ def test_read_rejects_late_meta():
 
 
 def _trace_lines() -> list[str]:
-    return write_trace([make_record(i, i * 0.1) for i in range(3)], make_meta()).splitlines()
+    # Frames are deltas: pos moves on every frame, and the second frame ends
+    # a session and clears the panel, so their keys are on the lines below.
+    records = [
+        make_record(0, 0.0, state="acknowledged", rt=0.5, pos=(0.0, 0.0, 0.0), panel_text="Alex"),
+        make_record(1, 0.1, pos=(0.0, 1.0, 0.0)),
+        make_record(2, 0.2, pos=(0.0, 2.0, 0.0)),
+    ]
+    return write_trace(records, make_meta()).splitlines()
 
 
 @pytest.mark.parametrize(
     "lineno,old,new,message",
     [
-        (3, '"env":1.1,', "", "missing field 'env'"),
+        (2, '"env":1.1,', "", "missing field 'env'"),  # only the first frame must carry every field
         (2, '"t":0,', '"t":"abc",', "t='abc' is not a valid float"),
-        (4, '"pos":[0,1,0]', '"pos":[0,1]', r"pos=\[0, 1\] is not a valid Triple"),
+        (4, '"pos":[0,2,0]', '"pos":[0,1]', r"pos=\[0, 1\] is not a valid Triple"),
         (1, '"seats":[[0,1,0],', '"seats":[[0,1],', r"seats=.* is not a valid tuple\[Triple, \.\.\.\]"),
         (1, '"topic":0', '"topic":"x"', "topic='x' is not a valid int"),
         (2, '"point_active":false', '"point_active":"yes"', "point_active='yes' is not a valid bool"),
@@ -179,10 +186,14 @@ def _trace_lines() -> list[str]:
         (3, '"pos":[0,1,0]', '"pos":[0,NaN,0]', r"pos=\[0, nan, 0\] is not a valid Triple"),
         (3, '"rt":null', '"rt":-1e999', r"rt=-inf is not a valid float \| None"),
         (3, '"panel_text":""', '"panel_text":NaN', "panel_text=nan is not a valid str"),
+        (1, '"topic":0', '"topic":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
+        (2, '"tick":0', '"tick":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
+        (3, '"tick":1', '"tick":1,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
     ],
     ids=["missing-field", "non-numeric", "short-triple", "short-seat", "non-integer", "str-bool", "str-float",
          "int-str", "bool-int", "nan", "infinity", "minus-infinity", "float-overflow", "int-overflow",
-         "nan-in-triple", "optional-float", "nan-str"],
+         "nan-in-triple", "optional-float", "nan-str", "unknown-in-meta", "unknown-in-first-frame",
+         "unknown-in-later-frame"],
 )
 def test_read_rejects_malformed_line_with_its_number(lineno, old, new, message):
     lines = _trace_lines()
@@ -190,6 +201,14 @@ def test_read_rejects_malformed_line_with_its_number(lineno, old, new, message):
     lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
     with pytest.raises(TraceIntegrityError, match=f"^line {lineno}: {message}$"):
         read_trace("\n".join(lines) + "\n")
+
+
+def test_later_frame_lacking_a_field_reads_as_the_previous_value():
+    lines = _trace_lines()
+    lines[2] = lines[2].replace('"pos":[0,1,0],', "")
+    records = read_trace("\n".join(lines) + "\n").records
+    assert records[1].pos == records[0].pos == (0.0, 0.0, 0.0)
+    assert records[2].pos == (0.0, 2.0, 0.0) and records[1].state == "idle"
 
 
 def _fresh(value):
@@ -207,10 +226,15 @@ def _fresh_copy(rec: TraceRecord) -> TraceRecord:
     return copy
 
 
+def _repeat(rec: TraceRecord, k: int) -> TraceRecord:
+    """rec at tick k, sharing its value objects, as the scenario loop repeats a settled tick."""
+    return TraceRecord._from(vars(rec), {"tick": k, "t": k * 0.1, "sgd_phase": k % 2 == 0})
+
+
 def test_frame_text_does_not_depend_on_shared_value_objects():
     # Records repeated from a settled tick share value objects with it, and
-    # the writer reuses a field's text while its object stays the same.
-    # Their lines must read exactly as if every value were a new object.
+    # a frame line leaves out every field whose value has not changed. Their
+    # lines must read exactly as if every value were a new object.
     signaled = dict(state="signaled", target="a2", in_view=False, role="listener")
     acked = dict(signaled, state="acknowledged", rt=0.5)
     idle = dict(state="idle", target=None, rt=None, in_view=None, role=None)
@@ -218,9 +242,9 @@ def test_frame_text_does_not_depend_on_shared_value_objects():
     for fields in (None, signaled, None, acked, "fresh", idle, None, acked, "fresh", "fresh", idle):
         prev, k = records[-1], len(records)
         if fields is None:
-            rec = prev._repeat(k, k * 0.1, k % 2 == 0)
+            rec = _repeat(prev, k)
         elif fields == "fresh":  # equal values in new objects
-            rec = _fresh_copy(prev._repeat(k, k * 0.1, k % 2 == 0))
+            rec = _fresh_copy(_repeat(prev, k))
             assert rec.pos == prev.pos and rec.pos is not prev.pos
         else:
             rec = replace(prev, tick=k, t=k * 0.1, **fields)
@@ -234,8 +258,54 @@ def test_frame_text_does_not_depend_on_shared_value_objects():
     assert read_trace(text).records == tuple(records)
     lines = text.splitlines()
     assert '"target":null,"rt":null,"in_view":null,"role":null' in lines[0]
-    assert '"state":"acknowledged","target":"a2","rt":0.5,"in_view":false' in lines[4]
-    assert '"target":null,"rt":null,"in_view":null,"role":null' in lines[6]
+    assert lines[4] == '{"kind":"frame","tick":4,"t":0.4,"state":"acknowledged","rt":0.5}'
+    assert lines[5] == '{"kind":"frame","tick":5,"t":0.5}'  # equal values in new objects
+    assert lines[6].endswith(',"state":"idle","target":null,"rt":null,"in_view":null,"role":null}')
+    assert '"state":"acknowledged","target":"a2","rt":0.5,"in_view":false,"role":"listener"}' in lines[8]
+
+
+_FLOAT = st.sampled_from([0.0, -0.0, 0.1, 1e-7]) | st.floats(-1e6, 1e6)
+_TRIPLE = st.tuples(_FLOAT, _FLOAT, _FLOAT)
+_VALUES = {  # a strategy per field annotation of TraceRecord, tick aside
+    "float": _FLOAT,
+    "float | None": st.none() | _FLOAT,
+    "Triple": _TRIPLE,
+    "str": st.sampled_from(["", "a1", "Alex", 'say "hi"']),
+    "str | None": st.none() | st.sampled_from(["a1", "a2"]),
+    "bool": st.booleans(),
+    "bool | None": st.none() | st.booleans(),
+}
+_CHANGING = [name for name in TraceRecord._plan if name != "tick"]
+_SUBSET = st.sets(st.sampled_from(_CHANGING), max_size=8)
+
+
+def _full_key_text(records) -> str:
+    """Frames in the earlier full-key layout: every field on every line."""
+    return "".join(
+        '{"kind":"frame",' + ",".join(f'"{name}":{_emit(getattr(rec, name))}' for name in TraceRecord._plan) + "}\n"
+        for rec in records
+    )
+
+
+@given(st.data())
+def test_delta_frames_round_trip_any_change_pattern(data):
+    # Each tick changes a random subset of fields; the rest either keep their
+    # objects or are rebuilt as equal values in new objects.
+    values = {name: v for name, v in vars(make_record(0, 0.0)).items() if name != "tick"}
+    records = []
+    for k in range(data.draw(st.integers(1, 8))):
+        for name in data.draw(_SUBSET):
+            values[name] = data.draw(_VALUES[TraceRecord._plan[name][0]])
+        rec = TraceRecord(tick=k, **values)
+        records.append(_fresh_copy(rec) if data.draw(st.booleans()) else rec)
+        fresh = data.draw(_SUBSET)
+        values = {name: _fresh(v) if name in fresh else v for name, v in vars(rec).items() if name != "tick"}
+    meta = data.draw(st.none() | st.just(make_meta()))
+    text = write_trace(records, meta)
+    back = read_trace(text)
+    assert back.records == tuple(records) and back.meta == meta
+    assert write_trace(back.records, back.meta) == text
+    assert read_trace(_full_key_text(records)).records == tuple(records)
 
 
 def test_read_rejects_non_object_line():
