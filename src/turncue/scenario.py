@@ -341,6 +341,7 @@ def run_scenario(
     lit = script.method in (Method.LIGHT_AUDIO, Method.LIGHT)
     audible = script.method is Method.LIGHT_AUDIO
     records: list[TraceRecord] = []
+    last_raw: dict = {}  # the last simulated tick's record fields, before canonicalization
     max_ticks = int(
         (sum(t.duration for t in turns) + len(turns) * (script.signal_offset + config.miss_timeout + 2.0))
         / dt
@@ -393,41 +394,45 @@ def run_scenario(
         idle = isinstance(state, sess.Idle)
         ti = text_icon_state(state if script.method is Method.TEXT_ICON else sess.IDLE, aim, name, desk)
         sg = sgd_state(state if script.method is Method.SGD else sess.IDLE, pose, aim, t, config.ack_threshold)
-        records.append(
-            TraceRecord._from({}, dict(
-                tick=k,
-                t=t,
-                pos=pose.position.to_tuple(),
-                head=head.to_tuple(),
-                gaze=gaze.to_tuple(),
-                state=frame.session_state,
-                target=target_id,
-                rt=sess.response_time(state),
-                in_view=None if idle else state.target_in_view_at_signal,
-                role=None if idle else state.role.value,
-                env=frame.env_intensity if lit else config.env_levels.l_max,
-                point_active=lit and frame.point.active,
-                point_side=frame.point.side.value,
-                point_pos=frame.point.position.to_tuple(),
-                point_color=frame.point.color.to_tuple(),
-                spot_active=lit and frame.spot.active,
-                spot_intensity=frame.spot.intensity if lit else 0.0,
-                spot_cone=frame.spot.cone_angle if lit else config.spot_geometry.a_min,
-                spot_aim=frame.spot.aim.to_tuple(),
-                sound_pos=(frame.sound.position if audible else target or pose.position).to_tuple(),
-                chime=audible and frame.sound.chime_active,
-                duck=frame.duck_gain if audible else 1.0,
-                panel_active=ti.panel_active,
-                panel_anchor=ti.panel_anchor.to_tuple(),
-                panel_text=ti.panel_text,
-                icon_active=ti.icon_active,
-                icon_anchor=ti.icon_anchor.to_tuple(),
-                sgd_active=sg.active,
-                sgd_phase=sg.phase_on,
-                sgd_center=sg.region_center.to_tuple(),
-                speaker=turns[turn_idx].speaker,
-            ))
+        raw = dict(
+            tick=k,
+            t=t,
+            pos=pose.position.to_tuple(),
+            head=head.to_tuple(),
+            gaze=gaze.to_tuple(),
+            state=frame.session_state,
+            target=target_id,
+            rt=sess.response_time(state),
+            in_view=None if idle else state.target_in_view_at_signal,
+            role=None if idle else state.role.value,
+            env=frame.env_intensity if lit else config.env_levels.l_max,
+            point_active=lit and frame.point.active,
+            point_side=frame.point.side.value,
+            point_pos=frame.point.position.to_tuple(),
+            point_color=frame.point.color.to_tuple(),
+            spot_active=lit and frame.spot.active,
+            spot_intensity=frame.spot.intensity if lit else 0.0,
+            spot_cone=frame.spot.cone_angle if lit else config.spot_geometry.a_min,
+            spot_aim=frame.spot.aim.to_tuple(),
+            sound_pos=(frame.sound.position if audible else target or pose.position).to_tuple(),
+            chime=audible and frame.sound.chime_active,
+            duck=frame.duck_gain if audible else 1.0,
+            panel_active=ti.panel_active,
+            panel_anchor=ti.panel_anchor.to_tuple(),
+            panel_text=ti.panel_text,
+            icon_active=ti.icon_active,
+            icon_anchor=ti.icon_anchor.to_tuple(),
+            sgd_active=sg.active,
+            sgd_phase=sg.phase_on,
+            sgd_center=sg.region_center.to_tuple(),
+            speaker=turns[turn_idx].speaker,
         )
+        # Equal raw values canonicalize equally; sgd_phase may have flipped
+        # on a repeated tick since the last simulated one.
+        changes = {name: v for name, v in raw.items() if name not in last_raw or v != last_raw[name]}
+        changes["sgd_phase"] = raw["sgd_phase"]
+        records.append(TraceRecord._from(vars(records[-1]) if records else {}, changes))
+        last_raw = raw
         still = state if sess.settled(state, t, config) else None
         still_head, still_turn = head, turn_idx
         k += 1

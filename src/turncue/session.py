@@ -3,7 +3,10 @@ acknowledgment and miss detection.
 
 A session is a value: begin_signal and tick return new states, so replaying
 the same pose sequence reproduces the same frames bit for bit, and distinct
-sessions never share anything.
+sessions never share anything. A signaled state also carries the last tick's
+cue inputs and results, outside its equality and repr: values are frozen, so
+while the same pose and target objects come back, tick reuses the angles and
+cues it derived from them, and the frames stay the same bit for bit.
 
 State transitions: Idle -> Signaled -> (Acknowledged | Missed). A new signal
 may begin from Idle or from a terminal state, never while one is in flight.
@@ -11,7 +14,7 @@ may begin from Idle or from a terminal state, never while one is in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from . import audio
 from .audio import Role, SoundSourceState
@@ -62,6 +65,9 @@ class Signaled:
     dwell: float = 0.0
     alignment_start: float | None = None
     last_timestamp: float = 0.0
+    # The last tick's inputs and what it derived from them (see _cues); only
+    # tick sets it, and replace() drops it, as it depends on the fields above.
+    cues: tuple = field(default=(), init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ def begin_signal(
         raise ConcurrentSignalError(
             "a guidance session is already active; multi-signal queuing is unsupported"
         )
-    head_theta, gaze_theta = _target_angles(pose, target)
+    head_theta, gaze_theta = _target_angles(pose, direction_to(pose.position, target))
     floor = config.theta_min + MIN_RANGE_WIDTH
 
     repeats = max(1, round(config.chime_max_repeats * config.subtlety))
@@ -136,13 +142,44 @@ def begin_signal(
     )
 
 
-def _target_angles(pose: Pose, target: Vec3) -> tuple[float, float]:
-    """(head, gaze) angles to the target, sharing one direction_to."""
-    to_target = direction_to(pose.position, target)
-    return (
-        angular_deviation(pose.head_forward, to_target),
-        angular_deviation(pose.gaze_forward, to_target),
+def _target_angles(pose: Pose, to_target: Vec3) -> tuple[float, float]:
+    """(head, gaze) angles to the target direction: one angle when gaze is head."""
+    head_theta = angular_deviation(pose.head_forward, to_target)
+    if pose.gaze_forward is pose.head_forward:
+        return head_theta, head_theta
+    return head_theta, angular_deviation(pose.gaze_forward, to_target)
+
+
+def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> tuple:
+    """(position, target, config, to_target, head, gaze, gaze theta, env theta,
+    point, spot, sound position) for a signaled tick. The last tick's to_target
+    still holds while its position, target and config objects come back, and
+    all of it while its head and gaze objects come back too."""
+    last = state.cues
+    position, head, gaze = pose.position, pose.head_forward, pose.gaze_forward
+    if last and last[0] is position and last[1] is target and last[2] is config:
+        if last[4] is head and last[5] is gaze:
+            return last
+        to_target = last[3]
+    else:
+        to_target = direction_to(position, target)
+    head_theta, gaze_theta = _target_angles(pose, to_target)
+    in_view = angle_in_viewport(head_theta, config.viewport_half_angle)
+    point = point_light(
+        pose, target, head_theta, in_view, state.head_range,
+        azimuth=config.point_azimuth, radius=config.point_radius,
+        warm=config.warm, cold=config.cold, gamma=config.gamma_point,
     )
+    spot = spotlight(
+        target, gaze_theta, in_view, state.gaze_range, config.spot_levels, config.spot_geometry,
+        gamma=config.gamma_spot, deactivate_at_min=config.spot_deactivate_at_min,
+    )
+    sound_pos = audio.sound_source_position(
+        position, target, head_theta, state.head_range, config.sound_easing
+    )
+    env_theta = angular_deviation(gaze, state.signal_gaze)
+    return (position, target, config, to_target, head, gaze,
+            gaze_theta, env_theta, point, spot, sound_pos)
 
 
 def _quiet_frame(
@@ -224,18 +261,11 @@ def tick(
     ts = pose.timestamp
     elapsed = ts - state.signal_time
 
-    env_theta = angular_deviation(pose.gaze_forward, state.signal_gaze)
-    env = env_light_with_fade(
-        elapsed,
-        env_theta,
-        state.original_env,
-        state.gaze_range,
-        config.env_levels,
-        config.gamma_env,
-        config.fade_duration,
-    )
+    cues = _cues(state, pose, target, config)
+    gaze_theta, env_theta, point, spot, sound_pos = cues[6:]
+    env = env_light_with_fade(elapsed, env_theta, state.original_env, state.gaze_range,
+                              config.env_levels, config.gamma_env, config.fade_duration)
 
-    head_theta, gaze_theta = _target_angles(pose, target)
     if gaze_theta <= config.ack_threshold:
         alignment_start = state.alignment_start if state.alignment_start is not None else ts
         dwell = state.dwell + dt
@@ -264,19 +294,6 @@ def tick(
         )
         return miss, _quiet_frame(pose, target, config, env, "missed")
 
-    in_view = angle_in_viewport(head_theta, config.viewport_half_angle)
-    point = point_light(
-        pose, target, head_theta, in_view, state.head_range,
-        azimuth=config.point_azimuth, radius=config.point_radius,
-        warm=config.warm, cold=config.cold, gamma=config.gamma_point,
-    )
-    spot = spotlight(
-        target, gaze_theta, in_view, state.gaze_range, config.spot_levels, config.spot_geometry,
-        gamma=config.gamma_spot, deactivate_at_min=config.spot_deactivate_at_min,
-    )
-    sound_pos = audio.sound_source_position(
-        pose.position, target, head_theta, state.head_range, config.sound_easing
-    )
     chime_active = any(c <= ts < c + config.duck_duration for c in state.chimes)
     # The duck window is the chime window. Speakers never hear their own
     # voice through the headset, so only listeners are ducked.
@@ -284,18 +301,14 @@ def tick(
     if chime_active and state.role is Role.LISTENER:
         gain = audio.scaled_duck_gain(config.duck_gain, config.subtlety)
 
-    new_state = replace(
-        state, dwell=dwell, alignment_start=alignment_start, last_timestamp=ts
+    new_state = Signaled(
+        state.signal_time, state.signal_gaze, state.gaze_range, state.head_range,
+        state.original_env, state.role, state.target_in_view_at_signal, state.chimes,
+        dwell, alignment_start, ts,
     )
-    frame = CueFrame(
-        env_intensity=env,
-        point=point,
-        spot=spot,
-        sound=SoundSourceState(position=sound_pos, chime_active=chime_active),
-        duck_gain=gain,
-        session_state="signaled",
-    )
-    return new_state, frame
+    object.__setattr__(new_state, "cues", cues)
+    sound = SoundSourceState(sound_pos, chime_active)
+    return new_state, CueFrame(env, point, spot, sound, gain, "signaled")
 
 
 def response_time(state: SessionState) -> float | None:

@@ -229,16 +229,12 @@ def _lines(kind: str, cls: type[_Canonical], objs: Iterable[_Canonical]) -> list
     return lines
 
 
-def _check_contiguous(records: Iterable[TraceRecord]) -> None:
-    for i, rec in enumerate(records):
-        if rec.tick != i:
-            raise TraceIntegrityError(f"tick {rec.tick} at position {i}: indices must be contiguous from 0")
-
-
 def write_trace(records: Iterable[TraceRecord], meta: TraceMeta | None = None) -> str:
     """Serialize records (with an optional leading meta line) to JSON Lines."""
     records = tuple(records)
-    _check_contiguous(records)
+    for i, rec in enumerate(records):
+        if rec.tick != i:
+            raise TraceIntegrityError(f"tick {rec.tick} at position {i}: indices must be contiguous from 0")
     lines = _lines("meta", TraceMeta, () if meta is None else (meta,))
     return "".join(lines + _lines("frame", TraceRecord, records))
 
@@ -254,7 +250,8 @@ def read_trace(text: str) -> Trace:
     """Parse a JSON Lines trace; inverse of write_trace on its own output.
 
     A frame starts from the previous frame's values: a field it lacks is
-    unchanged, and only the fields it holds are canonicalized."""
+    unchanged, and only the fields it holds are canonicalized. Ticks must
+    count up from 0, one per frame."""
     meta: TraceMeta | None = None
     records: list[TraceRecord] = []
     prev: dict = {}
@@ -268,8 +265,11 @@ def read_trace(text: str) -> Trace:
         kind = obj.pop("kind", None) if isinstance(obj, dict) else None
         try:
             if kind == "frame":
-                records.append(TraceRecord._from(prev, obj))
-                prev = vars(records[-1])
+                rec = TraceRecord._from(prev, obj)
+                if rec.tick != len(records):
+                    raise TraceIntegrityError(f"tick {rec.tick} where {len(records)} was expected")
+                records.append(rec)
+                prev = vars(rec)
             elif kind != "meta":
                 raise TraceIntegrityError(f"unknown record kind {kind!r}")
             elif records or meta is not None:
@@ -278,5 +278,4 @@ def read_trace(text: str) -> Trace:
                 meta = TraceMeta._from({}, obj)
         except TraceIntegrityError as exc:
             raise TraceIntegrityError(f"line {lineno}: {exc}") from None
-    _check_contiguous(records)
     return Trace(meta=meta, records=tuple(records))

@@ -412,26 +412,47 @@ def every_tick_simulated(monkeypatch):
 
 SLOW = GazeAgentModel(latency_in=10.0, latency_out=10.0)
 LEADING = GazeAgentModel(head_speed=60.0, gaze_lead=5.0)
+DENSE = GazeAgentModel(head_speed=20.0)
+
+
+def dense_listener_script(method):
+    """Every handoff signal-driven half a second into the turn; seen from
+    seat 0, the speakers move by 30, 60, 90, 120 and 60 degrees, and at
+    20 deg/s the two widest turns run into the miss timeout."""
+    speakers = ("a1", "a2", "a4", "a1", "a5", "a3")
+    return ScenarioScript(
+        seats=hexagon_seats(),
+        user_seat_index=0,
+        role=Role.LISTENER,
+        method=method,
+        turn_order=tuple(Turn(s, 1.0) for s in speakers),
+        signal_offset=0.5,
+    )
 
 
 @pytest.mark.parametrize(
-    "method,role,agent,config",
+    "script,agent,config",
     [
-        (Method.LIGHT_AUDIO, Role.LISTENER, GazeAgentModel(), GuidanceConfig(fade_duration=12.0)),
-        (Method.LIGHT, Role.SPEAKER, SLOW, GuidanceConfig(fade_duration=15.0)),
-        (Method.LIGHT_AUDIO, Role.SPEAKER, LEADING, CFG),
-        (Method.SGD, Role.LISTENER, LEADING, CFG),
-        (Method.TEXT_ICON, Role.SPEAKER, SLOW, CFG),
+        (default_script(Method.LIGHT_AUDIO, Role.LISTENER), GazeAgentModel(), GuidanceConfig(fade_duration=12.0)),
+        (default_script(Method.LIGHT, Role.SPEAKER), SLOW, GuidanceConfig(fade_duration=15.0)),
+        (default_script(Method.LIGHT_AUDIO, Role.SPEAKER), LEADING, CFG),
+        (default_script(Method.SGD, Role.LISTENER), LEADING, CFG),
+        (default_script(Method.TEXT_ICON, Role.SPEAKER), SLOW, CFG),
+        (dense_listener_script(Method.LIGHT_AUDIO), DENSE, CFG),
+        (dense_listener_script(Method.LIGHT), DENSE, CFG),
+        (dense_listener_script(Method.SGD), DENSE, CFG),
     ],
-    ids=["long-fade-acknowledged", "long-fade-missed", "gaze-lead-speaker", "gaze-lead-sgd", "missed-text-icon"],
+    ids=["long-fade-acknowledged", "long-fade-missed", "gaze-lead-speaker", "gaze-lead-sgd", "missed-text-icon",
+         "dense-light-audio", "dense-light", "dense-sgd"],
 )
-def test_repeated_ticks_equal_simulated_ticks(monkeypatch, method, role, agent, config):
+def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config):
     # A fade longer than a turn keeps the session unsettled across the turn
     # end and into the next signal; after a miss the light fades up from
     # dim. With gaze leading the head, gaze and head part while signaled.
+    # On the dense script most ticks are signaled, and the session reuses
+    # its cues while the head holds still (perception latency, dwell).
     # Each trace must equal the one in which every tick runs the full
-    # simulation step.
-    script = default_script(method, role)
+    # simulation step with a new head object, so no angle or cue is reused.
     trace = run_scenario(script, agent, config, dt=FAST_DT, seed=3)
     assert_records_are_canonical(trace)
     with monkeypatch.context() as mp:

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from turncue.audio import Role
 from turncue.config import GuidanceConfig
 from turncue.errors import ConcurrentSignalError, TraceOrderError
-from turncue.geometry import Pose, Vec3
+from turncue.geometry import AngularRange, Pose, Vec3
 from turncue.session import (
     IDLE,
     Acknowledged,
@@ -211,7 +212,9 @@ def test_duck_integral_over_containing_interval():
     assert total == pytest.approx(2.0 * 0.5 + 3.0 * 1.0, abs=2 * dt)
 
 
-def test_signaled_tick_computes_each_target_angle_once(monkeypatch):
+@pytest.fixture
+def angle_calls(monkeypatch):
+    """Counts of direction_to and angular_deviation calls, wherever made."""
     import turncue.geometry
     import turncue.lights
     import turncue.session
@@ -225,15 +228,85 @@ def test_signaled_tick_computes_each_target_angle_once(monkeypatch):
         for module in (turncue.geometry, turncue.lights, turncue.session):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+    return calls
 
+
+def _count_signaled_tick_angles(calls, gaze_angle):
+    """Angle calls of a signaled tick with the head 30 degrees off the target
+    and the gaze at gaze_angle (None: the head's object), then of a tick on
+    the same pose objects; the second tick's cues must equal the first's."""
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
+    head = facing_at_angle(30.0)
+    gaze = head if gaze_angle is None else facing_at_angle(gaze_angle)
+    first = Pose(position=Vec3(0, 0, 0), head_forward=head, gaze_forward=gaze, timestamp=0.5)
     calls.update(direction_to=0, angular_deviation=0)
-    state, frame = tick(state, pose(0.5, facing_at_angle(30.0)), TARGET, DT, CFG)
+    state, frame = tick(state, first, TARGET, DT, CFG)
     assert isinstance(state, Signaled)
     assert frame.spot.active and frame.sound.chime_active
-    # head and gaze to the target share one direction; the third angle is
-    # the environment light's gaze against the gaze at signal time
-    assert calls == {"direction_to": 1, "angular_deviation": 3}
+    counts = [dict(calls)]
+    calls.update(direction_to=0, angular_deviation=0)
+    _, later = tick(state, replace(first, timestamp=0.6), TARGET, DT, CFG)
+    counts.append(dict(calls))
+    # cues are reused; the env light still fades
+    assert (later.point, later.spot, later.sound) == (frame.point, frame.spot, frame.sound)
+    assert later.env_intensity != frame.env_intensity
+    return counts
+
+
+def test_signaled_tick_computes_each_target_angle_once(angle_calls):
+    # The gaze is the head: one angle to the target serves both, and the
+    # second angle is the env light's gaze against the gaze at signal time.
+    # On the same pose objects a tick later, every angle is the last tick's.
+    first, repeat = _count_signaled_tick_angles(angle_calls, None)
+    assert first == {"direction_to": 1, "angular_deviation": 2}
+    assert repeat == {"direction_to": 0, "angular_deviation": 0}
+
+
+def test_signaled_tick_with_gaze_apart_from_head_computes_three_angles(angle_calls):
+    first, repeat = _count_signaled_tick_angles(angle_calls, 20.0)
+    assert first == {"direction_to": 1, "angular_deviation": 3}
+    assert repeat == {"direction_to": 0, "angular_deviation": 0}
+
+
+def _fresh(p: Pose) -> Pose:
+    """p with new vector objects of equal value."""
+    vectors = (Vec3(*v.to_tuple()) for v in (p.position, p.head_forward, p.gaze_forward))
+    return Pose(*vectors, p.timestamp)
+
+
+def test_ticks_on_repeated_pose_objects_equal_ticks_on_fresh_copies():
+    # The head turns, holds off the target, then dwells on it until the
+    # acknowledgment; the cached session sees the same objects on each hold.
+    position = Vec3(0, 0, 0)
+    heads = [AHEAD] * 3 + [facing_at_angle(a) for a in (60.0, 30.0)] * 2 + [AT_TARGET] * 20
+    cached = computed = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
+    for k, head in enumerate(heads, start=1):
+        p = Pose(position=position, head_forward=head, gaze_forward=head, timestamp=k * DT)
+        last_cues = getattr(cached, "cues", None)
+        cached, cached_frame = tick(cached, p, TARGET, DT, CFG)
+        computed, computed_frame = tick(computed, _fresh(p), Vec3(*TARGET.to_tuple()), DT, CFG)
+        assert cached == computed and cached_frame == computed_frame
+        if k > 1 and head is heads[k - 2] and isinstance(cached, Signaled):
+            assert cached.cues is last_cues
+        if not isinstance(cached, Signaled):
+            break
+    assert isinstance(cached, Acknowledged)
+
+
+def test_signaled_equality_repr_and_hash_ignore_the_cue_cache():
+    state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
+    p = pose(0.1, facing_at_angle(30.0))
+    ticked, frame = tick(state, p, TARGET, DT, CFG)
+    bare = replace(ticked)
+    assert ticked.cues and not bare.cues
+    assert ticked == bare and repr(ticked) == repr(bare) and hash(ticked) == hash(bare)
+    assert "cues" not in repr(ticked)
+    # The cues depend on the captured ranges, so a state with other ranges
+    # computes them afresh on the same pose objects.
+    narrow = replace(ticked, head_range=AngularRange(0.0, 45.0))
+    _, cached = tick(ticked, replace(p, timestamp=0.2), TARGET, DT, CFG)
+    _, computed = tick(narrow, replace(p, timestamp=0.2), TARGET, DT, CFG)
+    assert cached.point == frame.point and computed.point.color != frame.point.color
 
 
 def test_tick_rejects_nonpositive_dt():

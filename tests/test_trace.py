@@ -189,11 +189,12 @@ def _trace_lines() -> list[str]:
         (1, '"topic":0', '"topic":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
         (2, '"tick":0', '"tick":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
         (3, '"tick":1', '"tick":1,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
+        (4, '"tick":2,', "", "tick 1 where 2 was expected"),  # a later frame that lost its tick
     ],
     ids=["missing-field", "non-numeric", "short-triple", "short-seat", "non-integer", "str-bool", "str-float",
          "int-str", "bool-int", "nan", "infinity", "minus-infinity", "float-overflow", "int-overflow",
          "nan-in-triple", "optional-float", "nan-str", "unknown-in-meta", "unknown-in-first-frame",
-         "unknown-in-later-frame"],
+         "unknown-in-later-frame", "lost-tick"],
 )
 def test_read_rejects_malformed_line_with_its_number(lineno, old, new, message):
     lines = _trace_lines()
