@@ -24,7 +24,7 @@ from enum import Enum
 
 from . import session as sess
 from .audio import Role
-from .baselines import sgd_phase, sgd_state, text_icon_state
+from .baselines import sgd_state, text_icon_state
 from .config import GuidanceConfig
 from .errors import ScriptError
 from .geometry import Pose, Vec3, angular_deviation
@@ -45,6 +45,8 @@ METHODS = (Method.LIGHT_AUDIO, Method.LIGHT, Method.SGD, Method.TEXT_ICON)
 AGENT_COUNT = 5
 AGENT_IDS = tuple(f"a{i + 1}" for i in range(AGENT_COUNT))
 USER_ID = "user"
+
+MAX_TICKS = 1_000_000  # the most ticks a trial may run: about 3.9 h at 72 Hz
 
 # Balanced 4x4 Latin square (Williams design): every method appears in every
 # presentation position exactly once across four consecutive participants.
@@ -297,9 +299,15 @@ def run_scenario(
         raise ScriptError(f"dt={dt} must lie in (0, 0.1]")
     if participant < 0:
         raise ScriptError(f"participant={participant} must be >= 0")
+    turns = script.turn_order
+    max_ticks = 16 + (
+        sum(t.duration for t in turns) + len(turns) * (script.signal_offset + config.miss_timeout + 2.0)
+    ) / dt
+    if not max_ticks <= MAX_TICKS:  # not >, so that inf and nan fail too
+        durations = ", ".join(f"{t.duration:g}" for t in turns)
+        raise ScriptError(f"dt={dt} and turn durations ({durations}) s allow {max_ticks:.3g} ticks, over {MAX_TICKS}")
 
     rng = random.Random(stable_seed("scenario", seed, agent.seed))
-    turns = script.turn_order
     user_pos = script.seats[script.user_seat_index]
     desk = script.desk_anchor or default_desk_anchor(script.seats, script.user_seat_index)
 
@@ -342,10 +350,6 @@ def run_scenario(
     audible = script.method is Method.LIGHT_AUDIO
     records: list[TraceRecord] = []
     last_raw: dict = {}  # the last simulated tick's record fields, before canonicalization
-    max_ticks = int(
-        (sum(t.duration for t in turns) + len(turns) * (script.signal_offset + config.miss_timeout + 2.0))
-        / dt
-    ) + 16
 
     k = 0
     while True:
@@ -367,7 +371,7 @@ def run_scenario(
         gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
         fires = signal_tick is not None and k >= signal_tick
         if state is still and head is still_head and gaze is head and turn_idx == still_turn and not fires:
-            records.append(TraceRecord._from(vars(records[-1]), {"tick": k, "t": t, "sgd_phase": sgd_phase(t)}))
+            records.append(TraceRecord._from(vars(records[-1]), {"tick": k, "t": t}))
             k += 1
             continue
         pose = Pose(position=user_pos, head_forward=head, gaze_forward=gaze, timestamp=t)
@@ -423,14 +427,11 @@ def run_scenario(
             icon_active=ti.icon_active,
             icon_anchor=ti.icon_anchor.to_tuple(),
             sgd_active=sg.active,
-            sgd_phase=sg.phase_on,
             sgd_center=sg.region_center.to_tuple(),
             speaker=turns[turn_idx].speaker,
         )
-        # Equal raw values canonicalize equally; sgd_phase may have flipped
-        # on a repeated tick since the last simulated one.
+        # Equal raw values canonicalize equally.
         changes = {name: v for name, v in raw.items() if name not in last_raw or v != last_raw[name]}
-        changes["sgd_phase"] = raw["sgd_phase"]
         records.append(TraceRecord._from(vars(records[-1]) if records else {}, changes))
         last_raw = raw
         still = state if sess.settled(state, t, config) else None

@@ -151,19 +151,15 @@ def _target_angles(pose: Pose, to_target: Vec3) -> tuple[float, float]:
 
 
 def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> tuple:
-    """(position, target, config, to_target, head, gaze, gaze theta, env theta,
-    point, spot, sound position) for a signaled tick. The last tick's to_target
-    still holds while its position, target and config objects come back, and
-    all of it while its head and gaze objects come back too."""
+    """(position, target, config, head, gaze, gaze theta, env theta, point, spot,
+    sound position) for a signaled tick: the last tick's while its position,
+    target, config, head and gaze objects all come back."""
     last = state.cues
     position, head, gaze = pose.position, pose.head_forward, pose.gaze_forward
-    if last and last[0] is position and last[1] is target and last[2] is config:
-        if last[4] is head and last[5] is gaze:
-            return last
-        to_target = last[3]
-    else:
-        to_target = direction_to(position, target)
-    head_theta, gaze_theta = _target_angles(pose, to_target)
+    if last and (last[0] is position and last[1] is target and last[2] is config
+                 and last[3] is head and last[4] is gaze):
+        return last
+    head_theta, gaze_theta = _target_angles(pose, direction_to(position, target))
     in_view = angle_in_viewport(head_theta, config.viewport_half_angle)
     point = point_light(
         pose, target, head_theta, in_view, state.head_range,
@@ -178,8 +174,7 @@ def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> 
         position, target, head_theta, state.head_range, config.sound_easing
     )
     env_theta = angular_deviation(gaze, state.signal_gaze)
-    return (position, target, config, to_target, head, gaze,
-            gaze_theta, env_theta, point, spot, sound_pos)
+    return (position, target, config, head, gaze, gaze_theta, env_theta, point, spot, sound_pos)
 
 
 def _quiet_frame(
@@ -262,7 +257,7 @@ def tick(
     elapsed = ts - state.signal_time
 
     cues = _cues(state, pose, target, config)
-    gaze_theta, env_theta, point, spot, sound_pos = cues[6:]
+    gaze_theta, env_theta, point, spot, sound_pos = cues[5:]
     env = env_light_with_fade(elapsed, env_theta, state.original_env, state.gaze_range,
                               config.env_levels, config.gamma_env, config.fade_duration)
 

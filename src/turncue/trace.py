@@ -177,7 +177,6 @@ class TraceRecord(_Canonical):
     icon_active: bool
     icon_anchor: Triple
     sgd_active: bool
-    sgd_phase: bool
     sgd_center: Triple
     speaker: str
 
@@ -265,6 +264,9 @@ def read_trace(text: str) -> Trace:
         kind = obj.pop("kind", None) if isinstance(obj, dict) else None
         try:
             if kind == "frame":
+                # Older files carry the flicker phase, a function of t: checked, then dropped.
+                if type(phase := obj.pop("sgd_phase", False)) is not bool:
+                    raise TraceIntegrityError(f"sgd_phase={phase!r} is not a valid bool")
                 rec = TraceRecord._from(prev, obj)
                 if rec.tick != len(records):
                     raise TraceIntegrityError(f"tick {rec.tick} where {len(records)} was expected")

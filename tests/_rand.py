@@ -1,5 +1,6 @@
-"""Shared builders for synthetic trace records used across test modules."""
+"""Shared builders and digests for trace records used across test modules."""
 
+import hashlib
 import random
 
 from turncue.trace import Trace, TraceMeta, TraceRecord
@@ -52,7 +53,6 @@ def make_record(tick, t, state="idle", rt=None, in_view=None, role=None, speaker
         icon_active=False,
         icon_anchor=(2.0, 1.4, 0.0),
         sgd_active=False,
-        sgd_phase=True,
         sgd_center=(2.0, 1.0, 0.0),
         speaker=speaker,
     )
@@ -97,7 +97,6 @@ def random_record(rng: random.Random, tick: int) -> TraceRecord:
         icon_active=rng.random() < 0.5,
         icon_anchor=triple(),
         sgd_active=rng.random() < 0.5,
-        sgd_phase=rng.random() < 0.5,
         sgd_center=triple(),
         speaker=rng.choice(("user", "a1", "a2")),
     )
@@ -108,3 +107,27 @@ def random_trace(rng: random.Random, n_records: int) -> Trace:
         meta=make_meta(seed=rng.randrange(10_000)),
         records=tuple(random_record(rng, i) for i in range(n_records)),
     )
+
+
+def record_digest(traces) -> str:
+    """sha256 of the records' behaviour fields, rendered independently of the
+    file format (perfbench's record digest, the meta's geometry aside)."""
+    def canon(value) -> str:
+        if value is None:
+            return "~"
+        if isinstance(value, bool):
+            return "T" if value else "F"
+        if isinstance(value, float):
+            return format(value, ".9g")
+        if isinstance(value, tuple):
+            return "(" + ",".join(map(canon, value)) + ")"
+        return repr(value)
+
+    meta_fields = ("method", "role", "topic", "participant", "user_seat", "names")
+    fields = list(TraceRecord._plan)
+    h = hashlib.sha256()
+    for trace in traces:
+        h.update(("M|" + "|".join(canon(getattr(trace.meta, name)) for name in meta_fields) + "\n").encode())
+        for rec in trace.records:
+            h.update(("|".join(canon(getattr(rec, name)) for name in fields) + "\n").encode())
+    return h.hexdigest()

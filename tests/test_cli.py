@@ -3,13 +3,15 @@ import re
 from pathlib import Path
 
 import pytest
+from _rand import record_digest
 
+import turncue.scenario
 from turncue.cli import cli
 from turncue.config import GuidanceConfig
 from turncue.geometry import AngularRange
 from turncue.lights import env_light_intensity, point_light_color, spot_cone_angle, spot_intensity
 from turncue.metrics import extract_metrics, metrics_to_csv
-from turncue.trace import TraceRecord, read_trace
+from turncue.trace import read_trace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -160,30 +162,6 @@ def test_suite_with_zero_subtlety_runs(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("method,view,role,n,")
 
 
-def _record_digest(traces) -> str:
-    """sha256 of the records' behaviour fields, rendered independently of the
-    file format (perfbench's record digest, sgd_phase and the meta's geometry aside)."""
-    def canon(value) -> str:
-        if value is None:
-            return "~"
-        if isinstance(value, bool):
-            return "T" if value else "F"
-        if isinstance(value, float):
-            return format(value, ".9g")
-        if isinstance(value, tuple):
-            return "(" + ",".join(map(canon, value)) + ")"
-        return repr(value)
-
-    meta_fields = ("method", "role", "topic", "participant", "user_seat", "names")
-    fields = [name for name in TraceRecord._plan if name != "sgd_phase"]
-    h = hashlib.sha256()
-    for trace in traces:
-        h.update(("M|" + "|".join(canon(getattr(trace.meta, name)) for name in meta_fields) + "\n").encode())
-        for rec in trace.records:
-            h.update(("|".join(canon(getattr(rec, name)) for name in fields) + "\n").encode())
-    return h.hexdigest()
-
-
 def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
     # The reference run pinned in ROADMAP.md: any change to the read-back
     # records or to the summary CSV is a change of behaviour; the file bytes
@@ -196,9 +174,9 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
     csv = capsys.readouterr().out
     files = sorted(out_dir.iterdir())
     assert hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest() == (
-        "613ce29e19532d3d77347a6983149702bd10817c4e5531b79f06fd55e7361aba"
+        "0d173dcfc35122bb817d6ed452f6b75ea8b575989b6c299230471924b9ffdd2f"
     )
-    assert _record_digest(read_trace(f.read_text()) for f in files) == (
+    assert record_digest(read_trace(f.read_text()) for f in files) == (
         "1cc6046d229a1b9debf701dcbe0ec45edc91e3eec62747395a82b57e6c696578"
     )
     assert hashlib.md5(csv.encode()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
@@ -216,11 +194,17 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
         (["suite", "--plan", "{cfg}", "--jobs", "0"], "[plan]\n", "jobs"),
         (["suite", "--plan", "{cfg}", "--participants", "-2"], "[plan]\n", "participants"),
         (["simulate", "--script", "{cfg}", "--participant", "-4"], "[scenario]\n", "participant=-4"),
+        (["simulate", "--script", "{cfg}", "--dt", "1e-9"], "[scenario]\nrole = listener\n",
+         "dt=1e-09 and turn durations (10, 10, 12) s allow 6.8e+10 ticks, over 1000000"),
+        (["simulate", "--script", "{cfg}"], "[scenario]\nturns = a1:10 | a2:1e300\n",
+         "dt=0.013888888888888888 and turn durations (10, 1e+300) s allow 7.2e+301 ticks, over 1000000"),
     ],
     ids=["ack_threshold-nan", "miss_timeout-inf", "head_speed-nan", "user_seat-range", "gamma-nan",
-         "gamma-sound", "jobs-0", "participants-negative", "participant-negative"],
+         "gamma-sound", "jobs-0", "participants-negative", "participant-negative", "dt-tiny", "turn-huge"],
 )
-def test_invalid_number_exits_one_naming_it(tmp_path, capsys, args, config, named):
+def test_invalid_number_exits_one_naming_it(tmp_path, capsys, monkeypatch, args, config, named):
+    # Each fails before the first tick: no record is built.
+    monkeypatch.setattr(turncue.scenario, "TraceRecord", None)
     cfg = tmp_path / "in.cfg"
     if config is not None:
         cfg.write_text(config)

@@ -1,18 +1,22 @@
 import hashlib
+import json
 import math
+import re
 import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from _rand import record_digest
 
 import turncue.scenario
 
 import turncue.session
 from turncue.audio import Role
+from turncue.baselines import sgd_phase
 from turncue.config import GuidanceConfig
 from turncue.configio import load_suite
-from turncue.errors import ScriptError
+from turncue.errors import ScriptError, TraceIntegrityError
 from turncue.geometry import Vec3, angular_deviation
 from turncue.scenario import (
     METHODS,
@@ -30,7 +34,7 @@ from turncue.scenario import (
     run_suite,
     validate_script,
 )
-from turncue.trace import TraceRecord, write_trace
+from turncue.trace import TraceRecord, read_trace, write_trace
 
 CFG = GuidanceConfig()
 FAST_DT = 0.05
@@ -113,6 +117,24 @@ def test_validate_rejects_bad_seat_coordinates_naming_the_field(change, named):
         run_scenario(bad, GazeAgentModel(), CFG, dt=FAST_DT)
 
 
+@pytest.mark.parametrize(
+    "script,dt",
+    [
+        (default_script(Method.LIGHT_AUDIO, Role.LISTENER), 1e-9),
+        (replace(right_angle_script(), turn_order=(Turn("a1", 10.0), Turn("a2", 1e300))), 1.0 / 72.0),
+        (replace(right_angle_script(), turn_order=(Turn("a1", 10.0), Turn("a2", 1e300))), 1e-9),
+    ],
+    ids=["tiny-dt", "huge-turn", "huge-turn-tiny-dt"],
+)
+def test_scenario_beyond_the_tick_bound_fails_before_any_record(monkeypatch, script, dt):
+    # The bound is checked as a float, before the loop: with no TraceRecord
+    # to build, any tick that ran would fail otherwise.
+    monkeypatch.setattr(turncue.scenario, "TraceRecord", None)
+    durations = ", ".join(f"{turn.duration:g}" for turn in script.turn_order)
+    with pytest.raises(ScriptError, match="^" + re.escape(f"dt={dt} and turn durations ({durations}) s allow ")):
+        run_scenario(script, GazeAgentModel(), CFG, dt=dt)
+
+
 def test_rotate_toward_reaches_and_caps():
     a = Vec3(0.0, 0.0, 1.0)
     b = Vec3(1.0, 0.0, 0.0)
@@ -189,18 +211,53 @@ def test_same_seed_byte_identical():
 def test_user_opening_gaze_lead_traces_match_pinned_digest():
     # The user speaks first, so the head rests on the first agent to speak
     # later, and gaze leads the head toward each target: two branches the
-    # study golden test never reaches.
+    # study golden test never reaches. The file bytes move with the trace
+    # format; the read-back records move only with behaviour.
     turns = (Turn(USER_ID, 3.0), Turn("a2", 4.0), Turn(USER_ID, 3.0), Turn("a4", 2.0))
     agent = GazeAgentModel(head_speed=60.0, gaze_lead=5.0, seed=5)
-    digest = hashlib.sha256()
+    digest, traces = hashlib.sha256(), []
     for method in METHODS:
         script = ScenarioScript(
             seats=hexagon_seats(), user_seat_index=0, role=Role.SPEAKER, method=method,
             turn_order=turns, signal_offset=1.5,
         )
         trace = run_scenario(script, agent, CFG, dt=1.0 / 30.0, seed=9)
-        digest.update(write_trace(trace.records, trace.meta).encode())
-    assert digest.hexdigest() == "05bb2da0fa8fa5b71caed82c7df3649d4b208a13882360c02aa12b3b46a2d232"
+        text = write_trace(trace.records, trace.meta)
+        digest.update(text.encode())
+        traces.append(read_trace(text))
+    assert digest.hexdigest() == "e2a7ed452ca1aad39fc5f45ab3e1fc971fcdfd2296667cd3edaec21ec421fd8b"
+    assert record_digest(traces) == "a5b351e17260cf3a3ac992b666cfca2914afd54d45c5be5dc24d3ca321d2f925"
+
+
+@pytest.mark.parametrize("dt", [1 / 30, 1 / 45, 1 / 60, 1 / 72, 1 / 90, 1 / 120, 1 / 144, 0.1])
+def test_flicker_phase_follows_from_each_read_back_t(dt):
+    # A record holds no flicker phase: sgd_phase of a read-back frame's t
+    # must be the phase the loop drew at that tick, sgd_phase(k * dt).
+    trace = run_scenario(default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), CFG, dt=dt, seed=3)
+    records = read_trace(write_trace(trace.records, trace.meta)).records
+    assert [sgd_phase(rec.t) for rec in records] == [sgd_phase(k * dt) for k in range(len(records))]
+    assert any(rec.sgd_active for rec in records)
+
+
+@pytest.mark.parametrize("every_frame", [True, False], ids=["full-frames", "delta-frames"])
+def test_trace_with_the_legacy_flicker_phase_reads_to_the_same_records(every_frame):
+    # Older files carry sgd_phase on their frames: on every frame, or, since
+    # delta frames, where it changed. The reader checks it is a bool and
+    # drops it.
+    dt = 1 / 72
+    trace = run_scenario(default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), CFG, dt=dt, seed=3)
+    lines = write_trace(trace.records, trace.meta).splitlines(keepends=True)
+    last = None
+    for k in range(len(trace.records)):
+        phase = sgd_phase(k * dt)
+        if every_frame or phase != last:
+            lines[k + 1] = lines[k + 1].replace('"kind":"frame"', f'"kind":"frame","sgd_phase":{json.dumps(phase)}')
+        last = phase
+    assert '"sgd_phase":false' in lines[5]  # tick 4, t = 0.056: the phase turns off
+    assert read_trace("".join(lines)) == trace
+    lines[5] = lines[5].replace('"sgd_phase":false', '"sgd_phase":"yes"')
+    with pytest.raises(TraceIntegrityError, match="^line 6: sgd_phase='yes' is not a valid bool$"):
+        read_trace("".join(lines))
 
 
 def test_different_seed_changes_latency_draws():

@@ -229,7 +229,7 @@ def _fresh_copy(rec: TraceRecord) -> TraceRecord:
 
 def _repeat(rec: TraceRecord, k: int) -> TraceRecord:
     """rec at tick k, sharing its value objects, as the scenario loop repeats a settled tick."""
-    return TraceRecord._from(vars(rec), {"tick": k, "t": k * 0.1, "sgd_phase": k % 2 == 0})
+    return TraceRecord._from(vars(rec), {"tick": k, "t": k * 0.1})
 
 
 def test_frame_text_does_not_depend_on_shared_value_objects():
