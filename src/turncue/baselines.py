@@ -31,7 +31,6 @@ class TextIconState:
 @dataclass(frozen=True)
 class SgdState:
     active: bool
-    flicker_hz: float
     region_center: Vec3
     phase_on: bool
 
@@ -79,7 +78,6 @@ def sgd_state(
         active = gaze_dev > align_threshold
     return SgdState(
         active=active,
-        flicker_hz=FLICKER_HZ,
         region_center=target,
         phase_on=sgd_phase(now),
     )

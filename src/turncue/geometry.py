@@ -50,8 +50,8 @@ class Vec3:
             raise DegenerateGeometryError("cannot normalize a zero-length vector")
         return Vec3(self.x / n, self.y / n, self.z / n)
 
-    def is_unit(self, tol: float = UNIT_TOLERANCE) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_unit(self) -> bool:
+        return abs(self.norm() - 1.0) <= UNIT_TOLERANCE
 
     def to_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -98,7 +98,6 @@ class AngularRange:
 class DeviationReference(Enum):
     """Which pair of directions a channel's running angle is measured between."""
 
-    GAZE_AT_SIGNAL = "gaze_at_signal"
     HEAD_TO_TARGET = "head_to_target"
     GAZE_TO_TARGET = "gaze_to_target"
 
@@ -135,18 +134,9 @@ def deviation_to_target(
     pose: Pose,
     target: Vec3,
     ref: DeviationReference,
-    signal_gaze: Vec3 | None = None,
 ) -> float:
-    """Running angle for one cue channel, per its reference frame.
-
-    GAZE_AT_SIGNAL measures current gaze against the gaze captured at the
-    signal instant (signal_gaze required); the other two measure against the
-    direction from the user to the target.
-    """
-    if ref is DeviationReference.GAZE_AT_SIGNAL:
-        if signal_gaze is None:
-            raise ConfigError("GAZE_AT_SIGNAL reference requires signal_gaze")
-        return angular_deviation(pose.gaze_forward, signal_gaze)
+    """Running angle for one cue channel: head or gaze against the direction
+    from the user to the target."""
     to_target = direction_to(pose.position, target)
     if ref is DeviationReference.HEAD_TO_TARGET:
         return angular_deviation(pose.head_forward, to_target)

@@ -40,17 +40,12 @@ class MetricsSummary:
     cells: dict[CellKey, CellStats]
 
 
-@dataclass
-class _SessionOutcome:
-    key: CellKey
-    rt: float | None  # None means missed
-
-
-def _scan_trace(trace: Trace) -> list[_SessionOutcome]:
+def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
+    """(cell, response time) per resolved session; the time is None for a miss."""
     if trace.meta is None:
         raise TraceIntegrityError("trace has no meta line; method is unknown")
     method = trace.meta.method
-    outcomes: list[_SessionOutcome] = []
+    outcomes: list[tuple[CellKey, float | None]] = []
     prev = "idle"
     open_tick: int | None = None  # the tick that signaled the open session
     for rec in trace.records:
@@ -79,9 +74,7 @@ def _scan_trace(trace: Trace) -> list[_SessionOutcome]:
                     raise TraceIntegrityError(
                         f"tick {rec.tick}: acknowledged frame lacks a response time"
                     )
-                outcomes.append(_SessionOutcome(key, rec.rt))
-            else:
-                outcomes.append(_SessionOutcome(key, None))
+            outcomes.append((key, rec.rt if rec.state == "acknowledged" else None))
             open_tick = None
         prev = rec.state
     if open_tick is not None:
@@ -93,8 +86,8 @@ def extract_metrics(traces: Iterable[Trace]) -> MetricsSummary:
     """Group session outcomes by (method, view, role), scanning each trace before taking the next."""
     grouped: dict[CellKey, list[float | None]] = {}
     for trace in traces:
-        for outcome in _scan_trace(trace):
-            grouped.setdefault(outcome.key, []).append(outcome.rt)
+        for key, rt in _scan_trace(trace):
+            grouped.setdefault(key, []).append(rt)
     cells: dict[CellKey, CellStats] = {}
     for key, rts in grouped.items():
         acked = [r for r in rts if r is not None]

@@ -343,6 +343,7 @@ def run_scenario(
     head = rest_dirs[0]
     # The state, head and turn of the last simulated tick while its session is
     # settled: until one moves or a signal fires, each tick repeats its record.
+    # A settled session is never signaled, so its gaze is its head.
     still = still_head = still_turn = None
 
     # Each method presents only its own channels; the others stay at rest.
@@ -370,7 +371,7 @@ def run_scenario(
         lead = agent.gaze_lead > 0.0 and isinstance(state, sess.Signaled)
         gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
         fires = signal_tick is not None and k >= signal_tick
-        if state is still and head is still_head and gaze is head and turn_idx == still_turn and not fires:
+        if state is still and head is still_head and turn_idx == still_turn and not fires:
             records.append(TraceRecord._from(vars(records[-1]), {"tick": k, "t": t}))
             k += 1
             continue

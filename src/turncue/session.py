@@ -23,6 +23,7 @@ from .errors import ConcurrentSignalError, ConfigError, TraceOrderError
 from .geometry import (
     AngularRange,
     Pose,
+    Side,
     Vec3,
     angle_in_viewport,
     angular_deviation,
@@ -58,7 +59,6 @@ class Signaled:
     signal_gaze: Vec3
     gaze_range: AngularRange
     head_range: AngularRange
-    original_env: float
     role: Role
     target_in_view_at_signal: bool
     chimes: tuple[float, ...]
@@ -75,7 +75,6 @@ class Acknowledged:
     response_time: float
     ack_time: float
     env_at_end: float
-    original_env: float
     role: Role
     target_in_view_at_signal: bool
 
@@ -84,7 +83,6 @@ class Acknowledged:
 class Missed:
     miss_time: float
     env_at_end: float
-    original_env: float
     role: Role
     target_in_view_at_signal: bool
 
@@ -110,7 +108,6 @@ def begin_signal(
     target: Vec3,
     role: Role,
     config: GuidanceConfig,
-    original_env: float | None = None,
 ) -> Signaled:
     """Capture reference frames and open a session for one new-speaker signal.
 
@@ -124,22 +121,15 @@ def begin_signal(
         )
     head_theta, gaze_theta = _target_angles(pose, direction_to(pose.position, target))
     floor = config.theta_min + MIN_RANGE_WIDTH
+    gaze_range = AngularRange(config.theta_min, max(gaze_theta, floor))
+    head_range = AngularRange(config.theta_min, max(head_theta, floor))
+    in_view = angle_in_viewport(head_theta, config.viewport_half_angle)
 
     repeats = max(1, round(config.chime_max_repeats * config.subtlety))
-    interval = config.chime_repeat_interval if repeats > 1 else None
-    chimes = tuple(audio.chime_schedule(pose.timestamp, interval, repeats))
+    chimes = tuple(audio.chime_schedule(pose.timestamp, config.chime_repeat_interval, repeats))
 
-    return Signaled(
-        signal_time=pose.timestamp,
-        signal_gaze=pose.gaze_forward,
-        gaze_range=AngularRange(config.theta_min, max(gaze_theta, floor)),
-        head_range=AngularRange(config.theta_min, max(head_theta, floor)),
-        original_env=config.env_levels.l_max if original_env is None else original_env,
-        role=role,
-        target_in_view_at_signal=angle_in_viewport(head_theta, config.viewport_half_angle),
-        chimes=chimes,
-        last_timestamp=pose.timestamp,
-    )
+    return Signaled(pose.timestamp, pose.gaze_forward, gaze_range, head_range, role, in_view,
+                    chimes, last_timestamp=pose.timestamp)
 
 
 def _target_angles(pose: Pose, to_target: Vec3) -> tuple[float, float]:
@@ -186,11 +176,12 @@ def _quiet_frame(
 ) -> CueFrame:
     """Frame with every cue off: idle sessions and terminal states.
 
-    The point light keeps only its side and head-affixed position.
+    The point light keeps only its side and head-affixed position; with no
+    target it sits at the user, on the side a dead-ahead tie resolves to.
     """
     if target is None:
         aim = position = pose.position
-        side = lateral_side(pose, pose.position + pose.head_forward)
+        side = Side.RIGHT
     else:
         aim = target
         side = lateral_side(pose, target)
@@ -232,7 +223,7 @@ def tick(
     Contiguous gaze dwell of ack_dwell seconds within ack_threshold of the
     target acknowledges the signal; miss_timeout seconds without it misses.
     After either terminal the cues deactivate and the environment light
-    returns to its pre-signal value over the fade profile.
+    returns to env_levels.l_max over the fade profile.
     """
     if dt <= 0.0:
         raise ConfigError(f"dt={dt} must be > 0")
@@ -242,7 +233,7 @@ def tick(
 
     if isinstance(state, (Acknowledged, Missed)):
         fraction = _fade_fraction(state, pose.timestamp, config.fade_duration)
-        env = lerp(state.env_at_end, state.original_env, fraction)
+        env = lerp(state.env_at_end, config.env_levels.l_max, fraction)
         tag = "acknowledged" if isinstance(state, Acknowledged) else "missed"
         return state, _quiet_frame(pose, target, config, env, tag)
 
@@ -258,7 +249,7 @@ def tick(
 
     cues = _cues(state, pose, target, config)
     gaze_theta, env_theta, point, spot, sound_pos = cues[5:]
-    env = env_light_with_fade(elapsed, env_theta, state.original_env, state.gaze_range,
+    env = env_light_with_fade(elapsed, env_theta, config.env_levels.l_max, state.gaze_range,
                               config.env_levels, config.gamma_env, config.fade_duration)
 
     if gaze_theta <= config.ack_threshold:
@@ -268,12 +259,11 @@ def tick(
         alignment_start = None
         dwell = 0.0
 
-    if dwell >= config.ack_dwell and alignment_start is not None:
+    if dwell >= config.ack_dwell:
         ack = Acknowledged(
             response_time=alignment_start - state.signal_time,
             ack_time=ts,
             env_at_end=env,
-            original_env=state.original_env,
             role=state.role,
             target_in_view_at_signal=state.target_in_view_at_signal,
         )
@@ -283,7 +273,6 @@ def tick(
         miss = Missed(
             miss_time=ts,
             env_at_end=env,
-            original_env=state.original_env,
             role=state.role,
             target_in_view_at_signal=state.target_in_view_at_signal,
         )
@@ -298,7 +287,7 @@ def tick(
 
     new_state = Signaled(
         state.signal_time, state.signal_gaze, state.gaze_range, state.head_range,
-        state.original_env, state.role, state.target_in_view_at_signal, state.chimes,
+        state.role, state.target_in_view_at_signal, state.chimes,
         dwell, alignment_start, ts,
     )
     object.__setattr__(new_state, "cues", cues)

@@ -1,7 +1,7 @@
 import pytest
 
 from turncue.audio import Role
-from turncue.baselines import sgd_phase, sgd_state, text_icon_state
+from turncue.baselines import FLICKER_HZ, sgd_phase, sgd_state, text_icon_state
 from turncue.config import GuidanceConfig
 from turncue.geometry import Pose, Vec3
 from turncue.session import IDLE, begin_signal, tick
@@ -56,7 +56,7 @@ def test_sgd_active_and_phase_on_early():
     s = sgd_state(signaled_state(), pose(0.01, AHEAD), TARGET, 0.01, CFG.ack_threshold)
     assert s.active
     assert s.phase_on
-    assert s.flicker_hz == 10.0
+    assert FLICKER_HZ == 10.0
 
 
 def test_sgd_phase_off_in_second_half_period():

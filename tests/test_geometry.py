@@ -61,11 +61,6 @@ def test_angular_deviation_symmetric_and_bounded():
         assert 0.0 <= d1 <= 180.0
 
 
-def test_deviation_to_target_at_signal_moment():
-    p = pose_at(gaze=X)
-    assert deviation_to_target(p, Vec3(5, 5, 5), DeviationReference.GAZE_AT_SIGNAL, signal_gaze=X) == 0.0
-
-
 def test_deviation_to_target_head_reference():
     p = pose_at(head=X)
     assert deviation_to_target(p, Vec3(0, 0, 2), DeviationReference.HEAD_TO_TARGET) == pytest.approx(90.0)

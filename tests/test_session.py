@@ -6,7 +6,8 @@ import pytest
 from turncue.audio import Role
 from turncue.config import GuidanceConfig
 from turncue.errors import ConcurrentSignalError, TraceOrderError
-from turncue.geometry import AngularRange, Pose, Vec3
+from turncue.geometry import AngularRange, Pose, Side, Vec3
+from turncue.scenario import hexagon_seats
 from turncue.session import (
     IDLE,
     Acknowledged,
@@ -122,6 +123,20 @@ def test_tick_on_idle_is_noop_frame():
     assert frame.duck_gain == 1.0
 
 
+def test_point_light_without_a_target_sits_right_at_every_hexagon_seat():
+    # Facing any other seat from any seat, with no target the point light's
+    # side is the documented dead-ahead tie, RIGHT, not a rounding accident.
+    seats = hexagon_seats()
+    for user in seats:
+        for resting in seats:
+            if resting is user:
+                continue
+            facing = (resting - user).normalized()
+            p = Pose(position=user, head_forward=facing, gaze_forward=facing, timestamp=0.0)
+            _, frame = tick(IDLE, p, None, DT, CFG)
+            assert frame.point.side is Side.RIGHT, (seats.index(user), seats.index(resting))
+
+
 def test_non_monotone_timestamp_rejected():
     state = begin_signal(IDLE, pose(1.0, AHEAD), TARGET, Role.LISTENER, CFG)
     state, _ = tick(state, pose(1.1, AHEAD), TARGET, DT, CFG)
@@ -161,9 +176,9 @@ def test_env_restores_after_acknowledgment():
     assert isinstance(state, Acknowledged)
     # restoration follows the same 2 s profile from the ack-time value
     _, frame = tick(state, pose(state.ack_time + CFG.fade_duration, AT_TARGET), TARGET, DT, CFG)
-    assert frame.env_intensity == pytest.approx(state.original_env, abs=1e-12)
+    assert frame.env_intensity == pytest.approx(CFG.env_levels.l_max, abs=1e-12)
     _, halfway = tick(state, pose(state.ack_time + CFG.fade_duration / 2, AT_TARGET), TARGET, DT, CFG)
-    expected = state.env_at_end + (state.original_env - state.env_at_end) * 0.5
+    expected = state.env_at_end + (CFG.env_levels.l_max - state.env_at_end) * 0.5
     assert halfway.env_intensity == pytest.approx(expected, abs=1e-12)
 
 
@@ -196,6 +211,30 @@ def test_zero_subtlety_disables_the_duck():
     state, frame = tick(state, pose(0.5, AHEAD), TARGET, DT, cfg)
     assert frame.sound.chime_active
     assert frame.duck_gain == 1.0
+
+
+def _chime_timeline(role: Role, cfg: GuidanceConfig, dt: float = 0.125):
+    """(t, chime active, duck gain) at every tick of a session signaled at
+    t=0 and held 90 degrees off its target until the tick before its miss."""
+    state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, role, cfg)
+    timeline = []
+    for k in range(round(cfg.miss_timeout / dt)):
+        state, frame = tick(state, pose(k * dt, AHEAD), TARGET, dt, cfg)
+        assert isinstance(state, Signaled)
+        timeline.append((k * dt, frame.sound.chime_active, frame.duck_gain))
+    return timeline
+
+
+def test_repeated_chimes_duck_a_listener_inside_each_chime_window():
+    cfg = GuidanceConfig(chime_max_repeats=3, chime_repeat_interval=1.5, duck_duration=1.0)
+    for role, gain in ((Role.LISTENER, cfg.duck_gain), (Role.SPEAKER, 1.0)):
+        for t, chime, duck in _chime_timeline(role, cfg):
+            inside = any(c <= t < c + 1.0 for c in (0.0, 1.5, 3.0))
+            assert (chime, duck) == (inside, gain if inside else 1.0), (role, t)
+    # Subtlety 0.5 plays round(3 * 0.5) = 2 chimes at a shallower duck.
+    for t, chime, duck in _chime_timeline(Role.LISTENER, replace(cfg, subtlety=0.5)):
+        inside = any(c <= t < c + 1.0 for c in (0.0, 1.5))
+        assert (chime, duck) == (inside, 0.75 if inside else 1.0), t
 
 
 def test_duck_integral_over_containing_interval():
