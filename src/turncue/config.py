@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .lights import ColorRGB, LightLevels, SpotlightGeometry
 
+# Minimum captured range width, degrees: keeps the cue formulas well-defined
+# when a signal arrives with the user already aligned.
+MIN_RANGE_WIDTH = 1.0
+
 
 @dataclass(frozen=True)
 class GuidanceConfig:
@@ -56,8 +60,8 @@ class GuidanceConfig:
                 raise ConfigError(f"{name}={getattr(self, name)} must be finite and > 0")
         if not 0.0 <= self.duck_gain < 1.0:
             raise ConfigError(f"duck_gain={self.duck_gain} must lie in [0, 1)")
-        if not 0.0 <= self.theta_min < 180.0:
-            raise ConfigError(f"theta_min={self.theta_min} must lie in [0, 180)")
+        if not 0.0 <= self.theta_min <= 180.0 - MIN_RANGE_WIDTH:
+            raise ConfigError(f"theta_min={self.theta_min} must lie in [0, {180.0 - MIN_RANGE_WIDTH:g}]")
         if self.sound_easing not in ("linear", "cosine"):
             raise ConfigError(f"sound_easing='{self.sound_easing}' must be linear or cosine")
         if self.chime_max_repeats < 1:

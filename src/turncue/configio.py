@@ -27,9 +27,7 @@ from .scenario import (
     ScenarioScript,
     StudyPlan,
     Turn,
-    default_desk_anchor,
     default_script,
-    validate_script,
 )
 
 
@@ -215,11 +213,7 @@ def script_from_sections(sections: dict) -> ScenarioScript:
         values.pop("method", Method.LIGHT_AUDIO), values.pop("role", Role.LISTENER),
         user_seat_index=user_seat, **layout,
     )
-    script = replace(base, **{"turn_order" if k == "turns" else k: v for k, v in values.items()})
-    validate_script(script)
-    if "seats" in values and "desk_anchor" not in values:
-        script = replace(script, desk_anchor=default_desk_anchor(script.seats, user_seat))
-    return script
+    return replace(base, **{"turn_order" if k == "turns" else k: v for k, v in values.items()})
 
 
 def plan_from_sections(sections: dict) -> StudyPlan:

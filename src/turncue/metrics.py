@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .audio import Role
 from .errors import TraceIntegrityError
 from .trace import Trace
 
@@ -22,6 +23,7 @@ _ALLOWED = {
 }
 
 CellKey = tuple[str, str, str]  # (method, "in"/"out", "speaker"/"listener")
+_ROLES = {role.value for role in Role}
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,8 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
                 )
             if rec.in_view is None or rec.role is None:
                 raise TraceIntegrityError(f"tick {rec.tick}: terminal frame lacks view/role")
+            if rec.role not in _ROLES:
+                raise TraceIntegrityError(f"tick {rec.tick}: unknown role '{rec.role}'")
             key = (method, "in" if rec.in_view else "out", rec.role)
             if rec.state == "acknowledged":
                 if rec.rt is None:

@@ -73,10 +73,16 @@ class Turn:
     speaker: str
     duration: float
 
+    def __post_init__(self) -> None:
+        if self.speaker not in (USER_ID, *AGENT_IDS):
+            raise ScriptError(f"turn references unknown speaker id '{self.speaker}'")
+        if not 0.0 < self.duration < math.inf:
+            raise ScriptError(f"turn duration {self.duration} for '{self.speaker}' must be finite and > 0")
+
 
 @dataclass(frozen=True)
 class ScenarioScript:
-    """One trial: seat layout, method, role designation, turn schedule."""
+    """One trial: seat layout, method, role designation, turn schedule; checked when built."""
 
     seats: tuple[Vec3, ...]
     user_seat_index: int
@@ -85,8 +91,30 @@ class ScenarioScript:
     turn_order: tuple[Turn, ...]
     signal_offset: float = 5.0
     topic: int = 0
-    desk_anchor: Vec3 | None = None
+    desk_anchor: Vec3 | None = None  # None: the default desk, which run_scenario resolves
     names: tuple[str, ...] = ("Agent1", "Agent2", "Agent3", "Agent4", "Agent5")
+
+    def __post_init__(self) -> None:
+        if len(self.seats) != AGENT_COUNT + 1:
+            raise ScriptError(
+                f"seats: expected {AGENT_COUNT + 1} entries (user + {AGENT_COUNT} agents), got {len(self.seats)}"
+            )
+        if not 0 <= self.user_seat_index < len(self.seats):
+            raise ScriptError(f"user_seat_index={self.user_seat_index} out of range")
+        user = self.seats[self.user_seat_index]
+        for i, seat in enumerate(self.seats):
+            if not all(map(math.isfinite, seat.to_tuple())):
+                raise ScriptError(f"seats[{i}]={seat.to_tuple()} must be finite")
+            if i != self.user_seat_index and (seat - user).norm() <= 1e-12:
+                raise ScriptError(f"seats[{i}]={seat.to_tuple()} coincides with the user's seat")
+        if self.desk_anchor is not None and not all(map(math.isfinite, self.desk_anchor.to_tuple())):
+            raise ScriptError(f"desk_anchor={self.desk_anchor.to_tuple()} must be finite")
+        if len(self.names) != AGENT_COUNT:
+            raise ScriptError(f"names: expected {AGENT_COUNT}, got {len(self.names)}")
+        if not self.turn_order:
+            raise ScriptError("turn_order is empty")
+        if not 0.0 < self.signal_offset < math.inf:
+            raise ScriptError(f"signal_offset={self.signal_offset} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -136,36 +164,6 @@ def display_name(script: ScenarioScript, who: str) -> str:
     return script.names[int(who[1:]) - 1]
 
 
-def validate_script(script: ScenarioScript) -> None:
-    """Reject a malformed script before any simulation runs."""
-    if len(script.seats) != AGENT_COUNT + 1:
-        raise ScriptError(
-            f"seats: expected {AGENT_COUNT + 1} entries (user + {AGENT_COUNT} agents), got {len(script.seats)}"
-        )
-    if not 0 <= script.user_seat_index < len(script.seats):
-        raise ScriptError(f"user_seat_index={script.user_seat_index} out of range")
-    user = script.seats[script.user_seat_index]
-    for i, seat in enumerate(script.seats):
-        if not all(map(math.isfinite, seat.to_tuple())):
-            raise ScriptError(f"seats[{i}]={seat.to_tuple()} must be finite")
-        if i != script.user_seat_index and (seat - user).norm() <= 1e-12:
-            raise ScriptError(f"seats[{i}]={seat.to_tuple()} coincides with the user's seat")
-    if script.desk_anchor is not None and not all(map(math.isfinite, script.desk_anchor.to_tuple())):
-        raise ScriptError(f"desk_anchor={script.desk_anchor.to_tuple()} must be finite")
-    if len(script.names) != AGENT_COUNT:
-        raise ScriptError(f"names: expected {AGENT_COUNT}, got {len(script.names)}")
-    if not script.turn_order:
-        raise ScriptError("turn_order is empty")
-    valid_ids = {USER_ID, *AGENT_IDS}
-    for turn in script.turn_order:
-        if turn.speaker not in valid_ids:
-            raise ScriptError(f"turn references unknown speaker id '{turn.speaker}'")
-        if not 0.0 < turn.duration < math.inf:
-            raise ScriptError(f"turn duration {turn.duration} for '{turn.speaker}' must be finite and > 0")
-    if not 0.0 < script.signal_offset < math.inf:
-        raise ScriptError(f"signal_offset={script.signal_offset} must be finite and > 0")
-
-
 def rotate_toward(current: Vec3, target_dir: Vec3, max_step_deg: float) -> Vec3:
     """Rotate a unit direction toward another by at most max_step_deg."""
     if current is target_dir or max_step_deg <= 0.0:
@@ -208,6 +206,8 @@ _IN_STEP = 2
 
 def hexagon_seats(radius: float = DEFAULT_SEAT_RADIUS, eye_height: float = DEFAULT_EYE_HEIGHT) -> tuple[Vec3, ...]:
     """Six seats evenly spaced around the table center."""
+    if not 0.0 < radius < math.inf:
+        raise ScriptError(f"seat_radius={radius} must be finite and > 0")
     seats = []
     for k in range(6):
         ang = math.radians(60.0 * k)
@@ -268,7 +268,6 @@ def default_script(
         method=method,
         turn_order=turns,
         topic=topic,
-        desk_anchor=default_desk_anchor(seats, user_seat_index),
         names=names,
     )
 
@@ -294,7 +293,6 @@ def run_scenario(
     scripted at the current turn's full duration. The final turn runs its
     scripted duration and ends the scenario.
     """
-    validate_script(script)
     if not 0.0 < dt <= 0.1:
         raise ScriptError(f"dt={dt} must lie in (0, 0.1]")
     if participant < 0:
@@ -480,6 +478,8 @@ class StudyPlan:
     def __post_init__(self) -> None:
         if self.participants < 0:
             raise ScriptError(f"participants={self.participants} must be >= 0")
+        if not 0.0 < self.seat_radius < math.inf:
+            raise ScriptError(f"seat_radius={self.seat_radius} must be finite and > 0")
 
 
 def randomize_presentation(plan: StudyPlan, seed: int) -> StudyPlan:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import audio
 from .audio import Role, SoundSourceState
-from .config import GuidanceConfig
+from .config import MIN_RANGE_WIDTH, GuidanceConfig
 from .errors import ConcurrentSignalError, ConfigError, TraceOrderError
 from .geometry import (
     AngularRange,
@@ -39,10 +39,6 @@ from .lights import (
     point_light_position,
     spotlight,
 )
-
-# Minimum captured range width, degrees: keeps the cue formulas well-defined
-# when a signal arrives with the user already aligned.
-MIN_RANGE_WIDTH = 1.0
 
 
 @dataclass(frozen=True)

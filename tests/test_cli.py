@@ -198,9 +198,17 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
          "dt=1e-09 and turn durations (10, 10, 12) s allow 6.8e+10 ticks, over 1000000"),
         (["simulate", "--script", "{cfg}"], "[scenario]\nturns = a1:10 | a2:1e300\n",
          "dt=0.013888888888888888 and turn durations (10, 1e+300) s allow 7.2e+301 ticks, over 1000000"),
+        (["simulate", "--script", "{cfg}"], "[scenario]\nmethod = light\n[session]\ntheta_min = 179.5\n",
+         "theta_min=179.5 must lie in [0, 179]"),
+        (["suite", "--plan", "{cfg}"], "[plan]\nseat_radius = -1.2\n", "seat_radius=-1.2 must be finite and > 0"),
+        (["suite", "--plan", "{cfg}"], "[plan]\nseat_radius = 0\n", "seat_radius=0.0 must be finite and > 0"),
+        (["simulate", "--script", "{cfg}"], "[scenario]\nseat_radius = -1\n",
+         "seat_radius=-1.0 must be finite and > 0"),
     ],
     ids=["ack_threshold-nan", "miss_timeout-inf", "head_speed-nan", "user_seat-range", "gamma-nan",
-         "gamma-sound", "jobs-0", "participants-negative", "participant-negative", "dt-tiny", "turn-huge"],
+         "gamma-sound", "jobs-0", "participants-negative", "participant-negative", "dt-tiny", "turn-huge",
+         "theta_min-above-179", "plan-seat_radius-negative", "plan-seat_radius-zero",
+         "scenario-seat_radius-negative"],
 )
 def test_invalid_number_exits_one_naming_it(tmp_path, capsys, monkeypatch, args, config, named):
     # Each fails before the first tick: no record is built.
@@ -212,6 +220,13 @@ def test_invalid_number_exits_one_naming_it(tmp_path, capsys, monkeypatch, args,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_theta_min_at_its_bound_still_runs(tmp_path, capsys):
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text("[scenario]\nrole = listener\nmethod = light\n[session]\ntheta_min = 179\n")
+    assert cli(["simulate", "--script", str(cfg), "--dt", "0.05"]) == 0
+    assert '"state":"signaled"' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -252,3 +267,18 @@ def test_metrics_on_cut_trace_exits_one_naming_the_file(script_file, tmp_path, c
     assert capsys.readouterr().err == (
         f"error: {cut}: tick {signal_tick}: session signaled here is still open at end of trace\n"
     )
+
+
+def test_metrics_on_misspelt_role_exits_one_naming_the_tick(script_file, tmp_path, capsys):
+    # Delta frames carry the role on the signaled frame; the session's
+    # terminal frame inherits it, and that is where its cell is keyed.
+    out = tmp_path / "t.jsonl"
+    assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '"role":"listener"' in text
+    out.write_text(text.replace('"role":"listener"', '"role":"lisener"'))
+    capsys.readouterr()
+    assert cli(["metrics", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: {re.escape(str(out))}: tick \d+: unknown role 'lisener'\n", captured.err)

@@ -8,10 +8,19 @@ import pytest
 from turncue.audio import Role
 from turncue.config import GuidanceConfig
 from turncue.configio import _SCHEMA, load_simulation, load_suite, parse_config
-from turncue.errors import ConfigError
+from turncue.errors import ConfigError, ScriptError
 from turncue.geometry import AngularRange, normalized_progress
 from turncue.lights import LightLevels
-from turncue.scenario import GazeAgentModel, Method, ScenarioScript, StudyPlan, default_script, validate_script
+from turncue.scenario import (
+    GazeAgentModel,
+    Method,
+    ScenarioScript,
+    StudyPlan,
+    default_desk_anchor,
+    default_script,
+    hexagon_seats,
+    run_scenario,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -102,10 +111,17 @@ def test_bad_turn_entry():
 
 
 def test_script_validated_at_parse_time():
-    with pytest.raises(ConfigError, match="unknown speaker"):
-        parse_config("[scenario]\nturns = a9:10\n")
+    with pytest.raises(ScriptError, match=r"^turn references unknown speaker id 'a9'$"):
+        parse_config("[scenario]\nturns = a9:5\n")
     with pytest.raises(ConfigError, match="seats"):
         parse_config("[scenario]\nseats = 0,1,0 | 0,1,2\n")
+
+
+def test_seats_override_leaves_the_desk_default_to_the_run():
+    script = parse_config("[scenario]\nuser_seat = 2\nseats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n")
+    assert script.desk_anchor is None
+    meta = run_scenario(script, GazeAgentModel(), GuidanceConfig(), dt=0.1).meta
+    assert meta.desk_anchor == pytest.approx(default_desk_anchor(script.seats, 2).to_tuple())
 
 
 def test_plan_file_parses():
@@ -176,13 +192,19 @@ role = listener
         (lambda: LightLevels(math.nan, 1.0), "l_min"),
         (lambda: GazeAgentModel(head_speed=math.nan), "head_speed"),
         (lambda: GazeAgentModel(latency_overrides=(("sgd", "in", math.nan),)), "latency_sgd_in"),
-        (lambda: validate_script(replace(default_script(Method.SGD, Role.LISTENER), signal_offset=math.inf)),
-         "signal_offset"),
+        (lambda: replace(default_script(Method.SGD, Role.LISTENER), signal_offset=math.inf), "signal_offset"),
         (lambda: normalized_progress(45.0, AngularRange(0.0, 90.0), math.nan), "gamma"),
         (lambda: StudyPlan(participants=-2), "participants"),
+        (lambda: GuidanceConfig(theta_min=179.5), r"theta_min=179\.5 must lie in \[0, 179\]"),
+        (lambda: StudyPlan(participants=1, seat_radius=0.0), "seat_radius=0.0"),
+        (lambda: StudyPlan(participants=1, seat_radius=math.inf), "seat_radius=inf"),
+        (lambda: hexagon_seats(-1.2), "seat_radius=-1.2"),
+        (lambda: hexagon_seats(math.nan), "seat_radius=nan"),
     ],
     ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
-         "head_speed", "latency_override", "signal_offset", "progress_gamma", "participants"],
+         "head_speed", "latency_override", "signal_offset", "progress_gamma", "participants",
+         "theta_min-above-179", "plan-seat_radius-zero", "plan-seat_radius-inf", "seat_radius-negative",
+         "seat_radius-nan"],
 )
 def test_constructors_reject_non_finite_and_out_of_range(build, named):
     with pytest.raises(ConfigError, match=named):

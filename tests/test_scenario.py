@@ -26,13 +26,13 @@ from turncue.scenario import (
     ScenarioScript,
     StudyPlan,
     Turn,
+    default_desk_anchor,
     default_script,
     hexagon_seats,
     randomize_presentation,
     rotate_toward,
     run_scenario,
     run_suite,
-    validate_script,
 )
 from turncue.trace import TraceRecord, read_trace, write_trace
 
@@ -82,22 +82,19 @@ def speaker_change_times(trace):
 
 
 def test_validate_rejects_unknown_speaker():
-    bad = replace(right_angle_script(), turn_order=(Turn("a9", 10.0),))
     with pytest.raises(ScriptError, match="unknown speaker"):
-        validate_script(bad)
+        replace(right_angle_script(), turn_order=(Turn("a9", 10.0),))
 
 
 def test_validate_rejects_nonpositive_duration():
-    bad = replace(right_angle_script(), turn_order=(Turn("a1", 0.0),))
     with pytest.raises(ScriptError, match="duration"):
-        validate_script(bad)
+        replace(right_angle_script(), turn_order=(Turn("a1", 0.0),))
 
 
 def test_validate_rejects_wrong_seat_count():
     script = right_angle_script()
-    bad = replace(script, seats=script.seats[:4])
     with pytest.raises(ScriptError, match="seats"):
-        validate_script(bad)
+        replace(script, seats=script.seats[:4])
 
 
 @pytest.mark.parametrize(
@@ -112,9 +109,33 @@ def test_validate_rejects_wrong_seat_count():
 )
 def test_validate_rejects_bad_seat_coordinates_naming_the_field(change, named):
     script = right_angle_script()
-    bad = replace(script, **change(script.seats))
     with pytest.raises(ScriptError, match=named):
-        run_scenario(bad, GazeAgentModel(), CFG, dt=FAST_DT)
+        replace(script, **change(script.seats))
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("user_seat_index", 6, "user_seat_index=6 out of range"),
+        ("names", ("A", "B"), "names: expected 5, got 2"),
+        ("turn_order", (), "turn_order is empty"),
+        ("signal_offset", 0.0, "signal_offset=0.0 must be finite and > 0"),
+    ],
+)
+def test_script_built_directly_rejects_a_bad_field(field, value, message):
+    script = right_angle_script()
+    fields = {f: getattr(script, f) for f in ("seats", "user_seat_index", "role", "method", "turn_order")}
+    with pytest.raises(ScriptError, match="^" + re.escape(message) + "$"):
+        ScenarioScript(**{**fields, field: value})
+
+
+def test_default_script_leaves_the_desk_to_the_run_which_records_it():
+    script = default_script(Method.TEXT_ICON, Role.LISTENER, user_seat_index=3)
+    assert script.desk_anchor is None
+    desk = default_desk_anchor(script.seats, 3)
+    trace = run_scenario(script, GazeAgentModel(), CFG, dt=FAST_DT)
+    assert trace == run_scenario(replace(script, desk_anchor=desk), GazeAgentModel(), CFG, dt=FAST_DT)
+    assert trace.meta.desk_anchor == pytest.approx(desk.to_tuple())
 
 
 @pytest.mark.parametrize(
