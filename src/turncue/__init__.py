@@ -5,7 +5,7 @@ replays the evaluation protocol against a seeded synthetic gaze agent.
 
 from .audio import Role, SoundSourceState, chime_schedule, sound_source_position
 from .baselines import SgdState, TextIconState, sgd_state, text_icon_state
-from .config import GuidanceConfig
+from .config import GuidanceConfig, Method
 from .configio import load_simulation, load_suite, parse_config
 from .errors import (
     ConcurrentSignalError,
@@ -25,7 +25,6 @@ from .geometry import (
     Vec3,
     angular_deviation,
     deviation_to_target,
-    in_viewport,
     lateral_side,
     normalized_progress,
 )
@@ -46,7 +45,6 @@ from .lights import (
 from .metrics import CellStats, MetricsSummary, extract_metrics, metrics_to_csv
 from .scenario import (
     GazeAgentModel,
-    Method,
     ScenarioScript,
     StudyPlan,
     SuiteResult,

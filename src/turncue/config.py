@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 from .errors import ConfigError
 from .lights import ColorRGB, LightLevels, SpotlightGeometry
@@ -17,6 +18,18 @@ from .lights import ColorRGB, LightLevels, SpotlightGeometry
 # Minimum captured range width, degrees: keeps the cue formulas well-defined
 # when a signal arrives with the user already aligned.
 MIN_RANGE_WIDTH = 1.0
+
+
+class Method(Enum):
+    """The cue a trial presents: the guidance lights, with or without audio, or a baseline."""
+
+    LIGHT_AUDIO = "light_audio"
+    LIGHT = "light"
+    SGD = "sgd"
+    TEXT_ICON = "text_icon"
+
+
+METHODS = tuple(Method)
 
 
 @dataclass(frozen=True)

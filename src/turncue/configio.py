@@ -5,8 +5,9 @@ Sections: [lights], [audio], [session] feed GuidanceConfig; [scenario] and
 study plan. Parsing is strict: unknown sections or keys are rejected so a
 typo cannot silently fall back to a default mid-experiment, and every number
 must be finite. _SCHEMA is the full key list (documented in the README); each
-key is handed to a constructor argument, so none can be parsed and then
-ignored.
+key is handed to a constructor argument, and a file cannot pair [plan] with
+[scenario] or [scenario] seats with seat_radius or eye_height, so none can
+be parsed and then ignored.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ import math
 from dataclasses import astuple, replace
 
 from .audio import Role
-from .config import GuidanceConfig
+from .config import GuidanceConfig, Method
 from .errors import ConfigError
 from .geometry import Vec3
 from .lights import ColorRGB
 from .scenario import (
     AGENT_COUNT,
     GazeAgentModel,
-    Method,
     ScenarioScript,
     StudyPlan,
     Turn,
@@ -182,6 +182,8 @@ def _parse_sections(text: str) -> dict[str, dict[str, object]]:
             if key not in parsers:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             values[key] = parsers[key](f"[{section}] {key}", raw)
+    if "plan" in sections and "scenario" in sections:
+        raise ConfigError("a file cannot define both [plan] and [scenario]")
     return sections
 
 
@@ -209,6 +211,9 @@ def script_from_sections(sections: dict) -> ScenarioScript:
     if not 0 <= user_seat <= AGENT_COUNT:
         raise ConfigError(f"[scenario] user_seat={user_seat} must lie in [0, {AGENT_COUNT}]")
     layout = {k: values.pop(k) for k in ("topic", "names", "seat_radius", "eye_height") if k in values}
+    for key in ("seat_radius", "eye_height"):
+        if key in layout and "seats" in values:
+            raise ConfigError(f"[scenario] {key} has no effect when seats is set")
     base = default_script(
         values.pop("method", Method.LIGHT_AUDIO), values.pop("role", Role.LISTENER),
         user_seat_index=user_seat, **layout,
@@ -229,8 +234,6 @@ def parse_config(text: str):
     GuidanceConfig. An empty file is the all-defaults GuidanceConfig.
     """
     sections = _parse_sections(text)
-    if "plan" in sections and "scenario" in sections:
-        raise ConfigError("a file cannot define both [plan] and [scenario]")
     if "plan" in sections:
         return plan_from_sections(sections)
     if "scenario" in sections:

@@ -143,14 +143,18 @@ def deviation_to_target(
     return angular_deviation(pose.gaze_forward, to_target)
 
 
-def in_viewport(pose: Pose, target: Vec3, half_angle: float) -> bool:
-    """True iff the target lies within half_angle of head forward (inclusive)."""
-    dev = angular_deviation(pose.head_forward, direction_to(pose.position, target))
-    return angle_in_viewport(dev, half_angle)
+def target_view(pose: Pose, target: Vec3, half_angle: float) -> tuple[float, float, bool]:
+    """(head, gaze) angles to the target and whether it lies within half_angle
+    of head forward (inclusive): one direction, and one angle when gaze is head."""
+    to_target = direction_to(pose.position, target)
+    head_theta = angular_deviation(pose.head_forward, to_target)
+    gaze = pose.gaze_forward
+    gaze_theta = head_theta if gaze is pose.head_forward else angular_deviation(gaze, to_target)
+    return head_theta, gaze_theta, angle_in_viewport(head_theta, half_angle)
 
 
 def angle_in_viewport(head_theta: float, half_angle: float) -> bool:
-    """in_viewport for an already computed head-to-target angle."""
+    """Whether a head-to-target angle lies within half_angle (inclusive)."""
     if not 0.0 < half_angle < 180.0:
         raise ConfigError(f"viewport half_angle={half_angle} must lie in (0, 180)")
     return head_theta <= half_angle + _BOUNDARY_EPS

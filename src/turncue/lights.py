@@ -20,9 +20,9 @@ from .geometry import (
     angle_in_viewport,
     angular_deviation,
     direction_to,
-    in_viewport,
     lateral_side,
     normalized_progress,
+    target_view,
 )
 
 
@@ -252,8 +252,7 @@ def spotlight_state(
     With deactivate_at_min the light switches off once the gaze has fully
     arrived (theta <= theta_min).
     """
-    theta = angular_deviation(pose.gaze_forward, direction_to(pose.position, target))
-    in_view = in_viewport(pose, target, half_angle)
+    _, theta, in_view = target_view(pose, target, half_angle)
     return spotlight(
         target, theta, in_view, rng, levels, geometry,
         gamma=gamma, deactivate_at_min=deactivate_at_min,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .audio import Role
+from .config import Method
 from .errors import TraceIntegrityError
 from .trace import Trace
 
@@ -24,6 +25,7 @@ _ALLOWED = {
 
 CellKey = tuple[str, str, str]  # (method, "in"/"out", "speaker"/"listener")
 _ROLES = {role.value for role in Role}
+_METHODS = {method.value for method in Method}
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,8 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
     if trace.meta is None:
         raise TraceIntegrityError("trace has no meta line; method is unknown")
     method = trace.meta.method
+    if method not in _METHODS:
+        raise TraceIntegrityError(f"meta line: unknown method '{method}'")
     outcomes: list[tuple[CellKey, float | None]] = []
     prev = "idle"
     open_tick: int | None = None  # the tick that signaled the open session
@@ -64,10 +68,7 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
             if rec.in_view is None or rec.role is None:
                 raise TraceIntegrityError(f"tick {rec.tick}: signaled frame lacks view/role")
         elif entering and rec.state in ("acknowledged", "missed"):
-            if open_tick is None:
-                raise TraceIntegrityError(
-                    f"tick {rec.tick}: terminal state without a preceding signal"
-                )
+            # _ALLOWED admits a terminal state only after signaled, which opened the session.
             if rec.in_view is None or rec.role is None:
                 raise TraceIntegrityError(f"tick {rec.tick}: terminal frame lacks view/role")
             if rec.role not in _ROLES:

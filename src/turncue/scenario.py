@@ -20,27 +20,17 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 from . import session as sess
 from .audio import Role
 from .baselines import sgd_state, text_icon_state
-from .config import GuidanceConfig
+from .config import METHODS, GuidanceConfig, Method
 from .errors import ScriptError
 from .geometry import Pose, Vec3, angular_deviation
 from .metrics import MetricsSummary, extract_metrics
 from .session import SessionState
 from .trace import Trace, TraceMeta, TraceRecord
 
-
-class Method(Enum):
-    LIGHT_AUDIO = "light_audio"
-    LIGHT = "light"
-    SGD = "sgd"
-    TEXT_ICON = "text_icon"
-
-
-METHODS = (Method.LIGHT_AUDIO, Method.LIGHT, Method.SGD, Method.TEXT_ICON)
 
 AGENT_COUNT = 5
 AGENT_IDS = tuple(f"a{i + 1}" for i in range(AGENT_COUNT))
@@ -152,15 +142,13 @@ class GazeAgentModel:
 
 
 def seat_of(script: ScenarioScript, who: str) -> Vec3:
-    if who == USER_ID:
-        return script.seats[script.user_seat_index]
+    """An agent's seat: agents fill the seats in order, skipping the user's."""
     non_user = [seat for i, seat in enumerate(script.seats) if i != script.user_seat_index]
     return non_user[int(who[1:]) - 1]
 
 
 def display_name(script: ScenarioScript, who: str) -> str:
-    if who == USER_ID:
-        return "Charlie"
+    """An agent's name."""
     return script.names[int(who[1:]) - 1]
 
 

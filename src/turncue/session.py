@@ -25,10 +25,9 @@ from .geometry import (
     Pose,
     Side,
     Vec3,
-    angle_in_viewport,
     angular_deviation,
-    direction_to,
     lateral_side,
+    target_view,
 )
 from .lights import (
     PointLightState,
@@ -115,25 +114,16 @@ def begin_signal(
         raise ConcurrentSignalError(
             "a guidance session is already active; multi-signal queuing is unsupported"
         )
-    head_theta, gaze_theta = _target_angles(pose, direction_to(pose.position, target))
+    head_theta, gaze_theta, in_view = target_view(pose, target, config.viewport_half_angle)
     floor = config.theta_min + MIN_RANGE_WIDTH
     gaze_range = AngularRange(config.theta_min, max(gaze_theta, floor))
     head_range = AngularRange(config.theta_min, max(head_theta, floor))
-    in_view = angle_in_viewport(head_theta, config.viewport_half_angle)
 
     repeats = max(1, round(config.chime_max_repeats * config.subtlety))
     chimes = tuple(audio.chime_schedule(pose.timestamp, config.chime_repeat_interval, repeats))
 
     return Signaled(pose.timestamp, pose.gaze_forward, gaze_range, head_range, role, in_view,
                     chimes, last_timestamp=pose.timestamp)
-
-
-def _target_angles(pose: Pose, to_target: Vec3) -> tuple[float, float]:
-    """(head, gaze) angles to the target direction: one angle when gaze is head."""
-    head_theta = angular_deviation(pose.head_forward, to_target)
-    if pose.gaze_forward is pose.head_forward:
-        return head_theta, head_theta
-    return head_theta, angular_deviation(pose.gaze_forward, to_target)
 
 
 def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> tuple:
@@ -145,8 +135,7 @@ def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> 
     if last and (last[0] is position and last[1] is target and last[2] is config
                  and last[3] is head and last[4] is gaze):
         return last
-    head_theta, gaze_theta = _target_angles(pose, direction_to(position, target))
-    in_view = angle_in_viewport(head_theta, config.viewport_half_angle)
+    head_theta, gaze_theta, in_view = target_view(pose, target, config.viewport_half_angle)
     point = point_light(
         pose, target, head_theta, in_view, state.head_range,
         azimuth=config.point_azimuth, radius=config.point_radius,

@@ -15,7 +15,7 @@ from _rand import random_trace
 from turncue.audio import Role, sound_source_position
 from turncue.baselines import sgd_phase, sgd_state
 from turncue.config import GuidanceConfig
-from turncue.geometry import AngularRange, Pose, Vec3, in_viewport
+from turncue.geometry import AngularRange, Pose, Vec3
 from turncue.lights import (
     env_light_intensity,
     point_light_color,
@@ -214,7 +214,10 @@ def test_c04_viewport_gating_random_poses():
         state = begin_signal(IDLE, base, target, Role.LISTENER, cfg)
         pose = Pose(origin, facing, facing, DT)
         state, frame = tick(state, pose, target, DT, cfg)
-        expect_in = in_viewport(pose, target, cfg.viewport_half_angle)
+        # Oracle: acos of the dot product, inclusive at the half angle.
+        to_target = target.to_tuple()  # from the origin
+        cos = sum(f * c for f, c in zip(facing.to_tuple(), to_target)) / math.hypot(*to_target)
+        expect_in = math.degrees(math.acos(max(-1.0, min(1.0, cos)))) <= cfg.viewport_half_angle + 1e-9
         if frame.point.active == frame.spot.active:
             violations += 1
         if frame.spot.active != expect_in:

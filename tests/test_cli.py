@@ -182,6 +182,9 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
     assert hashlib.md5(csv.encode()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
 
 
+SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"
+
+
 @pytest.mark.parametrize(
     "args,config,named",
     [
@@ -204,11 +207,21 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
         (["suite", "--plan", "{cfg}"], "[plan]\nseat_radius = 0\n", "seat_radius=0.0 must be finite and > 0"),
         (["simulate", "--script", "{cfg}"], "[scenario]\nseat_radius = -1\n",
          "seat_radius=-1.0 must be finite and > 0"),
+        # A section or key that would be parsed and then dropped.
+        (["suite", "--plan", "{cfg}"], "[plan]\n[scenario]\nrole = speaker\n",
+         "a file cannot define both [plan] and [scenario]"),
+        (["simulate", "--script", "{cfg}"], "[scenario]\n[plan]\nparticipants = 2\n",
+         "a file cannot define both [plan] and [scenario]"),
+        (["simulate", "--script", "{cfg}"], f"[scenario]\n{SIX_SEATS}seat_radius = 5\n",
+         "[scenario] seat_radius has no effect when seats is set"),
+        (["simulate", "--script", "{cfg}"], f"[scenario]\n{SIX_SEATS}eye_height = 3\n",
+         "[scenario] eye_height has no effect when seats is set"),
     ],
     ids=["ack_threshold-nan", "miss_timeout-inf", "head_speed-nan", "user_seat-range", "gamma-nan",
          "gamma-sound", "jobs-0", "participants-negative", "participant-negative", "dt-tiny", "turn-huge",
          "theta_min-above-179", "plan-seat_radius-negative", "plan-seat_radius-zero",
-         "scenario-seat_radius-negative"],
+         "scenario-seat_radius-negative", "plan-with-scenario", "scenario-with-plan", "seats-with-seat_radius",
+         "seats-with-eye_height"],
 )
 def test_invalid_number_exits_one_naming_it(tmp_path, capsys, monkeypatch, args, config, named):
     # Each fails before the first tick: no record is built.
@@ -282,3 +295,14 @@ def test_metrics_on_misspelt_role_exits_one_naming_the_tick(script_file, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(rf"error: {re.escape(str(out))}: tick \d+: unknown role 'lisener'\n", captured.err)
+
+
+def test_metrics_on_unknown_method_exits_one_naming_the_file(script_file, tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '"method":"light_audio"' in text
+    out.write_text(text.replace('"method":"light_audio"', '"method":"lightaudio"'))
+    capsys.readouterr()
+    assert cli(["metrics", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {out}: meta line: unknown method 'lightaudio'\n")

@@ -131,8 +131,10 @@ def test_plan_file_parses():
 
 
 def test_plan_and_scenario_conflict():
-    with pytest.raises(ConfigError, match="both"):
-        parse_config("[plan]\nparticipants = 1\n[scenario]\nrole = listener\n")
+    # Each entry point would drop one of the two sections.
+    for load in (parse_config, load_simulation, load_suite):
+        with pytest.raises(ConfigError, match=r"^a file cannot define both \[plan\] and \[scenario\]$"):
+            load("[plan]\nparticipants = 1\n[scenario]\nrole = listener\n")
 
 
 def test_load_simulation_returns_triple():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from turncue.errors import ConfigError, DegenerateGeometryError, InvalidDirectionError
 from turncue.geometry import (
@@ -12,9 +13,9 @@ from turncue.geometry import (
     Vec3,
     angular_deviation,
     deviation_to_target,
-    in_viewport,
     lateral_side,
     normalized_progress,
+    target_view,
 )
 
 X = Vec3(1.0, 0.0, 0.0)
@@ -77,23 +78,25 @@ def test_deviation_to_target_degenerate():
         deviation_to_target(p, Vec3(1, 2, 3), DeviationReference.HEAD_TO_TARGET)
 
 
-def test_in_viewport_dead_ahead():
-    assert in_viewport(pose_at(), Vec3(0, 0, 4), 45.0)
+def test_target_view_dead_ahead():
+    assert target_view(pose_at(), Vec3(0, 0, 4), 45.0) == (0.0, 0.0, True)
 
 
-def test_in_viewport_lateral_target():
+def test_target_view_lateral_target():
     # 75 degrees off head forward
     ang = math.radians(75.0)
     target = Vec3(math.sin(ang) * 2, 0.0, math.cos(ang) * 2)
-    assert not in_viewport(pose_at(), target, 45.0)
+    head, gaze, in_view = target_view(pose_at(), target, 45.0)
+    assert head == pytest.approx(75.0) and gaze == pytest.approx(75.0)
+    assert not in_view
 
 
-def test_in_viewport_inclusive_boundary():
+def test_target_view_inclusive_boundary():
     target = Vec3(2.0, 0.0, 2.0)  # exactly 45 degrees off +z
-    assert in_viewport(pose_at(), target, 45.0)
+    assert target_view(pose_at(), target, 45.0)[2]
 
 
-def test_in_viewport_matches_deviation_oracle():
+def test_target_view_matches_deviation_oracle():
     rng = random.Random(77)
     for _ in range(10_000):
         pos = Vec3(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -102,7 +105,41 @@ def test_in_viewport_matches_deviation_oracle():
         half = rng.uniform(5.0, 175.0)
         p = pose_at(position=pos, head=head, gaze=head)
         expect = angular_deviation(head, (target - pos).normalized()) <= half + 1e-9
-        assert in_viewport(p, target, half) == expect
+        assert target_view(p, target, half)[2] == expect
+
+
+def _acos_angle(u: tuple, v: tuple) -> float:
+    """Degrees between two nonzero 3-tuples, from their dot product alone."""
+    cos = sum(a * b for a, b in zip(u, v)) / math.sqrt(sum(a * a for a in u) * sum(b * b for b in v))
+    return math.degrees(math.acos(max(-1.0, min(1.0, cos))))
+
+
+_COORD = st.floats(-3.0, 3.0)
+_VECTOR = st.tuples(_COORD, _COORD, _COORD)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(position=_VECTOR, offset=_VECTOR, head=_VECTOR, gaze=st.none() | _VECTOR,
+       half=st.floats(1.0, 179.0))
+def test_target_view_matches_acos_oracle(angle_calls, position, offset, head, gaze, half):
+    # gaze None: the pose's gaze is its head object, and one angle serves both.
+    for v in (offset, head, gaze or head):
+        assume(math.sqrt(sum(c * c for c in v)) > 0.1)
+    head_dir = Vec3(*head).normalized()
+    gaze_dir = head_dir if gaze is None else Vec3(*gaze).normalized()
+    origin = Vec3(*position)
+    target = origin + Vec3(*offset)
+    to_target = tuple(t - o for t, o in zip(target.to_tuple(), position))
+    angle_calls.update(direction_to=0, angular_deviation=0)
+    head_theta, gaze_theta, in_view = target_view(pose_at(origin, head_dir, gaze_dir), target, half)
+    assert angle_calls == {"direction_to": 1, "angular_deviation": 1 if gaze is None else 2}
+    expect_head = _acos_angle(head, to_target)
+    assert head_theta == pytest.approx(expect_head, abs=1e-5)
+    assert gaze_theta == pytest.approx(_acos_angle(gaze or head, to_target), abs=1e-5)
+    if gaze is None:
+        assert gaze_theta == head_theta
+    if abs(expect_head - half) > 1e-5:
+        assert in_view == (expect_head <= half)
 
 
 def test_lateral_side_right():

@@ -60,7 +60,7 @@ def test_broken_sequence_names_tick():
         make_record(1, 0.1, "acknowledged", rt=1.0, in_view=True, role="listener"),
     ]
     trace = Trace(meta=make_meta(), records=tuple(records))
-    with pytest.raises(TraceIntegrityError, match="tick 1"):
+    with pytest.raises(TraceIntegrityError, match="^tick 1: illegal session transition idle -> acknowledged$"):
         extract_metrics([trace])
 
 

@@ -251,25 +251,6 @@ def test_duck_integral_over_containing_interval():
     assert total == pytest.approx(2.0 * 0.5 + 3.0 * 1.0, abs=2 * dt)
 
 
-@pytest.fixture
-def angle_calls(monkeypatch):
-    """Counts of direction_to and angular_deviation calls, wherever made."""
-    import turncue.geometry
-    import turncue.lights
-    import turncue.session
-
-    calls = {"direction_to": 0, "angular_deviation": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(turncue.geometry, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        for module in (turncue.geometry, turncue.lights, turncue.session):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def _count_signaled_tick_angles(calls, gaze_angle):
     """Angle calls of a signaled tick with the head 30 degrees off the target
     and the gaze at gaze_angle (None: the head's object), then of a tick on
