@@ -40,7 +40,8 @@ def sound_source_position(
     theta <= theta_min it rests at the target; between, it slides along the
     path continuously. "cosine" easing slows departure from the head end.
     """
-    if (t - u).norm() <= 1e-12:
+    d = t - u
+    if d.norm() <= 1e-12:
         raise DegenerateGeometryError("sound path is degenerate: u == t")
     if theta >= rng.theta_max:
         return u
@@ -51,7 +52,7 @@ def sound_source_position(
         s = 1.0 - math.cos(s * math.pi / 2.0)
     elif easing != "linear":
         raise ConfigError(f"unknown sound easing '{easing}' (linear or cosine)")
-    return u + (t - u).scaled(s)
+    return Vec3(u.x + d.x * s, u.y + d.y * s, u.z + d.z * s)
 
 
 def chime_schedule(

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import DeviationReference, Pose, Vec3, deviation_to_target
+from .geometry import Pose, Vec3, _unit_angle, direction_to
 from .session import SessionState, Signaled
 
 FLICKER_HZ = 10.0
 
 # World-space offset that floats the hand icon above the target avatar.
-ICON_HEIGHT = 0.4
+ICON_OFFSET = Vec3(0.0, 0.4, 0.0)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def text_icon_state(
         panel_anchor=desk_anchor,
         panel_text=speaker_name if active else "",
         icon_active=active,
-        icon_anchor=target + Vec3(0.0, ICON_HEIGHT, 0.0),
+        icon_anchor=target + ICON_OFFSET,
     )
 
 
@@ -74,8 +74,7 @@ def sgd_state(
     """
     active = False
     if isinstance(state, Signaled):
-        gaze_dev = deviation_to_target(pose, target, DeviationReference.GAZE_TO_TARGET)
-        active = gaze_dev > align_threshold
+        active = _unit_angle(pose.gaze_forward, direction_to(pose.position, target)) > align_threshold
     return SgdState(
         active=active,
         region_center=target,

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .configio import load_simulation, load_suite, parse_config
+from .configio import GUIDANCE_SECTIONS, guidance_from_sections, load_simulation, load_suite, parse_sections
 from .config import GuidanceConfig
 from .errors import GuidanceError, TraceIntegrityError
 from .geometry import AngularRange, Vec3
@@ -62,10 +62,11 @@ def _eval_rows(channel: str, rng: AngularRange, gamma: float, steps: int, config
 def _cmd_eval(args) -> int:
     config = GuidanceConfig()
     if args.config:
-        parsed = parse_config(Path(args.config).read_text())
-        if not isinstance(parsed, GuidanceConfig):
-            raise GuidanceError(f"{args.config} does not define a guidance config")
-        config = parsed
+        sections = parse_sections(Path(args.config).read_text())
+        unread = [name for name in sections if name not in GUIDANCE_SECTIONS]
+        if unread:
+            raise GuidanceError(f"{args.config}: eval reads [lights], [audio] and [session], not [{unread[0]}]")
+        config = guidance_from_sections(sections)
     if args.channel == "sound" and args.gamma is not None:
         raise GuidanceError("--gamma does not apply to the sound channel")
     gamma = args.gamma if args.gamma is not None else {

@@ -157,6 +157,8 @@ _SCHEMA = {
     "plan": {"participants": _int, "seat_radius": _float, "eye_height": _float},
 }
 
+GUIDANCE_SECTIONS = ("lights", "audio", "session")  # the sections a GuidanceConfig reads
+
 # GuidanceConfig band fields and the [lights] keys of their two bounds.
 _BANDS = {
     "env_levels": ("env_min", "env_max"),
@@ -165,7 +167,7 @@ _BANDS = {
 }
 
 
-def _parse_sections(text: str) -> dict[str, dict[str, object]]:
+def parse_sections(text: str) -> dict[str, dict[str, object]]:
     """Section -> key -> typed value, for the sections the text defines."""
     cp = configparser.ConfigParser(interpolation=None, strict=True)
     try:
@@ -188,7 +190,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, object]]:
 
 
 def guidance_from_sections(sections: dict) -> GuidanceConfig:
-    values = {**sections.get("lights", {}), **sections.get("audio", {}), **sections.get("session", {})}
+    values = {key: v for name in GUIDANCE_SECTIONS for key, v in sections.get(name, {}).items()}
     defaults = GuidanceConfig()
     for field, keys in _BANDS.items():
         band = getattr(defaults, field)
@@ -233,7 +235,7 @@ def parse_config(text: str):
     [plan] yields a StudyPlan, [scenario] a ScenarioScript, otherwise a
     GuidanceConfig. An empty file is the all-defaults GuidanceConfig.
     """
-    sections = _parse_sections(text)
+    sections = parse_sections(text)
     if "plan" in sections:
         return plan_from_sections(sections)
     if "scenario" in sections:
@@ -243,11 +245,11 @@ def parse_config(text: str):
 
 def load_simulation(text: str) -> tuple[ScenarioScript, GazeAgentModel, GuidanceConfig]:
     """Everything the simulate subcommand needs from one script file."""
-    sections = _parse_sections(text)
+    sections = parse_sections(text)
     return script_from_sections(sections), agent_from_sections(sections), guidance_from_sections(sections)
 
 
 def load_suite(text: str) -> tuple[StudyPlan, GazeAgentModel, GuidanceConfig]:
     """Everything the suite subcommand needs from one plan file."""
-    sections = _parse_sections(text)
+    sections = parse_sections(text)
     return plan_from_sections(sections), agent_from_sections(sections), guidance_from_sections(sections)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConfigError, DegenerateGeometryError, InvalidDirectionError
 
@@ -21,9 +22,8 @@ UNIT_TOLERANCE = 1e-6
 _BOUNDARY_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class Vec3:
-    """3-component vector: position (m) or unit direction."""
+class Vec3(NamedTuple):
+    """3-component vector, position (m) or unit direction: a tuple, equal to (x, y, z)."""
 
     x: float
     y: float
@@ -53,13 +53,11 @@ class Vec3:
     def is_unit(self) -> bool:
         return abs(self.norm() - 1.0) <= UNIT_TOLERANCE
 
-    def to_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 @dataclass(frozen=True)
 class Pose:
-    """User position plus head and gaze forward directions at a timestamp."""
+    """User position plus head and gaze forward directions at a timestamp;
+    the directions are checked for unit length here, where they enter."""
 
     position: Vec3
     head_forward: Vec3
@@ -71,7 +69,7 @@ class Pose:
             raise InvalidDirectionError(
                 f"head_forward has length {self.head_forward.norm():.8f}, expected 1"
             )
-        if not self.gaze_forward.is_unit():
+        if self.gaze_forward is not self.head_forward and not self.gaze_forward.is_unit():
             raise InvalidDirectionError(
                 f"gaze_forward has length {self.gaze_forward.norm():.8f}, expected 1"
             )
@@ -118,16 +116,21 @@ def angular_deviation(a: Vec3, b: Vec3) -> float:
             raise InvalidDirectionError(
                 f"argument {name} has length {v.norm():.8f}, expected unit"
             )
-    c = max(-1.0, min(1.0, a.dot(b)))
-    return math.degrees(math.acos(c))
+    return _unit_angle(a, b)
+
+
+def _unit_angle(a: Vec3, b: Vec3) -> float:
+    """angular_deviation without its checks, for directions that a Pose
+    checked or that direction_to or normalized made unit."""
+    return math.degrees(math.acos(max(-1.0, min(1.0, a.x * b.x + a.y * b.y + a.z * b.z))))
 
 
 def direction_to(origin: Vec3, target: Vec3) -> Vec3:
     """Unit vector from origin to target; degenerate if they coincide."""
-    d = target - origin
-    if d.norm() <= 1e-12:
+    dx, dy, dz = target.x - origin.x, target.y - origin.y, target.z - origin.z
+    if (n := math.sqrt(dx * dx + dy * dy + dz * dz)) <= 1e-12:
         raise DegenerateGeometryError("target coincides with origin")
-    return d.normalized()
+    return Vec3(dx / n, dy / n, dz / n)
 
 
 def deviation_to_target(
@@ -147,9 +150,9 @@ def target_view(pose: Pose, target: Vec3, half_angle: float) -> tuple[float, flo
     """(head, gaze) angles to the target and whether it lies within half_angle
     of head forward (inclusive): one direction, and one angle when gaze is head."""
     to_target = direction_to(pose.position, target)
-    head_theta = angular_deviation(pose.head_forward, to_target)
+    head_theta = _unit_angle(pose.head_forward, to_target)
     gaze = pose.gaze_forward
-    gaze_theta = head_theta if gaze is pose.head_forward else angular_deviation(gaze, to_target)
+    gaze_theta = head_theta if gaze is pose.head_forward else _unit_angle(gaze, to_target)
     return head_theta, gaze_theta, angle_in_viewport(head_theta, half_angle)
 
 
@@ -166,11 +169,10 @@ def lateral_side(pose: Pose, target: Vec3) -> Side:
     Exactly-behind (and exactly-ahead) ties resolve to RIGHT so traces have
     a total order.
     """
-    d = target - pose.position
-    h = pose.head_forward
+    h, p = pose.head_forward, pose.position
     # y-component of cross(up, head) dotted with the offset: right-handed
     # horizontal convention, head +z / target +x -> RIGHT.
-    lateral = h.z * d.x - h.x * d.z
+    lateral = h.z * (target.x - p.x) - h.x * (target.z - p.z)
     return Side.LEFT if lateral < 0.0 else Side.RIGHT
 
 

@@ -151,18 +151,20 @@ def point_light_color(
 
 def point_light_position(pose: Pose, side: Side, azimuth: float, radius: float) -> Vec3:
     """Head-affixed light position: radius meters from the head, azimuth
-    degrees off the horizontal head forward toward side."""
-    forward = pose.head_forward
-    flat = Vec3(forward.x, 0.0, forward.z)
-    if flat.norm() <= 1e-12:
-        # Head looking straight up/down: no horizontal heading; default +z.
-        flat = Vec3(0.0, 0.0, 1.0)
-    ahead = flat.normalized()
-    right = Vec3(ahead.z, 0.0, -ahead.x)  # horizontal right of ahead
-    lat = right if side is Side.RIGHT else right.scaled(-1.0)
+    degrees off the horizontal head forward (+z when the head looks straight
+    up or down) toward side. Written on scalars, with the vector steps' float
+    ops in their order and the zero y terms kept for their sign."""
+    h, p = pose.head_forward, pose.position
+    n = math.sqrt(h.x * h.x + h.z * h.z)
+    ax, az = (h.x / n, h.z / n) if n > 1e-12 else (0.0, 1.0)
+    sign = 1.0 if side is Side.RIGHT else -1.0  # the lateral is sign * (az, 0, -ax)
     a = math.radians(azimuth)
-    direction = (ahead.scaled(math.cos(a)) + lat.scaled(math.sin(a))).normalized()
-    return pose.position + direction.scaled(radius)
+    c, s = math.cos(a), math.sin(a)
+    dx = ax * c + az * sign * s
+    dy = 0.0 * c + 0.0 * sign * s
+    dz = az * c + -ax * sign * s
+    m = math.sqrt(dx * dx + dy * dy + dz * dz)
+    return Vec3(p.x + dx / m * radius, p.y + dy / m * radius, p.z + dz / m * radius)
 
 
 def point_light(

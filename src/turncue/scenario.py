@@ -26,7 +26,7 @@ from .audio import Role
 from .baselines import sgd_state, text_icon_state
 from .config import METHODS, GuidanceConfig, Method
 from .errors import ScriptError
-from .geometry import Pose, Vec3, angular_deviation
+from .geometry import Pose, Vec3, _unit_angle
 from .metrics import MetricsSummary, extract_metrics
 from .session import SessionState
 from .trace import Trace, TraceMeta, TraceRecord
@@ -93,12 +93,12 @@ class ScenarioScript:
             raise ScriptError(f"user_seat_index={self.user_seat_index} out of range")
         user = self.seats[self.user_seat_index]
         for i, seat in enumerate(self.seats):
-            if not all(map(math.isfinite, seat.to_tuple())):
-                raise ScriptError(f"seats[{i}]={seat.to_tuple()} must be finite")
+            if not all(map(math.isfinite, seat)):
+                raise ScriptError(f"seats[{i}]={tuple(seat)} must be finite")
             if i != self.user_seat_index and (seat - user).norm() <= 1e-12:
-                raise ScriptError(f"seats[{i}]={seat.to_tuple()} coincides with the user's seat")
-        if self.desk_anchor is not None and not all(map(math.isfinite, self.desk_anchor.to_tuple())):
-            raise ScriptError(f"desk_anchor={self.desk_anchor.to_tuple()} must be finite")
+                raise ScriptError(f"seats[{i}]={tuple(seat)} coincides with the user's seat")
+        if self.desk_anchor is not None and not all(map(math.isfinite, self.desk_anchor)):
+            raise ScriptError(f"desk_anchor={tuple(self.desk_anchor)} must be finite")
         if len(self.names) != AGENT_COUNT:
             raise ScriptError(f"names: expected {AGENT_COUNT}, got {len(self.names)}")
         if not self.turn_order:
@@ -156,7 +156,7 @@ def rotate_toward(current: Vec3, target_dir: Vec3, max_step_deg: float) -> Vec3:
     """Rotate a unit direction toward another by at most max_step_deg."""
     if current is target_dir or max_step_deg <= 0.0:
         return current
-    ang = angular_deviation(current, target_dir)
+    ang = _unit_angle(current, target_dir)
     if ang <= max_step_deg:
         return target_dir
     if ang >= 180.0 - 1e-9:
@@ -166,14 +166,17 @@ def rotate_toward(current: Vec3, target_dir: Vec3, max_step_deg: float) -> Vec3:
         if waypoint.norm() <= 1e-9:
             waypoint = Vec3(1.0, 0.0, 0.0)
         target_dir = waypoint.normalized()
-        ang = angular_deviation(current, target_dir)
+        ang = _unit_angle(current, target_dir)
         if ang <= max_step_deg:
             return target_dir
     omega = math.radians(ang)
     u = max_step_deg / ang
     a = math.sin((1.0 - u) * omega) / math.sin(omega)
     b = math.sin(u * omega) / math.sin(omega)
-    return (current.scaled(a) + target_dir.scaled(b)).normalized()
+    # current * a + target_dir * b, normalized, on scalars (the same float ops)
+    x, y, z = current.x * a + target_dir.x * b, current.y * a + target_dir.y * b, current.z * a + target_dir.z * b
+    n = math.sqrt(x * x + y * y + z * z)
+    return Vec3(x / n, y / n, z / n)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +391,9 @@ def run_scenario(
         raw = dict(
             tick=k,
             t=t,
-            pos=pose.position.to_tuple(),
-            head=head.to_tuple(),
-            gaze=gaze.to_tuple(),
+            pos=user_pos,
+            head=head,
+            gaze=gaze,
             state=frame.session_state,
             target=target_id,
             rt=sess.response_time(state),
@@ -399,22 +402,22 @@ def run_scenario(
             env=frame.env_intensity if lit else config.env_levels.l_max,
             point_active=lit and frame.point.active,
             point_side=frame.point.side.value,
-            point_pos=frame.point.position.to_tuple(),
+            point_pos=frame.point.position,
             point_color=frame.point.color.to_tuple(),
             spot_active=lit and frame.spot.active,
             spot_intensity=frame.spot.intensity if lit else 0.0,
             spot_cone=frame.spot.cone_angle if lit else config.spot_geometry.a_min,
-            spot_aim=frame.spot.aim.to_tuple(),
-            sound_pos=(frame.sound.position if audible else target or pose.position).to_tuple(),
+            spot_aim=frame.spot.aim,
+            sound_pos=frame.sound.position if audible else target or user_pos,
             chime=audible and frame.sound.chime_active,
             duck=frame.duck_gain if audible else 1.0,
             panel_active=ti.panel_active,
-            panel_anchor=ti.panel_anchor.to_tuple(),
+            panel_anchor=ti.panel_anchor,
             panel_text=ti.panel_text,
             icon_active=ti.icon_active,
-            icon_anchor=ti.icon_anchor.to_tuple(),
+            icon_anchor=ti.icon_anchor,
             sgd_active=sg.active,
-            sgd_center=sg.region_center.to_tuple(),
+            sgd_center=sg.region_center,
             speaker=turns[turn_idx].speaker,
         )
         # Equal raw values canonicalize equally.
@@ -433,8 +436,8 @@ def run_scenario(
         seed=seed,
         dt=dt,
         user_seat=script.user_seat_index,
-        seats=tuple(s.to_tuple() for s in script.seats),
-        desk_anchor=desk.to_tuple(),
+        seats=script.seats,
+        desk_anchor=desk,
         names=script.names,
     )
     return Trace(meta=meta, records=tuple(records))

@@ -25,7 +25,7 @@ from .geometry import (
     Pose,
     Side,
     Vec3,
-    angular_deviation,
+    _unit_angle,
     lateral_side,
     target_view,
 )
@@ -148,7 +148,7 @@ def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> 
     sound_pos = audio.sound_source_position(
         position, target, head_theta, state.head_range, config.sound_easing
     )
-    env_theta = angular_deviation(gaze, state.signal_gaze)
+    env_theta = _unit_angle(gaze, state.signal_gaze)
     return (position, target, config, head, gaze, gaze_theta, env_theta, point, spot, sound_pos)
 
 

@@ -135,7 +135,7 @@ def test_c01_equation_oracle_equivalence():
             assert rel_close(spot_intensity(theta, rng, spot_levels, gamma), exp_int)
             assert rel_close(spot_cone_angle(theta, rng, geometry, gamma), exp_cone)
             pos = sound_source_position(u, t, theta, rng)
-            for g, e in zip(pos.to_tuple(), oracle_sound(u.to_tuple(), t.to_tuple(), theta, 0.0, 90.0)):
+            for g, e in zip(pos, oracle_sound(u, t, theta, 0.0, 90.0)):
                 assert rel_close(g, e)
 
 
@@ -215,8 +215,7 @@ def test_c04_viewport_gating_random_poses():
         pose = Pose(origin, facing, facing, DT)
         state, frame = tick(state, pose, target, DT, cfg)
         # Oracle: acos of the dot product, inclusive at the half angle.
-        to_target = target.to_tuple()  # from the origin
-        cos = sum(f * c for f, c in zip(facing.to_tuple(), to_target)) / math.hypot(*to_target)
+        cos = sum(f * c for f, c in zip(facing, target)) / math.hypot(*target)  # origin at 0
         expect_in = math.degrees(math.acos(max(-1.0, min(1.0, cos)))) <= cfg.viewport_half_angle + 1e-9
         if frame.point.active == frame.spot.active:
             violations += 1

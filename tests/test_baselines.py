@@ -48,7 +48,7 @@ def test_text_icon_anchors_world_fixed():
     for k in range(1, 10):
         state, _ = tick(state, pose(k * 0.1, AHEAD), TARGET, 0.1, CFG)
         ti = text_icon_state(state, TARGET, "Alex", DESK)
-        anchors.add((ti.panel_anchor.to_tuple(), ti.icon_anchor.to_tuple()))
+        anchors.add((ti.panel_anchor, ti.icon_anchor))
     assert len(anchors) == 1
 
 

@@ -94,6 +94,26 @@ def test_validation_error_exits_one(tmp_path, capsys):
     assert "> 0" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("section,body", [
+    ("agent", "head_speed = 5"),
+    ("scenario", "role = listener"),
+    ("plan", "participants = 2"),
+])
+def test_eval_config_with_an_unread_section_exits_one_naming_it(tmp_path, capsys, section, body):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(f"[lights]\ngamma_env = 2\n[{section}]\n{body}\n")
+    assert cli(["eval", "--channel", "env", "--theta-max", "90", "--config", str(cfg)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and f"not [{section}]" in out.err
+
+
+def test_eval_reads_the_guidance_sections_of_a_config(tmp_path, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("[lights]\nenv_min = 0.2\n[audio]\nsubtlety = 0.5\n[session]\nmiss_timeout = 3\n")
+    assert cli(["eval", "--channel", "env", "--theta-max", "90", "--steps", "2", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0.2"
+
 def test_missing_file_exits_two(capsys):
     assert cli(["simulate", "--script", "/nonexistent/x.cfg"]) == 2
     assert "x.cfg" in capsys.readouterr().err

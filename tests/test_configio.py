@@ -121,7 +121,7 @@ def test_seats_override_leaves_the_desk_default_to_the_run():
     script = parse_config("[scenario]\nuser_seat = 2\nseats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n")
     assert script.desk_anchor is None
     meta = run_scenario(script, GazeAgentModel(), GuidanceConfig(), dt=0.1).meta
-    assert meta.desk_anchor == pytest.approx(default_desk_anchor(script.seats, 2).to_tuple())
+    assert meta.desk_anchor == pytest.approx(default_desk_anchor(script.seats, 2))
 
 
 def test_plan_file_parses():

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from turncue.errors import ConfigError, DegenerateGeometryError, InvalidDirectionError
 from turncue.geometry import (
@@ -11,6 +11,7 @@ from turncue.geometry import (
     Pose,
     Side,
     Vec3,
+    _unit_angle,
     angular_deviation,
     deviation_to_target,
     lateral_side,
@@ -129,7 +130,7 @@ def test_target_view_matches_acos_oracle(angle_calls, position, offset, head, ga
     gaze_dir = head_dir if gaze is None else Vec3(*gaze).normalized()
     origin = Vec3(*position)
     target = origin + Vec3(*offset)
-    to_target = tuple(t - o for t, o in zip(target.to_tuple(), position))
+    to_target = tuple(t - o for t, o in zip(target, position))
     angle_calls.update(direction_to=0, angular_deviation=0)
     head_theta, gaze_theta, in_view = target_view(pose_at(origin, head_dir, gaze_dir), target, half)
     assert angle_calls == {"direction_to": 1, "angular_deviation": 1 if gaze is None else 2}
@@ -140,6 +141,19 @@ def test_target_view_matches_acos_oracle(angle_calls, position, offset, head, ga
         assert gaze_theta == head_theta
     if abs(expect_head - half) > 1e-5:
         assert in_view == (expect_head <= half)
+
+
+_UNIT = _VECTOR.filter(lambda v: math.sqrt(sum(c * c for c in v)) > 0.1).map(lambda v: Vec3(*v).normalized())
+
+
+@given(a=_UNIT, b=_UNIT)
+@example(a=X, b=X)
+@example(a=X, b=Vec3(-1.0, 0.0, 0.0))
+def test_unchecked_angle_is_angular_deviation_bit_for_bit(a, b):
+    # The kernel's angle on directions checked where they entered is the
+    # public angle without its checks, and both are the vector formula.
+    expect = math.degrees(math.acos(max(-1.0, min(1.0, a.dot(b)))))
+    assert _unit_angle(a, b).hex() == angular_deviation(a, b).hex() == expect.hex()
 
 
 def test_lateral_side_right():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from turncue.config import GuidanceConfig
 from turncue.errors import ConfigError
@@ -13,6 +14,7 @@ from turncue.lights import (
     env_light_intensity,
     env_light_with_fade,
     point_light_color,
+    point_light_position,
     point_light_state,
     spotlight_state,
 )
@@ -213,3 +215,42 @@ def test_guidance_config_defaults_are_study_values():
     assert cfg.cold.to_tuple() == (1.0, 1.0, 1.0)
     assert cfg.point_azimuth == 75.0
     assert cfg.viewport_half_angle == 45.0
+
+
+def _vector_point_light_position(pose, side, azimuth, radius):
+    """Oracle: point_light_position as it was written on vectors."""
+    forward = pose.head_forward
+    flat = Vec3(forward.x, 0.0, forward.z)
+    if flat.norm() <= 1e-12:
+        flat = Vec3(0.0, 0.0, 1.0)
+    ahead = flat.normalized()
+    right = Vec3(ahead.z, 0.0, -ahead.x)
+    lat = right if side is Side.RIGHT else right.scaled(-1.0)
+    a = math.radians(azimuth)
+    direction = (ahead.scaled(math.cos(a)) + lat.scaled(math.sin(a))).normalized()
+    return pose.position + direction.scaled(radius)
+
+
+_COORD = st.floats(-3.0, 3.0) | st.sampled_from((0.0, -0.0))
+_HEAD = st.tuples(_COORD, _COORD, _COORD).filter(lambda v: math.hypot(*v) > 0.1).map(lambda v: Vec3(*v).normalized())
+# Straight up and down, and heads just under and just over the 1e-12
+# horizontal length below which the heading falls back to +z.
+_VERTICAL = st.sampled_from([
+    Vec3(0.0, 1.0, 0.0), Vec3(0.0, -1.0, 0.0), Vec3(-0.0, 1.0, -0.0),
+    Vec3(5e-13, 1.0, 5e-13), Vec3(2e-12, -1.0, 0.0), Vec3(0.0, 1.0, -3e-12),
+])
+
+
+@given(
+    position=st.tuples(_COORD, _COORD, _COORD),
+    head=_HEAD | _VERTICAL,
+    side=st.sampled_from(Side),
+    azimuth=st.floats(0.0, 180.0) | st.sampled_from((0.0, 90.0, 180.0)),
+    radius=st.floats(0.01, 5.0),
+)
+@example(position=(0.0, -0.0, 0.0), head=Vec3(0.0, 0.0, 1.0), side=Side.LEFT, azimuth=180.0, radius=0.5)
+def test_point_light_position_is_the_vector_form_bit_for_bit(position, head, side, azimuth, radius):
+    pose = Pose(Vec3(*position), head, head, 0.0)
+    got = point_light_position(pose, side, azimuth, radius)
+    expect = _vector_point_light_position(pose, side, azimuth, radius)
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, expect))

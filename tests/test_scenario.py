@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from _rand import record_digest
+from hypothesis import assume, example, given, strategies as st
 
 import turncue.scenario
 
@@ -135,7 +136,7 @@ def test_default_script_leaves_the_desk_to_the_run_which_records_it():
     desk = default_desk_anchor(script.seats, 3)
     trace = run_scenario(script, GazeAgentModel(), CFG, dt=FAST_DT)
     assert trace == run_scenario(replace(script, desk_anchor=desk), GazeAgentModel(), CFG, dt=FAST_DT)
-    assert trace.meta.desk_anchor == pytest.approx(desk.to_tuple())
+    assert trace.meta.desk_anchor == pytest.approx(desk)
 
 
 @pytest.mark.parametrize(
@@ -169,6 +170,30 @@ def test_rotate_toward_antipodal_makes_progress():
     b = Vec3(0.0, 0.0, -1.0)
     stepped = rotate_toward(a, b, 20.0)
     assert angular_deviation(a, stepped) == pytest.approx(20.0, abs=1e-6)
+
+
+_COMPONENT = st.floats(-1.0, 1.0)
+_UNIT = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).filter(lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: Vec3(*v).normalized())
+
+
+@given(current=_UNIT, target=_UNIT, step=st.floats(0.01, 200.0))
+@example(current=Vec3(0.0, 0.0, 1.0), target=Vec3(0.0, 0.0, -1.0), step=20.0)
+def test_rotate_toward_is_the_vector_slerp_bit_for_bit(current, target, step):
+    got = rotate_toward(current, target, step)
+    ang = angular_deviation(current, target)
+    if ang <= step:
+        assert got is target
+        return
+    if ang >= 180.0 - 1e-9:  # the antipodal waypoint, as rotate_toward picks it
+        waypoint = Vec3(current.z, 0.0, -current.x)
+        target = (waypoint if waypoint.norm() > 1e-9 else Vec3(1.0, 0.0, 0.0)).normalized()
+        ang = angular_deviation(current, target)
+        assume(ang > step)
+    omega, u = math.radians(ang), step / ang
+    a, b = math.sin((1.0 - u) * omega) / math.sin(omega), math.sin(u * omega) / math.sin(omega)
+    expect = (current.scaled(a) + target.scaled(b)).normalized()
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, expect))
 
 
 def test_kinematic_closed_form():
@@ -248,6 +273,27 @@ def test_user_opening_gaze_lead_traces_match_pinned_digest():
         traces.append(read_trace(text))
     assert digest.hexdigest() == "e2a7ed452ca1aad39fc5f45ab3e1fc971fcdfd2296667cd3edaec21ec421fd8b"
     assert record_digest(traces) == "a5b351e17260cf3a3ac992b666cfca2914afd54d45c5be5dc24d3ca321d2f925"
+
+
+def test_slow_listener_signaled_and_missed_ticks_match_pinned_digest():
+    # Every handoff is a signal half a second into the turn, and the agent
+    # turns its head at 20 deg/s, so most ticks are signaled ones with a
+    # moving head. From the user's seat 0, agent aN sits N seats around and
+    # neighbours are 30 degrees apart: the handoffs turn by 30 and 60 degrees
+    # (acknowledged) and by 90 and 120 (missed at the 5 s timeout).
+    turns = (Turn("a3", 6.0), Turn("a4", 6.0), Turn("a2", 6.0), Turn("a5", 6.0), Turn("a1", 1.0))
+    agent = GazeAgentModel(head_speed=20.0, seed=4)
+    traces = []
+    for method in METHODS:
+        script = ScenarioScript(
+            seats=hexagon_seats(), user_seat_index=0, role=Role.LISTENER, method=method,
+            turn_order=turns, signal_offset=0.5,
+        )
+        trace = run_scenario(script, agent, CFG, dt=1.0 / 72.0, seed=11)
+        ends = [b.state for a, b in zip(trace.records, trace.records[1:]) if a.state == "signaled" != b.state]
+        assert ends == ["acknowledged", "acknowledged", "missed", "missed"]
+        traces.append(trace)
+    assert record_digest(traces) == "3e249f6de50bcebd80a6a87450068c4d07a96bcbab01949740522e1d7ac5378b"
 
 
 @pytest.mark.parametrize("dt", [1 / 30, 1 / 45, 1 / 60, 1 / 72, 1 / 90, 1 / 120, 1 / 144, 0.1])
@@ -485,7 +531,7 @@ def test_reference_suite_simulates_a_minority_of_ticks(reference_run):
 def every_tick_simulated(monkeypatch):
     """Make each tick's head a fresh object, so no tick repeats the one before."""
     rotate = turncue.scenario.rotate_toward
-    monkeypatch.setattr(turncue.scenario, "rotate_toward", lambda *args: Vec3(*rotate(*args).to_tuple()))
+    monkeypatch.setattr(turncue.scenario, "rotate_toward", lambda *args: Vec3(*rotate(*args)))
 
 
 SLOW = GazeAgentModel(latency_in=10.0, latency_out=10.0)

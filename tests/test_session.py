@@ -290,7 +290,7 @@ def test_signaled_tick_with_gaze_apart_from_head_computes_three_angles(angle_cal
 
 def _fresh(p: Pose) -> Pose:
     """p with new vector objects of equal value."""
-    vectors = (Vec3(*v.to_tuple()) for v in (p.position, p.head_forward, p.gaze_forward))
+    vectors = (Vec3(*v) for v in (p.position, p.head_forward, p.gaze_forward))
     return Pose(*vectors, p.timestamp)
 
 
@@ -304,7 +304,7 @@ def test_ticks_on_repeated_pose_objects_equal_ticks_on_fresh_copies():
         p = Pose(position=position, head_forward=head, gaze_forward=head, timestamp=k * DT)
         last_cues = getattr(cached, "cues", None)
         cached, cached_frame = tick(cached, p, TARGET, DT, CFG)
-        computed, computed_frame = tick(computed, _fresh(p), Vec3(*TARGET.to_tuple()), DT, CFG)
+        computed, computed_frame = tick(computed, _fresh(p), Vec3(*TARGET), DT, CFG)
         assert cached == computed and cached_frame == computed_frame
         if k > 1 and head is heads[k - 2] and isinstance(cached, Signaled):
             assert cached.cues is last_cues
