@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .configio import GUIDANCE_SECTIONS, guidance_from_sections, load_simulation, load_suite, parse_sections
+from .configio import load_simulation, load_suite, parse_config
 from .config import GuidanceConfig
 from .errors import GuidanceError, TraceIntegrityError
 from .geometry import AngularRange, Vec3
@@ -60,13 +61,7 @@ def _eval_rows(channel: str, rng: AngularRange, gamma: float, steps: int, config
 
 
 def _cmd_eval(args) -> int:
-    config = GuidanceConfig()
-    if args.config:
-        sections = parse_sections(Path(args.config).read_text())
-        unread = [name for name in sections if name not in GUIDANCE_SECTIONS]
-        if unread:
-            raise GuidanceError(f"{args.config}: eval reads [lights], [audio] and [session], not [{unread[0]}]")
-        config = guidance_from_sections(sections)
+    config = parse_config(Path(args.config).read_text()) if args.config else GuidanceConfig()
     if args.channel == "sound" and args.gamma is not None:
         raise GuidanceError("--gamma does not apply to the sound channel")
     gamma = args.gamma if args.gamma is not None else {
@@ -96,9 +91,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_suite(args) -> int:
     plan, agent, config = load_suite(Path(args.plan).read_text())
     if args.participants is not None:
-        from dataclasses import replace
-
-        plan = replace(plan, participants=args.participants, trials=())
+        plan = replace(plan, participants=args.participants)
     result = run_suite(plan, agent, config, dt=args.dt, seed=args.seed, jobs=args.jobs)
     if args.out_dir:
         out_dir = Path(args.out_dir)

@@ -4,10 +4,10 @@ Sections: [lights], [audio], [session] feed GuidanceConfig; [scenario] and
 [agent] define a trial script and the synthetic gaze agent; [plan] defines a
 study plan. Parsing is strict: unknown sections or keys are rejected so a
 typo cannot silently fall back to a default mid-experiment, and every number
-must be finite. _SCHEMA is the full key list (documented in the README); each
-key is handed to a constructor argument, and a file cannot pair [plan] with
-[scenario] or [scenario] seats with seat_radius or eye_height, so none can
-be parsed and then ignored.
+must be finite. _SCHEMA is the full key list (documented in the README).
+Each reader names the sections it reads and rejects any other, each key is
+handed to a constructor argument, and [scenario] seats cannot be paired with
+seat_radius or eye_height, so nothing can be parsed and then ignored.
 """
 
 from __future__ import annotations
@@ -94,8 +94,16 @@ def _vec(where: str, raw: str) -> Vec3:
     return Vec3(*_triple(where, raw))
 
 
+def _at(where: str, build, *args):
+    """build(*args), with a range error prefixed by the key it came from."""
+    try:
+        return build(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _color(where: str, raw: str) -> ColorRGB:
-    return ColorRGB(*_triple(where, raw))
+    return _at(where, ColorRGB, *_triple(where, raw))
 
 
 def _seats(where: str, raw: str) -> tuple[Vec3, ...]:
@@ -167,8 +175,8 @@ _BANDS = {
 }
 
 
-def parse_sections(text: str) -> dict[str, dict[str, object]]:
-    """Section -> key -> typed value, for the sections the text defines."""
+def parse_sections(text: str, reads: tuple[str, ...]) -> dict[str, dict[str, object]]:
+    """Section -> key -> typed value; a section its caller does not read is an error."""
     cp = configparser.ConfigParser(interpolation=None, strict=True)
     try:
         cp.read_string(text)
@@ -178,14 +186,15 @@ def parse_sections(text: str) -> dict[str, dict[str, object]]:
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
+        if section not in reads:
+            listing = ", ".join(f"[{name}]" for name in reads[:-1])
+            raise ConfigError(f"this file may hold {listing} and [{reads[-1]}], not [{section}]")
         parsers = _SCHEMA[section]
         values = sections[section] = {}
         for key, raw in cp[section].items():
             if key not in parsers:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             values[key] = parsers[key](f"[{section}] {key}", raw)
-    if "plan" in sections and "scenario" in sections:
-        raise ConfigError("a file cannot define both [plan] and [scenario]")
     return sections
 
 
@@ -194,7 +203,8 @@ def guidance_from_sections(sections: dict) -> GuidanceConfig:
     defaults = GuidanceConfig()
     for field, keys in _BANDS.items():
         band = getattr(defaults, field)
-        values[field] = type(band)(*(values.pop(k, d) for k, d in zip(keys, astuple(band))))
+        bounds = (values.pop(k, d) for k, d in zip(keys, astuple(band)))
+        values[field] = _at(f"[lights] {'/'.join(keys)}", type(band), *bounds)
     return GuidanceConfig(**values)
 
 
@@ -229,27 +239,19 @@ def plan_from_sections(sections: dict) -> StudyPlan:
     return StudyPlan(**{"participants": 1, **sections["plan"]})
 
 
-def parse_config(text: str):
-    """Parse a config file into the object its sections declare.
-
-    [plan] yields a StudyPlan, [scenario] a ScenarioScript, otherwise a
-    GuidanceConfig. An empty file is the all-defaults GuidanceConfig.
-    """
-    sections = parse_sections(text)
-    if "plan" in sections:
-        return plan_from_sections(sections)
-    if "scenario" in sections:
-        return script_from_sections(sections)
-    return guidance_from_sections(sections)
+def parse_config(text: str) -> GuidanceConfig:
+    """A guidance config from [lights], [audio] and [session]; an empty file
+    is the all-defaults GuidanceConfig."""
+    return guidance_from_sections(parse_sections(text, GUIDANCE_SECTIONS))
 
 
 def load_simulation(text: str) -> tuple[ScenarioScript, GazeAgentModel, GuidanceConfig]:
     """Everything the simulate subcommand needs from one script file."""
-    sections = parse_sections(text)
+    sections = parse_sections(text, ("scenario", "agent", *GUIDANCE_SECTIONS))
     return script_from_sections(sections), agent_from_sections(sections), guidance_from_sections(sections)
 
 
 def load_suite(text: str) -> tuple[StudyPlan, GazeAgentModel, GuidanceConfig]:
     """Everything the suite subcommand needs from one plan file."""
-    sections = parse_sections(text)
+    sections = parse_sections(text, ("plan", "agent", *GUIDANCE_SECTIONS))
     return plan_from_sections(sections), agent_from_sections(sections), guidance_from_sections(sections)

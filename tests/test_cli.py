@@ -229,9 +229,12 @@ SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"
          "seat_radius=-1.0 must be finite and > 0"),
         # A section or key that would be parsed and then dropped.
         (["suite", "--plan", "{cfg}"], "[plan]\n[scenario]\nrole = speaker\n",
-         "a file cannot define both [plan] and [scenario]"),
+         "[agent], [lights], [audio] and [session], not [scenario]"),
         (["simulate", "--script", "{cfg}"], "[scenario]\n[plan]\nparticipants = 2\n",
-         "a file cannot define both [plan] and [scenario]"),
+         "[agent], [lights], [audio] and [session], not [plan]"),
+        (["simulate", "--script", "{cfg}"], (REPO / "configs" / "study.cfg").read_text(), "not [plan]"),
+        (["suite", "--plan", "{cfg}"], (REPO / "configs" / "listener_light_audio.cfg").read_text(),
+         "not [scenario]"),
         (["simulate", "--script", "{cfg}"], f"[scenario]\n{SIX_SEATS}seat_radius = 5\n",
          "[scenario] seat_radius has no effect when seats is set"),
         (["simulate", "--script", "{cfg}"], f"[scenario]\n{SIX_SEATS}eye_height = 3\n",
@@ -240,7 +243,8 @@ SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"
     ids=["ack_threshold-nan", "miss_timeout-inf", "head_speed-nan", "user_seat-range", "gamma-nan",
          "gamma-sound", "jobs-0", "participants-negative", "participant-negative", "dt-tiny", "turn-huge",
          "theta_min-above-179", "plan-seat_radius-negative", "plan-seat_radius-zero",
-         "scenario-seat_radius-negative", "plan-with-scenario", "scenario-with-plan", "seats-with-seat_radius",
+         "scenario-seat_radius-negative", "plan-with-scenario", "scenario-with-plan",
+         "study-cfg-to-simulate", "script-cfg-to-suite", "seats-with-seat_radius",
          "seats-with-eye_height"],
 )
 def test_invalid_number_exits_one_naming_it(tmp_path, capsys, monkeypatch, args, config, named):

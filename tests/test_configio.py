@@ -50,7 +50,7 @@ def test_unknown_key_rejected():
 )
 def test_removed_keys_rejected(text):
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_config(text)
+        load_suite(text)
 
 
 def test_unknown_section_rejected():
@@ -64,8 +64,25 @@ def test_syntax_error_carries_line_number():
 
 
 def test_range_violation_names_field():
-    with pytest.raises(ConfigError, match="env_min|l_min"):
+    with pytest.raises(ConfigError, match="env_min"):
         parse_config("[lights]\nenv_min = 2.0\nenv_max = 1.0\n")
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("env_min = 2", "[lights] env_min/env_max: light levels require 0 <= l_min < l_max < inf, got [2.0, 1.1]"),
+        ("spot_max = 0.5", "[lights] spot_min/spot_max: light levels require 0 <= l_min < l_max < inf, got [0.8, 0.5]"),
+        ("warm = 2, 0, 0", "[lights] warm: color channel r=2.0 must lie in [0, 1]"),
+        ("cold = 1, -0.5, 1", "[lights] cold: color channel g=-0.5 must lie in [0, 1]"),
+        ("cone_min = 70", "[lights] cone_min/cone_max: spotlight cone requires 0 < a_min < a_max <= 180, got [70.0, 60.0]"),
+    ],
+    ids=["env", "spot", "warm", "cold", "cone"],
+)
+def test_light_range_error_names_its_key(line, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(f"[lights]\n{line}\n")
+    assert str(excinfo.value) == message
 
 
 def test_partial_override_keeps_other_defaults():
@@ -76,7 +93,7 @@ def test_partial_override_keeps_other_defaults():
 
 
 def test_scenario_file_parses_to_script():
-    script = parse_config((REPO / "configs" / "listener_light_audio.cfg").read_text())
+    script, _, _ = load_simulation((REPO / "configs" / "listener_light_audio.cfg").read_text())
     assert isinstance(script, ScenarioScript)
     assert script.role is Role.LISTENER
     assert script.method is Method.LIGHT_AUDIO
@@ -97,7 +114,7 @@ turns = a1:10 | user:12 | a2:8
 desk_anchor = 0.4, 0.8, 0
 signal_offset = 4
 """
-    script = parse_config(text)
+    script, _, _ = load_simulation(text)
     assert [t.speaker for t in script.turn_order] == ["a1", "user", "a2"]
     assert script.turn_order[1].duration == 12.0
     assert script.seats[2].x == 2.0
@@ -107,34 +124,39 @@ signal_offset = 4
 
 def test_bad_turn_entry():
     with pytest.raises(ConfigError, match="speaker:duration"):
-        parse_config("[scenario]\nturns = a1 10\n")
+        load_simulation("[scenario]\nturns = a1 10\n")
 
 
 def test_script_validated_at_parse_time():
     with pytest.raises(ScriptError, match=r"^turn references unknown speaker id 'a9'$"):
-        parse_config("[scenario]\nturns = a9:5\n")
+        load_simulation("[scenario]\nturns = a9:5\n")
     with pytest.raises(ConfigError, match="seats"):
-        parse_config("[scenario]\nseats = 0,1,0 | 0,1,2\n")
+        load_simulation("[scenario]\nseats = 0,1,0 | 0,1,2\n")
 
 
 def test_seats_override_leaves_the_desk_default_to_the_run():
-    script = parse_config("[scenario]\nuser_seat = 2\nseats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n")
+    script, _, _ = load_simulation("[scenario]\nuser_seat = 2\nseats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n")
     assert script.desk_anchor is None
     meta = run_scenario(script, GazeAgentModel(), GuidanceConfig(), dt=0.1).meta
     assert meta.desk_anchor == pytest.approx(default_desk_anchor(script.seats, 2))
 
 
 def test_plan_file_parses():
-    plan = parse_config((REPO / "configs" / "study.cfg").read_text())
+    plan, _, _ = load_suite((REPO / "configs" / "study.cfg").read_text())
     assert isinstance(plan, StudyPlan)
     assert plan.participants == 1
 
 
 def test_plan_and_scenario_conflict():
-    # Each entry point would drop one of the two sections.
-    for load in (parse_config, load_simulation, load_suite):
-        with pytest.raises(ConfigError, match=r"^a file cannot define both \[plan\] and \[scenario\]$"):
+    # Each entry point would drop one of the two sections; it names the first it does not read.
+    for load, unread in ((parse_config, "plan"), (load_simulation, "plan"), (load_suite, "scenario")):
+        with pytest.raises(ConfigError, match=rf"^this file may hold \[.*, not \[{unread}\]$"):
             load("[plan]\nparticipants = 1\n[scenario]\nrole = listener\n")
+
+
+def test_guidance_config_rejects_the_sections_it_does_not_read():
+    with pytest.raises(ConfigError, match=r"^this file may hold \[lights\], \[audio\] and \[session\], not \[scenario\]$"):
+        parse_config("[scenario]\nrole = listener\n[agent]\nhead_speed = 5\n[session]\nmiss_timeout = 1\n")
 
 
 def test_load_simulation_returns_triple():

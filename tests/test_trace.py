@@ -186,6 +186,11 @@ def _trace_lines() -> list[str]:
         (3, '"pos":[0,1,0]', '"pos":[0,NaN,0]', r"pos=\[0, nan, 0\] is not a valid Triple"),
         (3, '"rt":null', '"rt":-1e999', r"rt=-inf is not a valid float \| None"),
         (3, '"panel_text":""', '"panel_text":NaN', "panel_text=nan is not a valid str"),
+        (4, '"tick":2', '"tick":NaN', "tick=nan is not a valid int"),
+        (2, '"chime":false', '"chime":Infinity', "chime=inf is not a valid bool"),
+        (3, '"rt":null', '"rt":-Infinity', r"rt=-inf is not a valid float \| None"),
+        (2, '"in_view":null', '"in_view":NaN', r"in_view=nan is not a valid bool \| None"),
+        (3, '"target":null', '"target":Infinity', r"target=inf is not a valid str \| None"),
         (1, '"topic":0', '"topic":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
         (2, '"tick":0', '"tick":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
         (3, '"tick":1', '"tick":1,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
@@ -193,7 +198,8 @@ def _trace_lines() -> list[str]:
     ],
     ids=["missing-field", "non-numeric", "short-triple", "short-seat", "non-integer", "str-bool", "str-float",
          "int-str", "bool-int", "nan", "infinity", "minus-infinity", "float-overflow", "int-overflow",
-         "nan-in-triple", "optional-float", "nan-str", "unknown-in-meta", "unknown-in-first-frame",
+         "nan-in-triple", "optional-float", "nan-str", "nan-int", "infinity-bool",
+         "minus-infinity-optional-float", "nan-optional-bool", "infinity-optional-str", "unknown-in-meta", "unknown-in-first-frame",
          "unknown-in-later-frame", "lost-tick"],
 )
 def test_read_rejects_malformed_line_with_its_number(lineno, old, new, message):
