@@ -77,8 +77,8 @@ class GuidanceConfig:
             raise ConfigError(f"theta_min={self.theta_min} must lie in [0, {180.0 - MIN_RANGE_WIDTH:g}]")
         if self.sound_easing not in ("linear", "cosine"):
             raise ConfigError(f"sound_easing='{self.sound_easing}' must be linear or cosine")
-        if self.chime_max_repeats < 1:
-            raise ConfigError(f"chime_max_repeats={self.chime_max_repeats} must be >= 1")
+        if type(self.chime_max_repeats) is not int or self.chime_max_repeats < 1:  # bools too
+            raise ConfigError(f"chime_max_repeats={self.chime_max_repeats!r} must be an integer >= 1")
         if not 0.0 <= self.chime_repeat_interval < math.inf:
             raise ConfigError(f"chime_repeat_interval={self.chime_repeat_interval} must be finite and >= 0")
         if self.chime_max_repeats > 1 and self.chime_repeat_interval == 0.0:

@@ -23,6 +23,7 @@ from .geometry import Vec3
 from .lights import ColorRGB
 from .scenario import (
     AGENT_COUNT,
+    LATENCY_OVERRIDES,
     GazeAgentModel,
     ScenarioScript,
     StudyPlan,
@@ -118,9 +119,6 @@ def _lower(where: str, raw: str) -> str:
     return raw.strip().lower()
 
 
-# [agent] per-method latency keys -> (method, view) of the override.
-_LATENCY_OVERRIDES = {f"latency_{m.value}_{v}": (m.value, v) for m in Method for v in ("in", "out")}
-
 # Section -> key -> parser(where, raw). The *_from_sections builders below
 # pass every parsed key on as a constructor argument (renaming a few), so a
 # key without an argument fails there instead of being ignored.
@@ -157,7 +155,7 @@ _SCHEMA = {
     },
     "agent": {
         **dict.fromkeys(
-            ("head_speed", "gaze_lead", "latency_in", "latency_out", "latency_jitter", *_LATENCY_OVERRIDES),
+            ("head_speed", "gaze_lead", "latency_in", "latency_out", "latency_jitter", *LATENCY_OVERRIDES),
             _float,
         ),
         "seed": _int,
@@ -210,7 +208,7 @@ def guidance_from_sections(sections: dict) -> GuidanceConfig:
 
 def agent_from_sections(sections: dict) -> GazeAgentModel:
     values = dict(sections.get("agent", {}))
-    overrides = tuple((*mv, values.pop(key)) for key, mv in _LATENCY_OVERRIDES.items() if key in values)
+    overrides = tuple((*mv, values.pop(key)) for key, mv in LATENCY_OVERRIDES.items() if key in values)
     return GazeAgentModel(**values, latency_overrides=overrides)
 
 

@@ -153,14 +153,9 @@ def target_view(pose: Pose, target: Vec3, half_angle: float) -> tuple[float, flo
     head_theta = _unit_angle(pose.head_forward, to_target)
     gaze = pose.gaze_forward
     gaze_theta = head_theta if gaze is pose.head_forward else _unit_angle(gaze, to_target)
-    return head_theta, gaze_theta, angle_in_viewport(head_theta, half_angle)
-
-
-def angle_in_viewport(head_theta: float, half_angle: float) -> bool:
-    """Whether a head-to-target angle lies within half_angle (inclusive)."""
     if not 0.0 < half_angle < 180.0:
         raise ConfigError(f"viewport half_angle={half_angle} must lie in (0, 180)")
-    return head_theta <= half_angle + _BOUNDARY_EPS
+    return head_theta, gaze_theta, head_theta <= half_angle + _BOUNDARY_EPS
 
 
 def lateral_side(pose: Pose, target: Vec3) -> Side:

@@ -17,9 +17,6 @@ from .geometry import (
     Pose,
     Side,
     Vec3,
-    angle_in_viewport,
-    angular_deviation,
-    direction_to,
     lateral_side,
     normalized_progress,
     target_view,
@@ -207,8 +204,7 @@ def point_light_state(
     Placed radius meters from the head at azimuth degrees off head forward,
     on the lateral side of the target; colored by the head-to-target angle.
     """
-    theta = angular_deviation(pose.head_forward, direction_to(pose.position, target))
-    in_view = angle_in_viewport(theta, half_angle)
+    theta, _, in_view = target_view(pose, target, half_angle)
     return point_light(
         pose, target, theta, in_view, rng,
         azimuth=azimuth, radius=radius, warm=warm, cold=cold, gamma=gamma,

@@ -47,9 +47,19 @@ LATIN_SQUARE_4 = (
     (3, 0, 2, 1),
 )
 
+# GazeAgentModel's per-method latency override keys -> (method, view).
+LATENCY_OVERRIDES = {f"latency_{m.value}_{v}": (m.value, v) for m in METHODS for v in ("in", "out")}
+
 NAME_POOL = (
     "Alex", "Blair", "Casey", "Drew", "Emery", "Flynn", "Harper", "Jordan",
 )
+
+
+def _check_ints(**values) -> None:
+    """Reject a value that is not an int, bools included, as the trace's int fields do."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ScriptError(f"{name}={value!r} is not an integer")
 
 
 def stable_seed(*parts) -> int:
@@ -89,6 +99,7 @@ class ScenarioScript:
             raise ScriptError(
                 f"seats: expected {AGENT_COUNT + 1} entries (user + {AGENT_COUNT} agents), got {len(self.seats)}"
             )
+        _check_ints(user_seat_index=self.user_seat_index, topic=self.topic)
         if not 0 <= self.user_seat_index < len(self.seats):
             raise ScriptError(f"user_seat_index={self.user_seat_index} out of range")
         user = self.seats[self.user_seat_index]
@@ -127,8 +138,15 @@ class GazeAgentModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.head_speed < math.inf:
             raise ScriptError(f"agent head_speed={self.head_speed} must be finite and > 0")
+        _check_ints(seed=self.seed)
         latencies = {n: getattr(self, n) for n in ("gaze_lead", "latency_in", "latency_out", "latency_jitter")}
-        latencies.update((f"latency_{m}_{v}", mean) for m, v, mean in self.latency_overrides)
+        for m, v, mean in self.latency_overrides:
+            name = f"latency_{m}_{v}"
+            if LATENCY_OVERRIDES.get(name) != (m, v):
+                raise ScriptError(f"agent {name} names no method and view (in or out)")
+            if name in latencies:
+                raise ScriptError(f"agent {name} is given twice")
+            latencies[name] = mean
         for name, value in latencies.items():
             if not 0.0 <= value < math.inf:
                 raise ScriptError(f"agent {name}={value} must be finite and >= 0")
@@ -286,6 +304,7 @@ def run_scenario(
     """
     if not 0.0 < dt <= 0.1:
         raise ScriptError(f"dt={dt} must lie in (0, 0.1]")
+    _check_ints(participant=participant, seed=seed)
     if participant < 0:
         raise ScriptError(f"participant={participant} must be >= 0")
     turns = script.turn_order
@@ -408,8 +427,8 @@ def run_scenario(
             spot_intensity=frame.spot.intensity if lit else 0.0,
             spot_cone=frame.spot.cone_angle if lit else config.spot_geometry.a_min,
             spot_aim=frame.spot.aim,
-            sound_pos=frame.sound.position if audible else target or user_pos,
-            chime=audible and frame.sound.chime_active,
+            sound_pos=frame.sound_pos if audible else target or user_pos,
+            chime=audible and frame.chime,
             duck=frame.duck_gain if audible else 1.0,
             panel_active=ti.panel_active,
             panel_anchor=ti.panel_anchor,
@@ -467,6 +486,7 @@ class StudyPlan:
     trials: tuple[TrialSpec, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        _check_ints(participants=self.participants)
         if self.participants < 0:
             raise ScriptError(f"participants={self.participants} must be >= 0")
         if not 0.0 < self.seat_radius < math.inf:
@@ -543,6 +563,7 @@ def run_suite(
     pool gave no speedup and a two-process pool under 1.5x. `jobs` is
     accepted (it must be >= 1) but not used.
     """
+    _check_ints(seed=seed, jobs=jobs)
     if jobs < 1:
         raise ScriptError(f"jobs={jobs} must be >= 1")
     if not plan.trials:

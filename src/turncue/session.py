@@ -1,5 +1,5 @@
-"""Per-signal guidance session: reference capture, per-tick cue math,
-acknowledgment and miss detection.
+"""Per-signal guidance session: reference capture, chime schedule, per-tick
+cue math and duck, acknowledgment and miss detection.
 
 A session is a value: begin_signal and tick return new states, so replaying
 the same pose sequence reproduces the same frames bit for bit, and distinct
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import audio
-from .audio import Role, SoundSourceState
+from .audio import Role
 from .config import MIN_RANGE_WIDTH, GuidanceConfig
 from .errors import ConcurrentSignalError, ConfigError, TraceOrderError
 from .geometry import (
@@ -87,12 +87,14 @@ SessionState = Idle | Signaled | Acknowledged | Missed
 
 @dataclass(frozen=True)
 class CueFrame:
-    """Per-tick composite handed to a renderer or trace writer."""
+    """Per-tick composite handed to a renderer or trace writer: the lights,
+    the chime source position, whether a chime plays, and the duck gain."""
 
     env_intensity: float
     point: PointLightState
     spot: SpotlightState
-    sound: SoundSourceState
+    sound_pos: Vec3
+    chime: bool
     duck_gain: float
     session_state: str
 
@@ -109,6 +111,8 @@ def begin_signal(
     theta_max per channel is the angle to the target at this instant,
     measured from the gaze for the gaze-referenced channels and from the
     head for the head-referenced ones, floored to a minimal positive range.
+    The chime plays at the signal and then every chime_repeat_interval, in
+    all round(chime_max_repeats * subtlety) times, at least once.
     """
     if isinstance(state, Signaled):
         raise ConcurrentSignalError(
@@ -119,8 +123,10 @@ def begin_signal(
     gaze_range = AngularRange(config.theta_min, max(gaze_theta, floor))
     head_range = AngularRange(config.theta_min, max(head_theta, floor))
 
+    if pose.timestamp < 0.0:
+        raise ConfigError(f"signal_time={pose.timestamp} must be >= 0")
     repeats = max(1, round(config.chime_max_repeats * config.subtlety))
-    chimes = tuple(audio.chime_schedule(pose.timestamp, config.chime_repeat_interval, repeats))
+    chimes = tuple(pose.timestamp + i * config.chime_repeat_interval for i in range(repeats))
 
     return Signaled(pose.timestamp, pose.gaze_forward, gaze_range, head_range, role, in_view,
                     chimes, last_timestamp=pose.timestamp)
@@ -177,7 +183,8 @@ def _quiet_frame(
         spot=SpotlightState(
             active=False, intensity=0.0, cone_angle=config.spot_geometry.a_min, aim=aim
         ),
-        sound=SoundSourceState(position=aim, chime_active=False),
+        sound_pos=aim,
+        chime=False,
         duck_gain=1.0,
         session_state=tag,
     )
@@ -263,12 +270,13 @@ def tick(
         )
         return miss, _quiet_frame(pose, target, config, env, "missed")
 
-    chime_active = any(c <= ts < c + config.duck_duration for c in state.chimes)
+    chime = any(c <= ts < c + config.duck_duration for c in state.chimes)
     # The duck window is the chime window. Speakers never hear their own
-    # voice through the headset, so only listeners are ducked.
+    # voice through the headset, so only listeners are ducked; subtlety
+    # scales the duck's depth, and at 0 turns it off.
     gain = 1.0
-    if chime_active and state.role is Role.LISTENER:
-        gain = audio.scaled_duck_gain(config.duck_gain, config.subtlety)
+    if chime and state.role is Role.LISTENER:
+        gain = 1.0 - config.subtlety * (1.0 - config.duck_gain)
 
     new_state = Signaled(
         state.signal_time, state.signal_gaze, state.gaze_range, state.head_range,
@@ -276,8 +284,7 @@ def tick(
         dwell, alignment_start, ts,
     )
     object.__setattr__(new_state, "cues", cues)
-    sound = SoundSourceState(sound_pos, chime_active)
-    return new_state, CueFrame(env, point, spot, sound, gain, "signaled")
+    return new_state, CueFrame(env, point, spot, sound_pos, chime, gain, "signaled")
 
 
 def response_time(state: SessionState) -> float | None:

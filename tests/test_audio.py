@@ -2,11 +2,7 @@ import random
 
 import pytest
 
-from turncue.audio import (
-    chime_schedule,
-    scaled_duck_gain,
-    sound_source_position,
-)
+from turncue.audio import sound_source_position
 from turncue.errors import ConfigError, DegenerateGeometryError
 from turncue.geometry import AngularRange, Vec3
 
@@ -67,27 +63,3 @@ def test_source_unknown_easing():
     with pytest.raises(ConfigError):
         sound_source_position(U, T, 45.0, R90, "bounce")
 
-
-def test_chime_single_play():
-    assert chime_schedule(5.0) == [5.0]
-
-
-def test_chime_at_zero():
-    assert chime_schedule(0.0) == [0.0]
-
-
-def test_chime_repeats():
-    assert chime_schedule(5.0, repeat_interval=3.0, max_repeats=2) == [5.0, 8.0]
-
-
-def test_chime_rejects_bad_repeat_config():
-    with pytest.raises(ConfigError):
-        chime_schedule(5.0, repeat_interval=None, max_repeats=2)
-    with pytest.raises(ConfigError):
-        chime_schedule(-1.0)
-
-
-def test_subtlety_scaling():
-    assert scaled_duck_gain(0.5, 1.0) == 0.5
-    assert scaled_duck_gain(0.5, 0.5) == pytest.approx(0.75)
-    assert scaled_duck_gain(0.5, 0.0) == 1.0

@@ -20,6 +20,7 @@ from turncue.scenario import (
     default_script,
     hexagon_seats,
     run_scenario,
+    run_suite,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -224,11 +225,47 @@ role = listener
         (lambda: StudyPlan(participants=1, seat_radius=math.inf), "seat_radius=inf"),
         (lambda: hexagon_seats(-1.2), "seat_radius=-1.2"),
         (lambda: hexagon_seats(math.nan), "seat_radius=nan"),
+        (lambda: GuidanceConfig(chime_max_repeats=2), "chime_repeat_interval must be > 0 when repeats > 1"),
+        (lambda: GuidanceConfig(subtlety=1.5), r"subtlety=1\.5 must lie in \[0, 1\]"),
+        (lambda: GuidanceConfig(subtlety=-0.1), r"subtlety=-0\.1 must lie in \[0, 1\]"),
+        # Integers: a float or a bool is rejected where it enters, naming the field.
+        (lambda: StudyPlan(participants=1.5), r"participants=1\.5 is not an integer"),
+        (lambda: StudyPlan(participants=True), "participants=True is not an integer"),
+        (lambda: replace(default_script(Method.SGD, Role.LISTENER), user_seat_index=1.0),
+         r"user_seat_index=1\.0 is not an integer"),
+        (lambda: default_script(Method.SGD, Role.LISTENER, user_seat_index=1.0),
+         r"user_seat_index=1\.0 is not an integer"),
+        (lambda: replace(default_script(Method.SGD, Role.LISTENER), user_seat_index=True),
+         "user_seat_index=True is not an integer"),
+        (lambda: replace(default_script(Method.SGD, Role.LISTENER), topic=1.5), r"topic=1\.5 is not an integer"),
+        (lambda: run_scenario(default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), GuidanceConfig(),
+                              participant=1.5), r"participant=1\.5 is not an integer"),
+        (lambda: run_scenario(default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), GuidanceConfig(),
+                              seed=2.5), r"seed=2\.5 is not an integer"),
+        (lambda: run_suite(StudyPlan(participants=0), GazeAgentModel(), GuidanceConfig(), seed=2.5),
+         r"seed=2\.5 is not an integer"),
+        (lambda: run_suite(StudyPlan(participants=0), GazeAgentModel(), GuidanceConfig(), jobs=1.5),
+         r"jobs=1\.5 is not an integer"),
+        (lambda: GazeAgentModel(seed=1.5), r"seed=1\.5 is not an integer"),
+        (lambda: GuidanceConfig(chime_max_repeats=2.5), r"chime_max_repeats=2\.5 must be an integer >= 1"),
+        (lambda: GuidanceConfig(chime_max_repeats=True), "chime_max_repeats=True must be an integer >= 1"),
+        # Latency overrides name a real (method, view) cell, once.
+        (lambda: GazeAgentModel(latency_overrides=(("lite", "in", 0.1),)), "latency_lite_in names no method"),
+        (lambda: GazeAgentModel(latency_overrides=(("sgd", "sideways", 0.2),)), "latency_sgd_sideways names no method"),
+        (lambda: GazeAgentModel(latency_overrides=(("light", "audio_in", 0.2),)),
+         "latency_light_audio_in names no method"),
+        (lambda: GazeAgentModel(latency_overrides=(("sgd", "in", 0.1), ("sgd", "in", 0.2))),
+         "latency_sgd_in is given twice"),
     ],
     ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
          "head_speed", "latency_override", "signal_offset", "progress_gamma", "participants",
          "theta_min-above-179", "plan-seat_radius-zero", "plan-seat_radius-inf", "seat_radius-negative",
-         "seat_radius-nan"],
+         "seat_radius-nan", "chime-repeats-without-interval", "subtlety-above-1", "subtlety-negative",
+         "participants-float", "participants-bool", "user_seat_index-float", "default_script-user_seat_index-float",
+         "user_seat_index-bool", "topic-float", "run_scenario-participant-float", "run_scenario-seed-float",
+         "run_suite-seed-float", "run_suite-jobs-float", "agent-seed-float", "chime_max_repeats-float",
+         "chime_max_repeats-bool", "latency-unknown-method", "latency-unknown-view", "latency-split-method",
+         "latency-repeated-cell"],
 )
 def test_constructors_reject_non_finite_and_out_of_range(build, named):
     with pytest.raises(ConfigError, match=named):

@@ -5,7 +5,7 @@ import pytest
 
 from turncue.audio import Role
 from turncue.config import GuidanceConfig
-from turncue.errors import ConcurrentSignalError, TraceOrderError
+from turncue.errors import ConcurrentSignalError, ConfigError, TraceOrderError
 from turncue.geometry import AngularRange, Pose, Side, Vec3
 from turncue.scenario import hexagon_seats
 from turncue.session import (
@@ -67,6 +67,25 @@ def test_begin_signal_floors_degenerate_range():
     state = begin_signal(IDLE, pose(0.0, AT_TARGET), TARGET, Role.LISTENER, CFG)
     assert state.head_range.theta_max == CFG.theta_min + 1.0
     assert state.target_in_view_at_signal
+
+
+@pytest.mark.parametrize(
+    "t,cfg,chimes",
+    [
+        (5.0, CFG, (5.0,)),
+        (0.0, CFG, (0.0,)),
+        (5.0, GuidanceConfig(chime_max_repeats=2, chime_repeat_interval=3.0), (5.0, 8.0)),
+        (1.0, GuidanceConfig(chime_max_repeats=3, chime_repeat_interval=1.5), (1.0, 2.5, 4.0)),
+    ],
+    ids=["single", "single-at-zero", "repeat-twice", "repeat-thrice"],
+)
+def test_begin_signal_schedules_a_chime_at_the_signal_then_every_interval(t, cfg, chimes):
+    assert begin_signal(IDLE, pose(t, AHEAD), TARGET, Role.LISTENER, cfg).chimes == chimes
+
+
+def test_begin_signal_rejects_a_negative_signal_time():
+    with pytest.raises(ConfigError, match=r"^signal_time=-1\.0 must be >= 0$"):
+        begin_signal(IDLE, pose(-1.0, AHEAD), TARGET, Role.LISTENER, CFG)
 
 
 def test_begin_signal_rejects_concurrent():
@@ -186,10 +205,10 @@ def test_duck_applies_to_listener_until_window_ends():
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
     state, early = tick(state, pose(0.5, AHEAD), TARGET, DT, CFG)
     assert early.duck_gain == CFG.duck_gain
-    assert early.sound.chime_active
+    assert early.chime
     state, late = tick(state, pose(2.5, AHEAD), TARGET, DT, CFG)
     assert late.duck_gain == 1.0
-    assert not late.sound.chime_active
+    assert not late.chime
 
 
 def test_duck_never_applies_to_speaker():
@@ -209,7 +228,7 @@ def test_zero_subtlety_disables_the_duck():
     cfg = GuidanceConfig(subtlety=0.0)
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, cfg)
     state, frame = tick(state, pose(0.5, AHEAD), TARGET, DT, cfg)
-    assert frame.sound.chime_active
+    assert frame.chime
     assert frame.duck_gain == 1.0
 
 
@@ -221,7 +240,7 @@ def _chime_timeline(role: Role, cfg: GuidanceConfig, dt: float = 0.125):
     for k in range(round(cfg.miss_timeout / dt)):
         state, frame = tick(state, pose(k * dt, AHEAD), TARGET, dt, cfg)
         assert isinstance(state, Signaled)
-        timeline.append((k * dt, frame.sound.chime_active, frame.duck_gain))
+        timeline.append((k * dt, frame.chime, frame.duck_gain))
     return timeline
 
 
@@ -262,13 +281,13 @@ def _count_signaled_tick_angles(calls, gaze_angle):
     calls.update(direction_to=0, angular_deviation=0)
     state, frame = tick(state, first, TARGET, DT, CFG)
     assert isinstance(state, Signaled)
-    assert frame.spot.active and frame.sound.chime_active
+    assert frame.spot.active and frame.chime
     counts = [dict(calls)]
     calls.update(direction_to=0, angular_deviation=0)
     _, later = tick(state, replace(first, timestamp=0.6), TARGET, DT, CFG)
     counts.append(dict(calls))
     # cues are reused; the env light still fades
-    assert (later.point, later.spot, later.sound) == (frame.point, frame.spot, frame.sound)
+    assert (later.point, later.spot, later.sound_pos) == (frame.point, frame.spot, frame.sound_pos)
     assert later.env_intensity != frame.env_intensity
     return counts
 
@@ -330,8 +349,6 @@ def test_signaled_equality_repr_and_hash_ignore_the_cue_cache():
 
 
 def test_tick_rejects_nonpositive_dt():
-    from turncue.errors import ConfigError
-
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
     with pytest.raises(ConfigError):
         tick(state, pose(0.1, AHEAD), TARGET, 0.0, CFG)
@@ -340,9 +357,9 @@ def test_tick_rejects_nonpositive_dt():
 def test_sound_source_travels_user_to_target():
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
     _, far = tick(state, pose(0.1, AHEAD), TARGET, DT, CFG)
-    assert far.sound.position == Vec3(0.0, 0.0, 0.0)
+    assert far.sound_pos == Vec3(0.0, 0.0, 0.0)
     _, near = tick(state, pose(0.2, AT_TARGET), TARGET, DT, CFG)
-    assert near.sound.position == TARGET
+    assert near.sound_pos == TARGET
 
 
 def test_replay_is_bit_stable():
