@@ -55,6 +55,7 @@ from .scenario import (
     randomize_presentation,
     run_scenario,
     run_suite,
+    suite_traces,
 )
 from .session import (
     IDLE,

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: eval (sweep a cue channel over a theta grid to CSV), simulate
-(script -> trace), suite (plan -> traces + metrics summary), metrics
-(traces -> summary). Machine-readable output goes to stdout, diagnostics to
-stderr. Exit codes: 0 success, 1 validation failure, 2 I/O failure.
+(script -> trace), suite (plan -> a trace file as each trial ends, one trial
+in memory at a time, + metrics summary), metrics (traces -> summary).
+Machine-readable output goes to stdout, diagnostics to stderr. Exit codes:
+0 success, 1 validation failure, 2 I/O failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .geometry import AngularRange, Vec3
 from .lights import env_light_intensity, point_light_color, spot_cone_angle, spot_intensity
 from .audio import sound_source_position
 from .metrics import extract_metrics, metrics_to_csv
-from .scenario import run_scenario, run_suite
+from .scenario import run_scenario, suite_traces
 from .trace import read_trace, write_trace
 
 _CHANNELS = ("env", "point", "spot", "sound")
@@ -92,16 +93,22 @@ def _cmd_suite(args) -> int:
     plan, agent, config = load_suite(Path(args.plan).read_text())
     if args.participants is not None:
         plan = replace(plan, participants=args.participants)
-    result = run_suite(plan, agent, config, dt=args.dt, seed=args.seed, jobs=args.jobs)
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
+    traces = suite_traces(plan, agent, config, dt=args.dt, seed=args.seed, jobs=args.jobs)
+
+    def write_each(out_dir):  # each file lands as its trial ends, before the next trial runs
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, trace in enumerate(result.traces):
+        written = 0
+        for trace in traces:
             meta = trace.meta
-            name = f"trace_p{meta.participant:03d}_{i % 8:02d}_{meta.method}_{meta.role}.jsonl"
+            name = f"trace_p{meta.participant:03d}_{written % 8:02d}_{meta.method}_{meta.role}.jsonl"
             (out_dir / name).write_text(write_trace(trace.records, meta))
-        print(f"wrote {len(result.traces)} traces to {args.out_dir}", file=sys.stderr)
-    sys.stdout.write(metrics_to_csv(result.summary))
+            written += 1
+            yield trace
+            del trace  # so that only the trial being run is alive
+        print(f"wrote {written} traces to {args.out_dir}", file=sys.stderr)
+
+    summary = extract_metrics(write_each(Path(args.out_dir)) if args.out_dir else traces)
+    sys.stdout.write(metrics_to_csv(summary))
     return 0
 
 

@@ -22,7 +22,6 @@ from .errors import ConfigError
 from .geometry import Vec3
 from .lights import ColorRGB
 from .scenario import (
-    AGENT_COUNT,
     LATENCY_OVERRIDES,
     GazeAgentModel,
     ScenarioScript,
@@ -218,8 +217,6 @@ def script_from_sections(sections: dict) -> ScenarioScript:
         raise ConfigError("missing [scenario] section")
     values = dict(sections["scenario"])
     user_seat = values.pop("user_seat", 0)
-    if not 0 <= user_seat <= AGENT_COUNT:
-        raise ConfigError(f"[scenario] user_seat={user_seat} must lie in [0, {AGENT_COUNT}]")
     layout = {k: values.pop(k) for k in ("topic", "names", "seat_radius", "eye_height") if k in values}
     for key in ("seat_radius", "eye_height"):
         if key in layout and "seats" in values:

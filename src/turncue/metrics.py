@@ -8,6 +8,7 @@ cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .audio import Role
@@ -90,9 +91,9 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
 def extract_metrics(traces: Iterable[Trace]) -> MetricsSummary:
     """Group session outcomes by (method, view, role), scanning each trace before taking the next."""
     grouped: dict[CellKey, list[float | None]] = {}
-    for trace in traces:
-        for key, rt in _scan_trace(trace):
-            grouped.setdefault(key, []).append(rt)
+    # map drops each trace once scanned, before it takes the next: a stream holds one at a time
+    for key, rt in chain.from_iterable(map(_scan_trace, traces)):
+        grouped.setdefault(key, []).append(rt)
     cells: dict[CellKey, CellStats] = {}
     for key, rts in grouped.items():
         acked = [r for r in rts if r is not None]

@@ -20,6 +20,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from . import session as sess
 from .audio import Role
@@ -62,6 +63,13 @@ def _check_ints(**values) -> None:
             raise ScriptError(f"{name}={value!r} is not an integer")
 
 
+def _check_user_seat(index: int) -> None:
+    """The user sits in one of the six seats."""
+    _check_ints(user_seat_index=index)
+    if not 0 <= index <= AGENT_COUNT:
+        raise ScriptError(f"user_seat_index={index} out of range")
+
+
 def stable_seed(*parts) -> int:
     """Platform-stable 64-bit seed derived from the given parts."""
     key = ":".join(str(p) for p in parts).encode()
@@ -99,9 +107,8 @@ class ScenarioScript:
             raise ScriptError(
                 f"seats: expected {AGENT_COUNT + 1} entries (user + {AGENT_COUNT} agents), got {len(self.seats)}"
             )
-        _check_ints(user_seat_index=self.user_seat_index, topic=self.topic)
-        if not 0 <= self.user_seat_index < len(self.seats):
-            raise ScriptError(f"user_seat_index={self.user_seat_index} out of range")
+        _check_user_seat(self.user_seat_index)
+        _check_ints(topic=self.topic)
         user = self.seats[self.user_seat_index]
         for i, seat in enumerate(self.seats):
             if not all(map(math.isfinite, seat)):
@@ -217,6 +224,8 @@ def hexagon_seats(radius: float = DEFAULT_SEAT_RADIUS, eye_height: float = DEFAU
     """Six seats evenly spaced around the table center."""
     if not 0.0 < radius < math.inf:
         raise ScriptError(f"seat_radius={radius} must be finite and > 0")
+    if not math.isfinite(eye_height):
+        raise ScriptError(f"eye_height={eye_height} must be finite")
     seats = []
     for k in range(6):
         ang = math.radians(60.0 * k)
@@ -249,6 +258,7 @@ def default_script(
     answers so both signals arrive while the user is speaking. Each trial
     contains one out-of-view and one within-view signal.
     """
+    _check_user_seat(user_seat_index)  # before it picks the agents around the user
     seats = hexagon_seats(seat_radius, eye_height)
     non_user = [i for i in range(6) if i != user_seat_index]
 
@@ -477,6 +487,12 @@ class TrialSpec:
     user_seat_index: int
     names: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        _check_ints(participant=self.participant, order_index=self.order_index)
+        for name in ("participant", "order_index"):
+            if getattr(self, name) < 0:
+                raise ScriptError(f"{name}={getattr(self, name)} must be >= 0")
+
 
 @dataclass(frozen=True)
 class StudyPlan:
@@ -489,8 +505,10 @@ class StudyPlan:
         _check_ints(participants=self.participants)
         if self.participants < 0:
             raise ScriptError(f"participants={self.participants} must be >= 0")
-        if not 0.0 < self.seat_radius < math.inf:
-            raise ScriptError(f"seat_radius={self.seat_radius} must be finite and > 0")
+        hexagon_seats(self.seat_radius, self.eye_height)  # checks both here, not at the first trial
+        for i, trial in enumerate(self.trials):
+            if not isinstance(trial, TrialSpec):
+                raise ScriptError(f"trials[{i}]={trial!r} is not a TrialSpec")
 
 
 def randomize_presentation(plan: StudyPlan, seed: int) -> StudyPlan:
@@ -548,6 +566,34 @@ class SuiteResult:
     summary: MetricsSummary
 
 
+def suite_traces(
+    plan: StudyPlan,
+    agent: GazeAgentModel,
+    config: GuidanceConfig,
+    dt: float = 1.0 / 72.0,
+    seed: int = 0,
+    jobs: int = 1,
+) -> Iterator[Trace]:
+    """Each trial's trace in plan order, the trial run when its trace is taken.
+
+    Each trial derives its own seed from (seed, participant, order index).
+    The inputs are checked, and the plan randomized, on the call. Trials run
+    one after another on the calling thread: on CPython a thread pool gave
+    no speedup and a two-process pool under 1.5x. `jobs` is accepted (it
+    must be >= 1) but not used.
+    """
+    _check_ints(seed=seed, jobs=jobs)
+    if jobs < 1:
+        raise ScriptError(f"jobs={jobs} must be >= 1")
+    if not plan.trials:
+        plan = randomize_presentation(plan, seed)
+    return (
+        run_scenario(script_for_trial(plan, tr), agent, config, dt,
+                     stable_seed("trial", seed, tr.participant, tr.order_index), participant=tr.participant)
+        for tr in plan.trials
+    )
+
+
 def run_suite(
     plan: StudyPlan,
     agent: GazeAgentModel,
@@ -556,21 +602,6 @@ def run_suite(
     seed: int = 0,
     jobs: int = 1,
 ) -> SuiteResult:
-    """Execute every trial of the plan in plan order and aggregate the metrics.
-
-    Each trial derives its own seed from (seed, participant, order index).
-    Trials run one after another on the calling thread: on CPython a thread
-    pool gave no speedup and a two-process pool under 1.5x. `jobs` is
-    accepted (it must be >= 1) but not used.
-    """
-    _check_ints(seed=seed, jobs=jobs)
-    if jobs < 1:
-        raise ScriptError(f"jobs={jobs} must be >= 1")
-    if not plan.trials:
-        plan = randomize_presentation(plan, seed)
-    traces = tuple(
-        run_scenario(script_for_trial(plan, tr), agent, config, dt,
-                     stable_seed("trial", seed, tr.participant, tr.order_index), participant=tr.participant)
-        for tr in plan.trials
-    )
+    """Every trace of suite_traces, held in memory, and their aggregate metrics."""
+    traces = tuple(suite_traces(plan, agent, config, dt, seed, jobs))
     return SuiteResult(traces=traces, summary=extract_metrics(traces))

@@ -1,5 +1,7 @@
 import hashlib
 import re
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,10 +10,13 @@ from _rand import record_digest
 import turncue.scenario
 from turncue.cli import cli
 from turncue.config import GuidanceConfig
+from turncue.configio import load_suite
+from turncue.errors import ScriptError
 from turncue.geometry import AngularRange
 from turncue.lights import env_light_intensity, point_light_color, spot_cone_angle, spot_intensity
 from turncue.metrics import extract_metrics, metrics_to_csv
-from turncue.trace import read_trace
+from turncue.scenario import run_suite
+from turncue.trace import read_trace, write_trace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -200,6 +205,77 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
         "1cc6046d229a1b9debf701dcbe0ec45edc91e3eec62747395a82b57e6c696578"
     )
     assert hashlib.md5(csv.encode()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
+
+
+def _trace_name(i, trace):
+    meta = trace.meta
+    return f"trace_p{meta.participant:03d}_{i % 8:02d}_{meta.method}_{meta.role}.jsonl"
+
+
+def test_suite_writes_each_trace_before_the_next_trial_runs(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "traces"
+    run_scenario = turncue.scenario.run_scenario
+    made = []  # a weak reference to each trace the suite has made
+
+    def watched(*args, **kwargs):
+        assert len(list(out_dir.glob("*.jsonl"))) == len(made)
+        # Only the trial about to run is alive: the last trace was written and dropped.
+        assert all(ref() is None for ref in made)
+        trace = run_scenario(*args, **kwargs)
+        made.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(turncue.scenario, "run_scenario", watched)
+    assert cli([
+        "suite", "--plan", str(REPO / "configs" / "study.cfg"), "--participants", "1",
+        "--seed", "5", "--dt", "0.05", "--out-dir", str(out_dir),
+    ]) == 0
+    assert len(made) == 8 and len(list(out_dir.glob("*.jsonl"))) == 8
+
+
+def test_suite_trial_failing_keeps_the_earlier_files_and_exits_one(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "traces"
+    run_scenario = turncue.scenario.run_scenario
+    traces = []
+
+    def failing_at_trial_3(*args, **kwargs):
+        if len(traces) == 3:
+            raise ScriptError("trial 3 failed")
+        traces.append(run_scenario(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(turncue.scenario, "run_scenario", failing_at_trial_3)
+    assert cli([
+        "suite", "--plan", str(REPO / "configs" / "study.cfg"), "--participants", "1",
+        "--seed", "5", "--dt", "0.05", "--out-dir", str(out_dir),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: trial 3 failed\n"
+    assert {f.name: f.read_text() for f in out_dir.iterdir()} == {
+        _trace_name(i, t): write_trace(t.records, t.meta) for i, t in enumerate(traces)
+    }
+
+
+def test_suite_jobs_zero_exits_one_before_making_the_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "traces"
+    assert cli(["suite", "--plan", str(REPO / "configs" / "study.cfg"), "--jobs", "0", "--out-dir", str(out_dir)]) == 1
+    assert "jobs=0 must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_suite_streamed_files_and_csv_equal_run_suite_over_four_participants(tmp_path, capsys):
+    out_dir = tmp_path / "traces"
+    assert cli([
+        "suite", "--plan", str(REPO / "configs" / "study.cfg"), "--participants", "4",
+        "--seed", "7", "--dt", "0.05", "--out-dir", str(out_dir),
+    ]) == 0
+    plan, agent, config = load_suite((REPO / "configs" / "study.cfg").read_text())
+    result = run_suite(replace(plan, participants=4), agent, config, dt=0.05, seed=7)
+    assert len(result.traces) == 32
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == {
+        _trace_name(i, t): write_trace(t.records, t.meta).encode() for i, t in enumerate(result.traces)
+    }
+    assert capsys.readouterr().out == metrics_to_csv(result.summary)
 
 
 SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"

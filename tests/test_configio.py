@@ -19,8 +19,10 @@ from turncue.scenario import (
     default_desk_anchor,
     default_script,
     hexagon_seats,
+    randomize_presentation,
     run_scenario,
     run_suite,
+    suite_traces,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -207,6 +209,10 @@ role = listener
     assert isinstance(script, ScenarioScript)
 
 
+def _a_trial():
+    return randomize_presentation(StudyPlan(participants=1), 0).trials[0]
+
+
 @pytest.mark.parametrize(
     "build,named",
     [
@@ -223,8 +229,15 @@ role = listener
         (lambda: GuidanceConfig(theta_min=179.5), r"theta_min=179\.5 must lie in \[0, 179\]"),
         (lambda: StudyPlan(participants=1, seat_radius=0.0), "seat_radius=0.0"),
         (lambda: StudyPlan(participants=1, seat_radius=math.inf), "seat_radius=inf"),
+        (lambda: StudyPlan(participants=1, eye_height=math.nan), "eye_height=nan must be finite"),
+        (lambda: StudyPlan(participants=1, trials=(1,)), r"trials\[0\]=1 is not a TrialSpec"),
+        (lambda: replace(_a_trial(), order_index=1.5), r"order_index=1\.5 is not an integer"),
+        (lambda: replace(_a_trial(), participant=True), "participant=True is not an integer"),
+        (lambda: replace(_a_trial(), order_index=-1), "order_index=-1 must be >= 0"),
+        (lambda: replace(_a_trial(), participant=-3), "participant=-3 must be >= 0"),
         (lambda: hexagon_seats(-1.2), "seat_radius=-1.2"),
         (lambda: hexagon_seats(math.nan), "seat_radius=nan"),
+        (lambda: default_script(Method.SGD, Role.LISTENER, eye_height=math.inf), "eye_height=inf must be finite"),
         (lambda: GuidanceConfig(chime_max_repeats=2), "chime_repeat_interval must be > 0 when repeats > 1"),
         (lambda: GuidanceConfig(subtlety=1.5), r"subtlety=1\.5 must lie in \[0, 1\]"),
         (lambda: GuidanceConfig(subtlety=-0.1), r"subtlety=-0\.1 must lie in \[0, 1\]"),
@@ -246,6 +259,11 @@ role = listener
          r"seed=2\.5 is not an integer"),
         (lambda: run_suite(StudyPlan(participants=0), GazeAgentModel(), GuidanceConfig(), jobs=1.5),
          r"jobs=1\.5 is not an integer"),
+        # suite_traces checks on the call, before the first trace is asked for.
+        (lambda: suite_traces(StudyPlan(participants=1), GazeAgentModel(), GuidanceConfig(), seed=2.5),
+         r"seed=2\.5 is not an integer"),
+        (lambda: suite_traces(StudyPlan(participants=1), GazeAgentModel(), GuidanceConfig(), jobs=0),
+         "jobs=0 must be >= 1"),
         (lambda: GazeAgentModel(seed=1.5), r"seed=1\.5 is not an integer"),
         (lambda: GuidanceConfig(chime_max_repeats=2.5), r"chime_max_repeats=2\.5 must be an integer >= 1"),
         (lambda: GuidanceConfig(chime_max_repeats=True), "chime_max_repeats=True must be an integer >= 1"),
@@ -259,11 +277,14 @@ role = listener
     ],
     ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
          "head_speed", "latency_override", "signal_offset", "progress_gamma", "participants",
-         "theta_min-above-179", "plan-seat_radius-zero", "plan-seat_radius-inf", "seat_radius-negative",
-         "seat_radius-nan", "chime-repeats-without-interval", "subtlety-above-1", "subtlety-negative",
+         "theta_min-above-179", "plan-seat_radius-zero", "plan-seat_radius-inf", "plan-eye_height-nan",
+         "plan-trials-not-TrialSpec", "trial-order_index-float", "trial-participant-bool",
+         "trial-order_index-negative", "trial-participant-negative", "seat_radius-negative",
+         "seat_radius-nan", "default_script-eye_height-inf", "chime-repeats-without-interval", "subtlety-above-1", "subtlety-negative",
          "participants-float", "participants-bool", "user_seat_index-float", "default_script-user_seat_index-float",
          "user_seat_index-bool", "topic-float", "run_scenario-participant-float", "run_scenario-seed-float",
-         "run_suite-seed-float", "run_suite-jobs-float", "agent-seed-float", "chime_max_repeats-float",
+         "run_suite-seed-float", "run_suite-jobs-float", "suite_traces-seed-float", "suite_traces-jobs-zero",
+         "agent-seed-float", "chime_max_repeats-float",
          "chime_max_repeats-bool", "latency-unknown-method", "latency-unknown-view", "latency-split-method",
          "latency-repeated-cell"],
 )
