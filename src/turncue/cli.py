@@ -10,6 +10,7 @@ Machine-readable output goes to stdout, diagnostics to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -65,6 +66,8 @@ def _cmd_eval(args) -> int:
     config = parse_config(Path(args.config).read_text()) if args.config else GuidanceConfig()
     if args.channel == "sound" and args.gamma is not None:
         raise GuidanceError("--gamma does not apply to the sound channel")
+    if args.gamma is not None and not 0.0 < args.gamma < math.inf:  # the channels take gamma as checked
+        raise GuidanceError(f"--gamma={args.gamma} must be finite and > 0")
     gamma = args.gamma if args.gamma is not None else {
         "env": config.gamma_env,
         "point": config.gamma_point,

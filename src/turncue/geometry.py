@@ -180,6 +180,11 @@ def normalized_progress(theta: float, rng: AngularRange, gamma: float) -> float:
     """
     if not 0.0 < gamma < math.inf:
         raise ConfigError(f"gamma={gamma} must be finite and > 0")
+    return _progress(theta, rng, gamma)
+
+
+def _progress(theta: float, rng: AngularRange, gamma: float) -> float:
+    """normalized_progress without its check, for a gamma checked where it entered."""
     clamped = min(rng.theta_max, max(theta, rng.theta_min))
     frac = (clamped - rng.theta_min) / (rng.theta_max - rng.theta_min)
     return frac**gamma

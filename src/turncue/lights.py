@@ -1,9 +1,9 @@
 """Light cue channels: environment light, point light, spotlight.
 
 Each channel maps the running angular deviation through normalized_progress
-and interpolates its engine parameter between a configured min and max.
-The point light serves out-of-view guidance, the spotlight within-view;
-the viewport test gates which one is active.
+(unchecked: gamma is checked where it enters) and interpolates its engine
+parameter between a configured min and max. The point light serves
+out-of-view guidance, the spotlight within-view, as the viewport test gates.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .geometry import (
     Pose,
     Side,
     Vec3,
+    _progress,
     lateral_side,
-    normalized_progress,
     target_view,
 )
 
@@ -87,11 +87,9 @@ def lerp(lo: float, hi: float, p: float) -> float:
     return lo + (hi - lo) * p
 
 
-def env_light_intensity(
-    theta: float, rng: AngularRange, levels: LightLevels, gamma: float
-) -> float:
+def env_light_intensity(theta: float, rng: AngularRange, levels: LightLevels, gamma: float) -> float:
     """Environment brightness at deviation theta."""
-    return lerp(levels.l_min, levels.l_max, normalized_progress(theta, rng, gamma))
+    return lerp(levels.l_min, levels.l_max, _progress(theta, rng, gamma))
 
 
 def env_light_with_fade(
@@ -116,29 +114,19 @@ def env_light_with_fade(
     return lerp(original, target, min(t_since_signal / fade_duration, 1.0))
 
 
-def spot_intensity(
-    theta: float, rng: AngularRange, levels: LightLevels, gamma: float
-) -> float:
+def spot_intensity(theta: float, rng: AngularRange, levels: LightLevels, gamma: float) -> float:
     """Spotlight brightness at deviation theta; same form as the env light."""
-    return lerp(levels.l_min, levels.l_max, normalized_progress(theta, rng, gamma))
+    return lerp(levels.l_min, levels.l_max, _progress(theta, rng, gamma))
 
 
-def spot_cone_angle(
-    theta: float, rng: AngularRange, geometry: SpotlightGeometry, gamma: float
-) -> float:
+def spot_cone_angle(theta: float, rng: AngularRange, geometry: SpotlightGeometry, gamma: float) -> float:
     """Spotlight cone width at deviation theta."""
-    return lerp(geometry.a_min, geometry.a_max, normalized_progress(theta, rng, gamma))
+    return lerp(geometry.a_min, geometry.a_max, _progress(theta, rng, gamma))
 
 
-def point_light_color(
-    theta: float,
-    rng: AngularRange,
-    warm: ColorRGB,
-    cold: ColorRGB,
-    gamma: float,
-) -> ColorRGB:
+def point_light_color(theta: float, rng: AngularRange, warm: ColorRGB, cold: ColorRGB, gamma: float) -> ColorRGB:
     """Point-light color: cold at theta_min, warm at theta_max."""
-    p = normalized_progress(theta, rng, gamma)
+    p = _progress(theta, rng, gamma)
 
     def chan(w: float, c: float) -> float:
         return max(0.0, min(1.0, lerp(c, w, p)))

@@ -20,6 +20,8 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import compress
+from operator import ne
 from typing import Iterator
 
 from . import session as sess
@@ -38,6 +40,7 @@ AGENT_IDS = tuple(f"a{i + 1}" for i in range(AGENT_COUNT))
 USER_ID = "user"
 
 MAX_TICKS = 1_000_000  # the most ticks a trial may run: about 3.9 h at 72 Hz
+_FIELDS = range(len(TraceRecord._fields))  # a record's positions
 
 # Balanced 4x4 Latin square (Williams design): every method appears in every
 # presentation position exactly once across four consecutive participants.
@@ -107,6 +110,9 @@ class ScenarioScript:
             raise ScriptError(
                 f"seats: expected {AGENT_COUNT + 1} entries (user + {AGENT_COUNT} agents), got {len(self.seats)}"
             )
+        for name, kind in (("method", Method), ("role", Role)):
+            if not isinstance(getattr(self, name), kind):
+                raise ScriptError(f"{name}={getattr(self, name)!r} is not a {kind.__name__}")
         _check_user_seat(self.user_seat_index)
         _check_ints(topic=self.topic)
         user = self.seats[self.user_seat_index]
@@ -367,8 +373,9 @@ def run_scenario(
     # Each method presents only its own channels; the others stay at rest.
     lit = script.method in (Method.LIGHT_AUDIO, Method.LIGHT)
     audible = script.method is Method.LIGHT_AUDIO
+    texts, flickers = script.method is Method.TEXT_ICON, script.method is Method.SGD
     records: list[TraceRecord] = []
-    last_raw: dict = {}  # the last simulated tick's record fields, before canonicalization
+    last_raw: tuple = ()  # the last simulated tick's record fields, before canonicalization
 
     k = 0
     while True:
@@ -390,7 +397,7 @@ def run_scenario(
         gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
         fires = signal_tick is not None and k >= signal_tick
         if state is still and head is still_head and turn_idx == still_turn and not fires:
-            records.append(TraceRecord._from(vars(records[-1]), {"tick": k, "t": t}))
+            records.append(TraceRecord._from(records[-1], (k, t), (0, 1)))
             k += 1
             continue
         pose = Pose(position=user_pos, head_forward=head, gaze_forward=gaze, timestamp=t)
@@ -415,59 +422,37 @@ def run_scenario(
             perceive_time = math.inf
 
         idle = isinstance(state, sess.Idle)
-        ti = text_icon_state(state if script.method is Method.TEXT_ICON else sess.IDLE, aim, name, desk)
-        sg = sgd_state(state if script.method is Method.SGD else sess.IDLE, pose, aim, t, config.ack_threshold)
-        raw = dict(
-            tick=k,
-            t=t,
-            pos=user_pos,
-            head=head,
-            gaze=gaze,
-            state=frame.session_state,
-            target=target_id,
-            rt=sess.response_time(state),
-            in_view=None if idle else state.target_in_view_at_signal,
-            role=None if idle else state.role.value,
-            env=frame.env_intensity if lit else config.env_levels.l_max,
-            point_active=lit and frame.point.active,
-            point_side=frame.point.side.value,
-            point_pos=frame.point.position,
-            point_color=frame.point.color.to_tuple(),
-            spot_active=lit and frame.spot.active,
-            spot_intensity=frame.spot.intensity if lit else 0.0,
-            spot_cone=frame.spot.cone_angle if lit else config.spot_geometry.a_min,
-            spot_aim=frame.spot.aim,
-            sound_pos=frame.sound_pos if audible else target or user_pos,
-            chime=audible and frame.chime,
-            duck=frame.duck_gain if audible else 1.0,
-            panel_active=ti.panel_active,
-            panel_anchor=ti.panel_anchor,
-            panel_text=ti.panel_text,
-            icon_active=ti.icon_active,
-            icon_anchor=ti.icon_anchor,
-            sgd_active=sg.active,
-            sgd_center=sg.region_center,
-            speaker=turns[turn_idx].speaker,
+        # A baseline that the method does not present rests at values that
+        # depend only on aim, name and desk, which change only when a signal fires.
+        if texts or fires or k == 0:
+            ti = text_icon_state(state if texts else sess.IDLE, aim, name, desk)
+        if flickers or fires or k == 0:
+            sg = sgd_state(state if flickers else sess.IDLE, pose, aim, t, config.ack_threshold)
+        raw = (  # the record's fields in order
+            k, t, user_pos, head, gaze,
+            frame.session_state, target_id, sess.response_time(state),
+            None if idle else state.target_in_view_at_signal, None if idle else state.role.value,
+            frame.env_intensity if lit else config.env_levels.l_max,
+            lit and frame.point.active, frame.point.side.value, frame.point.position, frame.point.color.to_tuple(),
+            lit and frame.spot.active, frame.spot.intensity if lit else 0.0,
+            frame.spot.cone_angle if lit else config.spot_geometry.a_min, frame.spot.aim,
+            frame.sound_pos if audible else target or user_pos, audible and frame.chime,
+            frame.duck_gain if audible else 1.0,
+            ti.panel_active, ti.panel_anchor, ti.panel_text, ti.icon_active, ti.icon_anchor,
+            sg.active, sg.region_center,
+            turns[turn_idx].speaker,
         )
         # Equal raw values canonicalize equally.
-        changes = {name: v for name, v in raw.items() if name not in last_raw or v != last_raw[name]}
-        records.append(TraceRecord._from(vars(records[-1]) if records else {}, changes))
+        changed = compress(_FIELDS, map(ne, raw, last_raw)) if records else _FIELDS
+        records.append(TraceRecord._from(records[-1] if records else raw, raw, changed))
         last_raw = raw
         still = state if sess.settled(state, t, config) else None
         still_head, still_turn = head, turn_idx
         k += 1
 
     meta = TraceMeta(
-        method=script.method.value,
-        role=script.role.value,
-        topic=script.topic,
-        participant=participant,
-        seed=seed,
-        dt=dt,
-        user_seat=script.user_seat_index,
-        seats=script.seats,
-        desk_anchor=desk,
-        names=script.names,
+        method=script.method.value, role=script.role.value, topic=script.topic, participant=participant, seed=seed,
+        dt=dt, user_seat=script.user_seat_index, seats=script.seats, desk_anchor=desk, names=script.names,
     )
     return Trace(meta=meta, records=tuple(records))
 
@@ -509,6 +494,8 @@ class StudyPlan:
         for i, trial in enumerate(self.trials):
             if not isinstance(trial, TrialSpec):
                 raise ScriptError(f"trials[{i}]={trial!r} is not a TrialSpec")
+        if self.trials and {trial.participant for trial in self.trials} != set(range(self.participants)):
+            raise ScriptError(f"participants={self.participants} is not the set of the trials' participants")
 
 
 def randomize_presentation(plan: StudyPlan, seed: int) -> StudyPlan:

@@ -5,8 +5,9 @@ significant digits at construction, so the in-memory record, its serialized
 bytes, and a replayed copy are all bit-identical. Field order in the output
 is fixed; identical runs produce identical files. The field annotations of
 TraceMeta and TraceRecord are the whole schema: they decide how each field
-is canonicalized, written and read back. Frames are deltas: the first frame
-line carries every field, each later one only those that changed.
+is canonicalized, written and read back. Both are NamedTuples of canonical
+values in field order. Frames are deltas: the first frame line carries
+every field, each later one only those that changed.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import compress
-from operator import index, itemgetter, ne
-from typing import Iterable
+from operator import index, ne
+from typing import Iterable, NamedTuple
 
 from .errors import TraceIntegrityError
 
@@ -29,6 +30,7 @@ _MEMO_CAP = 1 << 16
 _q9_memo: dict[float, float] = {}
 _text_memo: dict[float, str] = {}
 _NUMBER = frozenset((int, float))
+_UNSET = object()  # a field that no line has set yet
 
 
 def q9(x: float) -> float:
@@ -88,49 +90,65 @@ _CANONICAL = {
 
 
 class _Canonical:
-    """Base of the trace line types: canonicalizes fields on construction.
+    """Base of the trace line types, NamedTuples of canonical values that
+    _canonical makes. The constructor, _make and _replace (through _make)
+    canonicalize every field; _from and _read only those that changed since
+    the previous record or line."""
 
-    The plan, field -> (annotation, canonicalizer) in field order, is built
-    once per subclass from its annotations; an annotation without a
-    canonical form fails at import. _from builds every instance's __dict__,
-    from constructor arguments, a trace line or the previous record.
-    """
+    __slots__ = ()
 
-    _plan: dict[str, tuple[str, object]]
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        annotations = cls.__dict__["__annotations__"]
-        for name, kind in annotations.items():
-            if kind not in _CANONICAL:
-                raise TypeError(f"{cls.__name__}.{name}: unsupported trace field type {kind!r}")
-        cls._plan = {name: (kind, _CANONICAL[kind]) for name, kind in annotations.items()}
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "__dict__", vars(self._from({}, vars(self))))
+    def __new__(cls, *args, **kwargs):
+        return cls._make(super().__new__(cls, *args, **kwargs))
 
     @classmethod
-    def _from(cls, prev: dict, changes: dict):
-        """prev's canonical values with changes canonicalized over them. A field
-        outside the schema, a bad value or a field neither sets is an error."""
-        values, plan = {**prev, **changes}, cls._plan
-        for name in changes:
-            if name not in plan:
-                raise TraceIntegrityError(f"unknown field {name!r}")
-            kind, canonical = plan[name]
+    def _make(cls, iterable):
+        values = super()._make(iterable)  # checks the length
+        return cls._from(values, values, range(len(values)))
+
+    @classmethod
+    def _from(cls, prev: tuple, raw, changed: Iterable[int]):
+        """prev's values with raw's at the changed positions canonicalized over them."""
+        values, canon = list(prev), cls._canon
+        for i in changed:
             try:
-                values[name] = canonical(values[name])
+                values[i] = canon[i](raw[i])
             except (TypeError, ValueError, OverflowError):
-                raise TraceIntegrityError(f"{name}={values[name]!r} is not a valid {kind}") from None
-        if len(values) < len(plan):
-            raise TraceIntegrityError(f"missing field {next(n for n in plan if n not in values)!r}")
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "__dict__", values)
-        return obj
+                raise TraceIntegrityError(f"{cls._fields[i]}={raw[i]!r} is not a valid {cls._kinds[i]}") from None
+        return tuple.__new__(cls, values)
+
+    @classmethod
+    def _read(cls, prev: tuple | None, line: dict):
+        """A trace line's fields canonicalized over prev, the previous line's
+        record; with none, the line must hold every field."""
+        index, canon = cls._index, cls._canon
+        values = [_UNSET] * len(canon) if prev is None else list(prev)
+        for name, value in line.items():
+            if (i := index.get(name)) is None:
+                raise TraceIntegrityError(f"unknown field {name!r}")
+            try:
+                values[i] = canon[i](value)
+            except (TypeError, ValueError, OverflowError):
+                raise TraceIntegrityError(f"{name}={value!r} is not a valid {cls._kinds[i]}") from None
+        if prev is None and _UNSET in values:
+            raise TraceIntegrityError(f"missing field {cls._fields[values.index(_UNSET)]!r}")
+        return tuple.__new__(cls, values)
 
 
-@dataclass(frozen=True)
-class TraceMeta(_Canonical):
+def _canonical(fields: type) -> type:
+    """The NamedTuple fields as a _Canonical of the same name, which canonicalizes
+    each field as its annotation says; an annotation without a canonical form
+    fails at import."""
+    kinds = tuple(getattr(kind, "__forward_arg__", kind) for kind in fields.__annotations__.values())
+    for name, kind in zip(fields._fields, kinds):
+        if kind not in _CANONICAL:
+            raise TypeError(f"{fields.__name__}.{name}: unsupported trace field type {kind!r}")
+    return type(fields.__name__, (_Canonical, fields), {
+        "__slots__": (), "__doc__": fields.__doc__, "_kinds": kinds, "_canon": tuple(map(_CANONICAL.get, kinds)),
+        "_index": {name: i for i, name in enumerate(fields._fields)}})
+
+
+@_canonical
+class TraceMeta(NamedTuple):
     """Scenario identity stored as the first line of a trace file."""
 
     method: str
@@ -145,8 +163,8 @@ class TraceMeta(_Canonical):
     names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TraceRecord(_Canonical):
+@_canonical
+class TraceRecord(NamedTuple):
     """One tick of fully expanded cue state."""
 
     tick: int
@@ -179,6 +197,9 @@ class TraceRecord(_Canonical):
     sgd_active: bool
     sgd_center: Triple
     speaker: str
+
+
+TraceRecord.__dataclass_fields__ = dict.fromkeys(TraceRecord._fields)  # the field names that perfbench/layers.py reads
 
 
 @dataclass(frozen=True)
@@ -215,16 +236,14 @@ def _lines(kind: str, cls: type[_Canonical], objs: Iterable[_Canonical]) -> list
     """One JSON line per object of cls: the first carries every field, each later
     one only the fields whose value differs from the previous line's. Canonical
     values are equal exactly when their text is."""
-    values = itemgetter(*cls._plan)
-    heads = [f',"{name}":' for name in cls._plan]
+    heads = [f',"{name}":' for name in cls._fields]
     fields = range(len(heads))
     last = (object(),) * len(heads)  # equal to no value, unlike None
     start, lines = f'{{"kind":"{kind}"', []
     for obj in objs:
-        now = values(obj.__dict__)
-        changed = compress(fields, map(ne, now, last))
-        lines.append("".join([start, *[heads[i] + _emit(now[i]) for i in changed], "}\n"]))
-        last = now
+        changed = compress(fields, map(ne, obj, last))
+        lines.append("".join([start, *[heads[i] + _emit(obj[i]) for i in changed], "}\n"]))
+        last = obj
     return lines
 
 
@@ -251,7 +270,6 @@ def read_trace(text: str) -> Trace:
     count up from 0, one per frame."""
     meta: TraceMeta | None = None
     records: list[TraceRecord] = []
-    prev: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -265,17 +283,16 @@ def read_trace(text: str) -> Trace:
                 # Older files carry the flicker phase, a function of t: checked, then dropped.
                 if type(phase := obj.pop("sgd_phase", False)) is not bool:
                     raise TraceIntegrityError(f"sgd_phase={phase!r} is not a valid bool")
-                rec = TraceRecord._from(prev, obj)
+                rec = TraceRecord._read(records[-1] if records else None, obj)
                 if rec.tick != len(records):
                     raise TraceIntegrityError(f"tick {rec.tick} where {len(records)} was expected")
                 records.append(rec)
-                prev = vars(rec)
             elif kind != "meta":
                 raise TraceIntegrityError(f"unknown record kind {kind!r}")
             elif records or meta is not None:
                 raise TraceIntegrityError("meta must be the first line")
             else:
-                meta = TraceMeta._from({}, obj)
+                meta = TraceMeta._read(None, obj)
         except TraceIntegrityError as exc:
             raise TraceIntegrityError(f"line {lineno}: {exc}") from None
     return Trace(meta=meta, records=tuple(records))

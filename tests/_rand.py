@@ -124,7 +124,7 @@ def record_digest(traces) -> str:
         return repr(value)
 
     meta_fields = ("method", "role", "topic", "participant", "user_seat", "names")
-    fields = list(TraceRecord._plan)
+    fields = TraceRecord._fields
     h = hashlib.sha256()
     for trace in traces:
         h.update(("M|" + "|".join(canon(getattr(trace.meta, name)) for name in meta_fields) + "\n").encode())

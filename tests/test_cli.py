@@ -290,6 +290,9 @@ SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"
         (["simulate", "--script", "{cfg}"], "[scenario]\nuser_seat = 9\n", "user_seat"),
         (["eval", "--channel", "env", "--theta-max", "90", "--gamma", "nan"], None, "gamma"),
         (["eval", "--channel", "sound", "--theta-max", "90", "--gamma", "nan"], None, "--gamma"),
+        (["eval", "--channel", "spot", "--theta-max", "90", "--gamma", "inf"], None, "--gamma=inf must be finite and > 0"),
+        (["eval", "--channel", "point", "--theta-max", "90", "--gamma", "0"], None, "--gamma=0.0 must be finite and > 0"),
+        (["eval", "--channel", "env", "--theta-max", "90", "--gamma", "-1"], None, "--gamma=-1.0 must be finite and > 0"),
         (["suite", "--plan", "{cfg}", "--jobs", "0"], "[plan]\n", "jobs"),
         (["suite", "--plan", "{cfg}", "--participants", "-2"], "[plan]\n", "participants"),
         (["simulate", "--script", "{cfg}", "--participant", "-4"], "[scenario]\n", "participant=-4"),
@@ -317,7 +320,7 @@ SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"
          "[scenario] eye_height has no effect when seats is set"),
     ],
     ids=["ack_threshold-nan", "miss_timeout-inf", "head_speed-nan", "user_seat-range", "gamma-nan",
-         "gamma-sound", "jobs-0", "participants-negative", "participant-negative", "dt-tiny", "turn-huge",
+         "gamma-sound", "gamma-inf", "gamma-zero", "gamma-negative", "jobs-0", "participants-negative", "participant-negative", "dt-tiny", "turn-huge",
          "theta_min-above-179", "plan-seat_radius-negative", "plan-seat_radius-zero",
          "scenario-seat_radius-negative", "plan-with-scenario", "scenario-with-plan",
          "study-cfg-to-simulate", "script-cfg-to-suite", "seats-with-seat_radius",

@@ -274,6 +274,15 @@ def _a_trial():
          "latency_light_audio_in names no method"),
         (lambda: GazeAgentModel(latency_overrides=(("sgd", "in", 0.1), ("sgd", "in", 0.2))),
          "latency_sgd_in is given twice"),
+        # The method and role are the enums, and a plan's trials are of exactly its participants.
+        (lambda: default_script("light", Role.LISTENER), "method='light' is not a Method"),
+        (lambda: default_script(Method.LIGHT, "listener"), "role='listener' is not a Role"),
+        (lambda: run_suite(StudyPlan(participants=1, trials=(replace(_a_trial(), method="sgd"),)), GazeAgentModel(),
+                           GuidanceConfig()), "method='sgd' is not a Method"),
+        (lambda: StudyPlan(participants=3, trials=(_a_trial(),)), "participants=3 is not the set of the trials' participants"),
+        (lambda: StudyPlan(participants=1, trials=(replace(_a_trial(), participant=1),)),
+         "participants=1 is not the set of the trials' participants"),
+        (lambda: StudyPlan(participants=0, trials=(_a_trial(),)), "participants=0 is not the set"),
     ],
     ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
          "head_speed", "latency_override", "signal_offset", "progress_gamma", "participants",
@@ -286,7 +295,8 @@ def _a_trial():
          "run_suite-seed-float", "run_suite-jobs-float", "suite_traces-seed-float", "suite_traces-jobs-zero",
          "agent-seed-float", "chime_max_repeats-float",
          "chime_max_repeats-bool", "latency-unknown-method", "latency-unknown-view", "latency-split-method",
-         "latency-repeated-cell"],
+         "latency-repeated-cell", "method-str", "role-str", "run_suite-trial-method-str", "plan-participants-above-trials",
+         "plan-trial-participant-outside", "plan-participants-zero-with-trials"],
 )
 def test_constructors_reject_non_finite_and_out_of_range(build, named):
     with pytest.raises(ConfigError, match=named):

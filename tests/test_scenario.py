@@ -490,10 +490,35 @@ def test_empty_plan_is_empty_aggregate():
     assert result.summary.cells == {}
 
 
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+def test_baselines_run_per_tick_only_under_their_own_method(monkeypatch, method):
+    # A baseline that the method does not present rests: it is worked out on
+    # the first tick and at each signal, when its aim changes, and no more.
+    calls = {"text_icon_state": 0, "sgd_state": 0, "tick": 0, "begin_signal": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((turncue.scenario, "text_icon_state"), (turncue.scenario, "sgd_state"),
+                         (turncue.session, "tick"), (turncue.session, "begin_signal")):
+        counting(module, name)
+    run_scenario(default_script(method, Role.SPEAKER), GazeAgentModel(), CFG, dt=FAST_DT, seed=3)
+    simulated, signals = calls["tick"], calls["begin_signal"]
+    assert signals == 2 and simulated > 100
+    for name, own in (("text_icon_state", Method.TEXT_ICON), ("sgd_state", Method.SGD)):
+        assert calls[name] == (simulated if method is own else 1 + signals), name
+
+
 def assert_records_are_canonical(trace):
     """Every record equals a full, canonicalizing construction of its values."""
     for rec in trace.records:
-        assert TraceRecord(**vars(rec)) == rec
+        assert TraceRecord(**rec._asdict()) == rec
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +10,7 @@ from turncue.errors import TraceIntegrityError
 from turncue.trace import (
     _MEMO_CAP,
     TraceRecord,
-    _Canonical,
+    _canonical,
     _emit,
     _q9_memo,
     _text_memo,
@@ -228,14 +228,12 @@ def _fresh(value):
 
 
 def _fresh_copy(rec: TraceRecord) -> TraceRecord:
-    copy = object.__new__(TraceRecord)
-    vars(copy).update((name, _fresh(value)) for name, value in vars(rec).items())
-    return copy
+    return tuple.__new__(TraceRecord, map(_fresh, rec))
 
 
 def _repeat(rec: TraceRecord, k: int) -> TraceRecord:
     """rec at tick k, sharing its value objects, as the scenario loop repeats a settled tick."""
-    return TraceRecord._from(vars(rec), {"tick": k, "t": k * 0.1})
+    return TraceRecord._from(rec, (k, k * 0.1), (0, 1))
 
 
 def test_frame_text_does_not_depend_on_shared_value_objects():
@@ -254,11 +252,11 @@ def test_frame_text_does_not_depend_on_shared_value_objects():
             rec = _fresh_copy(_repeat(prev, k))
             assert rec.pos == prev.pos and rec.pos is not prev.pos
         else:
-            rec = replace(prev, tick=k, t=k * 0.1, **fields)
+            rec = prev._replace(tick=k, t=k * 0.1, **fields)
         records.append(rec)
     rng = random.Random(12)
     for rec in random_trace(rng, 30).records:  # every field moves
-        records.append(replace(rec, tick=len(records)))
+        records.append(rec._replace(tick=len(records)))
 
     text = write_trace(records)
     assert text == write_trace([_fresh_copy(rec) for rec in records])
@@ -282,14 +280,15 @@ _VALUES = {  # a strategy per field annotation of TraceRecord, tick aside
     "bool": st.booleans(),
     "bool | None": st.none() | st.booleans(),
 }
-_CHANGING = [name for name in TraceRecord._plan if name != "tick"]
+_KIND = dict(zip(TraceRecord._fields, TraceRecord._kinds))
+_CHANGING = [name for name in TraceRecord._fields if name != "tick"]
 _SUBSET = st.sets(st.sampled_from(_CHANGING), max_size=8)
 
 
 def _full_key_text(records) -> str:
     """Frames in the earlier full-key layout: every field on every line."""
     return "".join(
-        '{"kind":"frame",' + ",".join(f'"{name}":{_emit(getattr(rec, name))}' for name in TraceRecord._plan) + "}\n"
+        '{"kind":"frame",' + ",".join(f'"{name}":{_emit(getattr(rec, name))}' for name in TraceRecord._fields) + "}\n"
         for rec in records
     )
 
@@ -298,15 +297,15 @@ def _full_key_text(records) -> str:
 def test_delta_frames_round_trip_any_change_pattern(data):
     # Each tick changes a random subset of fields; the rest either keep their
     # objects or are rebuilt as equal values in new objects.
-    values = {name: v for name, v in vars(make_record(0, 0.0)).items() if name != "tick"}
+    values = {name: v for name, v in make_record(0, 0.0)._asdict().items() if name != "tick"}
     records = []
     for k in range(data.draw(st.integers(1, 8))):
         for name in data.draw(_SUBSET):
-            values[name] = data.draw(_VALUES[TraceRecord._plan[name][0]])
+            values[name] = data.draw(_VALUES[_KIND[name]])
         rec = TraceRecord(tick=k, **values)
         records.append(_fresh_copy(rec) if data.draw(st.booleans()) else rec)
         fresh = data.draw(_SUBSET)
-        values = {name: _fresh(v) if name in fresh else v for name, v in vars(rec).items() if name != "tick"}
+        values = {name: _fresh(v) if name in fresh else v for name, v in rec._asdict().items() if name != "tick"}
     meta = data.draw(st.none() | st.just(make_meta()))
     text = write_trace(records, meta)
     back = read_trace(text)
@@ -322,4 +321,60 @@ def test_read_rejects_non_object_line():
 
 def test_unsupported_field_type_fails_at_class_definition():
     with pytest.raises(TypeError, match="unsupported trace field type"):
-        type("Bad", (_Canonical,), {"__annotations__": {"x": "list[int]"}})
+        _canonical(NamedTuple("Bad", [("x", "list[int]")]))
+
+
+def test_record_keeps_the_field_names_that_perfbench_layers_reads():
+    # perfbench/layers.py takes the record's field names from __dataclass_fields__ at import.
+    assert tuple(TraceRecord.__dataclass_fields__) == TraceRecord._fields
+
+
+def _is_canonical(value, kind: str) -> bool:
+    """value is what canonicalizing a value of annotation kind gives: q9 floats, 0.0 for -0.0."""
+    if kind == "float | None" and value is None:
+        return True
+    if kind.startswith("float"):
+        return type(value) is float and value.hex() == _canonical_hex(value)
+    if kind == "Triple":
+        return type(value) is tuple and len(value) == 3 and all(_is_canonical(v, "float") for v in value)
+    return kind != "int" or type(value) is int
+
+
+_RAW_FLOAT = _FLOAT | st.integers(-(10**6), 10**6)  # an int is a valid float field value too
+_RAW = {**_VALUES, "float": _RAW_FLOAT, "float | None": st.none() | _RAW_FLOAT,
+        "Triple": st.tuples(_RAW_FLOAT, _RAW_FLOAT, _RAW_FLOAT)}
+
+
+@given(st.data())
+def test_every_way_to_build_a_record_canonicalizes(data):
+    raw = {name: data.draw(_RAW[_KIND[name]]) for name in _CHANGING}
+    replaced = data.draw(st.sets(st.sampled_from(_CHANGING)))
+    built = [
+        TraceRecord(tick=0, **raw),
+        TraceRecord(0, *raw.values()),
+        TraceRecord._make((0, *raw.values())),
+        make_record(0, 0.0)._replace(**raw),
+        TraceRecord(tick=0, **raw)._replace(**{name: raw[name] for name in replaced}),
+    ]
+    text = write_trace(built[:1])
+    back = read_trace(text).records[0]
+    for rec in (*built, back):
+        assert type(rec) is TraceRecord and rec == built[0]
+        assert all(_is_canonical(value, _KIND[name]) for name, value in rec._asdict().items())
+    assert write_trace([back]) == text
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: make_record(0, math.nan), "t=nan is not a valid float"),
+        (lambda: TraceRecord._make(make_record(0, 0.0)[:-1] + (5,)), "speaker=5 is not a valid str"),
+        (lambda: make_record(0, 0.0)._replace(pos=(0, 1)), r"pos=\(0, 1\) is not a valid Triple"),
+        (lambda: make_record(0, 0.0)._replace(tick=True), "tick=True is not a valid int"),
+        (lambda: make_meta(seats=((0.0, 1.0),)), r"seats=.* is not a valid tuple\[Triple, \.\.\.\]"),
+    ],
+    ids=["constructor", "make", "replace", "replace-bool-int", "meta"],
+)
+def test_every_way_to_build_a_record_rejects_a_bad_value(build, message):
+    with pytest.raises(TraceIntegrityError, match=f"^{message}$"):
+        build()
