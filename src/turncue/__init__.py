@@ -59,10 +59,9 @@ from .scenario import (
 )
 from .session import (
     IDLE,
-    Acknowledged,
     CueFrame,
     Idle,
-    Missed,
+    Resolved,
     SessionState,
     Signaled,
     begin_signal,

@@ -417,7 +417,7 @@ def run_scenario(
 
         was_signaled = isinstance(state, sess.Signaled)
         state, frame = sess.tick(state, pose, target, dt, config)
-        if was_signaled and isinstance(state, (sess.Acknowledged, sess.Missed)):
+        if was_signaled and isinstance(state, sess.Resolved):
             end_tick = k + 1  # hand off on the next tick
             perceive_time = math.inf
 
@@ -494,6 +494,10 @@ class StudyPlan:
         for i, trial in enumerate(self.trials):
             if not isinstance(trial, TrialSpec):
                 raise ScriptError(f"trials[{i}]={trial!r} is not a TrialSpec")
+            try:
+                script_for_trial(self, trial)  # so a bad trial fails before any trial runs
+            except ScriptError as e:
+                raise ScriptError(f"trials[{i}]: {e}") from None
         if self.trials and {trial.participant for trial in self.trials} != set(range(self.participants)):
             raise ScriptError(f"participants={self.participants} is not the set of the trials' participants")
 

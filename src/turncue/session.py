@@ -8,8 +8,9 @@ cue inputs and results, outside its equality and repr: values are frozen, so
 while the same pose and target objects come back, tick reuses the angles and
 cues it derived from them, and the frames stay the same bit for bit.
 
-State transitions: Idle -> Signaled -> (Acknowledged | Missed). A new signal
-may begin from Idle or from a terminal state, never while one is in flight.
+State transitions: Idle -> Signaled -> Resolved, tagged "acknowledged" in the
+trace when it has a response time and "missed" when it has none. A new signal
+may begin from Idle or from Resolved, never while one is in flight.
 """
 
 from __future__ import annotations
@@ -66,23 +67,19 @@ class Signaled:
 
 
 @dataclass(frozen=True)
-class Acknowledged:
-    response_time: float
-    ack_time: float
+class Resolved:
+    end_time: float  # the resolving tick's time
     env_at_end: float
     role: Role
     target_in_view_at_signal: bool
+    response_time: float | None = None
+
+    @property
+    def tag(self) -> str:
+        return "missed" if self.response_time is None else "acknowledged"
 
 
-@dataclass(frozen=True)
-class Missed:
-    miss_time: float
-    env_at_end: float
-    role: Role
-    target_in_view_at_signal: bool
-
-
-SessionState = Idle | Signaled | Acknowledged | Missed
+SessionState = Idle | Signaled | Resolved
 
 
 @dataclass(frozen=True)
@@ -190,9 +187,8 @@ def _quiet_frame(
     )
 
 
-def _fade_fraction(state: Acknowledged | Missed, now: float, fade: float) -> float:
-    end_time = state.ack_time if isinstance(state, Acknowledged) else state.miss_time
-    return min(max(now - end_time, 0.0) / fade, 1.0)
+def _fade_fraction(state: Resolved, now: float, fade: float) -> float:
+    return min(max(now - state.end_time, 0.0) / fade, 1.0)
 
 
 def settled(state: SessionState, now: float, config: GuidanceConfig) -> bool:
@@ -223,11 +219,10 @@ def tick(
     if isinstance(state, Idle):
         return state, _quiet_frame(pose, target, config, config.env_levels.l_max, "idle")
 
-    if isinstance(state, (Acknowledged, Missed)):
+    if isinstance(state, Resolved):
         fraction = _fade_fraction(state, pose.timestamp, config.fade_duration)
         env = lerp(state.env_at_end, config.env_levels.l_max, fraction)
-        tag = "acknowledged" if isinstance(state, Acknowledged) else "missed"
-        return state, _quiet_frame(pose, target, config, env, tag)
+        return state, _quiet_frame(pose, target, config, env, state.tag)
 
     # Signaled
     if target is None:
@@ -251,24 +246,12 @@ def tick(
         alignment_start = None
         dwell = 0.0
 
-    if dwell >= config.ack_dwell:
-        ack = Acknowledged(
-            response_time=alignment_start - state.signal_time,
-            ack_time=ts,
-            env_at_end=env,
-            role=state.role,
-            target_in_view_at_signal=state.target_in_view_at_signal,
-        )
-        return ack, _quiet_frame(pose, target, config, env, "acknowledged")
-
-    if elapsed >= config.miss_timeout:
-        miss = Missed(
-            miss_time=ts,
-            env_at_end=env,
-            role=state.role,
-            target_in_view_at_signal=state.target_in_view_at_signal,
-        )
-        return miss, _quiet_frame(pose, target, config, env, "missed")
+    # Acknowledgment wins when the dwell completes on the timeout's tick.
+    acknowledged = dwell >= config.ack_dwell
+    if acknowledged or elapsed >= config.miss_timeout:
+        end = Resolved(ts, env, state.role, state.target_in_view_at_signal,
+                       alignment_start - state.signal_time if acknowledged else None)
+        return end, _quiet_frame(pose, target, config, env, end.tag)
 
     chime = any(c <= ts < c + config.duck_duration for c in state.chimes)
     # The duck window is the chime window. Speakers never hear their own
@@ -289,6 +272,4 @@ def tick(
 
 def response_time(state: SessionState) -> float | None:
     """Seconds from signal to alignment onset; only defined once acknowledged."""
-    if isinstance(state, Acknowledged):
-        return state.response_time
-    return None
+    return state.response_time if isinstance(state, Resolved) else None

@@ -34,7 +34,7 @@ from turncue.scenario import (
     run_scenario,
     run_suite,
 )
-from turncue.session import IDLE, Acknowledged, Missed, begin_signal, tick
+from turncue.session import IDLE, Resolved, begin_signal, tick
 from turncue.trace import read_trace, write_trace
 
 DT = 1.0 / 72.0
@@ -236,7 +236,7 @@ def _session_walk(aligned_from, cfg=CFG):
         t = k * DT
         facing = at_target if (aligned_from is not None and t >= aligned_from - 1e-9) else ahead
         state, _ = tick(state, Pose(Vec3(0, 0, 0), facing, facing, t), target, DT, cfg)
-        if isinstance(state, (Acknowledged, Missed)):
+        if isinstance(state, Resolved):
             return state
         k += 1
     return state
@@ -246,14 +246,14 @@ def test_c05_state_machine_timing_and_handoff():
     # acknowledgment at alignment start + 1.5 s, response time = alignment start
     aligned_from = 2.0  # exact grid point: 2.0 / DT = 144
     state = _session_walk(aligned_from)
-    assert isinstance(state, Acknowledged)
+    assert isinstance(state, Resolved)
     assert abs(state.response_time - 2.0) <= DT + 1e-9
-    assert abs(state.ack_time - (2.0 + CFG.ack_dwell)) <= DT + 1e-9
+    assert abs(state.end_time - (2.0 + CFG.ack_dwell)) <= DT + 1e-9
 
     # miss at exactly the timeout
     state = _session_walk(None)
-    assert isinstance(state, Missed)
-    assert abs(state.miss_time - CFG.miss_timeout) <= DT + 1e-9
+    assert isinstance(state, Resolved) and state.response_time is None
+    assert abs(state.end_time - CFG.miss_timeout) <= DT + 1e-9
 
     # handoff on both paths, via the scenario loop
     script = right_angle_script()

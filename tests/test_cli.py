@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -205,6 +208,30 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
         "1cc6046d229a1b9debf701dcbe0ec45edc91e3eec62747395a82b57e6c696578"
     )
     assert hashlib.md5(csv.encode()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
+
+
+def test_reference_suite_does_not_depend_on_the_hash_seed(tmp_path):
+    # Identical inputs give byte-identical files, whatever order sets and
+    # dicts of strings iterate in.
+    runs = []
+    for hash_seed in ("0", "1"):
+        out_dir = tmp_path / hash_seed
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([
+            sys.executable, "-m", "turncue.cli", "suite", "--plan", str(REPO / "configs" / "study.cfg"),
+            "--participants", "1", "--seed", "7", "--out-dir", str(out_dir),
+        ], env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        files = sorted(out_dir.iterdir())
+        runs.append(([f.name for f in files], [f.read_bytes() for f in files], done.stdout))
+    assert runs[0] == runs[1]
+    names, contents, csv = runs[0]
+    assert len(names) == 8
+    assert hashlib.sha256(b"".join(contents)).hexdigest() == (
+        "0d173dcfc35122bb817d6ed452f6b75ea8b575989b6c299230471924b9ffdd2f"
+    )
+    assert hashlib.md5(csv).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
 
 
 def _trace_name(i, trace):

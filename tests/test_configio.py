@@ -213,6 +213,12 @@ def _a_trial():
     return randomize_presentation(StudyPlan(participants=1), 0).trials[0]
 
 
+def _plan_with_second_trial(**changes):
+    """A randomized one-participant plan whose second trial takes changes."""
+    trials = randomize_presentation(StudyPlan(participants=1), 0).trials
+    return StudyPlan(participants=1, trials=(trials[0], replace(trials[1], **changes), *trials[2:]))
+
+
 @pytest.mark.parametrize(
     "build,named",
     [
@@ -283,6 +289,10 @@ def _a_trial():
         (lambda: StudyPlan(participants=1, trials=(replace(_a_trial(), participant=1),)),
          "participants=1 is not the set of the trials' participants"),
         (lambda: StudyPlan(participants=0, trials=(_a_trial(),)), "participants=0 is not the set"),
+        # A plan builds each trial's script, so it fails whole, naming the trial, before any trial runs.
+        (lambda: _plan_with_second_trial(method="sgd"), r"^trials\[1\]: method='sgd' is not a Method$"),
+        (lambda: _plan_with_second_trial(names=("A",)), r"^trials\[1\]: names: expected 5, got 1$"),
+        (lambda: _plan_with_second_trial(user_seat_index=9), r"^trials\[1\]: user_seat_index=9 out of range$"),
     ],
     ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
          "head_speed", "latency_override", "signal_offset", "progress_gamma", "participants",
@@ -296,7 +306,8 @@ def _a_trial():
          "agent-seed-float", "chime_max_repeats-float",
          "chime_max_repeats-bool", "latency-unknown-method", "latency-unknown-view", "latency-split-method",
          "latency-repeated-cell", "method-str", "role-str", "run_suite-trial-method-str", "plan-participants-above-trials",
-         "plan-trial-participant-outside", "plan-participants-zero-with-trials"],
+         "plan-trial-participant-outside", "plan-participants-zero-with-trials", "plan-trial-method-str",
+         "plan-trial-names-short", "plan-trial-user_seat-range"],
 )
 def test_constructors_reject_non_finite_and_out_of_range(build, named):
     with pytest.raises(ConfigError, match=named):

@@ -7,14 +7,15 @@ from turncue.audio import Role
 from turncue.config import GuidanceConfig
 from turncue.errors import ConcurrentSignalError, ConfigError, TraceOrderError
 from turncue.geometry import AngularRange, Pose, Side, Vec3
+from turncue.lights import lerp
 from turncue.scenario import hexagon_seats
 from turncue.session import (
     IDLE,
-    Acknowledged,
-    Missed,
+    Resolved,
     Signaled,
     begin_signal,
     response_time,
+    settled,
     tick,
 )
 
@@ -36,7 +37,7 @@ def facing_at_angle(deg_from_target: float) -> Vec3:
     return Vec3(math.cos(a), 0.0, math.sin(a))
 
 
-def walk(aligned_from: float | None, until: float, cfg=CFG, aligned_gaps=()):
+def walk(aligned_from: float | None, until: float, cfg=CFG, aligned_gaps=(), aligned_facing=AT_TARGET):
     """Run a session: misaligned until aligned_from, then aligned, with
     optional [start, end) gaps where alignment breaks again."""
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, cfg)
@@ -48,9 +49,9 @@ def walk(aligned_from: float | None, until: float, cfg=CFG, aligned_gaps=()):
         for lo, hi in aligned_gaps:
             if lo - 1e-9 <= t < hi - 1e-9:
                 aligned = False
-        state, frame = tick(state, pose(t, AT_TARGET if aligned else AHEAD), TARGET, DT, cfg)
+        state, frame = tick(state, pose(t, aligned_facing if aligned else AHEAD), TARGET, DT, cfg)
         frames.append(frame)
-        if isinstance(state, (Acknowledged, Missed)):
+        if isinstance(state, Resolved):
             break
         k += 1
     return state, frames
@@ -96,7 +97,7 @@ def test_begin_signal_rejects_concurrent():
 
 def test_begin_signal_allowed_after_terminal():
     state, _ = walk(aligned_from=0.1, until=6.0)
-    assert isinstance(state, Acknowledged)
+    assert isinstance(state, Resolved) and state.response_time is not None
     fresh = begin_signal(state, pose(10.0, AHEAD), TARGET, Role.SPEAKER, CFG)
     assert isinstance(fresh, Signaled)
 
@@ -104,23 +105,23 @@ def test_begin_signal_allowed_after_terminal():
 def test_acknowledgment_timing_and_response_time():
     # alignment starts at t=2.0 and holds: acknowledged 1.5 s later
     state, _ = walk(aligned_from=2.0, until=6.0)
-    assert isinstance(state, Acknowledged)
+    assert isinstance(state, Resolved)
     assert state.response_time == pytest.approx(2.0, abs=1e-9)
-    assert abs(state.ack_time - 3.5) <= DT + 1e-9
+    assert abs(state.end_time - 3.5) <= DT + 1e-9
     assert state.response_time < CFG.miss_timeout
     assert response_time(state) == state.response_time
 
 
 def test_immediate_alignment_accumulates_from_first_tick():
     state, _ = walk(aligned_from=0.1, until=6.0)
-    assert isinstance(state, Acknowledged)
+    assert isinstance(state, Resolved)
     assert state.response_time == pytest.approx(0.1, abs=1e-9)
 
 
 def test_missed_at_timeout():
     state, frames = walk(aligned_from=None, until=7.0)
-    assert isinstance(state, Missed)
-    assert state.miss_time == pytest.approx(5.0, abs=DT + 1e-9)
+    assert isinstance(state, Resolved)
+    assert state.end_time == pytest.approx(5.0, abs=DT + 1e-9)
     assert response_time(state) is None
     assert frames[-1].session_state == "missed"
 
@@ -128,7 +129,7 @@ def test_missed_at_timeout():
 def test_broken_dwell_restarts():
     # aligned 2.0-2.9, broken 3.0-3.4, re-aligned from 3.5
     state, _ = walk(aligned_from=2.0, until=7.0, aligned_gaps=((3.0, 3.5),))
-    assert isinstance(state, Acknowledged)
+    assert isinstance(state, Resolved)
     assert state.response_time == pytest.approx(3.5, abs=1e-9)
 
 
@@ -190,13 +191,33 @@ def test_env_intensity_bounded_by_original_and_minimum():
             assert frame.env_intensity <= CFG.env_levels.l_max + 1e-12
 
 
-def test_env_restores_after_acknowledgment():
-    state, _ = walk(aligned_from=2.0, until=6.0)
-    assert isinstance(state, Acknowledged)
-    # restoration follows the same 2 s profile from the ack-time value
-    _, frame = tick(state, pose(state.ack_time + CFG.fade_duration, AT_TARGET), TARGET, DT, CFG)
+@pytest.mark.parametrize("aligned_from", [2.0, None], ids=["acknowledged", "missed"])
+def test_env_restores_after_the_session_resolves(aligned_from):
+    # Both outcomes fade back the same way: the 2 s profile from the env at
+    # the resolving tick, with tick returning the same Resolved state. The
+    # acknowledging gaze rests 8 degrees off the target, so neither env is at l_max.
+    state, frames = walk(aligned_from=aligned_from, until=6.0, aligned_facing=facing_at_angle(8.0))
+    assert isinstance(state, Resolved) and (state.response_time is None) == (aligned_from is None)
+    assert frames[-1].env_intensity == state.env_at_end < CFG.env_levels.l_max
+    signaled = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
+    assert not settled(signaled, 0.0, CFG)
+    assert not settled(tick(signaled, pose(DT, AHEAD), TARGET, DT, CFG)[0], DT, CFG)
+    steps = round(CFG.fade_duration / DT)
+    flags = []
+    for k in range(steps + 4):
+        now = state.end_time + k * DT
+        after, frame = tick(state, pose(now, AT_TARGET), TARGET, DT, CFG)
+        assert after is state
+        assert frame.session_state == ("missed" if aligned_from is None else "acknowledged")
+        fraction = min(max(now - state.end_time, 0.0) / CFG.fade_duration, 1.0)
+        assert frame.env_intensity == lerp(state.env_at_end, CFG.env_levels.l_max, fraction)
+        flags.append(settled(state, now, CFG))
+        assert flags[-1] == (fraction == 1.0)
+    # false through the fade, then true from the first tick at its end on
+    first = flags.index(True)
+    assert first in (steps, steps + 1) and all(flags[first:])
     assert frame.env_intensity == pytest.approx(CFG.env_levels.l_max, abs=1e-12)
-    _, halfway = tick(state, pose(state.ack_time + CFG.fade_duration / 2, AT_TARGET), TARGET, DT, CFG)
+    _, halfway = tick(state, pose(state.end_time + CFG.fade_duration / 2, AT_TARGET), TARGET, DT, CFG)
     expected = state.env_at_end + (CFG.env_levels.l_max - state.env_at_end) * 0.5
     assert halfway.env_intensity == pytest.approx(expected, abs=1e-12)
 
@@ -329,7 +350,7 @@ def test_ticks_on_repeated_pose_objects_equal_ticks_on_fresh_copies():
             assert cached.cues is last_cues
         if not isinstance(cached, Signaled):
             break
-    assert isinstance(cached, Acknowledged)
+    assert isinstance(cached, Resolved) and cached.response_time is not None
 
 
 def test_signaled_equality_repr_and_hash_ignore_the_cue_cache():
