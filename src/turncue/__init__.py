@@ -34,12 +34,11 @@ from .lights import (
     PointLightState,
     SpotlightGeometry,
     SpotlightState,
-    env_light_intensity,
     env_light_with_fade,
+    light_intensity,
     point_light_color,
     point_light_state,
     spot_cone_angle,
-    spot_intensity,
     spotlight_state,
 )
 from .metrics import CellStats, MetricsSummary, extract_metrics, metrics_to_csv

@@ -14,52 +14,44 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from .configio import load_simulation, load_suite, parse_config
 from .config import GuidanceConfig
 from .errors import GuidanceError, TraceIntegrityError
 from .geometry import AngularRange, Vec3
-from .lights import env_light_intensity, point_light_color, spot_cone_angle, spot_intensity
+from .lights import light_intensity, point_light_color, spot_cone_angle
 from .audio import sound_source_position
 from .metrics import extract_metrics, metrics_to_csv
 from .scenario import run_scenario, suite_traces
-from .trace import read_trace, write_trace
+from .trace import format9, read_trace, write_trace
 
-_CHANNELS = ("env", "point", "spot", "sound")
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
+_COLUMNS = {"env": "theta,intensity", "point": "theta,r,g,b", "spot": "theta,intensity,cone_angle", "sound": "theta,x,y,z"}
 
 
-def _eval_rows(channel: str, rng: AngularRange, gamma: float, steps: int, config: GuidanceConfig) -> list[str]:
+def _eval_rows(channel: str, rng: AngularRange, gamma: float, steps: int, config: GuidanceConfig) -> Iterator[str]:
+    """The CSV header, then one row per theta, each made as it is taken."""
     if steps < 1:
         raise GuidanceError(f"steps={steps} must be >= 1")
-    thetas = [
-        rng.theta_min + i * (rng.theta_max - rng.theta_min) / steps for i in range(steps + 1)
-    ]
+    f, u, t = format9, Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)
     if channel == "env":
-        rows = ["theta,intensity"]
-        for th in thetas:
-            rows.append(f"{_fmt(th)},{_fmt(env_light_intensity(th, rng, config.env_levels, gamma))}")
+        def row(th: float) -> str:
+            return f"{f(th)},{f(light_intensity(th, rng, config.env_levels, gamma))}"
     elif channel == "point":
-        rows = ["theta,r,g,b"]
-        for th in thetas:
+        def row(th: float) -> str:
             c = point_light_color(th, rng, config.warm, config.cold, gamma)
-            rows.append(f"{_fmt(th)},{_fmt(c.r)},{_fmt(c.g)},{_fmt(c.b)}")
+            return f"{f(th)},{f(c.r)},{f(c.g)},{f(c.b)}"
     elif channel == "spot":
-        rows = ["theta,intensity,cone_angle"]
-        for th in thetas:
-            intensity = spot_intensity(th, rng, config.spot_levels, gamma)
-            cone = spot_cone_angle(th, rng, config.spot_geometry, gamma)
-            rows.append(f"{_fmt(th)},{_fmt(intensity)},{_fmt(cone)}")
+        def row(th: float) -> str:
+            intensity = light_intensity(th, rng, config.spot_levels, gamma)
+            return f"{f(th)},{f(intensity)},{f(spot_cone_angle(th, rng, config.spot_geometry, gamma))}"
     else:
-        rows = ["theta,x,y,z"]
-        u, t = Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)
-        for th in thetas:
+        def row(th: float) -> str:
             p = sound_source_position(u, t, th, rng, config.sound_easing)
-            rows.append(f"{_fmt(th)},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}")
-    return rows
+            return f"{f(th)},{f(p.x)},{f(p.y)},{f(p.z)}"
+    yield _COLUMNS[channel]
+    for i in range(steps + 1):
+        yield row(rng.theta_min + i * (rng.theta_max - rng.theta_min) / steps)
 
 
 def _cmd_eval(args) -> int:
@@ -135,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="sweep a cue channel over a theta grid, CSV to stdout")
-    p_eval.add_argument("--channel", choices=_CHANNELS, required=True)
+    p_eval.add_argument("--channel", choices=_COLUMNS, required=True)
     p_eval.add_argument("--theta-max", type=float, required=True)
     p_eval.add_argument("--theta-min", type=float, default=0.0)
     p_eval.add_argument("--gamma", type=float, default=None)

@@ -87,8 +87,8 @@ def lerp(lo: float, hi: float, p: float) -> float:
     return lo + (hi - lo) * p
 
 
-def env_light_intensity(theta: float, rng: AngularRange, levels: LightLevels, gamma: float) -> float:
-    """Environment brightness at deviation theta."""
+def light_intensity(theta: float, rng: AngularRange, levels: LightLevels, gamma: float) -> float:
+    """Brightness at deviation theta within levels: the env light's and the spotlight's."""
     return lerp(levels.l_min, levels.l_max, _progress(theta, rng, gamma))
 
 
@@ -110,13 +110,8 @@ def env_light_with_fade(
         raise ConfigError(f"fade_duration={fade_duration} must be > 0")
     if t_since_signal < 0.0:
         raise ConfigError(f"t_since_signal={t_since_signal} must be >= 0")
-    target = env_light_intensity(theta, rng, levels, gamma)
+    target = light_intensity(theta, rng, levels, gamma)
     return lerp(original, target, min(t_since_signal / fade_duration, 1.0))
-
-
-def spot_intensity(theta: float, rng: AngularRange, levels: LightLevels, gamma: float) -> float:
-    """Spotlight brightness at deviation theta; same form as the env light."""
-    return lerp(levels.l_min, levels.l_max, _progress(theta, rng, gamma))
 
 
 def spot_cone_angle(theta: float, rng: AngularRange, geometry: SpotlightGeometry, gamma: float) -> float:
@@ -215,7 +210,7 @@ def spotlight(
         return SpotlightState(active=False, intensity=0.0, cone_angle=geometry.a_min, aim=target)
     return SpotlightState(
         active=True,
-        intensity=spot_intensity(theta, rng, levels, gamma),
+        intensity=light_intensity(theta, rng, levels, gamma),
         cone_angle=spot_cone_angle(theta, rng, geometry, gamma),
         aim=target,
     )

@@ -14,7 +14,7 @@ from typing import Iterable
 from .audio import Role
 from .config import Method
 from .errors import TraceIntegrityError
-from .trace import Trace
+from .trace import Trace, format9
 
 # Legal session-tag successions within one trace.
 _ALLOWED = {
@@ -111,7 +111,7 @@ def metrics_to_csv(summary: MetricsSummary) -> str:
     """Stable CSV rendering: method,view,role,n,mean_rt,min_rt,max_rt,missed."""
 
     def num(v: float | None) -> str:
-        return "nan" if v is None else format(v, ".9g")
+        return "nan" if v is None else format9(v)
 
     lines = ["method,view,role,n,mean_rt,min_rt,max_rt,missed"]
     for key in sorted(summary.cells):

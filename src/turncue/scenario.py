@@ -119,8 +119,9 @@ class ScenarioScript:
         for i, seat in enumerate(self.seats):
             if not all(map(math.isfinite, seat)):
                 raise ScriptError(f"seats[{i}]={tuple(seat)} must be finite")
-            if i != self.user_seat_index and (seat - user).norm() <= 1e-12:
-                raise ScriptError(f"seats[{i}]={tuple(seat)} coincides with the user's seat")
+            if i != self.user_seat_index and not 1e-12 < (offset := (seat - user).norm()) < math.inf:
+                where = "coincides with" if offset <= 1e-12 else "is too far (offset norm inf) from"
+                raise ScriptError(f"seats[{i}]={tuple(seat)} {where} the user's seat")
         if self.desk_anchor is not None and not all(map(math.isfinite, self.desk_anchor)):
             raise ScriptError(f"desk_anchor={tuple(self.desk_anchor)} must be finite")
         if len(self.names) != AGENT_COUNT:
@@ -230,6 +231,8 @@ def hexagon_seats(radius: float = DEFAULT_SEAT_RADIUS, eye_height: float = DEFAU
     """Six seats evenly spaced around the table center."""
     if not 0.0 < radius < math.inf:
         raise ScriptError(f"seat_radius={radius} must be finite and > 0")
+    if Vec3(2.0 * radius, 0.0, 0.0).norm() == math.inf:  # opposite seats: no direction between them
+        raise ScriptError(f"seat_radius={radius} is too large: the table width 2 * seat_radius has no finite norm")
     if not math.isfinite(eye_height):
         raise ScriptError(f"eye_height={eye_height} must be finite")
     seats = []
@@ -329,7 +332,10 @@ def run_scenario(
     ) / dt
     if not max_ticks <= MAX_TICKS:  # not >, so that inf and nan fail too
         durations = ", ".join(f"{t.duration:g}" for t in turns)
-        raise ScriptError(f"dt={dt} and turn durations ({durations}) s allow {max_ticks:.3g} ticks, over {MAX_TICKS}")
+        raise ScriptError(
+            f"dt={dt}, turn durations ({durations}) s, signal_offset={script.signal_offset} and "
+            f"miss_timeout={config.miss_timeout} allow {max_ticks:.3g} ticks, over {MAX_TICKS}"
+        )
 
     rng = random.Random(stable_seed("scenario", seed, agent.seed))
     user_pos = script.seats[script.user_seat_index]

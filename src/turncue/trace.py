@@ -33,6 +33,11 @@ _NUMBER = frozenset((int, float))
 _UNSET = object()  # a field that no line has set yet
 
 
+def format9(x: float) -> str:
+    """x as text at 9 significant digits: how every float is written."""
+    return format(x, ".9g")
+
+
 def q9(x: float) -> float:
     """Nearest double to the 9-significant-digit decimal of x, with -0.0 as 0.0.
 
@@ -44,7 +49,7 @@ def q9(x: float) -> float:
         raise TypeError(x)
     q = _q9_memo.get(x)
     if q is None:
-        q = float(format(x, ".9g")) + 0.0
+        q = float(format9(x)) + 0.0
         if not math.isfinite(q):
             raise ValueError(x)
         if len(_q9_memo) >= _MEMO_CAP:
@@ -92,8 +97,8 @@ _CANONICAL = {
 class _Canonical:
     """Base of the trace line types, NamedTuples of canonical values that
     _canonical makes. The constructor, _make and _replace (through _make)
-    canonicalize every field; _from and _read only those that changed since
-    the previous record or line."""
+    canonicalize every field; _from, which _read calls, only those that
+    changed since the previous record or line."""
 
     __slots__ = ()
 
@@ -120,18 +125,14 @@ class _Canonical:
     def _read(cls, prev: tuple | None, line: dict):
         """A trace line's fields canonicalized over prev, the previous line's
         record; with none, the line must hold every field."""
-        index, canon = cls._index, cls._canon
-        values = [_UNSET] * len(canon) if prev is None else list(prev)
-        for name, value in line.items():
-            if (i := index.get(name)) is None:
-                raise TraceIntegrityError(f"unknown field {name!r}")
-            try:
-                values[i] = canon[i](value)
-            except (TypeError, ValueError, OverflowError):
-                raise TraceIntegrityError(f"{name}={value!r} is not a valid {cls._kinds[i]}") from None
-        if prev is None and _UNSET in values:
-            raise TraceIntegrityError(f"missing field {cls._fields[values.index(_UNSET)]!r}")
-        return tuple.__new__(cls, values)
+        try:
+            raw = {cls._index[name]: value for name, value in line.items()}  # position: value
+        except KeyError as exc:
+            raise TraceIntegrityError(f"unknown field {exc.args[0]!r}") from None
+        rec = cls._from((_UNSET,) * len(cls._fields) if prev is None else prev, raw, raw)
+        if prev is None and _UNSET in rec:
+            raise TraceIntegrityError(f"missing field {cls._fields[rec.index(_UNSET)]!r}")
+        return rec
 
 
 def _canonical(fields: type) -> type:
@@ -215,7 +216,7 @@ def _emit(value) -> str:
         if text is None:
             if len(_text_memo) >= _MEMO_CAP:
                 _text_memo.clear()
-            text = _text_memo[value] = format(value, ".9g")
+            text = _text_memo[value] = format9(value)
         return text
     if value is None:
         return "null"

@@ -17,10 +17,9 @@ from turncue.baselines import sgd_phase, sgd_state
 from turncue.config import GuidanceConfig
 from turncue.geometry import AngularRange, Pose, Vec3
 from turncue.lights import (
-    env_light_intensity,
+    light_intensity,
     point_light_color,
     spot_cone_angle,
-    spot_intensity,
     spotlight_state,
 )
 from turncue.metrics import extract_metrics
@@ -125,14 +124,14 @@ def test_c01_equation_oracle_equivalence():
         for theta_int in range(0, 181):
             theta = float(theta_int)
             assert rel_close(
-                env_light_intensity(theta, rng, env_levels, gamma),
+                light_intensity(theta, rng, env_levels, gamma),
                 oracle_env(theta, 0.0, 90.0, gamma),
             )
             got = point_light_color(theta, rng, CFG.warm, CFG.cold, gamma)
             for g, e in zip(got.to_tuple(), oracle_color(theta, 0.0, 90.0, gamma)):
                 assert rel_close(g, e)
             exp_int, exp_cone = oracle_spot(theta, 0.0, 90.0, gamma)
-            assert rel_close(spot_intensity(theta, rng, spot_levels, gamma), exp_int)
+            assert rel_close(light_intensity(theta, rng, spot_levels, gamma), exp_int)
             assert rel_close(spot_cone_angle(theta, rng, geometry, gamma), exp_cone)
             pos = sound_source_position(u, t, theta, rng)
             for g, e in zip(pos, oracle_sound(u, t, theta, 0.0, 90.0)):
@@ -141,10 +140,10 @@ def test_c01_equation_oracle_equivalence():
 
 def test_c02_boundary_exactness_with_study_parameters():
     rng = AngularRange(0.0, 90.0)
-    assert abs(env_light_intensity(90.0, rng, CFG.env_levels, 1.0) - 1.1) <= 1e-12
-    assert abs(env_light_intensity(0.0, rng, CFG.env_levels, 1.0) - 0.5) <= 1e-12
-    assert abs(spot_intensity(90.0, rng, CFG.spot_levels, 1.0) - 1.5) <= 1e-12
-    assert abs(spot_intensity(0.0, rng, CFG.spot_levels, 1.0) - 0.8) <= 1e-12
+    assert abs(light_intensity(90.0, rng, CFG.env_levels, 1.0) - 1.1) <= 1e-12
+    assert abs(light_intensity(0.0, rng, CFG.env_levels, 1.0) - 0.5) <= 1e-12
+    assert abs(light_intensity(90.0, rng, CFG.spot_levels, 1.0) - 1.5) <= 1e-12
+    assert abs(light_intensity(0.0, rng, CFG.spot_levels, 1.0) - 0.8) <= 1e-12
     assert abs(spot_cone_angle(90.0, rng, CFG.spot_geometry, 1.0) - 60.0) <= 1e-12
     assert abs(spot_cone_angle(0.0, rng, CFG.spot_geometry, 1.0) - 30.0) <= 1e-12
     for got, want in zip(point_light_color(90.0, rng, CFG.warm, CFG.cold, 1.0).to_tuple(), WARM):
@@ -176,7 +175,7 @@ def test_c03_monotonicity_randomized():
         t1 = rnd.uniform(-10.0, 200.0)
         t2 = rnd.uniform(t1, 200.0)
 
-        if env_light_intensity(t2, band, CFG.env_levels, gamma) < env_light_intensity(t1, band, CFG.env_levels, gamma) - 1e-12:
+        if light_intensity(t2, band, CFG.env_levels, gamma) < light_intensity(t1, band, CFG.env_levels, gamma) - 1e-12:
             violations += 1
         c1 = point_light_color(t1, band, CFG.warm, CFG.cold, gamma).to_tuple()
         c2 = point_light_color(t2, band, CFG.warm, CFG.cold, gamma).to_tuple()
@@ -184,7 +183,7 @@ def test_c03_monotonicity_randomized():
             toward_warm = ch2 - ch1 if w >= c else ch1 - ch2
             if toward_warm < -1e-12:
                 violations += 1
-        if spot_intensity(t2, band, CFG.spot_levels, gamma) < spot_intensity(t1, band, CFG.spot_levels, gamma) - 1e-12:
+        if light_intensity(t2, band, CFG.spot_levels, gamma) < light_intensity(t1, band, CFG.spot_levels, gamma) - 1e-12:
             violations += 1
         if spot_cone_angle(t2, band, CFG.spot_geometry, gamma) < spot_cone_angle(t1, band, CFG.spot_geometry, gamma) - 1e-12:
             violations += 1

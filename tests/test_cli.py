@@ -16,7 +16,7 @@ from turncue.config import GuidanceConfig
 from turncue.configio import load_suite
 from turncue.errors import ScriptError
 from turncue.geometry import AngularRange
-from turncue.lights import env_light_intensity, point_light_color, spot_cone_angle, spot_intensity
+from turncue.lights import light_intensity, point_light_color, spot_cone_angle
 from turncue.metrics import extract_metrics, metrics_to_csv
 from turncue.scenario import run_suite
 from turncue.trace import read_trace, write_trace
@@ -67,10 +67,10 @@ def test_eval_rows_match_library(capsys, channel):
 
     def values(th):
         if channel == "env":
-            return (env_light_intensity(th, rng, cfg.env_levels, gamma),)
+            return (light_intensity(th, rng, cfg.env_levels, gamma),)
         if channel == "point":
             return point_light_color(th, rng, cfg.warm, cfg.cold, gamma).to_tuple()
-        return (spot_intensity(th, rng, cfg.spot_levels, gamma),
+        return (light_intensity(th, rng, cfg.spot_levels, gamma),
                 spot_cone_angle(th, rng, cfg.spot_geometry, gamma))
 
     assert cli(["eval", "--channel", channel, "--theta-min", "10", "--theta-max", "130",
@@ -324,9 +324,11 @@ SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"
         (["suite", "--plan", "{cfg}", "--participants", "-2"], "[plan]\n", "participants"),
         (["simulate", "--script", "{cfg}", "--participant", "-4"], "[scenario]\n", "participant=-4"),
         (["simulate", "--script", "{cfg}", "--dt", "1e-9"], "[scenario]\nrole = listener\n",
-         "dt=1e-09 and turn durations (10, 10, 12) s allow 6.8e+10 ticks, over 1000000"),
+         "dt=1e-09, turn durations (10, 10, 12) s, signal_offset=5.0 and miss_timeout=5.0 allow 6.8e+10 ticks, "
+         "over 1000000"),
         (["simulate", "--script", "{cfg}"], "[scenario]\nturns = a1:10 | a2:1e300\n",
-         "dt=0.013888888888888888 and turn durations (10, 1e+300) s allow 7.2e+301 ticks, over 1000000"),
+         "dt=0.013888888888888888, turn durations (10, 1e+300) s, signal_offset=5.0 and miss_timeout=5.0 allow 7.2e+301 ticks, "
+         "over 1000000"),
         (["simulate", "--script", "{cfg}"], "[scenario]\nmethod = light\n[session]\ntheta_min = 179.5\n",
          "theta_min=179.5 must lie in [0, 179]"),
         (["suite", "--plan", "{cfg}"], "[plan]\nseat_radius = -1.2\n", "seat_radius=-1.2 must be finite and > 0"),
@@ -345,13 +347,23 @@ SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"
          "[scenario] seat_radius has no effect when seats is set"),
         (["simulate", "--script", "{cfg}"], f"[scenario]\n{SIX_SEATS}eye_height = 3\n",
          "[scenario] eye_height has no effect when seats is set"),
+        # The tick bound names every input it adds up, and a seat offset must have a finite norm.
+        (["suite", "--plan", "{cfg}"], "[plan]\n[session]\nmiss_timeout = 100000\n",
+         "dt=0.013888888888888888, turn durations (8, 12, 8, 12, 10) s, signal_offset=5.0 and miss_timeout=100000.0 "
+         "allow 3.6e+07 ticks, over 1000000"),
+        (["suite", "--plan", "{cfg}"], "[plan]\nseat_radius = 1e200\n",
+         "seat_radius=1e+200 is too large: the table width 2 * seat_radius has no finite norm"),
+        (["simulate", "--script", "{cfg}"], "[scenario]\nseat_radius = 1e154\n", "seat_radius=1e+154 is too large"),
+        (["simulate", "--script", "{cfg}"], f"[scenario]\n{SIX_SEATS.replace('1,1,1', '1e200,1,0')}",
+         "seats[5]=(1e+200, 1.0, 0.0) is too far (offset norm inf) from the user's seat"),
     ],
     ids=["ack_threshold-nan", "miss_timeout-inf", "head_speed-nan", "user_seat-range", "gamma-nan",
          "gamma-sound", "gamma-inf", "gamma-zero", "gamma-negative", "jobs-0", "participants-negative", "participant-negative", "dt-tiny", "turn-huge",
          "theta_min-above-179", "plan-seat_radius-negative", "plan-seat_radius-zero",
          "scenario-seat_radius-negative", "plan-with-scenario", "scenario-with-plan",
          "study-cfg-to-simulate", "script-cfg-to-suite", "seats-with-seat_radius",
-         "seats-with-eye_height"],
+         "seats-with-eye_height", "miss_timeout-huge", "plan-seat_radius-huge", "scenario-seat_radius-huge",
+         "seats-too-far"],
 )
 def test_invalid_number_exits_one_naming_it(tmp_path, capsys, monkeypatch, args, config, named):
     # Each fails before the first tick: no record is built.

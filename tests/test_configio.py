@@ -293,6 +293,10 @@ def _plan_with_second_trial(**changes):
         (lambda: _plan_with_second_trial(method="sgd"), r"^trials\[1\]: method='sgd' is not a Method$"),
         (lambda: _plan_with_second_trial(names=("A",)), r"^trials\[1\]: names: expected 5, got 1$"),
         (lambda: _plan_with_second_trial(user_seat_index=9), r"^trials\[1\]: user_seat_index=9 out of range$"),
+        # Opposite seats 2 * seat_radius apart: an offset without a finite norm has no direction.
+        (lambda: hexagon_seats(1e200),
+         r"^seat_radius=1e\+200 is too large: the table width 2 \* seat_radius has no finite norm$"),
+        (lambda: StudyPlan(participants=1, seat_radius=7e153), r"^seat_radius=7e\+153 is too large"),
     ],
     ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
          "head_speed", "latency_override", "signal_offset", "progress_gamma", "participants",
@@ -307,7 +311,7 @@ def _plan_with_second_trial(**changes):
          "chime_max_repeats-bool", "latency-unknown-method", "latency-unknown-view", "latency-split-method",
          "latency-repeated-cell", "method-str", "role-str", "run_suite-trial-method-str", "plan-participants-above-trials",
          "plan-trial-participant-outside", "plan-participants-zero-with-trials", "plan-trial-method-str",
-         "plan-trial-names-short", "plan-trial-user_seat-range"],
+         "plan-trial-names-short", "plan-trial-user_seat-range", "seat_radius-huge", "plan-seat_radius-huge"],
 )
 def test_constructors_reject_non_finite_and_out_of_range(build, named):
     with pytest.raises(ConfigError, match=named):

@@ -11,8 +11,8 @@ from turncue.lights import (
     ColorRGB,
     LightLevels,
     SpotlightGeometry,
-    env_light_intensity,
     env_light_with_fade,
+    light_intensity,
     point_light_color,
     point_light_position,
     point_light_state,
@@ -28,16 +28,16 @@ R90 = AngularRange(0.0, 90.0)
 
 
 def test_env_intensity_upper_boundary():
-    assert env_light_intensity(90.0, R90, ENV, 1.0) == pytest.approx(1.1, abs=1e-12)
+    assert light_intensity(90.0, R90, ENV, 1.0) == pytest.approx(1.1, abs=1e-12)
 
 
 def test_env_intensity_lower_boundary():
-    assert env_light_intensity(0.0, R90, ENV, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert light_intensity(0.0, R90, ENV, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_env_intensity_midpoint():
     # 0.5 + 0.6 * 0.5, straight off the formula
-    assert env_light_intensity(45.0, R90, ENV, 1.0) == pytest.approx(0.8, abs=1e-12)
+    assert light_intensity(45.0, R90, ENV, 1.0) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_fade_not_started():
@@ -188,12 +188,12 @@ def test_all_channels_stay_in_range():
         lo = rng.uniform(0.0, 100.0)
         hi = rng.uniform(lo + 1.0, 180.0)
         band = AngularRange(lo, hi)
-        env = env_light_intensity(theta, band, ENV, gamma)
+        env = light_intensity(theta, band, ENV, gamma)
         assert ENV.l_min - 1e-12 <= env <= ENV.l_max + 1e-12
         c = point_light_color(theta, band, WARM, COLD, gamma)
         for ch in c.to_tuple():
             assert 0.0 <= ch <= 1.0
-        spot = env_light_intensity(theta, band, SPOT, gamma)
+        spot = light_intensity(theta, band, SPOT, gamma)
         assert SPOT.l_min - 1e-12 <= spot <= SPOT.l_max + 1e-12
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from _rand import make_meta, make_record
@@ -61,6 +63,23 @@ def test_broken_sequence_names_tick():
     ]
     trace = Trace(meta=make_meta(), records=tuple(records))
     with pytest.raises(TraceIntegrityError, match="^tick 1: illegal session transition idle -> acknowledged$"):
+        extract_metrics([trace])
+
+
+@pytest.mark.parametrize(
+    "method,records,message",
+    [
+        ("light_audio", (make_record(0, 0.0, "waiting"),), "tick 0: unknown session state 'waiting'"),
+        ("light_audio", (make_record(0, 0.0, "signaled", in_view=True),), "tick 0: signaled frame lacks view/role"),
+        ("light_audio", (make_record(0, 0.0, "signaled", in_view=True, role="listener"),
+                         make_record(1, 0.1, "missed", role="listener")), "tick 1: terminal frame lacks view/role"),
+        ("lightaudio", (make_record(0, 0.0),), "meta line: unknown method 'lightaudio'"),
+    ],
+    ids=["unknown-state", "signaled-without-role", "terminal-without-view", "unknown-method"],
+)
+def test_scan_rejection_messages(method, records, message):
+    trace = Trace(meta=make_meta(method=method), records=records)
+    with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
         extract_metrics([trace])
 
 

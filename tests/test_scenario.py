@@ -105,8 +105,14 @@ def test_validate_rejects_wrong_seat_count():
         (lambda seats: {"seats": (Vec3(0.0, math.inf, 0.0),) + seats[1:]}, r"seats\[0\]"),
         (lambda seats: {"desk_anchor": Vec3(0.5, math.nan, 0.0)}, "desk_anchor"),
         (lambda seats: {"seats": seats[:3] + (seats[0],) + seats[4:]}, r"seats\[3\].*user's seat"),
+        # Finite coordinates, but the offset from the user's seat has an infinite norm.
+        (lambda seats: {"seats": seats[:5] + (Vec3(1e200, 1.15, 0.0),)},
+         r"^seats\[5\]=\(1e\+200, 1\.15, 0\.0\) is too far \(offset norm inf\) from the user's seat$"),
+        (lambda seats: {"seats": (Vec3(-1e154, 1.15, 0.0),) + seats[1:4] + (Vec3(1e154, 1.15, 0.0),) + seats[5:]},
+         r"^seats\[4\]=\(1e\+154, 1\.15, 0\.0\) is too far"),
     ],
-    ids=["nan-agent-seat", "inf-user-seat", "nan-desk-anchor", "agent-on-user-seat"],
+    ids=["nan-agent-seat", "inf-user-seat", "nan-desk-anchor", "agent-on-user-seat", "agent-seat-too-far",
+         "offset-overflows"],
 )
 def test_validate_rejects_bad_seat_coordinates_naming_the_field(change, named):
     script = right_angle_script()
@@ -153,7 +159,9 @@ def test_scenario_beyond_the_tick_bound_fails_before_any_record(monkeypatch, scr
     # to build, any tick that ran would fail otherwise.
     monkeypatch.setattr(turncue.scenario, "TraceRecord", None)
     durations = ", ".join(f"{turn.duration:g}" for turn in script.turn_order)
-    with pytest.raises(ScriptError, match="^" + re.escape(f"dt={dt} and turn durations ({durations}) s allow ")):
+    named = (f"dt={dt}, turn durations ({durations}) s, signal_offset={script.signal_offset} and "
+             f"miss_timeout={CFG.miss_timeout} allow ")
+    with pytest.raises(ScriptError, match="^" + re.escape(named)):
         run_scenario(script, GazeAgentModel(), CFG, dt=dt)
 
 
@@ -381,6 +389,12 @@ def test_method_masking_baselines_have_no_light_changes():
     assert any(r.sgd_active for r in trace.records)
     assert not any(r.panel_active for r in trace.records)
     assert all(r.state == "signaled" for r in trace.records if r.sgd_active)
+
+
+def test_hexagon_seats_take_any_radius_whose_table_width_has_a_finite_norm():
+    assert hexagon_seats(6.5e153)[3].x == -6.5e153  # seat 3 faces seat 0 across 1.3e154
+    with pytest.raises(ScriptError, match=r"^seat_radius=7e\+153 is too large"):
+        hexagon_seats(7e153)
 
 
 def test_hexagon_geometry_gives_one_in_one_out():
