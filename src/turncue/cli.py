@@ -16,21 +16,27 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
-from .configio import load_simulation, load_suite, parse_config
-from .config import GuidanceConfig
+# Each _cmd_* imports the layers it runs, so that `metrics`, say, never loads the scenario.
 from .errors import GuidanceError, TraceIntegrityError
-from .geometry import AngularRange, Vec3
-from .lights import light_intensity, point_light_color, spot_cone_angle
-from .audio import sound_source_position
-from .metrics import extract_metrics, metrics_to_csv
-from .scenario import run_scenario, suite_traces
-from .trace import format9, read_trace, write_trace
 
 _COLUMNS = {"env": "theta,intensity", "point": "theta,r,g,b", "spot": "theta,intensity,cone_angle", "sound": "theta,x,y,z"}
 
 
+def _read(path: str) -> str:
+    """The file's text; one that is not UTF-8 is an input error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GuidanceError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _eval_rows(channel: str, rng: AngularRange, gamma: float, steps: int, config: GuidanceConfig) -> Iterator[str]:
     """The CSV header, then one row per theta, each made as it is taken."""
+    from .audio import sound_source_position
+    from .geometry import Vec3
+    from .lights import light_intensity, point_light_color, spot_cone_angle
+    from .trace import format9
+
     if steps < 1:
         raise GuidanceError(f"steps={steps} must be >= 1")
     f, u, t = format9, Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)
@@ -55,7 +61,13 @@ def _eval_rows(channel: str, rng: AngularRange, gamma: float, steps: int, config
 
 
 def _cmd_eval(args) -> int:
-    config = parse_config(Path(args.config).read_text()) if args.config else GuidanceConfig()
+    from .config import GuidanceConfig
+    from .geometry import AngularRange
+
+    config = GuidanceConfig()
+    if args.config:
+        from .configio import parse_config  # and with it the scenario that the other readers build
+        config = parse_config(_read(args.config))
     if args.channel == "sound" and args.gamma is not None:
         raise GuidanceError("--gamma does not apply to the sound channel")
     if args.gamma is not None and not 0.0 < args.gamma < math.inf:  # the channels take gamma as checked
@@ -73,7 +85,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    script, agent, config = load_simulation(Path(args.script).read_text())
+    from .configio import load_simulation
+    from .scenario import run_scenario
+    from .trace import write_trace
+
+    script, agent, config = load_simulation(_read(args.script))
     trace = run_scenario(script, agent, config, dt=args.dt, seed=args.seed, participant=args.participant)
     text = write_trace(trace.records, trace.meta)
     if args.out:
@@ -85,7 +101,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    plan, agent, config = load_suite(Path(args.plan).read_text())
+    from .configio import load_suite
+    from .metrics import extract_metrics, metrics_to_csv
+    from .scenario import suite_traces
+    from .trace import write_trace
+
+    plan, agent, config = load_suite(_read(args.plan))
     if args.participants is not None:
         plan = replace(plan, participants=args.participants)
     traces = suite_traces(plan, agent, config, dt=args.dt, seed=args.seed, jobs=args.jobs)
@@ -108,12 +129,15 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from .metrics import extract_metrics, metrics_to_csv
+    from .trace import read_trace
+
     path = None
 
     def traces():  # extract_metrics scans each trace before it takes the next
         nonlocal path
         for path in args.traces:
-            yield read_trace(Path(path).read_text())
+            yield read_trace(_read(path))
 
     try:
         sys.stdout.write(metrics_to_csv(extract_metrics(traces())))

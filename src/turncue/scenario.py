@@ -217,6 +217,7 @@ def rotate_toward(current: Vec3, target_dir: Vec3, max_step_deg: float) -> Vec3:
 
 DEFAULT_SEAT_RADIUS = 1.2
 DEFAULT_EYE_HEIGHT = 1.15
+_DESK_DROP = 0.25  # the default desk's height below the eyes
 
 # Designated relative seats (steps around the hexagon from the user):
 # the conversation partner sits opposite; the out-of-view new speaker is the
@@ -235,6 +236,8 @@ def hexagon_seats(radius: float = DEFAULT_SEAT_RADIUS, eye_height: float = DEFAU
         raise ScriptError(f"seat_radius={radius} is too large: the table width 2 * seat_radius has no finite norm")
     if not math.isfinite(eye_height):
         raise ScriptError(f"eye_height={eye_height} must be finite")
+    if eye_height - (eye_height - _DESK_DROP) != _DESK_DROP:  # the desk would round toward eye level
+        raise ScriptError(f"eye_height={eye_height} leaves the default desk no exact {_DESK_DROP} drop below it")
     seats = []
     for k in range(6):
         ang = math.radians(60.0 * k)
@@ -248,7 +251,7 @@ def default_desk_anchor(seats: tuple[Vec3, ...], user_seat_index: int) -> Vec3:
     toward_center = Vec3(-seat.x, 0.0, -seat.z)
     if toward_center.norm() <= 1e-9:
         toward_center = Vec3(1.0, 0.0, 0.0)
-    return seat + toward_center.normalized().scaled(0.45) + Vec3(0.0, -0.25, 0.0)
+    return seat + toward_center.normalized().scaled(0.45) + Vec3(0.0, -_DESK_DROP, 0.0)
 
 
 def default_script(

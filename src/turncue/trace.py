@@ -274,10 +274,16 @@ def read_trace(text: str) -> Trace:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            obj = _DECODER.decode(line)
-        except json.JSONDecodeError as exc:
-            raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        body = line.strip(" \t")  # all the JSON whitespace a line can hold
+        try:  # one raw_decode, without decode's two regex matches around it
+            obj, end = _DECODER.raw_decode(body)
+        except json.JSONDecodeError:
+            end = None
+        if end != len(body):  # not one value filling the line: decode raises the message it always gave
+            try:
+                obj = _DECODER.decode(line)
+            except json.JSONDecodeError as exc:
+                raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
         kind = obj.pop("kind", None) if isinstance(obj, dict) else None
         try:
             if kind == "frame":

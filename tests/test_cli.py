@@ -127,6 +127,28 @@ def test_missing_file_exits_two(capsys):
     assert "x.cfg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args,data,reason",
+    [
+        (["metrics", "{good}", "{bad}"], b"\xff\xfe", "invalid start byte at byte 0"),
+        (["suite", "--plan", "{bad}"], b"\xff\xfe", "invalid start byte at byte 0"),
+        (["simulate", "--script", "{bad}"], b"\xff\xfe", "invalid start byte at byte 0"),
+        (["eval", "--channel", "env", "--theta-max", "90", "--config", "{bad}"], b"\xff\xfe",
+         "invalid start byte at byte 0"),
+        (["simulate", "--script", "{bad}"], b"[scenario]\nrole = listener\n# caf\xe9\n",
+         "invalid continuation byte at byte 32"),
+    ],
+    ids=["metrics", "suite", "simulate", "eval", "simulate-bad-byte-after-text"],
+)
+def test_input_that_is_not_utf8_exits_one_naming_the_file(script_file, tmp_path, capsys, args, data, reason):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(good)]) == 0
+    bad.write_bytes(data)
+    capsys.readouterr()
+    assert cli([a.format(good=good, bad=bad) for a in args]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8 ({reason})\n")
+
+
 def test_simulate_deterministic_files(script_file, tmp_path, capsys):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
@@ -356,6 +378,11 @@ SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"
         (["simulate", "--script", "{cfg}"], "[scenario]\nseat_radius = 1e154\n", "seat_radius=1e+154 is too large"),
         (["simulate", "--script", "{cfg}"], f"[scenario]\n{SIX_SEATS.replace('1,1,1', '1e200,1,0')}",
          "seats[5]=(1e+200, 1.0, 0.0) is too far (offset norm inf) from the user's seat"),
+        # A desk 0.25 below a huge eye height would round to eye level.
+        (["suite", "--plan", "{cfg}"], "[plan]\neye_height = 1e300\n",
+         "eye_height=1e+300 leaves the default desk no exact 0.25 drop below it"),
+        (["simulate", "--script", "{cfg}"], "[scenario]\nrole = speaker\nmethod = text_icon\neye_height = 1e300\n",
+         "eye_height=1e+300 leaves the default desk no exact 0.25 drop below it"),
     ],
     ids=["ack_threshold-nan", "miss_timeout-inf", "head_speed-nan", "user_seat-range", "gamma-nan",
          "gamma-sound", "gamma-inf", "gamma-zero", "gamma-negative", "jobs-0", "participants-negative", "participant-negative", "dt-tiny", "turn-huge",
@@ -363,7 +390,7 @@ SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"
          "scenario-seat_radius-negative", "plan-with-scenario", "scenario-with-plan",
          "study-cfg-to-simulate", "script-cfg-to-suite", "seats-with-seat_radius",
          "seats-with-eye_height", "miss_timeout-huge", "plan-seat_radius-huge", "scenario-seat_radius-huge",
-         "seats-too-far"],
+         "seats-too-far", "plan-eye_height-huge", "scenario-eye_height-huge"],
 )
 def test_invalid_number_exits_one_naming_it(tmp_path, capsys, monkeypatch, args, config, named):
     # Each fails before the first tick: no record is built.

@@ -297,6 +297,11 @@ def _plan_with_second_trial(**changes):
         (lambda: hexagon_seats(1e200),
          r"^seat_radius=1e\+200 is too large: the table width 2 \* seat_radius has no finite norm$"),
         (lambda: StudyPlan(participants=1, seat_radius=7e153), r"^seat_radius=7e\+153 is too large"),
+        # The default desk lies 0.25 below the eyes, which a huge eye height rounds away.
+        (lambda: hexagon_seats(1.2, 1e300),
+         r"^eye_height=1e\+300 leaves the default desk no exact 0\.25 drop below it$"),
+        (lambda: StudyPlan(participants=1, eye_height=2.0**53), r"^eye_height=9007199254740992\.0 leaves the default desk"),
+        (lambda: default_script(Method.TEXT_ICON, Role.SPEAKER, eye_height=1e17), r"^eye_height=1e\+17 leaves"),
     ],
     ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
          "head_speed", "latency_override", "signal_offset", "progress_gamma", "participants",
@@ -311,7 +316,8 @@ def _plan_with_second_trial(**changes):
          "chime_max_repeats-bool", "latency-unknown-method", "latency-unknown-view", "latency-split-method",
          "latency-repeated-cell", "method-str", "role-str", "run_suite-trial-method-str", "plan-participants-above-trials",
          "plan-trial-participant-outside", "plan-participants-zero-with-trials", "plan-trial-method-str",
-         "plan-trial-names-short", "plan-trial-user_seat-range", "seat_radius-huge", "plan-seat_radius-huge"],
+         "plan-trial-names-short", "plan-trial-user_seat-range", "seat_radius-huge", "plan-seat_radius-huge",
+         "eye_height-huge", "plan-eye_height-huge", "default_script-eye_height-huge"],
 )
 def test_constructors_reject_non_finite_and_out_of_range(build, named):
     with pytest.raises(ConfigError, match=named):

@@ -397,6 +397,21 @@ def test_hexagon_seats_take_any_radius_whose_table_width_has_a_finite_norm():
         hexagon_seats(7e153)
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(1e300)
+@example(2.0**53)
+@example(2.0**51)
+def test_default_desk_lies_exactly_0_25_below_every_accepted_eye_height(eye_height):
+    try:
+        seats = hexagon_seats(1.2, eye_height)
+    except ScriptError as exc:
+        assert str(exc) == f"eye_height={eye_height} leaves the default desk no exact 0.25 drop below it"
+        assert eye_height - (eye_height - 0.25) != 0.25
+        return
+    for user_seat in range(6):
+        assert eye_height - default_desk_anchor(seats, user_seat).y == 0.25
+
+
 def test_hexagon_geometry_gives_one_in_one_out():
     # fixating the opposite seat: neighbor is 60 degrees off (out of view),
     # two seats around is 30 degrees off (in view)

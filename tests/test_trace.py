@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from typing import NamedTuple
@@ -317,6 +318,58 @@ def test_delta_frames_round_trip_any_change_pattern(data):
 def test_read_rejects_non_object_line():
     with pytest.raises(TraceIntegrityError, match="line 1: unknown record kind"):
         read_trace("[1, 2]\n")
+
+
+def test_lines_padded_with_json_whitespace_read_as_written():
+    text = write_trace([make_record(0, 0.0), make_record(1, 0.1)], make_meta())
+    padded = "".join(f"{pad}{line}{pad[::-1]}\n" for pad, line in zip((" ", "\t", " \t\t "), text.splitlines()))
+    back = read_trace(padded)
+    assert back == read_trace(text)
+    assert write_trace(back.records, back.meta) == text
+
+
+@pytest.mark.parametrize(
+    "lineno,edit,message",
+    [
+        (2, lambda line: line + ' {"kind":"frame"}', "Extra data"),
+        (2, lambda line: line + "}", "Extra data"),
+        (2, lambda line: "\xa0" + line, "Expecting value"),  # not JSON whitespace
+        (2, lambda line: line + "\xa0", "Extra data"),
+        (3, lambda line: line[:-5], "Expecting ':' delimiter"),
+        (3, lambda line: line[:-5] + " \t", "Expecting ':' delimiter"),
+        (1, lambda line: line[:12], "Unterminated string starting at"),
+    ],
+    ids=["extra-object", "extra-brace", "nbsp-before", "nbsp-after", "truncated", "truncated-padded",
+         "truncated-in-a-string"],
+)
+def test_read_rejects_a_line_that_is_not_one_json_value(lineno, edit, message):
+    lines = write_trace([make_record(0, 0.0), make_record(1, 0.1)], make_meta()).splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    with pytest.raises(TraceIntegrityError) as caught:
+        read_trace("\n".join(lines) + "\n")
+    assert str(caught.value) == f"line {lineno}: invalid JSON ({message})"
+
+
+_LINE_PIECES = [" ", "\t", "\xa0", "\u3000", "{", "}", '"kind"', ":", '"frame"', ",", "[1, 2]", "1", "x", "null", '"a']
+
+
+@given(st.lists(st.sampled_from(_LINE_PIECES), max_size=8).map("".join))
+def test_read_accepts_and_rejects_each_line_as_json_decode_does(line):
+    # read_trace decodes once per line; what it takes for JSON, and the text of
+    # every JSON error, are json.JSONDecoder().decode's on the line as read.
+    try:
+        json.JSONDecoder().decode(line)
+        expected = None
+    except json.JSONDecodeError as exc:
+        expected = f"line 1: invalid JSON ({exc.msg})"
+    if not line.strip():
+        expected = None  # a blank line is skipped
+    try:
+        read_trace(line)
+        got = None
+    except TraceIntegrityError as exc:
+        got = str(exc) if "invalid JSON" in str(exc) else None
+    assert got == expected
 
 
 def test_unsupported_field_type_fails_at_class_definition():
