@@ -11,9 +11,9 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
-    "audio": "Role sound_source_position",
+    "audio": "sound_source_position",
     "baselines": "SgdState TextIconState sgd_state text_icon_state",
-    "config": "GuidanceConfig Method",
+    "config": "GuidanceConfig",
     "configio": "load_simulation load_suite parse_config",
     "errors": "ConcurrentSignalError ConfigError DegenerateGeometryError GuidanceError InvalidDirectionError "
               "ScriptError TraceIntegrityError TraceOrderError",
@@ -25,7 +25,7 @@ _SUBMODULE_NAMES = {
     "scenario": "GazeAgentModel ScenarioScript StudyPlan SuiteResult TrialSpec Turn default_script hexagon_seats "
                 "randomize_presentation run_scenario run_suite suite_traces",
     "session": "IDLE CueFrame Idle Resolved SessionState Signaled begin_signal response_time tick",
-    "trace": "Trace TraceMeta TraceRecord q9 read_trace write_trace",
+    "trace": "Method Role Trace TraceMeta TraceRecord q9 read_trace write_trace",
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names.split()}
 __all__ = list(_SUBMODULE)

@@ -8,15 +8,10 @@ schedules the chimes and tick ducks listeners inside each chime's window.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import AngularRange, Vec3
-
-
-class Role(Enum):
-    SPEAKER = "speaker"
-    LISTENER = "listener"
+from .trace import Role  # noqa: F401  (re-exported: turncue.audio.Role is public)
 
 
 def sound_source_position(

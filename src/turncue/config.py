@@ -10,26 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import ConfigError
 from .lights import ColorRGB, LightLevels, SpotlightGeometry
+from .trace import Method
 
 # Minimum captured range width, degrees: keeps the cue formulas well-defined
 # when a signal arrives with the user already aligned.
 MIN_RANGE_WIDTH = 1.0
 
 
-class Method(Enum):
-    """The cue a trial presents: the guidance lights, with or without audio, or a baseline."""
+METHODS = tuple(Method)  # Method is re-exported: turncue.config.Method is public
 
-    LIGHT_AUDIO = "light_audio"
-    LIGHT = "light"
-    SGD = "sgd"
-    TEXT_ICON = "text_icon"
-
-
-METHODS = tuple(Method)
+# GazeAgentModel's per-method latency override keys -> (method, view).
+LATENCY_OVERRIDES = {f"latency_{m.value}_{v}": (m.value, v) for m in METHODS for v in ("in", "out")}
 
 
 @dataclass(frozen=True)

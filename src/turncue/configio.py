@@ -7,7 +7,8 @@ typo cannot silently fall back to a default mid-experiment, and every number
 must be finite. _SCHEMA is the full key list (documented in the README).
 Each reader names the sections it reads and rejects any other, each key is
 handed to a constructor argument, and [scenario] seats cannot be paired with
-seat_radius or eye_height, so nothing can be parsed and then ignored.
+seat_radius or eye_height, so nothing can be parsed and then ignored. Only
+the readers of [scenario], [agent] and [plan] import the scenario.
 """
 
 from __future__ import annotations
@@ -15,20 +16,16 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import astuple, replace
+from typing import TYPE_CHECKING
 
-from .audio import Role
-from .config import GuidanceConfig, Method
+from .config import LATENCY_OVERRIDES, GuidanceConfig
 from .errors import ConfigError
 from .geometry import Vec3
 from .lights import ColorRGB
-from .scenario import (
-    LATENCY_OVERRIDES,
-    GazeAgentModel,
-    ScenarioScript,
-    StudyPlan,
-    Turn,
-    default_script,
-)
+from .trace import Method, Role
+
+if TYPE_CHECKING:
+    from .scenario import GazeAgentModel, ScenarioScript, StudyPlan, Turn
 
 
 def _float(where: str, raw: str) -> float:
@@ -76,6 +73,8 @@ def _enum(enum_cls):
 
 
 def _turns(where: str, raw: str) -> tuple[Turn, ...]:
+    from .scenario import Turn
+
     turns = []
     for part in raw.split("|"):
         part = part.strip()
@@ -206,6 +205,8 @@ def guidance_from_sections(sections: dict) -> GuidanceConfig:
 
 
 def agent_from_sections(sections: dict) -> GazeAgentModel:
+    from .scenario import GazeAgentModel
+
     values = dict(sections.get("agent", {}))
     overrides = tuple((*mv, values.pop(key)) for key, mv in LATENCY_OVERRIDES.items() if key in values)
     return GazeAgentModel(**values, latency_overrides=overrides)
@@ -213,6 +214,8 @@ def agent_from_sections(sections: dict) -> GazeAgentModel:
 
 def script_from_sections(sections: dict) -> ScenarioScript:
     """The role's default trial template with the [scenario] keys applied."""
+    from .scenario import default_script
+
     if "scenario" not in sections:
         raise ConfigError("missing [scenario] section")
     values = dict(sections["scenario"])
@@ -229,6 +232,8 @@ def script_from_sections(sections: dict) -> ScenarioScript:
 
 
 def plan_from_sections(sections: dict) -> StudyPlan:
+    from .scenario import StudyPlan
+
     if "plan" not in sections:
         raise ConfigError("missing [plan] section")
     return StudyPlan(**{"participants": 1, **sections["plan"]})

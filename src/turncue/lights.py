@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .geometry import (
@@ -37,19 +38,25 @@ class LightLevels:
             )
 
 
-@dataclass(frozen=True)
-class ColorRGB:
-    r: float
-    g: float
-    b: float
+class ColorRGB(NamedTuple("ColorRGB", [("r", float), ("g", float), ("b", float)])):
+    """A color, equal to (r, g, b). The constructor, _make and _replace (through
+    _make) check that each channel lies in [0, 1]."""
 
-    def __post_init__(self) -> None:
-        for name, v in (("r", self.r), ("g", self.g), ("b", self.b)):
+    __slots__ = ()
+
+    def __new__(cls, r: float, g: float, b: float):
+        return cls._make((r, g, b))
+
+    @classmethod
+    def _make(cls, iterable):
+        color = super()._make(iterable)  # checks the length
+        for name, v in zip(cls._fields, color):
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"color channel {name}={v} must lie in [0, 1]")
+        return color
 
     def to_tuple(self) -> tuple[float, float, float]:
-        return (self.r, self.g, self.b)
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -66,16 +73,14 @@ class SpotlightGeometry:
             )
 
 
-@dataclass(frozen=True)
-class PointLightState:
+class PointLightState(NamedTuple):
     active: bool
     side: Side
     position: Vec3
     color: ColorRGB
 
 
-@dataclass(frozen=True)
-class SpotlightState:
+class SpotlightState(NamedTuple):
     active: bool
     intensity: float
     cone_angle: float
@@ -126,7 +131,8 @@ def point_light_color(theta: float, rng: AngularRange, warm: ColorRGB, cold: Col
     def chan(w: float, c: float) -> float:
         return max(0.0, min(1.0, lerp(c, w, p)))
 
-    return ColorRGB(chan(warm.r, cold.r), chan(warm.g, cold.g), chan(warm.b, cold.b))
+    # Clamped, so built without the constructor's check.
+    return tuple.__new__(ColorRGB, (chan(warm.r, cold.r), chan(warm.g, cold.g), chan(warm.b, cold.b)))
 
 
 def point_light_position(pose: Pose, side: Side, azimuth: float, radius: float) -> Vec3:

@@ -11,10 +11,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
-from .audio import Role
-from .config import Method
 from .errors import TraceIntegrityError
-from .trace import Trace, format9
+from .trace import Method, Role, Trace, format9
 
 # Legal session-tag successions within one trace.
 _ALLOWED = {

@@ -25,14 +25,13 @@ from operator import ne
 from typing import Iterator
 
 from . import session as sess
-from .audio import Role
 from .baselines import sgd_state, text_icon_state
-from .config import METHODS, GuidanceConfig, Method
+from .config import LATENCY_OVERRIDES, METHODS, GuidanceConfig
 from .errors import ScriptError
 from .geometry import Pose, Vec3, _unit_angle
 from .metrics import MetricsSummary, extract_metrics
 from .session import SessionState
-from .trace import Trace, TraceMeta, TraceRecord
+from .trace import Method, Role, Trace, TraceMeta, TraceRecord
 
 
 AGENT_COUNT = 5
@@ -50,9 +49,6 @@ LATIN_SQUARE_4 = (
     (2, 3, 1, 0),
     (3, 0, 2, 1),
 )
-
-# GazeAgentModel's per-method latency override keys -> (method, view).
-LATENCY_OVERRIDES = {f"latency_{m.value}_{v}": (m.value, v) for m in METHODS for v in ("in", "out")}
 
 NAME_POOL = (
     "Alex", "Blair", "Casey", "Drew", "Emery", "Flynn", "Harper", "Jordan",
@@ -379,9 +375,6 @@ def run_scenario(
     # A settled session is never signaled, so its gaze is its head.
     still = still_head = still_turn = None
 
-    # Each method presents only its own channels; the others stay at rest.
-    lit = script.method in (Method.LIGHT_AUDIO, Method.LIGHT)
-    audible = script.method is Method.LIGHT_AUDIO
     texts, flickers = script.method is Method.TEXT_ICON, script.method is Method.SGD
     records: list[TraceRecord] = []
     last_raw: tuple = ()  # the last simulated tick's record fields, before canonicalization
@@ -418,7 +411,7 @@ def run_scenario(
             target_dir = (target - user_pos).normalized()
             name = display_name(script, target_id)
             role_now = Role.SPEAKER if turns[turn_idx].speaker == USER_ID else Role.LISTENER
-            state = sess.begin_signal(state, pose, target, role_now, config)
+            state = sess.begin_signal(state, pose, target, role_now, config, script.method)
             mean, jitter = agent.latency_for(script.method, state.target_in_view_at_signal)
             latency = max(0.0, mean + jitter * (2.0 * rng.random() - 1.0))
             perceive_time = signal_tick * dt + latency
@@ -437,16 +430,11 @@ def run_scenario(
             ti = text_icon_state(state if texts else sess.IDLE, aim, name, desk)
         if flickers or fires or k == 0:
             sg = sgd_state(state if flickers else sess.IDLE, pose, aim, t, config.ack_threshold)
+        env, (point_on, side, point_pos, color), spot, sound_pos, chime, duck, tag = frame
         raw = (  # the record's fields in order
-            k, t, user_pos, head, gaze,
-            frame.session_state, target_id, sess.response_time(state),
+            k, t, user_pos, head, gaze, tag, target_id, sess.response_time(state),
             None if idle else state.target_in_view_at_signal, None if idle else state.role.value,
-            frame.env_intensity if lit else config.env_levels.l_max,
-            lit and frame.point.active, frame.point.side.value, frame.point.position, frame.point.color.to_tuple(),
-            lit and frame.spot.active, frame.spot.intensity if lit else 0.0,
-            frame.spot.cone_angle if lit else config.spot_geometry.a_min, frame.spot.aim,
-            frame.sound_pos if audible else target or user_pos, audible and frame.chime,
-            frame.duck_gain if audible else 1.0,
+            env, point_on, side.value, point_pos, color, *spot, sound_pos, chime, duck,
             ti.panel_active, ti.panel_anchor, ti.panel_text, ti.icon_active, ti.icon_anchor,
             sg.active, sg.region_center,
             turns[turn_idx].speaker,

@@ -16,9 +16,9 @@ may begin from Idle or from Resolved, never while one is in flight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import audio
-from .audio import Role
 from .config import MIN_RANGE_WIDTH, GuidanceConfig
 from .errors import ConcurrentSignalError, ConfigError, TraceOrderError
 from .geometry import (
@@ -39,6 +39,7 @@ from .lights import (
     point_light_position,
     spotlight,
 )
+from .trace import Method, Role
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class Signaled:
     role: Role
     target_in_view_at_signal: bool
     chimes: tuple[float, ...]
+    lit: bool = True  # whether the trial presents the lights (see begin_signal)
+    audible: bool = True  # and the chime
     dwell: float = 0.0
     alignment_start: float | None = None
     last_timestamp: float = 0.0
@@ -82,8 +85,7 @@ class Resolved:
 SessionState = Idle | Signaled | Resolved
 
 
-@dataclass(frozen=True)
-class CueFrame:
+class CueFrame(NamedTuple):
     """Per-tick composite handed to a renderer or trace writer: the lights,
     the chime source position, whether a chime plays, and the duck gain."""
 
@@ -102,6 +104,7 @@ def begin_signal(
     target: Vec3,
     role: Role,
     config: GuidanceConfig,
+    method: Method | None = None,
 ) -> Signaled:
     """Capture reference frames and open a session for one new-speaker signal.
 
@@ -110,6 +113,12 @@ def begin_signal(
     head for the head-referenced ones, floored to a minimal positive range.
     The chime plays at the signal and then every chime_repeat_interval, in
     all round(chime_max_repeats * subtlety) times, at least once.
+
+    Its ticks work out only the channels that method presents (None: every
+    one) and rest the others as a quiet frame does. Without lights the point
+    light and the spotlight are inactive (intensity 0, cone a_min, aimed at the
+    target) and the env light stays at l_max; without the chime the sound sits
+    at the target, no chime plays and nothing is ducked.
     """
     if isinstance(state, Signaled):
         raise ConcurrentSignalError(
@@ -125,14 +134,17 @@ def begin_signal(
     repeats = max(1, round(config.chime_max_repeats * config.subtlety))
     chimes = tuple(pose.timestamp + i * config.chime_repeat_interval for i in range(repeats))
 
-    return Signaled(pose.timestamp, pose.gaze_forward, gaze_range, head_range, role, in_view,
-                    chimes, last_timestamp=pose.timestamp)
+    return Signaled(pose.timestamp, pose.gaze_forward, gaze_range, head_range, role, in_view, chimes,
+                    method in (None, Method.LIGHT_AUDIO, Method.LIGHT), method in (None, Method.LIGHT_AUDIO),
+                    last_timestamp=pose.timestamp)
 
 
 def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> tuple:
     """(position, target, config, head, gaze, gaze theta, env theta, point, spot,
     sound position) for a signaled tick: the last tick's while its position,
-    target, config, head and gaze objects all come back."""
+    target, config, head and gaze objects all come back. Without lights the env
+    theta is None, the spotlight rests and the point light, which the record
+    holds all the same, is inactive; without the chime the sound rests."""
     last = state.cues
     position, head, gaze = pose.position, pose.head_forward, pose.gaze_forward
     if last and (last[0] is position and last[1] is target and last[2] is config
@@ -140,18 +152,20 @@ def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> 
         return last
     head_theta, gaze_theta, in_view = target_view(pose, target, config.viewport_half_angle)
     point = point_light(
-        pose, target, head_theta, in_view, state.head_range,
+        pose, target, head_theta, in_view or not state.lit, state.head_range,
         azimuth=config.point_azimuth, radius=config.point_radius,
         warm=config.warm, cold=config.cold, gamma=config.gamma_point,
     )
-    spot = spotlight(
-        target, gaze_theta, in_view, state.gaze_range, config.spot_levels, config.spot_geometry,
-        gamma=config.gamma_spot, deactivate_at_min=config.spot_deactivate_at_min,
-    )
-    sound_pos = audio.sound_source_position(
-        position, target, head_theta, state.head_range, config.sound_easing
-    )
-    env_theta = _unit_angle(gaze, state.signal_gaze)
+    if state.lit:
+        spot = spotlight(
+            target, gaze_theta, in_view, state.gaze_range, config.spot_levels, config.spot_geometry,
+            gamma=config.gamma_spot, deactivate_at_min=config.spot_deactivate_at_min,
+        )
+        env_theta = _unit_angle(gaze, state.signal_gaze)
+    else:
+        spot, env_theta = SpotlightState(False, 0.0, config.spot_geometry.a_min, target), None
+    sound_pos = (audio.sound_source_position(position, target, head_theta, state.head_range, config.sound_easing)
+                 if state.audible else target)
     return (position, target, config, head, gaze, gaze_theta, env_theta, point, spot, sound_pos)
 
 
@@ -174,17 +188,8 @@ def _quiet_frame(
         aim = target
         side = lateral_side(pose, target)
         position = point_light_position(pose, side, config.point_azimuth, config.point_radius)
-    return CueFrame(
-        env_intensity=env,
-        point=PointLightState(active=False, side=side, position=position, color=config.cold),
-        spot=SpotlightState(
-            active=False, intensity=0.0, cone_angle=config.spot_geometry.a_min, aim=aim
-        ),
-        sound_pos=aim,
-        chime=False,
-        duck_gain=1.0,
-        session_state=tag,
-    )
+    return CueFrame(env, PointLightState(False, side, position, config.cold),
+                    SpotlightState(False, 0.0, config.spot_geometry.a_min, aim), aim, False, 1.0, tag)
 
 
 def _fade_fraction(state: Resolved, now: float, fade: float) -> float:
@@ -206,7 +211,7 @@ def tick(
     dt: float,
     config: GuidanceConfig,
 ) -> tuple[SessionState, CueFrame]:
-    """Advance a session by one frame and compute all cue outputs.
+    """Advance a session by one frame and compute the cues its method presents.
 
     Contiguous gaze dwell of ack_dwell seconds within ack_threshold of the
     target acknowledges the signal; miss_timeout seconds without it misses.
@@ -236,8 +241,10 @@ def tick(
 
     cues = _cues(state, pose, target, config)
     gaze_theta, env_theta, point, spot, sound_pos = cues[5:]
-    env = env_light_with_fade(elapsed, env_theta, config.env_levels.l_max, state.gaze_range,
-                              config.env_levels, config.gamma_env, config.fade_duration)
+    env = l_max = config.env_levels.l_max
+    if env_theta is not None:
+        env = env_light_with_fade(elapsed, env_theta, l_max, state.gaze_range, config.env_levels, config.gamma_env,
+                                  config.fade_duration)
 
     if gaze_theta <= config.ack_threshold:
         alignment_start = state.alignment_start if state.alignment_start is not None else ts
@@ -253,7 +260,7 @@ def tick(
                        alignment_start - state.signal_time if acknowledged else None)
         return end, _quiet_frame(pose, target, config, env, end.tag)
 
-    chime = any(c <= ts < c + config.duck_duration for c in state.chimes)
+    chime = state.audible and any(c <= ts < c + config.duck_duration for c in state.chimes)
     # The duck window is the chime window. Speakers never hear their own
     # voice through the headset, so only listeners are ducked; subtlety
     # scales the duck's depth, and at 0 turns it off.
@@ -263,7 +270,7 @@ def tick(
 
     new_state = Signaled(
         state.signal_time, state.signal_gaze, state.gaze_range, state.head_range,
-        state.role, state.target_in_view_at_signal, state.chimes,
+        state.role, state.target_in_view_at_signal, state.chimes, state.lit, state.audible,
         dwell, alignment_start, ts,
     )
     object.__setattr__(new_state, "cues", cues)

@@ -7,7 +7,8 @@ is fixed; identical runs produce identical files. The field annotations of
 TraceMeta and TraceRecord are the whole schema: they decide how each field
 is canonicalized, written and read back. Both are NamedTuples of canonical
 values in field order. Frames are deltas: the first frame line carries
-every field, each later one only those that changed.
+every field, each later one only those that changed. Role and Method are
+the names a trace gives its roles and methods.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 from itertools import compress
 from operator import index, ne
 from typing import Iterable, NamedTuple
@@ -31,6 +33,20 @@ _q9_memo: dict[float, float] = {}
 _text_memo: dict[float, str] = {}
 _NUMBER = frozenset((int, float))
 _UNSET = object()  # a field that no line has set yet
+
+
+class Role(Enum):
+    SPEAKER = "speaker"
+    LISTENER = "listener"
+
+
+class Method(Enum):
+    """The cue a trial presents: the guidance lights, with or without audio, or a baseline."""
+
+    LIGHT_AUDIO = "light_audio"
+    LIGHT = "light"
+    SGD = "sgd"
+    TEXT_ICON = "text_icon"
 
 
 def format9(x: float) -> str:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from turncue.config import GuidanceConfig
+from turncue.configio import parse_config
 from turncue.errors import ConfigError
 from turncue.geometry import AngularRange, Pose, Side, Vec3
 from turncue.lights import (
@@ -204,6 +205,25 @@ def test_light_levels_validation():
         SpotlightGeometry(60.0, 30.0)
     with pytest.raises(ConfigError):
         ColorRGB(1.2, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("channels,bad", [((1.2, 0, 0), "r=1.2"), ((0.5, -0.1, 0.5), "g=-0.1"), ((0, 0, 1.5), "b=1.5")])
+def test_an_out_of_range_color_channel_is_a_config_error_naming_it(channels, bad):
+    # The constructor, _make, _replace and a config file's color all check.
+    message = rf"color channel {bad} must lie in \[0, 1\]$"
+    for build in (lambda: ColorRGB(*channels), lambda: ColorRGB(**dict(zip("rgb", channels))),
+                  lambda: ColorRGB._make(channels), lambda: COLD._replace(**dict(zip("rgb", channels)))):
+        with pytest.raises(ConfigError, match=message):
+            build()
+    with pytest.raises(ConfigError, match=r"^\[lights\] warm: " + message):
+        parse_config(f"[lights]\nwarm = {', '.join(map(str, channels))}\n")
+
+
+def test_a_color_is_the_tuple_of_its_channels():
+    assert WARM == (1.0, 0.902, 0.259) == WARM.to_tuple() and (WARM.r, WARM.g, WARM.b) == tuple(WARM)
+    # The point light's color is clamped, so it is built without the check, as a ColorRGB all the same.
+    color = point_light_color(45.0, R90, WARM, COLD, 1.0)
+    assert type(color) is ColorRGB and color == ColorRGB(*color)
 
 
 def test_guidance_config_defaults_are_study_values():

@@ -64,6 +64,7 @@ def test_importing_the_trace_module_loads_only_it_and_the_errors():
 
 
 def test_metrics_over_the_reference_traces_loads_no_scenario_session_baseline_or_config_reader(tmp_path, capsys):
+    # Nor the cue channels: the trace names its roles and methods itself.
     out_dir = tmp_path / "traces"
     assert cli([
         "suite", "--plan", str(REPO / "configs" / "study.cfg"), "--participants", "1", "--seed", "7",
@@ -81,6 +82,19 @@ def test_metrics_over_the_reference_traces_loads_no_scenario_session_baseline_or
     assert hashlib.md5(csv.read_bytes()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
     assert {"turncue.cli", "turncue.metrics", "turncue.trace"} <= loaded
     assert not loaded & {"turncue.scenario", "turncue.session", "turncue.baselines", "turncue.configio"}
+    assert not loaded & {"turncue.audio", "turncue.config", "turncue.geometry", "turncue.lights"}
+
+
+def test_eval_with_a_config_file_loads_no_scenario():
+    loaded = _turncue_modules_after(
+        "import contextlib, io, sys; from turncue.cli import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli(['eval', '--channel', 'point', '--theta-max', '90', '--config', sys.argv[1]]) == 0\n"
+        + _PRINT_MODULES,
+        str(REPO / "configs" / "default.cfg"),
+    )
+    assert {"turncue.cli", "turncue.configio", "turncue.lights"} <= loaded
+    assert not loaded & {"turncue.scenario", "turncue.session", "turncue.baselines", "turncue.metrics"}
 
 
 def test_every_public_name_is_the_object_of_its_defining_module():

@@ -34,6 +34,7 @@ from turncue.scenario import (
     rotate_toward,
     run_scenario,
     run_suite,
+    seat_of,
 )
 from turncue.trace import TraceRecord, read_trace, write_trace
 
@@ -619,9 +620,10 @@ def dense_listener_script(method):
         (dense_listener_script(Method.LIGHT_AUDIO), DENSE, CFG),
         (dense_listener_script(Method.LIGHT), DENSE, CFG),
         (dense_listener_script(Method.SGD), DENSE, CFG),
+        (dense_listener_script(Method.TEXT_ICON), DENSE, CFG),
     ],
     ids=["long-fade-acknowledged", "long-fade-missed", "gaze-lead-speaker", "gaze-lead-sgd", "missed-text-icon",
-         "dense-light-audio", "dense-light", "dense-sgd"],
+         "dense-light-audio", "dense-light", "dense-sgd", "dense-text-icon"],
 )
 def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config):
     # A fade longer than a turn keeps the session unsettled across the turn
@@ -638,3 +640,35 @@ def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config
         simulated = run_scenario(script, agent, config, dt=FAST_DT, seed=3)
     assert trace == simulated
     assert write_trace(trace.records, trace.meta) == write_trace(simulated.records, simulated.meta)
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "script,agent",
+    [(dense_listener_script, DENSE), (lambda m: default_script(m, Role.SPEAKER), LEADING)],
+    ids=["dense-listener", "gaze-lead-speaker"],
+)
+def test_skipping_the_channels_a_method_does_not_present_changes_no_record(monkeypatch, script, agent, method):
+    # Each trace must equal the one in which every session computes every
+    # channel, and the record then rests each channel the method does not
+    # present: the lights unless the method is lit, the chime unless audible.
+    script = script(method)
+    trace = run_scenario(script, agent, CFG, dt=FAST_DT, seed=3)
+    begin_signal = turncue.session.begin_signal
+    with monkeypatch.context() as mp:
+        mp.setattr(turncue.session, "begin_signal", lambda *args: begin_signal(*args[:5]))  # method None
+        every_channel = run_scenario(script, agent, CFG, dt=FAST_DT, seed=3)
+    user = script.seats[script.user_seat_index]
+
+    def rested(rec):
+        if method in (Method.SGD, Method.TEXT_ICON):
+            rec = rec._replace(env=CFG.env_levels.l_max, point_active=False, spot_active=False, spot_intensity=0.0,
+                               spot_cone=CFG.spot_geometry.a_min)
+        if method is not Method.LIGHT_AUDIO:
+            rec = rec._replace(sound_pos=seat_of(script, rec.target) if rec.target else user, chime=False, duck=1.0)
+        return rec
+
+    masked = tuple(map(rested, every_channel.records))
+    assert (masked == every_channel.records) == (method is Method.LIGHT_AUDIO)
+    assert trace.records == masked
+    assert write_trace(trace.records, trace.meta) == write_trace(masked, every_channel.meta)

@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import pytest
 
+import turncue.audio
+import turncue.session
 from turncue.audio import Role
-from turncue.config import GuidanceConfig
+from turncue.config import GuidanceConfig, Method
 from turncue.errors import ConcurrentSignalError, ConfigError, TraceOrderError
 from turncue.geometry import AngularRange, Pose, Side, Vec3
-from turncue.lights import lerp
+from turncue.lights import SpotlightState, lerp
 from turncue.scenario import hexagon_seats
 from turncue.session import (
     IDLE,
@@ -367,6 +369,43 @@ def test_signaled_equality_repr_and_hash_ignore_the_cue_cache():
     _, cached = tick(ticked, replace(p, timestamp=0.2), TARGET, DT, CFG)
     _, computed = tick(narrow, replace(p, timestamp=0.2), TARGET, DT, CFG)
     assert cached.point == frame.point and computed.point.color != frame.point.color
+
+
+def _not_presented(*args, **kwargs):
+    raise AssertionError("computed a channel that the method does not present")
+
+
+@pytest.mark.parametrize("method,lit,audible", [
+    (None, True, True), (Method.LIGHT_AUDIO, True, True), (Method.LIGHT, True, False),
+    (Method.SGD, False, False), (Method.TEXT_ICON, False, False),
+])
+def test_a_signaled_tick_computes_only_the_channels_its_method_presents(monkeypatch, method, lit, audible):
+    # The target comes into view on the third tick and is held until acknowledged.
+    poses = [pose(k * DT, head) for k, head in enumerate([AHEAD, AHEAD, facing_at_angle(30.0)] + [AT_TARGET] * 16, 1)]
+    full, fulls = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG), []
+    for p in poses:
+        full, every = tick(full, p, TARGET, DT, CFG)
+        fulls.append(every)
+    assert any(f.point.active for f in fulls) and any(f.spot.active for f in fulls) and fulls[0].duck_gain < 1.0
+    if not lit:
+        monkeypatch.setattr(turncue.session, "spotlight", _not_presented)
+        monkeypatch.setattr(turncue.session, "env_light_with_fade", _not_presented)
+    if not audible:
+        monkeypatch.setattr(turncue.audio, "sound_source_position", _not_presented)
+    state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG, method)
+    assert (state.lit, state.audible) == (lit, audible)
+    for p, every in zip(poses, fulls):
+        state, frame = tick(state, p, TARGET, DT, CFG)
+        assert frame.session_state == every.session_state and frame.point[1:] == every.point[1:]
+        if frame.session_state != "signaled":
+            break
+        assert frame.point.active == (lit and every.point.active)
+        rest_spot = SpotlightState(False, 0.0, CFG.spot_geometry.a_min, TARGET)
+        assert (frame.env_intensity, frame.spot) == ((every.env_intensity, every.spot) if lit else (1.1, rest_spot))
+        channels = (frame.sound_pos, frame.chime, frame.duck_gain)
+        assert channels == ((every.sound_pos, every.chime, every.duck_gain) if audible else (TARGET, False, 1.0))
+    assert isinstance(state, Resolved) and state.response_time == full.response_time
+    assert (state.env_at_end == full.env_at_end) if lit else state.env_at_end == 1.1
 
 
 def test_tick_rejects_nonpositive_dt():
