@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -101,6 +100,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from dataclasses import replace
+
     from .configio import load_suite
     from .metrics import extract_metrics, metrics_to_csv
     from .scenario import suite_traces

@@ -7,9 +7,8 @@ cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import TraceIntegrityError
 from .trace import Method, Role, Trace, format9
@@ -27,8 +26,7 @@ _ROLES = {role.value for role in Role}
 _METHODS = {method.value for method in Method}
 
 
-@dataclass(frozen=True)
-class CellStats:
+class CellStats(NamedTuple):
     """One (method, view, role) cell: n = acknowledged + missed sessions."""
 
     n: int
@@ -38,8 +36,7 @@ class CellStats:
     max_rt: float | None
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
+class MetricsSummary(NamedTuple):
     cells: dict[CellKey, CellStats]
 
 
@@ -57,9 +54,7 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
         if rec.state not in _ALLOWED:
             raise TraceIntegrityError(f"tick {rec.tick}: unknown session state '{rec.state}'")
         if rec.state not in _ALLOWED[prev]:
-            raise TraceIntegrityError(
-                f"tick {rec.tick}: illegal session transition {prev} -> {rec.state}"
-            )
+            raise TraceIntegrityError(f"tick {rec.tick}: illegal session transition {prev} -> {rec.state}")
         entering = rec.state != prev
         if rec.state == "signaled":
             if entering:
@@ -73,11 +68,8 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
             if rec.role not in _ROLES:
                 raise TraceIntegrityError(f"tick {rec.tick}: unknown role '{rec.role}'")
             key = (method, "in" if rec.in_view else "out", rec.role)
-            if rec.state == "acknowledged":
-                if rec.rt is None:
-                    raise TraceIntegrityError(
-                        f"tick {rec.tick}: acknowledged frame lacks a response time"
-                    )
+            if rec.state == "acknowledged" and rec.rt is None:
+                raise TraceIntegrityError(f"tick {rec.tick}: acknowledged frame lacks a response time")
             outcomes.append((key, rec.rt if rec.state == "acknowledged" else None))
             open_tick = None
         prev = rec.state

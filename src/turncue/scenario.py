@@ -399,7 +399,7 @@ def run_scenario(
         gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
         fires = signal_tick is not None and k >= signal_tick
         if state is still and head is still_head and turn_idx == still_turn and not fires:
-            records.append(TraceRecord._from(records[-1], (k, t), (0, 1)))
+            records.append(TraceRecord._next(records[-1], k, t))
             k += 1
             continue
         pose = Pose(position=user_pos, head_forward=head, gaze_forward=gaze, timestamp=t)

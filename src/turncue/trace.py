@@ -7,15 +7,16 @@ is fixed; identical runs produce identical files. The field annotations of
 TraceMeta and TraceRecord are the whole schema: they decide how each field
 is canonicalized, written and read back. Both are NamedTuples of canonical
 values in field order. Frames are deltas: the first frame line carries
-every field, each later one only those that changed. Role and Method are
-the names a trace gives its roles and methods.
+every field, each later one only those that changed; the line of an
+unchanged tick, tick and t alone, skips the diff and the JSON decoder. Role
+and Method are the names a trace gives its roles and methods.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
 from enum import Enum
 from itertools import compress
 from operator import index, ne
@@ -114,7 +115,7 @@ class _Canonical:
     """Base of the trace line types, NamedTuples of canonical values that
     _canonical makes. The constructor, _make and _replace (through _make)
     canonicalize every field; _from, which _read calls, only those that
-    changed since the previous record or line."""
+    changed since the previous record or line, and _next only tick and t."""
 
     __slots__ = ()
 
@@ -136,6 +137,14 @@ class _Canonical:
             except (TypeError, ValueError, OverflowError):
                 raise TraceIntegrityError(f"{cls._fields[i]}={raw[i]!r} is not a valid {cls._kinds[i]}") from None
         return tuple.__new__(cls, values)
+
+    @classmethod
+    def _next(cls, prev: tuple, tick: int, t):
+        """prev at a new tick (an int) and t, its first two fields: _from(prev, (tick, t), (0, 1)) in one step."""
+        try:
+            return tuple.__new__(cls, (tick, q9(t)) + prev[2:])
+        except (TypeError, ValueError, OverflowError):
+            return cls._from(prev, (tick, t), (0, 1))  # raises, naming t
 
     @classmethod
     def _read(cls, prev: tuple | None, line: dict):
@@ -219,8 +228,7 @@ class TraceRecord(NamedTuple):
 TraceRecord.__dataclass_fields__ = dict.fromkeys(TraceRecord._fields)  # the field names that perfbench/layers.py reads
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     meta: TraceMeta | None
     records: tuple[TraceRecord, ...]
 
@@ -252,14 +260,19 @@ def _emit(value) -> str:
 def _lines(kind: str, cls: type[_Canonical], objs: Iterable[_Canonical]) -> list[str]:
     """One JSON line per object of cls: the first carries every field, each later
     one only the fields whose value differs from the previous line's. Canonical
-    values are equal exactly when their text is."""
+    values are equal exactly when their text is. A frame line on which t changed
+    and no field but the tick, an int that changes on every line, skips the diff."""
     heads = [f',"{name}":' for name in cls._fields]
     fields = range(len(heads))
     last = (object(),) * len(heads)  # equal to no value, unlike None
     start, lines = f'{{"kind":"{kind}"', []
+    first = start + heads[0]
     for obj in objs:
-        changed = compress(fields, map(ne, obj, last))
-        lines.append("".join([start, *[heads[i] + _emit(obj[i]) for i in changed], "}\n"]))
+        if obj[2:] == last[2:] and obj[1] != last[1]:
+            lines.append(f"{first}{obj[0]}{heads[1]}{_emit(obj[1])}}}\n")
+        else:
+            changed = compress(fields, map(ne, obj, last))
+            lines.append("".join([start, *[heads[i] + _emit(obj[i]) for i in changed], "}\n"]))
         last = obj
     return lines
 
@@ -277,6 +290,10 @@ def write_trace(records: Iterable[TraceRecord], meta: TraceMeta | None = None) -
 # Not json.loads, which re-checks its keyword arguments on every call: about
 # 0.3 us a line, 3% of the time to read the reference suite's traces.
 _DECODER = json.JSONDecoder()
+# An unchanged tick's line as _lines writes it, in JSON's number grammar: groups tick,
+# t, and t's fraction and exponent, which make t a float and not an int, as in JSON.
+_INT = "-?(?:0|[1-9][0-9]*)"
+_REPEAT = re.compile(rf'{{"kind":"frame","tick":({_INT}),"t":({_INT}((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))}}').fullmatch
 
 
 def read_trace(text: str) -> Trace:
@@ -284,29 +301,36 @@ def read_trace(text: str) -> Trace:
 
     A frame starts from the previous frame's values: a field it lacks is
     unchanged, and only the fields it holds are canonicalized. Ticks must
-    count up from 0, one per frame."""
+    count up from 0, one per frame. After the first frame, a line that is exactly
+    {"kind":"frame","tick":K,"t":T} gives the decoder's record or error without it."""
     meta: TraceMeta | None = None
     records: list[TraceRecord] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        if records and (repeat := _REPEAT(line)):
+            kind, (tick, t, real) = "frame", repeat.groups()
+        elif not line.strip():
             continue
-        body = line.strip(" \t")  # all the JSON whitespace a line can hold
-        try:  # one raw_decode, without decode's two regex matches around it
-            obj, end = _DECODER.raw_decode(body)
-        except json.JSONDecodeError:
-            end = None
-        if end != len(body):  # not one value filling the line: decode raises the message it always gave
-            try:
-                obj = _DECODER.decode(line)
-            except json.JSONDecodeError as exc:
-                raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        kind = obj.pop("kind", None) if isinstance(obj, dict) else None
+        else:
+            repeat, body = None, line.strip(" \t")  # all the JSON whitespace a line can hold
+            try:  # one raw_decode, without decode's two regex matches around it
+                obj, end = _DECODER.raw_decode(body)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(body):  # not one value filling the line: decode raises the message it always gave
+                try:
+                    obj = _DECODER.decode(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            kind = obj.pop("kind", None) if isinstance(obj, dict) else None
         try:
             if kind == "frame":
+                if repeat:
+                    rec = TraceRecord._next(records[-1], int(tick), float(t) if real else int(t))
                 # Older files carry the flicker phase, a function of t: checked, then dropped.
-                if type(phase := obj.pop("sgd_phase", False)) is not bool:
+                elif type(phase := obj.pop("sgd_phase", False)) is not bool:
                     raise TraceIntegrityError(f"sgd_phase={phase!r} is not a valid bool")
-                rec = TraceRecord._read(records[-1] if records else None, obj)
+                else:
+                    rec = TraceRecord._read(records[-1] if records else None, obj)
                 if rec.tick != len(records):
                     raise TraceIntegrityError(f"tick {rec.tick} where {len(records)} was expected")
                 records.append(rec)

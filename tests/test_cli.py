@@ -261,18 +261,23 @@ def _trace_name(i, trace):
     return f"trace_p{meta.participant:03d}_{i % 8:02d}_{meta.method}_{meta.role}.jsonl"
 
 
+class _Records(list):
+    """A trace's records in a list that takes weak references, as no tuple, Trace included, does."""
+
+
 def test_suite_writes_each_trace_before_the_next_trial_runs(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "traces"
     run_scenario = turncue.scenario.run_scenario
-    made = []  # a weak reference to each trace the suite has made
+    made = []  # a weak reference to the records of each trace the suite has made
 
     def watched(*args, **kwargs):
         assert len(list(out_dir.glob("*.jsonl"))) == len(made)
         # Only the trial about to run is alive: the last trace was written and dropped.
         assert all(ref() is None for ref in made)
         trace = run_scenario(*args, **kwargs)
-        made.append(weakref.ref(trace))
-        return trace
+        records = _Records(trace.records)
+        made.append(weakref.ref(records))
+        return trace._replace(records=records)
 
     monkeypatch.setattr(turncue.scenario, "run_scenario", watched)
     assert cli([

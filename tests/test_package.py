@@ -46,15 +46,16 @@ EXPORTS = {
 
 
 def _turncue_modules_after(*argv: str) -> set[str]:
-    """The turncue modules that a fresh interpreter holds after running argv
-    (the arguments of `python -c`), which prints nothing else on stdout."""
+    """The turncue modules, and dataclasses and inspect if loaded, that a fresh
+    interpreter holds after running argv (the arguments of `python -c`), which
+    prints nothing else on stdout."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", *argv], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
 
 
-_PRINT_MODULES = "print(*(m for m in sys.modules if m.partition('.')[0] == 'turncue'))"
+_PRINT_MODULES = "print(*(m for m in sys.modules if m.partition('.')[0] in ('turncue', 'dataclasses', 'inspect')))"
 
 
 def test_importing_the_trace_module_loads_only_it_and_the_errors():
@@ -64,7 +65,8 @@ def test_importing_the_trace_module_loads_only_it_and_the_errors():
 
 
 def test_metrics_over_the_reference_traces_loads_no_scenario_session_baseline_or_config_reader(tmp_path, capsys):
-    # Nor the cue channels: the trace names its roles and methods itself.
+    # Nor the cue channels, as the trace names its roles and methods itself,
+    # nor dataclasses and the inspect module that it imports.
     out_dir = tmp_path / "traces"
     assert cli([
         "suite", "--plan", str(REPO / "configs" / "study.cfg"), "--participants", "1", "--seed", "7",
@@ -83,6 +85,7 @@ def test_metrics_over_the_reference_traces_loads_no_scenario_session_baseline_or
     assert {"turncue.cli", "turncue.metrics", "turncue.trace"} <= loaded
     assert not loaded & {"turncue.scenario", "turncue.session", "turncue.baselines", "turncue.configio"}
     assert not loaded & {"turncue.audio", "turncue.config", "turncue.geometry", "turncue.lights"}
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_eval_with_a_config_file_loads_no_scenario():

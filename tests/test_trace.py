@@ -4,7 +4,7 @@ import random
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from _rand import make_meta, make_record, random_trace
 from turncue.errors import TraceIntegrityError
@@ -234,7 +234,7 @@ def _fresh_copy(rec: TraceRecord) -> TraceRecord:
 
 def _repeat(rec: TraceRecord, k: int) -> TraceRecord:
     """rec at tick k, sharing its value objects, as the scenario loop repeats a settled tick."""
-    return TraceRecord._from(rec, (k, k * 0.1), (0, 1))
+    return TraceRecord._next(rec, k, k * 0.1)
 
 
 def test_frame_text_does_not_depend_on_shared_value_objects():
@@ -370,6 +370,113 @@ def test_read_accepts_and_rejects_each_line_as_json_decode_does(line):
     except TraceIntegrityError as exc:
         got = str(exc) if "invalid JSON" in str(exc) else None
     assert got == expected
+
+
+def _diff_only_write(records, meta=None) -> str:
+    """write_trace as a plain diff of every line against the last: the oracle for its short path."""
+    def lines(kind, objs):
+        last = None
+        for obj in objs:
+            fields = [f',"{name}":{_emit(value)}' for i, (name, value) in enumerate(obj._asdict().items())
+                      if last is None or value != last[i]]
+            yield "".join([f'{{"kind":"{kind}"', *fields, "}\n"])
+            last = obj
+
+    return "".join([*lines("meta", [] if meta is None else [meta]), *lines("frame", records)])
+
+
+@given(st.data())
+def test_written_repeats_equal_the_diff_of_every_field(data):
+    # Runs of repeated ticks, some at an unchanged t, between ticks that change fields.
+    records = [make_record(0, 0.0)]
+    for _ in range(data.draw(st.integers(0, 12))):
+        prev, k = records[-1], len(records)
+        step = data.draw(st.sampled_from(["repeat", "repeat", "same t", "change", "fresh"]))
+        if step == "repeat":
+            t = data.draw(st.sampled_from([k * 0.1, prev.t + 1e-12]) | _FLOAT)
+            rec = TraceRecord._next(prev, k, t)
+            assert rec == TraceRecord._from(prev, (k, t), (0, 1))
+        elif step == "same t":
+            rec = TraceRecord._next(prev, k, prev.t)
+        elif step == "change":
+            rec = prev._replace(tick=k, **{name: data.draw(_VALUES[_KIND[name]]) for name in data.draw(_SUBSET)})
+        else:
+            rec = _fresh_copy(TraceRecord._next(prev, k, k * 0.1))
+        records.append(rec)
+    meta = data.draw(st.none() | st.just(make_meta()))
+    text = write_trace(records, meta)
+    assert text == _diff_only_write(records, meta)
+    assert read_trace(text) == read_trace(_padded(text)) == (meta, tuple(records))
+
+
+def _outcome(text: str):
+    """read_trace's records as repr shows them (-0.0 apart from 0.0, 1 from 1.0),
+    or the error it raises, with its type."""
+    try:
+        return repr(read_trace(text).records)
+    except Exception as exc:  # a bare ValueError, say, must be the same on both paths
+        return type(exc), str(exc)
+
+
+def _padded(text: str) -> str:
+    """text with one space before every line, which sends every line to the JSON decoder."""
+    return "".join(" " + line + "\n" for line in text.splitlines())
+
+
+def test_unchanged_ticks_read_as_decoded():
+    records = [make_record(0, 0.0)]
+    for k in range(1, 40):
+        records.append(TraceRecord._next(records[-1], k, round(k * 0.1, 1) if k % 7 else records[-1].t))
+        if k % 9 == 0:
+            records[-1] = records[-1]._replace(pos=(0.0, float(k), 0.0))
+    text = write_trace(records, make_meta())
+    assert '{"kind":"frame","tick":8,"t":0.8}' in text.splitlines()
+    assert read_trace(text) == read_trace(_padded(text)) == (make_meta(), tuple(records))
+    with pytest.raises(TraceIntegrityError, match="^line 1: missing field 'pos'$"):  # the first frame is never short
+        read_trace('{"kind":"frame","tick":0,"t":0}\n')
+
+
+_NUMBER_PIECES = ["0", "1", "2", "9", "\u0663", "-", "+", ".", "e", "E", "NaN", "Infinity", "01", "1e999", "-0.0", " "]
+_NUMBER = st.lists(st.sampled_from(_NUMBER_PIECES), min_size=1, max_size=4).map("".join)
+_KEYS = st.sampled_from([('"tick"', '"t"')] * 4 + [('"t"', '"tick"'), ('"tick"', '"kind"'), ('"pos"', '"t"')])
+_SHORT = st.tuples(_KEYS, st.none() | _NUMBER, _NUMBER)  # keys, tick (None: the expected one), t
+
+
+@given(st.lists(_SHORT, min_size=1, max_size=3))
+@example([(('"tick"', '"t"'), None, "1e999")])
+@example([(('"tick"', '"t"'), "01", "0.1")])
+@example([(('"tick"', '"t"'), "2", "0.1")])
+@example([(('"tick"', '"t"'), None, "-0.0"), (('"tick"', '"t"'), None, "9" * 400)])
+@example([(('"tick"', '"t"'), None, "1"), (('"tick"', '"t"'), None, "2E+1"), (('"tick"', '"t"'), None, "-0")])
+@example([(('"tick"', '"t"'), None, "1.")])
+@example([(('"tick"', '"t"'), None, "1e+")])
+@example([(('"tick"', '"t"'), None, "1\u0663")])  # a digit to str.isdigit, not to JSON
+def test_a_short_line_reads_as_the_decoder_reads_it(lines):
+    # After a valid first frame, lines shaped like an unchanged tick's, or
+    # nearly: the records or the error are those of the decoder's path.
+    text = write_trace([make_record(0, 0.0)]) + "".join(
+        f'{{"kind":"frame",{k1}:{i if tick is None else tick},{k2}:{t}}}\n'
+        for i, ((k1, k2), tick, t) in enumerate(lines, start=1)
+    )
+    assert _outcome(text) == _outcome(_padded(text))
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('{"kind":"frame","tick":1,"t":1e999}', "t=inf is not a valid float"),
+        ('{"kind":"frame","tick":1,"t":-1E400}', "t=-inf is not a valid float"),
+        ('{"kind":"frame","tick":1,"t":' + "9" * 400 + "}", "t=9{400} is not a valid float"),
+        ('{"kind":"frame","tick":01,"t":0.1}', r"invalid JSON \(Expecting ',' delimiter\)"),
+        ('{"kind":"frame","tick":3,"t":0.1}', "tick 3 where 1 was expected"),
+        ('{"kind":"frame","tick":-0,"t":0.1}', "tick 0 where 1 was expected"),
+    ],
+    ids=["inf", "minus-inf", "int-overflow", "leading-zero", "wrong-tick", "minus-zero-tick"],
+)
+def test_read_rejects_a_bad_short_line_with_its_number(line, message):
+    for text in (write_trace([make_record(0, 0.0)]) + line + "\n", _padded(write_trace([make_record(0, 0.0)]) + line)):
+        with pytest.raises(TraceIntegrityError, match=f"^line 2: {message}$"):
+            read_trace(text)
 
 
 def test_unsupported_field_type_fails_at_class_definition():
