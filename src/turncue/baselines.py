@@ -8,7 +8,7 @@ deactivate no later than acknowledgment or miss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import Pose, Vec3, _unit_angle, direction_to
 from .session import SessionState, Signaled
@@ -19,8 +19,7 @@ FLICKER_HZ = 10.0
 ICON_OFFSET = Vec3(0.0, 0.4, 0.0)
 
 
-@dataclass(frozen=True)
-class TextIconState:
+class TextIconState(NamedTuple):
     panel_active: bool
     panel_anchor: Vec3
     panel_text: str
@@ -28,8 +27,7 @@ class TextIconState:
     icon_anchor: Vec3
 
 
-@dataclass(frozen=True)
-class SgdState:
+class SgdState(NamedTuple):
     active: bool
     region_center: Vec3
     phase_on: bool
@@ -46,13 +44,7 @@ def text_icon_state(
     Active exactly while the signal is pending; both anchors are world-fixed.
     """
     active = isinstance(state, Signaled)
-    return TextIconState(
-        panel_active=active,
-        panel_anchor=desk_anchor,
-        panel_text=speaker_name if active else "",
-        icon_active=active,
-        icon_anchor=target + ICON_OFFSET,
-    )
+    return TextIconState(active, desk_anchor, speaker_name if active else "", active, target + ICON_OFFSET)
 
 
 def sgd_phase(now: float) -> bool:
@@ -75,8 +67,4 @@ def sgd_state(
     active = False
     if isinstance(state, Signaled):
         active = _unit_angle(pose.gaze_forward, direction_to(pose.position, target)) > align_threshold
-    return SgdState(
-        active=active,
-        region_center=target,
-        phase_on=sgd_phase(now),
-    )
+    return SgdState(active, target, sgd_phase(now))

@@ -100,8 +100,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    from dataclasses import replace
-
     from .configio import load_suite
     from .metrics import extract_metrics, metrics_to_csv
     from .scenario import suite_traces
@@ -109,7 +107,7 @@ def _cmd_suite(args) -> int:
 
     plan, agent, config = load_suite(_read(args.plan))
     if args.participants is not None:
-        plan = replace(plan, participants=args.participants)
+        plan = plan._replace(participants=args.participants)
     traces = suite_traces(plan, agent, config, dt=args.dt, seed=args.seed, jobs=args.jobs)
 
     def write_each(out_dir):  # each file lands as its trial ends, before the next trial runs

@@ -9,9 +9,9 @@ light 0.5-1.1, spotlight 0.8-1.5 with a 30-60 degree cone, warm yellow
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, checked
 from .lights import ColorRGB, LightLevels, SpotlightGeometry
 from .trace import Method
 
@@ -26,8 +26,8 @@ METHODS = tuple(Method)  # Method is re-exported: turncue.config.Method is publi
 LATENCY_OVERRIDES = {f"latency_{m.value}_{v}": (m.value, v) for m in METHODS for v in ("in", "out")}
 
 
-@dataclass(frozen=True)
-class GuidanceConfig:
+@checked
+class GuidanceConfig(NamedTuple):
     env_levels: LightLevels = LightLevels(0.5, 1.1)
     spot_levels: LightLevels = LightLevels(0.8, 1.5)
     spot_geometry: SpotlightGeometry = SpotlightGeometry(30.0, 60.0)
@@ -52,7 +52,7 @@ class GuidanceConfig:
     chime_max_repeats: int = 1
     subtlety: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("gamma_env", "gamma_point", "gamma_spot"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name}={getattr(self, name)}: gamma must be finite and > 0")

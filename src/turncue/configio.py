@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import astuple, replace
 from typing import TYPE_CHECKING
 
 from .config import LATENCY_OVERRIDES, GuidanceConfig
@@ -199,7 +198,7 @@ def guidance_from_sections(sections: dict) -> GuidanceConfig:
     defaults = GuidanceConfig()
     for field, keys in _BANDS.items():
         band = getattr(defaults, field)
-        bounds = (values.pop(k, d) for k, d in zip(keys, astuple(band)))
+        bounds = (values.pop(k, d) for k, d in zip(keys, band))
         values[field] = _at(f"[lights] {'/'.join(keys)}", type(band), *bounds)
     return GuidanceConfig(**values)
 
@@ -228,7 +227,7 @@ def script_from_sections(sections: dict) -> ScenarioScript:
         values.pop("method", Method.LIGHT_AUDIO), values.pop("role", Role.LISTENER),
         user_seat_index=user_seat, **layout,
     )
-    return replace(base, **{"turn_order" if k == "turns" else k: v for k, v in values.items()})
+    return base._replace(**{"turn_order" if k == "turns" else k: v for k, v in values.items()})
 
 
 def plan_from_sections(sections: dict) -> StudyPlan:

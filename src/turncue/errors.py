@@ -2,7 +2,8 @@
 
 Everything user-facing derives from GuidanceError so the CLI can map
 validation failures to exit code 1 while letting real I/O errors
-(OSError) surface as exit code 2.
+(OSError) surface as exit code 2. checked makes a NamedTuple class raise
+them where a value is built.
 """
 
 from __future__ import annotations
@@ -38,3 +39,24 @@ class TraceOrderError(GuidanceError):
 
 class TraceIntegrityError(GuidanceError):
     """A trace line is malformed, or a trace has an impossible session sequence."""
+
+
+def checked(fields: type) -> type:
+    """The NamedTuple class fields as a subclass of the same name whose
+    constructor, _make and _replace (through _make) run fields._check on each
+    new value, which raises on a bad one. typing.NamedTuple allows neither
+    __new__ nor _make in a class body, nor, before 3.11, a second base."""
+    new, make, check = fields.__new__, fields._make.__func__, fields._check
+
+    def __new__(cls, *args, **kwargs):
+        value = new(cls, *args, **kwargs)
+        check(value)
+        return value
+
+    def _make(cls, iterable):
+        value = make(cls, iterable)  # checks the length
+        check(value)
+        return value
+
+    return type(fields.__name__, (fields,), dict(__slots__=(), __doc__=fields.__doc__, __module__=fields.__module__,
+                                                 __new__=__new__, _make=classmethod(_make)))

@@ -8,11 +8,10 @@ y-up; the horizontal plane is x-z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ConfigError, DegenerateGeometryError, InvalidDirectionError
+from .errors import ConfigError, DegenerateGeometryError, InvalidDirectionError, checked
 
 # Tolerance on |v| - 1 for direction-valued vectors.
 UNIT_TOLERANCE = 1e-6
@@ -54,8 +53,8 @@ class Vec3(NamedTuple):
         return abs(self.norm() - 1.0) <= UNIT_TOLERANCE
 
 
-@dataclass(frozen=True)
-class Pose:
+@checked
+class Pose(NamedTuple):
     """User position plus head and gaze forward directions at a timestamp;
     the directions are checked for unit length here, where they enter."""
 
@@ -64,7 +63,7 @@ class Pose:
     gaze_forward: Vec3
     timestamp: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.head_forward.is_unit():
             raise InvalidDirectionError(
                 f"head_forward has length {self.head_forward.norm():.8f}, expected 1"
@@ -75,14 +74,14 @@ class Pose:
             )
 
 
-@dataclass(frozen=True)
-class AngularRange:
+@checked
+class AngularRange(NamedTuple):
     """[theta_min, theta_max] band over which a cue parameter modulates."""
 
     theta_min: float
     theta_max: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.theta_min <= 180.0:
             raise ConfigError(f"theta_min={self.theta_min} must lie in [0, 180]")
         if not 0.0 <= self.theta_max <= 180.0:

@@ -9,10 +9,9 @@ out-of-view guidance, the spotlight within-view, as the viewport test gates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, checked
 from .geometry import (
     AngularRange,
     Pose,
@@ -24,49 +23,45 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class LightLevels:
+@checked
+class LightLevels(NamedTuple):
     """Intensity band in engine-light units."""
 
     l_min: float
     l_max: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.l_min < self.l_max < math.inf:
             raise ConfigError(
                 f"light levels require 0 <= l_min < l_max < inf, got [{self.l_min}, {self.l_max}]"
             )
 
 
-class ColorRGB(NamedTuple("ColorRGB", [("r", float), ("g", float), ("b", float)])):
-    """A color, equal to (r, g, b). The constructor, _make and _replace (through
-    _make) check that each channel lies in [0, 1]."""
+@checked
+class ColorRGB(NamedTuple):
+    """A color, equal to (r, g, b), each channel in [0, 1]."""
 
-    __slots__ = ()
+    r: float
+    g: float
+    b: float
 
-    def __new__(cls, r: float, g: float, b: float):
-        return cls._make((r, g, b))
-
-    @classmethod
-    def _make(cls, iterable):
-        color = super()._make(iterable)  # checks the length
-        for name, v in zip(cls._fields, color):
+    def _check(self) -> None:
+        for name, v in zip(self._fields, self):
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"color channel {name}={v} must lie in [0, 1]")
-        return color
 
     def to_tuple(self) -> tuple[float, float, float]:
         return tuple(self)
 
 
-@dataclass(frozen=True)
-class SpotlightGeometry:
+@checked
+class SpotlightGeometry(NamedTuple):
     """Cone angle band, degrees."""
 
     a_min: float
     a_max: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.a_min < self.a_max <= 180.0:
             raise ConfigError(
                 f"spotlight cone requires 0 < a_min < a_max <= 180, got [{self.a_min}, {self.a_max}]"

@@ -19,15 +19,14 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field, replace
 from itertools import compress
 from operator import ne
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import session as sess
 from .baselines import sgd_state, text_icon_state
 from .config import LATENCY_OVERRIDES, METHODS, GuidanceConfig
-from .errors import ScriptError
+from .errors import ScriptError, checked
 from .geometry import Pose, Vec3, _unit_angle
 from .metrics import MetricsSummary, extract_metrics
 from .session import SessionState
@@ -75,20 +74,20 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-@dataclass(frozen=True)
-class Turn:
+@checked
+class Turn(NamedTuple):
     speaker: str
     duration: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.speaker not in (USER_ID, *AGENT_IDS):
             raise ScriptError(f"turn references unknown speaker id '{self.speaker}'")
         if not 0.0 < self.duration < math.inf:
             raise ScriptError(f"turn duration {self.duration} for '{self.speaker}' must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class ScenarioScript:
+@checked
+class ScenarioScript(NamedTuple):
     """One trial: seat layout, method, role designation, turn schedule; checked when built."""
 
     seats: tuple[Vec3, ...]
@@ -101,7 +100,7 @@ class ScenarioScript:
     desk_anchor: Vec3 | None = None  # None: the default desk, which run_scenario resolves
     names: tuple[str, ...] = ("Agent1", "Agent2", "Agent3", "Agent4", "Agent5")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.seats) != AGENT_COUNT + 1:
             raise ScriptError(
                 f"seats: expected {AGENT_COUNT + 1} entries (user + {AGENT_COUNT} agents), got {len(self.seats)}"
@@ -128,8 +127,8 @@ class ScenarioScript:
             raise ScriptError(f"signal_offset={self.signal_offset} must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class GazeAgentModel:
+@checked
+class GazeAgentModel(NamedTuple):
     """Synthetic stand-in for the human participant.
 
     Latencies are pure configuration (per method and per in/out-of-view),
@@ -145,7 +144,7 @@ class GazeAgentModel:
     latency_overrides: tuple[tuple[str, str, float], ...] = ()
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.head_speed < math.inf:
             raise ScriptError(f"agent head_speed={self.head_speed} must be finite and > 0")
         _check_ints(seed=self.seed)
@@ -402,7 +401,7 @@ def run_scenario(
             records.append(TraceRecord._next(records[-1], k, t))
             k += 1
             continue
-        pose = Pose(position=user_pos, head_forward=head, gaze_forward=gaze, timestamp=t)
+        pose = Pose(user_pos, head, gaze, t)
 
         # Fire the pending signal: capture the pose as it is right now.
         if fires:
@@ -459,8 +458,8 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialSpec:
+@checked
+class TrialSpec(NamedTuple):
     participant: int
     order_index: int
     method: Method
@@ -469,21 +468,21 @@ class TrialSpec:
     user_seat_index: int
     names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_ints(participant=self.participant, order_index=self.order_index)
         for name in ("participant", "order_index"):
             if getattr(self, name) < 0:
                 raise ScriptError(f"{name}={getattr(self, name)} must be >= 0")
 
 
-@dataclass(frozen=True)
-class StudyPlan:
+@checked
+class StudyPlan(NamedTuple):
     participants: int
     seat_radius: float = DEFAULT_SEAT_RADIUS
     eye_height: float = DEFAULT_EYE_HEIGHT
-    trials: tuple[TrialSpec, ...] = field(default=())
+    trials: tuple[TrialSpec, ...] = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_ints(participants=self.participants)
         if self.participants < 0:
             raise ScriptError(f"participants={self.participants} must be >= 0")
@@ -533,7 +532,7 @@ def randomize_presentation(plan: StudyPlan, seed: int) -> StudyPlan:
                     )
                 )
                 idx += 1
-    return replace(plan, trials=tuple(trials))
+    return plan._replace(trials=tuple(trials))
 
 
 def script_for_trial(plan: StudyPlan, trial: TrialSpec) -> ScenarioScript:
@@ -548,8 +547,7 @@ def script_for_trial(plan: StudyPlan, trial: TrialSpec) -> ScenarioScript:
     )
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     traces: tuple[Trace, ...]
     summary: MetricsSummary
 

@@ -15,7 +15,6 @@ may begin from Idle or from Resolved, never while one is in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import audio
@@ -42,16 +41,15 @@ from .lights import (
 from .trace import Method, Role
 
 
-@dataclass(frozen=True)
-class Idle:
-    pass
+class Idle(NamedTuple):
+    def __bool__(self) -> bool:  # true, as a tuple of no fields is not
+        return True
 
 
 IDLE = Idle()
 
 
-@dataclass(frozen=True)
-class Signaled:
+class _Signal(NamedTuple):
     signal_time: float
     signal_gaze: Vec3
     gaze_range: AngularRange
@@ -64,13 +62,16 @@ class Signaled:
     dwell: float = 0.0
     alignment_start: float | None = None
     last_timestamp: float = 0.0
-    # The last tick's inputs and what it derived from them (see _cues); only
-    # tick sets it, and replace() drops it, as it depends on the fields above.
-    cues: tuple = field(default=(), init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Resolved:
+class Signaled(_Signal):
+    # The last tick's inputs and what it derived from them (see _cues): an
+    # attribute outside the tuple, which only tick sets and _replace drops,
+    # as it depends on the fields.
+    cues: tuple = ()
+
+
+class Resolved(NamedTuple):
     end_time: float  # the resolving tick's time
     env_at_end: float
     role: Role
@@ -268,12 +269,8 @@ def tick(
     if chime and state.role is Role.LISTENER:
         gain = 1.0 - config.subtlety * (1.0 - config.duck_gain)
 
-    new_state = Signaled(
-        state.signal_time, state.signal_gaze, state.gaze_range, state.head_range,
-        state.role, state.target_in_view_at_signal, state.chimes, state.lit, state.audible,
-        dwell, alignment_start, ts,
-    )
-    object.__setattr__(new_state, "cues", cues)
+    new_state = Signaled(*state[:9], dwell, alignment_start, ts)  # the fields before dwell kept
+    new_state.cues = cues
     return new_state, CueFrame(env, point, spot, sound_pos, chime, gain, "signaled")
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from enum import Enum
 from itertools import compress
 from operator import index, ne
@@ -292,7 +293,8 @@ def write_trace(records: Iterable[TraceRecord], meta: TraceMeta | None = None) -
 _DECODER = json.JSONDecoder()
 # An unchanged tick's line as _lines writes it, in JSON's number grammar: groups tick,
 # t, and t's fraction and exponent, which make t a float and not an int, as in JSON.
-_INT = "-?(?:0|[1-9][0-9]*)"
+# An int of more than 640 digits, the least limit Python may put on int(), takes the decoder.
+_INT = "-?(?:0|[1-9][0-9]{0,639})"
 _REPEAT = re.compile(rf'{{"kind":"frame","tick":({_INT}),"t":({_INT}((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))}}').fullmatch
 
 
@@ -316,6 +318,9 @@ def read_trace(text: str) -> Trace:
                 obj, end = _DECODER.raw_decode(body)
             except json.JSONDecodeError:
                 end = None
+            except ValueError:  # JSON bounds no number's length; Python's int() does
+                limit = sys.get_int_max_str_digits()
+                raise TraceIntegrityError(f"line {lineno}: an integer of more than {limit} digits") from None
             if end != len(body):  # not one value filling the line: decode raises the message it always gave
                 try:
                     obj = _DECODER.decode(line)

@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -324,7 +323,7 @@ def test_suite_streamed_files_and_csv_equal_run_suite_over_four_participants(tmp
         "--seed", "7", "--dt", "0.05", "--out-dir", str(out_dir),
     ]) == 0
     plan, agent, config = load_suite((REPO / "configs" / "study.cfg").read_text())
-    result = run_suite(replace(plan, participants=4), agent, config, dt=0.05, seed=7)
+    result = run_suite(plan._replace(participants=4), agent, config, dt=0.05, seed=7)
     assert len(result.traces) == 32
     assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == {
         _trace_name(i, t): write_trace(t.records, t.meta).encode() for i, t in enumerate(result.traces)
@@ -438,6 +437,27 @@ def test_metrics_on_malformed_trace_exits_one_naming_the_line(script_file, tmp_p
     capsys.readouterr()
     assert cli(["metrics", str(good), str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {out}: line 2: ")
+
+
+@pytest.mark.parametrize("field", ["tick", "t", "env"])
+@pytest.mark.parametrize("pad", ["", " "], ids=["as-written", "padded"])
+def test_metrics_on_an_integer_longer_than_int_reads_exits_one_naming_the_line(script_file, tmp_path, capsys, field,
+                                                                               pad):
+    # On an unchanged tick's line, as written (tick or t) or past the short path.
+    out = tmp_path / "t.jsonl"
+    assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if re.fullmatch(r'\{"kind":"frame","tick":\d+,"t":[^,]+\}', line))
+    huge = "9" * 5000
+    if field == "env":
+        lines[n] = lines[n][:-1] + f',"env":{huge}}}'
+    else:
+        lines[n] = re.sub(rf'"{field}":[^,}}]+', f'"{field}":{huge}', lines[n])
+    out.write_text("".join(pad + line + "\n" for line in lines))
+    capsys.readouterr()
+    assert cli(["metrics", str(out)]) == 1
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr() == ("", f"error: {out}: line {n + 1}: an integer of more than {limit} digits\n")
 
 
 def test_metrics_on_cut_trace_exits_one_naming_the_file(script_file, tmp_path, capsys):

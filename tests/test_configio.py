@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -216,7 +215,7 @@ def _a_trial():
 def _plan_with_second_trial(**changes):
     """A randomized one-participant plan whose second trial takes changes."""
     trials = randomize_presentation(StudyPlan(participants=1), 0).trials
-    return StudyPlan(participants=1, trials=(trials[0], replace(trials[1], **changes), *trials[2:]))
+    return StudyPlan(participants=1, trials=(trials[0], trials[1]._replace(**changes), *trials[2:]))
 
 
 @pytest.mark.parametrize(
@@ -229,7 +228,7 @@ def _plan_with_second_trial(**changes):
         (lambda: LightLevels(math.nan, 1.0), "l_min"),
         (lambda: GazeAgentModel(head_speed=math.nan), "head_speed"),
         (lambda: GazeAgentModel(latency_overrides=(("sgd", "in", math.nan),)), "latency_sgd_in"),
-        (lambda: replace(default_script(Method.SGD, Role.LISTENER), signal_offset=math.inf), "signal_offset"),
+        (lambda: default_script(Method.SGD, Role.LISTENER)._replace(signal_offset=math.inf), "signal_offset"),
         (lambda: normalized_progress(45.0, AngularRange(0.0, 90.0), math.nan), "gamma"),
         (lambda: StudyPlan(participants=-2), "participants"),
         (lambda: GuidanceConfig(theta_min=179.5), r"theta_min=179\.5 must lie in \[0, 179\]"),
@@ -237,10 +236,10 @@ def _plan_with_second_trial(**changes):
         (lambda: StudyPlan(participants=1, seat_radius=math.inf), "seat_radius=inf"),
         (lambda: StudyPlan(participants=1, eye_height=math.nan), "eye_height=nan must be finite"),
         (lambda: StudyPlan(participants=1, trials=(1,)), r"trials\[0\]=1 is not a TrialSpec"),
-        (lambda: replace(_a_trial(), order_index=1.5), r"order_index=1\.5 is not an integer"),
-        (lambda: replace(_a_trial(), participant=True), "participant=True is not an integer"),
-        (lambda: replace(_a_trial(), order_index=-1), "order_index=-1 must be >= 0"),
-        (lambda: replace(_a_trial(), participant=-3), "participant=-3 must be >= 0"),
+        (lambda: _a_trial()._replace(order_index=1.5), r"order_index=1\.5 is not an integer"),
+        (lambda: _a_trial()._replace(participant=True), "participant=True is not an integer"),
+        (lambda: _a_trial()._replace(order_index=-1), "order_index=-1 must be >= 0"),
+        (lambda: _a_trial()._replace(participant=-3), "participant=-3 must be >= 0"),
         (lambda: hexagon_seats(-1.2), "seat_radius=-1.2"),
         (lambda: hexagon_seats(math.nan), "seat_radius=nan"),
         (lambda: default_script(Method.SGD, Role.LISTENER, eye_height=math.inf), "eye_height=inf must be finite"),
@@ -250,13 +249,13 @@ def _plan_with_second_trial(**changes):
         # Integers: a float or a bool is rejected where it enters, naming the field.
         (lambda: StudyPlan(participants=1.5), r"participants=1\.5 is not an integer"),
         (lambda: StudyPlan(participants=True), "participants=True is not an integer"),
-        (lambda: replace(default_script(Method.SGD, Role.LISTENER), user_seat_index=1.0),
+        (lambda: default_script(Method.SGD, Role.LISTENER)._replace(user_seat_index=1.0),
          r"user_seat_index=1\.0 is not an integer"),
         (lambda: default_script(Method.SGD, Role.LISTENER, user_seat_index=1.0),
          r"user_seat_index=1\.0 is not an integer"),
-        (lambda: replace(default_script(Method.SGD, Role.LISTENER), user_seat_index=True),
+        (lambda: default_script(Method.SGD, Role.LISTENER)._replace(user_seat_index=True),
          "user_seat_index=True is not an integer"),
-        (lambda: replace(default_script(Method.SGD, Role.LISTENER), topic=1.5), r"topic=1\.5 is not an integer"),
+        (lambda: default_script(Method.SGD, Role.LISTENER)._replace(topic=1.5), r"topic=1\.5 is not an integer"),
         (lambda: run_scenario(default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), GuidanceConfig(),
                               participant=1.5), r"participant=1\.5 is not an integer"),
         (lambda: run_scenario(default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), GuidanceConfig(),
@@ -283,10 +282,10 @@ def _plan_with_second_trial(**changes):
         # The method and role are the enums, and a plan's trials are of exactly its participants.
         (lambda: default_script("light", Role.LISTENER), "method='light' is not a Method"),
         (lambda: default_script(Method.LIGHT, "listener"), "role='listener' is not a Role"),
-        (lambda: run_suite(StudyPlan(participants=1, trials=(replace(_a_trial(), method="sgd"),)), GazeAgentModel(),
+        (lambda: run_suite(StudyPlan(participants=1, trials=(_a_trial()._replace(method="sgd"),)), GazeAgentModel(),
                            GuidanceConfig()), "method='sgd' is not a Method"),
         (lambda: StudyPlan(participants=3, trials=(_a_trial(),)), "participants=3 is not the set of the trials' participants"),
-        (lambda: StudyPlan(participants=1, trials=(replace(_a_trial(), participant=1),)),
+        (lambda: StudyPlan(participants=1, trials=(_a_trial()._replace(participant=1),)),
          "participants=1 is not the set of the trials' participants"),
         (lambda: StudyPlan(participants=0, trials=(_a_trial(),)), "participants=0 is not the set"),
         # A plan builds each trial's script, so it fails whole, naming the trial, before any trial runs.

@@ -88,6 +88,28 @@ def test_metrics_over_the_reference_traces_loads_no_scenario_session_baseline_or
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_the_value_type_modules_load_no_dataclasses_or_inspect():
+    loaded = _turncue_modules_after(f"import sys, turncue.cli, turncue.scenario, turncue.configio; {_PRINT_MODULES}")
+    assert {"turncue.scenario", "turncue.configio", "turncue.session", "turncue.baselines"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("args", [
+    ["suite", "--plan", str(REPO / "configs" / "study.cfg"), "--participants", "1", "--seed", "7", "--out-dir", "{tmp}"],
+    ["simulate", "--script", str(REPO / "configs" / "listener_light_audio.cfg"), "--out", "{tmp}/t.jsonl"],
+], ids=["suite", "simulate"])
+def test_suite_and_simulate_load_no_dataclasses_or_inspect(tmp_path, args):
+    loaded = _turncue_modules_after(
+        "import contextlib, io, sys; from turncue.cli import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli(sys.argv[1:]) == 0\n"
+        + _PRINT_MODULES,
+        *(a.replace("{tmp}", str(tmp_path)) for a in args),
+    )
+    assert {"turncue.cli", "turncue.scenario", "turncue.session"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_eval_with_a_config_file_loads_no_scenario():
     loaded = _turncue_modules_after(
         "import contextlib, io, sys; from turncue.cli import cli\n"

@@ -3,7 +3,6 @@ import json
 import math
 import re
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -85,18 +84,18 @@ def speaker_change_times(trace):
 
 def test_validate_rejects_unknown_speaker():
     with pytest.raises(ScriptError, match="unknown speaker"):
-        replace(right_angle_script(), turn_order=(Turn("a9", 10.0),))
+        right_angle_script()._replace(turn_order=(Turn("a9", 10.0),))
 
 
 def test_validate_rejects_nonpositive_duration():
     with pytest.raises(ScriptError, match="duration"):
-        replace(right_angle_script(), turn_order=(Turn("a1", 0.0),))
+        right_angle_script()._replace(turn_order=(Turn("a1", 0.0),))
 
 
 def test_validate_rejects_wrong_seat_count():
     script = right_angle_script()
     with pytest.raises(ScriptError, match="seats"):
-        replace(script, seats=script.seats[:4])
+        script._replace(seats=script.seats[:4])
 
 
 @pytest.mark.parametrize(
@@ -118,7 +117,7 @@ def test_validate_rejects_wrong_seat_count():
 def test_validate_rejects_bad_seat_coordinates_naming_the_field(change, named):
     script = right_angle_script()
     with pytest.raises(ScriptError, match=named):
-        replace(script, **change(script.seats))
+        script._replace(**change(script.seats))
 
 
 @pytest.mark.parametrize(
@@ -142,7 +141,7 @@ def test_default_script_leaves_the_desk_to_the_run_which_records_it():
     assert script.desk_anchor is None
     desk = default_desk_anchor(script.seats, 3)
     trace = run_scenario(script, GazeAgentModel(), CFG, dt=FAST_DT)
-    assert trace == run_scenario(replace(script, desk_anchor=desk), GazeAgentModel(), CFG, dt=FAST_DT)
+    assert trace == run_scenario(script._replace(desk_anchor=desk), GazeAgentModel(), CFG, dt=FAST_DT)
     assert trace.meta.desk_anchor == pytest.approx(desk)
 
 
@@ -150,8 +149,8 @@ def test_default_script_leaves_the_desk_to_the_run_which_records_it():
     "script,dt",
     [
         (default_script(Method.LIGHT_AUDIO, Role.LISTENER), 1e-9),
-        (replace(right_angle_script(), turn_order=(Turn("a1", 10.0), Turn("a2", 1e300))), 1.0 / 72.0),
-        (replace(right_angle_script(), turn_order=(Turn("a1", 10.0), Turn("a2", 1e300))), 1e-9),
+        (right_angle_script()._replace(turn_order=(Turn("a1", 10.0), Turn("a2", 1e300))), 1.0 / 72.0),
+        (right_angle_script()._replace(turn_order=(Turn("a1", 10.0), Turn("a2", 1e300))), 1e-9),
     ],
     ids=["tiny-dt", "huge-turn", "huge-turn-tiny-dt"],
 )
@@ -564,7 +563,7 @@ def reference_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(turncue.session, "tick", counting)
-        result = run_suite(replace(plan, participants=1, trials=()), agent, config, seed=7)
+        result = run_suite(plan._replace(participants=1, trials=()), agent, config, seed=7)
     return result, len(calls)
 
 

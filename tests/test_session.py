@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -274,7 +273,7 @@ def test_repeated_chimes_duck_a_listener_inside_each_chime_window():
             inside = any(c <= t < c + 1.0 for c in (0.0, 1.5, 3.0))
             assert (chime, duck) == (inside, gain if inside else 1.0), (role, t)
     # Subtlety 0.5 plays round(3 * 0.5) = 2 chimes at a shallower duck.
-    for t, chime, duck in _chime_timeline(Role.LISTENER, replace(cfg, subtlety=0.5)):
+    for t, chime, duck in _chime_timeline(Role.LISTENER, cfg._replace(subtlety=0.5)):
         inside = any(c <= t < c + 1.0 for c in (0.0, 1.5))
         assert (chime, duck) == (inside, 0.75 if inside else 1.0), t
 
@@ -307,7 +306,7 @@ def _count_signaled_tick_angles(calls, gaze_angle):
     assert frame.spot.active and frame.chime
     counts = [dict(calls)]
     calls.update(direction_to=0, angular_deviation=0)
-    _, later = tick(state, replace(first, timestamp=0.6), TARGET, DT, CFG)
+    _, later = tick(state, first._replace(timestamp=0.6), TARGET, DT, CFG)
     counts.append(dict(calls))
     # cues are reused; the env light still fades
     assert (later.point, later.spot, later.sound_pos) == (frame.point, frame.spot, frame.sound_pos)
@@ -359,15 +358,15 @@ def test_signaled_equality_repr_and_hash_ignore_the_cue_cache():
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
     p = pose(0.1, facing_at_angle(30.0))
     ticked, frame = tick(state, p, TARGET, DT, CFG)
-    bare = replace(ticked)
+    bare = ticked._replace()
     assert ticked.cues and not bare.cues
     assert ticked == bare and repr(ticked) == repr(bare) and hash(ticked) == hash(bare)
     assert "cues" not in repr(ticked)
     # The cues depend on the captured ranges, so a state with other ranges
     # computes them afresh on the same pose objects.
-    narrow = replace(ticked, head_range=AngularRange(0.0, 45.0))
-    _, cached = tick(ticked, replace(p, timestamp=0.2), TARGET, DT, CFG)
-    _, computed = tick(narrow, replace(p, timestamp=0.2), TARGET, DT, CFG)
+    narrow = ticked._replace(head_range=AngularRange(0.0, 45.0))
+    _, cached = tick(ticked, p._replace(timestamp=0.2), TARGET, DT, CFG)
+    _, computed = tick(narrow, p._replace(timestamp=0.2), TARGET, DT, CFG)
     assert cached.point == frame.point and computed.point.color != frame.point.color
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -477,6 +478,40 @@ def test_read_rejects_a_bad_short_line_with_its_number(line, message):
     for text in (write_trace([make_record(0, 0.0)]) + line + "\n", _padded(write_trace([make_record(0, 0.0)]) + line)):
         with pytest.raises(TraceIntegrityError, match=f"^line 2: {message}$"):
             read_trace(text)
+
+
+_HUGE = "9" * 5000  # more digits than Python's int() reads, 4300 unless set otherwise
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"kind":"frame","tick":%s,"t":0.1}' % _HUGE,
+        '{"kind":"frame","tick":1,"t":%s}' % _HUGE,
+        '{"kind":"frame","tick":1,"t":0.1,"env":%s}' % _HUGE,  # never a short line
+    ],
+    ids=["tick", "t", "env"],
+)
+def test_read_rejects_an_integer_longer_than_int_reads_with_its_line(line):
+    # JSON bounds no number's length; the short line and the decoder each give
+    # the line's error, not a bare ValueError.
+    def message(lineno):
+        return f"^line {lineno}: an integer of more than {sys.get_int_max_str_digits()} digits$"
+
+    first = write_trace([make_record(0, 0.0)])
+    for text in (first + line + "\n", _padded(first + line)):
+        with pytest.raises(TraceIntegrityError, match=message(2)):
+            read_trace(text)
+    with pytest.raises(TraceIntegrityError, match=message(1)):  # a first frame, which the decoder reads
+        read_trace(line.replace('"tick":1,', '"tick":0,'))
+
+
+def test_an_unchanged_tick_of_many_digits_reads_as_decoded():
+    # 640 digits, the least limit Python may set on int(), and more take the decoder.
+    for digits in (639, 640, 641, 4300):
+        text = write_trace([make_record(0, 0.0)]) + '{"kind":"frame","tick":1,"t":%s}\n' % ("9" * digits)
+        error = (TraceIntegrityError, f"line 2: t={'9' * digits} is not a valid float")
+        assert _outcome(text) == _outcome(_padded(text)) == error
 
 
 def test_unsupported_field_type_fails_at_class_definition():
