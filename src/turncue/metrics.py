@@ -11,7 +11,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import TraceIntegrityError
-from .trace import Method, Role, Trace, format9
+from .trace import _METHODS, _ROLES, Records, Trace, format9
 
 # Legal session-tag successions within one trace.
 _ALLOWED = {
@@ -22,8 +22,6 @@ _ALLOWED = {
 }
 
 CellKey = tuple[str, str, str]  # (method, "in"/"out", "speaker"/"listener")
-_ROLES = {role.value for role in Role}
-_METHODS = {method.value for method in Method}
 
 
 class CellStats(NamedTuple):
@@ -50,7 +48,9 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
     outcomes: list[tuple[CellKey, float | None]] = []
     prev = "idle"
     open_tick: int | None = None  # the tick that signaled the open session
-    for rec in trace.records:
+    records = trace.records
+    # A session tag changes only where a run starts: its later ticks pass every check that its head does.
+    for rec in records.heads if isinstance(records, Records) else records:
         if rec.state not in _ALLOWED:
             raise TraceIntegrityError(f"tick {rec.tick}: unknown session state '{rec.state}'")
         if rec.state not in _ALLOWED[prev]:

@@ -30,7 +30,7 @@ from .errors import ScriptError, checked
 from .geometry import Pose, Vec3, _unit_angle
 from .metrics import MetricsSummary, extract_metrics
 from .session import SessionState
-from .trace import Method, Role, Trace, TraceMeta, TraceRecord
+from .trace import Method, Role, Trace, TraceMeta, TraceRecord, _Builder, q9
 
 
 AGENT_COUNT = 5
@@ -370,13 +370,15 @@ def run_scenario(
 
     head = rest_dirs[0]
     # The state, head and turn of the last simulated tick while its session is
-    # settled: until one moves or a signal fires, each tick repeats its record.
+    # settled: until one moves or a signal fires, each tick repeats its record,
+    # and the trace holds only its t.
     # A settled session is never signaled, so its gaze is its head.
     still = still_head = still_turn = None
 
     texts, flickers = script.method is Method.TEXT_ICON, script.method is Method.SGD
-    records: list[TraceRecord] = []
-    last_raw: tuple = ()  # the last simulated tick's record fields, before canonicalization
+    runs = _Builder()
+    ts = runs.ts
+    rec = last_raw = ()  # the last simulated tick's record, and its fields before canonicalization
 
     k = 0
     while True:
@@ -398,7 +400,7 @@ def run_scenario(
         gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
         fires = signal_tick is not None and k >= signal_tick
         if state is still and head is still_head and turn_idx == still_turn and not fires:
-            records.append(TraceRecord._next(records[-1], k, t))
+            ts.append(q9(t))
             k += 1
             continue
         pose = Pose(user_pos, head, gaze, t)
@@ -439,8 +441,9 @@ def run_scenario(
             turns[turn_idx].speaker,
         )
         # Equal raw values canonicalize equally.
-        changed = compress(_FIELDS, map(ne, raw, last_raw)) if records else _FIELDS
-        records.append(TraceRecord._from(records[-1] if records else raw, raw, changed))
+        changed = compress(_FIELDS, map(ne, raw, last_raw)) if last_raw else _FIELDS
+        rec = TraceRecord._from(rec or raw, raw, changed)
+        runs.add(rec)
         last_raw = raw
         still = state if sess.settled(state, t, config) else None
         still_head, still_turn = head, turn_idx
@@ -450,7 +453,7 @@ def run_scenario(
         method=script.method.value, role=script.role.value, topic=script.topic, participant=participant, seed=seed,
         dt=dt, user_seat=script.user_seat_index, seats=script.seats, desk_anchor=desk, names=script.names,
     )
-    return Trace(meta=meta, records=tuple(records))
+    return Trace(meta=meta, records=runs.records())
 
 
 # ---------------------------------------------------------------------------

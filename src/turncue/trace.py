@@ -6,8 +6,9 @@ bytes, and a replayed copy are all bit-identical. Field order in the output
 is fixed; identical runs produce identical files. The field annotations of
 TraceMeta and TraceRecord are the whole schema: they decide how each field
 is canonicalized, written and read back. Both are NamedTuples of canonical
-values in field order. Frames are deltas: the first frame line carries
-every field, each later one only those that changed; the line of an
+values in field order. A trace holds its records as Records, runs of ticks
+that change nothing but tick and t. Frames are deltas: the first frame line
+carries every field, each later one only those that changed; the line of an
 unchanged tick, tick and t alone, skips the diff and the JSON decoder. Role
 and Method are the names a trace gives its roles and methods.
 """
@@ -18,9 +19,11 @@ import json
 import math
 import re
 import sys
+from bisect import bisect_right
+from collections.abc import Sequence
 from enum import Enum
 from itertools import compress
-from operator import index, ne
+from operator import index, itemgetter, ne
 from typing import Iterable, NamedTuple
 
 from .errors import TraceIntegrityError
@@ -49,6 +52,10 @@ class Method(Enum):
     LIGHT = "light"
     SGD = "sgd"
     TEXT_ICON = "text_icon"
+
+
+_ROLES = frozenset(role.value for role in Role)
+_METHODS = frozenset(method.value for method in Method)
 
 
 def format9(x: float) -> str:
@@ -116,7 +123,7 @@ class _Canonical:
     """Base of the trace line types, NamedTuples of canonical values that
     _canonical makes. The constructor, _make and _replace (through _make)
     canonicalize every field; _from, which _read calls, only those that
-    changed since the previous record or line, and _next only tick and t."""
+    changed since the previous record or line."""
 
     __slots__ = ()
 
@@ -138,14 +145,6 @@ class _Canonical:
             except (TypeError, ValueError, OverflowError):
                 raise TraceIntegrityError(f"{cls._fields[i]}={raw[i]!r} is not a valid {cls._kinds[i]}") from None
         return tuple.__new__(cls, values)
-
-    @classmethod
-    def _next(cls, prev: tuple, tick: int, t):
-        """prev at a new tick (an int) and t, its first two fields: _from(prev, (tick, t), (0, 1)) in one step."""
-        try:
-            return tuple.__new__(cls, (tick, q9(t)) + prev[2:])
-        except (TypeError, ValueError, OverflowError):
-            return cls._from(prev, (tick, t), (0, 1))  # raises, naming t
 
     @classmethod
     def _read(cls, prev: tuple | None, line: dict):
@@ -171,7 +170,8 @@ def _canonical(fields: type) -> type:
             raise TypeError(f"{fields.__name__}.{name}: unsupported trace field type {kind!r}")
     return type(fields.__name__, (_Canonical, fields), {
         "__slots__": (), "__doc__": fields.__doc__, "_kinds": kinds, "_canon": tuple(map(_CANONICAL.get, kinds)),
-        "_index": {name: i for i, name in enumerate(fields._fields)}})
+        "_index": {name: i for i, name in enumerate(fields._fields)},
+        "_keys": tuple(f',"{name}":' for name in fields._fields)})  # each field's key in a line
 
 
 @_canonical
@@ -229,9 +229,101 @@ class TraceRecord(NamedTuple):
 TraceRecord.__dataclass_fields__ = dict.fromkeys(TraceRecord._fields)  # the field names that perfbench/layers.py reads
 
 
+class Records(Sequence):
+    """A trace's records as runs: a read-only sequence, equal to any sequence
+    of the same records, a tuple included, and hashed as their tuple.
+
+    heads holds the records at which a field other than tick and t changes,
+    the first record always among them, and ts every tick's canonical t, a
+    head's its own. Record k is its run's head at tick k and t ts[k], so a
+    repeated tick costs one float. Records(records) builds one from records
+    whose ticks count up from 0; given a Records, it returns it."""
+
+    __slots__ = ("heads", "ts")
+
+    def __new__(cls, records: Iterable[TraceRecord] = ()):
+        if isinstance(records, Records):
+            return records
+        runs = _Builder()
+        for rec in records:
+            runs.add(rec)
+        return runs.records()
+
+    def _runs(self):
+        """(head, end) per run: its head, and the tick after its last."""
+        return zip(self.heads, [head[0] for head in self.heads[1:]] + [len(self.ts)])
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i):
+        ticks = range(len(self.ts))
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, ticks[i]))
+        k = ticks[i]  # IndexError out of range, as a tuple's
+        return _at(self.heads[bisect_right(self.heads, k, key=itemgetter(0)) - 1], k, self.ts[k])
+
+    def __iter__(self):
+        ts, new = self.ts, tuple.__new__
+        for head, end in self._runs():
+            yield head
+            rest = head[2:]
+            for k in range(head[0] + 1, end):
+                yield new(TraceRecord, (k, ts[k]) + rest)
+
+    def __eq__(self, other):
+        if isinstance(other, Records):  # runs are maximal, so equal records have equal runs
+            return self.ts == other.ts and self.heads == other.heads
+        if isinstance(other, Sequence):
+            return len(other) == len(self.ts) and tuple(other) == tuple(self)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Records({tuple(self)!r})"
+
+
+def _at(head: TraceRecord, k: int, t: float) -> TraceRecord:
+    """The record at tick k and canonical t of the run that head starts."""
+    return head if head[0] == k else tuple.__new__(TraceRecord, (k, t) + head[2:])
+
+
+class _Builder:
+    """The one builder of Records. Each record added must be at the next tick;
+    one that equals the last record but for tick and t extends its run, as
+    does a canonical t appended to ts alone."""
+
+    __slots__ = ("heads", "ts", "_rest")
+
+    def __init__(self) -> None:
+        self.heads: list[TraceRecord] = []
+        self.ts: list[float] = []
+        self._rest = None  # the last head's fields after tick and t
+
+    def add(self, rec: TraceRecord) -> None:
+        ts = self.ts
+        if rec[0] != len(ts):
+            raise TraceIntegrityError(f"tick {rec[0]} at position {len(ts)}: indices must be contiguous from 0")
+        rest = rec[2:]
+        if rest != self._rest:
+            self.heads.append(rec)
+            self._rest = rest
+        ts.append(rec[1])
+
+    def last(self) -> TraceRecord:
+        return _at(self.heads[-1], len(self.ts) - 1, self.ts[-1])
+
+    def records(self) -> Records:
+        runs = object.__new__(Records)
+        runs.heads, runs.ts = tuple(self.heads), tuple(self.ts)
+        return runs
+
+
 class Trace(NamedTuple):
     meta: TraceMeta | None
-    records: tuple[TraceRecord, ...]
+    records: Records
 
 
 def _emit(value) -> str:
@@ -258,40 +350,40 @@ def _emit(value) -> str:
     raise TypeError(f"unserializable value {value!r}")
 
 
-def _lines(kind: str, cls: type[_Canonical], objs: Iterable[_Canonical]) -> list[str]:
-    """One JSON line per object of cls: the first carries every field, each later
-    one only the fields whose value differs from the previous line's. Canonical
-    values are equal exactly when their text is. A frame line on which t changed
-    and no field but the tick, an int that changes on every line, skips the diff."""
-    heads = [f',"{name}":' for name in cls._fields]
-    fields = range(len(heads))
-    last = (object(),) * len(heads)  # equal to no value, unlike None
-    start, lines = f'{{"kind":"{kind}"', []
-    first = start + heads[0]
-    for obj in objs:
-        if obj[2:] == last[2:] and obj[1] != last[1]:
-            lines.append(f"{first}{obj[0]}{heads[1]}{_emit(obj[1])}}}\n")
-        else:
-            changed = compress(fields, map(ne, obj, last))
-            lines.append("".join([start, *[heads[i] + _emit(obj[i]) for i in changed], "}\n"]))
-        last = obj
-    return lines
+def _line(kind: str, obj: _Canonical, last: tuple | None = None) -> str:
+    """obj's JSON line: every field, or with last only the fields whose value
+    differs from last's. Canonical values are equal exactly when their text is."""
+    keys = obj._keys
+    fields = range(len(keys)) if last is None else compress(range(len(keys)), map(ne, obj, last))
+    return "".join([f'{{"kind":"{kind}"', *[keys[i] + _emit(obj[i]) for i in fields], "}\n"])
 
 
 def write_trace(records: Iterable[TraceRecord], meta: TraceMeta | None = None) -> str:
-    """Serialize records (with an optional leading meta line) to JSON Lines."""
-    records = tuple(records)
-    for i, rec in enumerate(records):
-        if rec.tick != i:
-            raise TraceIntegrityError(f"tick {rec.tick} at position {i}: indices must be contiguous from 0")
-    lines = _lines("meta", TraceMeta, () if meta is None else (meta,))
-    return "".join(lines + _lines("frame", TraceRecord, records))
+    """Serialize records (with an optional leading meta line) to JSON Lines.
+
+    Records that are not a Records are built into one first. A run's head is
+    diffed against the record before it; each later tick of the run changed
+    only tick and t, so its line is the diff without the work of one."""
+    records = Records(records)
+    lines = [] if meta is None else [_line("meta", meta)]
+    ts, last = records.ts, None
+    for head, end in records._runs():
+        lines.append(_line("frame", head, last))
+        t_prev = head[1]
+        for k in range(head[0] + 1, end):
+            t = ts[k]
+            lines.append(f'{{"kind":"frame","tick":{k},"t":{_emit(t)}}}\n' if t != t_prev
+                         else f'{{"kind":"frame","tick":{k}}}\n')
+            t_prev = t
+        last = (end - 1, t_prev) + head[2:]
+    return "".join(lines)
 
 
 # Not json.loads, which re-checks its keyword arguments on every call: about
 # 0.3 us a line, 3% of the time to read the reference suite's traces.
 _DECODER = json.JSONDecoder()
-# An unchanged tick's line as _lines writes it, in JSON's number grammar: groups tick,
+_TOO_DEEP = "a JSON value nested too deeply to read"
+# An unchanged tick's line as write_trace writes it, in JSON's number grammar: groups tick,
 # t, and t's fraction and exponent, which make t a float and not an int, as in JSON.
 # An int of more than 640 digits, the least limit Python may put on int(), takes the decoder.
 _INT = "-?(?:0|[1-9][0-9]{0,639})"
@@ -304,47 +396,62 @@ def read_trace(text: str) -> Trace:
     A frame starts from the previous frame's values: a field it lacks is
     unchanged, and only the fields it holds are canonicalized. Ticks must
     count up from 0, one per frame. After the first frame, a line that is exactly
-    {"kind":"frame","tick":K,"t":T} gives the decoder's record or error without it."""
+    {"kind":"frame","tick":K,"t":T} gives the decoder's record or error without it,
+    and its record is held as one more t of the run before it. The meta line
+    must name a known method and role."""
     meta: TraceMeta | None = None
-    records: list[TraceRecord] = []
+    runs = _Builder()
+    ts = runs.ts
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if records and (repeat := _REPEAT(line)):
-            kind, (tick, t, real) = "frame", repeat.groups()
-        elif not line.strip():
+        if ts and (repeat := _REPEAT(line)):  # an unchanged tick: one more t for the run before it
+            tick, t, real = repeat.groups()
+            tick, t = int(tick), float(t) if real else int(t)
+            try:  # t's error before the tick's, as on the decoder's path
+                ts.append(q9(t))
+            except (ValueError, OverflowError):
+                raise TraceIntegrityError(f"line {lineno}: t={t!r} is not a valid float") from None
+            if tick != len(ts) - 1:
+                raise TraceIntegrityError(f"line {lineno}: tick {tick} where {len(ts) - 1} was expected")
             continue
-        else:
-            repeat, body = None, line.strip(" \t")  # all the JSON whitespace a line can hold
-            try:  # one raw_decode, without decode's two regex matches around it
-                obj, end = _DECODER.raw_decode(body)
-            except json.JSONDecodeError:
-                end = None
-            except ValueError:  # JSON bounds no number's length; Python's int() does
-                limit = sys.get_int_max_str_digits()
-                raise TraceIntegrityError(f"line {lineno}: an integer of more than {limit} digits") from None
-            if end != len(body):  # not one value filling the line: decode raises the message it always gave
-                try:
-                    obj = _DECODER.decode(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            kind = obj.pop("kind", None) if isinstance(obj, dict) else None
+        if not line.strip():
+            continue
+        body = line.strip(" \t")  # all the JSON whitespace a line can hold
+        try:  # one raw_decode, without decode's two regex matches around it
+            obj, end = _DECODER.raw_decode(body)
+        except json.JSONDecodeError:
+            end = None
+        except ValueError:  # JSON bounds no number's length; Python's int() does
+            limit = sys.get_int_max_str_digits()
+            raise TraceIntegrityError(f"line {lineno}: an integer of more than {limit} digits") from None
+        except RecursionError:  # nor its depth; the decoder recurses per level
+            raise TraceIntegrityError(f"line {lineno}: {_TOO_DEEP}") from None
+        if end != len(body):  # not one value filling the line: decode raises the message it always gave
+            try:
+                obj = _DECODER.decode(line)
+            except json.JSONDecodeError as exc:
+                raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            except RecursionError:
+                raise TraceIntegrityError(f"line {lineno}: {_TOO_DEEP}") from None
+        kind = obj.pop("kind", None) if isinstance(obj, dict) else None
         try:
             if kind == "frame":
-                if repeat:
-                    rec = TraceRecord._next(records[-1], int(tick), float(t) if real else int(t))
                 # Older files carry the flicker phase, a function of t: checked, then dropped.
-                elif type(phase := obj.pop("sgd_phase", False)) is not bool:
+                if type(phase := obj.pop("sgd_phase", False)) is not bool:
                     raise TraceIntegrityError(f"sgd_phase={phase!r} is not a valid bool")
-                else:
-                    rec = TraceRecord._read(records[-1] if records else None, obj)
-                if rec.tick != len(records):
-                    raise TraceIntegrityError(f"tick {rec.tick} where {len(records)} was expected")
-                records.append(rec)
+                rec = TraceRecord._read(runs.last() if ts else None, obj)
+                if rec.tick != len(ts):
+                    raise TraceIntegrityError(f"tick {rec.tick} where {len(ts)} was expected")
+                runs.add(rec)
             elif kind != "meta":
                 raise TraceIntegrityError(f"unknown record kind {kind!r}")
-            elif records or meta is not None:
+            elif ts or meta is not None:
                 raise TraceIntegrityError("meta must be the first line")
             else:
                 meta = TraceMeta._read(None, obj)
+                if meta.method not in _METHODS:
+                    raise TraceIntegrityError(f"unknown method {meta.method!r}")
+                if meta.role not in _ROLES:
+                    raise TraceIntegrityError(f"unknown role {meta.role!r}")
         except TraceIntegrityError as exc:
             raise TraceIntegrityError(f"line {lineno}: {exc}") from None
-    return Trace(meta=meta, records=tuple(records))
+    return Trace(meta=meta, records=runs.records())

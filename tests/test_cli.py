@@ -478,12 +478,13 @@ def test_metrics_on_cut_trace_exits_one_naming_the_file(script_file, tmp_path, c
 
 def test_metrics_on_misspelt_role_exits_one_naming_the_tick(script_file, tmp_path, capsys):
     # Delta frames carry the role on the signaled frame; the session's
-    # terminal frame inherits it, and that is where its cell is keyed.
+    # terminal frame inherits it, and that is where its cell is keyed. The
+    # meta line keeps its role, which read_trace checks.
     out = tmp_path / "t.jsonl"
     assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
-    text = out.read_text()
-    assert '"role":"listener"' in text
-    out.write_text(text.replace('"role":"listener"', '"role":"lisener"'))
+    meta, frames = out.read_text().split("\n", 1)
+    assert '"role":"listener"' in frames
+    out.write_text(meta + "\n" + frames.replace('"role":"listener"', '"role":"lisener"'))
     capsys.readouterr()
     assert cli(["metrics", str(out)]) == 1
     captured = capsys.readouterr()
@@ -499,4 +500,27 @@ def test_metrics_on_unknown_method_exits_one_naming_the_file(script_file, tmp_pa
     out.write_text(text.replace('"method":"light_audio"', '"method":"lightaudio"'))
     capsys.readouterr()
     assert cli(["metrics", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: {out}: meta line: unknown method 'lightaudio'\n")
+    assert capsys.readouterr() == ("", f"error: {out}: line 1: unknown method 'lightaudio'\n")
+
+
+def test_metrics_on_unknown_meta_role_exits_one_naming_the_line(script_file, tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
+    meta, frames = out.read_text().split("\n", 1)
+    assert '"role":"listener"' in meta
+    out.write_text(meta.replace('"role":"listener"', '"role":"lisener"') + "\n" + frames)
+    capsys.readouterr()
+    assert cli(["metrics", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {out}: line 1: unknown role 'lisener'\n")
+
+
+def test_metrics_on_deeply_nested_json_exits_one_naming_the_line(script_file, tmp_path, capsys):
+    # Deeper than the JSON decoder recurses: an error naming the line, not a RecursionError.
+    out = tmp_path / "t.jsonl"
+    assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    lines[2] = '{"kind":"frame","pos":' + "[" * 100_000 + "]" * 100_000 + "}"
+    out.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert cli(["metrics", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {out}: line 3: a JSON value nested too deeply to read\n")

@@ -8,7 +8,12 @@ from turncue.config import GuidanceConfig
 from turncue.errors import TraceIntegrityError
 from turncue.metrics import extract_metrics, metrics_to_csv
 from turncue.scenario import GazeAgentModel, Method, default_script, run_scenario
-from turncue.trace import Trace
+from turncue.trace import Records, Trace
+
+
+def as_tuple_and_as_records(trace):
+    """trace with its records in a tuple and in a Records: extract_metrics must treat the two alike."""
+    return [trace._replace(records=tuple(trace.records)), trace._replace(records=Records(trace.records))]
 
 
 def session_trace(outcome="acknowledged", rt=2.0, in_view=False, role="listener", method="light_audio"):
@@ -62,8 +67,9 @@ def test_broken_sequence_names_tick():
         make_record(1, 0.1, "acknowledged", rt=1.0, in_view=True, role="listener"),
     ]
     trace = Trace(meta=make_meta(), records=tuple(records))
-    with pytest.raises(TraceIntegrityError, match="^tick 1: illegal session transition idle -> acknowledged$"):
-        extract_metrics([trace])
+    for each in as_tuple_and_as_records(trace):
+        with pytest.raises(TraceIntegrityError, match="^tick 1: illegal session transition idle -> acknowledged$"):
+            extract_metrics([each])
 
 
 @pytest.mark.parametrize(
@@ -79,8 +85,9 @@ def test_broken_sequence_names_tick():
 )
 def test_scan_rejection_messages(method, records, message):
     trace = Trace(meta=make_meta(method=method), records=records)
-    with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
-        extract_metrics([trace])
+    for each in as_tuple_and_as_records(trace):
+        with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
+            extract_metrics([each])
 
 
 def test_acknowledged_without_rt_rejected():
@@ -89,8 +96,9 @@ def test_acknowledged_without_rt_rejected():
         make_record(1, 0.1, "acknowledged", rt=None, in_view=True, role="listener"),
     ]
     trace = Trace(meta=make_meta(), records=tuple(records))
-    with pytest.raises(TraceIntegrityError, match="response time"):
-        extract_metrics([trace])
+    for each in as_tuple_and_as_records(trace):
+        with pytest.raises(TraceIntegrityError, match="^tick 1: acknowledged frame lacks a response time$"):
+            extract_metrics([each])
 
 
 def test_trace_without_meta_rejected():
@@ -132,5 +140,16 @@ def test_trace_cut_inside_a_session_names_its_signal_tick():
                          dt=0.05, seed=1)
     signal = next(r.tick for r in trace.records if r.state == "signaled")
     cut = Trace(meta=trace.meta, records=trace.records[: signal + 3])
-    with pytest.raises(TraceIntegrityError, match=f"tick {signal}: .*still open"):
-        extract_metrics([cut])
+    for each in as_tuple_and_as_records(cut):
+        with pytest.raises(TraceIntegrityError, match=f"^tick {signal}: .*still open at end of trace$"):
+            extract_metrics([each])
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("role", list(Role), ids=lambda r: r.value)
+def test_metrics_of_tuple_records_equal_those_of_their_runs(method, role):
+    # A Records is scanned at its run heads, a tuple at every record.
+    trace = run_scenario(default_script(method, role), GazeAgentModel(), GuidanceConfig(), dt=0.05, seed=2)
+    assert len(trace.records.heads) < len(trace.records)
+    as_tuple, as_records = as_tuple_and_as_records(trace)
+    assert extract_metrics([as_tuple]) == extract_metrics([as_records]) == extract_metrics([trace])

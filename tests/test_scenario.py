@@ -582,6 +582,17 @@ def test_reference_suite_simulates_a_minority_of_ticks(reference_run):
     assert calls < 0.35 * ticks
 
 
+def test_reference_suite_holds_a_run_per_change_and_reads_back_the_same_runs(reference_run):
+    # 775 of the 19,320 reference ticks change a field other than tick and t:
+    # the loop and the reader each keep those records and a t for every tick.
+    result, _ = reference_run
+    heads = [trace.records.heads for trace in result.traces]
+    assert sum(map(len, heads)) == 775
+    for trace, live in zip(result.traces, heads):
+        assert trace.records.ts == tuple(rec.t for rec in trace.records)
+        assert read_trace(write_trace(trace.records, trace.meta)).records.heads == live
+
+
 def every_tick_simulated(monkeypatch):
     """Make each tick's head a fresh object, so no tick repeats the one before."""
     rotate = turncue.scenario.rotate_toward

@@ -11,6 +11,7 @@ from _rand import make_meta, make_record, random_trace
 from turncue.errors import TraceIntegrityError
 from turncue.trace import (
     _MEMO_CAP,
+    Records,
     TraceRecord,
     _canonical,
     _emit,
@@ -135,8 +136,9 @@ def test_floats_serialized_at_nine_significant_digits():
 
 def test_non_contiguous_ticks_rejected():
     records = [make_record(0, 0.0), make_record(2, 0.2)]
-    with pytest.raises(TraceIntegrityError):
-        write_trace(records)
+    for build in (write_trace, Records):  # write_trace builds its input into a Records
+        with pytest.raises(TraceIntegrityError, match="^tick 2 at position 1: indices must be contiguous from 0$"):
+            build(records)
 
 
 def test_read_rejects_bad_json():
@@ -197,12 +199,15 @@ def _trace_lines() -> list[str]:
         (2, '"tick":0', '"tick":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
         (3, '"tick":1', '"tick":1,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
         (4, '"tick":2,', "", "tick 1 where 2 was expected"),  # a later frame that lost its tick
+        (1, '"method":"light_audio"', '"method":"lightaudio"', "unknown method 'lightaudio'"),
+        (1, '"role":"listener"', '"role":"lisener"', "unknown role 'lisener'"),
+        (2, '"pos":[0,0,0]', '"pos":' + "[" * 100_000 + "]" * 100_000, "a JSON value nested too deeply to read"),
     ],
     ids=["missing-field", "non-numeric", "short-triple", "short-seat", "non-integer", "str-bool", "str-float",
          "int-str", "bool-int", "nan", "infinity", "minus-infinity", "float-overflow", "int-overflow",
          "nan-in-triple", "optional-float", "nan-str", "nan-int", "infinity-bool",
          "minus-infinity-optional-float", "nan-optional-bool", "infinity-optional-str", "unknown-in-meta", "unknown-in-first-frame",
-         "unknown-in-later-frame", "lost-tick"],
+         "unknown-in-later-frame", "lost-tick", "unknown-meta-method", "unknown-meta-role", "nested-too-deeply"],
 )
 def test_read_rejects_malformed_line_with_its_number(lineno, old, new, message):
     lines = _trace_lines()
@@ -233,9 +238,14 @@ def _fresh_copy(rec: TraceRecord) -> TraceRecord:
     return tuple.__new__(TraceRecord, map(_fresh, rec))
 
 
+def _at(rec: TraceRecord, k: int, t) -> TraceRecord:
+    """rec at tick k and t, sharing its other value objects."""
+    return TraceRecord._from(rec, (k, t), (0, 1))
+
+
 def _repeat(rec: TraceRecord, k: int) -> TraceRecord:
     """rec at tick k, sharing its value objects, as the scenario loop repeats a settled tick."""
-    return TraceRecord._next(rec, k, k * 0.1)
+    return _at(rec, k, k * 0.1)
 
 
 def test_frame_text_does_not_depend_on_shared_value_objects():
@@ -395,19 +405,90 @@ def test_written_repeats_equal_the_diff_of_every_field(data):
         step = data.draw(st.sampled_from(["repeat", "repeat", "same t", "change", "fresh"]))
         if step == "repeat":
             t = data.draw(st.sampled_from([k * 0.1, prev.t + 1e-12]) | _FLOAT)
-            rec = TraceRecord._next(prev, k, t)
-            assert rec == TraceRecord._from(prev, (k, t), (0, 1))
+            rec = _at(prev, k, t)
         elif step == "same t":
-            rec = TraceRecord._next(prev, k, prev.t)
+            rec = _at(prev, k, prev.t)
         elif step == "change":
             rec = prev._replace(tick=k, **{name: data.draw(_VALUES[_KIND[name]]) for name in data.draw(_SUBSET)})
         else:
-            rec = _fresh_copy(TraceRecord._next(prev, k, k * 0.1))
+            rec = _fresh_copy(_at(prev, k, k * 0.1))
         records.append(rec)
     meta = data.draw(st.none() | st.just(make_meta()))
     text = write_trace(records, meta)
     assert text == _diff_only_write(records, meta)
     assert read_trace(text) == read_trace(_padded(text)) == (meta, tuple(records))
+
+
+def test_nesting_at_any_depth_reads_as_a_value_or_the_line_s_error():
+    # Around the recursion limit, where the decoder may recurse too deeply on
+    # either of its two passes over a line that is not one JSON value.
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 150, limit + 5):
+        for tail in ("", " x"):
+            with pytest.raises(TraceIntegrityError) as caught:
+                read_trace("[" * depth + "]" * depth + tail)
+            assert str(caught.value) in ("line 1: unknown record kind None", "line 1: invalid JSON (Extra data)",
+                                         "line 1: a JSON value nested too deeply to read")
+
+
+_STEP = st.sampled_from(["repeat", "repeat", "same t", "change", "fresh"])
+
+
+@given(st.data())
+def test_records_behave_as_the_tuple_of_their_records(data):
+    # Runs of repeated ticks, some at an unchanged t, between ticks that change
+    # fields, some to values equal to the last ones, which extend the run.
+    records = [make_record(0, 0.0)]
+    for _ in range(data.draw(st.integers(0, 12))):
+        prev, k = records[-1], len(records)
+        step = data.draw(_STEP)
+        if step == "repeat":
+            rec = _at(prev, k, data.draw(st.sampled_from([k * 0.1, prev.t + 1e-12]) | _FLOAT))
+        elif step == "same t":
+            rec = _at(prev, k, prev.t)
+        elif step == "change":
+            rec = prev._replace(tick=k, **{name: data.draw(_VALUES[_KIND[name]]) for name in data.draw(_SUBSET)})
+        else:
+            rec = _fresh_copy(_at(prev, k, k * 0.1))
+        records.append(rec)
+    runs, expected = Records(records), tuple(records)
+    assert runs.heads == tuple(rec for i, rec in enumerate(expected) if i == 0 or rec[2:] != expected[i - 1][2:])
+    assert runs.ts == tuple(rec.t for rec in expected)
+
+    n = len(expected)
+    assert len(runs) == n and Records(runs) is runs
+    for i in range(-n, n):
+        assert type(runs[i]) is TraceRecord and runs[i] == expected[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            runs[i]
+    cut = slice(*data.draw(st.tuples(st.none() | st.integers(-n - 2, n + 2), st.none() | st.integers(-n - 2, n + 2),
+                                     st.none() | st.integers(1, 3) | st.integers(-3, -1))))
+    assert type(runs[cut]) is tuple and runs[cut] == expected[cut]
+    assert tuple(runs) == expected and list(runs) == records
+    for same in (expected, records, Records(expected)):
+        assert runs == same and same == runs and not runs != same and not same != runs
+    assert hash(runs) == hash(expected)
+    other = data.draw(st.sampled_from(["shorter", "moved"]))
+    differs = expected[:-1] if other == "shorter" else expected[:-1] + (expected[-1]._replace(duck=0.5),)
+    if differs != expected:
+        assert runs != differs and differs != runs and runs != Records(differs) and not runs == differs
+
+    meta = data.draw(st.none() | st.just(make_meta()))
+    text = write_trace(runs, meta)
+    assert text == write_trace(records, meta) == _diff_only_write(records, meta)
+    for back in (read_trace(text), read_trace(_padded(text))):  # the short path, and the decoder's
+        assert back == (meta, expected)
+        assert back.records.heads == runs.heads and back.records.ts == runs.ts
+        assert write_trace(back.records, back.meta) == text
+
+
+def test_empty_records():
+    runs = Records()
+    assert runs == () == Records([]) and len(runs) == 0 and runs.heads == runs.ts == ()
+    assert runs[:] == () and list(runs) == [] and hash(runs) == hash(())
+    with pytest.raises(IndexError):
+        runs[0]
 
 
 def _outcome(text: str):
@@ -427,7 +508,7 @@ def _padded(text: str) -> str:
 def test_unchanged_ticks_read_as_decoded():
     records = [make_record(0, 0.0)]
     for k in range(1, 40):
-        records.append(TraceRecord._next(records[-1], k, round(k * 0.1, 1) if k % 7 else records[-1].t))
+        records.append(_at(records[-1], k, round(k * 0.1, 1) if k % 7 else records[-1].t))
         if k % 9 == 0:
             records[-1] = records[-1]._replace(pos=(0.0, float(k), 0.0))
     text = write_trace(records, make_meta())
