@@ -48,9 +48,8 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
     outcomes: list[tuple[CellKey, float | None]] = []
     prev = "idle"
     open_tick: int | None = None  # the tick that signaled the open session
-    records = trace.records
     # A session tag changes only where a run starts: its later ticks pass every check that its head does.
-    for rec in records.heads if isinstance(records, Records) else records:
+    for rec in Records(trace.records).heads:
         if rec.state not in _ALLOWED:
             raise TraceIntegrityError(f"tick {rec.tick}: unknown session state '{rec.state}'")
         if rec.state not in _ALLOWED[prev]:

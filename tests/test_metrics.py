@@ -148,7 +148,7 @@ def test_trace_cut_inside_a_session_names_its_signal_tick():
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 @pytest.mark.parametrize("role", list(Role), ids=lambda r: r.value)
 def test_metrics_of_tuple_records_equal_those_of_their_runs(method, role):
-    # A Records is scanned at its run heads, a tuple at every record.
+    # A tuple is built into runs before the scan: it must read as the Records it builds.
     trace = run_scenario(default_script(method, role), GazeAgentModel(), GuidanceConfig(), dt=0.05, seed=2)
     assert len(trace.records.heads) < len(trace.records)
     as_tuple, as_records = as_tuple_and_as_records(trace)
