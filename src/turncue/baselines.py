@@ -58,13 +58,17 @@ def sgd_state(
     target: Vec3,
     now: float,
     align_threshold: float,
+    gaze_theta: float | None = None,
 ) -> SgdState:
     """Peripheral flicker over the target region while the gaze is away.
 
     Modulation stops once the gaze comes within align_threshold of the
-    target, and never runs outside an active signal.
+    target, and never runs outside an active signal. gaze_theta, the gaze
+    angle to the target at pose if the caller has it (tick's), is not redone.
     """
     active = False
     if isinstance(state, Signaled):
-        active = _unit_angle(pose.gaze_forward, direction_to(pose.position, target)) > align_threshold
+        if gaze_theta is None:
+            gaze_theta = _unit_angle(pose.gaze_forward, direction_to(pose.position, target))
+        active = gaze_theta > align_threshold
     return SgdState(active, target, sgd_phase(now))

@@ -148,7 +148,11 @@ def deviation_to_target(
 def target_view(pose: Pose, target: Vec3, half_angle: float) -> tuple[float, float, bool]:
     """(head, gaze) angles to the target and whether it lies within half_angle
     of head forward (inclusive): one direction, and one angle when gaze is head."""
-    to_target = direction_to(pose.position, target)
+    return _view(pose, direction_to(pose.position, target), half_angle)
+
+
+def _view(pose: Pose, to_target: Vec3, half_angle: float) -> tuple[float, float, bool]:
+    """target_view for to_target, the direction_to from the user to the target."""
     head_theta = _unit_angle(pose.head_forward, to_target)
     gaze = pose.gaze_forward
     gaze_theta = head_theta if gaze is pose.head_forward else _unit_angle(gaze, to_target)

@@ -9,6 +9,7 @@ out-of-view guidance, the spotlight within-view, as the viewport test gates.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConfigError, checked
@@ -110,8 +111,13 @@ def env_light_with_fade(
         raise ConfigError(f"fade_duration={fade_duration} must be > 0")
     if t_since_signal < 0.0:
         raise ConfigError(f"t_since_signal={t_since_signal} must be >= 0")
-    target = light_intensity(theta, rng, levels, gamma)
-    return lerp(original, target, min(t_since_signal / fade_duration, 1.0))
+    return _env_fade(t_since_signal, theta, original, rng, levels, gamma, fade_duration)
+
+
+def _env_fade(t_since_signal: float, theta: float, original: float, rng: AngularRange, levels: LightLevels,
+              gamma: float, fade_duration: float) -> float:
+    """env_light_with_fade without its checks, for a fade and a time checked where they entered."""
+    return lerp(original, light_intensity(theta, rng, levels, gamma), min(t_since_signal / fade_duration, 1.0))
 
 
 def spot_cone_angle(theta: float, rng: AngularRange, geometry: SpotlightGeometry, gamma: float) -> float:
@@ -122,12 +128,18 @@ def spot_cone_angle(theta: float, rng: AngularRange, geometry: SpotlightGeometry
 def point_light_color(theta: float, rng: AngularRange, warm: ColorRGB, cold: ColorRGB, gamma: float) -> ColorRGB:
     """Point-light color: cold at theta_min, warm at theta_max."""
     p = _progress(theta, rng, gamma)
-
-    def chan(w: float, c: float) -> float:
-        return max(0.0, min(1.0, lerp(c, w, p)))
-
     # Clamped, so built without the constructor's check.
-    return tuple.__new__(ColorRGB, (chan(warm.r, cold.r), chan(warm.g, cold.g), chan(warm.b, cold.b)))
+    return tuple.__new__(ColorRGB, (max(0.0, min(1.0, lerp(cold.r, warm.r, p))),
+                                    max(0.0, min(1.0, lerp(cold.g, warm.g, p))),
+                                    max(0.0, min(1.0, lerp(cold.b, warm.b, p)))))
+
+
+@lru_cache(maxsize=64)
+def _turn(azimuth: float) -> tuple[float, float]:
+    """cos and sin of azimuth degrees, once per value; -0.0 and 0.0 share one entry,
+    as their sines differ only in the sign of zero, which no record keeps."""
+    a = math.radians(azimuth)
+    return math.cos(a), math.sin(a)
 
 
 def point_light_position(pose: Pose, side: Side, azimuth: float, radius: float) -> Vec3:
@@ -139,8 +151,7 @@ def point_light_position(pose: Pose, side: Side, azimuth: float, radius: float) 
     n = math.sqrt(h.x * h.x + h.z * h.z)
     ax, az = (h.x / n, h.z / n) if n > 1e-12 else (0.0, 1.0)
     sign = 1.0 if side is Side.RIGHT else -1.0  # the lateral is sign * (az, 0, -ax)
-    a = math.radians(azimuth)
-    c, s = math.cos(a), math.sin(a)
+    c, s = _turn(azimuth)
     dx = ax * c + az * sign * s
     dy = 0.0 * c + 0.0 * sign * s
     dz = az * c + -ax * sign * s
@@ -209,12 +220,8 @@ def spotlight(
     """Spotlight for a given gaze-to-target angle and viewport flag."""
     if not in_view or (deactivate_at_min and theta <= rng.theta_min):
         return SpotlightState(active=False, intensity=0.0, cone_angle=geometry.a_min, aim=target)
-    return SpotlightState(
-        active=True,
-        intensity=light_intensity(theta, rng, levels, gamma),
-        cone_angle=spot_cone_angle(theta, rng, geometry, gamma),
-        aim=target,
-    )
+    p = _progress(theta, rng, gamma)  # light_intensity's and spot_cone_angle's
+    return SpotlightState(True, lerp(levels.l_min, levels.l_max, p), lerp(geometry.a_min, geometry.a_max, p), target)
 
 
 def spotlight_state(

@@ -19,8 +19,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from itertools import compress
-from operator import ne
 from typing import Iterator, NamedTuple
 
 from . import session as sess
@@ -30,7 +28,7 @@ from .errors import ScriptError, checked
 from .geometry import Pose, Vec3, _unit_angle
 from .metrics import MetricsSummary, extract_metrics
 from .session import SessionState
-from .trace import Method, Role, Trace, TraceMeta, TraceRecord, _Builder, q9
+from .trace import Method, Role, Trace, TraceMeta, _Builder, q9
 
 
 AGENT_COUNT = 5
@@ -38,7 +36,6 @@ AGENT_IDS = tuple(f"a{i + 1}" for i in range(AGENT_COUNT))
 USER_ID = "user"
 
 MAX_TICKS = 1_000_000  # the most ticks a trial may run: about 3.9 h at 72 Hz
-_FIELDS = range(len(TraceRecord._fields))  # a record's positions
 
 # Balanced 4x4 Latin square (Williams design): every method appears in every
 # presentation position exactly once across four consecutive participants.
@@ -378,7 +375,6 @@ def run_scenario(
     texts, flickers = script.method is Method.TEXT_ICON, script.method is Method.SGD
     runs = _Builder()
     ts = runs.ts
-    rec = last_raw = ()  # the last simulated tick's record, and its fields before canonicalization
 
     k = 0
     while True:
@@ -430,21 +426,18 @@ def run_scenario(
         if texts or fires or k == 0:
             ti = text_icon_state(state if texts else sess.IDLE, aim, name, desk)
         if flickers or fires or k == 0:
-            sg = sgd_state(state if flickers else sess.IDLE, pose, aim, t, config.ack_threshold)
+            gaze_theta = state.cues[6] if flickers and isinstance(state, sess.Signaled) else None  # see sess._cues
+            sg = sgd_state(state if flickers else sess.IDLE, pose, aim, t, config.ack_threshold, gaze_theta)
         env, (point_on, side, point_pos, color), spot, sound_pos, chime, duck, tag = frame
-        raw = (  # the record's fields in order
+        raw = (  # the record's fields in order; an Enum's _value_ is its value without the descriptor
             k, t, user_pos, head, gaze, tag, target_id, sess.response_time(state),
-            None if idle else state.target_in_view_at_signal, None if idle else state.role.value,
-            env, point_on, side.value, point_pos, color, *spot, sound_pos, chime, duck,
+            None if idle else state.target_in_view_at_signal, None if idle else state.role._value_,
+            env, point_on, side._value_, point_pos, color, *spot, sound_pos, chime, duck,
             ti.panel_active, ti.panel_anchor, ti.panel_text, ti.icon_active, ti.icon_anchor,
             sg.active, sg.region_center,
             turns[turn_idx].speaker,
         )
-        # Equal raw values canonicalize equally.
-        changed = compress(_FIELDS, map(ne, raw, last_raw)) if last_raw else _FIELDS
-        rec = TraceRecord._from(rec or raw, raw, changed)
-        runs.add(rec)
-        last_raw = raw
+        runs.step(raw)
         still = state if sess.settled(state, t, config) else None
         still_head, still_turn = head, turn_idx
         k += 1

@@ -26,13 +26,14 @@ from .geometry import (
     Side,
     Vec3,
     _unit_angle,
+    _view,
+    direction_to,
     lateral_side,
-    target_view,
 )
 from .lights import (
     PointLightState,
     SpotlightState,
-    env_light_with_fade,
+    _env_fade,
     lerp,
     point_light,
     point_light_position,
@@ -56,7 +57,7 @@ class _Signal(NamedTuple):
     head_range: AngularRange
     role: Role
     target_in_view_at_signal: bool
-    chimes: tuple[float, ...]
+    chimes: tuple[tuple[float, float], ...]  # each chime's window: (onset, onset + duck_duration)
     lit: bool = True  # whether the trial presents the lights (see begin_signal)
     audible: bool = True  # and the chime
     dwell: float = 0.0
@@ -65,9 +66,9 @@ class _Signal(NamedTuple):
 
 
 class Signaled(_Signal):
-    # The last tick's inputs and what it derived from them (see _cues): an
-    # attribute outside the tuple, which only tick sets and _replace drops,
-    # as it depends on the fields.
+    # The last tick's inputs and what it derived from them (see _cues),
+    # begin_signal's only the direction: an attribute outside the tuple, which
+    # begin_signal and tick set and _replace drops, as it depends on the fields.
     cues: tuple = ()
 
 
@@ -125,7 +126,8 @@ def begin_signal(
         raise ConcurrentSignalError(
             "a guidance session is already active; multi-signal queuing is unsupported"
         )
-    head_theta, gaze_theta, in_view = target_view(pose, target, config.viewport_half_angle)
+    to_target = direction_to(pose.position, target)
+    head_theta, gaze_theta, in_view = _view(pose, to_target, config.viewport_half_angle)
     floor = config.theta_min + MIN_RANGE_WIDTH
     gaze_range = AngularRange(config.theta_min, max(gaze_theta, floor))
     head_range = AngularRange(config.theta_min, max(head_theta, floor))
@@ -133,25 +135,30 @@ def begin_signal(
     if pose.timestamp < 0.0:
         raise ConfigError(f"signal_time={pose.timestamp} must be >= 0")
     repeats = max(1, round(config.chime_max_repeats * config.subtlety))
-    chimes = tuple(pose.timestamp + i * config.chime_repeat_interval for i in range(repeats))
+    onsets = (pose.timestamp + i * config.chime_repeat_interval for i in range(repeats))
+    chimes = tuple((c, c + config.duck_duration) for c in onsets)
 
-    return Signaled(pose.timestamp, pose.gaze_forward, gaze_range, head_range, role, in_view, chimes,
-                    method in (None, Method.LIGHT_AUDIO, Method.LIGHT), method in (None, Method.LIGHT_AUDIO),
-                    last_timestamp=pose.timestamp)
+    state = Signaled(pose.timestamp, pose.gaze_forward, gaze_range, head_range, role, in_view, chimes,
+                     method in (None, Method.LIGHT_AUDIO, Method.LIGHT), method in (None, Method.LIGHT_AUDIO),
+                     last_timestamp=pose.timestamp)
+    state.cues = (pose.position, target, to_target)
+    return state
 
 
 def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> tuple:
-    """(position, target, config, head, gaze, gaze theta, env theta, point, spot,
-    sound position) for a signaled tick: the last tick's while its position,
-    target, config, head and gaze objects all come back. Without lights the env
-    theta is None, the spotlight rests and the point light, which the record
-    holds all the same, is inactive; without the chime the sound rests."""
+    """(position, target, direction, config, head, gaze, gaze theta, env theta, point,
+    spot, sound position) for a signaled tick: the last tick's while its position,
+    target, config, head and gaze objects all come back, its direction while the
+    position and target do. Without lights the env theta is None, the spotlight
+    rests and the point light, which the record holds all the same, is inactive;
+    without the chime the sound rests."""
     last = state.cues
     position, head, gaze = pose.position, pose.head_forward, pose.gaze_forward
-    if last and (last[0] is position and last[1] is target and last[2] is config
-                 and last[3] is head and last[4] is gaze):
+    same_place = last and last[0] is position and last[1] is target
+    if same_place and len(last) > 3 and last[3] is config and last[4] is head and last[5] is gaze:
         return last
-    head_theta, gaze_theta, in_view = target_view(pose, target, config.viewport_half_angle)
+    to_target = last[2] if same_place else direction_to(position, target)
+    head_theta, gaze_theta, in_view = _view(pose, to_target, config.viewport_half_angle)
     point = point_light(
         pose, target, head_theta, in_view or not state.lit, state.head_range,
         azimuth=config.point_azimuth, radius=config.point_radius,
@@ -167,7 +174,7 @@ def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> 
         spot, env_theta = SpotlightState(False, 0.0, config.spot_geometry.a_min, target), None
     sound_pos = (audio.sound_source_position(position, target, head_theta, state.head_range, config.sound_easing)
                  if state.audible else target)
-    return (position, target, config, head, gaze, gaze_theta, env_theta, point, spot, sound_pos)
+    return (position, target, to_target, config, head, gaze, gaze_theta, env_theta, point, spot, sound_pos)
 
 
 def _quiet_frame(
@@ -241,11 +248,11 @@ def tick(
     elapsed = ts - state.signal_time
 
     cues = _cues(state, pose, target, config)
-    gaze_theta, env_theta, point, spot, sound_pos = cues[5:]
+    gaze_theta, env_theta, point, spot, sound_pos = cues[6:]
     env = l_max = config.env_levels.l_max
-    if env_theta is not None:
-        env = env_light_with_fade(elapsed, env_theta, l_max, state.gaze_range, config.env_levels, config.gamma_env,
-                                  config.fade_duration)
+    if env_theta is not None:  # elapsed >= 0: begin_signal's last_timestamp is the signal's
+        env = _env_fade(elapsed, env_theta, l_max, state.gaze_range, config.env_levels, config.gamma_env,
+                        config.fade_duration)
 
     if gaze_theta <= config.ack_threshold:
         alignment_start = state.alignment_start if state.alignment_start is not None else ts
@@ -261,7 +268,7 @@ def tick(
                        alignment_start - state.signal_time if acknowledged else None)
         return end, _quiet_frame(pose, target, config, env, end.tag)
 
-    chime = state.audible and any(c <= ts < c + config.duck_duration for c in state.chimes)
+    chime = state.audible and any(start <= ts < end for start, end in state.chimes)
     # The duck window is the chime window. Speakers never hear their own
     # voice through the headset, so only listeners are ducked; subtlety
     # scales the duck's depth, and at 0 turns it off.
@@ -269,9 +276,10 @@ def tick(
     if chime and state.role is Role.LISTENER:
         gain = 1.0 - config.subtlety * (1.0 - config.duck_gain)
 
-    new_state = Signaled(*state[:9], dwell, alignment_start, ts)  # the fields before dwell kept
+    # Both built by tuple.__new__, without the NamedTuple constructors' argument binding.
+    new_state = tuple.__new__(Signaled, state[:9] + (dwell, alignment_start, ts))  # the fields before dwell kept
     new_state.cues = cues
-    return new_state, CueFrame(env, point, spot, sound_pos, chime, gain, "signaled")
+    return new_state, tuple.__new__(CueFrame, (env, point, spot, sound_pos, chime, gain, "signaled"))
 
 
 def response_time(state: SessionState) -> float | None:

@@ -18,11 +18,12 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from enum import Enum
-from itertools import compress
+from itertools import compress, count
 from operator import index, itemgetter, ne
 from typing import Iterable, NamedTuple
 
@@ -38,6 +39,10 @@ _q9_memo: dict[float, float] = {}
 _text_memo: dict[float, str] = {}
 _NUMBER = frozenset((int, float))
 _UNSET = object()  # a field that no line has set yet
+# An invalid value shows an int whole, as int() reads it (4300 digits by default), and
+# any other value at two levels of 6 items, ints at 40 digits, strs at 30: about 2 KB.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 2
 
 
 class Role(Enum):
@@ -85,6 +90,10 @@ def q9(x: float) -> float:
 
 def _q_triple(v) -> Triple:
     a, b, c = v
+    if a.__class__ is b.__class__ is c.__class__ is float:  # q9's own memo, without its three calls
+        q = (_q9_memo.get(a), _q9_memo.get(b), _q9_memo.get(c))
+        if None not in q:
+            return q
     return (q9(a), q9(b), q9(c))
 
 
@@ -143,8 +152,13 @@ class _Canonical:
             try:
                 values[i] = canon[i](raw[i])
             except (TypeError, ValueError, OverflowError):
-                raise TraceIntegrityError(f"{cls._fields[i]}={raw[i]!r} is not a valid {cls._kinds[i]}") from None
+                raise cls._invalid(i, raw[i]) from None
         return tuple.__new__(cls, values)
+
+    @classmethod
+    def _invalid(cls, i: int, value) -> TraceIntegrityError:
+        shown = repr(value) if value.__class__ is int else _SHOWN.repr(value)
+        return TraceIntegrityError(f"{cls._fields[i]}={shown} is not a valid {cls._kinds[i]}")
 
     @classmethod
     def _read(cls, prev: tuple | None, line: dict):
@@ -153,7 +167,7 @@ class _Canonical:
         try:
             raw = {cls._index[name]: value for name, value in line.items()}  # position: value
         except KeyError as exc:
-            raise TraceIntegrityError(f"unknown field {exc.args[0]!r}") from None
+            raise TraceIntegrityError(f"unknown field {_SHOWN.repr(exc.args[0])}") from None
         rec = cls._from((_UNSET,) * len(cls._fields) if prev is None else prev, raw, raw)
         if prev is None and _UNSET in rec:
             raise TraceIntegrityError(f"missing field {cls._fields[rec.index(_UNSET)]!r}")
@@ -227,6 +241,7 @@ class TraceRecord(NamedTuple):
 
 
 TraceRecord.__dataclass_fields__ = dict.fromkeys(TraceRecord._fields)  # the field names that perfbench/layers.py reads
+_BLANK = (_UNSET,) * len(TraceRecord._fields)  # a builder's record before the first
 
 
 class Records(Sequence):
@@ -246,7 +261,7 @@ class Records(Sequence):
             return records
         runs = _Builder()
         for rec in records:
-            runs.add(rec)
+            runs.step(rec)
         return runs.records()
 
     def _runs(self):
@@ -291,26 +306,43 @@ def _at(head: TraceRecord, k: int, t: float) -> TraceRecord:
 
 
 class _Builder:
-    """The one builder of Records. Each record added must be at the next tick;
-    one that equals the last record but for tick and t extends its run, as
-    does a canonical t appended to ts alone."""
+    """The one builder of Records. Each record stepped must be at the next
+    tick; one that equals the last record but for tick and t extends its run,
+    as does a canonical t appended to ts alone."""
 
-    __slots__ = ("heads", "ts", "_rest")
+    __slots__ = ("heads", "ts", "_raw")
 
     def __init__(self) -> None:
         self.heads: list[TraceRecord] = []
         self.ts: list[float] = []
-        self._rest = None  # the last head's fields after tick and t
+        self._raw = _BLANK  # the last step's fields
 
-    def add(self, rec: TraceRecord) -> None:
-        ts = self.ts
-        if rec[0] != len(ts):
-            raise TraceIntegrityError(f"tick {rec[0]} at position {len(ts)}: indices must be contiguous from 0")
-        rest = rec[2:]
-        if rest != self._rest:
-            self.heads.append(rec)
-            self._rest = rest
-        ts.append(rec[1])
+    def step(self, raw: tuple) -> None:
+        """Add the record of raw, a tick's fields in order, in one pass: only the
+        fields that differ from the last step's are canonicalized and compared
+        with the run's head, which the record extends or, if it differs, follows
+        as a new head. A TraceRecord, canonical already, is only compared."""
+        ts, heads, last, self._raw = self.ts, self.heads, self._raw, raw
+        if raw[0] != len(ts):
+            raise TraceIntegrityError(f"tick {raw[0]} at position {len(ts)}: indices must be contiguous from 0")
+        if raw.__class__ is TraceRecord:
+            if not heads or raw[2:] != heads[-1][2:]:
+                heads.append(raw)
+            return ts.append(raw[1])
+        head, canon, values, i = heads[-1] if heads else _BLANK, TraceRecord._canon, None, 1
+        try:
+            t = q9(raw[1])
+            for i in compress(count(), map(ne, raw, last)):
+                if i > 1 and (value := canon[i](raw[i])) != head[i]:
+                    if values is None:
+                        values = list(head)
+                    values[i] = value
+        except (TypeError, ValueError, OverflowError):
+            raise TraceRecord._invalid(i, raw[i]) from None
+        if values is not None:  # tick is the checked position
+            values[0], values[1] = len(ts), t
+            heads.append(tuple.__new__(TraceRecord, values))
+        ts.append(t)
 
     def last(self) -> TraceRecord:
         return _at(self.heads[-1], len(self.ts) - 1, self.ts[-1])
@@ -402,7 +434,10 @@ def read_trace(text: str) -> Trace:
     meta: TraceMeta | None = None
     runs = _Builder()
     ts = runs.ts
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Not splitlines, which also breaks at what a JSON string holds raw, U+2028 among
+    # them. A CRLF line drops its "\r", so that an unchanged tick keeps the short path.
+    lines = [line.removesuffix("\r") for line in text.split("\n")] if "\r" in text else text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if ts and (repeat := _REPEAT(line)):  # an unchanged tick: one more t for the run before it
             tick, t, real = repeat.groups()
             tick, t = int(tick), float(t) if real else int(t)
@@ -415,7 +450,7 @@ def read_trace(text: str) -> Trace:
             continue
         if not line.strip():
             continue
-        body = line.strip(" \t")  # all the JSON whitespace a line can hold
+        body = line.strip(" \t\r")  # all the JSON whitespace a line can hold
         try:  # one raw_decode, without decode's two regex matches around it
             obj, end = _DECODER.raw_decode(body)
         except json.JSONDecodeError:
@@ -441,9 +476,9 @@ def read_trace(text: str) -> Trace:
                 rec = TraceRecord._read(runs.last() if ts else None, obj)
                 if rec.tick != len(ts):
                     raise TraceIntegrityError(f"tick {rec.tick} where {len(ts)} was expected")
-                runs.add(rec)
+                runs.step(rec)
             elif kind != "meta":
-                raise TraceIntegrityError(f"unknown record kind {kind!r}")
+                raise TraceIntegrityError(f"unknown record kind {_SHOWN.repr(kind)}")
             elif ts or meta is not None:
                 raise TraceIntegrityError("meta must be the first line")
             else:

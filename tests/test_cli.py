@@ -397,8 +397,8 @@ SIX_SEATS = "seats = 0,1,0 | 0,1,2 | 2,1,0 | -2,1,0 | 0,1,-2 | 1,1,1\n"
          "seats-too-far", "plan-eye_height-huge", "scenario-eye_height-huge"],
 )
 def test_invalid_number_exits_one_naming_it(tmp_path, capsys, monkeypatch, args, config, named):
-    # Each fails before the first tick: no record is built.
-    monkeypatch.setattr(turncue.scenario, "TraceRecord", None)
+    # Each fails before the first tick: no builder of records is made.
+    monkeypatch.setattr(turncue.scenario, "_Builder", None)
     cfg = tmp_path / "in.cfg"
     if config is not None:
         cfg.write_text(config)
@@ -524,3 +524,15 @@ def test_metrics_on_deeply_nested_json_exits_one_naming_the_line(script_file, tm
     capsys.readouterr()
     assert cli(["metrics", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {out}: line 3: a JSON value nested too deeply to read\n")
+
+
+def test_metrics_on_a_huge_invalid_value_exits_one_with_a_short_message(script_file, tmp_path, capsys):
+    # A pos of 200,000 zeros: the error names the line, the field and its kind, not the whole value.
+    out = tmp_path / "t.jsonl"
+    assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    lines[2] = lines[2][:-1] + ',"pos":[' + ",".join(["0"] * 200_000) + "]}"
+    out.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert cli(["metrics", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {out}: line 3: pos=[0, 0, 0, 0, 0, 0, ...] is not a valid Triple\n")

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, strategies as st
 import turncue.scenario
 
 import turncue.session
+import turncue.trace
 from turncue.audio import Role
 from turncue.baselines import sgd_phase
 from turncue.config import GuidanceConfig
@@ -155,9 +156,9 @@ def test_default_script_leaves_the_desk_to_the_run_which_records_it():
     ids=["tiny-dt", "huge-turn", "huge-turn-tiny-dt"],
 )
 def test_scenario_beyond_the_tick_bound_fails_before_any_record(monkeypatch, script, dt):
-    # The bound is checked as a float, before the loop: with no TraceRecord
-    # to build, any tick that ran would fail otherwise.
-    monkeypatch.setattr(turncue.scenario, "TraceRecord", None)
+    # The bound is checked as a float, before the loop: with no builder of
+    # records, any tick that ran would fail otherwise.
+    monkeypatch.setattr(turncue.scenario, "_Builder", None)
     durations = ", ".join(f"{turn.duration:g}" for turn in script.turn_order)
     named = (f"dt={dt}, turn durations ({durations}) s, signal_offset={script.signal_offset} and "
              f"miss_timeout={CFG.miss_timeout} allow ")
@@ -591,6 +592,28 @@ def test_reference_suite_holds_a_run_per_change_and_reads_back_the_same_runs(ref
     for trace, live in zip(result.traces, heads):
         assert trace.records.ts == tuple(rec.t for rec in trace.records)
         assert read_trace(write_trace(trace.records, trace.meta)).records.heads == live
+
+
+def test_reference_traces_with_crlf_lines_read_the_same_on_the_short_path(reference_run, monkeypatch):
+    # A CRLF file gives the same trace, and decodes no more lines: each line
+    # drops its one "\r", so an unchanged tick still skips the decoder.
+    decoder, decoded = turncue.trace._DECODER, []
+
+    class Counting:
+        def raw_decode(self, body):
+            decoded.append(body)
+            return decoder.raw_decode(body)
+
+    monkeypatch.setattr(turncue.trace, "_DECODER", Counting())
+    result, _ = reference_run
+    for trace in result.traces:
+        text = write_trace(trace.records, trace.meta)
+        del decoded[:]
+        assert read_trace(text) == trace
+        lf = len(decoded)
+        del decoded[:]
+        assert read_trace(text.replace("\n", "\r\n")) == trace
+        assert len(decoded) == lf == len(trace.records.heads) + 1 < len(trace.records)
 
 
 def every_tick_simulated(monkeypatch):

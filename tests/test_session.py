@@ -1,17 +1,29 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import turncue.audio
 import turncue.session
-from turncue.audio import Role
+from turncue.audio import Role, sound_source_position
+from turncue.baselines import sgd_state
 from turncue.config import GuidanceConfig, Method
 from turncue.errors import ConcurrentSignalError, ConfigError, TraceOrderError
-from turncue.geometry import AngularRange, Pose, Side, Vec3
-from turncue.lights import SpotlightState, lerp
+from turncue.geometry import AngularRange, Pose, Side, Vec3, angular_deviation, target_view
+from turncue.lights import (
+    ColorRGB,
+    LightLevels,
+    SpotlightGeometry,
+    SpotlightState,
+    env_light_with_fade,
+    lerp,
+    point_light_state,
+    spotlight_state,
+)
 from turncue.scenario import hexagon_seats
 from turncue.session import (
     IDLE,
+    CueFrame,
     Resolved,
     Signaled,
     begin_signal,
@@ -82,7 +94,9 @@ def test_begin_signal_floors_degenerate_range():
     ids=["single", "single-at-zero", "repeat-twice", "repeat-thrice"],
 )
 def test_begin_signal_schedules_a_chime_at_the_signal_then_every_interval(t, cfg, chimes):
-    assert begin_signal(IDLE, pose(t, AHEAD), TARGET, Role.LISTENER, cfg).chimes == chimes
+    # Each chime is held as its window, which lasts duck_duration.
+    windows = tuple((c, c + cfg.duck_duration) for c in chimes)
+    assert begin_signal(IDLE, pose(t, AHEAD), TARGET, Role.LISTENER, cfg).chimes == windows
 
 
 def test_begin_signal_rejects_a_negative_signal_time():
@@ -163,6 +177,9 @@ def test_non_monotone_timestamp_rejected():
     state, _ = tick(state, pose(1.1, AHEAD), TARGET, DT, CFG)
     with pytest.raises(TraceOrderError):
         tick(state, pose(0.9, AHEAD), TARGET, DT, CFG)
+    # After the signal, before the last tick:
+    with pytest.raises(TraceOrderError, match=r"^pose timestamp 1\.05 precedes 1\.1$"):
+        tick(state, pose(1.05, AHEAD), TARGET, DT, CFG)
 
 
 def test_viewport_gating_flips_on_one_tick():
@@ -388,7 +405,7 @@ def test_a_signaled_tick_computes_only_the_channels_its_method_presents(monkeypa
     assert any(f.point.active for f in fulls) and any(f.spot.active for f in fulls) and fulls[0].duck_gain < 1.0
     if not lit:
         monkeypatch.setattr(turncue.session, "spotlight", _not_presented)
-        monkeypatch.setattr(turncue.session, "env_light_with_fade", _not_presented)
+        monkeypatch.setattr(turncue.session, "_env_fade", _not_presented)
     if not audible:
         monkeypatch.setattr(turncue.audio, "sound_source_position", _not_presented)
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG, method)
@@ -438,3 +455,113 @@ def test_response_time_absent_outside_acknowledged():
     assert response_time(IDLE) is None
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
     assert response_time(state) is None
+
+
+def test_a_session_works_out_its_direction_once_per_position_and_target_object(angle_calls):
+    # begin_signal works out the direction from the user to the target; its
+    # ticks reuse it while the same position and target objects come back.
+    position, target = Vec3(0.0, 0.0, 0.0), Vec3(*TARGET)
+    state = begin_signal(IDLE, Pose(position, AHEAD, AHEAD, 0.0), target, Role.LISTENER, CFG)
+    for k, head in enumerate([AHEAD, facing_at_angle(60.0), facing_at_angle(30.0)], 1):
+        state, _ = tick(state, Pose(position, head, head, k * DT), target, DT, CFG)
+    assert angle_calls["direction_to"] == 1
+    moved = Vec3(*position)
+    for k, head in enumerate([AHEAD, facing_at_angle(60.0)], 4):
+        state, _ = tick(state, Pose(moved, head, head, k * DT), target, DT, CFG)
+    assert angle_calls["direction_to"] == 2
+    state, _ = tick(state, Pose(moved, AHEAD, AHEAD, 6 * DT), Vec3(*target), DT, CFG)
+    assert isinstance(state, Signaled) and angle_calls["direction_to"] == 3
+
+
+_COORD = st.floats(-3.0, 3.0)
+_UNIT = st.tuples(_COORD, _COORD, _COORD).filter(lambda v: math.hypot(*v) > 0.1).map(lambda v: Vec3(*v).normalized())
+_GAMMA = st.floats(0.2, 5.0) | st.just(1.0)
+
+
+@st.composite
+def _configs(draw):
+    def band(lo, hi):
+        a, b = sorted(draw(st.tuples(st.floats(lo, hi), st.floats(lo, hi))))
+        assume(a < b)
+        return a, b
+
+    def color():
+        return ColorRGB(*draw(st.tuples(*[st.floats(0.0, 1.0)] * 3)))
+
+    repeats = draw(st.integers(1, 3))
+    return GuidanceConfig(
+        env_levels=LightLevels(*band(0.0, 2.0)), spot_levels=LightLevels(*band(0.0, 2.0)),
+        spot_geometry=SpotlightGeometry(*band(1.0, 180.0)), warm=color(), cold=color(),
+        gamma_env=draw(_GAMMA), gamma_point=draw(_GAMMA), gamma_spot=draw(_GAMMA),
+        viewport_half_angle=draw(st.floats(5.0, 175.0)), point_azimuth=draw(st.floats(0.0, 180.0)),
+        point_radius=draw(st.floats(0.01, 5.0)), fade_duration=draw(st.floats(0.05, 3.0)),
+        duck_duration=draw(st.floats(0.05, 3.0)), duck_gain=draw(st.floats(0.0, 0.99)),
+        ack_threshold=draw(st.floats(1.0, 30.0)), theta_min=draw(st.floats(0.0, 40.0)),
+        spot_deactivate_at_min=draw(st.booleans()), sound_easing=draw(st.sampled_from(["linear", "cosine"])),
+        chime_max_repeats=repeats, chime_repeat_interval=draw(st.floats(0.05, 1.0)) if repeats > 1 else 0.0,
+        subtlety=draw(st.floats(0.0, 1.0)),
+    )
+
+
+def _reference_frame(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> CueFrame:
+    """A signaled tick's frame from the public per-channel functions, each
+    channel the method does not present at rest."""
+    head_theta = target_view(pose, target, config.viewport_half_angle)[0]
+    point = point_light_state(pose, target, state.head_range, half_angle=config.viewport_half_angle,
+                              azimuth=config.point_azimuth, radius=config.point_radius, warm=config.warm,
+                              cold=config.cold, gamma=config.gamma_point)
+    env, spot = config.env_levels.l_max, SpotlightState(False, 0.0, config.spot_geometry.a_min, target)
+    if state.lit:
+        spot = spotlight_state(pose, target, state.gaze_range, config.spot_levels, config.spot_geometry,
+                               half_angle=config.viewport_half_angle, gamma=config.gamma_spot,
+                               deactivate_at_min=config.spot_deactivate_at_min)
+        env = env_light_with_fade(pose.timestamp - state.signal_time,
+                                  angular_deviation(pose.gaze_forward, state.signal_gaze), config.env_levels.l_max,
+                                  state.gaze_range, config.env_levels, config.gamma_env, config.fade_duration)
+    sound, chime, gain = target, False, 1.0
+    if state.audible:
+        sound = sound_source_position(pose.position, target, head_theta, state.head_range, config.sound_easing)
+        repeats = max(1, round(config.chime_max_repeats * config.subtlety))
+        onsets = [state.signal_time + i * config.chime_repeat_interval for i in range(repeats)]
+        chime = any(c <= pose.timestamp < c + config.duck_duration for c in onsets)
+        if chime and state.role is Role.LISTENER:
+            gain = 1.0 - config.subtlety * (1.0 - config.duck_gain)
+    return CueFrame(env, point._replace(active=point.active and state.lit), spot, sound, chime, gain, "signaled")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), config=_configs(), method=st.sampled_from([None, *Method]), role=st.sampled_from(Role))
+def test_a_signaled_tick_equals_its_public_channel_functions_bit_for_bit(data, config, method, role):
+    # Drawn poses (the gaze apart from the head or the same object, each
+    # object kept from the last tick, an equal copy or moved) and targets:
+    # every signaled frame must be the one the public functions give, in repr
+    # too, which tells -0.0 from 0.0, and the flicker must read tick's gaze angle.
+    def place():
+        position = Vec3(*data.draw(st.tuples(_COORD, _COORD, _COORD)))
+        offset = data.draw(st.tuples(_COORD, _COORD, _COORD).filter(lambda v: math.hypot(*v) > 0.1))
+        return position, position + Vec3(*offset)
+
+    position, target = place()
+    head = data.draw(_UNIT)
+    gaze = head if data.draw(st.booleans()) else data.draw(_UNIT)
+    dt = data.draw(st.sampled_from([1 / 72, 1 / 30, 0.1]))
+    state = begin_signal(IDLE, Pose(position, head, gaze, 0.0), target, role, config, method)
+    assert (state.lit, state.audible) == (method in (None, Method.LIGHT_AUDIO, Method.LIGHT),
+                                          method in (None, Method.LIGHT_AUDIO))
+    for k in range(1, data.draw(st.integers(1, 12)) + 1):
+        if data.draw(st.booleans()):
+            head = data.draw(_UNIT)
+        gaze = head if data.draw(st.booleans()) else gaze if data.draw(st.booleans()) else data.draw(_UNIT)
+        moves = data.draw(st.sampled_from(["kept", "copied", "moved"]))
+        if moves == "copied":
+            position, target = Vec3(*position), Vec3(*target)
+        elif moves == "moved":
+            position, target = place()
+        pose = Pose(position, head, gaze, k * dt)
+        expected = _reference_frame(state, pose, target, config)
+        state, frame = tick(state, pose, target, dt, config)
+        if not isinstance(state, Signaled):
+            break
+        assert frame == expected and repr(frame) == repr(expected)
+        flicker = sgd_state(state, pose, target, k * dt, config.ack_threshold)
+        assert sgd_state(state, pose, target, k * dt, config.ack_threshold, state.cues[6]) == flicker

@@ -13,6 +13,7 @@ from turncue.trace import (
     _MEMO_CAP,
     Records,
     TraceRecord,
+    _Builder,
     _canonical,
     _emit,
     _q9_memo,
@@ -654,3 +655,84 @@ def test_every_way_to_build_a_record_canonicalizes(data):
 def test_every_way_to_build_a_record_rejects_a_bad_value(build, message):
     with pytest.raises(TraceIntegrityError, match=f"^{message}$"):
         build()
+
+
+@given(st.data())
+def test_stepping_raw_ticks_gives_the_runs_of_their_records(data):
+    # run_scenario's one pass over each tick's raw fields: a drawn subset
+    # changes, to raw values (an int for a float, -0.0, a list for a triple)
+    # or to ones equal to the last once canonical (0.1 + 1e-12 for 0.1); the
+    # rest keep their objects or become equal new ones. Stepping them must
+    # give the runs that the records built from them give.
+    near = {"float": st.just(0.1 + 1e-12), "Triple": st.just([0.1, 0, -0.0]), "str": st.just("a1")}
+    draw = {kind: near[kind] | value if kind in near else value for kind, value in _RAW.items()}
+    values = {name: data.draw(draw[_KIND[name]]) for name in _CHANGING}
+    built, records = _Builder(), []
+    for k in range(data.draw(st.integers(1, 10))):
+        values["t"] = data.draw(st.sampled_from([k * 0.1, k]))
+        for name in data.draw(_SUBSET):
+            values[name] = data.draw(draw[_KIND[name]])
+        fresh = data.draw(_SUBSET)
+        raw = (k, *(_fresh(v) if name in fresh else v for name, v in values.items()))
+        built.step(raw)
+        records.append(TraceRecord._make(raw))
+    runs = built.records()
+    assert runs == Records(records) and runs.heads == Records(records).heads
+    assert all(type(head[0]) is int for head in runs.heads)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("t", math.nan, "t=nan is not a valid float"),
+        ("pos", (0, 1), r"pos=\(0, 1\) is not a valid Triple"),
+        ("speaker", 5, "speaker=5 is not a valid str"),
+        ("tick", 2, "tick 2 at position 1: indices must be contiguous from 0"),
+    ],
+)
+def test_stepping_rejects_a_bad_changed_field_as_a_record_does(field, value, message):
+    built, first = _Builder(), make_record(0, 0.0)
+    built.step(tuple(first))
+    with pytest.raises(TraceIntegrityError, match=f"^{message}$"):
+        built.step(tuple((first._replace(tick=1, t=0.1)._asdict() | {field: value}).values()))
+
+
+_SHORTENED = r"'x{12}\.\.\.x{13}'"  # how an error shows a long str
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: make_record(0, 0.0)._replace(pos=(0,) * 200_000),
+         r"pos=\(0, 0, 0, 0, 0, 0, \.\.\.\) is not a valid Triple"),
+        (lambda: make_record(0, 0.0)._replace(chime="x" * 200_000), f"chime={_SHORTENED} is not a valid bool"),
+        (lambda: make_meta(seats=[[[0] * 200_000]] * 9),
+         r"seats=\[(\[\[\.\.\.\]\], ){6}\.\.\.\] is not a valid tuple\[Triple, \.\.\.\]"),
+        (lambda: read_trace('{"kind":"frame","tick":0,"' + "x" * 200_000 + '":1}'),
+         f"line 1: unknown field {_SHORTENED}"),
+        (lambda: read_trace('{"kind":"' + "x" * 200_000 + '"}'), f"line 1: unknown record kind {_SHORTENED}"),
+    ],
+    ids=["long-tuple", "long-str", "deep-list", "long-field-name", "long-kind"],
+)
+def test_an_error_shows_a_huge_value_bounded(build, message):
+    # The field, its kind and the line are named; the value is cut to a few items and characters.
+    with pytest.raises(TraceIntegrityError, match=f"^{message}$") as caught:
+        build()
+    assert len(str(caught.value)) < 100
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"],
+                         ids=["u2028", "u2029", "x85", "x0b", "x0c", "x1c"])
+def test_a_raw_line_break_inside_a_json_string_reads_as_its_escape(char):
+    # str.splitlines breaks a line at each of these. A JSON string may hold
+    # U+2028, U+2029 and U+0085 raw, and no raw control character.
+    meta = make_meta(names=("Al" + char + "ex", "B", "C", "D", "E"))
+    records = (make_record(0, 0.0), make_record(1, 0.1))
+    escaped = write_trace(records, meta)
+    raw = escaped.replace(json.dumps(char)[1:-1], char)
+    assert raw != escaped
+    if ord(char) >= 0x20:
+        assert read_trace(raw) == read_trace(escaped) == (meta, records)
+    else:
+        with pytest.raises(TraceIntegrityError, match=r"^line 1: invalid JSON \(Invalid control character at\)$"):
+            read_trace(raw)
