@@ -366,12 +366,6 @@ def run_scenario(
     perceive_time = math.inf
 
     head = rest_dirs[0]
-    # The state, head and turn of the last simulated tick while its session is
-    # settled: until one moves or a signal fires, each tick repeats its record,
-    # and the trace holds only its t.
-    # A settled session is never signaled, so its gaze is its head.
-    still = still_head = still_turn = None
-
     texts, flickers = script.method is Method.TEXT_ICON, script.method is Method.SGD
     runs = _Builder()
     ts = runs.ts
@@ -395,10 +389,6 @@ def run_scenario(
         lead = agent.gaze_lead > 0.0 and isinstance(state, sess.Signaled)
         gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
         fires = signal_tick is not None and k >= signal_tick
-        if state is still and head is still_head and turn_idx == still_turn and not fires:
-            ts.append(q9(t))
-            k += 1
-            continue
         pose = Pose(user_pos, head, gaze, t)
 
         # Fire the pending signal: capture the pose as it is right now.
@@ -438,9 +428,13 @@ def run_scenario(
             turns[turn_idx].speaker,
         )
         runs.step(raw)
-        still = state if sess.settled(state, t, config) else None
-        still_head, still_turn = head, turn_idx
         k += 1
+        # Settled and at rest, each tick up to the pending signal or handoff repeats this record: tick keeps
+        # the state and frame, perceive_time is inf, so the head stays at rest, and the gaze is the head.
+        if head is rest_dirs[turn_idx] and sess.settled(state, t, config):
+            event = end_tick if signal_tick is None else signal_tick
+            ts.extend([q9(j * dt) for j in range(k, event)])
+            k = event
 
     meta = TraceMeta(
         method=script.method.value, role=script.role.value, topic=script.topic, participant=participant, seed=seed,

@@ -15,6 +15,7 @@ may begin from Idle or from Resolved, never while one is in flight.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from . import audio
@@ -114,7 +115,9 @@ def begin_signal(
     measured from the gaze for the gaze-referenced channels and from the
     head for the head-referenced ones, floored to a minimal positive range.
     The chime plays at the signal and then every chime_repeat_interval, in
-    all round(chime_max_repeats * subtlety) times, at least once.
+    all round(chime_max_repeats * subtlety) times, at least once. Only the
+    first 1 + ceil(miss_timeout / chime_repeat_interval) windows are built:
+    the session resolves before a later one starts.
 
     Its ticks work out only the channels that method presents (None: every
     one) and rest the others as a quiet frame does. Without lights the point
@@ -135,6 +138,8 @@ def begin_signal(
     if pose.timestamp < 0.0:
         raise ConfigError(f"signal_time={pose.timestamp} must be >= 0")
     repeats = max(1, round(config.chime_max_repeats * config.subtlety))
+    if repeats > 1:  # the inner min keeps an inf quotient, from a subnormal interval, out of ceil
+        repeats = min(repeats, 1 + math.ceil(min(config.miss_timeout / config.chime_repeat_interval, repeats)))
     onsets = (pose.timestamp + i * config.chime_repeat_interval for i in range(repeats))
     chimes = tuple((c, c + config.duck_duration) for c in onsets)
 

@@ -450,23 +450,15 @@ def read_trace(text: str) -> Trace:
             continue
         if not line.strip():
             continue
-        body = line.strip(" \t\r")  # all the JSON whitespace a line can hold
-        try:  # one raw_decode, without decode's two regex matches around it
-            obj, end = _DECODER.raw_decode(body)
-        except json.JSONDecodeError:
-            end = None
+        try:
+            obj = _DECODER.decode(line)
+        except json.JSONDecodeError as exc:  # before ValueError, its base class
+            raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
         except ValueError:  # JSON bounds no number's length; Python's int() does
             limit = sys.get_int_max_str_digits()
             raise TraceIntegrityError(f"line {lineno}: an integer of more than {limit} digits") from None
         except RecursionError:  # nor its depth; the decoder recurses per level
             raise TraceIntegrityError(f"line {lineno}: {_TOO_DEEP}") from None
-        if end != len(body):  # not one value filling the line: decode raises the message it always gave
-            try:
-                obj = _DECODER.decode(line)
-            except json.JSONDecodeError as exc:
-                raise TraceIntegrityError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            except RecursionError:
-                raise TraceIntegrityError(f"line {lineno}: {_TOO_DEEP}") from None
         kind = obj.pop("kind", None) if isinstance(obj, dict) else None
         try:
             if kind == "frame":

@@ -18,7 +18,7 @@ from turncue.baselines import sgd_phase
 from turncue.config import GuidanceConfig
 from turncue.configio import load_suite
 from turncue.errors import ScriptError, TraceIntegrityError
-from turncue.geometry import Vec3, angular_deviation
+from turncue.geometry import Pose, Vec3, angular_deviation
 from turncue.scenario import (
     METHODS,
     USER_ID,
@@ -575,12 +575,12 @@ def test_reference_suite_records_equal_full_construction(reference_run):
 
 
 def test_reference_suite_simulates_a_minority_of_ticks(reference_run):
-    # 87% of the reference ticks are quiet and most repeat a settled tick,
-    # so session.tick runs on about a quarter of them.
+    # 87% of the reference ticks are quiet and most repeat a settled tick:
+    # the loop jumps those, so session.tick runs on about a quarter of them.
     result, calls = reference_run
     ticks = sum(len(trace.records) for trace in result.traces)
     assert ticks == 19320
-    assert calls < 0.35 * ticks
+    assert calls == 4939
 
 
 def test_reference_suite_holds_a_run_per_change_and_reads_back_the_same_runs(reference_run):
@@ -600,9 +600,9 @@ def test_reference_traces_with_crlf_lines_read_the_same_on_the_short_path(refere
     decoder, decoded = turncue.trace._DECODER, []
 
     class Counting:
-        def raw_decode(self, body):
-            decoded.append(body)
-            return decoder.raw_decode(body)
+        def decode(self, line):
+            decoded.append(line)
+            return decoder.decode(line)
 
     monkeypatch.setattr(turncue.trace, "_DECODER", Counting())
     result, _ = reference_run
@@ -642,37 +642,70 @@ def dense_listener_script(method):
     )
 
 
+LONG_FADE_LISTENER = (
+    default_script(Method.LIGHT_AUDIO, Role.LISTENER), GazeAgentModel(), GuidanceConfig(fade_duration=12.0)
+)
+LONG_FADE_SPEAKER = (default_script(Method.LIGHT, Role.SPEAKER), SLOW, GuidanceConfig(fade_duration=15.0))
+
+
 @pytest.mark.parametrize(
-    "script,agent,config",
+    "script,agent,config,dt",
     [
-        (default_script(Method.LIGHT_AUDIO, Role.LISTENER), GazeAgentModel(), GuidanceConfig(fade_duration=12.0)),
-        (default_script(Method.LIGHT, Role.SPEAKER), SLOW, GuidanceConfig(fade_duration=15.0)),
-        (default_script(Method.LIGHT_AUDIO, Role.SPEAKER), LEADING, CFG),
-        (default_script(Method.SGD, Role.LISTENER), LEADING, CFG),
-        (default_script(Method.TEXT_ICON, Role.SPEAKER), SLOW, CFG),
-        (dense_listener_script(Method.LIGHT_AUDIO), DENSE, CFG),
-        (dense_listener_script(Method.LIGHT), DENSE, CFG),
-        (dense_listener_script(Method.SGD), DENSE, CFG),
-        (dense_listener_script(Method.TEXT_ICON), DENSE, CFG),
+        (*LONG_FADE_LISTENER, FAST_DT),
+        (*LONG_FADE_SPEAKER, FAST_DT),
+        (default_script(Method.LIGHT_AUDIO, Role.SPEAKER), LEADING, CFG, FAST_DT),
+        (default_script(Method.SGD, Role.LISTENER), LEADING, CFG, FAST_DT),
+        (default_script(Method.TEXT_ICON, Role.SPEAKER), SLOW, CFG, FAST_DT),
+        (dense_listener_script(Method.LIGHT_AUDIO), DENSE, CFG, FAST_DT),
+        (dense_listener_script(Method.LIGHT), DENSE, CFG, FAST_DT),
+        (dense_listener_script(Method.SGD), DENSE, CFG, FAST_DT),
+        (dense_listener_script(Method.TEXT_ICON), DENSE, CFG, FAST_DT),
+        (*LONG_FADE_LISTENER, 1 / 30),
+        (*LONG_FADE_LISTENER, 1 / 144),
+        (*LONG_FADE_SPEAKER, 1 / 30),
+        (*LONG_FADE_SPEAKER, 1 / 144),
     ],
     ids=["long-fade-acknowledged", "long-fade-missed", "gaze-lead-speaker", "gaze-lead-sgd", "missed-text-icon",
-         "dense-light-audio", "dense-light", "dense-sgd", "dense-text-icon"],
+         "dense-light-audio", "dense-light", "dense-sgd", "dense-text-icon", "long-fade-acknowledged-30hz",
+         "long-fade-acknowledged-144hz", "long-fade-missed-30hz", "long-fade-missed-144hz"],
 )
-def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config):
+def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config, dt):
     # A fade longer than a turn keeps the session unsettled across the turn
     # end and into the next signal; after a miss the light fades up from
     # dim. With gaze leading the head, gaze and head part while signaled.
     # On the dense script most ticks are signaled, and the session reuses
     # its cues while the head holds still (perception latency, dwell).
     # Each trace must equal the one in which every tick runs the full
-    # simulation step with a new head object, so no angle or cue is reused.
-    trace = run_scenario(script, agent, config, dt=FAST_DT, seed=3)
+    # simulation step with a new head object, so no angle or cue is reused
+    # and no settled stretch is jumped; coarse and fine frame rates check
+    # where a jump lands.
+    trace = run_scenario(script, agent, config, dt=dt, seed=3)
     assert_records_are_canonical(trace)
     with monkeypatch.context() as mp:
         every_tick_simulated(mp)
-        simulated = run_scenario(script, agent, config, dt=FAST_DT, seed=3)
+        simulated = run_scenario(script, agent, config, dt=dt, seed=3)
     assert trace == simulated
     assert write_trace(trace.records, trace.meta) == write_trace(simulated.records, simulated.meta)
+
+
+def test_chime_windows_stop_at_the_miss_timeout():
+    # A chime that would start after the miss timeout never plays, so a huge
+    # repeat count builds no more windows, and no other trace, than the bound.
+    huge = GuidanceConfig(chime_max_repeats=10**6, chime_repeat_interval=0.7, duck_duration=0.5)
+    bound = 1 + math.ceil(huge.miss_timeout / huge.chime_repeat_interval)
+    script = default_script(Method.LIGHT_AUDIO, Role.LISTENER)
+    ahead = Vec3(0.0, 0.0, 1.0)
+    pose = Pose(script.seats[script.user_seat_index], ahead, ahead, 1.0)
+    def windows(config):
+        return len(turncue.session.begin_signal(turncue.session.IDLE, pose, seat_of(script, "a2"), Role.LISTENER,
+                                                config).chimes)
+
+    assert windows(huge) == bound == 9
+    # A subnormal interval puts miss_timeout / interval at inf: every repeat asked for is built.
+    assert windows(huge._replace(chime_max_repeats=3, chime_repeat_interval=5e-324)) == 3
+    at_bound = run_scenario(script, SLOW, huge._replace(chime_max_repeats=bound), dt=FAST_DT, seed=3)
+    assert run_scenario(script, SLOW, huge, dt=FAST_DT, seed=3) == at_bound
+    assert sum(rec.chime for rec in at_bound.records) > 0
 
 
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
