@@ -73,6 +73,9 @@ class GuidanceConfig(NamedTuple):
             raise ConfigError(f"sound_easing='{self.sound_easing}' must be linear or cosine")
         if type(self.chime_max_repeats) is not int or self.chime_max_repeats < 1:  # bools too
             raise ConfigError(f"chime_max_repeats={self.chime_max_repeats!r} must be an integer >= 1")
+        if self.chime_max_repeats >= 2**1024 - 2**970:  # rounds past the largest float: begin_signal scales it as one
+            raise ConfigError(f"chime_max_repeats of about 10**{math.log10(self.chime_max_repeats):.0f} is beyond "
+                              "the float range (about 1.8e+308)")
         if not 0.0 <= self.chime_repeat_interval < math.inf:
             raise ConfigError(f"chime_repeat_interval={self.chime_repeat_interval} must be finite and >= 0")
         if self.chime_max_repeats > 1 and self.chime_repeat_interval == 0.0:

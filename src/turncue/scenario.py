@@ -195,8 +195,9 @@ def rotate_toward(current: Vec3, target_dir: Vec3, max_step_deg: float) -> Vec3:
             return target_dir
     omega = math.radians(ang)
     u = max_step_deg / ang
-    a = math.sin((1.0 - u) * omega) / math.sin(omega)
-    b = math.sin(u * omega) / math.sin(omega)
+    sin_omega = math.sin(omega)
+    a = math.sin((1.0 - u) * omega) / sin_omega
+    b = math.sin(u * omega) / sin_omega
     # current * a + target_dir * b, normalized, on scalars (the same float ops)
     x, y, z = current.x * a + target_dir.x * b, current.y * a + target_dir.y * b, current.z * a + target_dir.z * b
     n = math.sqrt(x * x + y * y + z * z)
@@ -389,7 +390,7 @@ def run_scenario(
         lead = agent.gaze_lead > 0.0 and isinstance(state, sess.Signaled)
         gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
         fires = signal_tick is not None and k >= signal_tick
-        pose = Pose(user_pos, head, gaze, t)
+        pose = tuple.__new__(Pose, (user_pos, head, gaze, t))  # unchecked: rotate_toward and normalized give unit
 
         # Fire the pending signal: capture the pose as it is right now.
         if fires:

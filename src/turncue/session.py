@@ -16,6 +16,7 @@ may begin from Idle or from Resolved, never while one is in flight.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 from . import audio
@@ -273,7 +274,9 @@ def tick(
                        alignment_start - state.signal_time if acknowledged else None)
         return end, _quiet_frame(pose, target, config, env, end.tag)
 
-    chime = state.audible and any(start <= ts < end for start, end in state.chimes)
+    # Onsets and ends both increase: of the windows begun by ts, the last, before (ts, inf), ends last.
+    i = bisect_right(state.chimes, (ts, math.inf)) if state.audible else 0
+    chime = i > 0 and ts < state.chimes[i - 1][1]
     # The duck window is the chime window. Speakers never hear their own
     # voice through the headset, so only listeners are ducked; subtlety
     # scales the duck's depth, and at 0 turns it off.

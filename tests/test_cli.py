@@ -255,6 +255,20 @@ def test_reference_suite_does_not_depend_on_the_hash_seed(tmp_path):
     assert hashlib.md5(csv).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
 
 
+def test_suite_with_a_repeat_count_beyond_the_float_range_exits_one_without_a_traceback(tmp_path):
+    # The study plan with a 401-digit chime_max_repeats: the config is rejected
+    # where it enters, in one short line, and no trial starts.
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text((REPO / "configs" / "study.cfg").read_text()
+                   + "\n[audio]\nchime_repeat_interval = 0.7\nchime_max_repeats = 1" + "0" * 400 + "\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "turncue.cli", "suite", "--plan", str(cfg), "--participants", "1",
+                           "--seed", "7", "--out-dir", str(tmp_path / "d")], env=env, capture_output=True, timeout=300)
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == b"error: chime_max_repeats of about 10**400 is beyond the float range (about 1.8e+308)\n"
+    assert not (tmp_path / "d").exists()
+
+
 def _trace_name(i, trace):
     meta = trace.meta
     return f"trace_p{meta.participant:03d}_{i % 8:02d}_{meta.method}_{meta.role}.jsonl"

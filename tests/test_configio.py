@@ -272,6 +272,13 @@ def _plan_with_second_trial(**changes):
         (lambda: GazeAgentModel(seed=1.5), r"seed=1\.5 is not an integer"),
         (lambda: GuidanceConfig(chime_max_repeats=2.5), r"chime_max_repeats=2\.5 must be an integer >= 1"),
         (lambda: GuidanceConfig(chime_max_repeats=True), "chime_max_repeats=True must be an integer >= 1"),
+        # begin_signal scales the repeat count as a float: one that float() cannot hold fails here, briefly.
+        (lambda: GuidanceConfig(chime_max_repeats=10**400, chime_repeat_interval=0.7),
+         r"^chime_max_repeats of about 10\*\*400 is beyond the float range \(about 1\.8e\+308\)$"),
+        (lambda: GuidanceConfig(chime_max_repeats=2**1024 - 2**970, chime_repeat_interval=0.7),
+         r"^chime_max_repeats of about 10\*\*308 is beyond the float range"),
+        (lambda: parse_config("[audio]\nchime_repeat_interval = 0.7\nchime_max_repeats = 1" + "0" * 400 + "\n"),
+         r"^chime_max_repeats of about 10\*\*400 is beyond the float range \(about 1\.8e\+308\)$"),
         # Latency overrides name a real (method, view) cell, once.
         (lambda: GazeAgentModel(latency_overrides=(("lite", "in", 0.1),)), "latency_lite_in names no method"),
         (lambda: GazeAgentModel(latency_overrides=(("sgd", "sideways", 0.2),)), "latency_sgd_sideways names no method"),
@@ -312,7 +319,8 @@ def _plan_with_second_trial(**changes):
          "user_seat_index-bool", "topic-float", "run_scenario-participant-float", "run_scenario-seed-float",
          "run_suite-seed-float", "run_suite-jobs-float", "suite_traces-seed-float", "suite_traces-jobs-zero",
          "agent-seed-float", "chime_max_repeats-float",
-         "chime_max_repeats-bool", "latency-unknown-method", "latency-unknown-view", "latency-split-method",
+         "chime_max_repeats-bool", "chime_max_repeats-beyond-float", "chime_max_repeats-rounds-past-float",
+         "config-chime_max_repeats-401-digits", "latency-unknown-method", "latency-unknown-view", "latency-split-method",
          "latency-repeated-cell", "method-str", "role-str", "run_suite-trial-method-str", "plan-participants-above-trials",
          "plan-trial-participant-outside", "plan-participants-zero-with-trials", "plan-trial-method-str",
          "plan-trial-names-short", "plan-trial-user_seat-range", "seat_radius-huge", "plan-seat_radius-huge",

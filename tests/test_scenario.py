@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 from _rand import record_digest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import turncue.scenario
 
@@ -18,8 +18,9 @@ from turncue.baselines import sgd_phase
 from turncue.config import GuidanceConfig
 from turncue.configio import load_suite
 from turncue.errors import ScriptError, TraceIntegrityError
-from turncue.geometry import Pose, Vec3, angular_deviation
+from turncue.geometry import UNIT_TOLERANCE, Pose, Vec3, angular_deviation
 from turncue.scenario import (
+    AGENT_IDS,
     METHODS,
     USER_ID,
     GazeAgentModel,
@@ -35,6 +36,7 @@ from turncue.scenario import (
     run_scenario,
     run_suite,
     seat_of,
+    suite_traces,
 )
 from turncue.trace import TraceRecord, read_trace, write_trace
 
@@ -706,6 +708,97 @@ def test_chime_windows_stop_at_the_miss_timeout():
     at_bound = run_scenario(script, SLOW, huge._replace(chime_max_repeats=bound), dt=FAST_DT, seed=3)
     assert run_scenario(script, SLOW, huge, dt=FAST_DT, seed=3) == at_bound
     assert sum(rec.chime for rec in at_bound.records) > 0
+
+
+_OFFSET = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(
+    lambda v: math.hypot(*v) > 0.1).map(lambda v: Vec3(*v))
+
+
+@st.composite
+def _loop_runs(draw):
+    """(script, agent, config, dt) of a short trial with drawn seats, turns, method and agent."""
+    user = Vec3(*draw(st.tuples(*[st.integers(-8, 8).map(lambda i: i / 4)] * 3)))  # seat - user is the offset
+    # Agents on a line through the user, level, upright, tilted or drawn, at 2 and -0.5 times one offset: exactly
+    # opposite directions, so a turn from one side to the other takes rotate_toward's antipodal swing.
+    line = draw(st.sampled_from([Vec3(0.0, 0.0, 1.0), Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0),
+                                 Vec3(1.0, 1.0, 0.0), Vec3(0.0, 1.0, 1.0)]) | _OFFSET)
+    seats = [user + draw(st.sampled_from([line.scaled(2.0), line.scaled(-0.5)]) | _OFFSET) for _ in AGENT_IDS]
+    user_seat = draw(st.integers(0, len(AGENT_IDS)))
+    seats.insert(user_seat, user)
+    speakers = draw(st.lists(st.sampled_from((USER_ID, *AGENT_IDS)), min_size=2, max_size=4))
+    script = ScenarioScript(
+        seats=tuple(seats), user_seat_index=user_seat, role=draw(st.sampled_from(Role)),
+        method=draw(st.sampled_from(METHODS)), turn_order=tuple(Turn(s, draw(st.floats(0.2, 1.0))) for s in speakers),
+        signal_offset=draw(st.floats(0.1, 1.0)),
+    )
+    agent = GazeAgentModel(head_speed=draw(st.floats(10.0, 400.0)), gaze_lead=draw(st.just(0.0) | st.floats(0.5, 45.0)),
+                           seed=draw(st.integers(0, 9)))
+    config = GuidanceConfig(miss_timeout=draw(st.floats(0.5, 2.0)))
+    return script, agent, config, draw(st.sampled_from([1 / 30, 1 / 72, 1 / 144]))
+
+
+_TILTED = Vec3(0.0, 1.0, 1.0)  # a2 straight behind a1, and the swing's waypoint (z, 0, -x) not unit
+_TILTED_SEATS = (Vec3(0.0, 0.0, 0.0), _TILTED.scaled(2.0), _TILTED.scaled(-0.5), Vec3(1.0, 0.0, 0.0),
+                 Vec3(-1.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=_loop_runs())
+@example(run=(ScenarioScript(_TILTED_SEATS, 0, Role.LISTENER, Method.LIGHT_AUDIO, (Turn("a1", 1.0), Turn("a2", 1.0)),
+                             signal_offset=0.5), GazeAgentModel(head_speed=90.0, gaze_lead=5.0), CFG, 1 / 72))
+def test_every_pose_the_loop_hands_to_tick_is_unit(run):
+    # run_scenario builds its poses without Pose's unit-length check: each head
+    # and gaze comes from rotate_toward, normalized or a turn's rest direction.
+    # Every pose that reaches session.tick must still pass that check, for
+    # drawn seats, turns, methods, head speeds and gaze leads, 0 and above.
+    script, agent, config, dt = run
+    poses, tick = [], turncue.session.tick
+
+    def spy(state, pose, *args):
+        poses.append(pose)
+        return tick(state, pose, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(turncue.session, "tick", spy)
+        run_scenario(script, agent, config, dt=dt, seed=1)
+    assert poses
+    for pose in poses:
+        assert type(pose) is Pose and len(pose) == 4
+        for direction in (pose.head_forward, pose.gaze_forward):
+            assert abs(direction.norm() - 1.0) <= UNIT_TOLERANCE, pose
+
+
+def _session_ends(trace):
+    """(outcome, rt) of each session, in order: the run head that leaves the signaled state."""
+    ends, last = [], None
+    for head in trace.records.heads:
+        if last == "signaled" != head.state:
+            ends.append((head.state, head.rt))
+        last = head.state
+    return ends
+
+
+def test_the_reference_plan_gives_each_session_the_same_outcome_at_every_frame_rate():
+    # A metamorphic relation: the study plan (seed 7, 1 participant) at six
+    # frame rates. Each rate's response time is the continuous one rounded to
+    # the tick grid twice, at perception and at the onset tick, so it lies
+    # within one of its own ticks of it, and two rates differ by less than the
+    # sum of their ticks. Against the pinned 72 Hz run, every rate also lies
+    # within a 30 Hz tick (measured: 0.028 s at most, at 30 Hz). rt holds 9
+    # digits, hence the 1e-9.
+    plan, agent, config = load_suite((REPO / "configs" / "study.cfg").read_text())
+    plan = plan._replace(participants=1, trials=())
+    ends = {dt: [end for trace in suite_traces(plan, agent, config, dt=dt, seed=7) for end in _session_ends(trace)]
+            for dt in (1 / 30, 1 / 60, 1 / 72, 1 / 90, 1 / 120, 1 / 144)}
+    reference = ends[1 / 72]
+    assert len(reference) == 16
+    for dt, sessions in ends.items():
+        assert [outcome for outcome, _ in sessions] == [outcome for outcome, _ in reference], dt
+        for other, others in ends.items():
+            gaps = [abs(rt - other_rt) for (_, rt), (_, other_rt) in zip(sessions, others) if rt is not None]
+            assert max(gaps, default=0.0) <= dt + other + 1e-9, (dt, other)
+            if other == 1 / 72:
+                assert max(gaps, default=0.0) <= 1 / 30 + 1e-9, dt
 
 
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)

@@ -295,6 +295,49 @@ def test_repeated_chimes_duck_a_listener_inside_each_chime_window():
         assert (chime, duck) == (inside, 0.75 if inside else 1.0), t
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    signal_time=st.floats(0.0, 1e4),
+    interval=st.floats(1e-3, 2.0) | st.sampled_from([5e-324, 1e-12]),
+    duck=st.floats(1e-3, 5.0),
+    repeats=st.integers(1, 8),
+)
+def test_a_tick_chimes_exactly_when_a_window_holds_its_time(data, signal_time, interval, duck, repeats):
+    # tick finds the last window that starts at or before ts by bisection and
+    # tests its end alone. That must equal the test over every window, for
+    # windows apart, overlapping (a duck longer than the interval) or starting
+    # together (an interval below the signal time's spacing), and for ts at a
+    # window's start or end, a float either side of one, or in between.
+    cfg = GuidanceConfig(duck_duration=duck, chime_max_repeats=repeats, chime_repeat_interval=interval,
+                         miss_timeout=repeats * interval + duck + 1.0)  # every window built, none past the miss
+    state = begin_signal(IDLE, pose(signal_time, AHEAD), TARGET, Role.LISTENER, cfg)
+    assert len(state.chimes) == repeats
+    bounds = [b for window in state.chimes for b in window]
+    edge = data.draw(st.sampled_from(bounds))
+    ts = data.draw(st.sampled_from([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)])
+                   | st.floats(signal_time, max(bounds)))
+    assume(ts >= signal_time)
+    new_state, frame = tick(state, pose(ts, AHEAD), TARGET, DT, cfg)  # 90 degrees off: no dwell
+    inside = any(start <= ts < end for start, end in state.chimes)
+    assert isinstance(new_state, Signaled)
+    assert (frame.chime, frame.duck_gain) == (inside, cfg.duck_gain if inside else 1.0)
+
+
+@pytest.mark.parametrize(
+    "repeats,windows",
+    [(1, (1, 1, 1)), (2, (2, 1, 1)), (10**6, (9, 9, 1)), (2**1024 - 2**970 - 1, (9, 9, 1))],
+    ids=["one", "two", "a-million", "largest-float"],
+)
+def test_every_repeat_count_a_float_holds_keeps_its_windows(repeats, windows):
+    # The largest accepted count rounds to the largest float. At subtlety 1,
+    # 0.5 and 0, each count builds its round(repeats * subtlety) windows, at
+    # least one, and at most the 1 + ceil(5 / 0.7) = 9 before the miss.
+    for subtlety, count in zip((1.0, 0.5, 0.0), windows):
+        cfg = GuidanceConfig(chime_max_repeats=repeats, chime_repeat_interval=0.7, subtlety=subtlety)
+        assert len(begin_signal(IDLE, pose(1.0, AHEAD), TARGET, Role.LISTENER, cfg).chimes) == count, subtlety
+
+
 def test_duck_integral_over_containing_interval():
     # a listener signal at t=1 ducks the speaker to 0.5 over [1, 3) only
     dt = 0.01
