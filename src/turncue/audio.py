@@ -1,8 +1,8 @@
 """Spatial audio cue: where the chime source sits on the user-to-target path.
 
 No waveforms are produced here. The chime onsets, the chime window and the
-duck of the current speaker's voice are session timing: begin_signal
-schedules the chimes and tick ducks listeners inside each chime's window.
+duck of the current speaker's voice are session timing: tick works out which
+chime plays from its index, and ducks listeners while one does.
 """
 
 from __future__ import annotations

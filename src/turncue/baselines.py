@@ -30,7 +30,6 @@ class TextIconState(NamedTuple):
 class SgdState(NamedTuple):
     active: bool
     region_center: Vec3
-    phase_on: bool
 
 
 def text_icon_state(
@@ -71,4 +70,4 @@ def sgd_state(
         if gaze_theta is None:
             gaze_theta = _unit_angle(pose.gaze_forward, direction_to(pose.position, target))
         active = gaze_theta > align_threshold
-    return SgdState(active, target, sgd_phase(now))
+    return SgdState(active, target)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError, checked
 from .lights import ColorRGB, LightLevels, SpotlightGeometry
-from .trace import Method
+from .trace import _SHOWN, Method
 
 # Minimum captured range width, degrees: keeps the cue formulas well-defined
 # when a signal arrives with the user already aligned.
@@ -71,14 +71,16 @@ class GuidanceConfig(NamedTuple):
             raise ConfigError(f"theta_min={self.theta_min} must lie in [0, {180.0 - MIN_RANGE_WIDTH:g}]")
         if self.sound_easing not in ("linear", "cosine"):
             raise ConfigError(f"sound_easing='{self.sound_easing}' must be linear or cosine")
-        if type(self.chime_max_repeats) is not int or self.chime_max_repeats < 1:  # bools too
-            raise ConfigError(f"chime_max_repeats={self.chime_max_repeats!r} must be an integer >= 1")
-        if self.chime_max_repeats >= 2**1024 - 2**970:  # rounds past the largest float: begin_signal scales it as one
-            raise ConfigError(f"chime_max_repeats of about 10**{math.log10(self.chime_max_repeats):.0f} is beyond "
+        n = self.chime_max_repeats
+        if type(n) is not int or n < 1:  # bools too; a long int, which str() may refuse, shows its size
+            shown = f" of about -10**{math.log10(-n):.0f}" if type(n) is int and n < -10**40 else f"={_SHOWN.repr(n)}"
+            raise ConfigError(f"chime_max_repeats{shown} must be an integer >= 1")
+        if n >= 2**1024 - 2**970:  # rounds past the largest float: tick scales it as one
+            raise ConfigError(f"chime_max_repeats of about 10**{math.log10(n):.0f} is beyond "
                               "the float range (about 1.8e+308)")
         if not 0.0 <= self.chime_repeat_interval < math.inf:
             raise ConfigError(f"chime_repeat_interval={self.chime_repeat_interval} must be finite and >= 0")
-        if self.chime_max_repeats > 1 and self.chime_repeat_interval == 0.0:
+        if n > 1 and self.chime_repeat_interval == 0.0:
             raise ConfigError("chime_repeat_interval must be > 0 when repeats > 1")
         if not 0.0 <= self.subtlety <= 1.0:
             raise ConfigError(f"subtlety={self.subtlety} must lie in [0, 1]")

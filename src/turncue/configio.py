@@ -21,7 +21,7 @@ from .config import LATENCY_OVERRIDES, GuidanceConfig
 from .errors import ConfigError
 from .geometry import Vec3
 from .lights import ColorRGB
-from .trace import Method, Role
+from .trace import _SHOWN, Method, Role
 
 if TYPE_CHECKING:
     from .scenario import GazeAgentModel, ScenarioScript, StudyPlan, Turn
@@ -33,7 +33,7 @@ def _float(where: str, raw: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: '{raw}' is not a finite number")
+        raise ConfigError(f"{where}: {_SHOWN.repr(raw)} is not a finite number")
     return value
 
 
@@ -41,7 +41,7 @@ def _int(where: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}: '{raw}' is not an integer") from exc
+        raise ConfigError(f"{where}: {_SHOWN.repr(raw)} is not an integer") from exc
 
 
 def _bool(where: str, raw: str) -> bool:
@@ -50,7 +50,7 @@ def _bool(where: str, raw: str) -> bool:
         return True
     if value in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"{where}: '{raw}' is not a boolean")
+    raise ConfigError(f"{where}: {_SHOWN.repr(raw)} is not a boolean")
 
 
 def _triple(where: str, raw: str) -> tuple[float, float, float]:

@@ -15,8 +15,6 @@ may begin from Idle or from Resolved, never while one is in flight.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from typing import NamedTuple
 
 from . import audio
@@ -59,7 +57,6 @@ class _Signal(NamedTuple):
     head_range: AngularRange
     role: Role
     target_in_view_at_signal: bool
-    chimes: tuple[tuple[float, float], ...]  # each chime's window: (onset, onset + duck_duration)
     lit: bool = True  # whether the trial presents the lights (see begin_signal)
     audible: bool = True  # and the chime
     dwell: float = 0.0
@@ -116,9 +113,8 @@ def begin_signal(
     measured from the gaze for the gaze-referenced channels and from the
     head for the head-referenced ones, floored to a minimal positive range.
     The chime plays at the signal and then every chime_repeat_interval, in
-    all round(chime_max_repeats * subtlety) times, at least once. Only the
-    first 1 + ceil(miss_timeout / chime_repeat_interval) windows are built:
-    the session resolves before a later one starts.
+    all round(chime_max_repeats * subtlety) times, at least once; tick works
+    out from the signal time which one is playing, so nothing is built per chime.
 
     Its ticks work out only the channels that method presents (None: every
     one) and rest the others as a quiet frame does. Without lights the point
@@ -138,13 +134,7 @@ def begin_signal(
 
     if pose.timestamp < 0.0:
         raise ConfigError(f"signal_time={pose.timestamp} must be >= 0")
-    repeats = max(1, round(config.chime_max_repeats * config.subtlety))
-    if repeats > 1:  # the inner min keeps an inf quotient, from a subnormal interval, out of ceil
-        repeats = min(repeats, 1 + math.ceil(min(config.miss_timeout / config.chime_repeat_interval, repeats)))
-    onsets = (pose.timestamp + i * config.chime_repeat_interval for i in range(repeats))
-    chimes = tuple((c, c + config.duck_duration) for c in onsets)
-
-    state = Signaled(pose.timestamp, pose.gaze_forward, gaze_range, head_range, role, in_view, chimes,
+    state = Signaled(pose.timestamp, pose.gaze_forward, gaze_range, head_range, role, in_view,
                      method in (None, Method.LIGHT_AUDIO, Method.LIGHT), method in (None, Method.LIGHT_AUDIO),
                      last_timestamp=pose.timestamp)
     state.cues = (pose.position, target, to_target)
@@ -274,9 +264,16 @@ def tick(
                        alignment_start - state.signal_time if acknowledged else None)
         return end, _quiet_frame(pose, target, config, env, end.tag)
 
-    # Onsets and ends both increase: of the windows begun by ts, the last, before (ts, inf), ends last.
-    i = bisect_right(state.chimes, (ts, math.inf)) if state.audible else 0
-    chime = i > 0 and ts < state.chimes[i - 1][1]
+    # Chime i plays from signal_time + i * chime_repeat_interval, which cannot fall as i rises, for
+    # duck_duration: the last chime begun by ts, found by bisection over i, ends last.
+    chime = False
+    if state.audible:
+        start, every = state.signal_time, config.chime_repeat_interval
+        lo, hi = 0, max(1, round(config.chime_max_repeats * config.subtlety))  # lo has begun, hi not (or is none)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if start + mid * every <= ts else (lo, mid)
+        chime = ts < start + lo * every + config.duck_duration
     # The duck window is the chime window. Speakers never hear their own
     # voice through the headset, so only listeners are ducked; subtlety
     # scales the duck's depth, and at 0 turns it off.
@@ -285,7 +282,7 @@ def tick(
         gain = 1.0 - config.subtlety * (1.0 - config.duck_gain)
 
     # Both built by tuple.__new__, without the NamedTuple constructors' argument binding.
-    new_state = tuple.__new__(Signaled, state[:9] + (dwell, alignment_start, ts))  # the fields before dwell kept
+    new_state = tuple.__new__(Signaled, state[:8] + (dwell, alignment_start, ts))  # the fields before dwell kept
     new_state.cues = cues
     return new_state, tuple.__new__(CueFrame, (env, point, spot, sound_pos, chime, gain, "signaled"))
 

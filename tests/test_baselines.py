@@ -55,14 +55,14 @@ def test_text_icon_anchors_world_fixed():
 def test_sgd_active_and_phase_on_early():
     s = sgd_state(signaled_state(), pose(0.01, AHEAD), TARGET, 0.01, CFG.ack_threshold)
     assert s.active
-    assert s.phase_on
+    assert sgd_phase(0.01)
     assert FLICKER_HZ == 10.0
 
 
 def test_sgd_phase_off_in_second_half_period():
     s = sgd_state(signaled_state(), pose(0.06, AHEAD), TARGET, 0.06, CFG.ack_threshold)
     assert s.active
-    assert not s.phase_on
+    assert not sgd_phase(0.06)
 
 
 def test_sgd_inactive_when_nearly_aligned():

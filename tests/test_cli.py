@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+import resource
 import subprocess
 import sys
 import weakref
@@ -267,6 +268,20 @@ def test_suite_with_a_repeat_count_beyond_the_float_range_exits_one_without_a_tr
     assert (done.returncode, done.stdout) == (1, b"")
     assert done.stderr == b"error: chime_max_repeats of about 10**400 is beyond the float range (about 1.8e+308)\n"
     assert not (tmp_path / "d").exists()
+
+
+def test_simulate_with_a_chime_every_subnormal_second_exits_zero(tmp_path):
+    # A hundred million repeats a float apart: a session keeps no chime list, so
+    # the run ends as fast as with one chime. Its address space is capped at 1 GiB.
+    cfg = tmp_path / "script.cfg"
+    cfg.write_text((REPO / "configs" / "listener_light_audio.cfg").read_text()
+                   + "\n[audio]\nchime_repeat_interval = 5e-324\nchime_max_repeats = 100000000\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "turncue.cli", "simulate", "--script", str(cfg),
+                           "--out", str(tmp_path / "t.jsonl")], env=env, capture_output=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    assert done.returncode == 0, done.stderr
+    assert any(rec.chime for rec in read_trace((tmp_path / "t.jsonl").read_text()).records)
 
 
 def _trace_name(i, trace):

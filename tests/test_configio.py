@@ -272,13 +272,22 @@ def _plan_with_second_trial(**changes):
         (lambda: GazeAgentModel(seed=1.5), r"seed=1\.5 is not an integer"),
         (lambda: GuidanceConfig(chime_max_repeats=2.5), r"chime_max_repeats=2\.5 must be an integer >= 1"),
         (lambda: GuidanceConfig(chime_max_repeats=True), "chime_max_repeats=True must be an integer >= 1"),
-        # begin_signal scales the repeat count as a float: one that float() cannot hold fails here, briefly.
+        # tick scales the repeat count as a float: one that float() cannot hold fails here, briefly.
         (lambda: GuidanceConfig(chime_max_repeats=10**400, chime_repeat_interval=0.7),
          r"^chime_max_repeats of about 10\*\*400 is beyond the float range \(about 1\.8e\+308\)$"),
         (lambda: GuidanceConfig(chime_max_repeats=2**1024 - 2**970, chime_repeat_interval=0.7),
          r"^chime_max_repeats of about 10\*\*308 is beyond the float range"),
         (lambda: parse_config("[audio]\nchime_repeat_interval = 0.7\nchime_max_repeats = 1" + "0" * 400 + "\n"),
          r"^chime_max_repeats of about 10\*\*400 is beyond the float range \(about 1\.8e\+308\)$"),
+        # A value past int()'s 4,300 digits, or one that str() refuses, shows at a bounded length.
+        (lambda: GuidanceConfig(chime_max_repeats=-10**5000),
+         r"^chime_max_repeats of about -10\*\*5000 must be an integer >= 1$"),
+        (lambda: parse_config("[audio]\nchime_max_repeats = " + "1" * 5000 + "\n"),
+         r"^\[audio\] chime_max_repeats: '1{12}\.\.\.1{13}' is not an integer$"),
+        (lambda: parse_config("[audio]\nchime_max_repeats = -1" + "0" * 4000 + "\n"),
+         r"^chime_max_repeats of about -10\*\*4000 must be an integer >= 1$"),
+        (lambda: parse_config("[audio]\nduck_gain = " + "9" * 5000 + "\n"),
+         r"^\[audio\] duck_gain: '9{12}\.\.\.9{13}' is not a finite number$"),
         # Latency overrides name a real (method, view) cell, once.
         (lambda: GazeAgentModel(latency_overrides=(("lite", "in", 0.1),)), "latency_lite_in names no method"),
         (lambda: GazeAgentModel(latency_overrides=(("sgd", "sideways", 0.2),)), "latency_sgd_sideways names no method"),
@@ -320,15 +329,18 @@ def _plan_with_second_trial(**changes):
          "run_suite-seed-float", "run_suite-jobs-float", "suite_traces-seed-float", "suite_traces-jobs-zero",
          "agent-seed-float", "chime_max_repeats-float",
          "chime_max_repeats-bool", "chime_max_repeats-beyond-float", "chime_max_repeats-rounds-past-float",
-         "config-chime_max_repeats-401-digits", "latency-unknown-method", "latency-unknown-view", "latency-split-method",
+         "config-chime_max_repeats-401-digits", "chime_max_repeats-negative-5001-digits",
+         "config-chime_max_repeats-5000-digits", "config-chime_max_repeats-negative-4001-digits",
+         "config-duck_gain-5000-digits", "latency-unknown-method", "latency-unknown-view", "latency-split-method",
          "latency-repeated-cell", "method-str", "role-str", "run_suite-trial-method-str", "plan-participants-above-trials",
          "plan-trial-participant-outside", "plan-participants-zero-with-trials", "plan-trial-method-str",
          "plan-trial-names-short", "plan-trial-user_seat-range", "seat_radius-huge", "plan-seat_radius-huge",
          "eye_height-huge", "plan-eye_height-huge", "default_script-eye_height-huge"],
 )
 def test_constructors_reject_non_finite_and_out_of_range(build, named):
-    with pytest.raises(ConfigError, match=named):
+    with pytest.raises(ConfigError, match=named) as info:
         build()
+    assert len(str(info.value)) < 200
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -83,6 +84,21 @@ def test_begin_signal_floors_degenerate_range():
     assert state.target_in_view_at_signal
 
 
+def _windows(t, cfg, limit):
+    """The oracle: the first min(limit, count) chime windows of a signal at t, each
+    [onset, onset + duck_duration), the onsets t + i * chime_repeat_interval."""
+    count = max(1, round(cfg.chime_max_repeats * cfg.subtlety))
+    onsets = (t + i * cfg.chime_repeat_interval for i in range(min(count, limit)))
+    return [(c, c + cfg.duck_duration) for c in onsets]
+
+
+def _heard(state, ts, cfg):
+    """(chime, duck gain) of a tick at ts, 90 degrees off the target: no dwell."""
+    new_state, frame = tick(state, pose(ts, AHEAD), TARGET, DT, cfg)
+    assert isinstance(new_state, Signaled)
+    return frame.chime, frame.duck_gain
+
+
 @pytest.mark.parametrize(
     "t,cfg,chimes",
     [
@@ -94,9 +110,33 @@ def test_begin_signal_floors_degenerate_range():
     ids=["single", "single-at-zero", "repeat-twice", "repeat-thrice"],
 )
 def test_begin_signal_schedules_a_chime_at_the_signal_then_every_interval(t, cfg, chimes):
-    # Each chime is held as its window, which lasts duck_duration.
-    windows = tuple((c, c + cfg.duck_duration) for c in chimes)
-    assert begin_signal(IDLE, pose(t, AHEAD), TARGET, Role.LISTENER, cfg).chimes == windows
+    # Each chime lasts duck_duration: a tick chimes, and ducks, exactly when a window
+    # holds its time, probed at every window edge, a float either side, and between.
+    cfg = cfg._replace(miss_timeout=100.0)
+    windows = [(c, c + cfg.duck_duration) for c in chimes]
+    assert _windows(t, cfg, 10) == windows
+    state = begin_signal(IDLE, pose(t, AHEAD), TARGET, Role.LISTENER, cfg)
+    edges = [b for window in windows for b in window]
+    for ts in sorted({x for b in edges for x in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))}
+                     | {(a + b) / 2 for a, b in zip(edges, edges[1:])}):
+        if ts >= t:
+            inside = any(start <= ts < end for start, end in windows)
+            assert _heard(state, ts, cfg) == (inside, cfg.duck_gain if inside else 1.0), ts
+
+
+def test_a_million_chimes_a_float_apart_cost_no_memory():
+    # A session holds no state per chime: a subnormal interval, whose quotient
+    # of the miss timeout is inf, with a million repeats, peaks well under 1 MB.
+    cfg = GuidanceConfig(chime_repeat_interval=5e-324, chime_max_repeats=10**6)
+    tracemalloc.start()
+    try:
+        state = begin_signal(IDLE, pose(1.0, AHEAD), TARGET, Role.LISTENER, cfg)
+        heard = _heard(state, 1.5, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert heard == (True, cfg.duck_gain)
+    assert peak < 2**20
 
 
 def test_begin_signal_rejects_a_negative_signal_time():
@@ -295,33 +335,36 @@ def test_repeated_chimes_duck_a_listener_inside_each_chime_window():
         assert (chime, duck) == (inside, 0.75 if inside else 1.0), t
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
     signal_time=st.floats(0.0, 1e4),
-    interval=st.floats(1e-3, 2.0) | st.sampled_from([5e-324, 1e-12]),
-    duck=st.floats(1e-3, 5.0),
-    repeats=st.integers(1, 8),
+    interval=st.floats(1e-3, 2.0) | st.sampled_from([5e-324, 1e-12]) | st.floats(1e-15, 1e-12),
+    duck=st.floats(1e-3, 5.0) | st.floats(1e-15, 1e-9),
+    repeats=st.integers(1, 8) | st.integers(9, 2**1023),
 )
 def test_a_tick_chimes_exactly_when_a_window_holds_its_time(data, signal_time, interval, duck, repeats):
-    # tick finds the last window that starts at or before ts by bisection and
+    # tick bisects over the chime index for the last chime begun by ts and
     # tests its end alone. That must equal the test over every window, for
     # windows apart, overlapping (a duck longer than the interval) or starting
-    # together (an interval below the signal time's spacing), and for ts at a
-    # window's start or end, a float either side of one, or in between.
-    cfg = GuidanceConfig(duck_duration=duck, chime_max_repeats=repeats, chime_repeat_interval=interval,
-                         miss_timeout=repeats * interval + duck + 1.0)  # every window built, none past the miss
-    state = begin_signal(IDLE, pose(signal_time, AHEAD), TARGET, Role.LISTENER, cfg)
-    assert len(state.chimes) == repeats
-    bounds = [b for window in state.chimes for b in window]
+    # together (an interval below the signal time's spacing, onsets clustered
+    # on its ulp), for ts at a window's start or end, a float either side of
+    # one, or in between, and for any count up to the largest float.
+    # Past the oracle's first 4096 windows, ts stays below the next onset:
+    # onsets cannot fall as the index rises, so no later window has begun.
+    cfg = GuidanceConfig(duck_duration=duck, chime_max_repeats=repeats, chime_repeat_interval=interval)
+    windows = _windows(signal_time, cfg, 4096)
+    before = signal_time + len(windows) * interval if repeats > len(windows) else math.inf
+    bounds = [b for window in windows for b in window if b < before]
+    assume(bounds)
     edge = data.draw(st.sampled_from(bounds))
     ts = data.draw(st.sampled_from([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)])
                    | st.floats(signal_time, max(bounds)))
-    assume(ts >= signal_time)
-    new_state, frame = tick(state, pose(ts, AHEAD), TARGET, DT, cfg)  # 90 degrees off: no dwell
-    inside = any(start <= ts < end for start, end in state.chimes)
-    assert isinstance(new_state, Signaled)
-    assert (frame.chime, frame.duck_gain) == (inside, cfg.duck_gain if inside else 1.0)
+    assume(signal_time <= ts < before)
+    cfg = cfg._replace(miss_timeout=ts - signal_time + 1.0)  # no miss by ts
+    state = begin_signal(IDLE, pose(signal_time, AHEAD), TARGET, Role.LISTENER, cfg)
+    inside = any(start <= ts < end for start, end in windows)
+    assert _heard(state, ts, cfg) == (inside, cfg.duck_gain if inside else 1.0)
 
 
 @pytest.mark.parametrize(
@@ -331,11 +374,15 @@ def test_a_tick_chimes_exactly_when_a_window_holds_its_time(data, signal_time, i
 )
 def test_every_repeat_count_a_float_holds_keeps_its_windows(repeats, windows):
     # The largest accepted count rounds to the largest float. At subtlety 1,
-    # 0.5 and 0, each count builds its round(repeats * subtlety) windows, at
-    # least one, and at most the 1 + ceil(5 / 0.7) = 9 before the miss.
+    # 0.5 and 0, each count plays its round(repeats * subtlety) chimes, at
+    # least one, and a session hears the same chimes as from that count capped
+    # at 1 + ceil(5 / 0.7) = 9, past the last chime to start before the miss.
     for subtlety, count in zip((1.0, 0.5, 0.0), windows):
         cfg = GuidanceConfig(chime_max_repeats=repeats, chime_repeat_interval=0.7, subtlety=subtlety)
-        assert len(begin_signal(IDLE, pose(1.0, AHEAD), TARGET, Role.LISTENER, cfg).chimes) == count, subtlety
+        capped = cfg._replace(chime_max_repeats=count, subtlety=1.0)
+        gain = 1.0 - subtlety * (1.0 - cfg.duck_gain)
+        heard = [(t, chime, gain if chime else 1.0) for t, chime, _ in _chime_timeline(Role.LISTENER, capped)]
+        assert _chime_timeline(Role.LISTENER, cfg) == heard, subtlety
 
 
 def test_duck_integral_over_containing_interval():

@@ -71,7 +71,7 @@ def test_a_checked_value_pickles_as_its_own_class(good):
 
 
 def test_every_value_type_is_a_named_tuple_equal_to_its_fields():
-    unchecked = (TextIconState(True, AHEAD, "Alex", True, AHEAD), SgdState(False, AHEAD, True),
+    unchecked = (TextIconState(True, AHEAD, "Alex", True, AHEAD), SgdState(False, AHEAD),
                  Resolved(1.0, 0.5, Role.LISTENER, True), SuiteResult((), extract_metrics(())),
                  begin_signal(IDLE, Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 0.0), Vec3(1.0, 0.0, 0.0), Role.SPEAKER,
                               GuidanceConfig()))
