@@ -17,7 +17,7 @@ _SUBMODULE_NAMES = {
     "configio": "load_simulation load_suite parse_config",
     "errors": "ConcurrentSignalError ConfigError DegenerateGeometryError GuidanceError InvalidDirectionError "
               "ScriptError TraceIntegrityError TraceOrderError",
-    "geometry": "AngularRange DeviationReference Pose Side Vec3 angular_deviation deviation_to_target lateral_side "
+    "geometry": "AngularRange DeviationReference Pose Vec3 angular_deviation deviation_to_target lateral_side "
                 "normalized_progress",
     "lights": "ColorRGB LightLevels PointLightState SpotlightGeometry SpotlightState env_light_with_fade "
               "light_intensity point_light_color point_light_state spot_cone_angle spotlight_state",
@@ -25,7 +25,7 @@ _SUBMODULE_NAMES = {
     "scenario": "GazeAgentModel ScenarioScript StudyPlan SuiteResult TrialSpec Turn default_script hexagon_seats "
                 "randomize_presentation run_scenario run_suite suite_traces",
     "session": "IDLE CueFrame Idle Resolved SessionState Signaled begin_signal response_time tick",
-    "trace": "Method Role Trace TraceMeta TraceRecord q9 read_trace write_trace",
+    "trace": "Method Role Side Trace TraceMeta TraceRecord q9 read_trace write_trace",
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names.split()}
 __all__ = list(_SUBMODULE)

@@ -11,7 +11,7 @@ import math
 
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import AngularRange, Vec3
-from .trace import Role  # noqa: F401  (re-exported: turncue.audio.Role is public)
+from .trace import _SHOWN, Role  # noqa: F401  (Role is re-exported: turncue.audio.Role is public)
 
 
 def sound_source_position(
@@ -38,5 +38,5 @@ def sound_source_position(
     if easing == "cosine":
         s = 1.0 - math.cos(s * math.pi / 2.0)
     elif easing != "linear":
-        raise ConfigError(f"unknown sound easing '{easing}' (linear or cosine)")
+        raise ConfigError(f"unknown sound easing {_SHOWN.repr(easing)} (linear or cosine)")
     return Vec3(u.x + d.x * s, u.y + d.y * s, u.z + d.z * s)

@@ -34,10 +34,10 @@ def _eval_rows(channel: str, rng: AngularRange, gamma: float, steps: int, config
     from .audio import sound_source_position
     from .geometry import Vec3
     from .lights import light_intensity, point_light_color, spot_cone_angle
-    from .trace import format9
+    from .trace import _SHOWN, format9
 
     if steps < 1:
-        raise GuidanceError(f"steps={steps} must be >= 1")
+        raise GuidanceError(f"steps={_SHOWN.repr(steps)} must be >= 1")
     f, u, t = format9, Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)
     if channel == "env":
         def row(th: float) -> str:

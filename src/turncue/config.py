@@ -70,11 +70,10 @@ class GuidanceConfig(NamedTuple):
         if not 0.0 <= self.theta_min <= 180.0 - MIN_RANGE_WIDTH:
             raise ConfigError(f"theta_min={self.theta_min} must lie in [0, {180.0 - MIN_RANGE_WIDTH:g}]")
         if self.sound_easing not in ("linear", "cosine"):
-            raise ConfigError(f"sound_easing='{self.sound_easing}' must be linear or cosine")
+            raise ConfigError(f"sound_easing={_SHOWN.repr(self.sound_easing)} must be linear or cosine")
         n = self.chime_max_repeats
-        if type(n) is not int or n < 1:  # bools too; a long int, which str() may refuse, shows its size
-            shown = f" of about -10**{math.log10(-n):.0f}" if type(n) is int and n < -10**40 else f"={_SHOWN.repr(n)}"
-            raise ConfigError(f"chime_max_repeats{shown} must be an integer >= 1")
+        if type(n) is not int or n < 1:  # bools too
+            raise ConfigError(f"chime_max_repeats={_SHOWN.repr(n)} must be an integer >= 1")
         if n >= 2**1024 - 2**970:  # rounds past the largest float: tick scales it as one
             raise ConfigError(f"chime_max_repeats of about 10**{math.log10(n):.0f} is beyond "
                               "the float range (about 1.8e+308)")

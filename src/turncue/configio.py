@@ -66,7 +66,7 @@ def _enum(enum_cls):
             return enum_cls(raw.strip().lower())
         except ValueError as exc:
             valid = ", ".join(e.value for e in enum_cls)
-            raise ConfigError(f"{where}: '{raw}' is not one of {valid}") from exc
+            raise ConfigError(f"{where}: {_SHOWN.repr(raw)} is not one of {valid}") from exc
 
     return parse
 
@@ -80,7 +80,7 @@ def _turns(where: str, raw: str) -> tuple[Turn, ...]:
         if not part:
             continue
         if ":" not in part:
-            raise ConfigError(f"{where}: entry '{part}' must be speaker:duration")
+            raise ConfigError(f"{where}: entry {_SHOWN.repr(part)} must be speaker:duration")
         who, dur = part.split(":", 1)
         turns.append(Turn(who.strip(), _float(where, dur.strip())))
     if not turns:
@@ -188,7 +188,7 @@ def parse_sections(text: str, reads: tuple[str, ...]) -> dict[str, dict[str, obj
         values = sections[section] = {}
         for key, raw in cp[section].items():
             if key not in parsers:
-                raise ConfigError(f"unknown key '{key}' in [{section}]")
+                raise ConfigError(f"unknown key {_SHOWN.repr(key)} in [{section}]")
             values[key] = parsers[key](f"[{section}] {key}", raw)
     return sections
 

@@ -12,6 +12,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import ConfigError, DegenerateGeometryError, InvalidDirectionError, checked
+from .trace import Side  # re-exported: turncue.geometry.Side is public
 
 # Tolerance on |v| - 1 for direction-valued vectors.
 UNIT_TOLERANCE = 1e-6
@@ -97,11 +98,6 @@ class DeviationReference(Enum):
 
     HEAD_TO_TARGET = "head_to_target"
     GAZE_TO_TARGET = "gaze_to_target"
-
-
-class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 def angular_deviation(a: Vec3, b: Vec3) -> float:

@@ -11,7 +11,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import TraceIntegrityError
-from .trace import _METHODS, _ROLES, Records, Trace, format9
+from .trace import _SHOWN, Records, Trace, format9
 
 # Legal session-tag successions within one trace.
 _ALLOWED = {
@@ -42,16 +42,13 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
     """(cell, response time) per resolved session; the time is None for a miss."""
     if trace.meta is None:
         raise TraceIntegrityError("trace has no meta line; method is unknown")
-    method = trace.meta.method
-    if method not in _METHODS:
-        raise TraceIntegrityError(f"meta line: unknown method '{method}'")
     outcomes: list[tuple[CellKey, float | None]] = []
     prev = "idle"
     open_tick: int | None = None  # the tick that signaled the open session
     # A session tag changes only where a run starts: its later ticks pass every check that its head does.
     for rec in Records(trace.records).heads:
         if rec.state not in _ALLOWED:
-            raise TraceIntegrityError(f"tick {rec.tick}: unknown session state '{rec.state}'")
+            raise TraceIntegrityError(f"tick {rec.tick}: unknown session state {_SHOWN.repr(rec.state)}")
         if rec.state not in _ALLOWED[prev]:
             raise TraceIntegrityError(f"tick {rec.tick}: illegal session transition {prev} -> {rec.state}")
         entering = rec.state != prev
@@ -64,9 +61,7 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
             # _ALLOWED admits a terminal state only after signaled, which opened the session.
             if rec.in_view is None or rec.role is None:
                 raise TraceIntegrityError(f"tick {rec.tick}: terminal frame lacks view/role")
-            if rec.role not in _ROLES:
-                raise TraceIntegrityError(f"tick {rec.tick}: unknown role '{rec.role}'")
-            key = (method, "in" if rec.in_view else "out", rec.role)
+            key = (trace.meta.method, "in" if rec.in_view else "out", rec.role)
             if rec.state == "acknowledged" and rec.rt is None:
                 raise TraceIntegrityError(f"tick {rec.tick}: acknowledged frame lacks a response time")
             outcomes.append((key, rec.rt if rec.state == "acknowledged" else None))

@@ -28,7 +28,7 @@ from .errors import ScriptError, checked
 from .geometry import Pose, Vec3, _unit_angle
 from .metrics import MetricsSummary, extract_metrics
 from .session import SessionState
-from .trace import Method, Role, Trace, TraceMeta, _Builder, q9
+from .trace import _SHOWN, Method, Role, Trace, TraceMeta, _Builder, q9
 
 
 AGENT_COUNT = 5
@@ -51,18 +51,20 @@ NAME_POOL = (
 )
 
 
-def _check_ints(**values) -> None:
-    """Reject a value that is not an int, bools included, as the trace's int fields do."""
+def _check_ints(least: int | None = None, **values) -> None:
+    """Reject a value that is not an int, bools included, as the trace's int fields do, or is below least."""
     for name, value in values.items():
         if type(value) is not int:
-            raise ScriptError(f"{name}={value!r} is not an integer")
+            raise ScriptError(f"{name}={_SHOWN.repr(value)} is not an integer")
+        if least is not None and value < least:
+            raise ScriptError(f"{name}={_SHOWN.repr(value)} must be >= {least}")
 
 
 def _check_user_seat(index: int) -> None:
     """The user sits in one of the six seats."""
     _check_ints(user_seat_index=index)
     if not 0 <= index <= AGENT_COUNT:
-        raise ScriptError(f"user_seat_index={index} out of range")
+        raise ScriptError(f"user_seat_index={_SHOWN.repr(index)} out of range")
 
 
 def stable_seed(*parts) -> int:
@@ -78,7 +80,7 @@ class Turn(NamedTuple):
 
     def _check(self) -> None:
         if self.speaker not in (USER_ID, *AGENT_IDS):
-            raise ScriptError(f"turn references unknown speaker id '{self.speaker}'")
+            raise ScriptError(f"turn references unknown speaker id {_SHOWN.repr(self.speaker)}")
         if not 0.0 < self.duration < math.inf:
             raise ScriptError(f"turn duration {self.duration} for '{self.speaker}' must be finite and > 0")
 
@@ -104,7 +106,7 @@ class ScenarioScript(NamedTuple):
             )
         for name, kind in (("method", Method), ("role", Role)):
             if not isinstance(getattr(self, name), kind):
-                raise ScriptError(f"{name}={getattr(self, name)!r} is not a {kind.__name__}")
+                raise ScriptError(f"{name}={_SHOWN.repr(getattr(self, name))} is not a {kind.__name__}")
         _check_user_seat(self.user_seat_index)
         _check_ints(topic=self.topic)
         user = self.seats[self.user_seat_index]
@@ -319,9 +321,8 @@ def run_scenario(
     """
     if not 0.0 < dt <= 0.1:
         raise ScriptError(f"dt={dt} must lie in (0, 0.1]")
-    _check_ints(participant=participant, seed=seed)
-    if participant < 0:
-        raise ScriptError(f"participant={participant} must be >= 0")
+    _check_ints(0, participant=participant)
+    _check_ints(seed=seed)
     turns = script.turn_order
     max_ticks = 16 + (
         sum(t.duration for t in turns) + len(turns) * (script.signal_offset + config.miss_timeout + 2.0)
@@ -420,10 +421,10 @@ def run_scenario(
             gaze_theta = state.cues[6] if flickers and isinstance(state, sess.Signaled) else None  # see sess._cues
             sg = sgd_state(state if flickers else sess.IDLE, pose, aim, t, config.ack_threshold, gaze_theta)
         env, (point_on, side, point_pos, color), spot, sound_pos, chime, duck, tag = frame
-        raw = (  # the record's fields in order; an Enum's _value_ is its value without the descriptor
+        raw = (  # the record's fields in order
             k, t, user_pos, head, gaze, tag, target_id, sess.response_time(state),
-            None if idle else state.target_in_view_at_signal, None if idle else state.role._value_,
-            env, point_on, side._value_, point_pos, color, *spot, sound_pos, chime, duck,
+            None if idle else state.target_in_view_at_signal, None if idle else state.role,
+            env, point_on, side, point_pos, color, *spot, sound_pos, chime, duck,
             ti.panel_active, ti.panel_anchor, ti.panel_text, ti.icon_active, ti.icon_anchor,
             sg.active, sg.region_center,
             turns[turn_idx].speaker,
@@ -438,7 +439,7 @@ def run_scenario(
             k = event
 
     meta = TraceMeta(
-        method=script.method.value, role=script.role.value, topic=script.topic, participant=participant, seed=seed,
+        method=script.method, role=script.role, topic=script.topic, participant=participant, seed=seed,
         dt=dt, user_seat=script.user_seat_index, seats=script.seats, desk_anchor=desk, names=script.names,
     )
     return Trace(meta=meta, records=runs.records())
@@ -460,10 +461,7 @@ class TrialSpec(NamedTuple):
     names: tuple[str, ...]
 
     def _check(self) -> None:
-        _check_ints(participant=self.participant, order_index=self.order_index)
-        for name in ("participant", "order_index"):
-            if getattr(self, name) < 0:
-                raise ScriptError(f"{name}={getattr(self, name)} must be >= 0")
+        _check_ints(0, participant=self.participant, order_index=self.order_index)
 
 
 @checked
@@ -474,19 +472,17 @@ class StudyPlan(NamedTuple):
     trials: tuple[TrialSpec, ...] = ()
 
     def _check(self) -> None:
-        _check_ints(participants=self.participants)
-        if self.participants < 0:
-            raise ScriptError(f"participants={self.participants} must be >= 0")
+        _check_ints(0, participants=self.participants)
         hexagon_seats(self.seat_radius, self.eye_height)  # checks both here, not at the first trial
         for i, trial in enumerate(self.trials):
             if not isinstance(trial, TrialSpec):
-                raise ScriptError(f"trials[{i}]={trial!r} is not a TrialSpec")
+                raise ScriptError(f"trials[{i}]={_SHOWN.repr(trial)} is not a TrialSpec")
             try:
                 script_for_trial(self, trial)  # so a bad trial fails before any trial runs
             except ScriptError as e:
                 raise ScriptError(f"trials[{i}]: {e}") from None
         if self.trials and {trial.participant for trial in self.trials} != set(range(self.participants)):
-            raise ScriptError(f"participants={self.participants} is not the set of the trials' participants")
+            raise ScriptError(f"participants={_SHOWN.repr(self.participants)} is not the set of the trials' participants")
 
 
 def randomize_presentation(plan: StudyPlan, seed: int) -> StudyPlan:
@@ -559,9 +555,8 @@ def suite_traces(
     no speedup and a two-process pool under 1.5x. `jobs` is accepted (it
     must be >= 1) but not used.
     """
-    _check_ints(seed=seed, jobs=jobs)
-    if jobs < 1:
-        raise ScriptError(f"jobs={jobs} must be >= 1")
+    _check_ints(seed=seed)
+    _check_ints(1, jobs=jobs)
     if not plan.trials:
         plan = randomize_presentation(plan, seed)
     return (

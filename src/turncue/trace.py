@@ -9,8 +9,8 @@ is canonicalized, written and read back. Both are NamedTuples of canonical
 values in field order. A trace holds its records as Records, runs of ticks
 that change nothing but tick and t. Frames are deltas: the first frame line
 carries every field, each later one only those that changed; the line of an
-unchanged tick, tick and t alone, skips the diff and the JSON decoder. Role
-and Method are the names a trace gives its roles and methods.
+unchanged tick, tick and t alone, skips the diff and the JSON decoder. A field
+of kind Role, Method or Side takes a member or its value and holds the value.
 """
 
 from __future__ import annotations
@@ -39,9 +39,15 @@ _q9_memo: dict[float, float] = {}
 _text_memo: dict[float, str] = {}
 _NUMBER = frozenset((int, float))
 _UNSET = object()  # a field that no line has set yet
-# An invalid value shows an int whole, as int() reads it (4300 digits by default), and
-# any other value at two levels of 6 items, ints at 40 digits, strs at 30: about 2 KB.
-_SHOWN = reprlib.Repr()
+
+
+class _Shown(reprlib.Repr):  # an int past 40 digits by its size: repr() refuses one past int()'s digit limit
+    def repr_int(self, x: int, level: int) -> str:
+        return repr(x) if -10**40 < x < 10**40 else f"about {'-' * (x < 0)}10**{math.log10(abs(x)):.0f}"
+
+
+# An invalid value shows at two levels of 6 items, ints at 40 digits, strs at 30: about 2 KB.
+_SHOWN = _Shown()
 _SHOWN.maxlevel = 2
 
 
@@ -59,8 +65,9 @@ class Method(Enum):
     TEXT_ICON = "text_icon"
 
 
-_ROLES = frozenset(role.value for role in Role)
-_METHODS = frozenset(method.value for method in Method)
+class Side(Enum):
+    LEFT = "left"
+    RIGHT = "right"
 
 
 def format9(x: float) -> str:
@@ -103,6 +110,11 @@ def _int(x) -> int:
     return index(x)
 
 
+def _name(kind: type[Enum], *others):
+    """The canonical form of a field of kind: a member, or its value, as the value; others as themselves."""
+    return {**{x: x for x in others}, **{key: m._value_ for m in kind for key in (m, m._value_)}}.__getitem__
+
+
 def _is(*kinds: type):
     def check(x):
         if isinstance(x, kinds):
@@ -112,8 +124,8 @@ def _is(*kinds: type):
     return check
 
 
-# Canonical form per field annotation; each raises TypeError, ValueError or
-# OverflowError on a value that does not have the annotated type.
+# Canonical form per field annotation; each raises TypeError, ValueError,
+# OverflowError or KeyError on a value that does not have the annotated type.
 _CANONICAL = {
     "int": _int,
     "float": q9,
@@ -125,6 +137,10 @@ _CANONICAL = {
     "str | None": _is(str, type(None)),
     "bool": _is(bool),
     "bool | None": _is(bool, type(None)),
+    "Method": _name(Method),
+    "Role": _name(Role),
+    "Role | None": _name(Role, None),
+    "Side": _name(Side),
 }
 
 
@@ -151,13 +167,16 @@ class _Canonical:
         for i in changed:
             try:
                 values[i] = canon[i](raw[i])
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError, OverflowError, KeyError):
                 raise cls._invalid(i, raw[i]) from None
         return tuple.__new__(cls, values)
 
     @classmethod
     def _invalid(cls, i: int, value) -> TraceIntegrityError:
-        shown = repr(value) if value.__class__ is int else _SHOWN.repr(value)
+        try:  # an int whole, as the reader reads it, up to int()'s digit limit
+            shown = repr(value) if value.__class__ is int else _SHOWN.repr(value)
+        except ValueError:
+            shown = _SHOWN.repr(value)
         return TraceIntegrityError(f"{cls._fields[i]}={shown} is not a valid {cls._kinds[i]}")
 
     @classmethod
@@ -192,8 +211,8 @@ def _canonical(fields: type) -> type:
 class TraceMeta(NamedTuple):
     """Scenario identity stored as the first line of a trace file."""
 
-    method: str
-    role: str
+    method: Method
+    role: Role
     topic: int
     participant: int
     seed: int
@@ -217,10 +236,10 @@ class TraceRecord(NamedTuple):
     target: str | None
     rt: float | None
     in_view: bool | None
-    role: str | None
+    role: Role | None
     env: float
     point_active: bool
-    point_side: str
+    point_side: Side
     point_pos: Triple
     point_color: Triple
     spot_active: bool
@@ -337,7 +356,7 @@ class _Builder:
                     if values is None:
                         values = list(head)
                     values[i] = value
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, KeyError):
             raise TraceRecord._invalid(i, raw[i]) from None
         if values is not None:  # tick is the checked position
             values[0], values[1] = len(ts), t
@@ -429,8 +448,7 @@ def read_trace(text: str) -> Trace:
     unchanged, and only the fields it holds are canonicalized. Ticks must
     count up from 0, one per frame. After the first frame, a line that is exactly
     {"kind":"frame","tick":K,"t":T} gives the decoder's record or error without it,
-    and its record is held as one more t of the run before it. The meta line
-    must name a known method and role."""
+    and its record is held as one more t of the run before it."""
     meta: TraceMeta | None = None
     runs = _Builder()
     ts = runs.ts
@@ -464,7 +482,7 @@ def read_trace(text: str) -> Trace:
             if kind == "frame":
                 # Older files carry the flicker phase, a function of t: checked, then dropped.
                 if type(phase := obj.pop("sgd_phase", False)) is not bool:
-                    raise TraceIntegrityError(f"sgd_phase={phase!r} is not a valid bool")
+                    raise TraceIntegrityError(f"sgd_phase={_SHOWN.repr(phase)} is not a valid bool")
                 rec = TraceRecord._read(runs.last() if ts else None, obj)
                 if rec.tick != len(ts):
                     raise TraceIntegrityError(f"tick {rec.tick} where {len(ts)} was expected")
@@ -475,10 +493,6 @@ def read_trace(text: str) -> Trace:
                 raise TraceIntegrityError("meta must be the first line")
             else:
                 meta = TraceMeta._read(None, obj)
-                if meta.method not in _METHODS:
-                    raise TraceIntegrityError(f"unknown method {meta.method!r}")
-                if meta.role not in _ROLES:
-                    raise TraceIntegrityError(f"unknown role {meta.role!r}")
         except TraceIntegrityError as exc:
             raise TraceIntegrityError(f"line {lineno}: {exc}") from None
     return Trace(meta=meta, records=runs.records())

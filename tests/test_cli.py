@@ -505,20 +505,18 @@ def test_metrics_on_cut_trace_exits_one_naming_the_file(script_file, tmp_path, c
     )
 
 
-def test_metrics_on_misspelt_role_exits_one_naming_the_tick(script_file, tmp_path, capsys):
-    # Delta frames carry the role on the signaled frame; the session's
-    # terminal frame inherits it, and that is where its cell is keyed. The
-    # meta line keeps its role, which read_trace checks.
+def test_metrics_on_misspelt_frame_role_exits_one_naming_the_line(script_file, tmp_path, capsys):
+    # Delta frames carry the role on the signaled frame, which the reader
+    # rejects, naming its line. The meta line keeps its role.
     out = tmp_path / "t.jsonl"
     assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
     meta, frames = out.read_text().split("\n", 1)
     assert '"role":"listener"' in frames
     out.write_text(meta + "\n" + frames.replace('"role":"listener"', '"role":"lisener"'))
+    lineno = 2 + frames.split('"role":"listener"', 1)[0].count("\n")
     capsys.readouterr()
     assert cli(["metrics", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert re.fullmatch(rf"error: {re.escape(str(out))}: tick \d+: unknown role 'lisener'\n", captured.err)
+    assert capsys.readouterr() == ("", f"error: {out}: line {lineno}: role='lisener' is not a valid Role | None\n")
 
 
 def test_metrics_on_unknown_method_exits_one_naming_the_file(script_file, tmp_path, capsys):
@@ -529,7 +527,7 @@ def test_metrics_on_unknown_method_exits_one_naming_the_file(script_file, tmp_pa
     out.write_text(text.replace('"method":"light_audio"', '"method":"lightaudio"'))
     capsys.readouterr()
     assert cli(["metrics", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: {out}: line 1: unknown method 'lightaudio'\n")
+    assert capsys.readouterr() == ("", f"error: {out}: line 1: method='lightaudio' is not a valid Method\n")
 
 
 def test_metrics_on_unknown_meta_role_exits_one_naming_the_line(script_file, tmp_path, capsys):
@@ -540,7 +538,7 @@ def test_metrics_on_unknown_meta_role_exits_one_naming_the_line(script_file, tmp
     out.write_text(meta.replace('"role":"listener"', '"role":"lisener"') + "\n" + frames)
     capsys.readouterr()
     assert cli(["metrics", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: {out}: line 1: unknown role 'lisener'\n")
+    assert capsys.readouterr() == ("", f"error: {out}: line 1: role='lisener' is not a valid Role\n")
 
 
 def test_metrics_on_deeply_nested_json_exits_one_naming_the_line(script_file, tmp_path, capsys):

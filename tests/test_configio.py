@@ -4,17 +4,21 @@ from pathlib import Path
 
 import pytest
 
-from turncue.audio import Role
+from _rand import make_meta, make_record
+from turncue.audio import Role, sound_source_position
+from turncue.cli import _eval_rows
 from turncue.config import GuidanceConfig
 from turncue.configio import _SCHEMA, load_simulation, load_suite, parse_config
-from turncue.errors import ConfigError, ScriptError
-from turncue.geometry import AngularRange, normalized_progress
+from turncue.errors import ConfigError, GuidanceError, ScriptError, TraceIntegrityError
+from turncue.geometry import AngularRange, Vec3, normalized_progress
 from turncue.lights import LightLevels
+from turncue.metrics import extract_metrics
 from turncue.scenario import (
     GazeAgentModel,
     Method,
     ScenarioScript,
     StudyPlan,
+    Turn,
     default_desk_anchor,
     default_script,
     hexagon_seats,
@@ -23,6 +27,7 @@ from turncue.scenario import (
     run_suite,
     suite_traces,
 )
+from turncue.trace import Trace, read_trace, write_trace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -281,11 +286,11 @@ def _plan_with_second_trial(**changes):
          r"^chime_max_repeats of about 10\*\*400 is beyond the float range \(about 1\.8e\+308\)$"),
         # A value past int()'s 4,300 digits, or one that str() refuses, shows at a bounded length.
         (lambda: GuidanceConfig(chime_max_repeats=-10**5000),
-         r"^chime_max_repeats of about -10\*\*5000 must be an integer >= 1$"),
+         r"^chime_max_repeats=about -10\*\*5000 must be an integer >= 1$"),
         (lambda: parse_config("[audio]\nchime_max_repeats = " + "1" * 5000 + "\n"),
          r"^\[audio\] chime_max_repeats: '1{12}\.\.\.1{13}' is not an integer$"),
         (lambda: parse_config("[audio]\nchime_max_repeats = -1" + "0" * 4000 + "\n"),
-         r"^chime_max_repeats of about -10\*\*4000 must be an integer >= 1$"),
+         r"^chime_max_repeats=about -10\*\*4000 must be an integer >= 1$"),
         (lambda: parse_config("[audio]\nduck_gain = " + "9" * 5000 + "\n"),
          r"^\[audio\] duck_gain: '9{12}\.\.\.9{13}' is not a finite number$"),
         # Latency overrides name a real (method, view) cell, once.
@@ -341,6 +346,56 @@ def test_constructors_reject_non_finite_and_out_of_range(build, named):
     with pytest.raises(ConfigError, match=named) as info:
         build()
     assert len(str(info.value)) < 200
+
+
+_LONG = "x" * 100_000
+_HUGE = -(10**5000)  # more digits than str() converts, 4,300 unless set otherwise
+
+
+@pytest.mark.parametrize(
+    "build,error,named",
+    [
+        (lambda: load_suite("[plan]\nparticipants = -1" + "0" * 4000 + "\n"), ScriptError, "participants"),
+        (lambda: StudyPlan(participants=_HUGE), ScriptError, "participants"),
+        (lambda: default_script(Method.SGD, Role.LISTENER)._replace(user_seat_index=_HUGE), ScriptError,
+         "user_seat_index"),
+        (lambda: _a_trial()._replace(order_index=_HUGE), ScriptError, "order_index"),
+        (lambda: run_scenario(default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), GuidanceConfig(),
+                              participant=_HUGE), ScriptError, "participant"),
+        (lambda: suite_traces(StudyPlan(participants=1), GazeAgentModel(), GuidanceConfig(), jobs=_HUGE), ScriptError,
+         "jobs"),
+        (lambda: GazeAgentModel(seed=_LONG), ScriptError, "seed"),
+        (lambda: default_script(_LONG, Role.LISTENER), ScriptError, "method"),
+        (lambda: load_simulation("[scenario]\nmethod = " + _LONG + "\n"), ConfigError, "[scenario] method"),
+        (lambda: load_simulation("[scenario]\nturns = " + _LONG + "\n"), ConfigError, "[scenario] turns"),
+        (lambda: parse_config(f"[audio]\n{_LONG} = 1\n"), ConfigError, "unknown key"),
+        (lambda: Turn(_LONG, 1.0), ScriptError, "speaker"),
+        (lambda: GuidanceConfig(sound_easing=_LONG), ConfigError, "sound_easing"),
+        (lambda: sound_source_position(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), 45.0, AngularRange(0.0, 90.0), _LONG),
+         ConfigError, "easing"),
+        (lambda: read_trace(write_trace([make_record(0, 0.0)]).replace(
+            '{"kind":"frame",', '{"kind":"frame","sgd_phase":[' + ",".join(["0"] * 50_000) + "],")),
+         TraceIntegrityError, "sgd_phase"),
+        (lambda: make_record(0, 0.0)._replace(t=_HUGE), TraceIntegrityError, "t="),
+        (lambda: extract_metrics([Trace(make_meta(), (make_record(0, 0.0, state=_LONG),))]), TraceIntegrityError,
+         "session state"),
+        (lambda: StudyPlan(participants=1, trials=(_LONG,)), ScriptError, "trials[0]"),
+        (lambda: list(_eval_rows("env", AngularRange(0.0, 90.0), 1.0, _HUGE, GuidanceConfig())), GuidanceError,
+         "steps"),
+    ],
+    ids=["plan-participants-negative-4001-digits", "participants-negative-5001-digits",
+         "user_seat_index-negative-5001-digits", "trial-order_index-negative-5001-digits",
+         "run_scenario-participant-negative-5001-digits", "suite_traces-jobs-negative-5001-digits",
+         "agent-seed-long-str", "default_script-method-long-str", "config-method-long", "config-turns-entry-long",
+         "config-key-long", "turn-speaker-long", "sound_easing-long", "sound_source_position-easing-long",
+         "read-sgd_phase-long-list", "record-t-5001-digits", "metrics-state-long", "plan-trial-long-str",
+         "eval-steps-negative-5001-digits"],
+)
+def test_an_error_shows_a_huge_or_long_value_bounded(build, error, named):
+    # Each value is shown through trace._SHOWN: a long int by its size, a long str or list cut short.
+    with pytest.raises(GuidanceError) as info:
+        build()
+    assert type(info.value) is error and named in str(info.value) and len(str(info.value)) <= 200
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])

@@ -823,3 +823,40 @@ def test_skipping_the_channels_a_method_does_not_present_changes_no_record(monke
     assert (masked == every_channel.records) == (method is Method.LIGHT_AUDIO)
     assert trace.records == masked
     assert write_trace(trace.records, trace.meta) == write_trace(masked, every_channel.meta)
+
+
+_MIRRORED = ("pos", "head", "gaze", "point_pos", "spot_aim", "sound_pos", "panel_anchor", "icon_anchor", "sgd_center")
+_SWAPPED = {"left": "right", "right": "left"}
+
+
+def _mirror(v) -> Vec3:
+    """v reflected in the plane z = 0."""
+    return Vec3(v[0], v[1], -v[2])
+
+
+@settings(max_examples=12, deadline=None)
+@given(method=st.sampled_from(METHODS), role=st.sampled_from(Role), user_seat=st.integers(0, 5),
+       radius=st.floats(0.6, 3.0), dt=st.sampled_from([FAST_DT, 1 / 72]),
+       agent=st.tuples(st.floats(20.0, 300.0), st.just(0.0) | st.floats(0.5, 10.0), st.floats(0.2, 6.0),
+                       st.integers(0, 9)).map(lambda a: GazeAgentModel(a[0], a[1], latency_out=a[2], seed=a[3])))
+@example(method=Method.LIGHT_AUDIO, role=Role.LISTENER, user_seat=3, radius=1.2, dt=1 / 72,
+         agent=GazeAgentModel(head_speed=40.0, gaze_lead=7.0))
+def test_a_scene_mirrored_in_z_gives_the_mirrored_records_tick_for_tick(method, role, user_seat, radius, dt, agent):
+    # A metamorphic relation: negate the z of every seat and of the desk, and
+    # every record is the original's with the z of each position and direction
+    # negated and the point light on the other side, exactly. Where the head
+    # points straight at the target, both sides read right (lateral_side's tie),
+    # and the point light's side and position are exempt.
+    script = default_script(method, role, user_seat_index=user_seat, seat_radius=radius)
+    desk = default_desk_anchor(script.seats, user_seat)
+    original = run_scenario(script._replace(desk_anchor=desk), agent, CFG, dt=dt, seed=5)
+    mirror = script._replace(seats=tuple(map(_mirror, script.seats)), desk_anchor=_mirror(desk))
+    mirrored = run_scenario(mirror, agent, CFG, dt=dt, seed=5)
+    assert mirrored.meta == original.meta._replace(seats=mirror.seats, desk_anchor=mirror.desk_anchor)
+    assert len(mirrored.records) == len(original.records)
+    for rec, got in zip(original.records, mirrored.records):
+        expected = rec._replace(point_side=_SWAPPED[rec.point_side], **{name: _mirror(getattr(rec, name))
+                                                                        for name in _MIRRORED})
+        if rec.point_side == got.point_side == "right":
+            expected = expected._replace(point_side="right", point_pos=got.point_pos)
+        assert got == expected, rec.tick

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from enum import Enum
 from typing import NamedTuple
 
 import pytest
@@ -11,7 +12,12 @@ from _rand import make_meta, make_record, random_trace
 from turncue.errors import TraceIntegrityError
 from turncue.trace import (
     _MEMO_CAP,
+    _SHOWN,
+    Method,
     Records,
+    Role,
+    Side,
+    TraceMeta,
     TraceRecord,
     _Builder,
     _canonical,
@@ -200,8 +206,8 @@ def _trace_lines() -> list[str]:
         (2, '"tick":0', '"tick":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
         (3, '"tick":1', '"tick":1,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
         (4, '"tick":2,', "", "tick 1 where 2 was expected"),  # a later frame that lost its tick
-        (1, '"method":"light_audio"', '"method":"lightaudio"', "unknown method 'lightaudio'"),
-        (1, '"role":"listener"', '"role":"lisener"', "unknown role 'lisener'"),
+        (1, '"method":"light_audio"', '"method":"lightaudio"', "method='lightaudio' is not a valid Method"),
+        (1, '"role":"listener"', '"role":"lisener"', "role='lisener' is not a valid Role"),
         (2, '"pos":[0,0,0]', '"pos":' + "[" * 100_000 + "]" * 100_000, "a JSON value nested too deeply to read"),
     ],
     ids=["missing-field", "non-numeric", "short-triple", "short-seat", "non-integer", "str-bool", "str-float",
@@ -292,6 +298,8 @@ _VALUES = {  # a strategy per field annotation of TraceRecord, tick aside
     "str | None": st.none() | st.sampled_from(["a1", "a2"]),
     "bool": st.booleans(),
     "bool | None": st.none() | st.booleans(),
+    "Role | None": st.none() | st.sampled_from([role.value for role in Role]),
+    "Side": st.sampled_from([side.value for side in Side]),
 }
 _KIND = dict(zip(TraceRecord._fields, TraceRecord._kinds))
 _CHANGING = [name for name in TraceRecord._fields if name != "tick"]
@@ -606,10 +614,16 @@ def test_record_keeps_the_field_names_that_perfbench_layers_reads():
     assert tuple(TraceRecord.__dataclass_fields__) == TraceRecord._fields
 
 
+_ENUMS = {"Method": Method, "Role": Role, "Role | None": Role, "Side": Side}  # each named kind's enum
+
+
 def _is_canonical(value, kind: str) -> bool:
-    """value is what canonicalizing a value of annotation kind gives: q9 floats, 0.0 for -0.0."""
-    if kind == "float | None" and value is None:
+    """value is what canonicalizing a value of annotation kind gives: q9 floats, 0.0 for -0.0,
+    a member's value for a member."""
+    if kind.endswith(" | None") and value is None:
         return True
+    if kind in _ENUMS:
+        return type(value) is str and value in [member.value for member in _ENUMS[kind]]
     if kind.startswith("float"):
         return type(value) is float and value.hex() == _canonical_hex(value)
     if kind == "Triple":
@@ -619,7 +633,8 @@ def _is_canonical(value, kind: str) -> bool:
 
 _RAW_FLOAT = _FLOAT | st.integers(-(10**6), 10**6)  # an int is a valid float field value too
 _RAW = {**_VALUES, "float": _RAW_FLOAT, "float | None": st.none() | _RAW_FLOAT,
-        "Triple": st.tuples(_RAW_FLOAT, _RAW_FLOAT, _RAW_FLOAT)}
+        "Triple": st.tuples(_RAW_FLOAT, _RAW_FLOAT, _RAW_FLOAT),
+        "Role | None": _VALUES["Role | None"] | st.sampled_from(Role), "Side": _VALUES["Side"] | st.sampled_from(Side)}
 
 
 @given(st.data())
@@ -655,6 +670,68 @@ def test_every_way_to_build_a_record_canonicalizes(data):
 def test_every_way_to_build_a_record_rejects_a_bad_value(build, message):
     with pytest.raises(TraceIntegrityError, match=f"^{message}$"):
         build()
+
+
+_NAMED = [(cls, name) for cls in (TraceMeta, TraceRecord) for name, kind in zip(cls._fields, cls._kinds) if kind in _ENUMS]
+
+
+def _builds(cls, name: str, value) -> list:
+    """Each way to build a line of cls whose field name is value, the others make_meta's or make_record's:
+    the constructor by keyword and by position, _make, _replace, and for a record _Builder.step, first
+    and after a record that differs in that field alone."""
+    base = make_meta() if cls is TraceMeta else make_record(0, 0.0)
+    i = cls._fields.index(name)
+    raw = (*base[:i], value, *base[i + 1:])
+
+    def step(*before):
+        runs = _Builder()
+        for rec in (*before, raw if not before else (1, *raw[1:])):
+            runs.step(rec)
+        return _at(runs.last(), 0, 0.0)  # at the first tick, as the other ways build it
+
+    ways = [lambda: cls(**dict(zip(cls._fields, raw))), lambda: cls(*raw), lambda: cls._make(raw),
+            lambda: base._replace(**{name: value})]
+    return ways + [step, lambda: step(tuple(base))] if cls is TraceRecord else ways
+
+
+def _read_with(cls, name: str, value):
+    """read_trace of a meta line and a frame, the line of cls with its field name set to value."""
+    lines = write_trace([make_record(0, 0.0)], make_meta()).splitlines()
+    k = 0 if cls is TraceMeta else 1
+    lines[k] = json.dumps({**json.loads(lines[k]), name: value})
+    back = read_trace("\n".join(lines) + "\n")
+    return back.meta if cls is TraceMeta else back.records[0]
+
+
+_NOT_A_NAME = (st.none() | st.text(max_size=12) | st.integers(-(10**30), 10**30) | st.booleans()
+               | st.lists(st.integers(-9, 9) | st.text(max_size=3), max_size=3))
+
+
+@given(st.sampled_from(_NAMED), st.data())
+def test_a_named_field_takes_a_member_or_its_value_and_nothing_else(named, data):
+    # method and role of the meta line, and role and point_side of a frame: every way to build
+    # or read one holds a member's value, which write -> read gives back, and rejects any other
+    # value, another enum's member included, with the one message.
+    cls, name = named
+    kind = cls._kinds[cls._fields.index(name)]
+    member = data.draw(st.sampled_from(_ENUMS[kind]))
+    for value in (member, member.value):
+        for build in _builds(cls, name, value):
+            line = build()
+            assert type(line) is cls and type(getattr(line, name)) is str and getattr(line, name) == member.value
+            back = read_trace(write_trace([], line) if cls is TraceMeta else write_trace([line]))
+            assert (back.meta if cls is TraceMeta else back.records[0]) == line == _read_with(cls, name, member.value)
+    valid = [*_ENUMS[kind], *(m.value for m in _ENUMS[kind]), *([None] if kind.endswith(" | None") else [])]
+    bad = data.draw((_NOT_A_NAME | st.sampled_from([*Method, *Role, *Side])).filter(lambda v: v not in valid))
+    message = f"{name}={_SHOWN.repr(bad)} is not a valid {kind}"
+    for build in _builds(cls, name, bad):
+        with pytest.raises(TraceIntegrityError) as caught:
+            build()
+        assert str(caught.value) == message
+    if not isinstance(bad, Enum):  # JSON holds no member
+        with pytest.raises(TraceIntegrityError) as caught:
+            _read_with(cls, name, bad)
+        assert str(caught.value) == f"line {1 if cls is TraceMeta else 2}: {message}"
 
 
 @given(st.data())
