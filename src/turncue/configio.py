@@ -180,7 +180,7 @@ def parse_sections(text: str, reads: tuple[str, ...]) -> dict[str, dict[str, obj
     sections = {}
     for section in cp.sections():
         if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ConfigError(f"unknown section {_SHOWN.repr(section)}")
         if section not in reads:
             listing = ", ".join(f"[{name}]" for name in reads[:-1])
             raise ConfigError(f"this file may hold {listing} and [{reads[-1]}], not [{section}]")

@@ -151,7 +151,7 @@ class GazeAgentModel(NamedTuple):
         for m, v, mean in self.latency_overrides:
             name = f"latency_{m}_{v}"
             if LATENCY_OVERRIDES.get(name) != (m, v):
-                raise ScriptError(f"agent {name} names no method and view (in or out)")
+                raise ScriptError(f"agent {_SHOWN.repr(name)} names no method and view (in or out)")
             if name in latencies:
                 raise ScriptError(f"agent {name} is given twice")
             latencies[name] = mean
@@ -334,9 +334,13 @@ def run_scenario(
             f"miss_timeout={config.miss_timeout} allow {max_ticks:.3g} ticks, over {MAX_TICKS}"
         )
 
-    rng = random.Random(stable_seed("scenario", seed, agent.seed))
     user_pos = script.seats[script.user_seat_index]
     desk = script.desk_anchor or default_desk_anchor(script.seats, script.user_seat_index)
+    meta = TraceMeta(  # before stable_seed and the loop: an int that no trace can hold fails here
+        method=script.method, role=script.role, topic=script.topic, participant=participant, seed=seed,
+        dt=dt, user_seat=script.user_seat_index, seats=script.seats, desk_anchor=desk, names=script.names,
+    )
+    rng = random.Random(stable_seed("scenario", seed, agent.seed))
 
     def ticks_of(duration: float) -> int:
         # first tick at or after the duration; exact when divisible by dt
@@ -438,10 +442,6 @@ def run_scenario(
             ts.extend([q9(j * dt) for j in range(k, event)])
             k = event
 
-    meta = TraceMeta(
-        method=script.method, role=script.role, topic=script.topic, participant=participant, seed=seed,
-        dt=dt, user_seat=script.user_seat_index, seats=script.seats, desk_anchor=desk, names=script.names,
-    )
     return Trace(meta=meta, records=runs.records())
 
 
@@ -507,17 +507,7 @@ def randomize_presentation(plan: StudyPlan, seed: int) -> StudyPlan:
             for m in order:
                 names = tuple(rng.sample(NAME_POOL, AGENT_COUNT))
                 seat = first_seat if idx % 2 == 0 else 3 - first_seat
-                trials.append(
-                    TrialSpec(
-                        participant=p,
-                        order_index=idx,
-                        method=METHODS[m],
-                        role=role,
-                        topic=topics[idx % 4],
-                        user_seat_index=seat,
-                        names=names,
-                    )
-                )
+                trials.append(TrialSpec(p, idx, METHODS[m], role, topics[idx % 4], seat, names))
                 idx += 1
     return plan._replace(trials=tuple(trials))
 

@@ -7,17 +7,16 @@ is fixed; identical runs produce identical files. The field annotations of
 TraceMeta and TraceRecord are the whole schema: they decide how each field
 is canonicalized, written and read back. Both are NamedTuples of canonical
 values in field order. A trace holds its records as Records, runs of ticks
-that change nothing but tick and t. Frames are deltas: the first frame line
-carries every field, each later one only those that changed; the line of an
-unchanged tick, tick and t alone, skips the diff and the JSON decoder. A field
-of kind Role, Method or Side takes a member or its value and holds the value.
+that change nothing but tick and t. A frame line is the next tick: it holds t
+only where t is not the derived q9(tick × meta.dt), and any other field only
+where it changed, so an unchanged tick is {"kind":"frame"}. A field of kind
+Role, Method or Side takes a member or its value and holds the value.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import reprlib
 import sys
 from bisect import bisect_right
@@ -30,6 +29,7 @@ from typing import Iterable, NamedTuple
 from .errors import TraceIntegrityError
 
 Triple = tuple[float, float, float]
+Step = float  # a time step: a float > 0 whose product with any tick is finite, held and written exactly
 
 # A trace holds few distinct floats (about 3.6k among 680k in the reference
 # suite), so q9 and the writer work each one out once. Both memos are keyed
@@ -39,6 +39,7 @@ _q9_memo: dict[float, float] = {}
 _text_memo: dict[float, str] = {}
 _NUMBER = frozenset((int, float))
 _UNSET = object()  # a field that no line has set yet
+_FRAME = '{"kind":"frame"}'  # an unchanged tick's line
 
 
 class _Shown(reprlib.Repr):  # an int past 40 digits by its size: repr() refuses one past int()'s digit limit
@@ -107,7 +108,14 @@ def _q_triple(v) -> Triple:
 def _int(x) -> int:
     if x is True or x is False:
         raise TypeError(x)
-    return index(x)
+    str(x := index(x))  # a ValueError past int()'s digit limit: no trace could write or read x
+    return x
+
+
+def _step(x) -> float:
+    if x.__class__ not in _NUMBER or not 0 < (x := float(x)) * sys.maxsize < math.inf:  # tick × dt finite at any tick
+        raise ValueError(x)
+    return x
 
 
 def _name(kind: type[Enum], *others):
@@ -141,6 +149,7 @@ _CANONICAL = {
     "Role": _name(Role),
     "Role | None": _name(Role, None),
     "Side": _name(Side),
+    "Step": _step,
 }
 
 
@@ -216,7 +225,7 @@ class TraceMeta(NamedTuple):
     topic: int
     participant: int
     seed: int
-    dt: float
+    dt: Step
     user_seat: int
     seats: tuple[Triple, ...]
     desk_anchor: Triple
@@ -378,13 +387,13 @@ class Trace(NamedTuple):
 
 
 def _emit(value) -> str:
-    """JSON fragment with floats at 9 significant digits."""
+    """JSON fragment with each float exact: a canonical one at 9 significant digits, any other by its repr."""
     if isinstance(value, float):
         text = _text_memo.get(value)
         if text is None:
             if len(_text_memo) >= _MEMO_CAP:
                 _text_memo.clear()
-            text = _text_memo[value] = format9(value)
+            text = _text_memo[value] = format9(value) if q9(value) == value else repr(value)
         return text
     if value is None:
         return "null"
@@ -409,62 +418,56 @@ def _line(kind: str, obj: _Canonical, last: tuple | None = None) -> str:
     return "".join([f'{{"kind":"{kind}"', *[keys[i] + _emit(obj[i]) for i in fields], "}\n"])
 
 
+def _clock(meta: TraceMeta | None, ts: Sequence[float]):
+    """The derived t of tick k, which its frame line leaves out: q9(k × meta.dt),
+    or without a meta line the previous tick's t in ts, and 0 at tick 0."""
+    if meta is None:
+        return lambda k: ts[k - 1] if k else 0.0
+    return lambda k, dt=meta.dt: q9(k * dt)
+
+
 def write_trace(records: Iterable[TraceRecord], meta: TraceMeta | None = None) -> str:
     """Serialize records (with an optional leading meta line) to JSON Lines.
 
     Records that are not a Records are built into one first. A run's head is
-    diffed against the record before it; each later tick of the run changed
-    only tick and t, so its line is the diff without the work of one."""
+    diffed against the record before it, and t against the derived t; each
+    later tick of the run is {"kind":"frame"}, with t where t is not derived."""
     records = Records(records)
     lines = [] if meta is None else [_line("meta", meta)]
-    ts, last = records.ts, None
+    ts, clock, last = records.ts, _clock(meta, records.ts), _BLANK
     for head, end in records._runs():
-        lines.append(_line("frame", head, last))
-        t_prev = head[1]
-        for k in range(head[0] + 1, end):
-            t = ts[k]
-            lines.append(f'{{"kind":"frame","tick":{k},"t":{_emit(t)}}}\n' if t != t_prev
-                         else f'{{"kind":"frame","tick":{k}}}\n')
-            t_prev = t
-        last = (end - 1, t_prev) + head[2:]
+        k = head[0]
+        lines.append(_line("frame", head, (k, clock(k)) + last[2:]))
+        lines += [f"{_FRAME}\n" if ts[j] == clock(j) else f'{{"kind":"frame","t":{_emit(ts[j])}}}\n'
+                  for j in range(k + 1, end)]
+        last = head
     return "".join(lines)
 
 
 # Not json.loads, which re-checks its keyword arguments on every call: about
 # 0.3 us a line, 3% of the time to read the reference suite's traces.
 _DECODER = json.JSONDecoder()
-_TOO_DEEP = "a JSON value nested too deeply to read"
-# An unchanged tick's line as write_trace writes it, in JSON's number grammar: groups tick,
-# t, and t's fraction and exponent, which make t a float and not an int, as in JSON.
-# An int of more than 640 digits, the least limit Python may put on int(), takes the decoder.
-_INT = "-?(?:0|[1-9][0-9]{0,639})"
-_REPEAT = re.compile(rf'{{"kind":"frame","tick":({_INT}),"t":({_INT}((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))}}').fullmatch
 
 
 def read_trace(text: str) -> Trace:
     """Parse a JSON Lines trace; inverse of write_trace on its own output.
 
-    A frame starts from the previous frame's values: a field it lacks is
-    unchanged, and only the fields it holds are canonicalized. Ticks must
-    count up from 0, one per frame. After the first frame, a line that is exactly
-    {"kind":"frame","tick":K,"t":T} gives the decoder's record or error without it,
-    and its record is held as one more t of the run before it."""
+    A frame is the next tick, at the derived t unless it holds t, and starts
+    from the previous frame's values: a field it lacks is unchanged, and only
+    the fields it holds are canonicalized. After the first frame, a line that
+    is exactly {"kind":"frame"} is one more t of the run before it, without the
+    decoder. A frame that holds its tick, as older files' do, must be the next,
+    and without t keeps the previous t."""
     meta: TraceMeta | None = None
     runs = _Builder()
     ts = runs.ts
+    clock = _clock(None, ts)
     # Not splitlines, which also breaks at what a JSON string holds raw, U+2028 among
-    # them. A CRLF line drops its "\r", so that an unchanged tick keeps the short path.
+    # them. A CRLF line drops its "\r", so that an unchanged tick skips the decoder.
     lines = [line.removesuffix("\r") for line in text.split("\n")] if "\r" in text else text.split("\n")
     for lineno, line in enumerate(lines, start=1):
-        if ts and (repeat := _REPEAT(line)):  # an unchanged tick: one more t for the run before it
-            tick, t, real = repeat.groups()
-            tick, t = int(tick), float(t) if real else int(t)
-            try:  # t's error before the tick's, as on the decoder's path
-                ts.append(q9(t))
-            except (ValueError, OverflowError):
-                raise TraceIntegrityError(f"line {lineno}: t={t!r} is not a valid float") from None
-            if tick != len(ts) - 1:
-                raise TraceIntegrityError(f"line {lineno}: tick {tick} where {len(ts) - 1} was expected")
+        if line == _FRAME and ts:  # an unchanged tick: one more t for the run before it
+            ts.append(clock(len(ts)))
             continue
         if not line.strip():
             continue
@@ -476,13 +479,15 @@ def read_trace(text: str) -> Trace:
             limit = sys.get_int_max_str_digits()
             raise TraceIntegrityError(f"line {lineno}: an integer of more than {limit} digits") from None
         except RecursionError:  # nor its depth; the decoder recurses per level
-            raise TraceIntegrityError(f"line {lineno}: {_TOO_DEEP}") from None
+            raise TraceIntegrityError(f"line {lineno}: a JSON value nested too deeply to read") from None
         kind = obj.pop("kind", None) if isinstance(obj, dict) else None
         try:
             if kind == "frame":
                 # Older files carry the flicker phase, a function of t: checked, then dropped.
                 if type(phase := obj.pop("sgd_phase", False)) is not bool:
                     raise TraceIntegrityError(f"sgd_phase={_SHOWN.repr(phase)} is not a valid bool")
+                if "tick" not in obj:  # frames of older files hold their tick, and t unless it repeats
+                    obj = {"tick": len(ts), "t": clock(len(ts)), **obj}
                 rec = TraceRecord._read(runs.last() if ts else None, obj)
                 if rec.tick != len(ts):
                     raise TraceIntegrityError(f"tick {rec.tick} where {len(ts)} was expected")
@@ -492,7 +497,7 @@ def read_trace(text: str) -> Trace:
             elif ts or meta is not None:
                 raise TraceIntegrityError("meta must be the first line")
             else:
-                meta = TraceMeta._read(None, obj)
+                clock = _clock(meta := TraceMeta._read(None, obj), ts)
         except TraceIntegrityError as exc:
             raise TraceIntegrityError(f"line {lineno}: {exc}") from None
     return Trace(meta=meta, records=runs.records())

@@ -224,12 +224,31 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
     csv = capsys.readouterr().out
     files = sorted(out_dir.iterdir())
     assert hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest() == (
-        "0d173dcfc35122bb817d6ed452f6b75ea8b575989b6c299230471924b9ffdd2f"
+        "d161ff25dc5e04cc40c4e90d5eac672d3cf6acff5f677be2a987ab5961c37f5e"
     )
     assert record_digest(read_trace(f.read_text()) for f in files) == (
         "1cc6046d229a1b9debf701dcbe0ec45edc91e3eec62747395a82b57e6c696578"
     )
     assert hashlib.md5(csv.encode()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
+
+
+def test_a_trace_in_the_older_format_reads_as_the_same_run_written_now(tmp_path, capsys):
+    # A 10 Hz listener trial written before frame lines left out tick and t, so every frame
+    # holds both: it reads to the trace of the same run written now, which write_trace turns
+    # it into, and metrics gives the same CSV for both files.
+    old, new = REPO / "tests" / "data" / "listener_10hz_tick_t_frames.jsonl", tmp_path / "new.jsonl"
+    assert cli(["simulate", "--script", str(REPO / "configs" / "listener_light_audio.cfg"), "--dt", "0.1",
+                "--seed", "7", "--out", str(new)]) == 0
+    assert all('"tick":' in line and '"t":' in line for line in old.read_text().splitlines()[1:])
+    assert not any('"tick":' in line or '"t":' in line for line in new.read_text().splitlines()[1:])
+    trace = read_trace(old.read_text())
+    assert trace == read_trace(new.read_text()) and write_trace(trace.records, trace.meta) == new.read_text()
+    capsys.readouterr()
+    csv = []
+    for path in (old, new):
+        assert cli(["metrics", str(path)]) == 0
+        csv.append(capsys.readouterr().out)
+    assert csv[0] == csv[1] and csv[0].startswith("method,view,role,n,")
 
 
 def test_reference_suite_does_not_depend_on_the_hash_seed(tmp_path):
@@ -251,7 +270,7 @@ def test_reference_suite_does_not_depend_on_the_hash_seed(tmp_path):
     names, contents, csv = runs[0]
     assert len(names) == 8
     assert hashlib.sha256(b"".join(contents)).hexdigest() == (
-        "0d173dcfc35122bb817d6ed452f6b75ea8b575989b6c299230471924b9ffdd2f"
+        "d161ff25dc5e04cc40c4e90d5eac672d3cf6acff5f677be2a987ab5961c37f5e"
     )
     assert hashlib.md5(csv).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
 
@@ -448,10 +467,10 @@ def test_theta_min_at_its_bound_still_runs(tmp_path, capsys):
     "pattern,repl",
     [
         (r'"env":[^,]*,', ""),
-        (r'"t":[^,]*', '"t":"abc"'),
+        (r'"env":[^,]*', '"env":"abc"'),
         (r'"pos":\[[^]]*\]', '"pos":[0,1]'),
         (r'"spot_active".*', ""),
-        (r'"t":[^,]*', '"t":' + "1" * 400),
+        (r'"env":[^,]*', '"env":' + "1" * 400),
     ],
     ids=["missing-field", "non-numeric", "short-triple", "truncated", "int-overflow"],
 )
@@ -472,16 +491,12 @@ def test_metrics_on_malformed_trace_exits_one_naming_the_line(script_file, tmp_p
 @pytest.mark.parametrize("pad", ["", " "], ids=["as-written", "padded"])
 def test_metrics_on_an_integer_longer_than_int_reads_exits_one_naming_the_line(script_file, tmp_path, capsys, field,
                                                                                pad):
-    # On an unchanged tick's line, as written (tick or t) or past the short path.
+    # On an unchanged tick's line, {"kind":"frame"} as written, which then takes the decoder, or padded.
     out = tmp_path / "t.jsonl"
     assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    n = next(i for i, line in enumerate(lines) if re.fullmatch(r'\{"kind":"frame","tick":\d+,"t":[^,]+\}', line))
-    huge = "9" * 5000
-    if field == "env":
-        lines[n] = lines[n][:-1] + f',"env":{huge}}}'
-    else:
-        lines[n] = re.sub(rf'"{field}":[^,}}]+', f'"{field}":{huge}', lines[n])
+    n = lines.index('{"kind":"frame"}')
+    lines[n] = lines[n][:-1] + f',"{field}":{"9" * 5000}}}'
     out.write_text("".join(pad + line + "\n" for line in lines))
     capsys.readouterr()
     assert cli(["metrics", str(out)]) == 1

@@ -61,7 +61,7 @@ def test_removed_keys_rejected(text):
 
 
 def test_unknown_section_rejected():
-    with pytest.raises(ConfigError, match=r"unknown section \[lighting\]"):
+    with pytest.raises(ConfigError, match=r"^unknown section 'lighting'$"):
         parse_config("[lighting]\nenv_min = 0.5\n")
 
 
@@ -294,10 +294,10 @@ def _plan_with_second_trial(**changes):
         (lambda: parse_config("[audio]\nduck_gain = " + "9" * 5000 + "\n"),
          r"^\[audio\] duck_gain: '9{12}\.\.\.9{13}' is not a finite number$"),
         # Latency overrides name a real (method, view) cell, once.
-        (lambda: GazeAgentModel(latency_overrides=(("lite", "in", 0.1),)), "latency_lite_in names no method"),
-        (lambda: GazeAgentModel(latency_overrides=(("sgd", "sideways", 0.2),)), "latency_sgd_sideways names no method"),
+        (lambda: GazeAgentModel(latency_overrides=(("lite", "in", 0.1),)), "'latency_lite_in' names no method"),
+        (lambda: GazeAgentModel(latency_overrides=(("sgd", "sideways", 0.2),)), "'latency_sgd_sideways' names no method"),
         (lambda: GazeAgentModel(latency_overrides=(("light", "audio_in", 0.2),)),
-         "latency_light_audio_in names no method"),
+         "'latency_light_audio_in' names no method"),
         (lambda: GazeAgentModel(latency_overrides=(("sgd", "in", 0.1), ("sgd", "in", 0.2))),
          "latency_sgd_in is given twice"),
         # The method and role are the enums, and a plan's trials are of exactly its participants.
@@ -369,6 +369,12 @@ _HUGE = -(10**5000)  # more digits than str() converts, 4,300 unless set otherwi
         (lambda: load_simulation("[scenario]\nmethod = " + _LONG + "\n"), ConfigError, "[scenario] method"),
         (lambda: load_simulation("[scenario]\nturns = " + _LONG + "\n"), ConfigError, "[scenario] turns"),
         (lambda: parse_config(f"[audio]\n{_LONG} = 1\n"), ConfigError, "unknown key"),
+        (lambda: parse_config(f"[{_LONG}]\n"), ConfigError, "unknown section 'xxxx"),
+        (lambda: GazeAgentModel(latency_overrides=((_LONG, "in", 0.1),)), ScriptError, "agent 'latency_xxxx"),
+        (lambda: run_scenario(default_script(Method.SGD, Role.LISTENER, topic=_HUGE), GazeAgentModel(),
+                              GuidanceConfig()), TraceIntegrityError, "topic=about -10**5000 is not a valid int"),
+        (lambda: run_scenario(default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), GuidanceConfig(), seed=_HUGE),
+         TraceIntegrityError, "seed=about -10**5000 is not a valid int"),
         (lambda: Turn(_LONG, 1.0), ScriptError, "speaker"),
         (lambda: GuidanceConfig(sound_easing=_LONG), ConfigError, "sound_easing"),
         (lambda: sound_source_position(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), 45.0, AngularRange(0.0, 90.0), _LONG),
@@ -387,7 +393,9 @@ _HUGE = -(10**5000)  # more digits than str() converts, 4,300 unless set otherwi
          "user_seat_index-negative-5001-digits", "trial-order_index-negative-5001-digits",
          "run_scenario-participant-negative-5001-digits", "suite_traces-jobs-negative-5001-digits",
          "agent-seed-long-str", "default_script-method-long-str", "config-method-long", "config-turns-entry-long",
-         "config-key-long", "turn-speaker-long", "sound_easing-long", "sound_source_position-easing-long",
+         "config-key-long", "config-section-long", "agent-latency-override-long", "run_scenario-topic-5001-digits",
+         "run_scenario-seed-5001-digits",
+         "turn-speaker-long", "sound_easing-long", "sound_source_position-easing-long",
          "read-sgd_phase-long-list", "record-t-5001-digits", "metrics-state-long", "plan-trial-long-str",
          "eval-steps-negative-5001-digits"],
 )

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -282,7 +283,7 @@ def test_user_opening_gaze_lead_traces_match_pinned_digest():
         text = write_trace(trace.records, trace.meta)
         digest.update(text.encode())
         traces.append(read_trace(text))
-    assert digest.hexdigest() == "e2a7ed452ca1aad39fc5f45ab3e1fc971fcdfd2296667cd3edaec21ec421fd8b"
+    assert digest.hexdigest() == "068f498674dde17162ca3fed6c38fa5bf16cc70fea0e90e8942d86a07eb353a3"
     assert record_digest(traces) == "a5b351e17260cf3a3ac992b666cfca2914afd54d45c5be5dc24d3ca321d2f925"
 
 
@@ -315,6 +316,20 @@ def test_flicker_phase_follows_from_each_read_back_t(dt):
     records = read_trace(write_trace(trace.records, trace.meta)).records
     assert [sgd_phase(rec.t) for rec in records] == [sgd_phase(k * dt) for k in range(len(records))]
     assert any(rec.sgd_active for rec in records)
+
+
+@pytest.mark.parametrize("dt", [1 / 30, 1 / 45, 1 / 60, 1 / 72, 1 / 90, 1 / 120, 1 / 144])
+def test_no_frame_line_holds_tick_or_t_at_any_frame_rate(dt):
+    # The loop's t is q9(tick × dt) on every tick and the meta line holds dt exactly,
+    # so each t is the derived one, and each tick that changes nothing is a bare line.
+    for method, role in itertools.product(METHODS, Role):
+        trace = run_scenario(default_script(method, role), GazeAgentModel(), CFG, dt=dt, seed=3)
+        assert trace.meta.dt == dt
+        text = write_trace(trace.records, trace.meta)
+        frames = text.splitlines()[1:]
+        assert len(frames) == len(trace.records) and not any('"tick":' in line or '"t":' in line for line in frames)
+        assert frames.count('{"kind":"frame"}') == len(trace.records) - len(trace.records.heads)
+        assert read_trace(text) == trace
 
 
 @pytest.mark.parametrize("every_frame", [True, False], ids=["full-frames", "delta-frames"])

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 from enum import Enum
 from typing import NamedTuple
@@ -21,6 +22,7 @@ from turncue.trace import (
     TraceRecord,
     _Builder,
     _canonical,
+    _FRAME,
     _emit,
     _q9_memo,
     _text_memo,
@@ -166,9 +168,13 @@ def test_read_rejects_late_meta():
         read_trace(frame_line + meta_line)
 
 
+_F = '{"kind":"frame",'  # the start of a frame line, where a case puts a field the line leaves out
+
+
 def _trace_lines() -> list[str]:
     # Frames are deltas: pos moves on every frame, and the second frame ends
     # a session and clears the panel, so their keys are on the lines below.
+    # Each t is the derived one, q9(tick × 0.1), so no line holds tick or t.
     records = [
         make_record(0, 0.0, state="acknowledged", rt=0.5, pos=(0.0, 0.0, 0.0), panel_text="Alex"),
         make_record(1, 0.1, pos=(0.0, 1.0, 0.0)),
@@ -181,31 +187,31 @@ def _trace_lines() -> list[str]:
     "lineno,old,new,message",
     [
         (2, '"env":1.1,', "", "missing field 'env'"),  # only the first frame must carry every field
-        (2, '"t":0,', '"t":"abc",', "t='abc' is not a valid float"),
+        (2, _F, _F + '"t":"abc",', "t='abc' is not a valid float"),
         (4, '"pos":[0,2,0]', '"pos":[0,1]', r"pos=\[0, 1\] is not a valid Triple"),
         (1, '"seats":[[0,1,0],', '"seats":[[0,1],', r"seats=.* is not a valid tuple\[Triple, \.\.\.\]"),
         (1, '"topic":0', '"topic":"x"', "topic='x' is not a valid int"),
         (2, '"point_active":false', '"point_active":"yes"', "point_active='yes' is not a valid bool"),
-        (2, '"t":0,', '"t":"0",', "t='0' is not a valid float"),
+        (2, _F, _F + '"t":"0",', "t='0' is not a valid float"),
         (3, '"panel_text":""', '"panel_text":5', "panel_text=5 is not a valid str"),
-        (4, '"tick":2', '"tick":true', "tick=True is not a valid int"),
-        (3, '"t":0.1,', '"t":NaN,', "t=nan is not a valid float"),
-        (3, '"t":0.1,', '"t":Infinity,', "t=inf is not a valid float"),
-        (3, '"t":0.1,', '"t":-Infinity,', "t=-inf is not a valid float"),
-        (3, '"t":0.1,', '"t":1e400,', "t=inf is not a valid float"),
-        (3, '"t":0.1,', '"t":' + "9" * 400 + ",", "t=9{400} is not a valid float"),
+        (4, _F, _F + '"tick":true,', "tick=True is not a valid int"),
+        (3, _F, _F + '"t":NaN,', "t=nan is not a valid float"),
+        (3, _F, _F + '"t":Infinity,', "t=inf is not a valid float"),
+        (3, _F, _F + '"t":-Infinity,', "t=-inf is not a valid float"),
+        (3, _F, _F + '"t":1e400,', "t=inf is not a valid float"),
+        (3, _F, _F + '"t":' + "9" * 400 + ",", "t=9{400} is not a valid float"),
         (3, '"pos":[0,1,0]', '"pos":[0,NaN,0]', r"pos=\[0, nan, 0\] is not a valid Triple"),
         (3, '"rt":null', '"rt":-1e999', r"rt=-inf is not a valid float \| None"),
         (3, '"panel_text":""', '"panel_text":NaN', "panel_text=nan is not a valid str"),
-        (4, '"tick":2', '"tick":NaN', "tick=nan is not a valid int"),
+        (4, _F, _F + '"tick":NaN,', "tick=nan is not a valid int"),
         (2, '"chime":false', '"chime":Infinity', "chime=inf is not a valid bool"),
         (3, '"rt":null', '"rt":-Infinity', r"rt=-inf is not a valid float \| None"),
         (2, '"in_view":null', '"in_view":NaN', r"in_view=nan is not a valid bool \| None"),
         (3, '"target":null', '"target":Infinity', r"target=inf is not a valid str \| None"),
         (1, '"topic":0', '"topic":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
-        (2, '"tick":0', '"tick":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
-        (3, '"tick":1', '"tick":1,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
-        (4, '"tick":2,', "", "tick 1 where 2 was expected"),  # a later frame that lost its tick
+        (2, _F, _F + '"tick":0,"bogus":NaN,"tick2":5,', "unknown field 'bogus'"),
+        (3, _F, _F + '"bogus":NaN,"tick2":5,', "unknown field 'bogus'"),
+        (4, _F, _F + '"tick":1,', "tick 1 where 2 was expected"),  # a frame may hold its tick, but only the next
         (1, '"method":"light_audio"', '"method":"lightaudio"', "method='lightaudio' is not a valid Method"),
         (1, '"role":"listener"', '"role":"lisener"', "role='lisener' is not a valid Role"),
         (2, '"pos":[0,0,0]', '"pos":' + "[" * 100_000 + "]" * 100_000, "a JSON value nested too deeply to read"),
@@ -214,7 +220,7 @@ def _trace_lines() -> list[str]:
          "int-str", "bool-int", "nan", "infinity", "minus-infinity", "float-overflow", "int-overflow",
          "nan-in-triple", "optional-float", "nan-str", "nan-int", "infinity-bool",
          "minus-infinity-optional-float", "nan-optional-bool", "infinity-optional-str", "unknown-in-meta", "unknown-in-first-frame",
-         "unknown-in-later-frame", "lost-tick", "unknown-meta-method", "unknown-meta-role", "nested-too-deeply"],
+         "unknown-in-later-frame", "stale-tick", "unknown-meta-method", "unknown-meta-role", "nested-too-deeply"],
 )
 def test_read_rejects_malformed_line_with_its_number(lineno, old, new, message):
     lines = _trace_lines()
@@ -282,8 +288,8 @@ def test_frame_text_does_not_depend_on_shared_value_objects():
     assert read_trace(text).records == tuple(records)
     lines = text.splitlines()
     assert '"target":null,"rt":null,"in_view":null,"role":null' in lines[0]
-    assert lines[4] == '{"kind":"frame","tick":4,"t":0.4,"state":"acknowledged","rt":0.5}'
-    assert lines[5] == '{"kind":"frame","tick":5,"t":0.5}'  # equal values in new objects
+    assert lines[4] == '{"kind":"frame","t":0.4,"state":"acknowledged","rt":0.5}'  # no meta: t is a diff field
+    assert lines[5] == '{"kind":"frame","t":0.5}'  # equal values in new objects
     assert lines[6].endswith(',"state":"idle","target":null,"rt":null,"in_view":null,"role":null}')
     assert '"state":"acknowledged","target":"a2","rt":0.5,"in_view":false,"role":"listener"}' in lines[8]
 
@@ -363,7 +369,8 @@ def test_lines_padded_with_json_whitespace_read_as_written():
          "truncated-in-a-string"],
 )
 def test_read_rejects_a_line_that_is_not_one_json_value(lineno, edit, message):
-    lines = write_trace([make_record(0, 0.0), make_record(1, 0.1)], make_meta()).splitlines()
+    lines = write_trace([make_record(0, 0.0), make_record(1, 0.2)], make_meta()).splitlines()
+    assert lines[2] == '{"kind":"frame","t":0.2}'
     lines[lineno - 1] = edit(lines[lineno - 1])
     with pytest.raises(TraceIntegrityError) as caught:
         read_trace("\n".join(lines) + "\n")
@@ -393,7 +400,8 @@ def test_read_accepts_and_rejects_each_line_as_json_decode_does(line):
 
 
 def _diff_only_write(records, meta=None) -> str:
-    """write_trace as a plain diff of every line against the last: the oracle for its short path."""
+    """A trace in the older format: every line a plain diff against the last, so that each frame
+    holds tick and, where it changed, t. The older writer wrote dt at 9 digits, this one exactly."""
     def lines(kind, objs):
         last = None
         for obj in objs:
@@ -403,6 +411,20 @@ def _diff_only_write(records, meta=None) -> str:
             last = obj
 
     return "".join([*lines("meta", [] if meta is None else [meta]), *lines("frame", records)])
+
+
+def _plain_write(records, meta=None) -> str:
+    """write_trace as a plain diff of every frame against the record before it, with tick left out
+    and t against the derived t: the oracle for its per-run writer."""
+    lines = [] if meta is None else [_diff_only_write([], meta)]
+    last = None
+    for k, rec in enumerate(records):
+        derived = q9(k * meta.dt) if meta is not None else 0.0 if last is None else last.t
+        fields = [f',"{name}":{_emit(value)}' for i, (name, value) in enumerate(rec._asdict().items())
+                  if i == 1 and value != derived or i > 1 and (last is None or value != last[i])]
+        lines.append("".join(['{"kind":"frame"', *fields, "}\n"]))
+        last = rec
+    return "".join(lines)
 
 
 @given(st.data())
@@ -424,8 +446,10 @@ def test_written_repeats_equal_the_diff_of_every_field(data):
         records.append(rec)
     meta = data.draw(st.none() | st.just(make_meta()))
     text = write_trace(records, meta)
-    assert text == _diff_only_write(records, meta)
-    assert read_trace(text) == read_trace(_padded(text)) == (meta, tuple(records))
+    assert text == _plain_write(records, meta)
+    # The older format, tick and t on every frame, reads through the decoder to the same trace.
+    assert read_trace(text) == read_trace(_padded(text)) == read_trace(_diff_only_write(records, meta)) == (
+        meta, tuple(records))
 
 
 def test_nesting_at_any_depth_reads_as_a_value_or_the_line_s_error():
@@ -485,11 +509,87 @@ def test_records_behave_as_the_tuple_of_their_records(data):
 
     meta = data.draw(st.none() | st.just(make_meta()))
     text = write_trace(runs, meta)
-    assert text == write_trace(records, meta) == _diff_only_write(records, meta)
+    assert text == write_trace(records, meta) == _plain_write(records, meta)
     for back in (read_trace(text), read_trace(_padded(text))):  # the short path, and the decoder's
         assert back == (meta, expected)
         assert back.records.heads == runs.heads and back.records.ts == runs.ts
         assert write_trace(back.records, back.meta) == text
+
+
+_DT = st.sampled_from([0.1, 1 / 30, 1 / 72, 1 / 144, 1e-9]) | st.floats(1e-6, 1e3)
+_SPACED = st.sampled_from([_FRAME, " " + _FRAME, '{"kind": "frame"}', '{ "kind" :"frame" }\t', _FRAME + "\r"])
+
+
+@given(st.data())
+def test_a_frame_holds_t_only_where_it_is_not_the_derived_t(data):
+    # At a drawn dt, with and without a meta line, each tick's t is the derived one,
+    # q9(tick × dt), or another: the previous tick's, or any.
+    dt = data.draw(_DT)
+    meta = data.draw(st.none() | st.just(make_meta(dt=dt)))
+    records = [make_record(0, data.draw(st.just(0.0) | _FLOAT))]
+    for k in range(1, data.draw(st.integers(1, 12))):
+        t = data.draw(st.sampled_from([k * dt, k * dt, records[-1].t]) | _FLOAT)
+        changed = {name: data.draw(_VALUES[_KIND[name]]) for name in data.draw(_SUBSET) - {"t"}}
+        records.append(records[-1]._replace(tick=k, t=t, **changed))
+    text = write_trace(records, meta)
+    assert text == _plain_write(records, meta)
+    frames = text.splitlines()[meta is not None:]
+    assert len(frames) == len(records) and not any('"tick"' in line for line in frames)
+    if meta is not None:
+        assert [('"t":' in line) for line in frames] == [rec.t != q9(k * dt) for k, rec in enumerate(records)]
+    back = read_trace(text)
+    assert back == (meta, tuple(records)) and write_trace(back.records, back.meta) == text
+    # The older format reads to the same records.
+    assert read_trace(_diff_only_write(records, meta)).records == tuple(records)
+    # An unchanged tick's line with JSON whitespace, or a "\r", reads as the bare line through the decoder.
+    spaced = "".join((data.draw(_SPACED) if line == _FRAME else line) + "\n" for line in text.splitlines())
+    assert read_trace(spaced) == back
+
+
+def test_the_meta_line_holds_dt_exactly():
+    # At 9 significant digits where they hold it, as they hold every canonical float, else as its repr.
+    for dt, written in ((1 / 72, "0.013888888888888888"), (1 / 144, "0.006944444444444444"), (0.1, "0.1"), (3, "3"),
+                        (1e-300, "1e-300"), (1e280 / 3, "3.3333333333333336e+279")):
+        text = write_trace([], make_meta(dt=dt))
+        assert f',"dt":{written},' in text and read_trace(text).meta.dt == dt
+    assert type(make_meta(dt=3).dt) is float
+
+
+_LARGEST_DT = sys.float_info.max / sys.maxsize  # a list holds fewer than sys.maxsize ticks
+
+
+@pytest.mark.parametrize(
+    "dt", [0, -0.0, -0.1, math.nan, math.inf, _LARGEST_DT * 1.01, 1e300, True, "0.1", 10**400, None],
+    ids=["zero", "minus-zero", "negative", "nan", "inf", "past-tick-bound", "huge", "bool", "str", "big-int", "none"])
+def test_the_meta_dt_is_a_finite_float_above_zero(dt):
+    with pytest.raises(TraceIntegrityError, match=f"^dt={re.escape(repr(dt))} is not a valid Step$"):
+        make_meta(dt=dt)
+    text = write_trace([], make_meta()).replace('"dt":0.1', f'"dt":{json.dumps(dt)}')  # each one as JSON
+    with pytest.raises(TraceIntegrityError, match=f"^line 1: dt={re.escape(repr(dt))} is not a valid Step$"):
+        read_trace(text)
+
+
+def test_the_meta_dt_times_any_tick_is_finite():
+    # No derived t leaves the float range; a larger dt is rejected (see above).
+    for dt in (1e280, _LARGEST_DT / 2):
+        meta = make_meta(dt=dt)
+        assert math.isfinite(q9((sys.maxsize - 1) * meta.dt))
+        assert read_trace(write_trace([make_record(0, 0.0), make_record(1, dt)], meta)) == (meta, (
+            make_record(0, 0.0), make_record(1, dt)))
+
+
+def test_an_int_field_past_the_digit_limit_is_rejected_where_it_enters():
+    # No trace could write or read such an int: each way to build a line rejects it, its value shown by size.
+    limit = sys.get_int_max_str_digits()
+    for big in (10**limit, -(10**limit)):
+        shown = f"about {'-' * (big < 0)}10**{limit}"
+        for name, build in (("topic", lambda: make_meta(topic=big)),
+                            ("tick", lambda: make_record(0, 0.0)._replace(tick=big)),
+                            ("tick", lambda: TraceRecord._make((big, *make_record(0, 0.0)[1:])))):
+            with pytest.raises(TraceIntegrityError, match=rf"^{name}={re.escape(shown)} is not a valid int$"):
+                build()
+    widest = make_meta(topic=10**limit - 1, seed=-(10**limit - 1))  # the most digits that int() reads
+    assert read_trace(write_trace([], widest)).meta == widest
 
 
 def test_empty_records():
@@ -521,10 +621,15 @@ def test_unchanged_ticks_read_as_decoded():
         if k % 9 == 0:
             records[-1] = records[-1]._replace(pos=(0.0, float(k), 0.0))
     text = write_trace(records, make_meta())
-    assert '{"kind":"frame","tick":8,"t":0.8}' in text.splitlines()
+    lines = text.splitlines()
+    assert lines[9] == '{"kind":"frame"}' and lines[8] == '{"kind":"frame","t":0.6}'  # tick 7 kept tick 6's t
     assert read_trace(text) == read_trace(_padded(text)) == (make_meta(), tuple(records))
-    with pytest.raises(TraceIntegrityError, match="^line 1: missing field 'pos'$"):  # the first frame is never short
-        read_trace('{"kind":"frame","tick":0,"t":0}\n')
+    # The first frame is never bare: it holds every field but tick and t, and without a meta line its derived t is 0.
+    for first in ('{"kind":"frame","tick":0,"t":0}', '{"kind":"frame"}'):
+        with pytest.raises(TraceIntegrityError, match="^line 1: missing field 'pos'$"):
+            read_trace(first + "\n")
+    with pytest.raises(TraceIntegrityError, match="^line 2: missing field 'pos'$"):
+        read_trace(write_trace([], make_meta()) + '{"kind":"frame"}\n')
 
 
 _NUMBER_PIECES = ["0", "1", "2", "9", "\u0663", "-", "+", ".", "e", "E", "NaN", "Infinity", "01", "1e999", "-0.0", " "]
@@ -533,7 +638,7 @@ _KEYS = st.sampled_from([('"tick"', '"t"')] * 4 + [('"t"', '"tick"'), ('"tick"',
 _SHORT = st.tuples(_KEYS, st.none() | _NUMBER, _NUMBER)  # keys, tick (None: the expected one), t
 
 
-@given(st.lists(_SHORT, min_size=1, max_size=3))
+@given(st.lists(st.none() | _SHORT, min_size=1, max_size=3))
 @example([(('"tick"', '"t"'), None, "1e999")])
 @example([(('"tick"', '"t"'), "01", "0.1")])
 @example([(('"tick"', '"t"'), "2", "0.1")])
@@ -543,11 +648,13 @@ _SHORT = st.tuples(_KEYS, st.none() | _NUMBER, _NUMBER)  # keys, tick (None: the
 @example([(('"tick"', '"t"'), None, "1e+")])
 @example([(('"tick"', '"t"'), None, "1\u0663")])  # a digit to str.isdigit, not to JSON
 def test_a_short_line_reads_as_the_decoder_reads_it(lines):
-    # After a valid first frame, lines shaped like an unchanged tick's, or
-    # nearly: the records or the error are those of the decoder's path.
+    # After a valid first frame, an unchanged tick's line, bare as written now
+    # (None) or in the older format or nearly: the records or the error are
+    # those of the decoder's path, which the padded copy takes.
     text = write_trace([make_record(0, 0.0)]) + "".join(
-        f'{{"kind":"frame",{k1}:{i if tick is None else tick},{k2}:{t}}}\n'
-        for i, ((k1, k2), tick, t) in enumerate(lines, start=1)
+        _FRAME + "\n" if line is None else f'{{"kind":"frame",{line[0][0]}:{i if line[1] is None else line[1]},'
+                                          f'{line[0][1]}:{line[2]}}}\n'
+        for i, line in enumerate(lines, start=1)
     )
     assert _outcome(text) == _outcome(_padded(text))
 
@@ -583,7 +690,7 @@ _HUGE = "9" * 5000  # more digits than Python's int() reads, 4300 unless set oth
     ids=["tick", "t", "env"],
 )
 def test_read_rejects_an_integer_longer_than_int_reads_with_its_line(line):
-    # JSON bounds no number's length; the short line and the decoder each give
+    # JSON bounds no number's length; the line as written and padded each give
     # the line's error, not a bare ValueError.
     def message(lineno):
         return f"^line {lineno}: an integer of more than {sys.get_int_max_str_digits()} digits$"
@@ -597,7 +704,8 @@ def test_read_rejects_an_integer_longer_than_int_reads_with_its_line(line):
 
 
 def test_an_unchanged_tick_of_many_digits_reads_as_decoded():
-    # 640 digits, the least limit Python may set on int(), and more take the decoder.
+    # An older file's unchanged tick with a t of up to and past 640 digits, the
+    # least limit Python may set on int(): as written or padded, the decoder's error.
     for digits in (639, 640, 641, 4300):
         text = write_trace([make_record(0, 0.0)]) + '{"kind":"frame","tick":1,"t":%s}\n' % ("9" * digits)
         error = (TraceIntegrityError, f"line 2: t={'9' * digits} is not a valid float")
