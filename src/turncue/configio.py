@@ -170,13 +170,21 @@ _BANDS = {
 }
 
 
+# What a configparser error says of its line; any other error's line is neither a header nor a key.
+_SYNTAX = {configparser.MissingSectionHeaderError: "before any [section]",
+           configparser.DuplicateSectionError: "a repeated section",
+           configparser.DuplicateOptionError: "a repeated key"}
+
+
 def parse_sections(text: str, reads: tuple[str, ...]) -> dict[str, dict[str, object]]:
     """Section -> key -> typed value; a section its caller does not read is an error."""
     cp = configparser.ConfigParser(interpolation=None, strict=True)
     try:
         cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from exc
+    except configparser.Error as exc:  # its text quotes the whole line, which the message shows cut short
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        what, line = _SYNTAX.get(type(exc), "not a [section] or key = value"), text.split("\n")[lineno - 1]
+        raise ConfigError(f"config syntax error: line {lineno}, {what}: {_SHOWN.repr(line)}") from None
     sections = {}
     for section in cp.sections():
         if section not in _SCHEMA:

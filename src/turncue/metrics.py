@@ -40,13 +40,11 @@ class MetricsSummary(NamedTuple):
 
 def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
     """(cell, response time) per resolved session; the time is None for a miss."""
-    if trace.meta is None:
-        raise TraceIntegrityError("trace has no meta line; method is unknown")
     outcomes: list[tuple[CellKey, float | None]] = []
     prev = "idle"
     open_tick: int | None = None  # the tick that signaled the open session
     # A session tag changes only where a run starts: its later ticks pass every check that its head does.
-    for rec in Records(trace.records).heads:
+    for rec in Records(trace.records, trace.meta.dt).heads:
         if rec.state not in _ALLOWED:
             raise TraceIntegrityError(f"tick {rec.tick}: unknown session state {_SHOWN.repr(rec.state)}")
         if rec.state not in _ALLOWED[prev]:

@@ -28,7 +28,7 @@ from .errors import ScriptError, checked
 from .geometry import Pose, Vec3, _unit_angle
 from .metrics import MetricsSummary, extract_metrics
 from .session import SessionState
-from .trace import _SHOWN, Method, Role, Trace, TraceMeta, _Builder, q9
+from .trace import _SHOWN, Method, Role, Trace, TraceMeta, _Builder
 
 
 AGENT_COUNT = 5
@@ -373,8 +373,7 @@ def run_scenario(
 
     head = rest_dirs[0]
     texts, flickers = script.method is Method.TEXT_ICON, script.method is Method.SGD
-    runs = _Builder()
-    ts = runs.ts
+    runs = _Builder(meta.dt)
 
     k = 0
     while True:
@@ -438,9 +437,7 @@ def run_scenario(
         # Settled and at rest, each tick up to the pending signal or handoff repeats this record: tick keeps
         # the state and frame, perceive_time is inf, so the head stays at rest, and the gaze is the head.
         if head is rest_dirs[turn_idx] and sess.settled(state, t, config):
-            event = end_tick if signal_tick is None else signal_tick
-            ts.extend([q9(j * dt) for j in range(k, event)])
-            k = event
+            k = runs.n = end_tick if signal_tick is None else signal_tick
 
     return Trace(meta=meta, records=runs.records())
 

@@ -6,11 +6,13 @@ bytes, and a replayed copy are all bit-identical. Field order in the output
 is fixed; identical runs produce identical files. The field annotations of
 TraceMeta and TraceRecord are the whole schema: they decide how each field
 is canonicalized, written and read back. Both are NamedTuples of canonical
-values in field order. A trace holds its records as Records, runs of ticks
-that change nothing but tick and t. A frame line is the next tick: it holds t
-only where t is not the derived q9(tick × meta.dt), and any other field only
-where it changed, so an unchanged tick is {"kind":"frame"}. A field of kind
-Role, Method or Side takes a member or its value and holds the value.
+values in field order; a field of kind Role, Method or Side holds a member's
+value. A trace has one clock: tick k is at q9(k × meta.dt) unless its t is
+another. Records holds the runs of ticks that change nothing but tick and t,
+their count, dt, and one entry per tick whose t is not derived. A file is the
+meta line, then a frame line per tick, which never holds tick, holds t only
+where it is not derived and any other field only where it changed: an
+unchanged tick is {"kind":"frame"}.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import compress, count
 from operator import index, itemgetter, ne
 from typing import Iterable, NamedTuple
 
-from .errors import TraceIntegrityError
+from .errors import TraceIntegrityError, checked
 
 Triple = tuple[float, float, float]
 Step = float  # a time step: a float > 0 whose product with any tick is finite, held and written exactly
@@ -273,76 +275,74 @@ _BLANK = (_UNSET,) * len(TraceRecord._fields)  # a builder's record before the f
 
 
 class Records(Sequence):
-    """A trace's records as runs: a read-only sequence, equal to any sequence
-    of the same records, a tuple included, and hashed as their tuple.
+    """A trace's records as runs at time step dt: a read-only sequence, equal
+    to any sequence of the same records, a tuple included, and hashed as their tuple.
 
     heads holds the records at which a field other than tick and t changes,
-    the first record always among them, and ts every tick's canonical t, a
-    head's its own. Record k is its run's head at tick k and t ts[k], so a
-    repeated tick costs one float. Records(records) builds one from records
-    whose ticks count up from 0; given a Records, it returns it."""
+    the first record always among them; n counts the ticks, and odd_ts holds
+    the t of each tick whose t is not the derived q9(k × dt). Record k is its
+    run's head at tick k and t odd_ts.get(k, q9(k × dt)), so a repeated tick
+    costs nothing. Records(records, dt) builds one from records whose ticks
+    count up from 0; given a Records at dt, it returns it."""
 
-    __slots__ = ("heads", "ts")
+    __slots__ = ("heads", "n", "dt", "odd_ts")
 
-    def __new__(cls, records: Iterable[TraceRecord] = ()):
-        if isinstance(records, Records):
+    def __new__(cls, records: Iterable[TraceRecord], dt: Step):
+        if isinstance(records, Records) and records.dt == dt:
             return records
-        runs = _Builder()
+        runs = _Builder(dt)
         for rec in records:
             runs.step(rec)
         return runs.records()
 
-    def _runs(self):
-        """(head, end) per run: its head, and the tick after its last."""
-        return zip(self.heads, [head[0] for head in self.heads[1:]] + [len(self.ts)])
-
     def __len__(self) -> int:
-        return len(self.ts)
+        return self.n
 
     def __getitem__(self, i):
-        ticks = range(len(self.ts))
+        ticks = range(self.n)
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, ticks[i]))
         k = ticks[i]  # IndexError out of range, as a tuple's
-        return _at(self.heads[bisect_right(self.heads, k, key=itemgetter(0)) - 1], k, self.ts[k])
+        head = self.heads[bisect_right(self.heads, k, key=itemgetter(0)) - 1]
+        return head if head[0] == k else tuple.__new__(TraceRecord, (k, self.odd_ts.get(k, q9(k * self.dt))) + head[2:])
 
     def __iter__(self):
-        ts, new = self.ts, tuple.__new__
-        for head, end in self._runs():
+        new, odd, dt = tuple.__new__, self.odd_ts, self.dt
+        for head, end in zip(self.heads, [head[0] for head in self.heads[1:]] + [self.n]):
             yield head
             rest = head[2:]
             for k in range(head[0] + 1, end):
-                yield new(TraceRecord, (k, ts[k]) + rest)
+                yield new(TraceRecord, (k, odd.get(k, q9(k * dt))) + rest)
 
     def __eq__(self, other):
-        if isinstance(other, Records):  # runs are maximal, so equal records have equal runs
-            return self.ts == other.ts and self.heads == other.heads
+        if isinstance(other, Records) and other.dt == self.dt:  # runs are maximal, so equal records have equal runs
+            return self.n == other.n and self.odd_ts == other.odd_ts and self.heads == other.heads
         if isinstance(other, Sequence):
-            return len(other) == len(self.ts) and tuple(other) == tuple(self)
+            return len(other) == self.n and tuple(other) == tuple(self)
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return f"Records({tuple(self)!r})"
+        return f"Records({tuple(self)!r}, {self.dt!r})"
 
-
-def _at(head: TraceRecord, k: int, t: float) -> TraceRecord:
-    """The record at tick k and canonical t of the run that head starts."""
-    return head if head[0] == k else tuple.__new__(TraceRecord, (k, t) + head[2:])
+    def __reduce__(self):
+        return Records, (tuple(self), self.dt)
 
 
 class _Builder:
-    """The one builder of Records. Each record stepped must be at the next
-    tick; one that equals the last record but for tick and t extends its run,
-    as does a canonical t appended to ts alone."""
+    """The one builder of Records, at time step dt. Each record stepped must
+    be at the next tick; one that equals the last record but for tick and t
+    extends its run, as does a tick counted in n alone, whose t is derived."""
 
-    __slots__ = ("heads", "ts", "_raw")
+    __slots__ = ("heads", "n", "dt", "odd_ts", "_raw")
 
-    def __init__(self) -> None:
+    def __init__(self, dt: Step) -> None:
         self.heads: list[TraceRecord] = []
-        self.ts: list[float] = []
+        self.n = 0
+        self.dt = _step(dt)
+        self.odd_ts: dict[int, float] = {}
         self._raw = _BLANK  # the last step's fields
 
     def step(self, raw: tuple) -> None:
@@ -350,40 +350,45 @@ class _Builder:
         fields that differ from the last step's are canonicalized and compared
         with the run's head, which the record extends or, if it differs, follows
         as a new head. A TraceRecord, canonical already, is only compared."""
-        ts, heads, last, self._raw = self.ts, self.heads, self._raw, raw
-        if raw[0] != len(ts):
-            raise TraceIntegrityError(f"tick {raw[0]} at position {len(ts)}: indices must be contiguous from 0")
+        heads, last, self._raw, k = self.heads, self._raw, raw, self.n
+        if raw[0] != k:
+            raise TraceIntegrityError(f"tick {raw[0]} at position {k}: indices must be contiguous from 0")
         if raw.__class__ is TraceRecord:
+            t = raw[1]
             if not heads or raw[2:] != heads[-1][2:]:
                 heads.append(raw)
-            return ts.append(raw[1])
-        head, canon, values, i = heads[-1] if heads else _BLANK, TraceRecord._canon, None, 1
-        try:
-            t = q9(raw[1])
-            for i in compress(count(), map(ne, raw, last)):
-                if i > 1 and (value := canon[i](raw[i])) != head[i]:
-                    if values is None:
-                        values = list(head)
-                    values[i] = value
-        except (TypeError, ValueError, OverflowError, KeyError):
-            raise TraceRecord._invalid(i, raw[i]) from None
-        if values is not None:  # tick is the checked position
-            values[0], values[1] = len(ts), t
-            heads.append(tuple.__new__(TraceRecord, values))
-        ts.append(t)
-
-    def last(self) -> TraceRecord:
-        return _at(self.heads[-1], len(self.ts) - 1, self.ts[-1])
+        else:
+            head, canon, values, i = heads[-1] if heads else _BLANK, TraceRecord._canon, None, 1
+            try:
+                t = q9(raw[1])
+                for i in compress(count(), map(ne, raw, last)):
+                    if i > 1 and (value := canon[i](raw[i])) != head[i]:
+                        if values is None:
+                            values = list(head)
+                        values[i] = value
+            except (TypeError, ValueError, OverflowError, KeyError):
+                raise TraceRecord._invalid(i, raw[i]) from None
+            if values is not None:  # tick is the checked position
+                values[0], values[1] = k, t
+                heads.append(tuple.__new__(TraceRecord, values))
+        if raw[1] != k * self.dt and t != q9(k * self.dt):  # equal numbers have one q9
+            self.odd_ts[k] = t
+        self.n = k + 1
 
     def records(self) -> Records:
         runs = object.__new__(Records)
-        runs.heads, runs.ts = tuple(self.heads), tuple(self.ts)
+        runs.heads, runs.n, runs.dt, runs.odd_ts = tuple(self.heads), self.n, self.dt, self.odd_ts.copy()
         return runs
 
 
+@checked
 class Trace(NamedTuple):
-    meta: TraceMeta | None
+    meta: TraceMeta
     records: Records
+
+    def _check(self) -> None:
+        if self.meta.__class__ is not TraceMeta:
+            raise TraceIntegrityError(f"meta={_SHOWN.repr(self.meta)} is not a valid TraceMeta")
 
 
 def _emit(value) -> str:
@@ -418,30 +423,22 @@ def _line(kind: str, obj: _Canonical, last: tuple | None = None) -> str:
     return "".join([f'{{"kind":"{kind}"', *[keys[i] + _emit(obj[i]) for i in fields], "}\n"])
 
 
-def _clock(meta: TraceMeta | None, ts: Sequence[float]):
-    """The derived t of tick k, which its frame line leaves out: q9(k × meta.dt),
-    or without a meta line the previous tick's t in ts, and 0 at tick 0."""
-    if meta is None:
-        return lambda k: ts[k - 1] if k else 0.0
-    return lambda k, dt=meta.dt: q9(k * dt)
+def write_trace(records: Iterable[TraceRecord], meta: TraceMeta) -> str:
+    """Serialize meta and records, built into a Records at meta.dt first, to JSON Lines.
 
-
-def write_trace(records: Iterable[TraceRecord], meta: TraceMeta | None = None) -> str:
-    """Serialize records (with an optional leading meta line) to JSON Lines.
-
-    Records that are not a Records are built into one first. A run's head is
-    diffed against the record before it, and t against the derived t; each
-    later tick of the run is {"kind":"frame"}, with t where t is not derived."""
-    records = Records(records)
-    lines = [] if meta is None else [_line("meta", meta)]
-    ts, clock, last = records.ts, _clock(meta, records.ts), _BLANK
-    for head, end in records._runs():
+    A run's head is diffed against the record before it, and t against the derived
+    t; every other tick is {"kind":"frame"}, with t where odd_ts holds one."""
+    meta, records = Trace(meta, records)  # a TraceMeta, or the error that names meta
+    records = Records(records, meta.dt)
+    frames = [f"{_FRAME}\n"] * len(records)
+    for k, t in records.odd_ts.items():
+        frames[k] = f'{{"kind":"frame","t":{_emit(t)}}}\n'
+    last = _BLANK
+    for head in records.heads:  # a head's line holds its own t
         k = head[0]
-        lines.append(_line("frame", head, (k, clock(k)) + last[2:]))
-        lines += [f"{_FRAME}\n" if ts[j] == clock(j) else f'{{"kind":"frame","t":{_emit(ts[j])}}}\n'
-                  for j in range(k + 1, end)]
+        frames[k] = _line("frame", head, (k, q9(k * meta.dt)) + last[2:])
         last = head
-    return "".join(lines)
+    return _line("meta", meta) + "".join(frames)
 
 
 # Not json.loads, which re-checks its keyword arguments on every call: about
@@ -452,22 +449,19 @@ _DECODER = json.JSONDecoder()
 def read_trace(text: str) -> Trace:
     """Parse a JSON Lines trace; inverse of write_trace on its own output.
 
-    A frame is the next tick, at the derived t unless it holds t, and starts
-    from the previous frame's values: a field it lacks is unchanged, and only
-    the fields it holds are canonicalized. After the first frame, a line that
-    is exactly {"kind":"frame"} is one more t of the run before it, without the
-    decoder. A frame that holds its tick, as older files' do, must be the next,
-    and without t keeps the previous t."""
-    meta: TraceMeta | None = None
-    runs = _Builder()
-    ts = runs.ts
-    clock = _clock(None, ts)
+    The first line that is not blank must be the meta line. A frame is the
+    next tick, at the derived t unless it holds t, and starts from the
+    previous frame's values: a field it lacks is unchanged, and only the
+    fields it holds are canonicalized. It never holds tick. After the first
+    frame, a line that is exactly {"kind":"frame"} is one more tick of the
+    run before it, without the decoder."""
+    meta, runs, heads, lineno = None, None, (), 0
     # Not splitlines, which also breaks at what a JSON string holds raw, U+2028 among
     # them. A CRLF line drops its "\r", so that an unchanged tick skips the decoder.
     lines = [line.removesuffix("\r") for line in text.split("\n")] if "\r" in text else text.split("\n")
     for lineno, line in enumerate(lines, start=1):
-        if line == _FRAME and ts:  # an unchanged tick: one more t for the run before it
-            ts.append(clock(len(ts)))
+        if line == _FRAME and heads:  # an unchanged tick: one more tick of the run before it
+            runs.n += 1
             continue
         if not line.strip():
             continue
@@ -482,22 +476,20 @@ def read_trace(text: str) -> Trace:
             raise TraceIntegrityError(f"line {lineno}: a JSON value nested too deeply to read") from None
         kind = obj.pop("kind", None) if isinstance(obj, dict) else None
         try:
-            if kind == "frame":
-                # Older files carry the flicker phase, a function of t: checked, then dropped.
-                if type(phase := obj.pop("sgd_phase", False)) is not bool:
-                    raise TraceIntegrityError(f"sgd_phase={_SHOWN.repr(phase)} is not a valid bool")
-                if "tick" not in obj:  # frames of older files hold their tick, and t unless it repeats
-                    obj = {"tick": len(ts), "t": clock(len(ts)), **obj}
-                rec = TraceRecord._read(runs.last() if ts else None, obj)
-                if rec.tick != len(ts):
-                    raise TraceIntegrityError(f"tick {rec.tick} where {len(ts)} was expected")
-                runs.step(rec)
-            elif kind != "meta":
+            if meta is None or kind == "meta":
+                if meta is not None or kind != "meta":
+                    raise TraceIntegrityError("meta must be the first line")
+                meta = TraceMeta._read(None, obj)
+                heads = (runs := _Builder(meta.dt)).heads
+            elif kind != "frame":
                 raise TraceIntegrityError(f"unknown record kind {_SHOWN.repr(kind)}")
-            elif ts or meta is not None:
-                raise TraceIntegrityError("meta must be the first line")
+            elif "tick" in obj:  # a frame's tick is its position
+                raise TraceIntegrityError("unknown field 'tick'")
             else:
-                clock = _clock(meta := TraceMeta._read(None, obj), ts)
+                k = runs.n
+                runs.step(TraceRecord._read(heads[-1] if heads else None, {"tick": k, "t": q9(k * meta.dt), **obj}))
         except TraceIntegrityError as exc:
             raise TraceIntegrityError(f"line {lineno}: {exc}") from None
-    return Trace(meta=meta, records=runs.records())
+    if meta is None:
+        raise TraceIntegrityError(f"line {lineno}: meta must be the first line")
+    return Trace(meta, runs.records())

@@ -14,7 +14,7 @@ import turncue.scenario
 from turncue.cli import cli
 from turncue.config import GuidanceConfig
 from turncue.configio import load_suite
-from turncue.errors import ScriptError
+from turncue.errors import ScriptError, TraceIntegrityError
 from turncue.geometry import AngularRange
 from turncue.lights import light_intensity, point_light_color, spot_cone_angle
 from turncue.metrics import extract_metrics, metrics_to_csv
@@ -232,23 +232,51 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
     assert hashlib.md5(csv.encode()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
 
 
-def test_a_trace_in_the_older_format_reads_as_the_same_run_written_now(tmp_path, capsys):
+def test_a_trace_in_the_older_format_is_rejected_and_regenerated_from_its_seed(tmp_path, capsys):
     # A 10 Hz listener trial written before frame lines left out tick and t, so every frame
-    # holds both: it reads to the trace of the same run written now, which write_trace turns
-    # it into, and metrics gives the same CSV for both files.
+    # holds both: metrics and read_trace reject it at its first frame, naming the field. Its
+    # meta line names the run, which simulate writes again from the same seed in the one format.
     old, new = REPO / "tests" / "data" / "listener_10hz_tick_t_frames.jsonl", tmp_path / "new.jsonl"
+    assert all('"tick":' in line and '"t":' in line for line in old.read_text().splitlines()[1:])
+    with pytest.raises(TraceIntegrityError, match="^line 2: unknown field 'tick'$"):
+        read_trace(old.read_text())
+    capsys.readouterr()
+    assert cli(["metrics", str(old)]) == 1
+    assert capsys.readouterr() == ("", f"error: {old}: line 2: unknown field 'tick'\n")
     assert cli(["simulate", "--script", str(REPO / "configs" / "listener_light_audio.cfg"), "--dt", "0.1",
                 "--seed", "7", "--out", str(new)]) == 0
-    assert all('"tick":' in line and '"t":' in line for line in old.read_text().splitlines()[1:])
+    assert new.read_text().split("\n", 1)[0] == old.read_text().split("\n", 1)[0]
     assert not any('"tick":' in line or '"t":' in line for line in new.read_text().splitlines()[1:])
-    trace = read_trace(old.read_text())
-    assert trace == read_trace(new.read_text()) and write_trace(trace.records, trace.meta) == new.read_text()
     capsys.readouterr()
-    csv = []
-    for path in (old, new):
-        assert cli(["metrics", str(path)]) == 0
-        csv.append(capsys.readouterr().out)
-    assert csv[0] == csv[1] and csv[0].startswith("method,view,role,n,")
+    assert cli(["metrics", str(new)]) == 0 and capsys.readouterr().out.startswith("method,view,role,n,")
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda lines: lines[1:], "line 1: meta must be the first line"),
+        (lambda lines: [], "line 1: meta must be the first line"),
+        (lambda lines: [lines[0], lines[1].replace('{"kind":"frame",', '{"kind":"frame","tick":0,')] + lines[2:],
+         "line 2: unknown field 'tick'"),
+        (lambda lines: lines[:3] + ['{"kind":"frame","sgd_phase":false}'] + lines[4:],
+         "line 4: unknown field 'sgd_phase'"),
+    ],
+    ids=["no-meta", "empty", "tick", "sgd_phase"],
+)
+def test_metrics_on_a_file_outside_the_one_format_exits_one_naming_the_line(script_file, tmp_path, capsys, edit,
+                                                                            message):
+    # The bad file comes second: the message names it as well as the line and, for a frame, the field.
+    good, out = tmp_path / "good.jsonl", tmp_path / "t.jsonl"
+    for path in (good, out):
+        assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(path)]) == 0
+    lines = edit(out.read_text().splitlines())
+    out.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(TraceIntegrityError) as caught:
+        read_trace(out.read_text())
+    assert str(caught.value) == message
+    capsys.readouterr()
+    assert cli(["metrics", str(good), str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {out}: {message}\n")
 
 
 def test_reference_suite_does_not_depend_on_the_hash_seed(tmp_path):

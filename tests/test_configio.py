@@ -66,8 +66,17 @@ def test_unknown_section_rejected():
 
 
 def test_syntax_error_carries_line_number():
-    with pytest.raises(ConfigError, match="line"):
-        parse_config("[lights]\nthis is not a key value pair\n")
+    # The line's number, what is wrong with it, and the line itself, cut short as any shown value is.
+    for text, message in (
+        ("[lights]\nthis is not a key value pair\n", "line 2, not a [section] or key = value: "
+                                                     "'this is not a key value pair'"),
+        ("env_min = 0.5\n[lights]\n", "line 1, before any [section]: 'env_min = 0.5'"),
+        ("[lights]\nenv_min = 0.5\n\n[audio]\n[lights]\n", "line 5, a repeated section: '[lights]'"),
+        ("[lights]\nenv_min = 0.5\r\nenv_min = 0.6\r\n", "line 3, a repeated key: 'env_min = 0.6\\r'"),
+    ):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == "config syntax error: " + message
 
 
 def test_range_violation_names_field():
@@ -370,6 +379,10 @@ _HUGE = -(10**5000)  # more digits than str() converts, 4,300 unless set otherwi
         (lambda: load_simulation("[scenario]\nturns = " + _LONG + "\n"), ConfigError, "[scenario] turns"),
         (lambda: parse_config(f"[audio]\n{_LONG} = 1\n"), ConfigError, "unknown key"),
         (lambda: parse_config(f"[{_LONG}]\n"), ConfigError, "unknown section 'xxxx"),
+        (lambda: parse_config(f"[lights]\n{_LONG}\n"), ConfigError,
+         "config syntax error: line 2, not a [section] or key = value: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        (lambda: parse_config(f"{_LONG}\n[lights]\n"), ConfigError,
+         "config syntax error: line 1, before any [section]: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
         (lambda: GazeAgentModel(latency_overrides=((_LONG, "in", 0.1),)), ScriptError, "agent 'latency_xxxx"),
         (lambda: run_scenario(default_script(Method.SGD, Role.LISTENER, topic=_HUGE), GazeAgentModel(),
                               GuidanceConfig()), TraceIntegrityError, "topic=about -10**5000 is not a valid int"),
@@ -379,7 +392,7 @@ _HUGE = -(10**5000)  # more digits than str() converts, 4,300 unless set otherwi
         (lambda: GuidanceConfig(sound_easing=_LONG), ConfigError, "sound_easing"),
         (lambda: sound_source_position(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), 45.0, AngularRange(0.0, 90.0), _LONG),
          ConfigError, "easing"),
-        (lambda: read_trace(write_trace([make_record(0, 0.0)]).replace(
+        (lambda: read_trace(write_trace([make_record(0, 0.0)], make_meta()).replace(
             '{"kind":"frame",', '{"kind":"frame","sgd_phase":[' + ",".join(["0"] * 50_000) + "],")),
          TraceIntegrityError, "sgd_phase"),
         (lambda: make_record(0, 0.0)._replace(t=_HUGE), TraceIntegrityError, "t="),
@@ -393,7 +406,8 @@ _HUGE = -(10**5000)  # more digits than str() converts, 4,300 unless set otherwi
          "user_seat_index-negative-5001-digits", "trial-order_index-negative-5001-digits",
          "run_scenario-participant-negative-5001-digits", "suite_traces-jobs-negative-5001-digits",
          "agent-seed-long-str", "default_script-method-long-str", "config-method-long", "config-turns-entry-long",
-         "config-key-long", "config-section-long", "agent-latency-override-long", "run_scenario-topic-5001-digits",
+         "config-key-long", "config-section-long", "config-syntax-long-line", "config-syntax-long-line-before-header",
+         "agent-latency-override-long", "run_scenario-topic-5001-digits",
          "run_scenario-seed-5001-digits",
          "turn-speaker-long", "sound_easing-long", "sound_source_position-easing-long",
          "read-sgd_phase-long-list", "record-t-5001-digits", "metrics-state-long", "plan-trial-long-str",

@@ -13,7 +13,7 @@ from turncue.trace import Records, Trace
 
 def as_tuple_and_as_records(trace):
     """trace with its records in a tuple and in a Records: extract_metrics must treat the two alike."""
-    return [trace._replace(records=tuple(trace.records)), trace._replace(records=Records(trace.records))]
+    return [trace._replace(records=tuple(trace.records)), trace._replace(records=Records(trace.records, trace.meta.dt))]
 
 
 def session_trace(outcome="acknowledged", rt=2.0, in_view=False, role="listener", method="light_audio"):
@@ -107,9 +107,12 @@ def test_acknowledged_without_rt_rejected():
 
 
 def test_trace_without_meta_rejected():
-    trace = Trace(meta=None, records=(make_record(0, 0.0),))
-    with pytest.raises(TraceIntegrityError, match="meta"):
-        extract_metrics([trace])
+    # Every way to build a Trace rejects one without a TraceMeta, naming the field, so no scan meets one.
+    trace = Trace(meta=make_meta(), records=(make_record(0, 0.0),))
+    for build in (lambda: Trace(meta=None, records=trace.records), lambda: Trace(None, ()),
+                  lambda: Trace._make((None, ())), lambda: trace._replace(meta=None)):
+        with pytest.raises(TraceIntegrityError, match="^meta=None is not a valid TraceMeta$"):
+            build()
 
 
 def test_mean_over_multiple_sessions():

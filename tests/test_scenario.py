@@ -39,7 +39,7 @@ from turncue.scenario import (
     seat_of,
     suite_traces,
 )
-from turncue.trace import TraceRecord, read_trace, write_trace
+from turncue.trace import TraceRecord, q9, read_trace, write_trace
 
 CFG = GuidanceConfig()
 FAST_DT = 0.05
@@ -333,23 +333,21 @@ def test_no_frame_line_holds_tick_or_t_at_any_frame_rate(dt):
 
 
 @pytest.mark.parametrize("every_frame", [True, False], ids=["full-frames", "delta-frames"])
-def test_trace_with_the_legacy_flicker_phase_reads_to_the_same_records(every_frame):
-    # Older files carry sgd_phase on their frames: on every frame, or, since
-    # delta frames, where it changed. The reader checks it is a bool and
-    # drops it.
+def test_a_legacy_flicker_phase_is_rejected_at_its_first_frame(every_frame):
+    # Older files carry sgd_phase, a function of t, on their frames: on every frame, or, since
+    # delta frames, where it changed from the first tick's. A frame holds no such field: the
+    # reader names it on the first line that holds one.
     dt = 1 / 72
     trace = run_scenario(default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), CFG, dt=dt, seed=3)
     lines = write_trace(trace.records, trace.meta).splitlines(keepends=True)
-    last = None
+    last = sgd_phase(0.0)
     for k in range(len(trace.records)):
         phase = sgd_phase(k * dt)
         if every_frame or phase != last:
             lines[k + 1] = lines[k + 1].replace('"kind":"frame"', f'"kind":"frame","sgd_phase":{json.dumps(phase)}')
         last = phase
     assert '"sgd_phase":false' in lines[5]  # tick 4, t = 0.056: the phase turns off
-    assert read_trace("".join(lines)) == trace
-    lines[5] = lines[5].replace('"sgd_phase":false', '"sgd_phase":"yes"')
-    with pytest.raises(TraceIntegrityError, match="^line 6: sgd_phase='yes' is not a valid bool$"):
+    with pytest.raises(TraceIntegrityError, match=f"^line {2 if every_frame else 6}: unknown field 'sgd_phase'$"):
         read_trace("".join(lines))
 
 
@@ -602,13 +600,16 @@ def test_reference_suite_simulates_a_minority_of_ticks(reference_run):
 
 def test_reference_suite_holds_a_run_per_change_and_reads_back_the_same_runs(reference_run):
     # 775 of the 19,320 reference ticks change a field other than tick and t:
-    # the loop and the reader each keep those records and a t for every tick.
+    # the loop and the reader each keep those records, and no t, since every
+    # tick's t is the derived q9(tick × dt).
     result, _ = reference_run
     heads = [trace.records.heads for trace in result.traces]
     assert sum(map(len, heads)) == 775
     for trace, live in zip(result.traces, heads):
-        assert trace.records.ts == tuple(rec.t for rec in trace.records)
-        assert read_trace(write_trace(trace.records, trace.meta)).records.heads == live
+        assert trace.records.odd_ts == {} and trace.records.dt == trace.meta.dt
+        assert all(rec.t == q9(rec.tick * trace.meta.dt) for rec in trace.records)
+        back = read_trace(write_trace(trace.records, trace.meta)).records
+        assert back.heads == live and back.odd_ts == {}
 
 
 def test_reference_traces_with_crlf_lines_read_the_same_on_the_short_path(reference_run, monkeypatch):

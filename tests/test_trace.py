@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 import re
 import sys
@@ -91,18 +92,18 @@ def test_q9_rejects_values_without_a_finite_result(bad, error):
 def test_negative_zero_is_written_and_read_back_as_zero():
     assert q9(-0.0).hex() == "0x0.0p+0"
     rec = make_record(0, 0.0, duck=-0.0, head=(-0.0, 0, 1))
-    text = write_trace([rec])
+    text = write_trace([rec], make_meta())
     assert '"duck":0,' in text and '"head":[0,0,1]' in text
     back = read_trace(text)
-    assert write_trace(back.records) == text
+    assert write_trace(back.records, back.meta) == text
 
 
 def test_three_records_three_lines():
     records = [make_record(i, i * 0.1) for i in range(3)]
-    text = write_trace(records)
-    assert len(text.splitlines()) == 3
+    text = write_trace(records, make_meta())
+    assert len(text.splitlines()) == 1 + 3
     back = read_trace(text)
-    assert back.meta is None
+    assert back.meta == make_meta()
     assert list(back.records) == records
 
 
@@ -114,10 +115,30 @@ def test_meta_line_prepended():
     assert '"kind":"meta"' in lines[0]
 
 
-def test_empty_trace_is_empty_file():
-    assert write_trace([]) == ""
-    back = read_trace("")
-    assert back.meta is None and back.records == ()
+_META_LINE = write_trace([], make_meta())  # a trace of no ticks is its meta line alone
+_ONE_TICK = write_trace([make_record(0, 0.0)], make_meta())
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (_META_LINE.replace('"kind":"meta"', '"kind":"frame"'), "line 1: meta must be the first line"),
+        (_ONE_TICK.split("\n", 1)[1], "line 1: meta must be the first line"),
+        ("", "line 1: meta must be the first line"),
+        ("\n \n", "line 3: meta must be the first line"),
+        (_META_LINE + _META_LINE, "line 2: meta must be the first line"),
+        (_META_LINE + '{"kind":"frame","tick":0}\n', "line 2: unknown field 'tick'"),
+        (_ONE_TICK + '{"kind":"frame","tick":1}\n', "line 3: unknown field 'tick'"),
+        (_ONE_TICK + '{"kind":"frame","sgd_phase":true}\n', "line 3: unknown field 'sgd_phase'"),
+    ],
+    ids=["frame-first", "no-meta", "empty", "blank", "second-meta", "tick", "tick-later", "sgd_phase"],
+)
+def test_a_file_outside_the_one_format_is_rejected_naming_line_and_field(text, message):
+    # One format: the meta line first, then frames that never hold tick nor the flicker phase.
+    assert read_trace(_META_LINE) == (make_meta(), ())
+    with pytest.raises(TraceIntegrityError) as caught:
+        read_trace(text)
+    assert str(caught.value) == message
 
 
 def test_round_trip_random_traces():
@@ -139,13 +160,13 @@ def test_write_then_write_is_stable():
 
 def test_floats_serialized_at_nine_significant_digits():
     rec = make_record(0, 1.0416666666666667)
-    text = write_trace([rec])
+    text = write_trace([rec], make_meta())
     assert '"t":1.04166667' in text
 
 
 def test_non_contiguous_ticks_rejected():
     records = [make_record(0, 0.0), make_record(2, 0.2)]
-    for build in (write_trace, Records):  # write_trace builds its input into a Records
+    for build in (lambda r: write_trace(r, make_meta()), lambda r: Records(r, 0.1)):  # write_trace builds a Records
         with pytest.raises(TraceIntegrityError, match="^tick 2 at position 1: indices must be contiguous from 0$"):
             build(records)
 
@@ -156,16 +177,14 @@ def test_read_rejects_bad_json():
 
 
 def test_read_rejects_unknown_kind():
-    with pytest.raises(TraceIntegrityError):
-        read_trace('{"kind":"mystery"}\n')
+    with pytest.raises(TraceIntegrityError, match="^line 2: unknown record kind 'mystery'$"):
+        read_trace(write_trace([], make_meta()) + '{"kind":"mystery"}\n')
 
 
 def test_read_rejects_late_meta():
-    records = [make_record(0, 0.0)]
-    frame_line = write_trace(records)
-    meta_line = write_trace([], make_meta())
-    with pytest.raises(TraceIntegrityError, match="meta"):
-        read_trace(frame_line + meta_line)
+    text = write_trace([make_record(0, 0.0)], make_meta())
+    with pytest.raises(TraceIntegrityError, match="^line 3: meta must be the first line$"):
+        read_trace(text + text.split("\n", 1)[0] + "\n")
 
 
 _F = '{"kind":"frame",'  # the start of a frame line, where a case puts a field the line leaves out
@@ -194,7 +213,7 @@ def _trace_lines() -> list[str]:
         (2, '"point_active":false', '"point_active":"yes"', "point_active='yes' is not a valid bool"),
         (2, _F, _F + '"t":"0",', "t='0' is not a valid float"),
         (3, '"panel_text":""', '"panel_text":5', "panel_text=5 is not a valid str"),
-        (4, _F, _F + '"tick":true,', "tick=True is not a valid int"),
+        (1, '"participant":0', '"participant":true', "participant=True is not a valid int"),
         (3, _F, _F + '"t":NaN,', "t=nan is not a valid float"),
         (3, _F, _F + '"t":Infinity,', "t=inf is not a valid float"),
         (3, _F, _F + '"t":-Infinity,', "t=-inf is not a valid float"),
@@ -203,15 +222,15 @@ def _trace_lines() -> list[str]:
         (3, '"pos":[0,1,0]', '"pos":[0,NaN,0]', r"pos=\[0, nan, 0\] is not a valid Triple"),
         (3, '"rt":null', '"rt":-1e999', r"rt=-inf is not a valid float \| None"),
         (3, '"panel_text":""', '"panel_text":NaN', "panel_text=nan is not a valid str"),
-        (4, _F, _F + '"tick":NaN,', "tick=nan is not a valid int"),
+        (1, '"seed":0', '"seed":NaN', "seed=nan is not a valid int"),
         (2, '"chime":false', '"chime":Infinity', "chime=inf is not a valid bool"),
         (3, '"rt":null', '"rt":-Infinity', r"rt=-inf is not a valid float \| None"),
         (2, '"in_view":null', '"in_view":NaN', r"in_view=nan is not a valid bool \| None"),
         (3, '"target":null', '"target":Infinity', r"target=inf is not a valid str \| None"),
         (1, '"topic":0', '"topic":0,"bogus":NaN,"tick2":5', "unknown field 'bogus'"),
-        (2, _F, _F + '"tick":0,"bogus":NaN,"tick2":5,', "unknown field 'bogus'"),
+        (2, _F, _F + '"bogus":NaN,"tick2":5,', "unknown field 'bogus'"),
         (3, _F, _F + '"bogus":NaN,"tick2":5,', "unknown field 'bogus'"),
-        (4, _F, _F + '"tick":1,', "tick 1 where 2 was expected"),  # a frame may hold its tick, but only the next
+        (4, _F, _F + '"tick":2,', "unknown field 'tick'"),  # a frame's tick is its position: it holds none
         (1, '"method":"light_audio"', '"method":"lightaudio"', "method='lightaudio' is not a valid Method"),
         (1, '"role":"listener"', '"role":"lisener"', "role='lisener' is not a valid Role"),
         (2, '"pos":[0,0,0]', '"pos":' + "[" * 100_000 + "]" * 100_000, "a JSON value nested too deeply to read"),
@@ -283,13 +302,13 @@ def test_frame_text_does_not_depend_on_shared_value_objects():
     for rec in random_trace(rng, 30).records:  # every field moves
         records.append(rec._replace(tick=len(records)))
 
-    text = write_trace(records)
-    assert text == write_trace([_fresh_copy(rec) for rec in records])
+    text = write_trace(records, make_meta())
+    assert text == write_trace([_fresh_copy(rec) for rec in records], make_meta())
     assert read_trace(text).records == tuple(records)
-    lines = text.splitlines()
+    lines = text.splitlines()[1:]
     assert '"target":null,"rt":null,"in_view":null,"role":null' in lines[0]
-    assert lines[4] == '{"kind":"frame","t":0.4,"state":"acknowledged","rt":0.5}'  # no meta: t is a diff field
-    assert lines[5] == '{"kind":"frame","t":0.5}'  # equal values in new objects
+    assert lines[4] == '{"kind":"frame","state":"acknowledged","rt":0.5}'  # t is the derived q9(4 × 0.1)
+    assert lines[5] == '{"kind":"frame"}'  # equal values in new objects
     assert lines[6].endswith(',"state":"idle","target":null,"rt":null,"in_view":null,"role":null}')
     assert '"state":"acknowledged","target":"a2","rt":0.5,"in_view":false,"role":"listener"}' in lines[8]
 
@@ -312,10 +331,10 @@ _CHANGING = [name for name in TraceRecord._fields if name != "tick"]
 _SUBSET = st.sets(st.sampled_from(_CHANGING), max_size=8)
 
 
-def _full_key_text(records) -> str:
-    """Frames in the earlier full-key layout: every field on every line."""
-    return "".join(
-        '{"kind":"frame",' + ",".join(f'"{name}":{_emit(getattr(rec, name))}' for name in TraceRecord._fields) + "}\n"
+def _full_key_text(records, meta) -> str:
+    """A meta line, then frames with every field on every line but tick, the line's position."""
+    return write_trace([], meta) + "".join(
+        '{"kind":"frame",' + ",".join(f'"{name}":{_emit(getattr(rec, name))}' for name in _CHANGING) + "}\n"
         for rec in records
     )
 
@@ -333,17 +352,17 @@ def test_delta_frames_round_trip_any_change_pattern(data):
         records.append(_fresh_copy(rec) if data.draw(st.booleans()) else rec)
         fresh = data.draw(_SUBSET)
         values = {name: _fresh(v) if name in fresh else v for name, v in rec._asdict().items() if name != "tick"}
-    meta = data.draw(st.none() | st.just(make_meta()))
+    meta = make_meta()
     text = write_trace(records, meta)
     back = read_trace(text)
     assert back.records == tuple(records) and back.meta == meta
     assert write_trace(back.records, back.meta) == text
-    assert read_trace(_full_key_text(records)).records == tuple(records)
+    assert read_trace(_full_key_text(records, meta)) == back
 
 
 def test_read_rejects_non_object_line():
-    with pytest.raises(TraceIntegrityError, match="line 1: unknown record kind"):
-        read_trace("[1, 2]\n")
+    with pytest.raises(TraceIntegrityError, match="^line 2: unknown record kind None$"):
+        read_trace(write_trace([], make_meta()) + "[1, 2]\n")
 
 
 def test_lines_padded_with_json_whitespace_read_as_written():
@@ -399,27 +418,13 @@ def test_read_accepts_and_rejects_each_line_as_json_decode_does(line):
     assert got == expected
 
 
-def _diff_only_write(records, meta=None) -> str:
-    """A trace in the older format: every line a plain diff against the last, so that each frame
-    holds tick and, where it changed, t. The older writer wrote dt at 9 digits, this one exactly."""
-    def lines(kind, objs):
-        last = None
-        for obj in objs:
-            fields = [f',"{name}":{_emit(value)}' for i, (name, value) in enumerate(obj._asdict().items())
-                      if last is None or value != last[i]]
-            yield "".join([f'{{"kind":"{kind}"', *fields, "}\n"])
-            last = obj
-
-    return "".join([*lines("meta", [] if meta is None else [meta]), *lines("frame", records)])
-
-
-def _plain_write(records, meta=None) -> str:
+def _plain_write(records, meta) -> str:
     """write_trace as a plain diff of every frame against the record before it, with tick left out
     and t against the derived t: the oracle for its per-run writer."""
-    lines = [] if meta is None else [_diff_only_write([], meta)]
+    lines = ["".join(['{"kind":"meta"', *[f',"{name}":{_emit(value)}' for name, value in meta._asdict().items()], "}\n"])]
     last = None
     for k, rec in enumerate(records):
-        derived = q9(k * meta.dt) if meta is not None else 0.0 if last is None else last.t
+        derived = q9(k * meta.dt)
         fields = [f',"{name}":{_emit(value)}' for i, (name, value) in enumerate(rec._asdict().items())
                   if i == 1 and value != derived or i > 1 and (last is None or value != last[i])]
         lines.append("".join(['{"kind":"frame"', *fields, "}\n"]))
@@ -444,12 +449,10 @@ def test_written_repeats_equal_the_diff_of_every_field(data):
         else:
             rec = _fresh_copy(_at(prev, k, k * 0.1))
         records.append(rec)
-    meta = data.draw(st.none() | st.just(make_meta()))
+    meta = make_meta()
     text = write_trace(records, meta)
     assert text == _plain_write(records, meta)
-    # The older format, tick and t on every frame, reads through the decoder to the same trace.
-    assert read_trace(text) == read_trace(_padded(text)) == read_trace(_diff_only_write(records, meta)) == (
-        meta, tuple(records))
+    assert read_trace(text) == read_trace(_padded(text)) == (meta, tuple(records))
 
 
 def test_nesting_at_any_depth_reads_as_a_value_or_the_line_s_error():
@@ -460,7 +463,7 @@ def test_nesting_at_any_depth_reads_as_a_value_or_the_line_s_error():
         for tail in ("", " x"):
             with pytest.raises(TraceIntegrityError) as caught:
                 read_trace("[" * depth + "]" * depth + tail)
-            assert str(caught.value) in ("line 1: unknown record kind None", "line 1: invalid JSON (Extra data)",
+            assert str(caught.value) in ("line 1: meta must be the first line", "line 1: invalid JSON (Extra data)",
                                          "line 1: a JSON value nested too deeply to read")
 
 
@@ -484,12 +487,14 @@ def test_records_behave_as_the_tuple_of_their_records(data):
         else:
             rec = _fresh_copy(_at(prev, k, k * 0.1))
         records.append(rec)
-    runs, expected = Records(records), tuple(records)
+    runs, expected = Records(records, 0.1), tuple(records)
     assert runs.heads == tuple(rec for i, rec in enumerate(expected) if i == 0 or rec[2:] != expected[i - 1][2:])
-    assert runs.ts == tuple(rec.t for rec in expected)
+    assert runs.odd_ts == {k: rec.t for k, rec in enumerate(expected) if rec.t != q9(k * 0.1)}
 
     n = len(expected)
-    assert len(runs) == n and Records(runs) is runs
+    assert len(runs) == n and Records(runs, 0.1) is runs and runs.dt == 0.1
+    at_another_dt = Records(runs, 1 / 72)  # the same records, whose t is derived at other ticks
+    assert at_another_dt.heads == runs.heads and at_another_dt == runs and pickle.loads(pickle.dumps(runs)) == runs
     for i in range(-n, n):
         assert type(runs[i]) is TraceRecord and runs[i] == expected[i]
     for i in (n, -n - 1):
@@ -499,20 +504,20 @@ def test_records_behave_as_the_tuple_of_their_records(data):
                                      st.none() | st.integers(1, 3) | st.integers(-3, -1))))
     assert type(runs[cut]) is tuple and runs[cut] == expected[cut]
     assert tuple(runs) == expected and list(runs) == records
-    for same in (expected, records, Records(expected)):
+    for same in (expected, records, Records(expected, 0.1), at_another_dt):
         assert runs == same and same == runs and not runs != same and not same != runs
     assert hash(runs) == hash(expected)
     other = data.draw(st.sampled_from(["shorter", "moved"]))
     differs = expected[:-1] if other == "shorter" else expected[:-1] + (expected[-1]._replace(duck=0.5),)
     if differs != expected:
-        assert runs != differs and differs != runs and runs != Records(differs) and not runs == differs
+        assert runs != differs and differs != runs and runs != Records(differs, 0.1) and not runs == differs
 
-    meta = data.draw(st.none() | st.just(make_meta()))
+    meta = make_meta()
     text = write_trace(runs, meta)
-    assert text == write_trace(records, meta) == _plain_write(records, meta)
+    assert text == write_trace(records, meta) == write_trace(at_another_dt, meta) == _plain_write(records, meta)
     for back in (read_trace(text), read_trace(_padded(text))):  # the short path, and the decoder's
         assert back == (meta, expected)
-        assert back.records.heads == runs.heads and back.records.ts == runs.ts
+        assert back.records.heads == runs.heads and back.records.odd_ts == runs.odd_ts
         assert write_trace(back.records, back.meta) == text
 
 
@@ -522,10 +527,10 @@ _SPACED = st.sampled_from([_FRAME, " " + _FRAME, '{"kind": "frame"}', '{ "kind" 
 
 @given(st.data())
 def test_a_frame_holds_t_only_where_it_is_not_the_derived_t(data):
-    # At a drawn dt, with and without a meta line, each tick's t is the derived one,
-    # q9(tick × dt), or another: the previous tick's, or any.
+    # At a drawn dt, each tick's t is the derived one, q9(tick × dt), or another: the previous
+    # tick's, or any. Records holds the others, one entry each, at the ticks whose frames hold t.
     dt = data.draw(_DT)
-    meta = data.draw(st.none() | st.just(make_meta(dt=dt)))
+    meta = make_meta(dt=dt)
     records = [make_record(0, data.draw(st.just(0.0) | _FLOAT))]
     for k in range(1, data.draw(st.integers(1, 12))):
         t = data.draw(st.sampled_from([k * dt, k * dt, records[-1].t]) | _FLOAT)
@@ -533,17 +538,36 @@ def test_a_frame_holds_t_only_where_it_is_not_the_derived_t(data):
         records.append(records[-1]._replace(tick=k, t=t, **changed))
     text = write_trace(records, meta)
     assert text == _plain_write(records, meta)
-    frames = text.splitlines()[meta is not None:]
+    frames = text.splitlines()[1:]
     assert len(frames) == len(records) and not any('"tick"' in line for line in frames)
-    if meta is not None:
-        assert [('"t":' in line) for line in frames] == [rec.t != q9(k * dt) for k, rec in enumerate(records)]
+    odd = [k for k, rec in enumerate(records) if rec.t != q9(k * dt)]
+    assert list(Records(records, dt).odd_ts) == odd == [k for k, line in enumerate(frames) if '"t":' in line]
     back = read_trace(text)
     assert back == (meta, tuple(records)) and write_trace(back.records, back.meta) == text
-    # The older format reads to the same records.
-    assert read_trace(_diff_only_write(records, meta)).records == tuple(records)
+    assert list(back.records.odd_ts) == odd
     # An unchanged tick's line with JSON whitespace, or a "\r", reads as the bare line through the decoder.
     spaced = "".join((data.draw(_SPACED) if line == _FRAME else line) + "\n" for line in text.splitlines())
     assert read_trace(spaced) == back
+
+
+@pytest.mark.parametrize("dt", [1 / 72, 1 / 144, 0.1])
+def test_a_frame_holds_t_only_where_it_is_not_the_derived_t_on_random_ticks(dt):
+    # Long runs of repeated ticks at the derived t, which a tick leaves now and then, as a hand edit
+    # or a paused clock would: by a hair, back to the previous t, or far.
+    rng = random.Random(round(1 / dt))
+    records = [make_record(0, 0.0)]
+    for k in range(1, 600):
+        t = k * dt
+        if rng.random() < 0.05:
+            t = rng.choice([t * (1 + 1e-8), records[-1].t, rng.uniform(-1e3, 1e3)])
+        records.append(_at(records[-1], k, t)._replace(pos=(0.0, float(k // 50), 0.0)))
+    odd = [k for k, rec in enumerate(records) if rec.t != q9(k * dt)]
+    assert 10 < len(odd) < 60
+    text = write_trace(records, make_meta(dt=dt))
+    assert [k for k, line in enumerate(text.splitlines()[1:]) if '"t":' in line] == odd
+    back = read_trace(text)
+    assert list(back.records.odd_ts) == list(Records(records, dt).odd_ts) == odd
+    assert back == (make_meta(dt=dt), tuple(records)) and write_trace(back.records, back.meta) == text
 
 
 def test_the_meta_line_holds_dt_exactly():
@@ -593,8 +617,8 @@ def test_an_int_field_past_the_digit_limit_is_rejected_where_it_enters():
 
 
 def test_empty_records():
-    runs = Records()
-    assert runs == () == Records([]) and len(runs) == 0 and runs.heads == runs.ts == ()
+    runs = Records((), 0.1)
+    assert runs == () == Records([], 1 / 72) and len(runs) == runs.n == 0 and runs.heads == () and runs.odd_ts == {}
     assert runs[:] == () and list(runs) == [] and hash(runs) == hash(())
     with pytest.raises(IndexError):
         runs[0]
@@ -624,37 +648,35 @@ def test_unchanged_ticks_read_as_decoded():
     lines = text.splitlines()
     assert lines[9] == '{"kind":"frame"}' and lines[8] == '{"kind":"frame","t":0.6}'  # tick 7 kept tick 6's t
     assert read_trace(text) == read_trace(_padded(text)) == (make_meta(), tuple(records))
-    # The first frame is never bare: it holds every field but tick and t, and without a meta line its derived t is 0.
-    for first in ('{"kind":"frame","tick":0,"t":0}', '{"kind":"frame"}'):
-        with pytest.raises(TraceIntegrityError, match="^line 1: missing field 'pos'$"):
-            read_trace(first + "\n")
-    with pytest.raises(TraceIntegrityError, match="^line 2: missing field 'pos'$"):
-        read_trace(write_trace([], make_meta()) + '{"kind":"frame"}\n')
+    # The first frame is never bare: it holds every field but tick and a derived t.
+    for first in ('{"kind":"frame","t":0}', '{"kind":"frame"}', " " + _FRAME):
+        with pytest.raises(TraceIntegrityError, match="^line 2: missing field 'pos'$"):
+            read_trace(write_trace([], make_meta()) + first + "\n")
 
 
 _NUMBER_PIECES = ["0", "1", "2", "9", "\u0663", "-", "+", ".", "e", "E", "NaN", "Infinity", "01", "1e999", "-0.0", " "]
 _NUMBER = st.lists(st.sampled_from(_NUMBER_PIECES), min_size=1, max_size=4).map("".join)
-_KEYS = st.sampled_from([('"tick"', '"t"')] * 4 + [('"t"', '"tick"'), ('"tick"', '"kind"'), ('"pos"', '"t"')])
-_SHORT = st.tuples(_KEYS, st.none() | _NUMBER, _NUMBER)  # keys, tick (None: the expected one), t
+_KEYS = st.sampled_from([('"t"',)] * 4 + [('"t"', '"env"'), ('"env"', '"t"'), ('"t"', '"kind"'), ('"tick"', '"t"')])
+_SHORT = st.tuples(_KEYS, _NUMBER, _NUMBER)  # keys, and a value for each
 
 
 @given(st.lists(st.none() | _SHORT, min_size=1, max_size=3))
-@example([(('"tick"', '"t"'), None, "1e999")])
-@example([(('"tick"', '"t"'), "01", "0.1")])
-@example([(('"tick"', '"t"'), "2", "0.1")])
-@example([(('"tick"', '"t"'), None, "-0.0"), (('"tick"', '"t"'), None, "9" * 400)])
-@example([(('"tick"', '"t"'), None, "1"), (('"tick"', '"t"'), None, "2E+1"), (('"tick"', '"t"'), None, "-0")])
-@example([(('"tick"', '"t"'), None, "1.")])
-@example([(('"tick"', '"t"'), None, "1e+")])
-@example([(('"tick"', '"t"'), None, "1\u0663")])  # a digit to str.isdigit, not to JSON
+@example([(('"t"',), "1e999", "")])
+@example([(('"t"',), "01", "")])
+@example([(('"t"',), "-0.0", ""), (('"t"',), "9" * 400, "")])
+@example([(('"t"',), "1", ""), (('"t"',), "2E+1", ""), (('"t"',), "-0", "")])
+@example([(('"t"',), "1.", "")])
+@example([(('"t"',), "1e+", "")])
+@example([(('"t"',), "1\u0663", "")])  # a digit to str.isdigit, not to JSON
+@example([(('"tick"', '"t"'), "1", "0.1")])
 def test_a_short_line_reads_as_the_decoder_reads_it(lines):
-    # After a valid first frame, an unchanged tick's line, bare as written now
-    # (None) or in the older format or nearly: the records or the error are
-    # those of the decoder's path, which the padded copy takes.
-    text = write_trace([make_record(0, 0.0)]) + "".join(
-        _FRAME + "\n" if line is None else f'{{"kind":"frame",{line[0][0]}:{i if line[1] is None else line[1]},'
-                                          f'{line[0][1]}:{line[2]}}}\n'
-        for i, line in enumerate(lines, start=1)
+    # After a valid first frame, an unchanged tick's line, bare as written (None), or one that
+    # holds t, or nearly: the records or the error are those of the decoder's path, which the
+    # padded copy takes.
+    text = write_trace([make_record(0, 0.0)], make_meta()) + "".join(
+        _FRAME + "\n" if line is None
+        else '{"kind":"frame",' + ",".join(f"{key}:{value}" for key, value in zip(line[0], line[1:])) + "}\n"
+        for line in lines
     )
     assert _outcome(text) == _outcome(_padded(text))
 
@@ -662,18 +684,19 @@ def test_a_short_line_reads_as_the_decoder_reads_it(lines):
 @pytest.mark.parametrize(
     "line,message",
     [
-        ('{"kind":"frame","tick":1,"t":1e999}', "t=inf is not a valid float"),
-        ('{"kind":"frame","tick":1,"t":-1E400}', "t=-inf is not a valid float"),
-        ('{"kind":"frame","tick":1,"t":' + "9" * 400 + "}", "t=9{400} is not a valid float"),
-        ('{"kind":"frame","tick":01,"t":0.1}', r"invalid JSON \(Expecting ',' delimiter\)"),
-        ('{"kind":"frame","tick":3,"t":0.1}', "tick 3 where 1 was expected"),
-        ('{"kind":"frame","tick":-0,"t":0.1}', "tick 0 where 1 was expected"),
+        ('{"kind":"frame","t":1e999}', "t=inf is not a valid float"),
+        ('{"kind":"frame","t":-1E400}', "t=-inf is not a valid float"),
+        ('{"kind":"frame","t":' + "9" * 400 + "}", "t=9{400} is not a valid float"),
+        ('{"kind":"frame","t":01}', r"invalid JSON \(Expecting ',' delimiter\)"),
+        ('{"kind":"frame","tick":3,"t":0.1}', "unknown field 'tick'"),  # a frame holds no tick, not even the next
+        ('{"kind":"frame","tick":1}', "unknown field 'tick'"),
     ],
     ids=["inf", "minus-inf", "int-overflow", "leading-zero", "wrong-tick", "minus-zero-tick"],
 )
 def test_read_rejects_a_bad_short_line_with_its_number(line, message):
-    for text in (write_trace([make_record(0, 0.0)]) + line + "\n", _padded(write_trace([make_record(0, 0.0)]) + line)):
-        with pytest.raises(TraceIntegrityError, match=f"^line 2: {message}$"):
+    first = write_trace([make_record(0, 0.0)], make_meta())
+    for text in (first + line + "\n", _padded(first + line)):
+        with pytest.raises(TraceIntegrityError, match=f"^line 3: {message}$"):
             read_trace(text)
 
 
@@ -683,9 +706,9 @@ _HUGE = "9" * 5000  # more digits than Python's int() reads, 4300 unless set oth
 @pytest.mark.parametrize(
     "line",
     [
-        '{"kind":"frame","tick":%s,"t":0.1}' % _HUGE,
-        '{"kind":"frame","tick":1,"t":%s}' % _HUGE,
-        '{"kind":"frame","tick":1,"t":0.1,"env":%s}' % _HUGE,  # never a short line
+        '{"kind":"frame","tick":%s,"t":0.1}' % _HUGE,  # decoded before the field is named
+        '{"kind":"frame","t":%s}' % _HUGE,
+        '{"kind":"frame","t":0.1,"env":%s}' % _HUGE,  # never a short line
     ],
     ids=["tick", "t", "env"],
 )
@@ -695,20 +718,22 @@ def test_read_rejects_an_integer_longer_than_int_reads_with_its_line(line):
     def message(lineno):
         return f"^line {lineno}: an integer of more than {sys.get_int_max_str_digits()} digits$"
 
-    first = write_trace([make_record(0, 0.0)])
+    meta, first = write_trace([], make_meta()), write_trace([make_record(0, 0.0)], make_meta())
     for text in (first + line + "\n", _padded(first + line)):
-        with pytest.raises(TraceIntegrityError, match=message(2)):
+        with pytest.raises(TraceIntegrityError, match=message(3)):
             read_trace(text)
-    with pytest.raises(TraceIntegrityError, match=message(1)):  # a first frame, which the decoder reads
-        read_trace(line.replace('"tick":1,', '"tick":0,'))
+    with pytest.raises(TraceIntegrityError, match=message(2)):  # a first frame, which the decoder reads
+        read_trace(meta + line)
+    with pytest.raises(TraceIntegrityError, match=message(1)):  # before the meta line is looked for
+        read_trace(line)
 
 
 def test_an_unchanged_tick_of_many_digits_reads_as_decoded():
-    # An older file's unchanged tick with a t of up to and past 640 digits, the
-    # least limit Python may set on int(): as written or padded, the decoder's error.
+    # An unchanged tick's line with a t of up to and past 640 digits, the least
+    # limit Python may set on int(): as written or padded, the decoder's error.
     for digits in (639, 640, 641, 4300):
-        text = write_trace([make_record(0, 0.0)]) + '{"kind":"frame","tick":1,"t":%s}\n' % ("9" * digits)
-        error = (TraceIntegrityError, f"line 2: t={'9' * digits} is not a valid float")
+        text = write_trace([make_record(0, 0.0)], make_meta()) + '{"kind":"frame","t":%s}\n' % ("9" * digits)
+        error = (TraceIntegrityError, f"line 3: t={'9' * digits} is not a valid float")
         assert _outcome(text) == _outcome(_padded(text)) == error
 
 
@@ -756,12 +781,12 @@ def test_every_way_to_build_a_record_canonicalizes(data):
         make_record(0, 0.0)._replace(**raw),
         TraceRecord(tick=0, **raw)._replace(**{name: raw[name] for name in replaced}),
     ]
-    text = write_trace(built[:1])
+    text = write_trace(built[:1], make_meta())
     back = read_trace(text).records[0]
     for rec in (*built, back):
         assert type(rec) is TraceRecord and rec == built[0]
         assert all(_is_canonical(value, _KIND[name]) for name, value in rec._asdict().items())
-    assert write_trace([back]) == text
+    assert write_trace([back], make_meta()) == text
 
 
 @pytest.mark.parametrize(
@@ -792,10 +817,10 @@ def _builds(cls, name: str, value) -> list:
     raw = (*base[:i], value, *base[i + 1:])
 
     def step(*before):
-        runs = _Builder()
+        runs = _Builder(0.1)
         for rec in (*before, raw if not before else (1, *raw[1:])):
             runs.step(rec)
-        return _at(runs.last(), 0, 0.0)  # at the first tick, as the other ways build it
+        return _at(runs.records()[-1], 0, 0.0)  # at the first tick, as the other ways build it
 
     ways = [lambda: cls(**dict(zip(cls._fields, raw))), lambda: cls(*raw), lambda: cls._make(raw),
             lambda: base._replace(**{name: value})]
@@ -827,7 +852,7 @@ def test_a_named_field_takes_a_member_or_its_value_and_nothing_else(named, data)
         for build in _builds(cls, name, value):
             line = build()
             assert type(line) is cls and type(getattr(line, name)) is str and getattr(line, name) == member.value
-            back = read_trace(write_trace([], line) if cls is TraceMeta else write_trace([line]))
+            back = read_trace(write_trace([], line) if cls is TraceMeta else write_trace([line], make_meta()))
             assert (back.meta if cls is TraceMeta else back.records[0]) == line == _read_with(cls, name, member.value)
     valid = [*_ENUMS[kind], *(m.value for m in _ENUMS[kind]), *([None] if kind.endswith(" | None") else [])]
     bad = data.draw((_NOT_A_NAME | st.sampled_from([*Method, *Role, *Side])).filter(lambda v: v not in valid))
@@ -852,7 +877,7 @@ def test_stepping_raw_ticks_gives_the_runs_of_their_records(data):
     near = {"float": st.just(0.1 + 1e-12), "Triple": st.just([0.1, 0, -0.0]), "str": st.just("a1")}
     draw = {kind: near[kind] | value if kind in near else value for kind, value in _RAW.items()}
     values = {name: data.draw(draw[_KIND[name]]) for name in _CHANGING}
-    built, records = _Builder(), []
+    built, records = _Builder(0.1), []
     for k in range(data.draw(st.integers(1, 10))):
         values["t"] = data.draw(st.sampled_from([k * 0.1, k]))
         for name in data.draw(_SUBSET):
@@ -862,7 +887,8 @@ def test_stepping_raw_ticks_gives_the_runs_of_their_records(data):
         built.step(raw)
         records.append(TraceRecord._make(raw))
     runs = built.records()
-    assert runs == Records(records) and runs.heads == Records(records).heads
+    assert runs == Records(records, 0.1) and runs.heads == Records(records, 0.1).heads
+    assert runs.odd_ts == Records(records, 0.1).odd_ts == {k: rec.t for k, rec in enumerate(records) if rec.t != q9(k * 0.1)}
     assert all(type(head[0]) is int for head in runs.heads)
 
 
@@ -876,7 +902,7 @@ def test_stepping_raw_ticks_gives_the_runs_of_their_records(data):
     ],
 )
 def test_stepping_rejects_a_bad_changed_field_as_a_record_does(field, value, message):
-    built, first = _Builder(), make_record(0, 0.0)
+    built, first = _Builder(0.1), make_record(0, 0.0)
     built.step(tuple(first))
     with pytest.raises(TraceIntegrityError, match=f"^{message}$"):
         built.step(tuple((first._replace(tick=1, t=0.1)._asdict() | {field: value}).values()))
@@ -893,9 +919,10 @@ _SHORTENED = r"'x{12}\.\.\.x{13}'"  # how an error shows a long str
         (lambda: make_record(0, 0.0)._replace(chime="x" * 200_000), f"chime={_SHORTENED} is not a valid bool"),
         (lambda: make_meta(seats=[[[0] * 200_000]] * 9),
          r"seats=\[(\[\[\.\.\.\]\], ){6}\.\.\.\] is not a valid tuple\[Triple, \.\.\.\]"),
-        (lambda: read_trace('{"kind":"frame","tick":0,"' + "x" * 200_000 + '":1}'),
-         f"line 1: unknown field {_SHORTENED}"),
-        (lambda: read_trace('{"kind":"' + "x" * 200_000 + '"}'), f"line 1: unknown record kind {_SHORTENED}"),
+        (lambda: read_trace(write_trace([], make_meta()) + '{"kind":"frame","' + "x" * 200_000 + '":1}'),
+         f"line 2: unknown field {_SHORTENED}"),
+        (lambda: read_trace(write_trace([], make_meta()) + '{"kind":"' + "x" * 200_000 + '"}'),
+         f"line 2: unknown record kind {_SHORTENED}"),
     ],
     ids=["long-tuple", "long-str", "deep-list", "long-field-name", "long-kind"],
 )
