@@ -17,8 +17,7 @@ _SUBMODULE_NAMES = {
     "configio": "load_simulation load_suite parse_config",
     "errors": "ConcurrentSignalError ConfigError DegenerateGeometryError GuidanceError InvalidDirectionError "
               "ScriptError TraceIntegrityError TraceOrderError",
-    "geometry": "AngularRange DeviationReference Pose Vec3 angular_deviation deviation_to_target lateral_side "
-                "normalized_progress",
+    "geometry": "AngularRange DeviationReference Pose Vec3 angular_deviation deviation_to_target lateral_side",
     "lights": "ColorRGB LightLevels PointLightState SpotlightGeometry SpotlightState env_light_with_fade "
               "light_intensity point_light_color point_light_state spot_cone_angle spotlight_state",
     "metrics": "CellStats MetricsSummary extract_metrics metrics_to_csv",

@@ -44,19 +44,18 @@ class TraceIntegrityError(GuidanceError):
 def checked(fields: type) -> type:
     """The NamedTuple class fields as a subclass of the same name whose
     constructor, _make and _replace (through _make) run fields._check on each
-    new value, which raises on a bad one. typing.NamedTuple allows neither
+    new value: it raises on a bad one and returns the value to keep in its
+    place, or None to keep the value built. typing.NamedTuple allows neither
     __new__ nor _make in a class body, nor, before 3.11, a second base."""
     new, make, check = fields.__new__, fields._make.__func__, fields._check
 
     def __new__(cls, *args, **kwargs):
         value = new(cls, *args, **kwargs)
-        check(value)
-        return value
+        return value if (kept := check(value)) is None else kept
 
     def _make(cls, iterable):
         value = make(cls, iterable)  # checks the length
-        check(value)
-        return value
+        return value if (kept := check(value)) is None else kept
 
     return type(fields.__name__, (fields,), dict(__slots__=(), __doc__=fields.__doc__, __module__=fields.__module__,
                                                  __new__=__new__, _make=classmethod(_make)))

@@ -170,20 +170,9 @@ def lateral_side(pose: Pose, target: Vec3) -> Side:
     return Side.LEFT if lateral < 0.0 else Side.RIGHT
 
 
-def normalized_progress(theta: float, rng: AngularRange, gamma: float) -> float:
-    """Clamped, normalized, curved progress of theta through rng.
-
-    Returns ((clamp(theta) - theta_min) / (theta_max - theta_min)) ** gamma,
-    exactly 0 at theta_min and 1 at theta_max, monotone non-decreasing in
-    theta for any gamma > 0.
-    """
-    if not 0.0 < gamma < math.inf:
-        raise ConfigError(f"gamma={gamma} must be finite and > 0")
-    return _progress(theta, rng, gamma)
-
-
 def _progress(theta: float, rng: AngularRange, gamma: float) -> float:
-    """normalized_progress without its check, for a gamma checked where it entered."""
+    """Progress of theta through rng, ((clamp(theta) - theta_min) / (theta_max - theta_min)) ** gamma: exactly 0
+    at theta_min, 1 at theta_max, monotone for any gamma > 0, which GuidanceConfig and eval --gamma check."""
     clamped = min(rng.theta_max, max(theta, rng.theta_min))
     frac = (clamped - rng.theta_min) / (rng.theta_max - rng.theta_min)
     return frac**gamma

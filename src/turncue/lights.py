@@ -1,9 +1,10 @@
 """Light cue channels: environment light, point light, spotlight.
 
-Each channel maps the running angular deviation through normalized_progress
+Each channel maps the running angular deviation through geometry._progress
 (unchecked: gamma is checked where it enters) and interpolates its engine
 parameter between a configured min and max. The point light serves
 out-of-view guidance, the spotlight within-view, as the viewport test gates.
+A ColorRGB is its own (r, g, b) tuple.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class ColorRGB(NamedTuple):
         for name, v in zip(self._fields, self):
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"color channel {name}={v} must lie in [0, 1]")
-
-    def to_tuple(self) -> tuple[float, float, float]:
-        return tuple(self)
 
 
 @checked

@@ -11,7 +11,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import TraceIntegrityError
-from .trace import _SHOWN, Records, Trace, format9
+from .trace import _SHOWN, Trace, format9
 
 # Legal session-tag successions within one trace.
 _ALLOWED = {
@@ -44,7 +44,7 @@ def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
     prev = "idle"
     open_tick: int | None = None  # the tick that signaled the open session
     # A session tag changes only where a run starts: its later ticks pass every check that its head does.
-    for rec in Records(trace.records, trace.meta.dt).heads:
+    for rec in trace.records.heads:
         if rec.state not in _ALLOWED:
             raise TraceIntegrityError(f"tick {rec.tick}: unknown session state {_SHOWN.repr(rec.state)}")
         if rec.state not in _ALLOWED[prev]:

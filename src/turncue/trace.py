@@ -157,19 +157,14 @@ _CANONICAL = {
 
 class _Canonical:
     """Base of the trace line types, NamedTuples of canonical values that
-    _canonical makes. The constructor, _make and _replace (through _make)
-    canonicalize every field; _from, which _read calls, only those that
-    changed since the previous record or line."""
+    _canonical makes and errors.checked builds: _check canonicalizes every
+    field of a value built by the constructor, _make or _replace; _from, which
+    _read calls, only those that changed since the previous record or line."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        return cls._make(super().__new__(cls, *args, **kwargs))
-
-    @classmethod
-    def _make(cls, iterable):
-        values = super()._make(iterable)  # checks the length
-        return cls._from(values, values, range(len(values)))
+    def _check(self):
+        return self._from(self, self, range(len(self)))
 
     @classmethod
     def _from(cls, prev: tuple, raw, changed: Iterable[int]):
@@ -205,17 +200,17 @@ class _Canonical:
 
 
 def _canonical(fields: type) -> type:
-    """The NamedTuple fields as a _Canonical of the same name, which canonicalizes
-    each field as its annotation says; an annotation without a canonical form
-    fails at import."""
+    """The NamedTuple fields as a checked _Canonical of the same name, which
+    canonicalizes each field as its annotation says; an annotation without a
+    canonical form fails at import."""
     kinds = tuple(getattr(kind, "__forward_arg__", kind) for kind in fields.__annotations__.values())
     for name, kind in zip(fields._fields, kinds):
         if kind not in _CANONICAL:
             raise TypeError(f"{fields.__name__}.{name}: unsupported trace field type {kind!r}")
-    return type(fields.__name__, (_Canonical, fields), {
+    return checked(type(fields.__name__, (_Canonical, fields), {
         "__slots__": (), "__doc__": fields.__doc__, "_kinds": kinds, "_canon": tuple(map(_CANONICAL.get, kinds)),
         "_index": {name: i for i, name in enumerate(fields._fields)},
-        "_keys": tuple(f',"{name}":' for name in fields._fields)})  # each field's key in a line
+        "_keys": tuple(f',"{name}":' for name in fields._fields)}))  # each field's key in a line
 
 
 @_canonical
@@ -383,12 +378,15 @@ class _Builder:
 
 @checked
 class Trace(NamedTuple):
+    """A run's meta and its records, built into a Records at meta.dt however the Trace is built."""
+
     meta: TraceMeta
     records: Records
 
-    def _check(self) -> None:
+    def _check(self):
         if self.meta.__class__ is not TraceMeta:
             raise TraceIntegrityError(f"meta={_SHOWN.repr(self.meta)} is not a valid TraceMeta")
+        return tuple.__new__(type(self), (self.meta, Records(self.records, self.meta.dt)))
 
 
 def _emit(value) -> str:
@@ -424,12 +422,11 @@ def _line(kind: str, obj: _Canonical, last: tuple | None = None) -> str:
 
 
 def write_trace(records: Iterable[TraceRecord], meta: TraceMeta) -> str:
-    """Serialize meta and records, built into a Records at meta.dt first, to JSON Lines.
+    """Serialize meta and records, built into a Records at meta.dt as a Trace builds them, to JSON Lines.
 
     A run's head is diffed against the record before it, and t against the derived
     t; every other tick is {"kind":"frame"}, with t where odd_ts holds one."""
-    meta, records = Trace(meta, records)  # a TraceMeta, or the error that names meta
-    records = Records(records, meta.dt)
+    meta, records = Trace(meta, records)  # a TraceMeta and a Records, or the error that names meta
     frames = [f"{_FRAME}\n"] * len(records)
     for k, t in records.odd_ts.items():
         frames[k] = f'{{"kind":"frame","t":{_emit(t)}}}\n'

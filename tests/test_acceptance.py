@@ -128,7 +128,7 @@ def test_c01_equation_oracle_equivalence():
                 oracle_env(theta, 0.0, 90.0, gamma),
             )
             got = point_light_color(theta, rng, CFG.warm, CFG.cold, gamma)
-            for g, e in zip(got.to_tuple(), oracle_color(theta, 0.0, 90.0, gamma)):
+            for g, e in zip(tuple(got), oracle_color(theta, 0.0, 90.0, gamma)):
                 assert rel_close(g, e)
             exp_int, exp_cone = oracle_spot(theta, 0.0, 90.0, gamma)
             assert rel_close(light_intensity(theta, rng, spot_levels, gamma), exp_int)
@@ -146,9 +146,9 @@ def test_c02_boundary_exactness_with_study_parameters():
     assert abs(light_intensity(0.0, rng, CFG.spot_levels, 1.0) - 0.8) <= 1e-12
     assert abs(spot_cone_angle(90.0, rng, CFG.spot_geometry, 1.0) - 60.0) <= 1e-12
     assert abs(spot_cone_angle(0.0, rng, CFG.spot_geometry, 1.0) - 30.0) <= 1e-12
-    for got, want in zip(point_light_color(90.0, rng, CFG.warm, CFG.cold, 1.0).to_tuple(), WARM):
+    for got, want in zip(tuple(point_light_color(90.0, rng, CFG.warm, CFG.cold, 1.0)), WARM):
         assert abs(got - want) <= 1e-12
-    for got, want in zip(point_light_color(0.0, rng, CFG.warm, CFG.cold, 1.0).to_tuple(), COLD):
+    for got, want in zip(tuple(point_light_color(0.0, rng, CFG.warm, CFG.cold, 1.0)), COLD):
         assert abs(got - want) <= 1e-12
 
     # full spotlight path at exact boundary poses
@@ -177,8 +177,8 @@ def test_c03_monotonicity_randomized():
 
         if light_intensity(t2, band, CFG.env_levels, gamma) < light_intensity(t1, band, CFG.env_levels, gamma) - 1e-12:
             violations += 1
-        c1 = point_light_color(t1, band, CFG.warm, CFG.cold, gamma).to_tuple()
-        c2 = point_light_color(t2, band, CFG.warm, CFG.cold, gamma).to_tuple()
+        c1 = tuple(point_light_color(t1, band, CFG.warm, CFG.cold, gamma))
+        c2 = tuple(point_light_color(t2, band, CFG.warm, CFG.cold, gamma))
         for ch1, ch2, w, c in zip(c1, c2, WARM, COLD):
             toward_warm = ch2 - ch1 if w >= c else ch1 - ch2
             if toward_warm < -1e-12:

@@ -7,6 +7,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import pins
 import pytest
 from _rand import record_digest
 
@@ -69,7 +70,7 @@ def test_eval_rows_match_library(capsys, channel):
         if channel == "env":
             return (light_intensity(th, rng, cfg.env_levels, gamma),)
         if channel == "point":
-            return point_light_color(th, rng, cfg.warm, cfg.cold, gamma).to_tuple()
+            return tuple(point_light_color(th, rng, cfg.warm, cfg.cold, gamma))
         return (light_intensity(th, rng, cfg.spot_levels, gamma),
                 spot_cone_angle(th, rng, cfg.spot_geometry, gamma))
 
@@ -223,13 +224,9 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
     ]) == 0
     csv = capsys.readouterr().out
     files = sorted(out_dir.iterdir())
-    assert hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest() == (
-        "d161ff25dc5e04cc40c4e90d5eac672d3cf6acff5f677be2a987ab5961c37f5e"
-    )
-    assert record_digest(read_trace(f.read_text()) for f in files) == (
-        "1cc6046d229a1b9debf701dcbe0ec45edc91e3eec62747395a82b57e6c696578"
-    )
-    assert hashlib.md5(csv.encode()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
+    assert hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest() == pins.REFERENCE_FILES_SHA256
+    assert record_digest(read_trace(f.read_text()) for f in files) == pins.REFERENCE_RECORDS_SHA256
+    assert hashlib.md5(csv.encode()).hexdigest() == pins.REFERENCE_CSV_MD5
 
 
 def test_a_trace_in_the_older_format_is_rejected_and_regenerated_from_its_seed(tmp_path, capsys):
@@ -297,10 +294,8 @@ def test_reference_suite_does_not_depend_on_the_hash_seed(tmp_path):
     assert runs[0] == runs[1]
     names, contents, csv = runs[0]
     assert len(names) == 8
-    assert hashlib.sha256(b"".join(contents)).hexdigest() == (
-        "d161ff25dc5e04cc40c4e90d5eac672d3cf6acff5f677be2a987ab5961c37f5e"
-    )
-    assert hashlib.md5(csv).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
+    assert hashlib.sha256(b"".join(contents)).hexdigest() == pins.REFERENCE_FILES_SHA256
+    assert hashlib.md5(csv).hexdigest() == pins.REFERENCE_CSV_MD5
 
 
 def test_suite_with_a_repeat_count_beyond_the_float_range_exits_one_without_a_traceback(tmp_path):
@@ -336,23 +331,24 @@ def _trace_name(i, trace):
     return f"trace_p{meta.participant:03d}_{i % 8:02d}_{meta.method}_{meta.role}.jsonl"
 
 
-class _Records(list):
-    """A trace's records in a list that takes weak references, as no tuple, Trace included, does."""
+class _Witness(dict):
+    """A trace's odd_ts in a dict that takes weak references, as no dict does: set as
+    trace.records.odd_ts, it lives exactly as long as the trace's records."""
 
 
 def test_suite_writes_each_trace_before_the_next_trial_runs(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "traces"
     run_scenario = turncue.scenario.run_scenario
-    made = []  # a weak reference to the records of each trace the suite has made
+    made = []  # a weak reference to the witness of each trace the suite has made
 
     def watched(*args, **kwargs):
         assert len(list(out_dir.glob("*.jsonl"))) == len(made)
         # Only the trial about to run is alive: the last trace was written and dropped.
         assert all(ref() is None for ref in made)
         trace = run_scenario(*args, **kwargs)
-        records = _Records(trace.records)
-        made.append(weakref.ref(records))
-        return trace._replace(records=records)
+        trace.records.odd_ts = witness = _Witness(trace.records.odd_ts)
+        made.append(weakref.ref(witness))
+        return trace
 
     monkeypatch.setattr(turncue.scenario, "run_scenario", watched)
     assert cli([

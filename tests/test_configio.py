@@ -10,7 +10,7 @@ from turncue.cli import _eval_rows
 from turncue.config import GuidanceConfig
 from turncue.configio import _SCHEMA, load_simulation, load_suite, parse_config
 from turncue.errors import ConfigError, GuidanceError, ScriptError, TraceIntegrityError
-from turncue.geometry import AngularRange, Vec3, normalized_progress
+from turncue.geometry import AngularRange, Vec3
 from turncue.lights import LightLevels
 from turncue.metrics import extract_metrics
 from turncue.scenario import (
@@ -243,7 +243,6 @@ def _plan_with_second_trial(**changes):
         (lambda: GazeAgentModel(head_speed=math.nan), "head_speed"),
         (lambda: GazeAgentModel(latency_overrides=(("sgd", "in", math.nan),)), "latency_sgd_in"),
         (lambda: default_script(Method.SGD, Role.LISTENER)._replace(signal_offset=math.inf), "signal_offset"),
-        (lambda: normalized_progress(45.0, AngularRange(0.0, 90.0), math.nan), "gamma"),
         (lambda: StudyPlan(participants=-2), "participants"),
         (lambda: GuidanceConfig(theta_min=179.5), r"theta_min=179\.5 must lie in \[0, 179\]"),
         (lambda: StudyPlan(participants=1, seat_radius=0.0), "seat_radius=0.0"),
@@ -333,7 +332,7 @@ def _plan_with_second_trial(**changes):
         (lambda: default_script(Method.TEXT_ICON, Role.SPEAKER, eye_height=1e17), r"^eye_height=1e\+17 leaves"),
     ],
     ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
-         "head_speed", "latency_override", "signal_offset", "progress_gamma", "participants",
+         "head_speed", "latency_override", "signal_offset", "participants",
          "theta_min-above-179", "plan-seat_radius-zero", "plan-seat_radius-inf", "plan-eye_height-nan",
          "plan-trials-not-TrialSpec", "trial-order_index-float", "trial-participant-bool",
          "trial-order_index-negative", "trial-participant-negative", "seat_radius-negative",

@@ -11,11 +11,11 @@ from turncue.geometry import (
     Pose,
     Side,
     Vec3,
+    _progress,
     _unit_angle,
     angular_deviation,
     deviation_to_target,
     lateral_side,
-    normalized_progress,
     target_view,
 )
 
@@ -168,32 +168,33 @@ def test_lateral_side_behind_tie_breaks_right():
     assert lateral_side(pose_at(head=Z), Vec3(0, 0, -1)) is Side.RIGHT
 
 
+# Normalized progress is geometry._progress: gamma is checked where it enters, not here.
 def test_normalized_progress_upper_boundary():
-    assert normalized_progress(90.0, AngularRange(0, 90), 1.0) == 1.0
+    assert _progress(90.0, AngularRange(0, 90), 1.0) == 1.0
 
 
 def test_normalized_progress_lower_boundary():
-    assert normalized_progress(0.0, AngularRange(0, 90), 1.0) == 0.0
+    assert _progress(0.0, AngularRange(0, 90), 1.0) == 0.0
 
 
 def test_normalized_progress_curved():
     # direct evaluation of (45/90)^2
-    assert normalized_progress(45.0, AngularRange(0, 90), 2.0) == pytest.approx(0.25, abs=1e-15)
+    assert _progress(45.0, AngularRange(0, 90), 2.0) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_normalized_progress_clamps_above():
-    assert normalized_progress(120.0, AngularRange(0, 90), 1.0) == 1.0
+    assert _progress(120.0, AngularRange(0, 90), 1.0) == 1.0
 
 
 def test_normalized_progress_exact_at_nonzero_theta_min():
     rng = AngularRange(20.0, 110.0)
-    assert normalized_progress(20.0, rng, 2.5) == 0.0
-    assert normalized_progress(110.0, rng, 2.5) == 1.0
+    assert _progress(20.0, rng, 2.5) == 0.0
+    assert _progress(110.0, rng, 2.5) == 1.0
 
 
 def test_normalized_progress_gamma_one_is_affine():
     rng = AngularRange(10.0, 70.0)
-    assert normalized_progress(40.0, rng, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert _progress(40.0, rng, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_normalized_progress_monotone():
@@ -205,12 +206,7 @@ def test_normalized_progress_monotone():
         gamma = rng.uniform(0.05, 8.0)
         t1 = rng.uniform(-10, 190)
         t2 = rng.uniform(t1, 190)
-        assert normalized_progress(t2, r, gamma) >= normalized_progress(t1, r, gamma) - 1e-12
-
-
-def test_normalized_progress_rejects_bad_gamma():
-    with pytest.raises(ConfigError):
-        normalized_progress(45.0, AngularRange(0, 90), 0.0)
+        assert _progress(t2, r, gamma) >= _progress(t1, r, gamma) - 1e-12
 
 
 def test_angular_range_rejects_inverted():

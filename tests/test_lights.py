@@ -82,7 +82,7 @@ def test_point_color_channels_monotone():
         t2 = rng.uniform(t1, 180)
         c1 = point_light_color(t1, R90, WARM, COLD, gamma)
         c2 = point_light_color(t2, R90, WARM, COLD, gamma)
-        for ch1, ch2, w, c in zip(c1.to_tuple(), c2.to_tuple(), WARM.to_tuple(), COLD.to_tuple()):
+        for ch1, ch2, w, c in zip(tuple(c1), tuple(c2), tuple(WARM), tuple(COLD)):
             if w >= c:
                 assert ch2 >= ch1 - 1e-12
             else:
@@ -192,7 +192,7 @@ def test_all_channels_stay_in_range():
         env = light_intensity(theta, band, ENV, gamma)
         assert ENV.l_min - 1e-12 <= env <= ENV.l_max + 1e-12
         c = point_light_color(theta, band, WARM, COLD, gamma)
-        for ch in c.to_tuple():
+        for ch in tuple(c):
             assert 0.0 <= ch <= 1.0
         spot = light_intensity(theta, band, SPOT, gamma)
         assert SPOT.l_min - 1e-12 <= spot <= SPOT.l_max + 1e-12
@@ -220,7 +220,7 @@ def test_an_out_of_range_color_channel_is_a_config_error_naming_it(channels, bad
 
 
 def test_a_color_is_the_tuple_of_its_channels():
-    assert WARM == (1.0, 0.902, 0.259) == WARM.to_tuple() and (WARM.r, WARM.g, WARM.b) == tuple(WARM)
+    assert WARM == (1.0, 0.902, 0.259) == tuple(WARM) == (WARM.r, WARM.g, WARM.b)
     # The point light's color is clamped, so it is built without the check, as a ColorRGB all the same.
     color = point_light_color(45.0, R90, WARM, COLD, 1.0)
     assert type(color) is ColorRGB and color == ColorRGB(*color)
@@ -231,8 +231,8 @@ def test_guidance_config_defaults_are_study_values():
     assert (cfg.env_levels.l_min, cfg.env_levels.l_max) == (0.5, 1.1)
     assert (cfg.spot_levels.l_min, cfg.spot_levels.l_max) == (0.8, 1.5)
     assert (cfg.spot_geometry.a_min, cfg.spot_geometry.a_max) == (30.0, 60.0)
-    assert cfg.warm.to_tuple() == (1.0, 0.902, 0.259)
-    assert cfg.cold.to_tuple() == (1.0, 1.0, 1.0)
+    assert tuple(cfg.warm) == (1.0, 0.902, 0.259)
+    assert tuple(cfg.cold) == (1.0, 1.0, 1.0)
     assert cfg.point_azimuth == 75.0
     assert cfg.viewport_half_angle == 45.0
 

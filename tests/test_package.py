@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pins
 import pytest
 
 import turncue
@@ -27,7 +28,7 @@ EXPORTS = {
     "TraceIntegrityError": "errors", "TraceOrderError": "errors",
     "AngularRange": "geometry", "DeviationReference": "geometry", "Pose": "geometry", "Side": "geometry",
     "Vec3": "geometry", "angular_deviation": "geometry", "deviation_to_target": "geometry",
-    "lateral_side": "geometry", "normalized_progress": "geometry",
+    "lateral_side": "geometry",
     "ColorRGB": "lights", "LightLevels": "lights", "PointLightState": "lights", "SpotlightGeometry": "lights",
     "SpotlightState": "lights", "env_light_with_fade": "lights", "light_intensity": "lights",
     "point_light_color": "lights", "point_light_state": "lights", "spot_cone_angle": "lights",
@@ -81,7 +82,7 @@ def test_metrics_over_the_reference_traces_loads_no_scenario_session_baseline_or
         + _PRINT_MODULES,
         str(csv), *map(str, sorted(out_dir.iterdir())),
     )
-    assert hashlib.md5(csv.read_bytes()).hexdigest() == "17c59b2a0edc53cdb35cbeddd4efc2ef"
+    assert hashlib.md5(csv.read_bytes()).hexdigest() == pins.REFERENCE_CSV_MD5
     assert {"turncue.cli", "turncue.metrics", "turncue.trace"} <= loaded
     assert not loaded & {"turncue.scenario", "turncue.session", "turncue.baselines", "turncue.configio"}
     assert not loaded & {"turncue.audio", "turncue.config", "turncue.geometry", "turncue.lights"}

@@ -6,9 +6,11 @@ import re
 import threading
 from pathlib import Path
 
+import pins
 import pytest
 from _rand import record_digest
 from hypothesis import assume, example, given, settings, strategies as st
+from reference_run import reference_scenario
 
 import turncue.scenario
 
@@ -283,8 +285,8 @@ def test_user_opening_gaze_lead_traces_match_pinned_digest():
         text = write_trace(trace.records, trace.meta)
         digest.update(text.encode())
         traces.append(read_trace(text))
-    assert digest.hexdigest() == "068f498674dde17162ca3fed6c38fa5bf16cc70fea0e90e8942d86a07eb353a3"
-    assert record_digest(traces) == "a5b351e17260cf3a3ac992b666cfca2914afd54d45c5be5dc24d3ca321d2f925"
+    assert digest.hexdigest() == pins.GAZE_LEAD_FILES_SHA256
+    assert record_digest(traces) == pins.GAZE_LEAD_RECORDS_SHA256
 
 
 def test_slow_listener_signaled_and_missed_ticks_match_pinned_digest():
@@ -305,7 +307,7 @@ def test_slow_listener_signaled_and_missed_ticks_match_pinned_digest():
         ends = [b.state for a, b in zip(trace.records, trace.records[1:]) if a.state == "signaled" != b.state]
         assert ends == ["acknowledged", "acknowledged", "missed", "missed"]
         traces.append(trace)
-    assert record_digest(traces) == "3e249f6de50bcebd80a6a87450068c4d07a96bcbab01949740522e1d7ac5378b"
+    assert record_digest(traces) == pins.SLOW_LISTENER_RECORDS_SHA256
 
 
 @pytest.mark.parametrize("dt", [1 / 30, 1 / 45, 1 / 60, 1 / 72, 1 / 90, 1 / 120, 1 / 144, 0.1])
@@ -604,7 +606,7 @@ def test_reference_suite_holds_a_run_per_change_and_reads_back_the_same_runs(ref
     # tick's t is the derived q9(tick × dt).
     result, _ = reference_run
     heads = [trace.records.heads for trace in result.traces]
-    assert sum(map(len, heads)) == 775
+    assert sum(map(len, heads)) == pins.REFERENCE_RUN_HEADS
     for trace, live in zip(result.traces, heads):
         assert trace.records.odd_ts == {} and trace.records.dt == trace.meta.dt
         assert all(rec.t == q9(rec.tick * trace.meta.dt) for rec in trace.records)
@@ -704,6 +706,46 @@ def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config
         simulated = run_scenario(script, agent, config, dt=dt, seed=3)
     assert trace == simulated
     assert write_trace(trace.records, trace.meta) == write_trace(simulated.records, simulated.meta)
+
+
+@st.composite
+def _plain_runs(draw):
+    """(script, agent, config, dt) of a short trial: drawn speakers, durations and signal offset; head speed,
+    latencies and gaze lead; dwell, timeout, fade, chimes and subtlety; method, role and seat; and a frame rate."""
+    speakers = draw(st.lists(st.sampled_from((USER_ID, *AGENT_IDS)), min_size=2, max_size=4))
+    script = ScenarioScript(
+        seats=hexagon_seats(), user_seat_index=draw(st.integers(0, len(AGENT_IDS))), role=draw(st.sampled_from(Role)),
+        method=draw(st.sampled_from(METHODS)), turn_order=tuple(Turn(s, draw(st.floats(0.2, 1.0))) for s in speakers),
+        signal_offset=draw(st.floats(0.1, 0.8)),
+    )
+    agent = GazeAgentModel(
+        head_speed=draw(st.floats(10.0, 400.0)), gaze_lead=draw(st.just(0.0) | st.floats(0.5, 45.0)),
+        latency_in=draw(st.floats(0.0, 1.0)), latency_out=draw(st.floats(0.0, 1.0)),
+        latency_jitter=draw(st.floats(0.0, 0.2)), seed=draw(st.integers(0, 9)),
+    )
+    repeats = draw(st.integers(1, 4))
+    config = GuidanceConfig(
+        ack_dwell=draw(st.floats(0.05, 1.0)), miss_timeout=draw(st.floats(0.3, 1.5)),
+        fade_duration=draw(st.floats(0.05, 3.0)), duck_duration=draw(st.floats(0.05, 1.0)),
+        chime_max_repeats=repeats, chime_repeat_interval=draw(st.floats(0.05, 0.6)) if repeats > 1 else 0.0,
+        subtlety=draw(st.floats(0.0, 1.0)),
+    )
+    return script, agent, config, draw(st.sampled_from([1 / 30, 1 / 45, 1 / 60, 1 / 72, 1 / 90, 1 / 120, 1 / 144]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_plain_runs(), seed=st.integers(0, 9))
+@example(run=(default_script(Method.LIGHT_AUDIO, Role.LISTENER), GazeAgentModel(), CFG, 1 / 72), seed=7)
+def test_the_loop_equals_a_plain_reference_run(run, seed):
+    # Differential testing: reference_run.reference_scenario simulates every tick with a fresh pose and
+    # target, takes each channel from its public function and masks the method's channels in one place,
+    # so it shares none of the loop's shortcuts. Each drawn turn lasts at most about 2.5 s; the study's
+    # own listener trial, whose chime window ends exactly on a tick, is always run.
+    script, agent, config, dt = run
+    live = run_scenario(script, agent, config, dt=dt, seed=seed)
+    plain = reference_scenario(script, agent, config, dt=dt, seed=seed)
+    assert plain.records == live.records and tuple(plain.records) == tuple(live.records)
+    assert write_trace(plain.records, plain.meta) == write_trace(live.records, live.meta)
 
 
 def test_chime_windows_stop_at_the_miss_timeout():

@@ -19,9 +19,11 @@ from turncue.trace import (
     Records,
     Role,
     Side,
+    Trace,
     TraceMeta,
     TraceRecord,
     _Builder,
+    _Canonical,
     _canonical,
     _FRAME,
     _emit,
@@ -495,6 +497,16 @@ def test_records_behave_as_the_tuple_of_their_records(data):
     assert len(runs) == n and Records(runs, 0.1) is runs and runs.dt == 0.1
     at_another_dt = Records(runs, 1 / 72)  # the same records, whose t is derived at other ticks
     assert at_another_dt.heads == runs.heads and at_another_dt == runs and pickle.loads(pickle.dumps(runs)) == runs
+    # A Trace builds its records into a Records at its meta's dt, however it is built, and keeps one at that dt.
+    meta = make_meta()
+    for trace in (Trace(meta, expected), Trace(meta=meta, records=records), Trace._make((meta, iter(records))),
+                  Trace(meta, runs)._replace(records=records), Trace(meta, at_another_dt),
+                  pickle.loads(pickle.dumps(Trace(meta, records)))):
+        assert type(trace.records) is Records and trace.records.dt == meta.dt == 0.1
+        assert trace.records == runs and (trace.records.heads, trace.records.odd_ts) == (runs.heads, runs.odd_ts)
+    assert Trace(meta, runs).records is runs
+    at_72hz = Trace(meta, runs)._replace(meta=make_meta(dt=1 / 72)).records
+    assert type(at_72hz) is Records and at_72hz.dt == 1 / 72 and at_72hz.odd_ts == at_another_dt.odd_ts
     for i in range(-n, n):
         assert type(runs[i]) is TraceRecord and runs[i] == expected[i]
     for i in (n, -n - 1):
@@ -797,12 +809,25 @@ def test_every_way_to_build_a_record_canonicalizes(data):
         (lambda: make_record(0, 0.0)._replace(pos=(0, 1)), r"pos=\(0, 1\) is not a valid Triple"),
         (lambda: make_record(0, 0.0)._replace(tick=True), "tick=True is not a valid int"),
         (lambda: make_meta(seats=((0.0, 1.0),)), r"seats=.* is not a valid tuple\[Triple, \.\.\.\]"),
+        # A Trace builds its records, so a bad one fails where the Trace is built.
+        (lambda: Trace(make_meta(), [make_record(1, 0.1)]), "tick 1 at position 0: indices must be contiguous from 0"),
+        (lambda: Trace(make_meta(), ())._replace(records=[tuple(make_record(0, 0.0))[:-1] + (5,)]),
+         "speaker=5 is not a valid str"),
     ],
-    ids=["constructor", "make", "replace", "replace-bool-int", "meta"],
+    ids=["constructor", "make", "replace", "replace-bool-int", "meta", "trace-tick", "trace-replace-value"],
 )
 def test_every_way_to_build_a_record_rejects_a_bad_value(build, message):
     with pytest.raises(TraceIntegrityError, match=f"^{message}$"):
         build()
+
+
+def test_errors_checked_builds_every_trace_type():
+    # One layer builds a checked value: the trace types' constructor and _make are errors.checked's, which
+    # keeps the value that _check returns, and _Canonical defines neither.
+    assert not {"__new__", "_make"} & vars(_Canonical).keys()
+    for cls in (TraceMeta, TraceRecord, Trace):
+        assert cls.__new__.__qualname__ == "checked.<locals>.__new__"
+        assert cls._make.__func__.__qualname__ == "checked.<locals>._make"
 
 
 _NAMED = [(cls, name) for cls in (TraceMeta, TraceRecord) for name, kind in zip(cls._fields, cls._kinds) if kind in _ENUMS]
