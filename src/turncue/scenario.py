@@ -434,10 +434,23 @@ def run_scenario(
         )
         runs.step(raw)
         k += 1
-        # Settled and at rest, each tick up to the pending signal or handoff repeats this record: tick keeps
-        # the state and frame, perceive_time is inf, so the head stays at rest, and the gaze is the head.
+        # Settled (idle, or resolved with the env at l_max) and at rest, each tick up to the pending signal or
+        # handoff repeats this record: tick keeps the state and frame, perceive_time is inf, so the head stays
+        # at rest, and the gaze is the head.
         if head is rest_dirs[turn_idx] and sess.settled(state, t, config):
             k = runs.n = end_tick if signal_tick is None else signal_tick
+        # Signaled and at rest after the signal's own tick (a gaze lead turns on at the next), each tick repeats
+        # this head and gaze until the perception turns the head, so tick takes its cues from the cache: one
+        # whose frame repeats and that leaves the session signaled repeats this record. The first that does
+        # not runs through the loop.
+        elif not fires and head is attention_dir and isinstance(state, sess.Signaled):
+            perceived = t >= perceive_time
+            while ((t := k * dt) >= perceive_time) is perceived:
+                held, again = sess.tick(state, tuple.__new__(Pose, (user_pos, head, gaze, t)), target, dt, config)
+                if again != frame or not isinstance(held, sess.Signaled):
+                    break
+                state, k = held, k + 1
+            runs.n = k
 
     return Trace(meta=meta, records=runs.records())
 

@@ -202,10 +202,12 @@ def _fade_fraction(state: Resolved, now: float, fade: float) -> float:
 
 def settled(state: SessionState, now: float, config: GuidanceConfig) -> bool:
     """Whether tick at any later time, for the same pose and target, keeps this
-    state and gives the frame it gave at now: while idle, and after the fade."""
+    state and gives the frame it gave at now: while idle, after the fade, and
+    through a fade that starts at l_max, as lerp(l_max, l_max, f) is l_max."""
     if isinstance(state, Signaled):
         return False
-    return isinstance(state, Idle) or _fade_fraction(state, now, config.fade_duration) == 1.0
+    return (isinstance(state, Idle) or state.env_at_end == config.env_levels.l_max
+            or _fade_fraction(state, now, config.fade_duration) == 1.0)
 
 
 def tick(

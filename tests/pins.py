@@ -1,8 +1,9 @@
 """The pinned digests of the reference runs, in one place.
 
 A change that moves one of these changes the program's output: it must be a
-defect fix, and it re-pins here and in .github/workflows/tier1.yml, which
-checks the reference suite's file digest and CSV md5 on the installed package.
+defect fix, and it re-pins here alone. The tests import this module, and
+.github/workflows/tier1.yml reads the reference suite's file digest and CSV
+md5 from it to check the installed package's output.
 """
 
 # turncue suite --plan configs/study.cfg --participants 1 --seed 7 (72 Hz):

@@ -2,7 +2,8 @@
 
 reference_scenario replays one trial the obvious way and shares none of the
 loop's shortcuts:
-- it simulates every tick, with no jump over a settled stretch;
+- it simulates every tick and builds its record, with no jump over a settled
+  stretch and no hold of a signaled tick at rest;
 - every tick builds a fresh Pose from fresh vectors, and hands tick a fresh
   target, so the session's cue cache never hits;
 - the session's state comes from begin_signal and tick, whose frame it never

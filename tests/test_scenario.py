@@ -537,27 +537,32 @@ def test_empty_plan_is_empty_aggregate():
     assert result.summary.cells == {}
 
 
+def count_calls(mp, calls, owner, name):
+    """Count owner.name's calls in calls[name] while mp's patches last."""
+    inner = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+
+    calls[name] = 0
+    mp.setattr(owner, name, counting)
+
+
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
 def test_baselines_run_per_tick_only_under_their_own_method(monkeypatch, method):
     # A baseline that the method does not present rests: it is worked out on
     # the first tick and at each signal, when its aim changes, and no more.
-    calls = {"text_icon_state": 0, "sgd_state": 0, "tick": 0, "begin_signal": 0}
-
-    def counting(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for module, name in ((turncue.scenario, "text_icon_state"), (turncue.scenario, "sgd_state"),
-                         (turncue.session, "tick"), (turncue.session, "begin_signal")):
-        counting(module, name)
+    # Its own method's is worked out on each tick that builds a record.
+    calls = {}
+    for owner, name in ((turncue.scenario, "text_icon_state"), (turncue.scenario, "sgd_state"),
+                        (turncue.trace._Builder, "step"), (turncue.session, "begin_signal")):
+        count_calls(monkeypatch, calls, owner, name)
     run_scenario(default_script(method, Role.SPEAKER), GazeAgentModel(), CFG, dt=FAST_DT, seed=3)
-    simulated, signals = calls["tick"], calls["begin_signal"]
-    assert signals == 2 and simulated > 100
+    simulated, signals = calls["step"], calls["begin_signal"]
+    # The light methods' env fades in after each signal, which changes the record on more ticks.
+    built = {Method.LIGHT_AUDIO: 46, Method.LIGHT: 45, Method.SGD: 28, Method.TEXT_ICON: 28}
+    assert signals == 2 and simulated == built[method]
     for name, own in (("text_icon_state", Method.TEXT_ICON), ("sgd_state", Method.SGD)):
         assert calls[name] == (simulated if method is own else 1 + signals), name
 
@@ -570,19 +575,15 @@ def assert_records_are_canonical(trace):
 
 @pytest.fixture(scope="module")
 def reference_run():
-    """The reference suite (study plan, 1 participant, seed 7) and how many ticks ran session.tick."""
+    """The reference suite (study plan, 1 participant, seed 7) and how many records it built (_Builder.step)
+    and how many session.tick calls it made."""
     plan, agent, config = load_suite((REPO / "configs" / "study.cfg").read_text())
-    calls = []
-    tick = turncue.session.tick
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return tick(*args, **kwargs)
-
+    calls = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(turncue.session, "tick", counting)
+        count_calls(mp, calls, turncue.trace._Builder, "step")
+        count_calls(mp, calls, turncue.session, "tick")
         result = run_suite(plan._replace(participants=1, trials=()), agent, config, seed=7)
-    return result, len(calls)
+    return result, calls
 
 
 def test_reference_suite_records_equal_full_construction(reference_run):
@@ -592,12 +593,15 @@ def test_reference_suite_records_equal_full_construction(reference_run):
 
 
 def test_reference_suite_simulates_a_minority_of_ticks(reference_run):
-    # 87% of the reference ticks are quiet and most repeat a settled tick:
-    # the loop jumps those, so session.tick runs on about a quarter of them.
+    # 87% of the reference ticks are quiet and most repeat a settled tick (idle, or resolved with the env at
+    # l_max): the loop jumps those. A signaled tick at rest, in the perception latency or the dwell, runs
+    # session.tick on the cached cues but builds no record while its frame repeats. So the loop builds a
+    # record on about one tick in 25, barely more than the 775 at which a field changes.
     result, calls = reference_run
     ticks = sum(len(trace.records) for trace in result.traces)
     assert ticks == 19320
-    assert calls == 4939
+    assert calls["step"] == 783
+    assert calls["tick"] == 2927
 
 
 def test_reference_suite_holds_a_run_per_change_and_reads_back_the_same_runs(reference_run):
@@ -666,6 +670,14 @@ LONG_FADE_LISTENER = (
     default_script(Method.LIGHT_AUDIO, Role.LISTENER), GazeAgentModel(), GuidanceConfig(fade_duration=12.0)
 )
 LONG_FADE_SPEAKER = (default_script(Method.LIGHT, Role.SPEAKER), SLOW, GuidanceConfig(fade_duration=15.0))
+LATE = GazeAgentModel(latency_in=1.0, latency_out=1.0)
+# Three 0.2 s chimes 0.4 s apart, and a head that is at rest on the new speaker 0.2 s after the signal: the
+# last chime's onset and end, and the duck's, fall in the dwell.
+CHIMES_IN_DWELL = (
+    default_script(Method.LIGHT_AUDIO, Role.LISTENER),
+    GazeAgentModel(head_speed=400.0, latency_in=0.1, latency_out=0.1),
+    GuidanceConfig(chime_max_repeats=3, chime_repeat_interval=0.4, duck_duration=0.2),
+)
 
 
 @pytest.mark.parametrize(
@@ -684,21 +696,34 @@ LONG_FADE_SPEAKER = (default_script(Method.LIGHT, Role.SPEAKER), SLOW, GuidanceC
         (*LONG_FADE_LISTENER, 1 / 144),
         (*LONG_FADE_SPEAKER, 1 / 30),
         (*LONG_FADE_SPEAKER, 1 / 144),
+        (*CHIMES_IN_DWELL, FAST_DT),
+        (*CHIMES_IN_DWELL, 1 / 144),
+        (default_script(Method.TEXT_ICON, Role.LISTENER), LATE, CFG, FAST_DT),
+        (default_script(Method.LIGHT_AUDIO, Role.LISTENER), LATE, GuidanceConfig(fade_duration=0.3), FAST_DT),
+        (default_script(Method.SGD, Role.LISTENER), LATE._replace(gaze_lead=5.0), CFG, FAST_DT),
+        (default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), GuidanceConfig(fade_duration=12.0), FAST_DT),
     ],
     ids=["long-fade-acknowledged", "long-fade-missed", "gaze-lead-speaker", "gaze-lead-sgd", "missed-text-icon",
          "dense-light-audio", "dense-light", "dense-sgd", "dense-text-icon", "long-fade-acknowledged-30hz",
-         "long-fade-acknowledged-144hz", "long-fade-missed-30hz", "long-fade-missed-144hz"],
+         "long-fade-acknowledged-144hz", "long-fade-missed-30hz", "long-fade-missed-144hz", "chimes-in-dwell",
+         "chimes-in-dwell-144hz", "perceived-in-hold-text-icon", "perceived-in-hold-light-audio",
+         "gaze-lead-signal-at-rest", "long-fade-from-l_max-sgd"],
 )
 def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config, dt):
-    # A fade longer than a turn keeps the session unsettled across the turn
-    # end and into the next signal; after a miss the light fades up from
-    # dim. With gaze leading the head, gaze and head part while signaled.
-    # On the dense script most ticks are signaled, and the session reuses
-    # its cues while the head holds still (perception latency, dwell).
+    # A fade longer than a turn keeps the session resolved but unsettled
+    # across the turn end and into the next signal, unless it starts at
+    # l_max: the long acknowledged light_audio fade does (its gaze ends on
+    # the target), and the sgd one holds the env at l_max throughout; after
+    # a miss the light fades up from dim. With gaze leading the head, gaze and head part
+    # while signaled, from the tick after the signal's. On the dense script
+    # most ticks are signaled, and the session reuses its cues while the
+    # head holds still (perception latency, dwell). A held signaled stretch
+    # ends at a chime's onset or end within the dwell, at the perception a
+    # second after the signal, and at the resolving tick.
     # Each trace must equal the one in which every tick runs the full
-    # simulation step with a new head object, so no angle or cue is reused
-    # and no settled stretch is jumped; coarse and fine frame rates check
-    # where a jump lands.
+    # simulation step with a new head object, so no angle or cue is reused,
+    # no signaled tick is held and no settled stretch is jumped; coarse and
+    # fine frame rates check where a jump or a hold lands.
     trace = run_scenario(script, agent, config, dt=dt, seed=3)
     assert_records_are_canonical(trace)
     with monkeypatch.context() as mp:

@@ -3,23 +3,21 @@ import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from reference_run import _presented
 
 import turncue.audio
 import turncue.session
-from turncue.audio import Role, sound_source_position
+from turncue.audio import Role
 from turncue.baselines import sgd_state
 from turncue.config import GuidanceConfig, Method
 from turncue.errors import ConcurrentSignalError, ConfigError, TraceOrderError
-from turncue.geometry import AngularRange, Pose, Side, Vec3, angular_deviation, target_view
+from turncue.geometry import AngularRange, Pose, Side, Vec3, angular_deviation
 from turncue.lights import (
     ColorRGB,
     LightLevels,
     SpotlightGeometry,
     SpotlightState,
-    env_light_with_fade,
     lerp,
-    point_light_state,
-    spotlight_state,
 )
 from turncue.scenario import hexagon_seats
 from turncue.session import (
@@ -278,6 +276,21 @@ def test_env_restores_after_the_session_resolves(aligned_from):
     _, halfway = tick(state, pose(state.end_time + CFG.fade_duration / 2, AT_TARGET), TARGET, DT, CFG)
     expected = state.env_at_end + (CFG.env_levels.l_max - state.env_at_end) * 0.5
     assert halfway.env_intensity == pytest.approx(expected, abs=1e-12)
+
+
+def test_a_fade_from_l_max_is_settled_from_its_resolving_tick():
+    # lerp(l_max, l_max, f) is l_max at every f: a session that resolves with
+    # the env at l_max gives the same frame at every later time, fraction 0,
+    # the resolving tick's own time, included. One ulp below l_max, it fades.
+    state = Resolved(1.0, CFG.env_levels.l_max, Role.LISTENER, True, 0.4)
+    assert settled(state, state.end_time, CFG)
+    at_end = tick(state, pose(state.end_time, AT_TARGET), TARGET, DT, CFG)
+    assert at_end[0] is state and at_end[1].env_intensity == CFG.env_levels.l_max
+    for k in range(1, round(CFG.fade_duration / DT) + 2):
+        assert tick(state, pose(state.end_time + k * DT, AT_TARGET), TARGET, DT, CFG) == at_end
+    dimmed = state._replace(env_at_end=math.nextafter(CFG.env_levels.l_max, 0.0))
+    assert not settled(dimmed, dimmed.end_time, CFG)
+    assert settled(dimmed, dimmed.end_time + CFG.fade_duration, CFG)
 
 
 def test_duck_applies_to_listener_until_window_ends():
@@ -593,39 +606,15 @@ def _configs(draw):
     )
 
 
-def _reference_frame(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> CueFrame:
-    """A signaled tick's frame from the public per-channel functions, each
-    channel the method does not present at rest."""
-    head_theta = target_view(pose, target, config.viewport_half_angle)[0]
-    point = point_light_state(pose, target, state.head_range, half_angle=config.viewport_half_angle,
-                              azimuth=config.point_azimuth, radius=config.point_radius, warm=config.warm,
-                              cold=config.cold, gamma=config.gamma_point)
-    env, spot = config.env_levels.l_max, SpotlightState(False, 0.0, config.spot_geometry.a_min, target)
-    if state.lit:
-        spot = spotlight_state(pose, target, state.gaze_range, config.spot_levels, config.spot_geometry,
-                               half_angle=config.viewport_half_angle, gamma=config.gamma_spot,
-                               deactivate_at_min=config.spot_deactivate_at_min)
-        env = env_light_with_fade(pose.timestamp - state.signal_time,
-                                  angular_deviation(pose.gaze_forward, state.signal_gaze), config.env_levels.l_max,
-                                  state.gaze_range, config.env_levels, config.gamma_env, config.fade_duration)
-    sound, chime, gain = target, False, 1.0
-    if state.audible:
-        sound = sound_source_position(pose.position, target, head_theta, state.head_range, config.sound_easing)
-        repeats = max(1, round(config.chime_max_repeats * config.subtlety))
-        onsets = [state.signal_time + i * config.chime_repeat_interval for i in range(repeats)]
-        chime = any(c <= pose.timestamp < c + config.duck_duration for c in onsets)
-        if chime and state.role is Role.LISTENER:
-            gain = 1.0 - config.subtlety * (1.0 - config.duck_gain)
-    return CueFrame(env, point._replace(active=point.active and state.lit), spot, sound, chime, gain, "signaled")
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), config=_configs(), method=st.sampled_from([None, *Method]), role=st.sampled_from(Role))
 def test_a_signaled_tick_equals_its_public_channel_functions_bit_for_bit(data, config, method, role):
     # Drawn poses (the gaze apart from the head or the same object, each
     # object kept from the last tick, an equal copy or moved) and targets:
-    # every signaled frame must be the one the public functions give, in repr
-    # too, which tells -0.0 from 0.0, and the flicker must read tick's gaze angle.
+    # every signaled frame must be the one the reference run's public channel
+    # functions and method mask give (no method presents every channel, as
+    # light_audio does), in repr too, which tells -0.0 from 0.0, and the
+    # flicker must read tick's gaze angle.
     def place():
         position = Vec3(*data.draw(st.tuples(_COORD, _COORD, _COORD)))
         offset = data.draw(st.tuples(_COORD, _COORD, _COORD).filter(lambda v: math.hypot(*v) > 0.1))
@@ -648,10 +637,11 @@ def test_a_signaled_tick_equals_its_public_channel_functions_bit_for_bit(data, c
         elif moves == "moved":
             position, target = place()
         pose = Pose(position, head, gaze, k * dt)
-        expected = _reference_frame(state, pose, target, config)
         state, frame = tick(state, pose, target, dt, config)
         if not isinstance(state, Signaled):
             break
+        channels = _presented(method or Method.LIGHT_AUDIO, config, state, pose, target, target, "", target)[:6]
+        expected = CueFrame(*channels, "signaled")
         assert frame == expected and repr(frame) == repr(expected)
         flicker = sgd_state(state, pose, target, k * dt, config.ack_threshold)
         assert sgd_state(state, pose, target, k * dt, config.ack_threshold, state.cues[6]) == flicker
