@@ -373,7 +373,7 @@ def run_scenario(
 
     head = rest_dirs[0]
     texts, flickers = script.method is Method.TEXT_ICON, script.method is Method.SGD
-    runs = _Builder(meta.dt)
+    runs, last, led = _Builder(meta.dt), None, None
 
     k = 0
     while True:
@@ -392,7 +392,10 @@ def run_scenario(
         attention_dir = target_dir if t >= perceive_time else rest_dirs[turn_idx]
         head = rotate_toward(head, attention_dir, agent.head_speed * dt)
         lead = agent.gaze_lead > 0.0 and isinstance(state, sess.Signaled)
-        gaze = rotate_toward(head, target_dir, agent.gaze_lead) if lead else head
+        # The gaze led from the same head object is kept, so the session's cue cache hits. Unled, the memo clears:
+        # the tick after a fire has the fire's head, and it leads.
+        if not (lead and head is led):
+            led, gaze = (head, rotate_toward(head, target_dir, agent.gaze_lead)) if lead else (None, head)
         fires = signal_tick is not None and k >= signal_tick
         pose = tuple.__new__(Pose, (user_pos, head, gaze, t))  # unchecked: rotate_toward and normalized give unit
 
@@ -415,42 +418,38 @@ def run_scenario(
             end_tick = k + 1  # hand off on the next tick
             perceive_time = math.inf
 
-        idle = isinstance(state, sess.Idle)
-        # A baseline that the method does not present rests at values that
-        # depend only on aim, name and desk, which change only when a signal fires.
-        if texts or fires or k == 0:
-            ti = text_icon_state(state if texts else sess.IDLE, aim, name, desk)
-        if flickers or fires or k == 0:
-            gaze_theta = state.cues[6] if flickers and isinstance(state, sess.Signaled) else None  # see sess._cues
-            sg = sgd_state(state if flickers else sess.IDLE, pose, aim, t, config.ack_threshold, gaze_theta)
-        env, (point_on, side, point_pos, color), spot, sound_pos, chime, duck, tag = frame
-        raw = (  # the record's fields in order
-            k, t, user_pos, head, gaze, tag, target_id, sess.response_time(state),
-            None if idle else state.target_in_view_at_signal, None if idle else state.role,
-            env, point_on, side, point_pos, color, *spot, sound_pos, chime, duck,
-            ti.panel_active, ti.panel_anchor, ti.panel_text, ti.icon_active, ti.icon_anchor,
-            sg.active, sg.region_center,
-            turns[turn_idx].speaker,
-        )
-        runs.step(raw)
+        # A tick repeats the last record when its turn, head, gaze, state class and frame all equal that record's,
+        # compared by value, as every field then does, and no signal fired: a fire changes the target and the
+        # session's fields, and a session resolved on its signal's tick can keep the state class and frame.
+        key = (turn_idx, head, gaze, state.__class__, frame)
+        if key == last and not fires:
+            runs.n = k + 1
+        else:
+            last = key
+            idle = isinstance(state, sess.Idle)
+            # A baseline that the method does not present rests at values that
+            # depend only on aim, name and desk, which change only when a signal fires.
+            if texts or fires or k == 0:
+                ti = text_icon_state(state if texts else sess.IDLE, aim, name, desk)
+            if flickers or fires or k == 0:
+                gaze_theta = state.cues[6] if flickers and isinstance(state, sess.Signaled) else None  # see sess._cues
+                sg = sgd_state(state if flickers else sess.IDLE, pose, aim, t, config.ack_threshold, gaze_theta)
+            env, (point_on, side, point_pos, color), spot, sound_pos, chime, duck, tag = frame
+            raw = (  # the record's fields in order
+                k, t, user_pos, head, gaze, tag, target_id, sess.response_time(state),
+                None if idle else state.target_in_view_at_signal, None if idle else state.role,
+                env, point_on, side, point_pos, color, *spot, sound_pos, chime, duck,
+                ti.panel_active, ti.panel_anchor, ti.panel_text, ti.icon_active, ti.icon_anchor,
+                sg.active, sg.region_center,
+                turns[turn_idx].speaker,
+            )
+            runs.step(raw)
         k += 1
         # Settled (idle, or resolved with the env at l_max) and at rest, each tick up to the pending signal or
         # handoff repeats this record: tick keeps the state and frame, perceive_time is inf, so the head stays
         # at rest, and the gaze is the head.
         if head is rest_dirs[turn_idx] and sess.settled(state, t, config):
             k = runs.n = end_tick if signal_tick is None else signal_tick
-        # Signaled and at rest after the signal's own tick (a gaze lead turns on at the next), each tick repeats
-        # this head and gaze until the perception turns the head, so tick takes its cues from the cache: one
-        # whose frame repeats and that leaves the session signaled repeats this record. The first that does
-        # not runs through the loop.
-        elif not fires and head is attention_dir and isinstance(state, sess.Signaled):
-            perceived = t >= perceive_time
-            while ((t := k * dt) >= perceive_time) is perceived:
-                held, again = sess.tick(state, tuple.__new__(Pose, (user_pos, head, gaze, t)), target, dt, config)
-                if again != frame or not isinstance(held, sess.Signaled):
-                    break
-                state, k = held, k + 1
-            runs.n = k
 
     return Trace(meta=meta, records=runs.records())
 

@@ -3,7 +3,7 @@
 reference_scenario replays one trial the obvious way and shares none of the
 loop's shortcuts:
 - it simulates every tick and builds its record, with no jump over a settled
-  stretch and no hold of a signaled tick at rest;
+  stretch and no repeat of the last record on a tick that changes nothing;
 - every tick builds a fresh Pose from fresh vectors, and hands tick a fresh
   target, so the session's cue cache never hits;
 - the session's state comes from begin_signal and tick, whose frame it never

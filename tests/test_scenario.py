@@ -561,7 +561,7 @@ def test_baselines_run_per_tick_only_under_their_own_method(monkeypatch, method)
     run_scenario(default_script(method, Role.SPEAKER), GazeAgentModel(), CFG, dt=FAST_DT, seed=3)
     simulated, signals = calls["step"], calls["begin_signal"]
     # The light methods' env fades in after each signal, which changes the record on more ticks.
-    built = {Method.LIGHT_AUDIO: 46, Method.LIGHT: 45, Method.SGD: 28, Method.TEXT_ICON: 28}
+    built = {Method.LIGHT_AUDIO: 46, Method.LIGHT: 45, Method.SGD: 26, Method.TEXT_ICON: 26}
     assert signals == 2 and simulated == built[method]
     for name, own in (("text_icon_state", Method.TEXT_ICON), ("sgd_state", Method.SGD)):
         assert calls[name] == (simulated if method is own else 1 + signals), name
@@ -594,14 +594,15 @@ def test_reference_suite_records_equal_full_construction(reference_run):
 
 def test_reference_suite_simulates_a_minority_of_ticks(reference_run):
     # 87% of the reference ticks are quiet and most repeat a settled tick (idle, or resolved with the env at
-    # l_max): the loop jumps those. A signaled tick at rest, in the perception latency or the dwell, runs
-    # session.tick on the cached cues but builds no record while its frame repeats. So the loop builds a
-    # record on about one tick in 25, barely more than the 775 at which a field changes.
+    # l_max): the loop jumps those. A simulated tick whose turn, head, gaze, state class and frame equal the
+    # last record's, as a signaled tick at rest in the perception latency or the dwell does, runs
+    # session.tick once, on the cached cues, and builds no record. So the loop builds exactly the records
+    # at which a field changes, on about one tick in 25.
     result, calls = reference_run
     ticks = sum(len(trace.records) for trace in result.traces)
     assert ticks == 19320
-    assert calls["step"] == 783
-    assert calls["tick"] == 2927
+    assert calls["step"] == pins.REFERENCE_RUN_HEADS
+    assert calls["tick"] == 2648
 
 
 def test_reference_suite_holds_a_run_per_change_and_reads_back_the_same_runs(reference_run):
@@ -666,6 +667,15 @@ def dense_listener_script(method):
     )
 
 
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+def test_a_leading_gaze_is_worked_out_once_per_head_object(angle_calls, method):
+    # While the head is the same object, the loop keeps its led gaze object, so a signaled tick at rest
+    # reuses the session's cues; without that, the lit methods work out 352 angles here and the others 275.
+    run_scenario(default_script(method, Role.SPEAKER), LEADING, CFG, dt=1 / 30, seed=3)
+    lit = method in (Method.LIGHT_AUDIO, Method.LIGHT)
+    assert angle_calls == {"direction_to": 2, "angular_deviation": 244 if lit else 194}
+
+
 LONG_FADE_LISTENER = (
     default_script(Method.LIGHT_AUDIO, Role.LISTENER), GazeAgentModel(), GuidanceConfig(fade_duration=12.0)
 )
@@ -717,13 +727,14 @@ def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config
     # a miss the light fades up from dim. With gaze leading the head, gaze and head part
     # while signaled, from the tick after the signal's. On the dense script
     # most ticks are signaled, and the session reuses its cues while the
-    # head holds still (perception latency, dwell). A held signaled stretch
-    # ends at a chime's onset or end within the dwell, at the perception a
-    # second after the signal, and at the resolving tick.
+    # head holds still (perception latency, dwell). A stretch of signaled
+    # ticks that repeat the last record ends at a chime's onset or end within
+    # the dwell, at the perception a second after the signal, and at the
+    # resolving tick.
     # Each trace must equal the one in which every tick runs the full
     # simulation step with a new head object, so no angle or cue is reused,
-    # no signaled tick is held and no settled stretch is jumped; coarse and
-    # fine frame rates check where a jump or a hold lands.
+    # no tick repeats the last record and no settled stretch is jumped;
+    # coarse and fine frame rates check where a jump or a repeat ends.
     trace = run_scenario(script, agent, config, dt=dt, seed=3)
     assert_records_are_canonical(trace)
     with monkeypatch.context() as mp:
@@ -761,11 +772,16 @@ def _plain_runs(draw):
 @settings(max_examples=40, deadline=None)
 @given(run=_plain_runs(), seed=st.integers(0, 9))
 @example(run=(default_script(Method.LIGHT_AUDIO, Role.LISTENER), GazeAgentModel(), CFG, 1 / 72), seed=7)
+@example(run=(ScenarioScript(hexagon_seats(), 0, Role.LISTENER, Method.SGD,
+                             (Turn("a1", 2.0), Turn("a2", 2.0), Turn("a2", 1.0)), signal_offset=0.5),
+              GazeAgentModel(), GuidanceConfig(ack_dwell=0.01), 1 / 72), seed=3)
 def test_the_loop_equals_a_plain_reference_run(run, seed):
     # Differential testing: reference_run.reference_scenario simulates every tick with a fresh pose and
     # target, takes each channel from its public function and masks the method's channels in one place,
     # so it shares none of the loop's shortcuts. Each drawn turn lasts at most about 2.5 s; the study's
-    # own listener trial, whose chime window ends exactly on a tick, is always run.
+    # own listener trial, whose chime window ends exactly on a tick, is always run. So is a second signal
+    # from a2 while the head rests on a2, acknowledged on its own tick: the state stays resolved and an
+    # unlit frame stays the same, and only the response time tells the fire's record from the last one.
     script, agent, config, dt = run
     live = run_scenario(script, agent, config, dt=dt, seed=seed)
     plain = reference_scenario(script, agent, config, dt=dt, seed=seed)
@@ -853,18 +869,17 @@ def _session_ends(trace):
     return ends
 
 
-def test_the_reference_plan_gives_each_session_the_same_outcome_at_every_frame_rate():
-    # A metamorphic relation: the study plan (seed 7, 1 participant) at six
-    # frame rates. Each rate's response time is the continuous one rounded to
-    # the tick grid twice, at perception and at the onset tick, so it lies
-    # within one of its own ticks of it, and two rates differ by less than the
-    # sum of their ticks. Against the pinned 72 Hz run, every rate also lies
-    # within a 30 Hz tick (measured: 0.028 s at most, at 30 Hz). rt holds 9
-    # digits, hence the 1e-9.
+def _ends_by_rate(seed):
+    """Each session's (outcome, rt) in the study plan (1 participant) at six frame rates, by dt."""
     plan, agent, config = load_suite((REPO / "configs" / "study.cfg").read_text())
     plan = plan._replace(participants=1, trials=())
-    ends = {dt: [end for trace in suite_traces(plan, agent, config, dt=dt, seed=7) for end in _session_ends(trace)]
+    return {dt: [end for trace in suite_traces(plan, agent, config, dt=dt, seed=seed) for end in _session_ends(trace)]
             for dt in (1 / 30, 1 / 60, 1 / 72, 1 / 90, 1 / 120, 1 / 144)}
+
+
+def _assert_rates_agree(ends):
+    """All 16 sessions have the reference rate's outcome at every rate, and two rates' response times differ by
+    no more than the sum of their ticks. rt holds 9 digits, hence the 1e-9."""
     reference = ends[1 / 72]
     assert len(reference) == 16
     for dt, sessions in ends.items():
@@ -872,8 +887,29 @@ def test_the_reference_plan_gives_each_session_the_same_outcome_at_every_frame_r
         for other, others in ends.items():
             gaps = [abs(rt - other_rt) for (_, rt), (_, other_rt) in zip(sessions, others) if rt is not None]
             assert max(gaps, default=0.0) <= dt + other + 1e-9, (dt, other)
-            if other == 1 / 72:
-                assert max(gaps, default=0.0) <= 1 / 30 + 1e-9, dt
+
+
+def test_the_reference_plan_gives_each_session_the_same_outcome_at_every_frame_rate():
+    # A metamorphic relation: the study plan (seed 7, 1 participant) at six
+    # frame rates. Each rate's response time is the continuous one rounded to
+    # the tick grid twice, at perception and at the onset tick, so it lies
+    # within one of its own ticks of it, and two rates differ by less than the
+    # sum of their ticks. Against the pinned 72 Hz run, every rate also lies
+    # within a 30 Hz tick (measured: 0.028 s at most, at 30 Hz), which holds
+    # for this seed but not for all: seeds 0 and 8 reach 0.0417 s.
+    ends = _ends_by_rate(7)
+    _assert_rates_agree(ends)
+    for dt, sessions in ends.items():
+        gaps = [abs(rt - other_rt) for (_, rt), (_, other_rt) in zip(sessions, ends[1 / 72]) if rt is not None]
+        assert max(gaps, default=0.0) <= 1 / 30 + 1e-9, dt
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1))
+def test_any_plan_seed_gives_each_session_the_same_outcome_at_every_frame_rate(seed):
+    # The same relation for a drawn plan seed, which draws the trials' orders, seats, names and latencies.
+    ends = _ends_by_rate(seed)
+    _assert_rates_agree(ends)
 
 
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
