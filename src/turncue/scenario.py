@@ -36,6 +36,7 @@ AGENT_IDS = tuple(f"a{i + 1}" for i in range(AGENT_COUNT))
 USER_ID = "user"
 
 MAX_TICKS = 1_000_000  # the most ticks a trial may run: about 3.9 h at 72 Hz
+_NEVER = MAX_TICKS + 1  # a tick that no trial reaches
 
 # Balanced 4x4 Latin square (Williams design): every method appears in every
 # presentation position exactly once across four consecutive participants.
@@ -369,7 +370,7 @@ def run_scenario(
     target: Vec3 | None = None
     target_dir: Vec3 | None = None
     aim, name = desk, ""
-    perceive_time = math.inf
+    perceive_tick = _NEVER
 
     head = rest_dirs[0]
     texts, flickers = script.method is Method.TEXT_ICON, script.method is Method.SGD
@@ -387,9 +388,9 @@ def run_scenario(
             raise ScriptError("scenario failed to terminate; check turn schedule")
         t = k * dt
 
-        # Head motion for this tick: toward the signal target once perceived
-        # (perceive_time is finite only while signaled), else at rest.
-        attention_dir = target_dir if t >= perceive_time else rest_dirs[turn_idx]
+        # Head motion for this tick: toward the signal target from the perception tick on, the first after the
+        # signal's whose t reaches perceive_time (_NEVER unless signaled), else at rest.
+        attention_dir = target_dir if k >= perceive_tick else rest_dirs[turn_idx]
         head = rotate_toward(head, attention_dir, agent.head_speed * dt)
         lead = agent.gaze_lead > 0.0 and isinstance(state, sess.Signaled)
         # The gaze led from the same head object is kept, so the session's cue cache hits. Unled, the memo clears:
@@ -408,15 +409,15 @@ def run_scenario(
             role_now = Role.SPEAKER if turns[turn_idx].speaker == USER_ID else Role.LISTENER
             state = sess.begin_signal(state, pose, target, role_now, config, script.method)
             mean, jitter = agent.latency_for(script.method, state.target_in_view_at_signal)
-            latency = max(0.0, mean + jitter * (2.0 * rng.random() - 1.0))
-            perceive_time = signal_tick * dt + latency
+            perceive_time = signal_tick * dt + max(0.0, mean + jitter * (2.0 * rng.random() - 1.0))
+            perceive_tick = sess._first_tick(lambda j: j * dt >= perceive_time, perceive_time / dt, k + 1, _NEVER)
             signal_tick = None
 
         was_signaled = isinstance(state, sess.Signaled)
         state, frame = sess.tick(state, pose, target, dt, config)
         if was_signaled and isinstance(state, sess.Resolved):
             end_tick = k + 1  # hand off on the next tick
-            perceive_time = math.inf
+            perceive_tick = _NEVER
 
         # A tick repeats the last record when its turn, head, gaze, state class and frame all equal that record's,
         # compared by value, as every field then does, and no signal fired: a fire changes the target and the
@@ -445,11 +446,12 @@ def run_scenario(
             )
             runs.step(raw)
         k += 1
-        # Settled (idle, or resolved with the env at l_max) and at rest, each tick up to the pending signal or
-        # handoff repeats this record: tick keeps the state and frame, perceive_time is inf, so the head stays
-        # at rest, and the gaze is the head.
-        if head is rest_dirs[turn_idx] and sess.settled(state, t, config):
-            k = runs.n = end_tick if signal_tick is None else signal_tick
+        # Head at its attention, gaze lead kept on or off: the next ticks' head and gaze are this tick's objects,
+        # and each tick the session holds (sess.hold) repeats this record, to the pending signal, handoff or perception.
+        if head is attention_dir and lead == (agent.gaze_lead > 0.0 and isinstance(state, sess.Signaled)):
+            stop = signal_tick or end_tick or (perceive_tick if k <= perceive_tick else _NEVER)
+            k, state = sess.hold(state, k, stop, dt, config)
+            runs.n = k
 
     return Trace(meta=meta, records=runs.records())
 

@@ -7,6 +7,8 @@ sessions never share anything. A signaled state also carries the last tick's
 cue inputs and results, outside its equality and repr: values are frozen, so
 while the same pose and target objects come back, tick reuses the angles and
 cues it derived from them, and the frames stay the same bit for bit.
+On those objects it changes only at known ticks: hold finds the next, and a
+caller jumps there (the next-event time advance of discrete-event simulation).
 
 State transitions: Idle -> Signaled -> Resolved, tagged "acknowledged" in the
 trace when it has a response time and "missed" when it has none. A new signal
@@ -15,6 +17,7 @@ may begin from Idle or from Resolved, never while one is in flight.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from . import audio
@@ -35,6 +38,7 @@ from .lights import (
     SpotlightState,
     _env_fade,
     lerp,
+    light_intensity,
     point_light,
     point_light_position,
     spotlight,
@@ -200,14 +204,52 @@ def _fade_fraction(state: Resolved, now: float, fade: float) -> float:
     return min(max(now - state.end_time, 0.0) / fade, 1.0)
 
 
-def settled(state: SessionState, now: float, config: GuidanceConfig) -> bool:
-    """Whether tick at any later time, for the same pose and target, keeps this
-    state and gives the frame it gave at now: while idle, after the fade, and
-    through a fade that starts at l_max, as lerp(l_max, l_max, f) is l_max."""
-    if isinstance(state, Signaled):
-        return False
-    return (isinstance(state, Idle) or state.env_at_end == config.env_levels.l_max
-            or _fade_fraction(state, now, config.fade_duration) == 1.0)
+def _first_tick(reached, guess: float, k: int, end: int) -> int:
+    """The first tick from k, and before end, at which reached (monotone in the tick) holds, else end."""
+    j = max(k, math.ceil(min(guess, end)))
+    while j > k and reached(j - 1):
+        j -= 1
+    while j < end and not reached(j):
+        j += 1
+    return j
+
+
+def _chime_edges(start: float, ts: float, config: GuidanceConfig) -> tuple[float, float]:
+    """(the end of the last chime begun by ts, the next one's onset or inf). Chime i plays from start + i *
+    chime_repeat_interval, which cannot fall as i rises, for duck_duration: the last begun ends last."""
+    count = max(1, round(config.chime_max_repeats * config.subtlety))
+    lo, hi = 0, count  # lo has begun, hi not (or is none)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if start + mid * config.chime_repeat_interval <= ts else (lo, mid)
+    return (start + lo * config.chime_repeat_interval + config.duck_duration,
+            start + hi * config.chime_repeat_interval if hi < count else math.inf)
+
+
+def hold(state: SessionState, k: int, end: int, dt: float, config: GuidanceConfig) -> tuple[int, SessionState]:
+    """(the first tick from k, and before end, to simulate, else end; the state before it) for the pose objects
+    of tick k - 1, which left this state: tick on them at each tick between gives its frame and state class.
+    Idle, or resolved with the env put (faded, or from l_max), it holds to end; signaled, to the miss, the ack
+    or a chime's end or onset, each found by tick's own float test, but not while lit and fading not to l_max."""
+    now, l_max = (k - 1) * dt, config.env_levels.l_max
+    if not isinstance(state, Signaled):  # lerp(l_max, l_max, f) is l_max
+        return (end if isinstance(state, Idle) or state.env_at_end == l_max
+                or _fade_fraction(state, now, config.fade_duration) == 1.0 else k), state
+    start, miss = state.signal_time, config.miss_timeout
+    if state.lit and (now - start) / config.fade_duration < 1.0 and light_intensity(
+            state.cues[7], state.gaze_range, config.env_levels, config.gamma_env) != l_max:  # see _cues
+        return k, state
+    end = _first_tick(lambda j: j * dt - start >= miss, (start + miss) / dt, k, end)
+    for edge in _chime_edges(start, now, config) if state.audible else ():  # the chime's end and the next onset
+        if now < edge:
+            end = _first_tick(lambda j: j * dt >= edge, edge / dt, k, end)
+    j, dwell = k if state.alignment_start is not None else end, state.dwell
+    while j < end and dwell + dt < config.ack_dwell:  # each held tick's dwell, as tick adds it
+        dwell += dt
+        j += 1
+    held = tuple.__new__(Signaled, state[:8] + (dwell, state.alignment_start, (j - 1) * dt))
+    held.cues = state.cues
+    return j, held
 
 
 def tick(
@@ -266,16 +308,7 @@ def tick(
                        alignment_start - state.signal_time if acknowledged else None)
         return end, _quiet_frame(pose, target, config, env, end.tag)
 
-    # Chime i plays from signal_time + i * chime_repeat_interval, which cannot fall as i rises, for
-    # duck_duration: the last chime begun by ts, found by bisection over i, ends last.
-    chime = False
-    if state.audible:
-        start, every = state.signal_time, config.chime_repeat_interval
-        lo, hi = 0, max(1, round(config.chime_max_repeats * config.subtlety))  # lo has begun, hi not (or is none)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if start + mid * every <= ts else (lo, mid)
-        chime = ts < start + lo * every + config.duck_duration
+    chime = state.audible and ts < _chime_edges(state.signal_time, ts, config)[0]
     # The duck window is the chime window. Speakers never hear their own
     # voice through the headset, so only listeners are ducked; subtlety
     # scales the duck's depth, and at 0 turns it off.

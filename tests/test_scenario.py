@@ -594,15 +594,16 @@ def test_reference_suite_records_equal_full_construction(reference_run):
 
 def test_reference_suite_simulates_a_minority_of_ticks(reference_run):
     # 87% of the reference ticks are quiet and most repeat a settled tick (idle, or resolved with the env at
-    # l_max): the loop jumps those. A simulated tick whose turn, head, gaze, state class and frame equal the
-    # last record's, as a signaled tick at rest in the perception latency or the dwell does, runs
-    # session.tick once, on the cached cues, and builds no record. So the loop builds exactly the records
-    # at which a field changes, on about one tick in 25.
+    # l_max); a signaled tick at rest in the perception latency or the dwell repeats the last one too, once
+    # the env has faded or fades toward l_max, up to its next event. The loop jumps all of those
+    # (session.hold), and a simulated tick that repeats the last record builds none. On the reference suite
+    # no simulated tick repeats: the loop runs session.tick, and builds a record, exactly at the ticks at
+    # which a field changes, about one tick in 25.
     result, calls = reference_run
     ticks = sum(len(trace.records) for trace in result.traces)
     assert ticks == 19320
     assert calls["step"] == pins.REFERENCE_RUN_HEADS
-    assert calls["tick"] == 2648
+    assert calls["tick"] == pins.REFERENCE_RUN_HEADS
 
 
 def test_reference_suite_holds_a_run_per_change_and_reads_back_the_same_runs(reference_run):
@@ -688,6 +689,14 @@ CHIMES_IN_DWELL = (
     GazeAgentModel(head_speed=400.0, latency_in=0.1, latency_out=0.1),
     GuidanceConfig(chime_max_repeats=3, chime_repeat_interval=0.4, duck_duration=0.2),
 )
+# A second signal from a2 while the head rests on a2: the dwell runs from the signal's tick and, once the 0.1 s
+# fade is over, is held from the perception on, to an ack tick that is also the tick at which the chime ends,
+# or at which the second chime begins.
+SAME_TARGET = ScenarioScript(hexagon_seats(), 0, Role.LISTENER, Method.LIGHT_AUDIO,
+                             (Turn("a1", 2.0), Turn("a2", 2.0), Turn("a2", 1.0)), signal_offset=0.5)
+ACK_ON_CHIME_END = GuidanceConfig(ack_dwell=0.5, fade_duration=0.1, duck_duration=0.5)
+ACK_ON_CHIME_ONSET = GuidanceConfig(ack_dwell=0.5, fade_duration=0.1, duck_duration=0.1, chime_max_repeats=2,
+                                    chime_repeat_interval=0.5)
 
 
 @pytest.mark.parametrize(
@@ -712,12 +721,23 @@ CHIMES_IN_DWELL = (
         (default_script(Method.LIGHT_AUDIO, Role.LISTENER), LATE, GuidanceConfig(fade_duration=0.3), FAST_DT),
         (default_script(Method.SGD, Role.LISTENER), LATE._replace(gaze_lead=5.0), CFG, FAST_DT),
         (default_script(Method.SGD, Role.LISTENER), GazeAgentModel(), GuidanceConfig(fade_duration=12.0), FAST_DT),
+        (default_script(Method.LIGHT_AUDIO, Role.LISTENER), SLOW, CFG, 1 / 30),
+        (default_script(Method.LIGHT_AUDIO, Role.LISTENER), SLOW, CFG, 1 / 144),
+        (default_script(Method.LIGHT_AUDIO, Role.SPEAKER), GazeAgentModel(), GuidanceConfig(ack_dwell=0.01), FAST_DT),
+        (SAME_TARGET._replace(method=Method.SGD), GazeAgentModel(), GuidanceConfig(ack_dwell=0.01), FAST_DT),
+        (default_script(Method.LIGHT, Role.LISTENER), LATE, GuidanceConfig(fade_duration=0.2), FAST_DT),
+        (SAME_TARGET, GazeAgentModel(), ACK_ON_CHIME_END, FAST_DT),
+        (SAME_TARGET, GazeAgentModel(), ACK_ON_CHIME_ONSET, FAST_DT),
+        (default_script(Method.SGD, Role.LISTENER), GazeAgentModel(latency_in=0.0, latency_out=0.0,
+                                                                   latency_jitter=0.0), CFG, FAST_DT),
     ],
     ids=["long-fade-acknowledged", "long-fade-missed", "gaze-lead-speaker", "gaze-lead-sgd", "missed-text-icon",
          "dense-light-audio", "dense-light", "dense-sgd", "dense-text-icon", "long-fade-acknowledged-30hz",
          "long-fade-acknowledged-144hz", "long-fade-missed-30hz", "long-fade-missed-144hz", "chimes-in-dwell",
          "chimes-in-dwell-144hz", "perceived-in-hold-text-icon", "perceived-in-hold-light-audio",
-         "gaze-lead-signal-at-rest", "long-fade-from-l_max-sgd"],
+         "gaze-lead-signal-at-rest", "long-fade-from-l_max-sgd", "missed-at-rest-30hz", "missed-at-rest-144hz",
+         "ack-dwell-below-dt", "ack-dwell-below-dt-on-the-signal-tick", "light-fade-over-before-perception",
+         "ack-on-chime-end", "ack-on-chime-onset", "perceived-at-the-signal-sgd"],
 )
 def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config, dt):
     # A fade longer than a turn keeps the session resolved but unsettled
@@ -727,10 +747,15 @@ def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config
     # a miss the light fades up from dim. With gaze leading the head, gaze and head part
     # while signaled, from the tick after the signal's. On the dense script
     # most ticks are signaled, and the session reuses its cues while the
-    # head holds still (perception latency, dwell). A stretch of signaled
-    # ticks that repeat the last record ends at a chime's onset or end within
-    # the dwell, at the perception a second after the signal, and at the
-    # resolving tick.
+    # head holds still (perception latency, dwell). A held stretch of signaled
+    # ticks ends at a chime's onset or end within the dwell, at the perception
+    # a second after the signal, and at the resolving tick. A perception
+    # latency longer than the miss timeout holds the head at rest to the miss;
+    # an ack_dwell below dt acknowledges on the first aligned tick, the
+    # signal's own among them; a light fade shorter than the perception
+    # latency lets a hold start inside it; and a dwell can complete on the
+    # tick at which a chime ends or begins. Perceived at the signal's own time, the head turns from the next
+    # tick on, so no hold may start at the signal's tick.
     # Each trace must equal the one in which every tick runs the full
     # simulation step with a new head object, so no angle or cue is reused,
     # no tick repeats the last record and no settled stretch is jumped;
@@ -761,7 +786,7 @@ def _plain_runs(draw):
     )
     repeats = draw(st.integers(1, 4))
     config = GuidanceConfig(
-        ack_dwell=draw(st.floats(0.05, 1.0)), miss_timeout=draw(st.floats(0.3, 1.5)),
+        ack_dwell=draw(st.floats(0.001, 1.0)), miss_timeout=draw(st.floats(0.3, 1.5)),
         fade_duration=draw(st.floats(0.05, 3.0)), duck_duration=draw(st.floats(0.05, 1.0)),
         chime_max_repeats=repeats, chime_repeat_interval=draw(st.floats(0.05, 0.6)) if repeats > 1 else 0.0,
         subtlety=draw(st.floats(0.0, 1.0)),

@@ -2,7 +2,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from reference_run import _presented
 
 import turncue.audio
@@ -26,8 +26,8 @@ from turncue.session import (
     Resolved,
     Signaled,
     begin_signal,
+    hold,
     response_time,
-    settled,
     tick,
 )
 
@@ -255,19 +255,26 @@ def test_env_restores_after_the_session_resolves(aligned_from):
     state, frames = walk(aligned_from=aligned_from, until=6.0, aligned_facing=facing_at_angle(8.0))
     assert isinstance(state, Resolved) and (state.response_time is None) == (aligned_from is None)
     assert frames[-1].env_intensity == state.env_at_end < CFG.env_levels.l_max
+    # A hold follows a tick: a signaled session, its env fading toward l_min, holds no tick after its signal's
+    # tick or the next; a resolved one holds every tick up to the end given, or none.
     signaled = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
-    assert not settled(signaled, 0.0, CFG)
-    assert not settled(tick(signaled, pose(DT, AHEAD), TARGET, DT, CFG)[0], DT, CFG)
+    for k in (0, 1):
+        signaled = tick(signaled, pose(k * DT, AHEAD), TARGET, DT, CFG)[0]
+        assert hold(signaled, k + 1, k + 11, DT, CFG) == (k + 1, signaled)
     steps = round(CFG.fade_duration / DT)
+    end = round(state.end_time / DT)
+    assert end * DT == state.end_time
     flags = []
-    for k in range(steps + 4):
-        now = state.end_time + k * DT
+    for k in range(end, end + steps + 4):
+        now = k * DT
         after, frame = tick(state, pose(now, AT_TARGET), TARGET, DT, CFG)
         assert after is state
         assert frame.session_state == ("missed" if aligned_from is None else "acknowledged")
         fraction = min(max(now - state.end_time, 0.0) / CFG.fade_duration, 1.0)
         assert frame.env_intensity == lerp(state.env_at_end, CFG.env_levels.l_max, fraction)
-        flags.append(settled(state, now, CFG))
+        held = hold(state, k + 1, k + 11, DT, CFG)
+        assert held in ((k + 1, state), (k + 11, state))
+        flags.append(held[0] == k + 11)
         assert flags[-1] == (fraction == 1.0)
     # false through the fade, then true from the first tick at its end on
     first = flags.index(True)
@@ -283,14 +290,87 @@ def test_a_fade_from_l_max_is_settled_from_its_resolving_tick():
     # the env at l_max gives the same frame at every later time, fraction 0,
     # the resolving tick's own time, included. One ulp below l_max, it fades.
     state = Resolved(1.0, CFG.env_levels.l_max, Role.LISTENER, True, 0.4)
-    assert settled(state, state.end_time, CFG)
+    assert 10 * DT == state.end_time and hold(state, 11, 50, DT, CFG) == (50, state)
     at_end = tick(state, pose(state.end_time, AT_TARGET), TARGET, DT, CFG)
     assert at_end[0] is state and at_end[1].env_intensity == CFG.env_levels.l_max
     for k in range(1, round(CFG.fade_duration / DT) + 2):
         assert tick(state, pose(state.end_time + k * DT, AT_TARGET), TARGET, DT, CFG) == at_end
     dimmed = state._replace(env_at_end=math.nextafter(CFG.env_levels.l_max, 0.0))
-    assert not settled(dimmed, dimmed.end_time, CFG)
-    assert settled(dimmed, dimmed.end_time + CFG.fade_duration, CFG)
+    assert hold(dimmed, 11, 50, DT, CFG) == (11, dimmed)
+    assert 30 * DT >= dimmed.end_time + CFG.fade_duration and hold(dimmed, 31, 50, DT, CFG) == (50, dimmed)
+
+
+RATES = [1 / 30, 1 / 45, 1 / 60, 1 / 72, 1 / 90, 1 / 120, 1 / 144]
+
+
+def _ticked_at_rest(method, role, dt, config, off, apart, from_rest, s, before):
+    """(state, frame, poses, k): a session signaled at tick s and ticked through tick k - 1, its last before + 1
+    ticks on one set of pose objects, poses(j) being that set at tick j; the signal's own tick is on the
+    signal's pose when that differs (from_rest false), and then at least one more follows. The gaze rests off
+    degrees off the target (aligned within 10), apart from the head or not; the signal gaze is it or 90
+    degrees off, which makes the env fade toward l_min or, on the target, toward l_max."""
+    origin, gaze = Vec3(0.0, 0.0, 0.0), facing_at_angle(off)
+    head = facing_at_angle(30.0) if apart else gaze
+    signal = Pose(origin, head, gaze, s * dt) if from_rest else Pose(origin, AHEAD, AHEAD, s * dt)
+    state = begin_signal(IDLE, signal, TARGET, role, config, method)
+    state, frame = tick(state, signal, TARGET, dt, config)
+    k = s + 1
+    for i in range(before if from_rest else max(before, 1)):  # part of a dwell accrued, the fade or a chime run
+        if i and not isinstance(state, Signaled):
+            break
+        state, frame = tick(state, Pose(origin, head, gaze, k * dt), TARGET, dt, config)
+        k += 1
+    return state, frame, (lambda j: Pose(origin, head, gaze, j * dt)), k
+
+
+@st.composite
+def _at_rest(draw):
+    """_ticked_at_rest's arguments: every method and role, a frame rate from 30 to 144 Hz, a dwell, timeout,
+    fade, duck, chime count and interval, and a gaze 0 to 60 degrees off the target."""
+    repeats = draw(st.integers(1, 4))
+    config = GuidanceConfig(
+        ack_dwell=draw(st.floats(0.001, 1.5)), miss_timeout=draw(st.floats(0.05, 3.0)),
+        fade_duration=draw(st.floats(0.01, 0.5)), duck_duration=draw(st.floats(0.005, 0.2) | st.floats(0.2, 0.6)),
+        chime_max_repeats=repeats, chime_repeat_interval=draw(st.floats(0.005, 0.5)) if repeats > 1 else 0.0,
+        subtlety=draw(st.sampled_from([1.0, 0.5])),
+    )
+    return (draw(st.sampled_from(Method)), draw(st.sampled_from(Role)), draw(st.sampled_from(RATES)), config,
+            draw(st.just(0.0) | st.floats(0.0, 10.0) | st.floats(10.0, 60.0)), draw(st.booleans()),
+            draw(st.booleans()), draw(st.integers(0, 200)), draw(st.integers(0, 40)))
+
+
+CHIME_GAPS = GuidanceConfig(fade_duration=0.1, duck_duration=0.1, chime_max_repeats=3, chime_repeat_interval=0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=_at_rest(), span=st.integers(0, 400))
+@example(args=(Method.LIGHT_AUDIO, Role.LISTENER, 1 / 30, CHIME_GAPS, 40.0, False, True, 0, 10), span=60)
+@example(args=(Method.LIGHT_AUDIO, Role.LISTENER, 1 / 30, GuidanceConfig(ack_dwell=0.5, fade_duration=0.1,
+                                                                         duck_duration=0.5), 0.0, False, True, 0, 5),
+         span=60)
+def test_a_hold_gives_what_stepping_tick_on_the_same_pose_objects_gives(args, span):
+    # Each tick a hold covers gives the last tick's frame and state class, and the state it returns is the one
+    # stepping tick leaves, its dwell bit for bit: tick's own additions. Without a chime the hold ends only at
+    # the end given, at the ack or the miss, whose tick resolves, or at once while the env fades toward a level
+    # other than l_max. The examples: chimes that end and begin again inside a hold, off the target, and a
+    # dwell that completes as the chime ends.
+    state, frame, poses, k = _ticked_at_rest(*args)
+    dt, config = args[2], args[3]
+    end = k + span
+    held_to, held = hold(state, k, end, dt, config)
+    assert k <= held_to <= end
+    stepped = state
+    for j in range(k, held_to):
+        stepped, stepped_frame = tick(stepped, poses(j), TARGET, dt, config)
+        assert stepped_frame == frame and stepped.__class__ is state.__class__, j
+    assert held == stepped and held.__class__ is stepped.__class__
+    if isinstance(held, Signaled):
+        assert held.dwell.hex() == stepped.dwell.hex()
+        assert (held.alignment_start, held.last_timestamp) == (stepped.alignment_start, stepped.last_timestamp)
+        if held_to < end and not state.audible:
+            fading = state.lit and (state.last_timestamp - state.signal_time) / config.fade_duration < 1.0
+            after = tick(stepped, poses(held_to), TARGET, dt, config)[0]
+            assert isinstance(after, Resolved) or (fading and held_to == k)
 
 
 def test_duck_applies_to_listener_until_window_ends():
