@@ -57,7 +57,8 @@ class Vec3(NamedTuple):
 @checked
 class Pose(NamedTuple):
     """User position plus head and gaze forward directions at a timestamp;
-    the directions are checked for unit length here, where they enter."""
+    the position and timestamp are checked finite and the directions unit
+    length here, where they enter."""
 
     position: Vec3
     head_forward: Vec3
@@ -65,6 +66,10 @@ class Pose(NamedTuple):
     timestamp: float
 
     def _check(self) -> None:
+        if not all(map(math.isfinite, self.position)):
+            raise ConfigError(f"position={tuple(self.position)} must be finite")
+        if not math.isfinite(self.timestamp):
+            raise ConfigError(f"timestamp={self.timestamp} must be finite")
         if not self.head_forward.is_unit():
             raise InvalidDirectionError(
                 f"head_forward has length {self.head_forward.norm():.8f}, expected 1"

@@ -374,7 +374,7 @@ def run_scenario(
 
     head = rest_dirs[0]
     texts, flickers = script.method is Method.TEXT_ICON, script.method is Method.SGD
-    runs, last, led = _Builder(meta.dt), None, None
+    runs, led = _Builder(meta.dt), None
 
     k = 0
     while True:
@@ -419,32 +419,24 @@ def run_scenario(
             end_tick = k + 1  # hand off on the next tick
             perceive_tick = _NEVER
 
-        # A tick repeats the last record when its turn, head, gaze, state class and frame all equal that record's,
-        # compared by value, as every field then does, and no signal fired: a fire changes the target and the
-        # session's fields, and a session resolved on its signal's tick can keep the state class and frame.
-        key = (turn_idx, head, gaze, state.__class__, frame)
-        if key == last and not fires:
-            runs.n = k + 1
-        else:
-            last = key
-            idle = isinstance(state, sess.Idle)
-            # A baseline that the method does not present rests at values that
-            # depend only on aim, name and desk, which change only when a signal fires.
-            if texts or fires or k == 0:
-                ti = text_icon_state(state if texts else sess.IDLE, aim, name, desk)
-            if flickers or fires or k == 0:
-                gaze_theta = state.cues[6] if flickers and isinstance(state, sess.Signaled) else None  # see sess._cues
-                sg = sgd_state(state if flickers else sess.IDLE, pose, aim, t, config.ack_threshold, gaze_theta)
-            env, (point_on, side, point_pos, color), spot, sound_pos, chime, duck, tag = frame
-            raw = (  # the record's fields in order
-                k, t, user_pos, head, gaze, tag, target_id, sess.response_time(state),
-                None if idle else state.target_in_view_at_signal, None if idle else state.role,
-                env, point_on, side, point_pos, color, *spot, sound_pos, chime, duck,
-                ti.panel_active, ti.panel_anchor, ti.panel_text, ti.icon_active, ti.icon_anchor,
-                sg.active, sg.region_center,
-                turns[turn_idx].speaker,
-            )
-            runs.step(raw)
+        # Every simulated tick steps its record: the builder alone decides whether it extends the last run.
+        idle = isinstance(state, sess.Idle)
+        # A baseline that the method does not present rests at values that
+        # depend only on aim, name and desk, which change only when a signal fires.
+        if texts or fires or k == 0:
+            ti = text_icon_state(state if texts else sess.IDLE, aim, name, desk)
+        if flickers or fires or k == 0:
+            gaze_theta = state.cues[6] if flickers and isinstance(state, sess.Signaled) else None  # see sess._cues
+            sg = sgd_state(state if flickers else sess.IDLE, pose, aim, t, config.ack_threshold, gaze_theta)
+        env, (point_on, side, point_pos, color), spot, sound_pos, chime, duck, tag = frame
+        runs.step((  # the record's fields in order
+            k, t, user_pos, head, gaze, tag, target_id, sess.response_time(state),
+            None if idle else state.target_in_view_at_signal, None if idle else state.role,
+            env, point_on, side, point_pos, color, *spot, sound_pos, chime, duck,
+            ti.panel_active, ti.panel_anchor, ti.panel_text, ti.icon_active, ti.icon_anchor,
+            sg.active, sg.region_center,
+            turns[turn_idx].speaker,
+        ))
         k += 1
         # Head at its attention, gaze lead kept on or off: the next ticks' head and gaze are this tick's objects,
         # and each tick the session holds (sess.hold) repeats this record, to the pending signal, handoff or perception.
@@ -504,6 +496,7 @@ def randomize_presentation(plan: StudyPlan, seed: int) -> StudyPlan:
     role blocks and the user's seat alternates between the two designated
     seats, giving a 4/4 split; agent names are re-drawn before every topic.
     """
+    _check_ints(seed=seed)
     trials: list[TrialSpec] = []
     for p in range(plan.participants):
         rng = random.Random(stable_seed("plan", seed, p))

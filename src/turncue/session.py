@@ -266,8 +266,8 @@ def tick(
     After either terminal the cues deactivate and the environment light
     returns to env_levels.l_max over the fade profile.
     """
-    if dt <= 0.0:
-        raise ConfigError(f"dt={dt} must be > 0")
+    if not 0.0 < dt < math.inf:  # not dt <= 0.0, so that nan fails too
+        raise ConfigError(f"dt={dt} must be finite and > 0")
 
     if isinstance(state, Idle):
         return state, _quiet_frame(pose, target, config, config.env_levels.l_max, "idle")

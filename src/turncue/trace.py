@@ -8,11 +8,11 @@ TraceMeta and TraceRecord are the whole schema: they decide how each field
 is canonicalized, written and read back. Both are NamedTuples of canonical
 values in field order; a field of kind Role, Method or Side holds a member's
 value. A trace has one clock: tick k is at q9(k × meta.dt) unless its t is
-another. Records holds the runs of ticks that change nothing but tick and t,
-their count, dt, and one entry per tick whose t is not derived. A file is the
-meta line, then a frame line per tick, which never holds tick, holds t only
-where it is not derived and any other field only where it changed: an
-unchanged tick is {"kind":"frame"}.
+another. Records holds the runs of ticks that change nothing but tick, each at
+its derived t, their count and dt; a tick whose t is another heads a run. A
+file is the meta line, then a frame line per tick, which never holds tick,
+holds t only where it is not derived and any other field only where it
+changed: an unchanged tick is {"kind":"frame"}.
 """
 
 from __future__ import annotations
@@ -273,14 +273,13 @@ class Records(Sequence):
     """A trace's records as runs at time step dt: a read-only sequence, equal
     to any sequence of the same records, a tuple included, and hashed as their tuple.
 
-    heads holds the records at which a field other than tick and t changes,
-    the first record always among them; n counts the ticks, and odd_ts holds
-    the t of each tick whose t is not the derived q9(k × dt). Record k is its
-    run's head at tick k and t odd_ts.get(k, q9(k × dt)), so a repeated tick
-    costs nothing. Records(records, dt) builds one from records whose ticks
-    count up from 0; given a Records at dt, it returns it."""
+    heads holds the records at which a field other than tick changes or whose
+    t is not the derived q9(k × dt), the first record always among them; n
+    counts the ticks. Record k is its run's head at tick k and the derived t,
+    so a repeated tick costs nothing. Records(records, dt) builds one from
+    records whose ticks count up from 0; given a Records at dt, it returns it."""
 
-    __slots__ = ("heads", "n", "dt", "odd_ts")
+    __slots__ = ("heads", "n", "dt")
 
     def __new__(cls, records: Iterable[TraceRecord], dt: Step):
         if isinstance(records, Records) and records.dt == dt:
@@ -299,19 +298,19 @@ class Records(Sequence):
             return tuple(map(self.__getitem__, ticks[i]))
         k = ticks[i]  # IndexError out of range, as a tuple's
         head = self.heads[bisect_right(self.heads, k, key=itemgetter(0)) - 1]
-        return head if head[0] == k else tuple.__new__(TraceRecord, (k, self.odd_ts.get(k, q9(k * self.dt))) + head[2:])
+        return head if head[0] == k else tuple.__new__(TraceRecord, (k, q9(k * self.dt)) + head[2:])
 
     def __iter__(self):
-        new, odd, dt = tuple.__new__, self.odd_ts, self.dt
+        new, dt = tuple.__new__, self.dt
         for head, end in zip(self.heads, [head[0] for head in self.heads[1:]] + [self.n]):
             yield head
             rest = head[2:]
             for k in range(head[0] + 1, end):
-                yield new(TraceRecord, (k, odd.get(k, q9(k * dt))) + rest)
+                yield new(TraceRecord, (k, q9(k * dt)) + rest)
 
     def __eq__(self, other):
-        if isinstance(other, Records) and other.dt == self.dt:  # runs are maximal, so equal records have equal runs
-            return self.n == other.n and self.odd_ts == other.odd_ts and self.heads == other.heads
+        if isinstance(other, Records) and other.dt == self.dt:  # runs are canonical, so equal records have equal heads
+            return self.n == other.n and self.heads == other.heads
         if isinstance(other, Sequence):
             return len(other) == self.n and tuple(other) == tuple(self)
         return NotImplemented
@@ -327,30 +326,30 @@ class Records(Sequence):
 
 
 class _Builder:
-    """The one builder of Records, at time step dt. Each record stepped must
-    be at the next tick; one that equals the last record but for tick and t
-    extends its run, as does a tick counted in n alone, whose t is derived."""
+    """The one builder of Records, at time step dt, and the one rule for where
+    a run starts. Each record stepped must be at the next tick; one that
+    equals the last record but for tick, at the derived t, extends its run,
+    as does a tick counted in n alone."""
 
-    __slots__ = ("heads", "n", "dt", "odd_ts", "_raw")
+    __slots__ = ("heads", "n", "dt", "_raw")
 
     def __init__(self, dt: Step) -> None:
         self.heads: list[TraceRecord] = []
         self.n = 0
         self.dt = _step(dt)
-        self.odd_ts: dict[int, float] = {}
         self._raw = _BLANK  # the last step's fields
 
     def step(self, raw: tuple) -> None:
         """Add the record of raw, a tick's fields in order, in one pass: only the
         fields that differ from the last step's are canonicalized and compared
-        with the run's head, which the record extends or, if it differs, follows
-        as a new head. A TraceRecord, canonical already, is only compared."""
+        with the run's head, which the record extends or, if one differs or its t
+        is not derived, follows as a new head. A TraceRecord, canonical already,
+        is only compared."""
         heads, last, self._raw, k = self.heads, self._raw, raw, self.n
         if raw[0] != k:
             raise TraceIntegrityError(f"tick {raw[0]} at position {k}: indices must be contiguous from 0")
         if raw.__class__ is TraceRecord:
-            t = raw[1]
-            if not heads or raw[2:] != heads[-1][2:]:
+            if not heads or raw[2:] != heads[-1][2:] or raw[1] != q9(k * self.dt):
                 heads.append(raw)
         else:
             head, canon, values, i = heads[-1] if heads else _BLANK, TraceRecord._canon, None, 1
@@ -363,16 +362,16 @@ class _Builder:
                         values[i] = value
             except (TypeError, ValueError, OverflowError, KeyError):
                 raise TraceRecord._invalid(i, raw[i]) from None
+            if values is None and raw[1] != k * self.dt and t != q9(k * self.dt):  # equal numbers have one q9
+                values = list(head)
             if values is not None:  # tick is the checked position
                 values[0], values[1] = k, t
                 heads.append(tuple.__new__(TraceRecord, values))
-        if raw[1] != k * self.dt and t != q9(k * self.dt):  # equal numbers have one q9
-            self.odd_ts[k] = t
         self.n = k + 1
 
     def records(self) -> Records:
         runs = object.__new__(Records)
-        runs.heads, runs.n, runs.dt, runs.odd_ts = tuple(self.heads), self.n, self.dt, self.odd_ts.copy()
+        runs.heads, runs.n, runs.dt = tuple(self.heads), self.n, self.dt
         return runs
 
 
@@ -425,11 +424,9 @@ def write_trace(records: Iterable[TraceRecord], meta: TraceMeta) -> str:
     """Serialize meta and records, built into a Records at meta.dt as a Trace builds them, to JSON Lines.
 
     A run's head is diffed against the record before it, and t against the derived
-    t; every other tick is {"kind":"frame"}, with t where odd_ts holds one."""
+    t; every other tick is {"kind":"frame"}."""
     meta, records = Trace(meta, records)  # a TraceMeta and a Records, or the error that names meta
     frames = [f"{_FRAME}\n"] * len(records)
-    for k, t in records.odd_ts.items():
-        frames[k] = f'{{"kind":"frame","t":{_emit(t)}}}\n'
     last = _BLANK
     for head in records.heads:  # a head's line holds its own t
         k = head[0]

@@ -331,9 +331,9 @@ def _trace_name(i, trace):
     return f"trace_p{meta.participant:03d}_{i % 8:02d}_{meta.method}_{meta.role}.jsonl"
 
 
-class _Witness(dict):
-    """A trace's odd_ts in a dict that takes weak references, as no dict does: set as
-    trace.records.odd_ts, it lives exactly as long as the trace's records."""
+class _Witness(float):
+    """A trace's dt in a float that takes weak references, as no float does: set as
+    trace.records.dt, it lives exactly as long as the trace's records."""
 
 
 def test_suite_writes_each_trace_before_the_next_trial_runs(tmp_path, capsys, monkeypatch):
@@ -346,7 +346,7 @@ def test_suite_writes_each_trace_before_the_next_trial_runs(tmp_path, capsys, mo
         # Only the trial about to run is alive: the last trace was written and dropped.
         assert all(ref() is None for ref in made)
         trace = run_scenario(*args, **kwargs)
-        trace.records.odd_ts = witness = _Witness(trace.records.odd_ts)
+        trace.records.dt = witness = _Witness(trace.records.dt)
         made.append(weakref.ref(witness))
         return trace
 

@@ -282,6 +282,11 @@ def _plan_with_second_trial(**changes):
          r"seed=2\.5 is not an integer"),
         (lambda: suite_traces(StudyPlan(participants=1), GazeAgentModel(), GuidanceConfig(), jobs=0),
          "jobs=0 must be >= 1"),
+        # The plan's seed is checked as suite_traces checks it.
+        (lambda: randomize_presentation(StudyPlan(participants=1), 1.5), r"^seed=1\.5 is not an integer$"),
+        (lambda: randomize_presentation(StudyPlan(participants=1), "x"), r"^seed='x' is not an integer$"),
+        (lambda: randomize_presentation(StudyPlan(participants=1), True), r"^seed=True is not an integer$"),
+        (lambda: randomize_presentation(StudyPlan(participants=1), None), r"^seed=None is not an integer$"),
         (lambda: GazeAgentModel(seed=1.5), r"seed=1\.5 is not an integer"),
         (lambda: GuidanceConfig(chime_max_repeats=2.5), r"chime_max_repeats=2\.5 must be an integer >= 1"),
         (lambda: GuidanceConfig(chime_max_repeats=True), "chime_max_repeats=True must be an integer >= 1"),
@@ -340,6 +345,8 @@ def _plan_with_second_trial(**changes):
          "participants-float", "participants-bool", "user_seat_index-float", "default_script-user_seat_index-float",
          "user_seat_index-bool", "topic-float", "run_scenario-participant-float", "run_scenario-seed-float",
          "run_suite-seed-float", "run_suite-jobs-float", "suite_traces-seed-float", "suite_traces-jobs-zero",
+         "randomize_presentation-seed-float", "randomize_presentation-seed-str", "randomize_presentation-seed-bool",
+         "randomize_presentation-seed-none",
          "agent-seed-float", "chime_max_repeats-float",
          "chime_max_repeats-bool", "chime_max_repeats-beyond-float", "chime_max_repeats-rounds-past-float",
          "config-chime_max_repeats-401-digits", "chime_max_repeats-negative-5001-digits",

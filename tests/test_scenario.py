@@ -272,21 +272,27 @@ def test_user_opening_gaze_lead_traces_match_pinned_digest():
     # The user speaks first, so the head rests on the first agent to speak
     # later, and gaze leads the head toward each target: two branches the
     # study golden test never reaches. The file bytes move with the trace
-    # format; the read-back records move only with behaviour.
+    # format; the read-back records move only with behaviour. Here some
+    # simulated ticks repeat the last record, and the loop steps each of them
+    # into the builder, which extends the run: one step per session.tick call.
     turns = (Turn(USER_ID, 3.0), Turn("a2", 4.0), Turn(USER_ID, 3.0), Turn("a4", 2.0))
     agent = GazeAgentModel(head_speed=60.0, gaze_lead=5.0, seed=5)
+    scripts = [ScenarioScript(seats=hexagon_seats(), user_seat_index=0, role=Role.SPEAKER, method=method,
+                              turn_order=turns, signal_offset=1.5) for method in METHODS]
+    calls = {}
+    with pytest.MonkeyPatch.context() as mp:
+        count_calls(mp, calls, turncue.trace._Builder, "step")
+        count_calls(mp, calls, turncue.session, "tick")
+        live = [run_scenario(script, agent, CFG, dt=1.0 / 30.0, seed=9) for script in scripts]
     digest, traces = hashlib.sha256(), []
-    for method in METHODS:
-        script = ScenarioScript(
-            seats=hexagon_seats(), user_seat_index=0, role=Role.SPEAKER, method=method,
-            turn_order=turns, signal_offset=1.5,
-        )
-        trace = run_scenario(script, agent, CFG, dt=1.0 / 30.0, seed=9)
+    for trace in live:
         text = write_trace(trace.records, trace.meta)
         digest.update(text.encode())
         traces.append(read_trace(text))
     assert digest.hexdigest() == pins.GAZE_LEAD_FILES_SHA256
     assert record_digest(traces) == pins.GAZE_LEAD_RECORDS_SHA256
+    assert calls["step"] == calls["tick"] == 399
+    assert sum(len(trace.records.heads) for trace in live) == 395
 
 
 def test_slow_listener_signaled_and_missed_ticks_match_pinned_digest():
@@ -596,9 +602,9 @@ def test_reference_suite_simulates_a_minority_of_ticks(reference_run):
     # 87% of the reference ticks are quiet and most repeat a settled tick (idle, or resolved with the env at
     # l_max); a signaled tick at rest in the perception latency or the dwell repeats the last one too, once
     # the env has faded or fades toward l_max, up to its next event. The loop jumps all of those
-    # (session.hold), and a simulated tick that repeats the last record builds none. On the reference suite
-    # no simulated tick repeats: the loop runs session.tick, and builds a record, exactly at the ticks at
-    # which a field changes, about one tick in 25.
+    # (session.hold), and steps each simulated tick's record into the builder, which alone decides whether
+    # it heads a run. On the reference suite the loop runs session.tick exactly at the ticks at which a
+    # field changes, about one tick in 25, and each of them heads a run.
     result, calls = reference_run
     ticks = sum(len(trace.records) for trace in result.traces)
     assert ticks == 19320
@@ -608,16 +614,16 @@ def test_reference_suite_simulates_a_minority_of_ticks(reference_run):
 
 def test_reference_suite_holds_a_run_per_change_and_reads_back_the_same_runs(reference_run):
     # 775 of the 19,320 reference ticks change a field other than tick and t:
-    # the loop and the reader each keep those records, and no t, since every
-    # tick's t is the derived q9(tick × dt).
+    # the loop and the reader each keep those records as the heads, and no
+    # other, since every tick's t is the derived q9(tick × dt).
     result, _ = reference_run
     heads = [trace.records.heads for trace in result.traces]
     assert sum(map(len, heads)) == pins.REFERENCE_RUN_HEADS
     for trace, live in zip(result.traces, heads):
-        assert trace.records.odd_ts == {} and trace.records.dt == trace.meta.dt
+        assert trace.records.dt == trace.meta.dt and all(a[2:] != b[2:] for a, b in zip(live, live[1:]))
         assert all(rec.t == q9(rec.tick * trace.meta.dt) for rec in trace.records)
         back = read_trace(write_trace(trace.records, trace.meta)).records
-        assert back.heads == live and back.odd_ts == {}
+        assert back.heads == live
 
 
 def test_reference_traces_with_crlf_lines_read_the_same_on_the_short_path(reference_run, monkeypatch):
@@ -643,7 +649,7 @@ def test_reference_traces_with_crlf_lines_read_the_same_on_the_short_path(refere
 
 
 def every_tick_simulated(monkeypatch):
-    """Make each tick's head a fresh object, so no tick repeats the one before."""
+    """Make each tick's head a fresh object, so no tick is held or reuses an angle."""
     rotate = turncue.scenario.rotate_toward
     monkeypatch.setattr(turncue.scenario, "rotate_toward", lambda *args: Vec3(*rotate(*args)))
 
@@ -757,9 +763,9 @@ def test_repeated_ticks_equal_simulated_ticks(monkeypatch, script, agent, config
     # tick at which a chime ends or begins. Perceived at the signal's own time, the head turns from the next
     # tick on, so no hold may start at the signal's tick.
     # Each trace must equal the one in which every tick runs the full
-    # simulation step with a new head object, so no angle or cue is reused,
-    # no tick repeats the last record and no settled stretch is jumped;
-    # coarse and fine frame rates check where a jump or a repeat ends.
+    # simulation step with a new head object, so no angle or cue is reused
+    # and no settled stretch is jumped; coarse and fine frame rates check
+    # where a jump ends.
     trace = run_scenario(script, agent, config, dt=dt, seed=3)
     assert_records_are_canonical(trace)
     with monkeypatch.context() as mp:

@@ -608,9 +608,12 @@ def test_a_signaled_tick_computes_only_the_channels_its_method_presents(monkeypa
 
 
 def test_tick_rejects_nonpositive_dt():
+    # And a non-finite one: at nan the dwell would stay nan and never acknowledge, at inf acknowledge at once.
     state = begin_signal(IDLE, pose(0.0, AHEAD), TARGET, Role.LISTENER, CFG)
-    with pytest.raises(ConfigError):
-        tick(state, pose(0.1, AHEAD), TARGET, 0.0, CFG)
+    for dt in (0.0, -0.0, -DT, math.nan, math.inf, -math.inf):
+        for before in (IDLE, state):
+            with pytest.raises(ConfigError, match=f"^dt={dt} must be finite and > 0$"):
+                tick(before, pose(0.1, AT_TARGET), TARGET, dt, CFG)
 
 
 def test_sound_source_travels_user_to_target():

@@ -420,6 +420,12 @@ def test_read_accepts_and_rejects_each_line_as_json_decode_does(line):
     assert got == expected
 
 
+def _heads(records, dt) -> tuple:
+    """The records that head a run at dt, by definition: the first, each whose fields other than
+    tick and t differ from the record before's, and each whose t is not the derived q9(k × dt)."""
+    return tuple(rec for k, rec in enumerate(records) if k == 0 or rec[2:] != records[k - 1][2:] or rec.t != q9(k * dt))
+
+
 def _plain_write(records, meta) -> str:
     """write_trace as a plain diff of every frame against the record before it, with tick left out
     and t against the derived t: the oracle for its per-run writer."""
@@ -490,23 +496,23 @@ def test_records_behave_as_the_tuple_of_their_records(data):
             rec = _fresh_copy(_at(prev, k, k * 0.1))
         records.append(rec)
     runs, expected = Records(records, 0.1), tuple(records)
-    assert runs.heads == tuple(rec for i, rec in enumerate(expected) if i == 0 or rec[2:] != expected[i - 1][2:])
-    assert runs.odd_ts == {k: rec.t for k, rec in enumerate(expected) if rec.t != q9(k * 0.1)}
+    assert runs.heads == _heads(expected, 0.1)
 
     n = len(expected)
     assert len(runs) == n and Records(runs, 0.1) is runs and runs.dt == 0.1
-    at_another_dt = Records(runs, 1 / 72)  # the same records, whose t is derived at other ticks
-    assert at_another_dt.heads == runs.heads and at_another_dt == runs and pickle.loads(pickle.dumps(runs)) == runs
+    at_another_dt = Records(runs, 1 / 72)  # the same records, whose t is derived at other ticks: other heads
+    assert at_another_dt.heads == _heads(expected, 1 / 72) and at_another_dt == runs
+    assert pickle.loads(pickle.dumps(runs)) == runs
     # A Trace builds its records into a Records at its meta's dt, however it is built, and keeps one at that dt.
     meta = make_meta()
     for trace in (Trace(meta, expected), Trace(meta=meta, records=records), Trace._make((meta, iter(records))),
                   Trace(meta, runs)._replace(records=records), Trace(meta, at_another_dt),
                   pickle.loads(pickle.dumps(Trace(meta, records)))):
         assert type(trace.records) is Records and trace.records.dt == meta.dt == 0.1
-        assert trace.records == runs and (trace.records.heads, trace.records.odd_ts) == (runs.heads, runs.odd_ts)
+        assert trace.records == runs and trace.records.heads == runs.heads
     assert Trace(meta, runs).records is runs
     at_72hz = Trace(meta, runs)._replace(meta=make_meta(dt=1 / 72)).records
-    assert type(at_72hz) is Records and at_72hz.dt == 1 / 72 and at_72hz.odd_ts == at_another_dt.odd_ts
+    assert type(at_72hz) is Records and at_72hz.dt == 1 / 72 and at_72hz.heads == at_another_dt.heads
     for i in range(-n, n):
         assert type(runs[i]) is TraceRecord and runs[i] == expected[i]
     for i in (n, -n - 1):
@@ -529,7 +535,7 @@ def test_records_behave_as_the_tuple_of_their_records(data):
     assert text == write_trace(records, meta) == write_trace(at_another_dt, meta) == _plain_write(records, meta)
     for back in (read_trace(text), read_trace(_padded(text))):  # the short path, and the decoder's
         assert back == (meta, expected)
-        assert back.records.heads == runs.heads and back.records.odd_ts == runs.odd_ts
+        assert back.records.heads == runs.heads
         assert write_trace(back.records, back.meta) == text
 
 
@@ -540,7 +546,7 @@ _SPACED = st.sampled_from([_FRAME, " " + _FRAME, '{"kind": "frame"}', '{ "kind" 
 @given(st.data())
 def test_a_frame_holds_t_only_where_it_is_not_the_derived_t(data):
     # At a drawn dt, each tick's t is the derived one, q9(tick × dt), or another: the previous
-    # tick's, or any. Records holds the others, one entry each, at the ticks whose frames hold t.
+    # tick's, or any. Each other t heads its own run, and exactly those ticks' frames hold t.
     dt = data.draw(_DT)
     meta = make_meta(dt=dt)
     records = [make_record(0, data.draw(st.just(0.0) | _FLOAT))]
@@ -553,10 +559,13 @@ def test_a_frame_holds_t_only_where_it_is_not_the_derived_t(data):
     frames = text.splitlines()[1:]
     assert len(frames) == len(records) and not any('"tick"' in line for line in frames)
     odd = [k for k, rec in enumerate(records) if rec.t != q9(k * dt)]
-    assert list(Records(records, dt).odd_ts) == odd == [k for k, line in enumerate(frames) if '"t":' in line]
+    runs = Records(records, dt)
+    assert runs.heads == _heads(records, dt) and runs == records
+    assert [head.tick for head in runs.heads if head.t != q9(head.tick * dt)] == odd
+    assert odd == [k for k, line in enumerate(frames) if '"t":' in line]
     back = read_trace(text)
     assert back == (meta, tuple(records)) and write_trace(back.records, back.meta) == text
-    assert list(back.records.odd_ts) == odd
+    assert back.records.heads == runs.heads
     # An unchanged tick's line with JSON whitespace, or a "\r", reads as the bare line through the decoder.
     spaced = "".join((data.draw(_SPACED) if line == _FRAME else line) + "\n" for line in text.splitlines())
     assert read_trace(spaced) == back
@@ -578,7 +587,9 @@ def test_a_frame_holds_t_only_where_it_is_not_the_derived_t_on_random_ticks(dt):
     text = write_trace(records, make_meta(dt=dt))
     assert [k for k, line in enumerate(text.splitlines()[1:]) if '"t":' in line] == odd
     back = read_trace(text)
-    assert list(back.records.odd_ts) == list(Records(records, dt).odd_ts) == odd
+    runs = Records(records, dt)
+    assert back.records.heads == runs.heads == _heads(records, dt) and back.records == runs == records
+    assert [head.tick for head in runs.heads if head.t != q9(head.tick * dt)] == odd
     assert back == (make_meta(dt=dt), tuple(records)) and write_trace(back.records, back.meta) == text
 
 
@@ -630,7 +641,7 @@ def test_an_int_field_past_the_digit_limit_is_rejected_where_it_enters():
 
 def test_empty_records():
     runs = Records((), 0.1)
-    assert runs == () == Records([], 1 / 72) and len(runs) == runs.n == 0 and runs.heads == () and runs.odd_ts == {}
+    assert runs == () == Records([], 1 / 72) and len(runs) == runs.n == 0 and runs.heads == ()
     assert runs[:] == () and list(runs) == [] and hash(runs) == hash(())
     with pytest.raises(IndexError):
         runs[0]
@@ -913,7 +924,7 @@ def test_stepping_raw_ticks_gives_the_runs_of_their_records(data):
         records.append(TraceRecord._make(raw))
     runs = built.records()
     assert runs == Records(records, 0.1) and runs.heads == Records(records, 0.1).heads
-    assert runs.odd_ts == Records(records, 0.1).odd_ts == {k: rec.t for k, rec in enumerate(records) if rec.t != q9(k * 0.1)}
+    assert runs.heads == _heads(records, 0.1)
     assert all(type(head[0]) is int for head in runs.heads)
 
 

@@ -2,6 +2,7 @@
 one rejects a bad value in its constructor, _make and _replace alike, with the
 message its check gives."""
 
+import math
 import pickle
 import re
 
@@ -33,6 +34,14 @@ CHECKED = {
              InvalidDirectionError, "head_forward has length 2.00000000, expected 1"),
     "Pose-gaze": (Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 0.0), {"gaze_forward": Vec3(0.0, 0.5, 0.0)},
                   InvalidDirectionError, "gaze_forward has length 0.50000000, expected 1"),
+    "Pose-position": (Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 0.0), {"position": Vec3(math.nan, 1, 0)},
+                      ConfigError, "position=(nan, 1, 0) must be finite"),
+    "Pose-position-inf": (Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 0.0), {"position": Vec3(0.0, 0.0, -math.inf)},
+                          ConfigError, "position=(0.0, 0.0, -inf) must be finite"),
+    "Pose-timestamp": (Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 0.0), {"timestamp": math.nan},
+                       ConfigError, "timestamp=nan must be finite"),
+    "Pose-timestamp-inf": (Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 0.0), {"timestamp": math.inf},
+                           ConfigError, "timestamp=inf must be finite"),
     "AngularRange": (AngularRange(0.0, 45.0), {"theta_max": 0.0}, ConfigError, "theta_max=0.0 must exceed theta_min=0.0"),
     "LightLevels": (LightLevels(0.5, 1.1), {"l_min": 2.0}, ConfigError,
                     "light levels require 0 <= l_min < l_max < inf, got [2.0, 1.1]"),
