@@ -18,7 +18,9 @@ from typing import Iterator
 # Each _cmd_* imports the layers it runs, so that `metrics`, say, never loads the scenario.
 from .errors import GuidanceError, TraceIntegrityError
 
-_COLUMNS = {"env": "theta,intensity", "point": "theta,r,g,b", "spot": "theta,intensity,cone_angle", "sound": "theta,x,y,z"}
+# Each eval channel: its CSV header and the GuidanceConfig gamma it takes by default; sound takes none.
+_CHANNELS = {"env": ("theta,intensity", "gamma_env"), "point": ("theta,r,g,b", "gamma_point"),
+             "spot": ("theta,intensity,cone_angle", "gamma_spot"), "sound": ("theta,x,y,z", None)}
 
 
 def _read(path: str) -> str:
@@ -29,7 +31,7 @@ def _read(path: str) -> str:
         raise GuidanceError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _eval_rows(channel: str, rng: AngularRange, gamma: float, steps: int, config: GuidanceConfig) -> Iterator[str]:
+def _eval_rows(channel: str, rng: AngularRange, gamma: float | None, steps: int, config: GuidanceConfig) -> Iterator[str]:
     """The CSV header, then one row per theta, each made as it is taken."""
     from .audio import sound_source_position
     from .geometry import Vec3
@@ -38,25 +40,18 @@ def _eval_rows(channel: str, rng: AngularRange, gamma: float, steps: int, config
 
     if steps < 1:
         raise GuidanceError(f"steps={_SHOWN.repr(steps)} must be >= 1")
-    f, u, t = format9, Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)
-    if channel == "env":
-        def row(th: float) -> str:
-            return f"{f(th)},{f(light_intensity(th, rng, config.env_levels, gamma))}"
-    elif channel == "point":
-        def row(th: float) -> str:
-            c = point_light_color(th, rng, config.warm, config.cold, gamma)
-            return f"{f(th)},{f(c.r)},{f(c.g)},{f(c.b)}"
-    elif channel == "spot":
-        def row(th: float) -> str:
-            intensity = light_intensity(th, rng, config.spot_levels, gamma)
-            return f"{f(th)},{f(intensity)},{f(spot_cone_angle(th, rng, config.spot_geometry, gamma))}"
-    else:
-        def row(th: float) -> str:
-            p = sound_source_position(u, t, th, rng, config.sound_easing)
-            return f"{f(th)},{f(p.x)},{f(p.y)},{f(p.z)}"
-    yield _COLUMNS[channel]
+    values = {  # the channel's values at theta
+        "env": lambda th: (light_intensity(th, rng, config.env_levels, gamma),),
+        "point": lambda th: point_light_color(th, rng, config.warm, config.cold, gamma),
+        "spot": lambda th: (light_intensity(th, rng, config.spot_levels, gamma),
+                            spot_cone_angle(th, rng, config.spot_geometry, gamma)),
+        "sound": lambda th: sound_source_position(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), th, rng,
+                                                  config.sound_easing),
+    }[channel]
+    yield _CHANNELS[channel][0]
     for i in range(steps + 1):
-        yield row(rng.theta_min + i * (rng.theta_max - rng.theta_min) / steps)
+        th = rng.theta_min + i * (rng.theta_max - rng.theta_min) / steps
+        yield ",".join(map(format9, (th, *values(th))))
 
 
 def _cmd_eval(args) -> int:
@@ -67,16 +62,12 @@ def _cmd_eval(args) -> int:
     if args.config:
         from .configio import parse_config  # and with it the scenario that the other readers build
         config = parse_config(_read(args.config))
-    if args.channel == "sound" and args.gamma is not None:
-        raise GuidanceError("--gamma does not apply to the sound channel")
+    field = _CHANNELS[args.channel][1]
+    if field is None and args.gamma is not None:
+        raise GuidanceError(f"--gamma does not apply to the {args.channel} channel")
     if args.gamma is not None and not 0.0 < args.gamma < math.inf:  # the channels take gamma as checked
         raise GuidanceError(f"--gamma={args.gamma} must be finite and > 0")
-    gamma = args.gamma if args.gamma is not None else {
-        "env": config.gamma_env,
-        "point": config.gamma_point,
-        "spot": config.gamma_spot,
-        "sound": 1.0,
-    }[args.channel]
+    gamma = args.gamma if args.gamma is not None or field is None else getattr(config, field)
     rng = AngularRange(args.theta_min, args.theta_max)
     for row in _eval_rows(args.channel, rng, gamma, args.steps, config):
         print(row)
@@ -150,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="sweep a cue channel over a theta grid, CSV to stdout")
-    p_eval.add_argument("--channel", choices=_COLUMNS, required=True)
+    p_eval.add_argument("--channel", choices=_CHANNELS, required=True)
     p_eval.add_argument("--theta-max", type=float, required=True)
     p_eval.add_argument("--theta-min", type=float, default=0.0)
     p_eval.add_argument("--gamma", type=float, default=None)

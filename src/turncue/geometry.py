@@ -12,7 +12,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import ConfigError, DegenerateGeometryError, InvalidDirectionError, checked
-from .trace import Side  # re-exported: turncue.geometry.Side is public
+from .trace import _NUMBER, Side  # Side re-exported: turncue.geometry.Side is public
 
 # Tolerance on |v| - 1 for direction-valued vectors.
 UNIT_TOLERANCE = 1e-6
@@ -54,6 +54,11 @@ class Vec3(NamedTuple):
         return abs(self.norm() - 1.0) <= UNIT_TOLERANCE
 
 
+def _finite(x) -> bool:
+    """x is a finite int or float; a bool, a str or None is not."""
+    return x.__class__ in _NUMBER and math.isfinite(x)
+
+
 @checked
 class Pose(NamedTuple):
     """User position plus head and gaze forward directions at a timestamp;
@@ -66,10 +71,10 @@ class Pose(NamedTuple):
     timestamp: float
 
     def _check(self) -> None:
-        if not all(map(math.isfinite, self.position)):
+        if not all(map(_finite, self.position)):
             raise ConfigError(f"position={tuple(self.position)} must be finite")
-        if not math.isfinite(self.timestamp):
-            raise ConfigError(f"timestamp={self.timestamp} must be finite")
+        if not _finite(self.timestamp):
+            raise ConfigError(f"timestamp={self.timestamp!r} must be finite")
         if not self.head_forward.is_unit():
             raise InvalidDirectionError(
                 f"head_forward has length {self.head_forward.norm():.8f}, expected 1"
@@ -149,16 +154,17 @@ def deviation_to_target(
 def target_view(pose: Pose, target: Vec3, half_angle: float) -> tuple[float, float, bool]:
     """(head, gaze) angles to the target and whether it lies within half_angle
     of head forward (inclusive): one direction, and one angle when gaze is head."""
+    if not 0.0 < half_angle < 180.0:
+        raise ConfigError(f"viewport half_angle={half_angle} must lie in (0, 180)")
     return _view(pose, direction_to(pose.position, target), half_angle)
 
 
 def _view(pose: Pose, to_target: Vec3, half_angle: float) -> tuple[float, float, bool]:
-    """target_view for to_target, the direction_to from the user to the target."""
+    """target_view for to_target, the direction_to from the user to the target, and a half_angle checked where it
+    entered (target_view, or GuidanceConfig's viewport_half_angle)."""
     head_theta = _unit_angle(pose.head_forward, to_target)
     gaze = pose.gaze_forward
     gaze_theta = head_theta if gaze is pose.head_forward else _unit_angle(gaze, to_target)
-    if not 0.0 < half_angle < 180.0:
-        raise ConfigError(f"viewport half_angle={half_angle} must lie in (0, 180)")
     return head_theta, gaze_theta, head_theta <= half_angle + _BOUNDARY_EPS
 
 

@@ -10,7 +10,6 @@ A ColorRGB is its own (r, g, b) tuple.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConfigError, checked
@@ -132,24 +131,17 @@ def point_light_color(theta: float, rng: AngularRange, warm: ColorRGB, cold: Col
                                     max(0.0, min(1.0, lerp(cold.b, warm.b, p)))))
 
 
-@lru_cache(maxsize=64)
-def _turn(azimuth: float) -> tuple[float, float]:
-    """cos and sin of azimuth degrees, once per value; -0.0 and 0.0 share one entry,
-    as their sines differ only in the sign of zero, which no record keeps."""
-    a = math.radians(azimuth)
-    return math.cos(a), math.sin(a)
-
-
 def point_light_position(pose: Pose, side: Side, azimuth: float, radius: float) -> Vec3:
     """Head-affixed light position: radius meters from the head, azimuth
     degrees off the horizontal head forward (+z when the head looks straight
-    up or down) toward side. Written on scalars, with the vector steps' float
-    ops in their order and the zero y terms kept for their sign."""
+    up or down) toward side. Written on scalars, with the vector steps' float ops
+    in their order and the zero y terms kept for their sign: a pure function of its arguments."""
     h, p = pose.head_forward, pose.position
     n = math.sqrt(h.x * h.x + h.z * h.z)
     ax, az = (h.x / n, h.z / n) if n > 1e-12 else (0.0, 1.0)
     sign = 1.0 if side is Side.RIGHT else -1.0  # the lateral is sign * (az, 0, -ax)
-    c, s = _turn(azimuth)
+    a = math.radians(azimuth)
+    c, s = math.cos(a), math.sin(a)
     dx = ax * c + az * sign * s
     dy = 0.0 * c + 0.0 * sign * s
     dz = az * c + -ax * sign * s

@@ -43,7 +43,7 @@ from .lights import (
     point_light_position,
     spotlight,
 )
-from .trace import Method, Role
+from .trace import _NUMBER, Method, Role
 
 
 class Idle(NamedTuple):
@@ -266,8 +266,8 @@ def tick(
     After either terminal the cues deactivate and the environment light
     returns to env_levels.l_max over the fade profile.
     """
-    if not 0.0 < dt < math.inf:  # not dt <= 0.0, so that nan fails too
-        raise ConfigError(f"dt={dt} must be finite and > 0")
+    if dt.__class__ not in _NUMBER or not 0.0 < dt < math.inf:  # not dt <= 0.0, so that nan fails too
+        raise ConfigError(f"dt={dt!r} must be finite and > 0")
 
     if isinstance(state, Idle):
         return state, _quiet_frame(pose, target, config, config.env_levels.l_max, "idle")

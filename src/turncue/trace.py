@@ -34,8 +34,8 @@ Triple = tuple[float, float, float]
 Step = float  # a time step: a float > 0 whose product with any tick is finite, held and written exactly
 
 # A trace holds few distinct floats (about 3.6k among 680k in the reference
-# suite), so q9 and the writer work each one out once. Both memos are keyed
-# by value and cleared when they reach this many entries.
+# suite), so q9 (a vector field's three floats included) and the writer work
+# each one out once. Both memos are keyed by value and cleared at this many entries.
 _MEMO_CAP = 1 << 16
 _q9_memo: dict[float, float] = {}
 _text_memo: dict[float, str] = {}
@@ -100,10 +100,6 @@ def q9(x: float) -> float:
 
 def _q_triple(v) -> Triple:
     a, b, c = v
-    if a.__class__ is b.__class__ is c.__class__ is float:  # q9's own memo, without its three calls
-        q = (_q9_memo.get(a), _q9_memo.get(b), _q9_memo.get(c))
-        if None not in q:
-            return q
     return (q9(a), q9(b), q9(c))
 
 

@@ -3,7 +3,7 @@
 A change that moves one of these changes the program's output: it must be a
 defect fix, and it re-pins here alone. The tests import this module, and
 .github/workflows/tier1.yml reads the reference suite's file digest and CSV
-md5 from it to check the installed package's output.
+md5, and the eval sweeps' digests, from it to check the installed package's output.
 """
 
 # turncue suite --plan configs/study.cfg --participants 1 --seed 7 (72 Hz):
@@ -18,3 +18,11 @@ GAZE_LEAD_RECORDS_SHA256 = "a5b351e17260cf3a3ac992b666cfca2914afd54d45c5be5dc24d
 
 # test_scenario's slow listener trials (every method, 72 Hz): the records.
 SLOW_LISTENER_RECORDS_SHA256 = "3e249f6de50bcebd80a6a87450068c4d07a96bcbab01949740522e1d7ac5378b"
+
+# turncue eval --channel CHANNEL --theta-min 10 --theta-max 130 --steps 12 (default config): its stdout, header included.
+EVAL_SWEEP_SHA256 = {
+    "env": "8e481e0455b7b69884a7aa4c30be88d4f259b2f7667a3db48bddcda7f09920f9",
+    "point": "5759576ffd1a0bff02959206b6bf1701e1ed4928fb01b03ad65668a109217c88",
+    "spot": "bc5f94aaf4b98d8aa965cb2455d8d0ef34220af37e6b1e1a8b5bbc2739a6681e",
+    "sound": "133bd1cc4e01c23d2022f1005d35bf154602f1f5d88dfb8dd7783b264740ad23",
+}

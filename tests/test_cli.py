@@ -12,11 +12,12 @@ import pytest
 from _rand import record_digest
 
 import turncue.scenario
+from turncue.audio import sound_source_position
 from turncue.cli import cli
 from turncue.config import GuidanceConfig
 from turncue.configio import load_suite
 from turncue.errors import ScriptError, TraceIntegrityError
-from turncue.geometry import AngularRange
+from turncue.geometry import AngularRange, Vec3
 from turncue.lights import light_intensity, point_light_color, spot_cone_angle
 from turncue.metrics import extract_metrics, metrics_to_csv
 from turncue.scenario import run_suite
@@ -62,7 +63,7 @@ def test_eval_other_channels(capsys, channel, columns):
     assert all(len(line.split(",")) == columns for line in lines)
 
 
-@pytest.mark.parametrize("channel", ["env", "point", "spot"])
+@pytest.mark.parametrize("channel", ["env", "point", "spot", "sound"])
 def test_eval_rows_match_library(capsys, channel):
     cfg, rng, gamma = GuidanceConfig(), AngularRange(10.0, 130.0), 1.7
 
@@ -71,14 +72,26 @@ def test_eval_rows_match_library(capsys, channel):
             return (light_intensity(th, rng, cfg.env_levels, gamma),)
         if channel == "point":
             return tuple(point_light_color(th, rng, cfg.warm, cfg.cold, gamma))
+        if channel == "sound":  # a unit path from the origin to +x, at the config's easing; it takes no gamma
+            return tuple(sound_source_position(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), th, rng, cfg.sound_easing))
         return (light_intensity(th, rng, cfg.spot_levels, gamma),
                 spot_cone_angle(th, rng, cfg.spot_geometry, gamma))
 
-    assert cli(["eval", "--channel", channel, "--theta-min", "10", "--theta-max", "130",
-                "--gamma", "1.7", "--steps", "12"]) == 0
+    gamma_flag = [] if channel == "sound" else ["--gamma", "1.7"]
+    assert cli(["eval", "--channel", channel, "--theta-min", "10", "--theta-max", "130", *gamma_flag,
+                "--steps", "12"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     thetas = [10.0 + i * 120.0 / 12 for i in range(13)]
     assert rows == [",".join(format(v, ".9g") for v in (th, *values(th))) for th in thetas]
+
+
+@pytest.mark.parametrize("channel", ["env", "point", "spot", "sound"])
+def test_eval_sweep_matches_pinned_digest(capsys, channel):
+    assert cli(["eval", "--channel", channel, "--theta-min", "10", "--theta-max", "130", "--steps", "12"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == {"env": "theta,intensity", "point": "theta,r,g,b",
+                                   "spot": "theta,intensity,cone_angle", "sound": "theta,x,y,z"}[channel]
+    assert hashlib.sha256(out.encode()).hexdigest() == pins.EVAL_SWEEP_SHA256[channel]
 
 
 def test_eval_monotone_spot(capsys):

@@ -10,7 +10,7 @@ from turncue.cli import _eval_rows
 from turncue.config import GuidanceConfig
 from turncue.configio import _SCHEMA, load_simulation, load_suite, parse_config
 from turncue.errors import ConfigError, GuidanceError, ScriptError, TraceIntegrityError
-from turncue.geometry import AngularRange, Vec3
+from turncue.geometry import AngularRange, Pose, Vec3
 from turncue.lights import LightLevels
 from turncue.metrics import extract_metrics
 from turncue.scenario import (
@@ -27,9 +27,11 @@ from turncue.scenario import (
     run_suite,
     suite_traces,
 )
+from turncue.session import IDLE, tick
 from turncue.trace import Trace, read_trace, write_trace
 
 REPO = Path(__file__).resolve().parents[1]
+AHEAD = Vec3(0.0, 0.0, 1.0)
 
 
 def test_shipped_default_config_matches_defaults():
@@ -287,6 +289,17 @@ def _plan_with_second_trial(**changes):
         (lambda: randomize_presentation(StudyPlan(participants=1), "x"), r"^seed='x' is not an integer$"),
         (lambda: randomize_presentation(StudyPlan(participants=1), True), r"^seed=True is not an integer$"),
         (lambda: randomize_presentation(StudyPlan(participants=1), None), r"^seed=None is not an integer$"),
+        # A pose's numbers and a tick's dt are finite ints or floats: a str, a bool or None is rejected, naming it.
+        (lambda: Pose(Vec3(0, 0, 0), AHEAD, AHEAD, "x"), r"^timestamp='x' must be finite$"),
+        (lambda: Pose(Vec3(0, 0, 0), AHEAD, AHEAD, True), r"^timestamp=True must be finite$"),
+        (lambda: Pose(Vec3(0, "a", 0), AHEAD, AHEAD, 0.0), r"^position=\(0, 'a', 0\) must be finite$"),
+        (lambda: Pose(Vec3(0, 0, False), AHEAD, AHEAD, 0.0), r"^position=\(0, 0, False\) must be finite$"),
+        (lambda: tick(IDLE, Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 0.0), None, "0.1", GuidanceConfig()),
+         r"^dt='0\.1' must be finite and > 0$"),
+        (lambda: tick(IDLE, Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 0.0), None, None, GuidanceConfig()),
+         r"^dt=None must be finite and > 0$"),
+        (lambda: tick(IDLE, Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 0.0), None, True, GuidanceConfig()),
+         r"^dt=True must be finite and > 0$"),
         (lambda: GazeAgentModel(seed=1.5), r"seed=1\.5 is not an integer"),
         (lambda: GuidanceConfig(chime_max_repeats=2.5), r"chime_max_repeats=2\.5 must be an integer >= 1"),
         (lambda: GuidanceConfig(chime_max_repeats=True), "chime_max_repeats=True must be an integer >= 1"),
@@ -346,7 +359,8 @@ def _plan_with_second_trial(**changes):
          "user_seat_index-bool", "topic-float", "run_scenario-participant-float", "run_scenario-seed-float",
          "run_suite-seed-float", "run_suite-jobs-float", "suite_traces-seed-float", "suite_traces-jobs-zero",
          "randomize_presentation-seed-float", "randomize_presentation-seed-str", "randomize_presentation-seed-bool",
-         "randomize_presentation-seed-none",
+         "randomize_presentation-seed-none", "pose-timestamp-str", "pose-timestamp-bool", "pose-position-str",
+         "pose-position-bool", "tick-dt-str", "tick-dt-none", "tick-dt-bool",
          "agent-seed-float", "chime_max_repeats-float",
          "chime_max_repeats-bool", "chime_max_repeats-beyond-float", "chime_max_repeats-rounds-past-float",
          "config-chime_max_repeats-401-digits", "chime_max_repeats-negative-5001-digits",

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from turncue.config import GuidanceConfig
 from turncue.configio import parse_config
 from turncue.errors import ConfigError
-from turncue.geometry import AngularRange, Pose, Side, Vec3
+from turncue.geometry import AngularRange, Pose, Side, Vec3, target_view
 from turncue.lights import (
     ColorRGB,
     LightLevels,
@@ -169,6 +169,22 @@ def test_spotlight_midpoint():
     )
     assert state.intensity == pytest.approx(1.15, abs=1e-9)
     assert state.cone_angle == pytest.approx(45.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("half_angle", [0.0, 180.0, math.nan])
+def test_a_viewport_half_angle_outside_0_180_is_rejected_where_it_enters(half_angle):
+    # target_view checks it for both lights; a session's ticks take GuidanceConfig's viewport_half_angle as checked.
+    target, pose = Vec3(0.0, 0.0, 2.0), _pose(head=_dir(0), gaze=_dir(10.0))
+    enters = (
+        lambda: target_view(pose, target, half_angle),
+        lambda: spotlight_state(pose, target, R90, SPOT, CONE, half_angle=half_angle, gamma=1.0),
+        lambda: point_light_state(pose, target, R90, half_angle=half_angle, azimuth=75.0, radius=0.5,
+                                  warm=WARM, cold=COLD, gamma=1.0),
+    )
+    for enter in enters:
+        with pytest.raises(ConfigError, match=rf"^viewport half_angle={half_angle} must lie in \(0, 180\)$"):
+            enter()
+    assert target_view(pose, target, 45.0)[2] and not target_view(pose, Vec3(0.0, 0.0, -2.0), 179.9)[2]
 
 
 def test_spotlight_inactive_out_of_viewport():

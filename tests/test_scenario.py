@@ -677,7 +677,8 @@ def dense_listener_script(method):
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
 def test_a_leading_gaze_is_worked_out_once_per_head_object(angle_calls, method):
     # While the head is the same object, the loop keeps its led gaze object, so a signaled tick at rest
-    # reuses the session's cues; without that, the lit methods work out 352 angles here and the others 275.
+    # reuses the session's cues; without that, the lit methods work out 352 angles here. sgd and text_icon work
+    # out 194 either way, as the hold covers their ticks at rest.
     run_scenario(default_script(method, Role.SPEAKER), LEADING, CFG, dt=1 / 30, seed=3)
     lit = method in (Method.LIGHT_AUDIO, Method.LIGHT)
     assert angle_calls == {"direction_to": 2, "angular_deviation": 244 if lit else 194}
