@@ -1,17 +1,21 @@
 """Response-time and miss-count extraction from traces.
 
-Response times are read off the session state transitions recorded in the
-trace, never recomputed from pose geometry, so live and replayed analysis
-cannot drift apart.
+Response times are read off the session state transitions in the trace,
+never recomputed from pose geometry, so live and replayed analysis cannot
+drift apart. The scan checks that every transition is legal and that every
+signaled frame carries view and role; each entry into a terminal state is
+one outcome and carries them too, and an acknowledged one an rt. Heads of
+equal (state, view, role) pass alike, so it checks each run of them once.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import TraceIntegrityError
-from .trace import _SHOWN, Trace, format9
+from .trace import _SHOWN, Trace, TraceRecord, format9
 
 # Legal session-tag successions within one trace.
 _ALLOWED = {
@@ -21,6 +25,7 @@ _ALLOWED = {
     "missed": {"missed", "signaled"},
 }
 
+_RUN = itemgetter(*map(TraceRecord._fields.index, ("state", "in_view", "role")))  # what a run of heads shares
 CellKey = tuple[str, str, str]  # (method, "in"/"out", "speaker"/"listener")
 
 
@@ -41,30 +46,28 @@ class MetricsSummary(NamedTuple):
 def _scan_trace(trace: Trace) -> list[tuple[CellKey, float | None]]:
     """(cell, response time) per resolved session; the time is None for a miss."""
     outcomes: list[tuple[CellKey, float | None]] = []
-    prev = "idle"
-    open_tick: int | None = None  # the tick that signaled the open session
-    # A session tag changes only where a run starts: its later ticks pass every check that its head does.
-    for rec in trace.records.heads:
-        if rec.state not in _ALLOWED:
-            raise TraceIntegrityError(f"tick {rec.tick}: unknown session state {_SHOWN.repr(rec.state)}")
-        if rec.state not in _ALLOWED[prev]:
-            raise TraceIntegrityError(f"tick {rec.tick}: illegal session transition {prev} -> {rec.state}")
-        entering = rec.state != prev
-        if rec.state == "signaled":
-            if entering:
+    prev, open_tick = "idle", None  # open_tick: the tick that signaled the open session
+    # A run is checked at its first head, whose tick each message names and whose rt an acknowledged entry records.
+    for (state, in_view, role), run in groupby(trace.records.heads, _RUN):
+        rec = next(run)
+        if state not in _ALLOWED:
+            raise TraceIntegrityError(f"tick {rec.tick}: unknown session state {_SHOWN.repr(state)}")
+        if state not in _ALLOWED[prev]:
+            raise TraceIntegrityError(f"tick {rec.tick}: illegal session transition {prev} -> {state}")
+        if state == "signaled":
+            if prev != state:
                 open_tick = rec.tick
-            if rec.in_view is None or rec.role is None:
+            if in_view is None or role is None:
                 raise TraceIntegrityError(f"tick {rec.tick}: signaled frame lacks view/role")
-        elif entering and rec.state in ("acknowledged", "missed"):
-            # _ALLOWED admits a terminal state only after signaled, which opened the session.
-            if rec.in_view is None or rec.role is None:
+        elif state != prev:  # a terminal state, which _ALLOWED admits only after signaled opened the session
+            if in_view is None or role is None:
                 raise TraceIntegrityError(f"tick {rec.tick}: terminal frame lacks view/role")
-            key = (trace.meta.method, "in" if rec.in_view else "out", rec.role)
-            if rec.state == "acknowledged" and rec.rt is None:
+            if state == "acknowledged" and rec.rt is None:
                 raise TraceIntegrityError(f"tick {rec.tick}: acknowledged frame lacks a response time")
-            outcomes.append((key, rec.rt if rec.state == "acknowledged" else None))
+            key = (trace.meta.method, "in" if in_view else "out", role)
+            outcomes.append((key, rec.rt if state == "acknowledged" else None))
             open_tick = None
-        prev = rec.state
+        prev = state
     if open_tick is not None:
         raise TraceIntegrityError(f"tick {open_tick}: session signaled here is still open at end of trace")
     return outcomes
@@ -79,13 +82,8 @@ def extract_metrics(traces: Iterable[Trace]) -> MetricsSummary:
     cells: dict[CellKey, CellStats] = {}
     for key, rts in grouped.items():
         acked = [r for r in rts if r is not None]
-        cells[key] = CellStats(
-            n=len(rts),
-            missed=len(rts) - len(acked),
-            mean_rt=sum(acked) / len(acked) if acked else None,
-            min_rt=min(acked) if acked else None,
-            max_rt=max(acked) if acked else None,
-        )
+        mean, low, high = (sum(acked) / len(acked), min(acked), max(acked)) if acked else (None, None, None)
+        cells[key] = CellStats(n=len(rts), missed=len(rts) - len(acked), mean_rt=mean, min_rt=low, max_rt=high)
     return MetricsSummary(cells=cells)
 
 

@@ -25,7 +25,7 @@ from . import session as sess
 from .baselines import sgd_state, text_icon_state
 from .config import LATENCY_OVERRIDES, METHODS, GuidanceConfig
 from .errors import ScriptError, checked
-from .geometry import Pose, Vec3, _unit_angle
+from .geometry import Pose, Vec3, _finite, _unit_angle
 from .metrics import MetricsSummary, extract_metrics
 from .session import SessionState
 from .trace import _SHOWN, Method, Role, Trace, TraceMeta, _Builder
@@ -82,8 +82,8 @@ class Turn(NamedTuple):
     def _check(self) -> None:
         if self.speaker not in (USER_ID, *AGENT_IDS):
             raise ScriptError(f"turn references unknown speaker id {_SHOWN.repr(self.speaker)}")
-        if not 0.0 < self.duration < math.inf:
-            raise ScriptError(f"turn duration {self.duration} for '{self.speaker}' must be finite and > 0")
+        if not (_finite(self.duration) and self.duration > 0.0):
+            raise ScriptError(f"turn duration {self.duration!r} for '{self.speaker}' must be finite and > 0")
 
 
 @checked
@@ -112,19 +112,19 @@ class ScenarioScript(NamedTuple):
         _check_ints(topic=self.topic)
         user = self.seats[self.user_seat_index]
         for i, seat in enumerate(self.seats):
-            if not all(map(math.isfinite, seat)):
+            if not all(map(_finite, seat)):
                 raise ScriptError(f"seats[{i}]={tuple(seat)} must be finite")
             if i != self.user_seat_index and not 1e-12 < (offset := (seat - user).norm()) < math.inf:
                 where = "coincides with" if offset <= 1e-12 else "is too far (offset norm inf) from"
                 raise ScriptError(f"seats[{i}]={tuple(seat)} {where} the user's seat")
-        if self.desk_anchor is not None and not all(map(math.isfinite, self.desk_anchor)):
+        if self.desk_anchor is not None and not all(map(_finite, self.desk_anchor)):
             raise ScriptError(f"desk_anchor={tuple(self.desk_anchor)} must be finite")
         if len(self.names) != AGENT_COUNT:
             raise ScriptError(f"names: expected {AGENT_COUNT}, got {len(self.names)}")
         if not self.turn_order:
             raise ScriptError("turn_order is empty")
-        if not 0.0 < self.signal_offset < math.inf:
-            raise ScriptError(f"signal_offset={self.signal_offset} must be finite and > 0")
+        if not (_finite(self.signal_offset) and self.signal_offset > 0.0):
+            raise ScriptError(f"signal_offset={self.signal_offset!r} must be finite and > 0")
 
 
 @checked
@@ -145,8 +145,8 @@ class GazeAgentModel(NamedTuple):
     seed: int = 0
 
     def _check(self) -> None:
-        if not 0.0 < self.head_speed < math.inf:
-            raise ScriptError(f"agent head_speed={self.head_speed} must be finite and > 0")
+        if not (_finite(self.head_speed) and self.head_speed > 0.0):
+            raise ScriptError(f"agent head_speed={self.head_speed!r} must be finite and > 0")
         _check_ints(seed=self.seed)
         latencies = {n: getattr(self, n) for n in ("gaze_lead", "latency_in", "latency_out", "latency_jitter")}
         for m, v, mean in self.latency_overrides:
@@ -157,8 +157,8 @@ class GazeAgentModel(NamedTuple):
                 raise ScriptError(f"agent {name} is given twice")
             latencies[name] = mean
         for name, value in latencies.items():
-            if not 0.0 <= value < math.inf:
-                raise ScriptError(f"agent {name}={value} must be finite and >= 0")
+            if not (_finite(value) and value >= 0.0):
+                raise ScriptError(f"agent {name}={value!r} must be finite and >= 0")
 
     def latency_for(self, method: Method, in_view: bool) -> tuple[float, float]:
         view = "in" if in_view else "out"
@@ -226,12 +226,12 @@ _IN_STEP = 2
 
 def hexagon_seats(radius: float = DEFAULT_SEAT_RADIUS, eye_height: float = DEFAULT_EYE_HEIGHT) -> tuple[Vec3, ...]:
     """Six seats evenly spaced around the table center."""
-    if not 0.0 < radius < math.inf:
-        raise ScriptError(f"seat_radius={radius} must be finite and > 0")
+    if not (_finite(radius) and radius > 0.0):
+        raise ScriptError(f"seat_radius={radius!r} must be finite and > 0")
     if Vec3(2.0 * radius, 0.0, 0.0).norm() == math.inf:  # opposite seats: no direction between them
         raise ScriptError(f"seat_radius={radius} is too large: the table width 2 * seat_radius has no finite norm")
-    if not math.isfinite(eye_height):
-        raise ScriptError(f"eye_height={eye_height} must be finite")
+    if not _finite(eye_height):
+        raise ScriptError(f"eye_height={eye_height!r} must be finite")
     if eye_height - (eye_height - _DESK_DROP) != _DESK_DROP:  # the desk would round toward eye level
         raise ScriptError(f"eye_height={eye_height} leaves the default desk no exact {_DESK_DROP} drop below it")
     seats = []

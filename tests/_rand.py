@@ -3,7 +3,8 @@
 import hashlib
 import random
 
-from turncue.trace import Trace, TraceMeta, TraceRecord
+from turncue.scenario import GazeAgentModel, ScenarioScript, Turn, hexagon_seats
+from turncue.trace import Role, Trace, TraceMeta, TraceRecord
 
 
 def make_meta(method="light_audio", role="listener", **kw):
@@ -58,6 +59,24 @@ def make_record(tick, t, state="idle", rt=None, in_view=None, role=None, speaker
     )
     base.update(kw)
     return TraceRecord(**base)
+
+
+DENSE = GazeAgentModel(head_speed=20.0)
+
+
+def dense_listener_script(method):
+    """Every handoff signal-driven half a second into the turn; seen from
+    seat 0, the speakers move by 30, 60, 90, 120 and 60 degrees, and at
+    20 deg/s the two widest turns run into the miss timeout."""
+    speakers = ("a1", "a2", "a4", "a1", "a5", "a3")
+    return ScenarioScript(
+        seats=hexagon_seats(),
+        user_seat_index=0,
+        role=Role.LISTENER,
+        method=method,
+        turn_order=tuple(Turn(s, 1.0) for s in speakers),
+        signal_offset=0.5,
+    )
 
 
 def random_record(rng: random.Random, tick: int) -> TraceRecord:

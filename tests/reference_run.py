@@ -1,4 +1,4 @@
-"""A plain reference for run_scenario, for differential testing.
+"""Plain references for run_scenario and the metrics scan, for differential testing.
 
 reference_scenario replays one trial the obvious way and shares none of the
 loop's shortcuts:
@@ -18,6 +18,10 @@ k * dt, and a duration lasts its first tick at or after it. Equal records
 and equal written bytes from the two are the differential test of the loop
 (W. M. McKeeman, "Differential Testing for Software", Digital Technical
 Journal 10(1), 1998).
+
+reference_scan reads a trace's session outcomes head by head, each head
+checked in full, where metrics checks a run of equal (state, view, role)
+once; the two must agree on every outcome and on every error's text.
 """
 
 import math
@@ -26,6 +30,7 @@ import random
 from turncue import session as sess
 from turncue.audio import sound_source_position
 from turncue.baselines import sgd_state, text_icon_state
+from turncue.errors import TraceIntegrityError
 from turncue.geometry import DeviationReference, Pose, Vec3, angular_deviation, deviation_to_target, lateral_side
 from turncue.lights import (
     PointLightState,
@@ -36,7 +41,7 @@ from turncue.lights import (
     spotlight_state,
 )
 from turncue.scenario import USER_ID, default_desk_anchor, display_name, rotate_toward, seat_of, stable_seed
-from turncue.trace import Method, Role, Side, Trace, TraceMeta, TraceRecord
+from turncue.trace import _SHOWN, Method, Role, Side, Trace, TraceMeta, TraceRecord
 
 
 def _lights_and_sound(state, pose, target, config):
@@ -175,3 +180,44 @@ def reference_scenario(script, agent, config, dt=1.0 / 72.0, seed=0, participant
         ))
         k += 1
     return Trace(meta, records)
+
+
+# Legal session-tag successions, written out here so the oracle shares no code with metrics.
+_ALLOWED = {
+    "idle": {"idle", "signaled"},
+    "signaled": {"signaled", "acknowledged", "missed"},
+    "acknowledged": {"acknowledged", "signaled"},
+    "missed": {"missed", "signaled"},
+}
+
+
+def reference_scan(trace: Trace) -> list:
+    """(cell, response time) per resolved session, the time None for a miss,
+    or the TraceIntegrityError that metrics._scan_trace raises: every head
+    passes every check."""
+    outcomes = []
+    prev = "idle"
+    open_tick = None  # the tick that signaled the open session
+    for rec in trace.records.heads:
+        if rec.state not in _ALLOWED:
+            raise TraceIntegrityError(f"tick {rec.tick}: unknown session state {_SHOWN.repr(rec.state)}")
+        if rec.state not in _ALLOWED[prev]:
+            raise TraceIntegrityError(f"tick {rec.tick}: illegal session transition {prev} -> {rec.state}")
+        entering = rec.state != prev
+        if rec.state == "signaled":
+            if entering:
+                open_tick = rec.tick
+            if rec.in_view is None or rec.role is None:
+                raise TraceIntegrityError(f"tick {rec.tick}: signaled frame lacks view/role")
+        elif entering and rec.state in ("acknowledged", "missed"):
+            if rec.in_view is None or rec.role is None:
+                raise TraceIntegrityError(f"tick {rec.tick}: terminal frame lacks view/role")
+            key = (trace.meta.method, "in" if rec.in_view else "out", rec.role)
+            if rec.state == "acknowledged" and rec.rt is None:
+                raise TraceIntegrityError(f"tick {rec.tick}: acknowledged frame lacks a response time")
+            outcomes.append((key, rec.rt if rec.state == "acknowledged" else None))
+            open_tick = None
+        prev = rec.state
+    if open_tick is not None:
+        raise TraceIntegrityError(f"tick {open_tick}: session signaled here is still open at end of trace")
+    return outcomes

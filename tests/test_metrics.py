@@ -1,12 +1,15 @@
 import re
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _rand import make_meta, make_record
+from _rand import DENSE, dense_listener_script, make_meta, make_record
+from reference_run import reference_scan
 from turncue.audio import Role
 from turncue.config import GuidanceConfig
 from turncue.errors import TraceIntegrityError
-from turncue.metrics import extract_metrics, metrics_to_csv
+from turncue.metrics import _scan_trace, extract_metrics, metrics_to_csv
 from turncue.scenario import GazeAgentModel, Method, default_script, run_scenario
 from turncue.trace import Records, Trace
 
@@ -161,3 +164,80 @@ def test_metrics_of_tuple_records_equal_those_of_their_runs(method, role):
     assert len(trace.records.heads) < len(trace.records)
     as_tuple, as_records = as_tuple_and_as_records(trace)
     assert extract_metrics([as_tuple]) == extract_metrics([as_records]) == extract_metrics([trace])
+
+
+@pytest.mark.parametrize("field", ["in_view", "role"])
+def test_a_signaled_head_inside_a_session_without_view_or_role_names_its_own_tick(field):
+    # The head at tick 3 starts a run of its own within the session signaled at tick 1.
+    records = [
+        make_record(0, 0.0, "idle"),
+        make_record(1, 0.1, "signaled", in_view=True, role="listener"),
+        make_record(2, 0.2, "signaled", in_view=True, role="listener"),
+        make_record(3, 0.3, "signaled", **{"in_view": True, "role": "listener", field: None}),
+    ]
+    for each in as_tuple_and_as_records(Trace(meta=make_meta(), records=tuple(records))):
+        with pytest.raises(TraceIntegrityError, match="^tick 3: signaled frame lacks view/role$"):
+            extract_metrics([each])
+
+
+def test_acknowledged_heads_of_another_view_after_the_entry_add_no_outcome():
+    records = [
+        make_record(0, 0.0, "idle"),
+        make_record(1, 0.1, "signaled", in_view=False, role="listener"),
+        make_record(2, 0.2, "acknowledged", rt=0.1, in_view=False, role="listener"),
+        make_record(3, 0.3, "acknowledged", rt=0.2, in_view=True, role="listener"),
+        make_record(4, 0.4, "acknowledged", rt=0.3, in_view=True, role="speaker"),
+    ]
+    for each in as_tuple_and_as_records(Trace(meta=make_meta(), records=tuple(records))):
+        assert len(each.records.heads) == 5
+        summary = extract_metrics([each])
+        assert list(summary.cells) == [("light_audio", "out", "listener")]
+        assert summary.cells[("light_audio", "out", "listener")].n == 1
+        assert summary.cells[("light_audio", "out", "listener")].mean_rt == 0.1
+
+
+@lru_cache(maxsize=None)
+def _real_trace(which):
+    """A run_scenario trace at 20 Hz: a default script's, or the dense listener script's, whose sessions
+    signal half a second into each turn and two of which run into the miss timeout."""
+    if which == "dense":
+        return run_scenario(dense_listener_script(Method.LIGHT_AUDIO), DENSE, GuidanceConfig(), dt=0.05, seed=3)
+    method, role = which
+    return run_scenario(default_script(method, role), GazeAgentModel(), GuidanceConfig(), dt=0.05, seed=3)
+
+
+_STATES = ("idle", "signaled", "acknowledged", "missed", "waiting")  # the four session tags and an unknown one
+
+
+@st.composite
+def _corrupted_traces(draw):
+    """A real trace with drawn heads corrupted, on the head's tick alone or on its whole run: its state swapped
+    for another tag or an unknown one, its view or role unset, an acknowledged head's rt dropped; and perhaps
+    cut inside a session."""
+    trace = _real_trace(draw(st.sampled_from(["dense", (Method.LIGHT, Role.LISTENER), (Method.SGD, Role.SPEAKER)])))
+    records, heads = list(trace.records), trace.records.heads
+    ends = [head.tick for head in heads[1:]] + [len(records)]
+    for _ in range(draw(st.integers(0, 3))):
+        change = draw(st.sampled_from(["state", "in_view", "role", "rt"]))
+        i = draw(st.sampled_from([j for j, head in enumerate(heads) if change != "rt" or head.state == "acknowledged"]))
+        value = draw(st.sampled_from(_STATES)) if change == "state" else None
+        for k in range(heads[i].tick, ends[i] if draw(st.booleans()) else heads[i].tick + 1):
+            records[k] = records[k]._replace(**{change: value})
+    if draw(st.booleans()):
+        inside = [k for head, end in zip(heads, ends) if head.state == "signaled" for k in range(head.tick, end)]
+        records = records[:draw(st.sampled_from(inside)) + 1]
+    return Trace(trace.meta, records)
+
+
+def _scanned(scan, trace):
+    try:
+        return scan(trace)
+    except TraceIntegrityError as exc:
+        return f"TraceIntegrityError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=_corrupted_traces())
+def test_the_run_scan_reads_every_trace_as_the_head_by_head_scan(trace):
+    # reference_scan checks each head in full; _scan_trace each run of equal (state, view, role) at its first head.
+    assert _scanned(_scan_trace, trace) == _scanned(reference_scan, trace)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pins
 import pytest
-from _rand import record_digest
+from _rand import DENSE, dense_listener_script, record_digest
 from hypothesis import assume, example, given, settings, strategies as st
 from reference_run import reference_scenario
 
@@ -140,6 +140,32 @@ def test_script_built_directly_rejects_a_bad_field(field, value, message):
     fields = {f: getattr(script, f) for f in ("seats", "user_seat_index", "role", "method", "turn_order")}
     with pytest.raises(ScriptError, match="^" + re.escape(message) + "$"):
         ScenarioScript(**{**fields, field: value})
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: right_angle_script()._replace(seats=(Vec3(0.0, 1.15, 0.0), Vec3(0.0, "a", 2.0))
+                                               + right_angle_script().seats[2:]),
+         "seats[1]=(0.0, 'a', 2.0) must be finite"),
+        (lambda: hexagon_seats(1.2, "x"), "eye_height='x' must be finite"),
+        (lambda: hexagon_seats("1.2"), "seat_radius='1.2' must be finite and > 0"),
+        (lambda: right_angle_script()._replace(signal_offset="1"), "signal_offset='1' must be finite and > 0"),
+        (lambda: Turn("a1", "3"), "turn duration '3' for 'a1' must be finite and > 0"),
+        (lambda: right_angle_script()._replace(desk_anchor=Vec3(True, 0.8, 0.0)),
+         "desk_anchor=(True, 0.8, 0.0) must be finite"),
+        (lambda: GazeAgentModel(head_speed="x"), "agent head_speed='x' must be finite and > 0"),
+        (lambda: GazeAgentModel(latency_in=True), "agent latency_in=True must be finite and >= 0"),
+        (lambda: GazeAgentModel(latency_overrides=(("sgd", "in", "1"),)),
+         "agent latency_sgd_in='1' must be finite and >= 0"),
+    ],
+    ids=["str-seat-coordinate", "str-eye-height", "str-seat-radius", "str-signal-offset", "str-turn-duration",
+         "bool-desk-anchor", "str-head-speed", "bool-latency", "str-latency-override"],
+)
+def test_a_script_number_that_is_not_a_finite_int_or_float_is_rejected_naming_the_field(build, message):
+    # geometry._finite's rule, as a Pose's: a str fails before any comparison, and a bool is not a number.
+    with pytest.raises(ScriptError, match="^" + re.escape(message) + "$"):
+        build()
 
 
 def test_default_script_leaves_the_desk_to_the_run_which_records_it():
@@ -656,22 +682,6 @@ def every_tick_simulated(monkeypatch):
 
 SLOW = GazeAgentModel(latency_in=10.0, latency_out=10.0)
 LEADING = GazeAgentModel(head_speed=60.0, gaze_lead=5.0)
-DENSE = GazeAgentModel(head_speed=20.0)
-
-
-def dense_listener_script(method):
-    """Every handoff signal-driven half a second into the turn; seen from
-    seat 0, the speakers move by 30, 60, 90, 120 and 60 degrees, and at
-    20 deg/s the two widest turns run into the miss timeout."""
-    speakers = ("a1", "a2", "a4", "a1", "a5", "a3")
-    return ScenarioScript(
-        seats=hexagon_seats(),
-        user_seat_index=0,
-        role=Role.LISTENER,
-        method=method,
-        turn_order=tuple(Turn(s, 1.0) for s in speakers),
-        signal_offset=0.5,
-    )
 
 
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
