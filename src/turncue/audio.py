@@ -27,8 +27,9 @@ def sound_source_position(
     theta <= theta_min it rests at the target; between, it slides along the
     path continuously. "cosine" easing slows departure from the head end.
     """
-    d = t - u
-    if d.norm() <= 1e-12:
+    (ux, uy, uz), (tx, ty, tz) = u, t
+    dx, dy, dz = tx - ux, ty - uy, tz - uz  # t - u and its norm, on scalars
+    if math.sqrt(dx * dx + dy * dy + dz * dz) <= 1e-12:
         raise DegenerateGeometryError("sound path is degenerate: u == t")
     if theta >= rng.theta_max:
         return u
@@ -39,4 +40,4 @@ def sound_source_position(
         s = 1.0 - math.cos(s * math.pi / 2.0)
     elif easing != "linear":
         raise ConfigError(f"unknown sound easing {_SHOWN.repr(easing)} (linear or cosine)")
-    return Vec3(u.x + d.x * s, u.y + d.y * s, u.z + d.z * s)
+    return tuple.__new__(Vec3, (ux + dx * s, uy + dy * s, uz + dz * s))

@@ -12,6 +12,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConfigError, checked
+from .geometry import _finite
 from .lights import ColorRGB, LightLevels, SpotlightGeometry
 from .trace import _SHOWN, Method
 
@@ -53,33 +54,30 @@ class GuidanceConfig(NamedTuple):
     subtlety: float = 1.0
 
     def _check(self) -> None:
+        def number(name: str, holds, rule: str) -> None:  # a finite int or float (geometry._finite) in its range
+            if not (_finite(value := getattr(self, name)) and holds(value)):
+                raise ConfigError(f"{name}={_SHOWN.repr(value)} {rule}")
+
         for name in ("gamma_env", "gamma_point", "gamma_spot"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name}={getattr(self, name)}: gamma must be finite and > 0")
-        if not 0.0 < self.viewport_half_angle < 180.0:
-            raise ConfigError(
-                f"viewport_half_angle={self.viewport_half_angle} must lie in (0, 180)"
-            )
-        if not 0.0 <= self.point_azimuth <= 180.0:
-            raise ConfigError(f"point_azimuth={self.point_azimuth} must lie in [0, 180]")
+            number(name, lambda v: v > 0.0, "must be finite and > 0")
+        number("viewport_half_angle", lambda v: 0.0 < v < 180.0, "must lie in (0, 180)")
+        number("point_azimuth", lambda v: 0.0 <= v <= 180.0, "must lie in [0, 180]")
         for name in ("point_radius", "fade_duration", "duck_duration", "ack_threshold", "ack_dwell", "miss_timeout"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name}={getattr(self, name)} must be finite and > 0")
-        if not 0.0 <= self.duck_gain < 1.0:
-            raise ConfigError(f"duck_gain={self.duck_gain} must lie in [0, 1)")
-        if not 0.0 <= self.theta_min <= 180.0 - MIN_RANGE_WIDTH:
-            raise ConfigError(f"theta_min={self.theta_min} must lie in [0, {180.0 - MIN_RANGE_WIDTH:g}]")
+            number(name, lambda v: v > 0.0, "must be finite and > 0")
+        number("duck_gain", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+        top = 180.0 - MIN_RANGE_WIDTH
+        number("theta_min", lambda v: 0.0 <= v <= top, f"must lie in [0, {top:g}]")
+        if self.spot_deactivate_at_min.__class__ is not bool:
+            raise ConfigError(f"spot_deactivate_at_min={_SHOWN.repr(self.spot_deactivate_at_min)} must be a bool")
         if self.sound_easing not in ("linear", "cosine"):
             raise ConfigError(f"sound_easing={_SHOWN.repr(self.sound_easing)} must be linear or cosine")
         n = self.chime_max_repeats
         if type(n) is not int or n < 1:  # bools too
             raise ConfigError(f"chime_max_repeats={_SHOWN.repr(n)} must be an integer >= 1")
-        if n >= 2**1024 - 2**970:  # rounds past the largest float: tick scales it as one
+        if not _finite(n):  # tick scales it as a float
             raise ConfigError(f"chime_max_repeats of about 10**{math.log10(n):.0f} is beyond "
                               "the float range (about 1.8e+308)")
-        if not 0.0 <= self.chime_repeat_interval < math.inf:
-            raise ConfigError(f"chime_repeat_interval={self.chime_repeat_interval} must be finite and >= 0")
+        number("chime_repeat_interval", lambda v: v >= 0.0, "must be finite and >= 0")
         if n > 1 and self.chime_repeat_interval == 0.0:
             raise ConfigError("chime_repeat_interval must be > 0 when repeats > 1")
-        if not 0.0 <= self.subtlety <= 1.0:
-            raise ConfigError(f"subtlety={self.subtlety} must lie in [0, 1]")
+        number("subtlety", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")

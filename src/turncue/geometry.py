@@ -12,7 +12,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import ConfigError, DegenerateGeometryError, InvalidDirectionError, checked
-from .trace import _NUMBER, Side  # Side re-exported: turncue.geometry.Side is public
+from .trace import _NUMBER, _SHOWN, Side  # Side re-exported: turncue.geometry.Side is public
 
 # Tolerance on |v| - 1 for direction-valued vectors.
 UNIT_TOLERANCE = 1e-6
@@ -54,9 +54,12 @@ class Vec3(NamedTuple):
         return abs(self.norm() - 1.0) <= UNIT_TOLERANCE
 
 
+_FLOAT_END = 2**1024 - 2**970  # the least int that float() rounds past the largest float
+
+
 def _finite(x) -> bool:
-    """x is a finite int or float; a bool, a str or None is not."""
-    return x.__class__ in _NUMBER and math.isfinite(x)
+    """x is a finite int or float that float() holds: a bool, a str, None or an int of _FLOAT_END or more is not."""
+    return x.__class__ in _NUMBER and abs(x) < _FLOAT_END  # inf and nan fail too
 
 
 @checked
@@ -72,9 +75,9 @@ class Pose(NamedTuple):
 
     def _check(self) -> None:
         if not all(map(_finite, self.position)):
-            raise ConfigError(f"position={tuple(self.position)} must be finite")
+            raise ConfigError(f"position={_SHOWN.repr(tuple(self.position))} must be finite")
         if not _finite(self.timestamp):
-            raise ConfigError(f"timestamp={self.timestamp!r} must be finite")
+            raise ConfigError(f"timestamp={_SHOWN.repr(self.timestamp)} must be finite")
         if not self.head_forward.is_unit():
             raise InvalidDirectionError(
                 f"head_forward has length {self.head_forward.norm():.8f}, expected 1"

@@ -146,7 +146,7 @@ def point_light_position(pose: Pose, side: Side, azimuth: float, radius: float) 
     dy = 0.0 * c + 0.0 * sign * s
     dz = az * c + -ax * sign * s
     m = math.sqrt(dx * dx + dy * dy + dz * dz)
-    return Vec3(p.x + dx / m * radius, p.y + dy / m * radius, p.z + dz / m * radius)
+    return tuple.__new__(Vec3, (p.x + dx / m * radius, p.y + dy / m * radius, p.z + dz / m * radius))
 
 
 def point_light(
@@ -164,12 +164,8 @@ def point_light(
 ) -> PointLightState:
     """Point light for a given head-to-target angle and viewport flag."""
     side = lateral_side(pose, target)
-    return PointLightState(
-        active=not in_view,
-        side=side,
-        position=point_light_position(pose, side, azimuth, radius),
-        color=point_light_color(theta, rng, warm, cold, gamma),
-    )
+    return tuple.__new__(PointLightState, (not in_view, side, point_light_position(pose, side, azimuth, radius),
+                                           point_light_color(theta, rng, warm, cold, gamma)))
 
 
 def point_light_state(
@@ -209,9 +205,10 @@ def spotlight(
 ) -> SpotlightState:
     """Spotlight for a given gaze-to-target angle and viewport flag."""
     if not in_view or (deactivate_at_min and theta <= rng.theta_min):
-        return SpotlightState(active=False, intensity=0.0, cone_angle=geometry.a_min, aim=target)
+        return tuple.__new__(SpotlightState, (False, 0.0, geometry.a_min, target))
     p = _progress(theta, rng, gamma)  # light_intensity's and spot_cone_angle's
-    return SpotlightState(True, lerp(levels.l_min, levels.l_max, p), lerp(geometry.a_min, geometry.a_max, p), target)
+    return tuple.__new__(SpotlightState, (True, lerp(levels.l_min, levels.l_max, p),
+                                          lerp(geometry.a_min, geometry.a_max, p), target))
 
 
 def spotlight_state(

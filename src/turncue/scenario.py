@@ -83,7 +83,7 @@ class Turn(NamedTuple):
         if self.speaker not in (USER_ID, *AGENT_IDS):
             raise ScriptError(f"turn references unknown speaker id {_SHOWN.repr(self.speaker)}")
         if not (_finite(self.duration) and self.duration > 0.0):
-            raise ScriptError(f"turn duration {self.duration!r} for '{self.speaker}' must be finite and > 0")
+            raise ScriptError(f"turn duration {_SHOWN.repr(self.duration)} for '{self.speaker}' must be finite and > 0")
 
 
 @checked
@@ -113,18 +113,18 @@ class ScenarioScript(NamedTuple):
         user = self.seats[self.user_seat_index]
         for i, seat in enumerate(self.seats):
             if not all(map(_finite, seat)):
-                raise ScriptError(f"seats[{i}]={tuple(seat)} must be finite")
+                raise ScriptError(f"seats[{i}]={_SHOWN.repr(tuple(seat))} must be finite")
             if i != self.user_seat_index and not 1e-12 < (offset := (seat - user).norm()) < math.inf:
                 where = "coincides with" if offset <= 1e-12 else "is too far (offset norm inf) from"
                 raise ScriptError(f"seats[{i}]={tuple(seat)} {where} the user's seat")
         if self.desk_anchor is not None and not all(map(_finite, self.desk_anchor)):
-            raise ScriptError(f"desk_anchor={tuple(self.desk_anchor)} must be finite")
+            raise ScriptError(f"desk_anchor={_SHOWN.repr(tuple(self.desk_anchor))} must be finite")
         if len(self.names) != AGENT_COUNT:
             raise ScriptError(f"names: expected {AGENT_COUNT}, got {len(self.names)}")
         if not self.turn_order:
             raise ScriptError("turn_order is empty")
         if not (_finite(self.signal_offset) and self.signal_offset > 0.0):
-            raise ScriptError(f"signal_offset={self.signal_offset!r} must be finite and > 0")
+            raise ScriptError(f"signal_offset={_SHOWN.repr(self.signal_offset)} must be finite and > 0")
 
 
 @checked
@@ -146,7 +146,7 @@ class GazeAgentModel(NamedTuple):
 
     def _check(self) -> None:
         if not (_finite(self.head_speed) and self.head_speed > 0.0):
-            raise ScriptError(f"agent head_speed={self.head_speed!r} must be finite and > 0")
+            raise ScriptError(f"agent head_speed={_SHOWN.repr(self.head_speed)} must be finite and > 0")
         _check_ints(seed=self.seed)
         latencies = {n: getattr(self, n) for n in ("gaze_lead", "latency_in", "latency_out", "latency_jitter")}
         for m, v, mean in self.latency_overrides:
@@ -158,7 +158,7 @@ class GazeAgentModel(NamedTuple):
             latencies[name] = mean
         for name, value in latencies.items():
             if not (_finite(value) and value >= 0.0):
-                raise ScriptError(f"agent {name}={value!r} must be finite and >= 0")
+                raise ScriptError(f"agent {name}={_SHOWN.repr(value)} must be finite and >= 0")
 
     def latency_for(self, method: Method, in_view: bool) -> tuple[float, float]:
         view = "in" if in_view else "out"
@@ -204,7 +204,7 @@ def rotate_toward(current: Vec3, target_dir: Vec3, max_step_deg: float) -> Vec3:
     # current * a + target_dir * b, normalized, on scalars (the same float ops)
     x, y, z = current.x * a + target_dir.x * b, current.y * a + target_dir.y * b, current.z * a + target_dir.z * b
     n = math.sqrt(x * x + y * y + z * z)
-    return Vec3(x / n, y / n, z / n)
+    return tuple.__new__(Vec3, (x / n, y / n, z / n))
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +227,15 @@ _IN_STEP = 2
 def hexagon_seats(radius: float = DEFAULT_SEAT_RADIUS, eye_height: float = DEFAULT_EYE_HEIGHT) -> tuple[Vec3, ...]:
     """Six seats evenly spaced around the table center."""
     if not (_finite(radius) and radius > 0.0):
-        raise ScriptError(f"seat_radius={radius!r} must be finite and > 0")
+        raise ScriptError(f"seat_radius={_SHOWN.repr(radius)} must be finite and > 0")
     if Vec3(2.0 * radius, 0.0, 0.0).norm() == math.inf:  # opposite seats: no direction between them
-        raise ScriptError(f"seat_radius={radius} is too large: the table width 2 * seat_radius has no finite norm")
+        raise ScriptError(f"seat_radius={_SHOWN.repr(radius)} is too large: "
+                          "the table width 2 * seat_radius has no finite norm")
     if not _finite(eye_height):
-        raise ScriptError(f"eye_height={eye_height!r} must be finite")
+        raise ScriptError(f"eye_height={_SHOWN.repr(eye_height)} must be finite")
     if eye_height - (eye_height - _DESK_DROP) != _DESK_DROP:  # the desk would round toward eye level
-        raise ScriptError(f"eye_height={eye_height} leaves the default desk no exact {_DESK_DROP} drop below it")
+        raise ScriptError(f"eye_height={_SHOWN.repr(eye_height)} leaves the default desk "
+                          f"no exact {_DESK_DROP} drop below it")
     seats = []
     for k in range(6):
         ang = math.radians(60.0 * k)

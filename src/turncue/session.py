@@ -171,7 +171,7 @@ def _cues(state: Signaled, pose: Pose, target: Vec3, config: GuidanceConfig) -> 
         )
         env_theta = _unit_angle(gaze, state.signal_gaze)
     else:
-        spot, env_theta = SpotlightState(False, 0.0, config.spot_geometry.a_min, target), None
+        spot, env_theta = tuple.__new__(SpotlightState, (False, 0.0, config.spot_geometry.a_min, target)), None
     sound_pos = (audio.sound_source_position(position, target, head_theta, state.head_range, config.sound_easing)
                  if state.audible else target)
     return (position, target, to_target, config, head, gaze, gaze_theta, env_theta, point, spot, sound_pos)
@@ -196,8 +196,9 @@ def _quiet_frame(
         aim = target
         side = lateral_side(pose, target)
         position = point_light_position(pose, side, config.point_azimuth, config.point_radius)
-    return CueFrame(env, PointLightState(False, side, position, config.cold),
-                    SpotlightState(False, 0.0, config.spot_geometry.a_min, aim), aim, False, 1.0, tag)
+    new = tuple.__new__  # without the NamedTuple constructors' argument binding, as tick builds its frame
+    return new(CueFrame, (env, new(PointLightState, (False, side, position, config.cold)),
+                          new(SpotlightState, (False, 0.0, config.spot_geometry.a_min, aim)), aim, False, 1.0, tag))
 
 
 def _fade_fraction(state: Resolved, now: float, fade: float) -> float:

@@ -25,7 +25,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from enum import Enum
 from itertools import compress, count
-from operator import index, itemgetter, ne
+from operator import index, is_not, itemgetter, ne
 from typing import Iterable, NamedTuple
 
 from .errors import TraceIntegrityError, checked
@@ -35,9 +35,11 @@ Step = float  # a time step: a float > 0 whose product with any tick is finite, 
 
 # A trace holds few distinct floats (about 3.6k among 680k in the reference
 # suite), so q9 (a vector field's three floats included) and the writer work
-# each one out once. Both memos are keyed by value and cleared at this many entries.
+# each one out once, and a trace keeps one object per distinct canonical
+# triple. The three memos are keyed by value and cleared at this many entries.
 _MEMO_CAP = 1 << 16
 _q9_memo: dict[float, float] = {}
+_triple_memo: dict[Triple, Triple] = {}
 _text_memo: dict[float, str] = {}
 _NUMBER = frozenset((int, float))
 _UNSET = object()  # a field that no line has set yet
@@ -99,8 +101,15 @@ def q9(x: float) -> float:
 
 
 def _q_triple(v) -> Triple:
+    """v's three floats by q9, as the one object that holds that canonical triple (hash-consing)."""
     a, b, c = v
-    return (q9(a), q9(b), q9(c))
+    q = (q9(a), q9(b), q9(c))
+    shared = _triple_memo.get(q)
+    if shared is None:
+        if len(_triple_memo) >= _MEMO_CAP:
+            _triple_memo.clear()
+        shared = _triple_memo[q] = q
+    return shared
 
 
 def _int(x) -> int:
@@ -337,10 +346,10 @@ class _Builder:
 
     def step(self, raw: tuple) -> None:
         """Add the record of raw, a tick's fields in order, in one pass: only the
-        fields that differ from the last step's are canonicalized and compared
-        with the run's head, which the record extends or, if one differs or its t
-        is not derived, follows as a new head. A TraceRecord, canonical already,
-        is only compared."""
+        fields that hold another object than the last step's are canonicalized,
+        an object two fields hold in a row once, and compared by value with the
+        run's head, which the record extends or, if one differs or its t is not
+        derived, follows as a new head. A TraceRecord, canonical already, is only compared."""
         heads, last, self._raw, k = self.heads, self._raw, raw, self.n
         if raw[0] != k:
             raise TraceIntegrityError(f"tick {raw[0]} at position {k}: indices must be contiguous from 0")
@@ -349,13 +358,18 @@ class _Builder:
                 heads.append(raw)
         else:
             head, canon, values, i = heads[-1] if heads else _BLANK, TraceRecord._canon, None, 1
+            seen = form = value = _UNSET  # the last object canonicalized, its canonical form and value
             try:
                 t = q9(raw[1])
-                for i in compress(count(), map(ne, raw, last)):
-                    if i > 1 and (value := canon[i](raw[i])) != head[i]:
-                        if values is None:
-                            values = list(head)
-                        values[i] = value
+                for i in compress(count(), map(is_not, raw, last)):
+                    if i > 1:
+                        x, f = raw[i], canon[i]
+                        if x is not seen or f is not form:
+                            seen, form, value = x, f, f(x)
+                        if value != head[i]:
+                            if values is None:
+                                values = list(head)
+                            values[i] = value
             except (TypeError, ValueError, OverflowError, KeyError):
                 raise TraceRecord._invalid(i, raw[i]) from None
             if values is None and raw[1] != k * self.dt and t != q9(k * self.dt):  # equal numbers have one q9

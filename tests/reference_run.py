@@ -22,6 +22,11 @@ Journal 10(1), 1998).
 reference_scan reads a trace's session outcomes head by head, each head
 checked in full, where metrics checks a run of equal (state, view, role)
 once; the two must agree on every outcome and on every error's text.
+
+reference_heads finds the run heads of raw ticks by comparing each field
+with the last tick's by value (operator.ne), where trace._Builder compares
+objects and canonicalizes one held by two fields in a row once; on valid
+fields the two must build the same heads.
 """
 
 import math
@@ -41,7 +46,7 @@ from turncue.lights import (
     spotlight_state,
 )
 from turncue.scenario import USER_ID, default_desk_anchor, display_name, rotate_toward, seat_of, stable_seed
-from turncue.trace import _SHOWN, Method, Role, Side, Trace, TraceMeta, TraceRecord
+from turncue.trace import _SHOWN, Method, Role, Side, Trace, TraceMeta, TraceRecord, q9
 
 
 def _lights_and_sound(state, pose, target, config):
@@ -221,3 +226,23 @@ def reference_scan(trace: Trace) -> list:
     if open_tick is not None:
         raise TraceIntegrityError(f"tick {open_tick}: session signaled here is still open at end of trace")
     return outcomes
+
+
+def reference_heads(raws, dt) -> tuple:
+    """The run heads of raws, each a tick's raw fields in order from tick 0: a field that differs by value from
+    the last tick's is canonicalized, each time, and a tick whose canonical fields other than tick and t differ
+    from its run's head, or whose t is not the derived q9(k × dt), heads a run."""
+    heads, last, canon = [], None, TraceRecord._canon
+    for k, raw in enumerate(raws):
+        values = list(heads[-1]) if heads else [None] * len(raw)
+        new = not heads
+        for i in range(2, len(raw)):
+            if last is None or raw[i] != last[i]:
+                value = canon[i](raw[i])
+                if new or value != values[i]:
+                    values[i], new = value, True
+        t = q9(raw[1])
+        if new or t != q9(k * dt):
+            heads.append(tuple.__new__(TraceRecord, [k, t, *values[2:]]))
+        last = raw
+    return tuple(heads)

@@ -348,6 +348,23 @@ def _plan_with_second_trial(**changes):
          r"^eye_height=1e\+300 leaves the default desk no exact 0\.25 drop below it$"),
         (lambda: StudyPlan(participants=1, eye_height=2.0**53), r"^eye_height=9007199254740992\.0 leaves the default desk"),
         (lambda: default_script(Method.TEXT_ICON, Role.SPEAKER, eye_height=1e17), r"^eye_height=1e\+17 leaves"),
+        # Each GuidanceConfig number is a finite int or float (geometry._finite) before its range is compared,
+        # and spot_deactivate_at_min a bool.
+        (lambda: GuidanceConfig(miss_timeout="5"), r"^miss_timeout='5' must be finite and > 0$"),
+        (lambda: GuidanceConfig(ack_dwell="x"), r"^ack_dwell='x' must be finite and > 0$"),
+        (lambda: GuidanceConfig(theta_min="0"), r"^theta_min='0' must lie in \[0, 179\]$"),
+        (lambda: GuidanceConfig(chime_repeat_interval=None), r"^chime_repeat_interval=None must be finite and >= 0$"),
+        (lambda: GuidanceConfig(viewport_half_angle=None), r"^viewport_half_angle=None must lie in \(0, 180\)$"),
+        (lambda: GuidanceConfig(ack_dwell=True), r"^ack_dwell=True must be finite and > 0$"),
+        (lambda: GuidanceConfig(gamma_env=True), r"^gamma_env=True must be finite and > 0$"),
+        (lambda: GuidanceConfig(duck_gain=False), r"^duck_gain=False must lie in \[0, 1\)$"),
+        (lambda: GuidanceConfig(spot_deactivate_at_min=1), r"^spot_deactivate_at_min=1 must be a bool$"),
+        (lambda: GuidanceConfig(point_radius=10**400), r"^point_radius=about 10\*\*400 must be finite and > 0$"),
+        (lambda: GuidanceConfig(subtlety=-(10**5000)), r"^subtlety=about -10\*\*5000 must lie in \[0, 1\]$"),
+        # A pose's numbers: an int that float() cannot hold is not finite.
+        (lambda: Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 10**400), r"^timestamp=about 10\*\*400 must be finite$"),
+        (lambda: Pose(Vec3(0, 10**5000, 0), AHEAD, AHEAD, 0.0),
+         r"^position=\(0, about 10\*\*5000, 0\) must be finite$"),
     ],
     ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
          "head_speed", "latency_override", "signal_offset", "participants",
@@ -369,7 +386,10 @@ def _plan_with_second_trial(**changes):
          "latency-repeated-cell", "method-str", "role-str", "run_suite-trial-method-str", "plan-participants-above-trials",
          "plan-trial-participant-outside", "plan-participants-zero-with-trials", "plan-trial-method-str",
          "plan-trial-names-short", "plan-trial-user_seat-range", "seat_radius-huge", "plan-seat_radius-huge",
-         "eye_height-huge", "plan-eye_height-huge", "default_script-eye_height-huge"],
+         "eye_height-huge", "plan-eye_height-huge", "default_script-eye_height-huge", "miss_timeout-str",
+         "ack_dwell-str", "theta_min-str", "chime_repeat_interval-none", "viewport_half_angle-none", "ack_dwell-bool",
+         "gamma_env-bool", "duck_gain-bool", "spot_deactivate_at_min-int", "point_radius-huge",
+         "subtlety-negative-5001-digits", "pose-timestamp-huge", "pose-position-5001-digits"],
 )
 def test_constructors_reject_non_finite_and_out_of_range(build, named):
     with pytest.raises(ConfigError, match=named) as info:

@@ -11,6 +11,7 @@ from turncue.geometry import (
     Pose,
     Side,
     Vec3,
+    _finite,
     _progress,
     _unit_angle,
     angular_deviation,
@@ -22,6 +23,22 @@ from turncue.geometry import (
 X = Vec3(1.0, 0.0, 0.0)
 Y = Vec3(0.0, 1.0, 0.0)
 Z = Vec3(0.0, 0.0, 1.0)
+
+
+_FLOAT_END = 2**1024 - 2**970  # the least int that float() rounds past the largest float, and refuses
+
+
+@pytest.mark.parametrize(
+    "x,finite",
+    [(0, True), (-1.5, True), (1.7976931348623157e308, True), (_FLOAT_END - 1, True), (1 - _FLOAT_END, True),
+     (_FLOAT_END, False), (-_FLOAT_END, False), (10**400, False), (-(10**5000), False), (math.inf, False),
+     (-math.inf, False), (math.nan, False), (True, False), (False, False), ("1", False), (None, False)],
+    ids=["zero", "float", "largest-float", "largest-int-float-holds", "least-int-float-holds", "float-end",
+         "minus-float-end", "10**400", "-10**5000", "inf", "-inf", "nan", "True", "False", "str", "None"],
+)
+def test_finite_is_an_int_or_float_that_float_holds(x, finite):
+    # An int that float() refuses answers False, where math.isfinite raises OverflowError.
+    assert _finite(x) is finite
 
 
 def pose_at(position=Vec3(0, 0, 0), head=Z, gaze=Z, t=0.0):

@@ -48,6 +48,18 @@ FAST_DT = 0.05
 REPO = Path(__file__).resolve().parents[1]
 
 
+def test_a_trace_keeps_one_object_per_distinct_triple(monkeypatch):
+    # A generated listener trial, as perfbench's dense one, under every method: each canonical triple that the
+    # traces and their read_trace copies hold, run heads and meta alike, is the one object of its value.
+    monkeypatch.setattr(turncue.trace, "_triple_memo", {})  # a fresh memo, which no cap clears on the way
+    traces = [run_scenario(dense_listener_script(method), DENSE, CFG, seed=3) for method in METHODS]
+    traces += [read_trace(write_trace(trace.records, trace.meta)) for trace in traces]
+    fields = [i for i, kind in enumerate(TraceRecord._kinds) if kind == "Triple"]
+    held = [head[i] for trace in traces for head in trace.records.heads for i in fields]
+    held += [triple for trace in traces for triple in (*trace.meta.seats, trace.meta.desk_anchor)]
+    assert len({id(triple) for triple in held}) == len(set(held)) < len(held) / 10
+
+
 def right_angle_script(method=Method.LIGHT_AUDIO):
     """User fixates an agent straight ahead; the new speaker sits at
     exactly 90 degrees so the rotation distance is a round number."""
@@ -158,12 +170,27 @@ def test_script_built_directly_rejects_a_bad_field(field, value, message):
         (lambda: GazeAgentModel(latency_in=True), "agent latency_in=True must be finite and >= 0"),
         (lambda: GazeAgentModel(latency_overrides=(("sgd", "in", "1"),)),
          "agent latency_sgd_in='1' must be finite and >= 0"),
+        # An int that float() cannot hold, shown by its size, past int()'s 4,300 digits too.
+        (lambda: Turn("a1", 10**400), "turn duration about 10**400 for 'a1' must be finite and > 0"),
+        (lambda: Turn("a1", 10**5000), "turn duration about 10**5000 for 'a1' must be finite and > 0"),
+        (lambda: hexagon_seats(10**400), "seat_radius=about 10**400 must be finite and > 0"),
+        (lambda: hexagon_seats(1.2, -(10**400)), "eye_height=about -10**400 must be finite"),
+        (lambda: GazeAgentModel(head_speed=10**400), "agent head_speed=about 10**400 must be finite and > 0"),
+        (lambda: GazeAgentModel(latency_out=2**1024 - 2**970),
+         "agent latency_out=about 10**308 must be finite and >= 0"),
+        (lambda: right_angle_script()._replace(signal_offset=10**5000),
+         "signal_offset=about 10**5000 must be finite and > 0"),
+        (lambda: right_angle_script()._replace(desk_anchor=Vec3(0.0, 10**400, 0.0)),
+         "desk_anchor=(0.0, about 10**400, 0.0) must be finite"),
     ],
     ids=["str-seat-coordinate", "str-eye-height", "str-seat-radius", "str-signal-offset", "str-turn-duration",
-         "bool-desk-anchor", "str-head-speed", "bool-latency", "str-latency-override"],
+         "bool-desk-anchor", "str-head-speed", "bool-latency", "str-latency-override", "huge-turn-duration",
+         "5001-digit-turn-duration", "huge-seat-radius", "huge-eye-height", "huge-head-speed",
+         "latency-rounds-past-float", "5001-digit-signal-offset", "huge-desk-anchor"],
 )
 def test_a_script_number_that_is_not_a_finite_int_or_float_is_rejected_naming_the_field(build, message):
-    # geometry._finite's rule, as a Pose's: a str fails before any comparison, and a bool is not a number.
+    # geometry._finite's rule, as a Pose's: a str fails before any comparison, a bool is not a number, and
+    # an int that rounds past the largest float is not finite.
     with pytest.raises(ScriptError, match="^" + re.escape(message) + "$"):
         build()
 

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from _rand import make_meta, make_record, random_trace
+from reference_run import reference_heads
 from turncue.errors import TraceIntegrityError
+from turncue.geometry import Vec3
 from turncue.trace import (
     _MEMO_CAP,
     _SHOWN,
@@ -29,6 +31,7 @@ from turncue.trace import (
     _emit,
     _q9_memo,
     _text_memo,
+    _triple_memo,
     q9,
     read_trace,
     write_trace,
@@ -78,6 +81,25 @@ def test_q9_and_float_text_stay_exact_across_the_memo_cap():
     for v in values[:200]:
         assert q9(v).hex() == _canonical_hex(v)
         assert _emit(q9(v)) == format(q9(v), ".9g")
+
+
+def test_records_and_bytes_stay_equal_across_the_triple_memo_cap(monkeypatch):
+    # A trace keeps one object per canonical triple while the memo holds it. A memo cleared at its cap, here of
+    # a few entries, inside a build, a raw step or a read gives a value a second object, which compares, writes
+    # and reads as the first: the runs, records and bytes are those built with the memos whole.
+    drawn = random_trace(random.Random(39), 30)
+    trace = Trace(drawn.meta, [_repeat(rec, k) for k, rec in enumerate(r for r in drawn.records for _ in range(4))])
+    text = write_trace(trace.records, trace.meta)
+    monkeypatch.setattr("turncue.trace._MEMO_CAP", 5)
+    _triple_memo.clear()  # each triple below a miss
+    rebuilt = Trace(trace.meta, [_fresh_copy(rec) for rec in trace.records])
+    stepped = _Builder(trace.meta.dt)  # raw ticks, each field a new object
+    for rec in trace.records:
+        stepped.step(tuple(_fresh_copy(rec)))
+    back = read_trace(text)
+    assert len(_triple_memo) <= 5 and len(_q9_memo) <= 5
+    assert rebuilt == back == trace and rebuilt.records.heads == stepped.records().heads == trace.records.heads
+    assert write_trace(rebuilt.records, rebuilt.meta) == write_trace(back.records, back.meta) == text
 
 
 @pytest.mark.parametrize(
@@ -942,6 +964,78 @@ def test_stepping_rejects_a_bad_changed_field_as_a_record_does(field, value, mes
     built.step(tuple(first))
     with pytest.raises(TraceIntegrityError, match=f"^{message}$"):
         built.step(tuple((first._replace(tick=1, t=0.1)._asdict() | {field: value}).values()))
+
+
+@pytest.mark.parametrize(
+    "bad,holder,field",
+    [(True, None, "head"), ("x", None, "head"), (None, None, "head"), (True, "point_active", "point_pos"),
+     ("x", "target", "point_pos"), ("x", "panel_text", "icon_anchor"), (None, "target", "point_pos"),
+     (None, "rt", "sound_pos")],
+    ids=["bool", "str", "None", "bool-after-point_active", "str-after-target", "str-after-panel_text",
+         "None-after-target", "None-after-rt"],
+)
+def test_a_triple_field_rejects_a_non_triple_also_when_another_field_holds_the_same_object(bad, holder, field):
+    # The builder canonicalizes an object that two changed fields hold in a row once, by the fields' one
+    # canonical form: a bool, a str or None in a Triple field is rejected, naming it, on the first tick and on a
+    # later one, also when a field before it holds the same object as a valid value of its own kind.
+    first = make_record(0, 0.0, state="acknowledged", rt=0.5, in_view=True, role="listener")
+    for k in (0, 1):
+        built = _Builder(0.1)
+        if k:
+            built.step(tuple(first))
+        raw = {**first._replace(tick=k, t=k * 0.1)._asdict(), field: bad, **({holder: bad} if holder else {})}
+        with pytest.raises(TraceIntegrityError) as caught:
+            built.step(tuple(raw.values()))
+        assert str(caught.value) == f"{field}={bad!r} is not a valid Triple"
+
+
+_POOL = {  # per annotation, values among which equal ones recur: an int for a float, -0.0 for 0.0, 0.1 + 1e-12 for 0.1
+    "float": [0.0, -0.0, 0, 0.1, 0.1 + 1e-12, 1.5],
+    "float | None": [None, 0.5, 0.5 + 1e-12, 1],
+    "Triple": [(0.0, 1.0, 0.0), (-0.0, 1, 0.0), (0.1, 0.2, 0.3), (0.1 + 1e-12, 0.2, 0.3)],
+    "str": ["a1", "a2"], "str | None": [None, "a1"], "bool": [True, False], "bool | None": [None, False],
+    "Role | None": [None, "listener", Role.LISTENER], "Side": ["left", Side.LEFT, "right"],
+}
+
+
+def _copy(value, how: int):
+    """An equal value as a new object: a float by its text, a triple as a Vec3, a tuple or a list."""
+    if isinstance(value, float):
+        return float(repr(value))
+    if isinstance(value, (tuple, list)):
+        items = [_copy(v, how) for v in value]
+        return Vec3(*items) if how == 0 else (tuple, list)[how - 1](items)
+    return value
+
+
+_TRIPLES = [name for name in _CHANGING if _KIND[name] == "Triple"]
+
+
+def _names(names, max_size=None):
+    return st.lists(st.sampled_from(names), unique=True, max_size=max_size)
+
+
+@given(st.data())
+def test_stepping_by_object_builds_the_heads_of_the_value_rule(data):
+    # The builder canonicalizes only fields that hold another object than the last tick's, and an object two
+    # fields hold in a row once. Over raw ticks on which a few fields draw from pools with equal values in them,
+    # any field may take an equal new object (a Vec3, tuple or list copy, a float by its text) and a Triple field
+    # the object of the one before it, it builds the heads that comparing every field with the last tick's by
+    # value builds.
+    values = {name: data.draw(st.sampled_from(_POOL[_KIND[name]])) for name in _CHANGING}
+    built, raws = _Builder(0.1), []
+    for k in range(data.draw(st.integers(1, 12))):
+        values["t"] = data.draw(st.sampled_from([k * 0.1, float(repr(k * 0.1)), k]))
+        for name in data.draw(_names(_CHANGING[1:], 3)):
+            values[name] = data.draw(st.sampled_from(_POOL[_KIND[name]]))
+        for name in data.draw(_names(_CHANGING[1:])):
+            values[name] = _copy(values[name], data.draw(st.integers(0, 2)))
+        for name in data.draw(_names(_TRIPLES[1:])):
+            values[name] = values[_TRIPLES[_TRIPLES.index(name) - 1]]
+        raws.append((k, *values.values()))
+        built.step(raws[-1])
+    heads, expected = built.records().heads, reference_heads(raws, 0.1)
+    assert heads == expected and [list(map(type, head)) for head in heads] == [list(map(type, h)) for h in expected]
 
 
 _SHORTENED = r"'x{12}\.\.\.x{13}'"  # how an error shows a long str
