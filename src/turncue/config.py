@@ -54,6 +54,10 @@ class GuidanceConfig(NamedTuple):
     subtlety: float = 1.0
 
     def _check(self) -> None:
+        for name in ("env_levels", "spot_levels", "spot_geometry", "warm", "cold"):  # checked where built
+            if (value := getattr(self, name)).__class__ is not (kind := type(self._field_defaults[name])):
+                raise ConfigError(f"{name}={_SHOWN.repr(value)} must be a {kind.__name__}")
+
         def number(name: str, holds, rule: str) -> None:  # a finite int or float (geometry._finite) in its range
             if not (_finite(value := getattr(self, name)) and holds(value)):
                 raise ConfigError(f"{name}={_SHOWN.repr(value)} {rule}")

@@ -62,6 +62,13 @@ def _finite(x) -> bool:
     return x.__class__ in _NUMBER and abs(x) < _FLOAT_END  # inf and nan fail too
 
 
+def _finite_fields(value: tuple) -> None:
+    """Raise a ConfigError naming the first field of the NamedTuple value that is not _finite."""
+    for name, x in zip(value._fields, value):
+        if not _finite(x):
+            raise ConfigError(f"{name}={_SHOWN.repr(x)} must be a finite number")
+
+
 @checked
 class Pose(NamedTuple):
     """User position plus head and gaze forward directions at a timestamp;
@@ -96,6 +103,7 @@ class AngularRange(NamedTuple):
     theta_max: float
 
     def _check(self) -> None:
+        _finite_fields(self)
         if not 0.0 <= self.theta_min <= 180.0:
             raise ConfigError(f"theta_min={self.theta_min} must lie in [0, 180]")
         if not 0.0 <= self.theta_max <= 180.0:

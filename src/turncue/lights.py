@@ -18,6 +18,7 @@ from .geometry import (
     Pose,
     Side,
     Vec3,
+    _finite_fields,
     _progress,
     lateral_side,
     target_view,
@@ -32,7 +33,8 @@ class LightLevels(NamedTuple):
     l_max: float
 
     def _check(self) -> None:
-        if not 0.0 <= self.l_min < self.l_max < math.inf:
+        _finite_fields(self)
+        if not 0.0 <= self.l_min < self.l_max:
             raise ConfigError(
                 f"light levels require 0 <= l_min < l_max < inf, got [{self.l_min}, {self.l_max}]"
             )
@@ -47,6 +49,7 @@ class ColorRGB(NamedTuple):
     b: float
 
     def _check(self) -> None:
+        _finite_fields(self)
         for name, v in zip(self._fields, self):
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"color channel {name}={v} must lie in [0, 1]")
@@ -60,6 +63,7 @@ class SpotlightGeometry(NamedTuple):
     a_max: float
 
     def _check(self) -> None:
+        _finite_fields(self)
         if not 0.0 < self.a_min < self.a_max <= 180.0:
             raise ConfigError(
                 f"spotlight cone requires 0 < a_min < a_max <= 180, got [{self.a_min}, {self.a_max}]"

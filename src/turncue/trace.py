@@ -10,9 +10,9 @@ values in field order; a field of kind Role, Method or Side holds a member's
 value. A trace has one clock: tick k is at q9(k × meta.dt) unless its t is
 another. Records holds the runs of ticks that change nothing but tick, each at
 its derived t, their count and dt; a tick whose t is another heads a run. A
-file is the meta line, then a frame line per tick, which never holds tick,
-holds t only where it is not derived and any other field only where it
-changed: an unchanged tick is {"kind":"frame"}.
+file is the meta line, {"kind":"meta","format":2,…}, then a frame line per
+tick. A frame has no kind; it never holds tick, holds t only where it is not
+derived and any other field only where it changed: an unchanged tick is {}.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ _triple_memo: dict[Triple, Triple] = {}
 _text_memo: dict[float, str] = {}
 _NUMBER = frozenset((int, float))
 _UNSET = object()  # a field that no line has set yet
-_FRAME = '{"kind":"frame"}'  # an unchanged tick's line
+FORMAT = 2  # the trace format that a meta line names; a reader takes this one alone
+_FRAME = "{}"  # an unchanged tick's line
 
 
 class _Shown(reprlib.Repr):  # an int past 40 digits by its size: repr() refuses one past int()'s digit limit
@@ -215,7 +216,7 @@ def _canonical(fields: type) -> type:
     return checked(type(fields.__name__, (_Canonical, fields), {
         "__slots__": (), "__doc__": fields.__doc__, "_kinds": kinds, "_canon": tuple(map(_CANONICAL.get, kinds)),
         "_index": {name: i for i, name in enumerate(fields._fields)},
-        "_keys": tuple(f',"{name}":' for name in fields._fields)}))  # each field's key in a line
+        "_keys": tuple(f'"{name}":' for name in fields._fields)}))  # each field's key in a line
 
 
 @_canonical
@@ -422,27 +423,24 @@ def _emit(value) -> str:
     raise TypeError(f"unserializable value {value!r}")
 
 
-def _line(kind: str, obj: _Canonical, last: tuple | None = None) -> str:
-    """obj's JSON line: every field, or with last only the fields whose value
-    differs from last's. Canonical values are equal exactly when their text is."""
+def _line(obj: _Canonical, last: tuple | None = None, *members: str) -> str:
+    """obj's JSON line after members: every field, or with last only the fields whose
+    value differs from last's. Canonical values are equal exactly when their text is."""
     keys = obj._keys
     fields = range(len(keys)) if last is None else compress(range(len(keys)), map(ne, obj, last))
-    return "".join([f'{{"kind":"{kind}"', *[keys[i] + _emit(obj[i]) for i in fields], "}\n"])
+    return "{" + ",".join([*members, *[keys[i] + _emit(obj[i]) for i in fields]]) + "}\n"
 
 
 def write_trace(records: Iterable[TraceRecord], meta: TraceMeta) -> str:
     """Serialize meta and records, built into a Records at meta.dt as a Trace builds them, to JSON Lines.
 
     A run's head is diffed against the record before it, and t against the derived
-    t; every other tick is {"kind":"frame"}."""
+    t; every other tick is {}."""
     meta, records = Trace(meta, records)  # a TraceMeta and a Records, or the error that names meta
     frames = [f"{_FRAME}\n"] * len(records)
-    last = _BLANK
-    for head in records.heads:  # a head's line holds its own t
-        k = head[0]
-        frames[k] = _line("frame", head, (k, q9(k * meta.dt)) + last[2:])
-        last = head
-    return _line("meta", meta) + "".join(frames)
+    for last, head in zip((_BLANK, *records.heads), records.heads):  # a head's line holds its own t
+        frames[head[0]] = _line(head, (head[0], q9(head[0] * meta.dt)) + last[2:])
+    return _line(meta, None, f'"kind":"meta","format":{FORMAT}') + "".join(frames)
 
 
 # Not json.loads, which re-checks its keyword arguments on every call: about
@@ -453,12 +451,12 @@ _DECODER = json.JSONDecoder()
 def read_trace(text: str) -> Trace:
     """Parse a JSON Lines trace; inverse of write_trace on its own output.
 
-    The first line that is not blank must be the meta line. A frame is the
-    next tick, at the derived t unless it holds t, and starts from the
-    previous frame's values: a field it lacks is unchanged, and only the
-    fields it holds are canonicalized. It never holds tick. After the first
-    frame, a line that is exactly {"kind":"frame"} is one more tick of the
-    run before it, without the decoder."""
+    The first line that is not blank must be the meta line, of format FORMAT
+    alone. Every later line is a frame, which holds no kind: the next tick, at
+    the derived t unless it holds t, starting from the previous frame's
+    values: a field it lacks is unchanged, and only the fields it holds are
+    canonicalized. It never holds tick. After the first frame, a line that is
+    exactly {} is one more tick of the run before it, without the decoder."""
     meta, runs, heads, lineno = None, None, (), 0
     # Not splitlines, which also breaks at what a JSON string holds raw, U+2028 among
     # them. A CRLF line drops its "\r", so that an unchanged tick skips the decoder.
@@ -478,14 +476,16 @@ def read_trace(text: str) -> Trace:
             raise TraceIntegrityError(f"line {lineno}: an integer of more than {limit} digits") from None
         except RecursionError:  # nor its depth; the decoder recurses per level
             raise TraceIntegrityError(f"line {lineno}: a JSON value nested too deeply to read") from None
-        kind = obj.pop("kind", None) if isinstance(obj, dict) else None
+        kind = obj.pop("kind", _UNSET) if isinstance(obj, dict) else None
         try:
             if meta is None or kind == "meta":
                 if meta is not None or kind != "meta":
                     raise TraceIntegrityError("meta must be the first line")
+                if (form := obj.pop("format", None)).__class__ is not int or form != FORMAT:  # not 2.0, nor true
+                    raise TraceIntegrityError(f"not a format {FORMAT} trace: write it again from its seed")
                 meta = TraceMeta._read(None, obj)
                 heads = (runs := _Builder(meta.dt)).heads
-            elif kind != "frame":
+            elif kind is not _UNSET:  # "frame" too: a frame holds no kind
                 raise TraceIntegrityError(f"unknown record kind {_SHOWN.repr(kind)}")
             elif "tick" in obj:  # a frame's tick is its position
                 raise TraceIntegrityError("unknown field 'tick'")

@@ -1,19 +1,21 @@
 """The pinned digests of the reference runs, in one place.
 
 A change that moves one of these changes the program's output: it must be a
-defect fix, and it re-pins here alone. The tests import this module, and
+defect fix or a planned change of the trace format, and it re-pins here alone
+and records the old and the new digest in CHANGES.md. A format change moves
+the file digests only; the records, CSV, run heads and eval sweeps hold. The tests import this module, and
 .github/workflows/tier1.yml reads the reference suite's file digest and CSV
 md5, and the eval sweeps' digests, from it to check the installed package's output.
 """
 
 # turncue suite --plan configs/study.cfg --participants 1 --seed 7 (72 Hz):
-REFERENCE_FILES_SHA256 = "d161ff25dc5e04cc40c4e90d5eac672d3cf6acff5f677be2a987ab5961c37f5e"  # its 8 files' bytes, in name order
+REFERENCE_FILES_SHA256 = "d9243d467dcdba48993cd7eb8b42c13c093f56ec3386155555ad8520f648711e"  # its 8 files' bytes, in name order
 REFERENCE_RECORDS_SHA256 = "1cc6046d229a1b9debf701dcbe0ec45edc91e3eec62747395a82b57e6c696578"  # _rand.record_digest, read back
 REFERENCE_CSV_MD5 = "17c59b2a0edc53cdb35cbeddd4efc2ef"  # its metrics CSV
 REFERENCE_RUN_HEADS = 775  # the records at which a field other than tick and t changes
 
 # test_scenario's gaze-lead speaker trials (every method, 30 Hz): the written bytes and the read-back records.
-GAZE_LEAD_FILES_SHA256 = "068f498674dde17162ca3fed6c38fa5bf16cc70fea0e90e8942d86a07eb353a3"
+GAZE_LEAD_FILES_SHA256 = "e58f5bf6f98d601be6ff06c6973b1d5450f86efaefc3fe6e2a500e58b522dd28"
 GAZE_LEAD_RECORDS_SHA256 = "a5b351e17260cf3a3ac992b666cfca2914afd54d45c5be5dc24d3ca321d2f925"
 
 # test_scenario's slow listener trials (every method, 72 Hz): the records.

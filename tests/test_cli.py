@@ -243,20 +243,22 @@ def test_reference_suite_matches_pinned_digests(tmp_path, capsys):
 
 
 def test_a_trace_in_the_older_format_is_rejected_and_regenerated_from_its_seed(tmp_path, capsys):
-    # A 10 Hz listener trial written before frame lines left out tick and t, so every frame
-    # holds both: metrics and read_trace reject it at its first frame, naming the field. Its
-    # meta line names the run, which simulate writes again from the same seed in the one format.
+    # A 10 Hz listener trial written before the meta line named its format, and before frame lines
+    # left out kind, tick and t, so every frame holds all three: metrics and read_trace reject it at
+    # its meta line, naming format 2. That line names the run, which simulate writes again from the
+    # same seed in the one format.
     old, new = REPO / "tests" / "data" / "listener_10hz_tick_t_frames.jsonl", tmp_path / "new.jsonl"
-    assert all('"tick":' in line and '"t":' in line for line in old.read_text().splitlines()[1:])
-    with pytest.raises(TraceIntegrityError, match="^line 2: unknown field 'tick'$"):
+    assert all('"kind":"frame","tick":' in line and '"t":' in line for line in old.read_text().splitlines()[1:])
+    with pytest.raises(TraceIntegrityError, match="^line 1: not a format 2 trace: write it again from its seed$"):
         read_trace(old.read_text())
     capsys.readouterr()
     assert cli(["metrics", str(old)]) == 1
-    assert capsys.readouterr() == ("", f"error: {old}: line 2: unknown field 'tick'\n")
+    assert capsys.readouterr() == ("", f"error: {old}: line 1: not a format 2 trace: write it again from its seed\n")
     assert cli(["simulate", "--script", str(REPO / "configs" / "listener_light_audio.cfg"), "--dt", "0.1",
                 "--seed", "7", "--out", str(new)]) == 0
-    assert new.read_text().split("\n", 1)[0] == old.read_text().split("\n", 1)[0]
-    assert not any('"tick":' in line or '"t":' in line for line in new.read_text().splitlines()[1:])
+    old_meta = old.read_text().split("\n", 1)[0]
+    assert new.read_text().split("\n", 1)[0] == old_meta.replace('{"kind":"meta",', '{"kind":"meta","format":2,', 1)
+    assert not any(key in line for line in new.read_text().splitlines()[1:] for key in ('"kind":', '"tick":', '"t":'))
     capsys.readouterr()
     assert cli(["metrics", str(new)]) == 0 and capsys.readouterr().out.startswith("method,view,role,n,")
 
@@ -266,12 +268,13 @@ def test_a_trace_in_the_older_format_is_rejected_and_regenerated_from_its_seed(t
     [
         (lambda lines: lines[1:], "line 1: meta must be the first line"),
         (lambda lines: [], "line 1: meta must be the first line"),
-        (lambda lines: [lines[0], lines[1].replace('{"kind":"frame",', '{"kind":"frame","tick":0,')] + lines[2:],
-         "line 2: unknown field 'tick'"),
-        (lambda lines: lines[:3] + ['{"kind":"frame","sgd_phase":false}'] + lines[4:],
-         "line 4: unknown field 'sgd_phase'"),
+        (lambda lines: [lines[0], lines[1].replace("{", '{"tick":0,', 1)] + lines[2:], "line 2: unknown field 'tick'"),
+        (lambda lines: lines[:3] + ['{"sgd_phase":false}'] + lines[4:], "line 4: unknown field 'sgd_phase'"),
+        (lambda lines: lines[:3] + ['{"kind":"frame"}'] + lines[4:], "line 4: unknown record kind 'frame'"),
+        (lambda lines: [lines[0].replace('"format":2,', "", 1)] + lines[1:],
+         "line 1: not a format 2 trace: write it again from its seed"),
     ],
-    ids=["no-meta", "empty", "tick", "sgd_phase"],
+    ids=["no-meta", "empty", "tick", "sgd_phase", "frame-kind", "no-format"],
 )
 def test_metrics_on_a_file_outside_the_one_format_exits_one_naming_the_line(script_file, tmp_path, capsys, edit,
                                                                             message):
@@ -528,12 +531,12 @@ def test_metrics_on_malformed_trace_exits_one_naming_the_line(script_file, tmp_p
 @pytest.mark.parametrize("pad", ["", " "], ids=["as-written", "padded"])
 def test_metrics_on_an_integer_longer_than_int_reads_exits_one_naming_the_line(script_file, tmp_path, capsys, field,
                                                                                pad):
-    # On an unchanged tick's line, {"kind":"frame"} as written, which then takes the decoder, or padded.
+    # On an unchanged tick's line, {} as written, which then takes the decoder, or padded.
     out = tmp_path / "t.jsonl"
     assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    n = lines.index('{"kind":"frame"}')
-    lines[n] = lines[n][:-1] + f',"{field}":{"9" * 5000}}}'
+    n = lines.index("{}")
+    lines[n] = f'{{"{field}":{"9" * 5000}}}'
     out.write_text("".join(pad + line + "\n" for line in lines))
     capsys.readouterr()
     assert cli(["metrics", str(out)]) == 1
@@ -598,7 +601,7 @@ def test_metrics_on_deeply_nested_json_exits_one_naming_the_line(script_file, tm
     out = tmp_path / "t.jsonl"
     assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    lines[2] = '{"kind":"frame","pos":' + "[" * 100_000 + "]" * 100_000 + "}"
+    lines[2] = '{"pos":' + "[" * 100_000 + "]" * 100_000 + "}"
     out.write_text("".join(line + "\n" for line in lines))
     capsys.readouterr()
     assert cli(["metrics", str(out)]) == 1
@@ -610,7 +613,8 @@ def test_metrics_on_a_huge_invalid_value_exits_one_with_a_short_message(script_f
     out = tmp_path / "t.jsonl"
     assert cli(["simulate", "--script", str(script_file), "--dt", "0.05", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    lines[2] = lines[2][:-1] + ',"pos":[' + ",".join(["0"] * 200_000) + "]}"
+    assert lines[2] == "{}"  # an unchanged tick
+    lines[2] = '{"pos":[' + ",".join(["0"] * 200_000) + "]}"
     out.write_text("".join(line + "\n" for line in lines))
     capsys.readouterr()
     assert cli(["metrics", str(out)]) == 1

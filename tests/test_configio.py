@@ -11,7 +11,7 @@ from turncue.config import GuidanceConfig
 from turncue.configio import _SCHEMA, load_simulation, load_suite, parse_config
 from turncue.errors import ConfigError, GuidanceError, ScriptError, TraceIntegrityError
 from turncue.geometry import AngularRange, Pose, Vec3
-from turncue.lights import LightLevels
+from turncue.lights import ColorRGB, LightLevels, SpotlightGeometry
 from turncue.metrics import extract_metrics
 from turncue.scenario import (
     GazeAgentModel,
@@ -365,6 +365,23 @@ def _plan_with_second_trial(**changes):
         (lambda: Pose(Vec3(0, 0, 0), AHEAD, AHEAD, 10**400), r"^timestamp=about 10\*\*400 must be finite$"),
         (lambda: Pose(Vec3(0, 10**5000, 0), AHEAD, AHEAD, 0.0),
          r"^position=\(0, about 10\*\*5000, 0\) must be finite$"),
+        # The band and color types check each number where it enters, as GuidanceConfig does, and GuidanceConfig
+        # checks that each band and color is of its type, so none fails later in the loop.
+        (lambda: LightLevels("a", 1.0), r"^l_min='a' must be a finite number$"),
+        (lambda: LightLevels(0, 10**400), r"^l_max=about 10\*\*400 must be a finite number$"),
+        (lambda: LightLevels(0.5, math.inf), r"^l_max=inf must be a finite number$"),
+        (lambda: SpotlightGeometry(None, 60), r"^a_min=None must be a finite number$"),
+        (lambda: SpotlightGeometry(30, True), r"^a_max=True must be a finite number$"),
+        (lambda: AngularRange("0", 90), r"^theta_min='0' must be a finite number$"),
+        (lambda: AngularRange(0, math.nan), r"^theta_max=nan must be a finite number$"),
+        (lambda: ColorRGB(True, 1, 1), r"^r=True must be a finite number$"),
+        (lambda: ColorRGB(1, "1", 1), r"^g='1' must be a finite number$"),
+        (lambda: GuidanceConfig(env_levels=(0.5, 1.1)), r"^env_levels=\(0\.5, 1\.1\) must be a LightLevels$"),
+        (lambda: GuidanceConfig(spot_levels=None), r"^spot_levels=None must be a LightLevels$"),
+        (lambda: GuidanceConfig(spot_geometry=LightLevels(30.0, 60.0)),
+         r"^spot_geometry=LightLevels\(.*\) must be a SpotlightGeometry$"),
+        (lambda: GuidanceConfig(warm=(1.0, 0.9, 0.3)), r"^warm=\(1\.0, 0\.9, 0\.3\) must be a ColorRGB$"),
+        (lambda: GuidanceConfig()._replace(cold=[1.0, 1.0, 1.0]), r"^cold=\[1\.0, 1\.0, 1\.0\] must be a ColorRGB$"),
     ],
     ids=["ack_threshold", "miss_timeout", "gamma_spot", "chime_repeat_interval", "light_levels",
          "head_speed", "latency_override", "signal_offset", "participants",
@@ -389,7 +406,10 @@ def _plan_with_second_trial(**changes):
          "eye_height-huge", "plan-eye_height-huge", "default_script-eye_height-huge", "miss_timeout-str",
          "ack_dwell-str", "theta_min-str", "chime_repeat_interval-none", "viewport_half_angle-none", "ack_dwell-bool",
          "gamma_env-bool", "duck_gain-bool", "spot_deactivate_at_min-int", "point_radius-huge",
-         "subtlety-negative-5001-digits", "pose-timestamp-huge", "pose-position-5001-digits"],
+         "subtlety-negative-5001-digits", "pose-timestamp-huge", "pose-position-5001-digits",
+         "light_levels-str", "light_levels-huge-int", "light_levels-inf", "spotlight_geometry-none",
+         "spotlight_geometry-bool", "angular_range-str", "angular_range-nan", "color-bool", "color-str",
+         "env_levels-tuple", "spot_levels-none", "spot_geometry-light_levels", "warm-tuple", "cold-list"],
 )
 def test_constructors_reject_non_finite_and_out_of_range(build, named):
     with pytest.raises(ConfigError, match=named) as info:
@@ -433,7 +453,7 @@ _HUGE = -(10**5000)  # more digits than str() converts, 4,300 unless set otherwi
         (lambda: sound_source_position(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), 45.0, AngularRange(0.0, 90.0), _LONG),
          ConfigError, "easing"),
         (lambda: read_trace(write_trace([make_record(0, 0.0)], make_meta()).replace(
-            '{"kind":"frame",', '{"kind":"frame","sgd_phase":[' + ",".join(["0"] * 50_000) + "],")),
+            '\n{"pos":', '\n{"sgd_phase":[' + ",".join(["0"] * 50_000) + '],"pos":')),
          TraceIntegrityError, "sgd_phase"),
         (lambda: make_record(0, 0.0)._replace(t=_HUGE), TraceIntegrityError, "t="),
         (lambda: extract_metrics([Trace(make_meta(), (make_record(0, 0.0, state=_LONG),))]), TraceIntegrityError,

@@ -382,14 +382,15 @@ def test_flicker_phase_follows_from_each_read_back_t(dt):
 @pytest.mark.parametrize("dt", [1 / 30, 1 / 45, 1 / 60, 1 / 72, 1 / 90, 1 / 120, 1 / 144])
 def test_no_frame_line_holds_tick_or_t_at_any_frame_rate(dt):
     # The loop's t is q9(tick × dt) on every tick and the meta line holds dt exactly,
-    # so each t is the derived one, and each tick that changes nothing is a bare line.
+    # so each t is the derived one, and each tick that changes nothing is the bare line {}.
     for method, role in itertools.product(METHODS, Role):
         trace = run_scenario(default_script(method, role), GazeAgentModel(), CFG, dt=dt, seed=3)
         assert trace.meta.dt == dt
         text = write_trace(trace.records, trace.meta)
         frames = text.splitlines()[1:]
-        assert len(frames) == len(trace.records) and not any('"tick":' in line or '"t":' in line for line in frames)
-        assert frames.count('{"kind":"frame"}') == len(trace.records) - len(trace.records.heads)
+        assert len(frames) == len(trace.records)
+        assert not any('"tick":' in line or '"t":' in line or '"kind":' in line for line in frames)
+        assert frames.count("{}") == len(trace.records) - len(trace.records.heads)
         assert read_trace(text) == trace
 
 
@@ -404,8 +405,9 @@ def test_a_legacy_flicker_phase_is_rejected_at_its_first_frame(every_frame):
     last = sgd_phase(0.0)
     for k in range(len(trace.records)):
         phase = sgd_phase(k * dt)
-        if every_frame or phase != last:
-            lines[k + 1] = lines[k + 1].replace('"kind":"frame"', f'"kind":"frame","sgd_phase":{json.dumps(phase)}')
+        if every_frame or phase != last:  # first among the line's members, before any it holds
+            line = lines[k + 1]
+            lines[k + 1] = f'{{"sgd_phase":{json.dumps(phase)}' + ("" if line == "{}\n" else ",") + line[1:]
         last = phase
     assert '"sgd_phase":false' in lines[5]  # tick 4, t = 0.056: the phase turns off
     with pytest.raises(TraceIntegrityError, match=f"^line {2 if every_frame else 6}: unknown field 'sgd_phase'$"):
@@ -856,6 +858,25 @@ def test_the_loop_equals_a_plain_reference_run(run, seed):
     plain = reference_scenario(script, agent, config, dt=dt, seed=seed)
     assert plain.records == live.records and tuple(plain.records) == tuple(live.records)
     assert write_trace(plain.records, plain.meta) == write_trace(live.records, live.meta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(run=_plain_runs(), seed=st.integers(0, 9))
+def test_a_written_trace_is_a_line_a_tick_and_each_unchanged_tick_is_the_bare_line(run, seed):
+    # At 30 to 144 Hz: the meta line, then one frame line per tick, so a newline count is the tick count.
+    # A frame holds no kind, and a tick that changes nothing is {}; write, read and write again give the
+    # same bytes.
+    script, agent, config, dt = run
+    trace = run_scenario(script, agent, config, dt=dt, seed=seed)
+    text = write_trace(trace.records, trace.meta)
+    assert text.count("\n") == len(trace.records) + 1 and text.endswith("\n")
+    meta, *frames = text.splitlines()
+    assert meta.startswith('{"kind":"meta","format":2,"method":')
+    heads = {head.tick for head in trace.records.heads}
+    assert [line == "{}" for line in frames] == [k not in heads for k in range(len(trace.records))]
+    assert not any("kind" in json.loads(line) for line in frames)
+    back = read_trace(text)
+    assert back == trace and write_trace(back.records, back.meta) == text
 
 
 def test_chime_windows_stop_at_the_miss_timeout():

@@ -151,18 +151,56 @@ _ONE_TICK = write_trace([make_record(0, 0.0)], make_meta())
         ("", "line 1: meta must be the first line"),
         ("\n \n", "line 3: meta must be the first line"),
         (_META_LINE + _META_LINE, "line 2: meta must be the first line"),
-        (_META_LINE + '{"kind":"frame","tick":0}\n', "line 2: unknown field 'tick'"),
-        (_ONE_TICK + '{"kind":"frame","tick":1}\n', "line 3: unknown field 'tick'"),
-        (_ONE_TICK + '{"kind":"frame","sgd_phase":true}\n', "line 3: unknown field 'sgd_phase'"),
+        (_ONE_TICK + _META_LINE, "line 3: meta must be the first line"),
+        (_META_LINE + '{"tick":0}\n', "line 2: unknown field 'tick'"),
+        (_ONE_TICK + '{"tick":1}\n', "line 3: unknown field 'tick'"),
+        (_ONE_TICK + '{"sgd_phase":true}\n', "line 3: unknown field 'sgd_phase'"),
+        (_META_LINE + "{}\n", "line 2: missing field 'pos'"),
+        (_ONE_TICK + '{"kind":"frame"}\n', "line 3: unknown record kind 'frame'"),
+        (_ONE_TICK + '{"kind":"frame","t":0.1}\n', "line 3: unknown record kind 'frame'"),
+        (_ONE_TICK + '{"kind":null}\n', "line 3: unknown record kind None"),
     ],
-    ids=["frame-first", "no-meta", "empty", "blank", "second-meta", "tick", "tick-later", "sgd_phase"],
+    ids=["frame-first", "no-meta", "empty", "blank", "second-meta", "second-meta-later", "tick", "tick-later",
+         "sgd_phase", "bare-first-frame", "frame-kind", "frame-kind-with-t", "null-kind"],
 )
 def test_a_file_outside_the_one_format_is_rejected_naming_line_and_field(text, message):
-    # One format: the meta line first, then frames that never hold tick nor the flicker phase.
+    # One format: the meta line first, then frames that hold no kind, and never tick nor the flicker phase.
     assert read_trace(_META_LINE) == (make_meta(), ())
     with pytest.raises(TraceIntegrityError) as caught:
         read_trace(text)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("form", [None, "1", "3", '"2"', "2.0", "true", "null", "-2", "[2]", "{}"],
+                         ids=["missing", "1", "3", "str", "float", "true", "null", "minus-2", "list", "object"])
+def test_a_meta_line_of_any_format_but_2_is_rejected_at_line_1(form):
+    # The int 2 alone: a file written before the meta line named its format holds none, and is written
+    # again from its seed. Its frames are not read: the one message names format 2, whatever follows.
+    text = write_trace([make_record(0, 0.0), make_record(1, 0.1)], make_meta())
+    assert text.startswith('{"kind":"meta","format":2,"method":')
+    edited = text.replace('"format":2,', "" if form is None else f'"format":{form},', 1)
+    older = edited.replace('\n{"', '\n{"kind":"frame","').replace("\n{}", '\n{"kind":"frame"}')
+    for bad in (edited, older):  # with frames of the older format too
+        with pytest.raises(TraceIntegrityError) as caught:
+            read_trace(bad)
+        assert str(caught.value) == "line 1: not a format 2 trace: write it again from its seed"
+    moved = text.replace('"format":2,', "", 1).replace('"names":', '"format":2,"names":', 1)
+    assert read_trace(moved) == read_trace(text)  # a JSON object's members in any order
+
+
+def test_an_unchanged_tick_padded_or_ended_by_crlf_reads_as_the_bare_line():
+    # " {}" and "{ }" take the decoder, "{}\r" the short path after its "\r" is dropped: each is one more
+    # tick of the run before it, as {} is.
+    records = [make_record(k, k * 0.1, pos=(0.0, float(k // 3), 0.0)) for k in range(7)]
+    text = write_trace(records, make_meta())
+    lines = text.split("\n")
+    assert [k for k, line in enumerate(lines) if line == "{}"] == [2, 3, 5, 6]
+    for bare in (" {}", "{}\r", " {}\r", "{ }", "\t{}  "):
+        edited = "\n".join(bare if line == "{}" else line for line in lines)
+        assert read_trace(edited) == read_trace(text) == (make_meta(), tuple(records))
+    crlf = text.replace("\n", "\r\n")
+    back = read_trace(crlf)
+    assert back == (make_meta(), tuple(records)) and write_trace(back.records, back.meta) == text
 
 
 def test_round_trip_random_traces():
@@ -211,7 +249,7 @@ def test_read_rejects_late_meta():
         read_trace(text + text.split("\n", 1)[0] + "\n")
 
 
-_F = '{"kind":"frame",'  # the start of a frame line, where a case puts a field the line leaves out
+_F = "{"  # the start of a frame line, where a case puts a field the line leaves out
 
 
 def _trace_lines() -> list[str]:
@@ -331,9 +369,9 @@ def test_frame_text_does_not_depend_on_shared_value_objects():
     assert read_trace(text).records == tuple(records)
     lines = text.splitlines()[1:]
     assert '"target":null,"rt":null,"in_view":null,"role":null' in lines[0]
-    assert lines[4] == '{"kind":"frame","state":"acknowledged","rt":0.5}'  # t is the derived q9(4 × 0.1)
-    assert lines[5] == '{"kind":"frame"}'  # equal values in new objects
-    assert lines[6].endswith(',"state":"idle","target":null,"rt":null,"in_view":null,"role":null}')
+    assert lines[4] == '{"state":"acknowledged","rt":0.5}'  # t is the derived q9(4 × 0.1)
+    assert lines[5] == "{}"  # equal values in new objects
+    assert lines[6] == '{"state":"idle","target":null,"rt":null,"in_view":null,"role":null}'
     assert '"state":"acknowledged","target":"a2","rt":0.5,"in_view":false,"role":"listener"}' in lines[8]
 
 
@@ -358,7 +396,7 @@ _SUBSET = st.sets(st.sampled_from(_CHANGING), max_size=8)
 def _full_key_text(records, meta) -> str:
     """A meta line, then frames with every field on every line but tick, the line's position."""
     return write_trace([], meta) + "".join(
-        '{"kind":"frame",' + ",".join(f'"{name}":{_emit(getattr(rec, name))}' for name in _CHANGING) + "}\n"
+        "{" + ",".join(f'"{name}":{_emit(getattr(rec, name))}' for name in _CHANGING) + "}\n"
         for rec in records
     )
 
@@ -400,7 +438,7 @@ def test_lines_padded_with_json_whitespace_read_as_written():
 @pytest.mark.parametrize(
     "lineno,edit,message",
     [
-        (2, lambda line: line + ' {"kind":"frame"}', "Extra data"),
+        (2, lambda line: line + " {}", "Extra data"),
         (2, lambda line: line + "}", "Extra data"),
         (2, lambda line: "\xa0" + line, "Expecting value"),  # not JSON whitespace
         (2, lambda line: line + "\xa0", "Extra data"),
@@ -413,7 +451,7 @@ def test_lines_padded_with_json_whitespace_read_as_written():
 )
 def test_read_rejects_a_line_that_is_not_one_json_value(lineno, edit, message):
     lines = write_trace([make_record(0, 0.0), make_record(1, 0.2)], make_meta()).splitlines()
-    assert lines[2] == '{"kind":"frame","t":0.2}'
+    assert lines[2] == '{"t":0.2}'
     lines[lineno - 1] = edit(lines[lineno - 1])
     with pytest.raises(TraceIntegrityError) as caught:
         read_trace("\n".join(lines) + "\n")
@@ -451,13 +489,14 @@ def _heads(records, dt) -> tuple:
 def _plain_write(records, meta) -> str:
     """write_trace as a plain diff of every frame against the record before it, with tick left out
     and t against the derived t: the oracle for its per-run writer."""
-    lines = ["".join(['{"kind":"meta"', *[f',"{name}":{_emit(value)}' for name, value in meta._asdict().items()], "}\n"])]
+    meta_fields = [f'"{name}":{_emit(value)}' for name, value in meta._asdict().items()]
+    lines = ["{" + ",".join(['"kind":"meta","format":2', *meta_fields]) + "}\n"]
     last = None
     for k, rec in enumerate(records):
         derived = q9(k * meta.dt)
-        fields = [f',"{name}":{_emit(value)}' for i, (name, value) in enumerate(rec._asdict().items())
+        fields = [f'"{name}":{_emit(value)}' for i, (name, value) in enumerate(rec._asdict().items())
                   if i == 1 and value != derived or i > 1 and (last is None or value != last[i])]
-        lines.append("".join(['{"kind":"frame"', *fields, "}\n"]))
+        lines.append("{" + ",".join(fields) + "}\n")
         last = rec
     return "".join(lines)
 
@@ -562,7 +601,7 @@ def test_records_behave_as_the_tuple_of_their_records(data):
 
 
 _DT = st.sampled_from([0.1, 1 / 30, 1 / 72, 1 / 144, 1e-9]) | st.floats(1e-6, 1e3)
-_SPACED = st.sampled_from([_FRAME, " " + _FRAME, '{"kind": "frame"}', '{ "kind" :"frame" }\t', _FRAME + "\r"])
+_SPACED = st.sampled_from([_FRAME, " " + _FRAME, "{ }", "\t{ \t}  ", _FRAME + "\r", " " + _FRAME + "\r"])
 
 
 @given(st.data())
@@ -691,10 +730,10 @@ def test_unchanged_ticks_read_as_decoded():
             records[-1] = records[-1]._replace(pos=(0.0, float(k), 0.0))
     text = write_trace(records, make_meta())
     lines = text.splitlines()
-    assert lines[9] == '{"kind":"frame"}' and lines[8] == '{"kind":"frame","t":0.6}'  # tick 7 kept tick 6's t
+    assert lines[9] == "{}" and lines[8] == '{"t":0.6}'  # tick 7 kept tick 6's t
     assert read_trace(text) == read_trace(_padded(text)) == (make_meta(), tuple(records))
     # The first frame is never bare: it holds every field but tick and a derived t.
-    for first in ('{"kind":"frame","t":0}', '{"kind":"frame"}', " " + _FRAME):
+    for first in ('{"t":0}', "{}", " " + _FRAME, "{ }", _FRAME + "\r"):
         with pytest.raises(TraceIntegrityError, match="^line 2: missing field 'pos'$"):
             read_trace(write_trace([], make_meta()) + first + "\n")
 
@@ -720,7 +759,7 @@ def test_a_short_line_reads_as_the_decoder_reads_it(lines):
     # padded copy takes.
     text = write_trace([make_record(0, 0.0)], make_meta()) + "".join(
         _FRAME + "\n" if line is None
-        else '{"kind":"frame",' + ",".join(f"{key}:{value}" for key, value in zip(line[0], line[1:])) + "}\n"
+        else "{" + ",".join(f"{key}:{value}" for key, value in zip(line[0], line[1:])) + "}\n"
         for line in lines
     )
     assert _outcome(text) == _outcome(_padded(text))
@@ -729,12 +768,12 @@ def test_a_short_line_reads_as_the_decoder_reads_it(lines):
 @pytest.mark.parametrize(
     "line,message",
     [
-        ('{"kind":"frame","t":1e999}', "t=inf is not a valid float"),
-        ('{"kind":"frame","t":-1E400}', "t=-inf is not a valid float"),
-        ('{"kind":"frame","t":' + "9" * 400 + "}", "t=9{400} is not a valid float"),
-        ('{"kind":"frame","t":01}', r"invalid JSON \(Expecting ',' delimiter\)"),
-        ('{"kind":"frame","tick":3,"t":0.1}', "unknown field 'tick'"),  # a frame holds no tick, not even the next
-        ('{"kind":"frame","tick":1}', "unknown field 'tick'"),
+        ('{"t":1e999}', "t=inf is not a valid float"),
+        ('{"t":-1E400}', "t=-inf is not a valid float"),
+        ('{"t":' + "9" * 400 + "}", "t=9{400} is not a valid float"),
+        ('{"t":01}', r"invalid JSON \(Expecting ',' delimiter\)"),
+        ('{"tick":3,"t":0.1}', "unknown field 'tick'"),  # a frame holds no tick, not even the next
+        ('{"tick":1}', "unknown field 'tick'"),
     ],
     ids=["inf", "minus-inf", "int-overflow", "leading-zero", "wrong-tick", "minus-zero-tick"],
 )
@@ -751,9 +790,9 @@ _HUGE = "9" * 5000  # more digits than Python's int() reads, 4300 unless set oth
 @pytest.mark.parametrize(
     "line",
     [
-        '{"kind":"frame","tick":%s,"t":0.1}' % _HUGE,  # decoded before the field is named
-        '{"kind":"frame","t":%s}' % _HUGE,
-        '{"kind":"frame","t":0.1,"env":%s}' % _HUGE,  # never a short line
+        '{"tick":%s,"t":0.1}' % _HUGE,  # decoded before the field is named
+        '{"t":%s}' % _HUGE,
+        '{"t":0.1,"env":%s}' % _HUGE,  # never a short line
     ],
     ids=["tick", "t", "env"],
 )
@@ -777,7 +816,7 @@ def test_an_unchanged_tick_of_many_digits_reads_as_decoded():
     # An unchanged tick's line with a t of up to and past 640 digits, the least
     # limit Python may set on int(): as written or padded, the decoder's error.
     for digits in (639, 640, 641, 4300):
-        text = write_trace([make_record(0, 0.0)], make_meta()) + '{"kind":"frame","t":%s}\n' % ("9" * digits)
+        text = write_trace([make_record(0, 0.0)], make_meta()) + '{"t":%s}\n' % ("9" * digits)
         error = (TraceIntegrityError, f"line 3: t={'9' * digits} is not a valid float")
         assert _outcome(text) == _outcome(_padded(text)) == error
 
@@ -1049,7 +1088,7 @@ _SHORTENED = r"'x{12}\.\.\.x{13}'"  # how an error shows a long str
         (lambda: make_record(0, 0.0)._replace(chime="x" * 200_000), f"chime={_SHORTENED} is not a valid bool"),
         (lambda: make_meta(seats=[[[0] * 200_000]] * 9),
          r"seats=\[(\[\[\.\.\.\]\], ){6}\.\.\.\] is not a valid tuple\[Triple, \.\.\.\]"),
-        (lambda: read_trace(write_trace([], make_meta()) + '{"kind":"frame","' + "x" * 200_000 + '":1}'),
+        (lambda: read_trace(write_trace([], make_meta()) + '{"' + "x" * 200_000 + '":1}'),
          f"line 2: unknown field {_SHORTENED}"),
         (lambda: read_trace(write_trace([], make_meta()) + '{"kind":"' + "x" * 200_000 + '"}'),
          f"line 2: unknown record kind {_SHORTENED}"),
